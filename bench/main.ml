@@ -1053,24 +1053,6 @@ let bench_tests =
       Test.make ~name:"pexplore/ternary-4dom"
         (Staged.stage (fun () ->
              ignore (Mc.Pexplore.space ~domains:4 (ternary_system ()))));
-      (* Explorer table pre-sizing: default 512-slot shards that grow by
-         rehashing vs shards pre-sized from the lint pass's static state
-         bound, on the largest regenerated model. *)
-      Test.make ~name:"presize/ternary-default"
-        (Staged.stage (fun () ->
-             ignore (Mc.Pexplore.count ~domains:2 (ternary_system ()))));
-      Test.make ~name:"presize/ternary-hinted"
-        (Staged.stage (fun () ->
-             let params = H.Params.make ~n:2 ~tmin:2 ~tmax:6 () in
-             let model = H.Ta_models.build H.Ta_models.Static params in
-             let expected_states =
-               match Lint.Ta_model.static_bound model with
-               | Lint.Interval.Finite n -> Some n
-               | Lint.Interval.Unbounded -> None
-             in
-             ignore
-               (Mc.Pexplore.count ?expected_states ~domains:2
-                  (Ta.Semantics.system (Ta.Semantics.compile model)))));
       Test.make ~name:"mc/regex-compile-step"
         (Staged.stage (fun () ->
              let r =

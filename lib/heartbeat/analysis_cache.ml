@@ -2,9 +2,9 @@
 
    The verify sweeps (tables, smoke matrices, benchmark campaigns)
    rebuild the same model at many table points and consult the same
-   analyses — [Por.analyze] for the reduction, [Lint.Pa] /
-   [Lint.Ta_model] static bounds for table pre-sizing, [Lubounds] LU
-   tables for zone extrapolation — at each cell.  The analyses are
+   analyses — [Por.analyze] for the reduction, [Lubounds] LU tables for
+   zone extrapolation, and for callers that ask, the [Lint.Pa] /
+   [Lint.Ta_model] static state bounds — at each cell.  The analyses are
    memoised at their definition sites ([Lint.Memo]); this module just
    gathers the counters so campaign-level reports can show how much
    static-analysis work the caches absorbed. *)

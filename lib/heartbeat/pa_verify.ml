@@ -92,26 +92,16 @@ let monitors variant (p : Params.t) req :
           fault @ bad );
       ]
 
-(* The lint pass's static state bound, as an [expected_states] table
-   pre-sizing hint for the explorer.  Memoised on the spec term: sweeps
-   revisit the same spec for several requirements and engines. *)
-let expected_of spec =
-  match Lint.Pa.static_bound_cached spec with
-  | Lint.Interval.Finite n -> Some n
-  | Lint.Interval.Unbounded -> None
-
 let check_verdict ?(max_states = default_max) ?(domains = 1) ?(slice = false)
     ?(reduce = false) ?store ?workstealing ?budget ?degrade variant params req
     =
   let spec = Pa_models.build variant params in
   let sys = Proc.Semantics.system spec in
   (* the slice never touches action labels, so the monitors and their
-     POR alphabets carry over unchanged; the pre-sizing hint and the
-     reduction are computed over the sliced spec (what is actually
-     explored) *)
+     POR alphabets carry over unchanged; the reduction is computed over
+     the sliced spec (what is actually explored) *)
   let sspec = if slice then (Slice_pa.slice spec).Slice_pa.spec else spec in
   let slice_sys = if slice then Some (Proc.Semantics.system sspec) else None in
-  let expected_states = expected_of sspec in
   (* reduction composes with domains > 1 through the parallel-safe
      proviso: each reduced system is built with [~par:true] and Safety
      is told not to force the sequential engine *)
@@ -125,9 +115,9 @@ let check_verdict ?(max_states = default_max) ?(domains = 1) ?(slice = false)
           Option.map (fun a -> Por.reduced_system ~alphabet ~par a) analysis
         in
         match
-          Mc.Safety.check_monitor ~max_states ?expected_states ~domains
-            ?slice:slice_sys ?reduction ~parallel_reduction:par ?store
-            ?workstealing ?budget ?degrade sys monitor
+          Mc.Safety.check_monitor ~max_states ~domains ?slice:slice_sys
+            ?reduction ~parallel_reduction:par ?store ?workstealing ?budget
+            ?degrade sys monitor
         with
         | Mc.Safety.Holds -> go rest
         | v -> v)
@@ -157,7 +147,6 @@ let state_count ?(max_states = default_max) ?(domains = 1) ?(slice = false)
     ?(reduce = false) ?store ?workstealing variant params =
   let spec = Pa_models.build variant params in
   let spec = if slice then (Slice_pa.slice spec).Slice_pa.spec else spec in
-  let expected_states = expected_of spec in
   let parallel =
     domains > 1 || store <> None || workstealing <> None
   in
@@ -168,9 +157,8 @@ let state_count ?(max_states = default_max) ?(domains = 1) ?(slice = false)
       else Proc.Semantics.system spec
     in
     if parallel then
-      Mc.Pexplore.count ~max_states ?expected_states ~domains
-        ?store ?workstealing sys
-    else Mc.Explore.count ~max_states ?expected_states sys
+      Mc.Pexplore.count ~max_states ~domains ?store ?workstealing sys
+    else Mc.Explore.count ~max_states sys
   in
   if not complete then failwith "Pa_verify.state_count: state bound exceeded";
   count
@@ -181,12 +169,11 @@ let explore ?(max_states = default_max) ?(slice = false) ?(reduce = false)
     variant params =
   let spec = Pa_models.build variant params in
   let spec = if slice then (Slice_pa.slice spec).Slice_pa.spec else spec in
-  let expected_states = expected_of spec in
   let sys =
     if reduce then Por.reduced_system (Por.analyze_cached spec)
     else Proc.Semantics.system spec
   in
-  let space = Mc.Explore.space ~max_states ?expected_states sys in
+  let space = Mc.Explore.space ~max_states sys in
   {
     states = Lts.Graph.num_states space.Mc.Explore.lts;
     transitions = Lts.Graph.num_transitions space.Mc.Explore.lts;

@@ -59,8 +59,8 @@ val check :
     slice ({!Slice.Pa}) over the spec and explores the sliced system
     instead; action labels are never touched by the slice, so the
     monitors, their POR alphabets, and the verdict carry over exactly.
-    The pre-sizing hint and (with [reduce]) the ample-set analysis are
-    computed over the sliced spec — the model actually explored.
+    With [reduce], the ample-set analysis is computed over the sliced
+    spec — the model actually explored.
     @raise Failure if the state bound (default 4 million) is exceeded. *)
 
 val state_count :

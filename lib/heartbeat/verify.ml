@@ -7,29 +7,14 @@ type outcome = {
 
 let default_max = 5_000_000
 
-(* The lint pass's static state bound, as an [expected_states] table
-   pre-sizing hint for the explorer.  [None] (bound saturated or model
-   truly unbounded) falls back to the engine's default growth.  The
-   bound is memoised on the model term: sweeps revisit the same model
-   for several requirements and parameters. *)
-let expected_of model =
-  match Lint.Ta_model.static_bound_cached model with
-  | Lint.Interval.Finite n -> Some n
-  | Lint.Interval.Unbounded -> None
-
-let card_to_expected = function
-  | Lint.Interval.Finite n -> Some n
-  | Lint.Interval.Unbounded -> None
-
-(* Slice the model against the requirement's seed.  The returned triple
-   is (sliced system to explore, bad predicate over it, pre-sizing hint
-   from the activity-aware post-slice bound). *)
+(* Slice the model against the requirement's seed.  The returned pair
+   is (sliced system to explore, bad predicate over it). *)
 let sliced_parts variant params req model =
   let seed = Requirements.slice_seed variant params req in
   let sl = Slice_ta.slice ~seed model in
   let snet = Ta.Semantics.compile sl.Slice_ta.model in
   let bad = Requirements.bad_state variant params snet req in
-  (Slice_ta.system sl snet, bad, card_to_expected sl.Slice_ta.expected)
+  (Slice_ta.system sl snet, bad)
 
 (* Dense-time check via the zone engine: same model builders, same bad
    predicates (they observe only the discrete part), different
@@ -88,17 +73,15 @@ let check ?(fixed = false) ?(max_states = default_max) ?(domains = 1)
   let with_r1_monitors = Requirements.needs_monitors req in
   let model = Ta_models.build ~fixed ~with_r1_monitors variant params in
   let net = Ta.Semantics.compile model in
-  let slice_sys, bad, expected_states =
+  let slice_sys, bad =
     if slice then
-      let sys, bad, expected = sliced_parts variant params req model in
-      (Some sys, bad, expected)
-    else
-      (None, Requirements.bad_state variant params net req, expected_of model)
+      let sys, bad = sliced_parts variant params req model in
+      (Some sys, bad)
+    else (None, Requirements.bad_state variant params net req)
   in
   match
-    Mc.Safety.check_state ~max_states ?expected_states ~domains
-      ?slice:slice_sys ?store ?workstealing ?budget ?degrade
-      (Ta.Semantics.system net) bad
+    Mc.Safety.check_state ~max_states ~domains ?slice:slice_sys ?store
+      ?workstealing ?budget ?degrade (Ta.Semantics.system net) bad
   with
   | Mc.Safety.Holds ->
       {
@@ -168,8 +151,7 @@ let r1_holds_with_bound ~fixed ~max_states ~domains variant params bound =
   let net = Ta.Semantics.compile model in
   let bad = Requirements.bad_state variant params net Requirements.R1 in
   match
-    Mc.Safety.check_state ~max_states ?expected_states:(expected_of model)
-      ~domains (Ta.Semantics.system net) bad
+    Mc.Safety.check_state ~max_states ~domains (Ta.Semantics.system net) bad
   with
   | Mc.Safety.Holds -> true
   | Mc.Safety.Violated _ -> false
@@ -242,15 +224,14 @@ let deadlocks ?(fixed = false) ?(max_states = default_max) ?(domains = 1)
   let net = Ta.Semantics.compile model in
   let sys = Ta.Semantics.system net in
   let goal c = Ta.Semantics.successors net c = [] in
-  let expected_states = expected_of model in
   match
     if
       domains <= 1 && store = Mc.Store.Exact && workstealing = None
       && budget = None
-    then Mc.Explore.find ~max_states ?expected_states ~goal sys
+    then Mc.Explore.find ~max_states ~goal sys
     else
-      Mc.Pexplore.find ~max_states ?expected_states ~domains ~store
-        ?workstealing ?budget ?degrade ~goal sys
+      Mc.Pexplore.find ~max_states ~domains ~store ?workstealing ?budget
+        ?degrade ~goal sys
   with
   | Mc.Explore.Unreachable -> Mc.Safety.Holds
   | Mc.Explore.Reached w -> Mc.Safety.Violated w.Mc.Explore.trace

@@ -164,9 +164,9 @@ let rec refine cmp a b =
 
 type card = Finite of int | Unbounded
 
-(* Cardinalities saturate to [Unbounded] beyond 10^18: the consumer
-   (table pre-sizing) clamps far below that anyway, and staying clear of
-   [max_int] keeps the JSON report platform-independent. *)
+(* Cardinalities saturate to [Unbounded] beyond 10^18: no explicit
+   state space comes near that, and staying clear of [max_int] keeps
+   the JSON report platform-independent. *)
 let card_cap = 1_000_000_000_000_000_000
 
 let width i =

@@ -21,7 +21,7 @@
      component, the sum over call-graph-reachable definitions of the
      number of control positions times the product of in-scope variable
      widths; the product over components bounds the interleaved state
-     space and is what {!Mc.Pexplore} uses to pre-size its tables.
+     space.
 
    The unit-counter rule: if every self-call of a definition either
    passes a parameter pair [(c, e)] through unchanged or increments [c]
@@ -759,17 +759,16 @@ let state_bound (spec : S.t) defs state : I.card =
 
 (* --- entry points ----------------------------------------------------- *)
 
-(* Range analysis + state bound only: what {!Heartbeat.Pa_verify} calls
-   to pre-size the explorer tables without paying for diagnostics. *)
+(* Range analysis + state bound only, without paying for diagnostics. *)
 let static_bound (spec : S.t) : I.card =
   let defs = def_table spec in
   let thresholds = thresholds_of spec in
   let state, _ = analyze_intervals spec defs thresholds in
   state_bound spec defs state
 
-(* Sweeps call [static_bound] once per table cell but build the same
-   spec for all three requirements of the cell (and often for several
-   cells): memoised on the spec term. *)
+(* Sweeps that want the bound per table cell build the same spec for
+   all three requirements of the cell (and often for several cells):
+   memoised on the spec term. *)
 let bound_memo : (S.t, I.card) Lint_memo.t = Lint_memo.create ()
 let static_bound_cached spec = Lint_memo.find bound_memo spec static_bound
 let cache_stats () = Lint_memo.stats bound_memo

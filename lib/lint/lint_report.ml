@@ -1,8 +1,8 @@
 (* Diagnostics and report rendering for hblint.
 
    A report is a per-model bundle of diagnostics plus the analysis
-   statistics (variable ranges and the static state-count bound) that
-   the explorer uses for table pre-sizing.  Both renderers are fully
+   statistics (variable ranges and the static state-count bound).  Both
+   renderers are fully
    deterministic: diagnostics are sorted by (severity, code, where,
    message), ranges by variable name, and the JSON is hand-rolled with
    no hashtable iteration order or timestamps leaking in. *)

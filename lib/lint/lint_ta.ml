@@ -8,8 +8,7 @@
    flow-insensitive interval fixpoint over the shared variables with
    guard/invariant satisfiability checks, Zeno-cycle detection over
    urgent/committed locations, and a static state-count upper bound
-   (product of location counts, clock domains and variable widths) used
-   by {!Mc.Pexplore} to pre-size its tables.
+   (product of location counts, clock domains and variable widths).
 
    The interval transfer recognises the arithmetic-mux idiom the
    heartbeat models use for conditional updates,
@@ -770,8 +769,6 @@ let state_bound (m : M.t) (d : decls) reach globals : I.card =
 
 (* --- entry points -------------------------------------------------------- *)
 
-(* Range analysis + state bound only: what {!Heartbeat.Verify} calls to
-   pre-size the explorer tables without paying for diagnostics. *)
 (* Declarations plus the final variable intervals: the slicer's
    constant-folding pass consumes these directly (a variable whose
    interval is a singleton is provably constant). *)
@@ -779,6 +776,7 @@ let intervals_of (m : M.t) : decls * I.t SMap.t =
   let d, _ = build_decls m in
   (d, fixpoint m d (model_thresholds m))
 
+(* Range analysis + state bound only, without paying for diagnostics. *)
 let static_bound (m : M.t) : I.card =
   let d, _ = build_decls m in
   let reach =

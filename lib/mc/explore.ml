@@ -6,25 +6,103 @@ type ('s, 'l) space = {
 
 let default_max = 1_000_000
 
-(* Initial capacity of the duplicate-detection tables.  A good
-   [expected_states] hint (e.g. the lint pass's static state bound)
-   skips the rehash-and-copy cycles of growing from the default; the
-   clamp keeps a wildly overestimated bound from allocating a huge empty
-   table. *)
-let sizing_cap = 1 lsl 22
+(* The state index shared by [space_run], [find] and [count]: open
+   addressing with linear probing over int slots holding dense discovery
+   ids (-1 = free).  An id indexes the parallel [states] and [hashes]
+   arrays, so it is the state's BFS discovery number and the frontier is
+   a range of ids rather than a queue.  The slot array is never more
+   than half full; growth doubles it and re-slots every id from its
+   cached hash, without calling [hash_state] again.
 
-let initial_capacity expected_states =
-  match expected_states with
-  | None -> 4096
-  | Some n -> max 4096 (min n sizing_cap)
+   The index starts small and grows: static state bounds overshoot the
+   states a check actually stores by orders of magnitude, and doubling
+   costs O(n) over a whole run.  An [expected_states] hint may lower the
+   start for small systems, never raise it. *)
+let default_capacity = 1024
 
-(* A hash table keyed by the system's own state equality and hash. *)
-module Table (S : System.S) = Hashtbl.Make (struct
-  type t = S.state
+let extend a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
-  let equal = S.equal_state
-  let hash = S.hash_state
-end)
+module Index (S : System.S) = struct
+  type t = {
+    mutable slots : int array;
+    mutable shift : int; (* 63 - log2 (Array.length slots) *)
+    mutable states : S.state array; (* capacity: half the slots *)
+    mutable hashes : int array;
+    mutable count : int;
+  }
+
+  let create expected_states =
+    let ids =
+      match expected_states with
+      | None -> default_capacity
+      | Some n -> max 8 (min default_capacity n)
+    in
+    let rec bits b = if 1 lsl b >= 2 * ids then b else bits (b + 1) in
+    let b = bits 1 in
+    {
+      slots = Array.make (1 lsl b) (-1);
+      shift = 63 - b;
+      states = Array.make (1 lsl (b - 1)) S.initial;
+      hashes = Array.make (1 lsl (b - 1)) 0;
+      count = 0;
+    }
+
+  (* Fibonacci hashing: the top bits of the product by 2^63/phi spread
+     weak, clustered or negative hashes over the slots.  The literal
+     wraps to a negative int; only its 63 bits matter. *)
+  let home t h = (h * 0x4F1BBCDCBFA53E0B) lsr t.shift
+
+  let grow t =
+    let n = 2 * Array.length t.slots in
+    let slots = Array.make n (-1) in
+    t.slots <- slots;
+    t.shift <- t.shift - 1;
+    for id = 0 to t.count - 1 do
+      let i = ref (home t t.hashes.(id)) in
+      while slots.(!i) >= 0 do
+        i := (!i + 1) land (n - 1)
+      done;
+      slots.(!i) <- id
+    done;
+    t.states <- extend t.states (n / 2) S.initial;
+    t.hashes <- extend t.hashes (n / 2) 0
+
+  let rec probe t s h i =
+    let id = t.slots.(i) in
+    if id < 0 then -1 - i
+    else if t.hashes.(id) = h && S.equal_state t.states.(id) s then id
+    else probe t s h ((i + 1) land (Array.length t.slots - 1))
+
+  (* The id of [s] (whose hash is [h]) if stored, else [-1 - slot] for
+     the free slot {!add} fills.  Room for one more state is made first,
+     so that slot stays valid. *)
+  let lookup t s h =
+    if t.count = Array.length t.states then grow t;
+    probe t s h (home t h)
+
+  (* Store [s] under the next id, in the free slot named by [r < 0]. *)
+  let add t s h r =
+    let id = t.count in
+    t.slots.(-1 - r) <- id;
+    t.states.(id) <- s;
+    t.hashes.(id) <- h;
+    t.count <- id + 1;
+    id
+
+  let intern t s =
+    let h = S.hash_state s in
+    let r = lookup t s h in
+    if r >= 0 then r else add t s h r
+end
+
+(* [set a i x] stores [x] at index [i] of the growable array [!a],
+   doubling it (filled with [x]) when [i] is past its end. *)
+let set a i x =
+  if i >= Array.length !a then a := extend !a (max 16 (2 * i)) x;
+  !a.(i) <- x
 
 type exhaustion = {
   reason : Budget.reason;
@@ -55,32 +133,21 @@ type ('s, 'l) run_result =
 let space_run (type s l) ?(max_states = default_max) ?expected_states ?budget
     ?checkpoint ?resume (sys : (s, l) System.t) : (s, l) run_result =
   let module S = (val sys) in
-  let module T = Table (S) in
-  let index = T.create (initial_capacity expected_states) in
-  let states = ref [] in
-  let depths = ref [] in
-  let count = ref 0 in
+  let module I = Index (S) in
+  let index = I.create expected_states in
+  (* BFS depth per id, recorded for the parallel engine's truncation
+     machinery; the sequential loop itself never branches on it. *)
+  let depths = ref [||] in
   let complete = ref true in
   let transitions = ref [] in
-  (* Queue entries carry the BFS depth so cursors record it for the
-     parallel engine's truncation machinery; the sequential loop itself
-     never branches on it. *)
-  let queue : (int * s * int) Queue.t = Queue.create () in
-  let intern s d =
-    match T.find_opt index s with
-    | Some i -> i
-    | None ->
-        let i = !count in
-        T.add index s i;
-        states := s :: !states;
-        depths := d :: !depths;
-        incr count;
-        i
-  in
+  (* The frontier: the ids a resumed cursor hands over, in its order,
+     then every id from [head] on.  A cursor from this engine hands over
+     a contiguous range; the parallel engine's need not be one. *)
+  let pending = ref [||] in
+  let next_pending = ref 0 in
+  let head = ref 0 in
   (match resume with
-  | None ->
-      let i0 = intern S.initial 0 in
-      Queue.add (i0, S.initial, 0) queue
+  | None -> set depths (I.intern index S.initial) 0
   | Some c ->
       if c.c_max_states <> max_states then
         invalid_arg
@@ -88,39 +155,50 @@ let space_run (type s l) ?(max_states = default_max) ?expected_states ?budget
              "Mc.Explore.space_run: checkpoint was taken with \
               max_states=%d, resumed with %d"
              c.c_max_states max_states);
-      (* Re-interning in discovery order reproduces the table, the
-         reversed state list and the id counter exactly, so the
-         continuation is byte-identical to an uninterrupted run. *)
-      Array.iteri (fun i s -> ignore (intern s c.c_depths.(i))) c.c_states;
+      (* Re-interning in discovery order reproduces the index and its
+         ids exactly, so the continuation is byte-identical to an
+         uninterrupted run. *)
+      Array.iteri (fun i s -> set depths (I.intern index s) c.c_depths.(i))
+        c.c_states;
       transitions := c.c_trans;
       complete := c.c_complete;
-      Array.iter
-        (fun i -> Queue.add (i, c.c_states.(i), c.c_depths.(i)) queue)
-        c.c_queue);
+      pending := c.c_queue;
+      head := index.I.count);
   let snapshot () =
+    let n = index.I.count in
+    let rest = Array.length !pending - !next_pending in
     {
       c_max_states = max_states;
-      c_states = Array.of_list (List.rev !states);
-      c_depths = Array.of_list (List.rev !depths);
+      c_states = Array.sub index.I.states 0 n;
+      c_depths = Array.sub !depths 0 n;
       c_trans = !transitions;
       c_queue =
-        Array.of_seq (Seq.map (fun (i, _, _) -> i) (Queue.to_seq queue));
+        Array.append
+          (Array.sub !pending !next_pending rest)
+          (Array.init (n - !head) (fun k -> !head + k));
       c_complete = !complete;
     }
   in
   let expanded = ref 0 in
   let suspended = ref None in
   (try
-     while not (Queue.is_empty queue) do
-       (match budget with
-       | Some b -> (
-           match Budget.check b with
-           | Some r ->
-               suspended := Some (Suspended (r, snapshot ()));
-               raise Exit
-           | None -> ())
+     while !next_pending < Array.length !pending || !head < index.I.count do
+       (match Option.bind budget Budget.check with
+       | Some r ->
+           suspended := Some (Suspended (r, snapshot ()));
+           raise Exit
        | None -> ());
-       let i, s, d = Queue.pop queue in
+       let i =
+         if !next_pending < Array.length !pending then begin
+           incr next_pending;
+           !pending.(!next_pending - 1)
+         end
+         else begin
+           incr head;
+           !head - 1
+         end
+       in
+       let d = !depths.(i) in
        List.iter
          (fun (l, s') ->
            (* Truncation contract: once the bound is reached no new state
@@ -128,14 +206,16 @@ let space_run (type s l) ?(max_states = default_max) ?expected_states ?budget
               transitions between retained states are kept — the result
               is the induced subgraph on the first [max_states] states in
               BFS discovery order (see the .mli). *)
-           if !count < max_states || T.mem index s' then begin
-             let before = !count in
-             let j = intern s' (d + 1) in
-             transitions := (i, l, j) :: !transitions;
-             if j >= before then Queue.add (j, s', d + 1) queue
+           let h = S.hash_state s' in
+           let r = I.lookup index s' h in
+           if r >= 0 then transitions := (i, l, r) :: !transitions
+           else if index.I.count < max_states then begin
+             let j = I.add index s' h r in
+             set depths j (d + 1);
+             transitions := (i, l, j) :: !transitions
            end
            else complete := false)
-         (S.successors s);
+         (S.successors index.I.states.(i));
        incr expanded;
        match checkpoint with
        | Some (every, f) when every > 0 && !expanded mod every = 0 ->
@@ -146,11 +226,11 @@ let space_run (type s l) ?(max_states = default_max) ?expected_states ?budget
   match !suspended with
   | Some r -> r
   | None ->
-      let states = Array.of_list (List.rev !states) in
+      let n = index.I.count in
       let lts =
-        Lts.Graph.make ~num_states:!count ~initial:0 (List.rev !transitions)
+        Lts.Graph.make ~num_states:n ~initial:0 (List.rev !transitions)
       in
-      Done { lts; states; complete = !complete }
+      Done { lts; states = Array.sub index.I.states 0 n; complete = !complete }
 
 let space ?max_states ?expected_states sys =
   match space_run ?max_states ?expected_states sys with
@@ -168,67 +248,50 @@ type ('s, 'l) verdict =
 let find (type s l) ?(max_states = default_max) ?expected_states ?budget ~goal
     (sys : (s, l) System.t) : (s, l) verdict =
   let module S = (val sys) in
-  let module T = Table (S) in
-  let visited = T.create (initial_capacity expected_states) in
-  (* Parent pointers for shortest-trace reconstruction: state index ->
-     (label, parent index); states are also kept in an extensible array. *)
-  let states = ref [||] in
-  let parents = ref [||] in
-  let count = ref 0 in
-  let push s parent =
-    if !count >= Array.length !states then begin
-      let cap = max 64 (2 * Array.length !states) in
-      let grow a fill = Array.append a (Array.make (cap - Array.length a) fill) in
-      states := grow !states s;
-      parents := grow !parents parent
-    end;
-    !states.(!count) <- s;
-    !parents.(!count) <- parent;
-    T.add visited s !count;
-    incr count;
-    !count - 1
-  in
-  let rebuild i =
-    let rec go i acc =
-      match !parents.(i) with
-      | None -> acc
-      | Some (l, p) -> go p (l :: acc)
-    in
-    go i []
-  in
+  let module I = Index (S) in
   if goal S.initial then Reached { trace = []; state = S.initial }
   else begin
-    let queue = Queue.create () in
-    let i0 = push S.initial None in
-    Queue.add i0 queue;
+    let index = I.create expected_states in
+    (* Shortest-trace reconstruction: the parent id and the label that
+       discovered each state, by id (the initial state is id 0). *)
+    let parents = ref [||] in
+    let labels = ref [||] in
+    let rebuild j =
+      let rec go i acc =
+        if i = 0 then acc else go !parents.(i) (!labels.(i) :: acc)
+      in
+      go j []
+    in
+    ignore (I.intern index S.initial);
+    let head = ref 0 in
     let result = ref None in
     let exhausted = ref None in
     let truncated = ref false in
     (try
-       while not (Queue.is_empty queue) do
-         (match budget with
-         | Some b -> (
-             match Budget.check b with
-             | Some r ->
-                 exhausted := Some r;
-                 raise Exit
-             | None -> ())
+       while !head < index.I.count do
+         (match Option.bind budget Budget.check with
+         | Some r ->
+             exhausted := Some r;
+             raise Exit
          | None -> ());
-         let i = Queue.pop queue in
-         let s = !states.(i) in
+         let i = !head in
+         incr head;
          List.iter
            (fun (l, s') ->
-             if not (T.mem visited s') then
-               if !count >= max_states then truncated := true
+             let h = S.hash_state s' in
+             let r = I.lookup index s' h in
+             if r < 0 then
+               if index.I.count >= max_states then truncated := true
                else begin
-                 let j = push s' (Some (l, i)) in
+                 let j = I.add index s' h r in
+                 set parents j i;
+                 set labels j l;
                  if goal s' then begin
                    result := Some (rebuild j, s');
                    raise Exit
-                 end;
-                 Queue.add j queue
+                 end
                end)
-           (S.successors s)
+           (S.successors index.I.states.(i))
        done
      with Exit -> ());
     match (!result, !exhausted) with
@@ -237,8 +300,9 @@ let find (type s l) ?(max_states = default_max) ?expected_states ?budget ~goal
         Exhausted
           {
             reason;
-            states_so_far = !count;
-            coverage = Store.coverage_of ~mode:Store.exact ~stored:!count;
+            states_so_far = index.I.count;
+            coverage =
+              Store.coverage_of ~mode:Store.exact ~stored:index.I.count;
           }
     | None, None -> if !truncated then Bound_hit max_states else Unreachable
   end
@@ -246,32 +310,27 @@ let find (type s l) ?(max_states = default_max) ?expected_states ?budget ~goal
 let count (type s l) ?(max_states = default_max) ?expected_states ?budget
     (sys : (s, l) System.t) =
   let module S = (val sys) in
-  let module T = Table (S) in
-  let visited = T.create (initial_capacity expected_states) in
-  let queue = Queue.create () in
+  let module I = Index (S) in
+  let index = I.create expected_states in
+  ignore (I.intern index S.initial);
+  let head = ref 0 in
   let complete = ref true in
-  T.add visited S.initial ();
-  Queue.add S.initial queue;
   (try
-     while not (Queue.is_empty queue) do
-       (match budget with
-       | Some b -> (
-           match Budget.check b with
-           | Some _ ->
-               complete := false;
-               raise Exit
-           | None -> ())
-       | None -> ());
-       let s = Queue.pop queue in
+     while !head < index.I.count do
+       if Option.is_some (Option.bind budget Budget.check) then begin
+         complete := false;
+         raise Exit
+       end;
+       let s = index.I.states.(!head) in
+       incr head;
        List.iter
          (fun (_, s') ->
-           if not (T.mem visited s') then
-             if T.length visited >= max_states then complete := false
-             else begin
-               T.add visited s' ();
-               Queue.add s' queue
-             end)
+           let h = S.hash_state s' in
+           let r = I.lookup index s' h in
+           if r < 0 then
+             if index.I.count >= max_states then complete := false
+             else ignore (I.add index s' h r))
          (S.successors s)
      done
    with Exit -> ());
-  (T.length visited, !complete)
+  (index.I.count, !complete)

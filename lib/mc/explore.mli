@@ -1,10 +1,11 @@
 (** Explicit-state exploration.
 
     Breadth-first exploration of a {!System.S} with hashed duplicate
-    detection, producing either the full state space as an
-    {!Lts.Graph.t}, a shortest witness trace to a goal state, or summary
-    statistics.  All entry points take an optional [max_states] bound; when
-    the bound is hit the result is marked incomplete rather than failing.
+    detection in a growable open-addressing index, producing either the
+    full state space as an {!Lts.Graph.t}, a shortest witness trace to a
+    goal state, or summary statistics.  All entry points take an
+    optional [max_states] bound; when the bound is hit the result is
+    marked incomplete rather than failing.
 
     Entry points additionally accept a {!Budget.t}: the loop polls it
     once per expanded state and, on a trip, stops cooperatively — {!find}
@@ -21,11 +22,6 @@ type ('s, 'l) space = {
 
 val default_max : int
 (** The default [max_states] bound (one million). *)
-
-val sizing_cap : int
-(** Upper clamp (2{^22}) applied to [expected_states] hints when sizing
-    the duplicate-detection tables, so an overestimated static bound
-    cannot allocate a huge empty table. *)
 
 type exhaustion = {
   reason : Budget.reason;  (** which limit tripped *)
@@ -134,6 +130,7 @@ val count :
     flag; cheaper than {!space} as no graph is retained.  A budget trip
     reports the states counted so far with [complete = false].
 
-    All entry points accept an [expected_states] hint (typically the lint
-    pass's static state bound) that pre-sizes the duplicate-detection
-    table, clamped to [[4096, sizing_cap]]; results are unaffected. *)
+    All entry points share one open-addressing state index that starts
+    at 1024 states and doubles as it fills.  An [expected_states] hint
+    may only lower that start (for systems known to be small), never
+    raise it; results are unaffected. *)

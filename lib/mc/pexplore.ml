@@ -402,12 +402,13 @@ module Engine (S : System.S) = struct
 
   let make_table ?expected_states ~shards mode =
     let nshards = round_pow2 (max 1 shards) in
-    (* Split the (clamped) expected-state hint evenly across the stripes:
-       states shard by hash, so the per-shard load is count / nshards. *)
+    (* The stripes start at 512 states each and grow; an expected-state
+       hint may lower that start (states shard by hash, so the per-shard
+       load is count / nshards), never raise it. *)
     let expected =
       match expected_states with
       | None -> 512 * nshards
-      | Some n -> max (512 * nshards) (min n Explore.sizing_cap)
+      | Some n -> min (512 * nshards) n
     in
     St.create ~expected ~shards:nshards mode
 

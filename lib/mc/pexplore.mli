@@ -96,10 +96,9 @@ val space :
     in the level-synchronised engine; during the canonical replay in the
     work-stealing engine).
 
-    [expected_states] (typically the lint pass's static state bound)
-    pre-sizes the lock-striped state table: the hint is clamped to
-    {!Explore.sizing_cap} and split evenly across the shards.  Results
-    are unaffected.
+    The lock-striped state table starts at 512 states per shard and
+    grows; an [expected_states] hint may lower that start, never raise
+    it.  Results are unaffected.
 
     @raise Invalid_argument on a {!Store.Bitstate} store, which cannot
     produce a state graph. *)

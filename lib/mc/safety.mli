@@ -36,8 +36,9 @@ val check_monitor :
     selects the exploration engine: [1] uses the sequential {!Explore},
     more uses the parallel {!Pexplore} with that many domains; verdicts
     and counterexample lengths are identical either way.  [expected_states]
-    is forwarded to the engine as a table pre-sizing hint (see
-    {!Pexplore.space}); it never affects verdicts.
+    is forwarded to the engine, where it may only lower the state
+    index's starting size (see {!Explore.count}); it never affects
+    verdicts.
 
     [store] (default {!Store.Exact}) selects the state-storage mode; any
     non-exact store routes through {!Pexplore} even on one domain.  A

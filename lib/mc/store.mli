@@ -109,8 +109,8 @@ end) : sig
 
   val create :
     ?expected:int -> ?fingerprint:(K.t -> int) -> shards:int -> mode -> t
-  (** [shards] is rounded up to a power of two.  [expected] pre-sizes
-      the hash shards.  [fingerprint] overrides {!fingerprint} (used by
+  (** [shards] is rounded up to a power of two.  [expected] is the
+      starting size of the hash shards, which grow as they fill.  [fingerprint] overrides {!fingerprint} (used by
       collision-injection tests). *)
 
   val intern : t -> K.t -> depth:int -> intern_result

@@ -5,6 +5,7 @@ let () =
     [
       Test_lts.tests;
       Test_mc.tests;
+      Test_explore.tests;
       Test_ltl.tests;
       Test_pexplore.tests;
       Test_store.tests;

@@ -47,8 +47,8 @@ let rand_sys_arb = QCheck.make ~print:print_rand_sys rand_sys_gen
 
 (* Structural space equality: numbering, transition order, state array and
    completeness must all coincide. *)
-let same_space (a : (int, string) Mc.Explore.space)
-    (b : (int, string) Mc.Explore.space) =
+let same_space (a : ('s, 'l) Mc.Explore.space)
+    (b : ('s, 'l) Mc.Explore.space) =
   a.Mc.Explore.complete = b.Mc.Explore.complete
   && a.Mc.Explore.states = b.Mc.Explore.states
   && Lts.Graph.num_states a.Mc.Explore.lts = Lts.Graph.num_states b.Mc.Explore.lts
