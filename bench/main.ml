@@ -307,10 +307,9 @@ let events_per_sec () =
   let _, t = time (fun () -> H.Runtime.run ~on_event:(fun _ -> incr events) cfg) in
   (!events, float_of_int !events /. t)
 
-(* The six-variant sweep behind the PR's acceptance criterion: for every
-   shipped TA protocol, the sequential engine vs the level-synchronised
-   and the work-stealing parallel engines at 1/2/4 domains, with replay
-   byte-identity checked against the sequential space on every run. *)
+(* The six-variant sweep: for every shipped TA protocol, the sequential
+   engine vs the parallel engine at 1/2/4 domains, with byte-identity
+   checked against the sequential space on every run. *)
 let pr6_report () =
   let sweep_domains = [ 1; 2; 4 ] in
   let sweep =
@@ -318,8 +317,7 @@ let pr6_report () =
       (fun v -> (v, H.Params.make ~tmin:2 ~tmax:8 ()))
       H.Ta_models.all_variants
   in
-  Format.printf
-    "@.=== PR6: work-stealing vs level-sync engine sweep ===@.@.";
+  Format.printf "@.=== sequential vs parallel engine sweep ===@.@.";
   Format.printf "(host reports %d recommended domains)@.@."
     (Domain.recommended_domain_count ());
   let rows =
@@ -345,46 +343,37 @@ let pr6_report () =
           H.Params.pp params states t_seq
           (float_of_int states /. t_seq);
         let runs =
-          List.concat_map
-            (fun workstealing ->
-              List.map
-                (fun d ->
-                  let (par, stats), t =
-                    time_best 3 (fun () ->
-                        Mc.Pexplore.space_stats ~domains:d ~workstealing sys)
-                  in
-                  let identical =
-                    String.equal seq_bytes
-                      (Marshal.to_string
-                         (par.Mc.Explore.lts, par.Mc.Explore.states,
-                          par.Mc.Explore.complete)
-                         [ Marshal.No_sharing ])
-                  in
-                  Format.printf
-                    "  %-12s %d dom %7.3fs  speedup %5.2fx  %s  (%d steals)@."
-                    stats.Mc.Pexplore.engine d t (t_seq /. t)
-                    (if identical then "byte-identical" else "MISMATCH")
-                    stats.Mc.Pexplore.steals;
-                  (stats.Mc.Pexplore.engine, d, t, stats, identical))
-                sweep_domains)
-            [ true; false ]
+          List.map
+            (fun d ->
+              let (par, stats), t =
+                time_best 3 (fun () -> Mc.Pexplore.space_stats ~domains:d sys)
+              in
+              let identical =
+                String.equal seq_bytes
+                  (Marshal.to_string
+                     (par.Mc.Explore.lts, par.Mc.Explore.states,
+                      par.Mc.Explore.complete)
+                     [ Marshal.No_sharing ])
+              in
+              Format.printf "  %d dom %7.3fs  speedup %5.2fx  %s  (%d steals)@."
+                d t (t_seq /. t)
+                (if identical then "byte-identical" else "MISMATCH")
+                stats.Mc.Pexplore.steals;
+              (d, t, stats, identical))
+            sweep_domains
         in
         (v, params, states, transitions, t_seq, runs))
       sweep
   in
-  let wall engine d =
+  let ws4 =
     List.fold_left
       (fun acc (_, _, _, _, _, runs) ->
         List.fold_left
-          (fun acc (e, d', t, _, _) ->
-            if String.equal e engine && d' = d then acc +. t else acc)
+          (fun acc (d, t, _, _) -> if d = 4 then acc +. t else acc)
           acc runs)
       0. rows
   in
-  let ws4 = wall "workstealing" 4 and lv4 = wall "levels" 4 in
-  Format.printf
-    "@.sweep wall at 4 domains: workstealing %.3fs vs levels %.3fs (%.2fx)@."
-    ws4 lv4 (lv4 /. ws4);
+  Format.printf "@.sweep wall at 4 domains: %.3fs@." ws4;
   let n_events, ev_rate = events_per_sec () in
   Format.printf "simulator: %d events, %.0f events/s@." n_events ev_rate;
   let por =
@@ -415,19 +404,18 @@ let pr6_report () =
         transitions t_seq
         (float_of_int states /. t_seq);
       List.iteri
-        (fun j (engine, d, t, (stats : Mc.Pexplore.stats), identical) ->
+        (fun j (d, t, (stats : Mc.Pexplore.stats), identical) ->
           if j > 0 then p ",";
           p
-            "{\"engine\":\"%s\",\"domains\":%d,\"wall_s\":%.4f,\"states_per_sec\":%.0f,\"speedup_vs_seq\":%.3f,\"byte_identical\":%b,\"steals\":%d}"
-            engine d t
+            "{\"domains\":%d,\"wall_s\":%.4f,\"states_per_sec\":%.0f,\"speedup_vs_seq\":%.3f,\"byte_identical\":%b,\"steals\":%d}"
+            d t
             (float_of_int states /. t)
             (t_seq /. t) identical stats.Mc.Pexplore.steals)
         runs;
       p "]}")
     rows;
   p "\n ],\n";
-  p " \"ws4_wall_s\":%.4f,\"levels4_wall_s\":%.4f,\"ws4_speedup_vs_levels4\":%.3f,\"ws_beats_levels_at_4\":%b,\n"
-    ws4 lv4 (lv4 /. ws4) (ws4 < lv4);
+  p " \"ws4_wall_s\":%.4f,\n" ws4;
   p " \"sim_events\":%d,\"sim_events_per_sec\":%.0f,\n" n_events ev_rate;
   p " \"peak_rss_kb\":%d,\n" rss;
   p " \"por\":[";

@@ -8,19 +8,37 @@ open Cmdliner
 (* Exit codes, shared by every verification subcommand:
      0   clean verdict (holds / deadlock-free / campaign passed)
      1   violation, refutation or deadlock found
+     2   usage error the flag parser cannot see: conflicting flags, an
+         unknown name, an unreadable checkpoint
      3   state bound hit before a verdict (Unknown)
      4   resource budget exhausted or run interrupted; partial results
          were reported (and a checkpoint written when requested)
      130 forced quit (second SIGINT/SIGTERM)
-   2 and the 12x range stay with cmdliner (usage / internal errors). *)
+   The 12x range stays with cmdliner (123 some error, 124 command-line
+   parse error, 125 internal error). *)
 let exit_violation = 1
+let exit_usage = 2
 let exit_unknown = 3
 let exit_exhausted = 4
+
+(* Report a usage error as one line on stderr, prefixed with the tool
+   name, and exit 2.  Typed like [failwith], so it fits any branch. *)
+let usage fmt =
+  Format.kasprintf
+    (fun msg ->
+      Format.eprintf "%s: %s@."
+        (Filename.remove_extension (Filename.basename Sys.executable_name))
+        msg;
+      exit exit_usage)
+    fmt
 
 let exits =
   Cmd.Exit.info 0 ~doc:"on a clean verdict." ::
   Cmd.Exit.info exit_violation
     ~doc:"when a violation, refutation or deadlock was found." ::
+  Cmd.Exit.info exit_usage
+    ~doc:"on a usage error: conflicting flags, an unknown name or an \
+          unreadable checkpoint." ::
   Cmd.Exit.info exit_unknown
     ~doc:"when the state bound was hit before a verdict (UNKNOWN)." ::
   Cmd.Exit.info exit_exhausted
@@ -91,9 +109,9 @@ let resume_arg =
    is the SIGINT/SIGTERM cancellation token that turns Ctrl-C into a
    partial result (plus checkpoint) instead of a dead process.  A second
    signal force-quits with 130. *)
-let budget ?(signals = true) secs mb =
+let budget secs mb =
   let b = Mc.Budget.make ?wall_secs:secs ?mem_mb:mb () in
-  if signals then Mc.Budget.install_signal_handlers b;
+  Mc.Budget.install_signal_handlers b;
   b
 
 let save_checkpoint ~kind file cursor =
@@ -105,9 +123,7 @@ let load_resume ~kind = function
   | Some file -> (
       match Mc.Checkpoint.load ~file ~kind with
       | Ok c -> Some c
-      | Error e ->
-          Format.eprintf "cannot resume from %s: %s@." file e;
-          exit 2)
+      | Error e -> usage "cannot resume from %s: %s" file e)
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in

@@ -80,17 +80,8 @@ let store_arg =
            quantifies the omission risk. Violations and deadlocks that \
            $(i,are) reported remain real.")
 
-let levels_arg =
-  Arg.(
-    value & flag
-    & info [ "levels" ]
-        ~doc:
-          "Use the level-synchronised parallel engine instead of the \
-           work-stealing default (baseline for benchmarks; no bitstate \
-           support).")
-
 let resolve_jobs jobs =
-  if jobs < 0 then failwith "--jobs must be >= 0"
+  if jobs < 0 then Cli_resilience.usage "--jobs must be >= 0"
   else if jobs = 0 then Domain.recommended_domain_count ()
   else jobs
 
@@ -187,19 +178,19 @@ let zone_stats ~variant ~params ~fixed ~monitors ~subsume ~lu ~json header =
 
 let stats_cmd =
   let run variant tmin tmax n fixed monitors slice zone no_subsume lu jobs
-      show_stats store levels count_only json bsecs bmb no_degrade ckpt
+      show_stats store count_only json bsecs bmb no_degrade ckpt
       ckpt_every resume_file =
     let jobs = resolve_jobs jobs in
     let params = H.Params.make ~n ~tmin ~tmax () in
     if zone then begin
       if
-        slice || levels || count_only
+        slice || count_only
         || store <> Mc.Store.Exact
         || jobs > 1 || ckpt <> None || resume_file <> None
       then
-        failwith
+        Cli_resilience.usage
           "--zone is sequential with an exact store (drop --slice, --store, \
-           --levels, --count, -j, --checkpoint and --resume)";
+           --count, -j, --checkpoint and --resume)";
       let header ppf () =
         Format.fprintf ppf "%s%s %a%s"
           (H.Ta_models.variant_name variant)
@@ -211,9 +202,9 @@ let stats_cmd =
         ~lu ~json header
     end
     else begin
-    if no_subsume then failwith "--no-subsume needs --zone";
+    if no_subsume then Cli_resilience.usage "--no-subsume needs --zone";
     if lu = Zone.Sym.Location && slice then
-      failwith
+      Cli_resilience.usage
         "--lu location caps the full model's clocks (drop --slice: the \
          sliced model has its own activity-based reduction)";
     let model =
@@ -241,17 +232,11 @@ let stats_cmd =
         Ta.Semantics.system net
     in
     let max_states = 10_000_000 in
-    let workstealing = if levels then Some false else None in
     let count_mode =
       count_only || match store with Mc.Store.Bitstate _ -> true | _ -> false
     in
-    if levels && (bsecs <> None || bmb <> None || ckpt <> None
-                  || resume_file <> None) then
-      failwith
-        "budgets and checkpoints require the work-stealing engine (drop \
-         --levels)";
     if count_mode && (ckpt <> None || resume_file <> None) then
-      failwith
+      Cli_resilience.usage
         "--checkpoint/--resume need the state graph (drop --count; bitstate \
          stores keep no graph)";
     (* the checkpoint kind guards resume identity: same tool, model,
@@ -292,8 +277,6 @@ let stats_cmd =
            (List.map (fun m -> "\"" ^ m ^ "\"") degraded))
     in
     if count_mode then begin
-      if levels then
-        failwith "bitstate requires the work-stealing engine (drop --levels)";
       let budget = Cli_resilience.budget bsecs bmb in
       let (count, complete), stats =
         Mc.Pexplore.count_stats ~max_states ~domains:jobs ~store ~budget
@@ -327,16 +310,9 @@ let stats_cmd =
     else begin
       let sequential =
         jobs <= 1 && (not show_stats) && store = Mc.Store.Exact
-        && workstealing = None
       in
       let result, stats =
-        if levels then
-          let space, stats =
-            Mc.Pexplore.space_stats ~max_states ~domains:jobs ~store
-              ?workstealing sys
-          in
-          (Mc.Explore.Done space, Some stats)
-        else if sequential then begin
+        if sequential then begin
           let budget = Cli_resilience.budget bsecs bmb in
           let resume = Cli_resilience.load_resume ~kind resume_file in
           let checkpoint =
@@ -418,8 +394,8 @@ let stats_cmd =
       const run $ variant_arg $ tmin_arg $ tmax_arg $ n_arg $ fixed_arg
       $ monitors_arg $ slice_arg $ zone_arg $ no_subsume_arg $ lu_arg
       $ jobs_arg
-      $ exploration_stats_arg $ store_arg
-      $ levels_arg $ count_arg $ json_arg $ Cli_resilience.budget_secs_arg
+      $ exploration_stats_arg $ store_arg $ count_arg $ json_arg
+      $ Cli_resilience.budget_secs_arg
       $ Cli_resilience.budget_mb_arg $ Cli_resilience.no_degrade_arg
       $ Cli_resilience.checkpoint_arg $ Cli_resilience.checkpoint_every_arg
       $ Cli_resilience.resume_arg)
@@ -491,7 +467,7 @@ let dot_cmd =
       | "p1" -> H.Figures.p1_reduced params
       | "p0-raw" -> H.Figures.p0_component params
       | "p1-raw" -> H.Figures.p1_component params
-      | other -> failwith ("unknown component " ^ other)
+      | other -> Cli_resilience.usage "unknown component %s" other
     in
     let pp_label ppf l =
       Format.pp_print_string ppf (H.Figures.label_to_string l)
@@ -523,8 +499,10 @@ let export_cmd =
     | "mcrl2" -> (
         match H.Pa_models.of_ta variant with
         | Some pv -> print_string (Proc.Mcrl2.to_string (H.Pa_models.build pv params))
-        | None -> failwith "no process-algebra encoding for this variant")
-    | other -> failwith ("unknown format " ^ other)
+        | None ->
+            Cli_resilience.usage "no process-algebra encoding for %s"
+              (H.Ta_models.variant_name variant))
+    | other -> Cli_resilience.usage "unknown format %s" other
   in
   let format_arg =
     Arg.(
@@ -627,7 +605,7 @@ let fc_cmd =
                 location LU must never store more zones).")
   in
   let run name fischer_n zones json =
-    if json && not zones then failwith "--json needs --zones";
+    if json && not zones then Cli_resilience.usage "--json needs --zones";
     if zones then
       let specs =
         match name with
@@ -637,7 +615,7 @@ let fc_cmd =
         | Some name -> (
             match Fc.find name with
             | Some s -> [ s ]
-            | None -> failwith ("unknown benchmark " ^ name))
+            | None -> Cli_resilience.usage "unknown benchmark %s" name)
       in
       fc_zones specs json
     else
@@ -660,7 +638,7 @@ let fc_cmd =
       | Some name -> (
           match Fc.find name with
           | Some s -> print_string (Ta.Xta.to_string s.Fc.model)
-          | None -> failwith ("unknown benchmark " ^ name))
+          | None -> Cli_resilience.usage "unknown benchmark %s" name)
   in
   Cmd.v
     (Cmd.info "fc"
@@ -670,16 +648,12 @@ let fc_cmd =
     Term.(const run $ name_arg $ fischer_n_arg $ zones_arg $ json_arg)
 
 let deadlocks_cmd =
-  let run variant tmin tmax n fixed jobs store levels bsecs bmb no_degrade =
+  let run variant tmin tmax n fixed jobs store bsecs bmb no_degrade =
     let jobs = resolve_jobs jobs in
-    let workstealing = if levels then Some false else None in
-    if levels && (bsecs <> None || bmb <> None) then
-      failwith
-        "budgets require the work-stealing engine (drop --levels)";
-    let budget = Cli_resilience.budget ~signals:(not levels) bsecs bmb in
+    let budget = Cli_resilience.budget bsecs bmb in
     let params = H.Params.make ~n ~tmin ~tmax () in
     let verdict =
-      H.Verify.deadlocks ~fixed ~domains:jobs ~store ?workstealing ~budget
+      H.Verify.deadlocks ~fixed ~domains:jobs ~store ~budget
         ~degrade:(not no_degrade) variant params
     in
     let line s =
@@ -712,7 +686,7 @@ let deadlocks_cmd =
        ~doc:"Check a model for deadlocked configurations.")
     Term.(
       const run $ variant_arg $ tmin_arg $ tmax_arg $ n_arg $ fixed_arg
-      $ jobs_arg $ store_arg $ levels_arg $ Cli_resilience.budget_secs_arg
+      $ jobs_arg $ store_arg $ Cli_resilience.budget_secs_arg
       $ Cli_resilience.budget_mb_arg $ Cli_resilience.no_degrade_arg)
 
 let () =

@@ -309,30 +309,24 @@ let check_cmd =
   let run variant tmin tmax n fixed pa slice reduce engine json msc jobs bsecs
       bmb ckpt_file ckpt_every resume_file req =
     let domains =
-      if jobs < 0 then failwith "--jobs must be >= 0"
+      if jobs < 0 then Cli_resilience.usage "--jobs must be >= 0"
       else if jobs = 0 then Domain.recommended_domain_count ()
       else jobs
     in
     let params = H.Params.make ~n ~tmin ~tmax () in
-    if pa && fixed then begin
-      Format.eprintf
-        "hbltl: --fixed applies to the timed-automata models only (the PA \
-         encoding has no fixed timing); drop --fixed or --pa@.";
-      exit 2
-    end;
-    if reduce && not pa then begin
-      Format.eprintf
-        "hbltl: --reduce requires --pa (the ample-set reduction works on \
-         the process-algebra models)@.";
-      exit 2
-    end;
+    if pa && fixed then
+      Cli_resilience.usage
+        "--fixed applies to the timed-automata models only (the PA \
+         encoding has no fixed timing); drop --fixed or --pa";
+    if reduce && not pa then
+      Cli_resilience.usage
+        "--reduce requires --pa (the ample-set reduction works on the \
+         process-algebra models)";
     if (ckpt_file <> None || resume_file <> None) && engine <> Ltl.Check.Scc
-    then begin
-      Format.eprintf
-        "hbltl: --checkpoint/--resume require the scc engine (the nested \
-         DFS search state is not checkpointable); add --engine scc@.";
-      exit 2
-    end;
+    then
+      Cli_resilience.usage
+        "--checkpoint/--resume require the scc engine (the nested DFS \
+         search state is not checkpointable); add --engine scc";
     let budget = Cli_resilience.budget bsecs bmb in
     if pa then
       verdict_exit

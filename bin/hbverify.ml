@@ -126,6 +126,9 @@ let lu_arg =
 
 let check_cmd =
   let run variant tmin tmax n fixed slice zone lu bsecs bmb no_degrade req =
+    if zone && slice then Cli_resilience.usage "--zone and --slice are exclusive";
+    if lu = Zone.Sym.Location && not zone then
+      Cli_resilience.usage "--lu location needs --zone";
     let params = H.Params.make ~n ~tmin ~tmax () in
     let budget = Cli_resilience.budget bsecs bmb in
     let outcome =
@@ -344,7 +347,7 @@ let jobs_arg =
            all cores.")
 
 let resolve_jobs jobs =
-  if jobs < 0 then failwith "--jobs must be >= 0"
+  if jobs < 0 then Cli_resilience.usage "--jobs must be >= 0"
   else if jobs = 0 then Domain.recommended_domain_count ()
   else jobs
 
@@ -893,16 +896,16 @@ let xta_cmd =
       | Some name, _ -> (
           match Fc.find name with
           | Some spec -> (spec.Fc.model, spec.Fc.forbid, name)
-          | None -> failwith ("unknown benchmark " ^ name))
+          | None -> Cli_resilience.usage "unknown benchmark %s" name)
       | None, Some path ->
           let ic = open_in path in
           let len = in_channel_length ic in
           let src = really_input_string ic len in
           close_in ic;
           (Ta.Xta.parse src, forbid, Filename.basename path)
-      | None, None -> failwith "need a FILE or --fc NAME"
+      | None, None -> Cli_resilience.usage "need a FILE or --fc NAME"
     in
-    if forbid = [] then failwith "no --forbid sets given";
+    if forbid = [] then Cli_resilience.usage "no --forbid sets given";
     let z = Zone.Sym.compile ~lu model in
     let net = Zone.Sym.net z in
     let spec = { Fc.fc_name = expect_name; model; forbid; safe = true } in

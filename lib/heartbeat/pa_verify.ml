@@ -93,8 +93,7 @@ let monitors variant (p : Params.t) req :
       ]
 
 let check_verdict ?(max_states = default_max) ?(domains = 1) ?(slice = false)
-    ?(reduce = false) ?store ?workstealing ?budget ?degrade variant params req
-    =
+    ?(reduce = false) ?store ?budget ?degrade variant params req =
   let spec = Pa_models.build variant params in
   let sys = Proc.Semantics.system spec in
   (* the slice never touches action labels, so the monitors and their
@@ -116,19 +115,17 @@ let check_verdict ?(max_states = default_max) ?(domains = 1) ?(slice = false)
         in
         match
           Mc.Safety.check_monitor ~max_states ~domains ?slice:slice_sys
-            ?reduction ~parallel_reduction:par ?store ?workstealing ?budget
-            ?degrade sys monitor
+            ?reduction ~parallel_reduction:par ?store ?budget ?degrade sys
+            monitor
         with
         | Mc.Safety.Holds -> go rest
         | v -> v)
   in
   go (monitors variant params req)
 
-let check ?max_states ?domains ?slice ?reduce ?store ?workstealing variant
-    params req =
+let check ?max_states ?domains ?slice ?reduce ?store variant params req =
   match
-    check_verdict ?max_states ?domains ?slice ?reduce ?store ?workstealing
-      variant params req
+    check_verdict ?max_states ?domains ?slice ?reduce ?store variant params req
   with
   | Mc.Safety.Holds -> true
   | Mc.Safety.Violated _ -> false
@@ -144,12 +141,10 @@ let check ?max_states ?domains ?slice ?reduce ?store ?workstealing variant
         (Requirements.name req)
 
 let state_count ?(max_states = default_max) ?(domains = 1) ?(slice = false)
-    ?(reduce = false) ?store ?workstealing variant params =
+    ?(reduce = false) ?store variant params =
   let spec = Pa_models.build variant params in
   let spec = if slice then (Slice_pa.slice spec).Slice_pa.spec else spec in
-  let parallel =
-    domains > 1 || store <> None || workstealing <> None
-  in
+  let parallel = domains > 1 || store <> None in
   let count, complete =
     let sys =
       if reduce then
@@ -157,7 +152,7 @@ let state_count ?(max_states = default_max) ?(domains = 1) ?(slice = false)
       else Proc.Semantics.system spec
     in
     if parallel then
-      Mc.Pexplore.count ~max_states ~domains ?store ?workstealing sys
+      Mc.Pexplore.count ~max_states ~domains ?store sys
     else Mc.Explore.count ~max_states sys
   in
   if not complete then failwith "Pa_verify.state_count: state bound exceeded";
@@ -181,8 +176,8 @@ let explore ?(max_states = default_max) ?(slice = false) ?(reduce = false)
   }
 
 let check_live ?(engine = Ltl.Check.Ndfs) ?(max_states = default_max)
-    ?(slice = false) ?(reduce = false) ?(domains = 1) ?store ?workstealing
-    ?budget variant params req =
+    ?(slice = false) ?(reduce = false) ?(domains = 1) ?store ?budget variant
+    params req =
   let spec = Pa_models.build variant params in
   let sys = Proc.Semantics.system spec in
   let sspec = if slice then (Slice_pa.slice spec).Slice_pa.spec else spec in
@@ -194,13 +189,12 @@ let check_live ?(engine = Ltl.Check.Ndfs) ?(max_states = default_max)
     else None
   in
   Ltl.Check.check ~engine ~fairness:Requirements.live_fairness_pa
-    ?slice:slice_sys ?reduction ~max_states ~domains ?store ?workstealing
-    ?budget sys
+    ?slice:slice_sys ?reduction ~max_states ~domains ?store ?budget sys
     (Requirements.live_formula_pa variant params req)
 
 let check_live_run ?(engine = Ltl.Check.Ndfs) ?(max_states = default_max)
-    ?(slice = false) ?(reduce = false) ?(domains = 1) ?store ?workstealing
-    ?budget ?checkpoint ?resume variant params req =
+    ?(slice = false) ?(reduce = false) ?(domains = 1) ?store ?budget
+    ?checkpoint ?resume variant params req =
   let spec = Pa_models.build variant params in
   let sys = Proc.Semantics.system spec in
   let sspec = if slice then (Slice_pa.slice spec).Slice_pa.spec else spec in
@@ -212,6 +206,6 @@ let check_live_run ?(engine = Ltl.Check.Ndfs) ?(max_states = default_max)
     else None
   in
   Ltl.Check.check_run ~engine ~fairness:Requirements.live_fairness_pa
-    ?slice:slice_sys ?reduction ~max_states ~domains ?store ?workstealing
-    ?budget ?checkpoint ?resume sys
+    ?slice:slice_sys ?reduction ~max_states ~domains ?store ?budget
+    ?checkpoint ?resume sys
     (Requirements.live_formula_pa variant params req)

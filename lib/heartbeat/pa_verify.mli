@@ -17,7 +17,6 @@ val check_verdict :
   ?slice:bool ->
   ?reduce:bool ->
   ?store:Mc.Store.mode ->
-  ?workstealing:bool ->
   ?budget:Mc.Budget.t ->
   ?degrade:bool ->
   Pa_models.variant ->
@@ -37,7 +36,6 @@ val check :
   ?slice:bool ->
   ?reduce:bool ->
   ?store:Mc.Store.mode ->
-  ?workstealing:bool ->
   Pa_models.variant ->
   Params.t ->
   Requirements.requirement ->
@@ -51,9 +49,9 @@ val check :
     differently.  [reduce] composes with [domains > 1]: the reduced
     systems are then built with the parallel-safe proviso
     ([Por.reduced_system ~par:true]) and explored in parallel.  [store]
-    and [workstealing] are forwarded to the engine ({!Mc.Safety}); a
-    [true] result under a compressed store is probabilistic in the
-    usual under-approximating sense.
+    is forwarded to the engine ({!Mc.Safety}); a [true] result under a
+    compressed store is probabilistic in the usual under-approximating
+    sense.
 
     [slice] (default false) first runs the property-directed static
     slice ({!Slice.Pa}) over the spec and explores the sliced system
@@ -69,7 +67,6 @@ val state_count :
   ?slice:bool ->
   ?reduce:bool ->
   ?store:Mc.Store.mode ->
-  ?workstealing:bool ->
   Pa_models.variant ->
   Params.t ->
   int
@@ -101,7 +98,6 @@ val check_live :
   ?reduce:bool ->
   ?domains:int ->
   ?store:Mc.Store.mode ->
-  ?workstealing:bool ->
   ?budget:Mc.Budget.t ->
   Pa_models.variant ->
   Params.t ->
@@ -112,9 +108,8 @@ val check_live :
     ({!Requirements.live_fairness_pa}).  With [reduce] the check offers
     {!Ltl.Check.check} the partial-order reduction (parallel-safe when
     [domains > 1]); the formulas pass the stutter-invariance gate, so
-    it is actually applied.  [domains], [store] and [workstealing]
-    take effect with the {!Ltl.Check.Scc} engine (see
-    {!Ltl.Check.check}). *)
+    it is actually applied.  [domains] and [store] take effect with
+    the {!Ltl.Check.Scc} engine (see {!Ltl.Check.check}). *)
 
 val check_live_run :
   ?engine:Ltl.Check.engine ->
@@ -123,7 +118,6 @@ val check_live_run :
   ?reduce:bool ->
   ?domains:int ->
   ?store:Mc.Store.mode ->
-  ?workstealing:bool ->
   ?budget:Mc.Budget.t ->
   ?checkpoint:
     (int

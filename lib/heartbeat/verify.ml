@@ -57,12 +57,12 @@ let check_zone ~fixed ~max_states ?budget ~lu variant params req =
         (Requirements.name req) Params.pp params
 
 let check ?(fixed = false) ?(max_states = default_max) ?(domains = 1)
-    ?(slice = false) ?store ?workstealing ?budget ?degrade ?(zone = false)
+    ?(slice = false) ?store ?budget ?degrade ?(zone = false)
     ?(lu = Zone.Sym.Global) variant params req =
   if zone then begin
     if slice then
       invalid_arg "Verify.check: zone and slice engines are exclusive";
-    if domains > 1 || store <> None || workstealing <> None then
+    if domains > 1 || store <> None then
       invalid_arg
         "Verify.check: the zone engine is sequential with an exact store";
     check_zone ~fixed ~max_states ?budget ~lu variant params req
@@ -81,7 +81,7 @@ let check ?(fixed = false) ?(max_states = default_max) ?(domains = 1)
   in
   match
     Mc.Safety.check_state ~max_states ~domains ?slice:slice_sys ?store
-      ?workstealing ?budget ?degrade (Ta.Semantics.system net) bad
+      ?budget ?degrade (Ta.Semantics.system net) bad
   with
   | Mc.Safety.Holds ->
       {
@@ -120,25 +120,23 @@ let live_slice model =
   Slice_ta.system sl (Ta.Semantics.compile sl.Slice_ta.model)
 
 let check_live ?(fixed = false) ?(engine = Ltl.Check.Ndfs)
-    ?(max_states = default_max) ?(slice = false) ?domains ?store ?workstealing
-    ?budget variant params req =
+    ?(max_states = default_max) ?(slice = false) ?domains ?store ?budget
+    variant params req =
   let model = Ta_models.build ~fixed variant params in
   let net = Ta.Semantics.compile model in
   let slice_sys = if slice then Some (live_slice model) else None in
   Ltl.Check.check ~engine ~fairness:Requirements.live_fairness ?slice:slice_sys
-    ~max_states ?domains ?store ?workstealing ?budget
-    (Ta.Semantics.system net)
+    ~max_states ?domains ?store ?budget (Ta.Semantics.system net)
     (Requirements.live_formula variant params req)
 
 let check_live_run ?(fixed = false) ?(engine = Ltl.Check.Ndfs)
-    ?(max_states = default_max) ?(slice = false) ?domains ?store ?workstealing
-    ?budget ?checkpoint ?resume variant params req =
+    ?(max_states = default_max) ?(slice = false) ?domains ?store ?budget
+    ?checkpoint ?resume variant params req =
   let model = Ta_models.build ~fixed variant params in
   let net = Ta.Semantics.compile model in
   let slice_sys = if slice then Some (live_slice model) else None in
   Ltl.Check.check_run ~engine ~fairness:Requirements.live_fairness
-    ?slice:slice_sys ~max_states ?domains ?store ?workstealing ?budget
-    ?checkpoint ?resume
+    ?slice:slice_sys ~max_states ?domains ?store ?budget ?checkpoint ?resume
     (Ta.Semantics.system net)
     (Requirements.live_formula variant params req)
 
@@ -186,13 +184,12 @@ let worst_detection ?(fixed = false) ?(max_states = default_max)
 type row = { tmin : int; tmax : int; r1 : bool; r2 : bool; r3 : bool }
 
 let table ?(fixed = false) ?(n = 1) ?(datasets = Params.table_datasets)
-    ?(domains = 1) ?slice ?store ?workstealing variant =
+    ?(domains = 1) ?slice ?store variant =
   List.map
     (fun (tmin, tmax) ->
       let params = Params.make ~n ~tmin ~tmax () in
       let outcome req =
-        (check ~fixed ~domains ?slice ?store ?workstealing variant params req)
-          .holds
+        (check ~fixed ~domains ?slice ?store variant params req).holds
       in
       {
         tmin;
@@ -219,30 +216,24 @@ let pp_table ppf ~header rows =
   Format.fprintf ppf "@."
 
 let deadlocks ?(fixed = false) ?(max_states = default_max) ?(domains = 1)
-    ?(store = Mc.Store.Exact) ?workstealing ?budget ?degrade variant params =
+    ?(store = Mc.Store.Exact) ?budget ?degrade variant params =
   let model = Ta_models.build ~fixed variant params in
   let net = Ta.Semantics.compile model in
   let sys = Ta.Semantics.system net in
   let goal c = Ta.Semantics.successors net c = [] in
   match
-    if
-      domains <= 1 && store = Mc.Store.Exact && workstealing = None
-      && budget = None
-    then Mc.Explore.find ~max_states ~goal sys
+    if domains <= 1 && store = Mc.Store.Exact && budget = None then
+      Mc.Explore.find ~max_states ~goal sys
     else
-      Mc.Pexplore.find ~max_states ~domains ~store ?workstealing ?budget
-        ?degrade ~goal sys
+      Mc.Pexplore.find ~max_states ~domains ~store ?budget ?degrade ~goal sys
   with
   | Mc.Explore.Unreachable -> Mc.Safety.Holds
   | Mc.Explore.Reached w -> Mc.Safety.Violated w.Mc.Explore.trace
   | Mc.Explore.Bound_hit n -> Mc.Safety.Unknown n
   | Mc.Explore.Exhausted e -> Mc.Safety.Exhausted e
 
-let deadlock_free ?fixed ?max_states ?domains ?store ?workstealing variant
-    params =
-  match
-    deadlocks ?fixed ?max_states ?domains ?store ?workstealing variant params
-  with
+let deadlock_free ?fixed ?max_states ?domains ?store variant params =
+  match deadlocks ?fixed ?max_states ?domains ?store variant params with
   | Mc.Safety.Holds -> true
   | Mc.Safety.Violated _ -> false
   | Mc.Safety.Unknown n ->

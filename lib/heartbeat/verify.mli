@@ -22,7 +22,6 @@ val check :
   ?domains:int ->
   ?slice:bool ->
   ?store:Mc.Store.mode ->
-  ?workstealing:bool ->
   ?budget:Mc.Budget.t ->
   ?degrade:bool ->
   ?zone:bool ->
@@ -34,7 +33,7 @@ val check :
 (** Model-check one requirement.  [domains] (default 1) selects the
     sequential or the parallel exploration engine ({!Mc.Pexplore}); the
     verdict and counterexample length are identical either way.
-    [store] and [workstealing] are forwarded to {!Mc.Safety}: a
+    [store] is forwarded to {!Mc.Safety}: a
     compressed store makes [holds = true] probabilistic (omitted states
     are never explored), while violations found are always real.
     [slice] (default false) first slices the model against the
@@ -60,9 +59,8 @@ val check :
     bound tables from the [lubounds] backward fixpoint — same
     verdicts, never more stored zones.
     @raise Invalid_argument if [zone] is combined with [slice],
-    [domains > 1], [store] or [workstealing] (the zone engine is
-    sequential with an exact store), or if [lu] is [Location] without
-    [zone].
+    [domains > 1] or [store] (the zone engine is sequential with an
+    exact store), or if [lu] is [Location] without [zone].
     @raise Failure if the state bound is exceeded (no verdict). *)
 
 val check_live :
@@ -72,7 +70,6 @@ val check_live :
   ?slice:bool ->
   ?domains:int ->
   ?store:Mc.Store.mode ->
-  ?workstealing:bool ->
   ?budget:Mc.Budget.t ->
   Ta_models.variant ->
   Params.t ->
@@ -92,7 +89,6 @@ val check_live_run :
   ?slice:bool ->
   ?domains:int ->
   ?store:Mc.Store.mode ->
-  ?workstealing:bool ->
   ?budget:Mc.Budget.t ->
   ?checkpoint:
     (int
@@ -125,7 +121,6 @@ val table :
   ?domains:int ->
   ?slice:bool ->
   ?store:Mc.Store.mode ->
-  ?workstealing:bool ->
   Ta_models.variant ->
   row list
 (** One verification row per data set (default: the paper's
@@ -151,7 +146,6 @@ val deadlocks :
   ?max_states:int ->
   ?domains:int ->
   ?store:Mc.Store.mode ->
-  ?workstealing:bool ->
   ?budget:Mc.Budget.t ->
   ?degrade:bool ->
   Ta_models.variant ->
@@ -167,7 +161,6 @@ val deadlock_free :
   ?max_states:int ->
   ?domains:int ->
   ?store:Mc.Store.mode ->
-  ?workstealing:bool ->
   Ta_models.variant ->
   Params.t ->
   bool

@@ -1,47 +1,38 @@
 (* Parallel explicit-state exploration over OCaml 5 domains.
 
-   Two engines share a lock-striped state table ([Mc.Store], which also
-   provides hash-compaction and bitstate compression):
+   One work-stealing engine over a lock-striped state table ([Mc.Store],
+   which also provides hash-compaction and bitstate compression).  Each
+   domain owns a chunked FIFO queue of work items; owners push and pop
+   at opposite ends so chunks run in discovery (near-BFS) order, and
+   thieves steal the oldest half of a victim's chunks.  Stealing is
+   gated on a count of active workers: a thief engages only while fewer
+   workers than hardware threads are running, since oversubscription
+   cannot raise throughput — it only interleaves expansions out of BFS
+   order and triggers relaxation cascades.  Idle thieves block on a
+   condition variable; termination is detected with a global
+   pending-chunk counter whose final decrement broadcasts the wake-up.
+   Because items carry BFS depth stamps that are *relaxed* (re-enqueued)
+   whenever a shorter path is found, the set of states interned within
+   the [max_states] bound is exactly the sequential one, and a final
+   sequential *replay* over the collected integer adjacency renumbers
+   states in canonical sequential discovery order, re-applying the exact
+   truncation gate of [Explore.space].  A run that finished with zero
+   steals and zero relaxations processed items in exact sequential BFS
+   order, so its provisional numbering is already canonical and the
+   replay is skipped as an identity.  Results are byte-identical to the
+   sequential engine for every domain count.
 
-   - the *work-stealing* engine (default): each domain owns a chunked
-     FIFO queue of work items; owners push and pop at opposite ends so
-     chunks run in discovery (near-BFS) order, and thieves steal the
-     oldest half of a victim's chunks.  Stealing is gated on a count of
-     active workers: a thief engages only while fewer workers than
-     hardware threads are running, since oversubscription cannot raise
-     throughput — it only interleaves expansions out of BFS order and
-     triggers relaxation cascades.  Idle thieves block on a condition
-     variable; termination is detected with a global pending-chunk
-     counter whose final decrement broadcasts the wake-up.  Because
-     items carry BFS depth stamps that are *relaxed* (re-enqueued)
-     whenever a shorter path is found, the set of states interned
-     within the [max_states] bound is exactly the sequential one, and a
-     final sequential *replay* over the collected integer adjacency
-     renumbers states in canonical sequential discovery order,
-     re-applying the exact truncation gate of [Explore.space].  A run
-     that finished with zero steals and zero relaxations processed
-     items in exact sequential BFS order, so its provisional numbering
-     is already canonical and the replay is skipped as an identity.
-     Results are byte-identical to the sequential engine for every
-     domain count.
-
-   - the *level-synchronised* engine ([workstealing:false]): the
-     frontier of each BFS level is split into contiguous chunks, one
-     per domain, with a barrier per level.  Kept as the baseline the
-     work-stealing engine is benchmarked against.
-
-   Truncation contract (both engines): the canonical first [max_states]
-   states — a prefix of complete BFS levels plus part of the boundary
-   level — are always interned and their adjacency recorded, so the
-   replay can cut exactly where the sequential engine would have.
-
-   Work-stealing truncation invariant: a state is only skipped when its
-   stamped depth exceeds the adaptive cutoff (the smallest depth whose
-   cumulative stamped-state count reaches the bound).  Stamped depths
-   only over-approximate true BFS depths and per-depth counters are
-   decremented before incremented on relaxation, so the computed cutoff
-   never drops below the true boundary level: every state the
-   sequential engine retains is interned and expanded here too. *)
+   Truncation contract: the canonical first [max_states] states — a
+   prefix of complete BFS levels plus part of the boundary level — are
+   always interned and their adjacency recorded, so the replay can cut
+   exactly where the sequential engine would have.  A state is only
+   skipped when its stamped depth exceeds the adaptive cutoff (the
+   smallest depth whose cumulative stamped-state count reaches the
+   bound).  Stamped depths only over-approximate true BFS depths and
+   per-depth counters are decremented before incremented on relaxation,
+   so the computed cutoff never drops below the true boundary level:
+   every state the sequential engine retains is interned and expanded
+   here too. *)
 
 type stats = {
   states : int;
@@ -52,7 +43,6 @@ type stats = {
   depth_histogram : int array;
   shard_occupancy : int array;
   domains_used : int;
-  engine : string;
   steals : int;
   relaxations : int;
   coverage : Store.coverage;
@@ -79,124 +69,41 @@ let pp_stats ppf s =
       (max_int, 0) s.shard_occupancy
   in
   Format.fprintf ppf
-    "@[<v>%d states, %d transitions in %.3fs (%.0f states/s, %d domains, %s \
-     engine)@,\
+    "@[<v>%d states, %d transitions in %.3fs (%.0f states/s, %d domains)@,\
      depth %d, peak frontier %d, shard occupancy %d..%d over %d shards@,\
      %d steals, %d relaxations; store %a%a@]"
     s.states s.transitions s.wall_seconds s.states_per_sec s.domains_used
-    s.engine
     (Array.length s.depth_histogram - 1)
     s.peak_frontier occ_min occ_max
     (Array.length s.shard_occupancy)
     s.steals s.relaxations Store.pp_coverage s.coverage pp_resilience s
 
 let default_domains () = max 1 (Domain.recommended_domain_count ())
-let default_shards = 64
 
-(* Frontiers smaller than this are expanded on the calling domain; the
-   hand-off cost would dwarf the work. *)
-let small_frontier = 128
+(* Lock stripes of the state table. *)
+let shards = 64
 
 (* Work items per deque chunk. *)
 let chunk_cap = 128
 
-(* --- worker crew -------------------------------------------------------- *)
+(* --- domains -------------------------------------------------------------- *)
 
-(* A persistent SPMD crew: [size - 1] worker domains plus the caller.
-   [run crew job] executes [job k] for every member [k] (the caller takes
-   chunk 0) and returns when all are done, re-raising the first exception
-   any member observed. *)
-module Crew = struct
-  type t = {
-    size : int;
-    mutable job : int -> unit;
-    mutable gen : int;
-    mutable completed : int;
-    mutable failure : exn option;
-    mutable stop : bool;
-    m : Mutex.t;
-    start : Condition.t;
-    finished : Condition.t;
-    mutable members : unit Domain.t array;
-  }
-
-  let worker t k =
-    let my_gen = ref 0 in
-    let running = ref true in
-    while !running do
-      Mutex.lock t.m;
-      while (not t.stop) && t.gen = !my_gen do
-        Condition.wait t.start t.m
-      done;
-      if t.stop then begin
-        Mutex.unlock t.m;
-        running := false
-      end
-      else begin
-        my_gen := t.gen;
-        let job = t.job in
-        Mutex.unlock t.m;
-        let fail = match job k with () -> None | exception e -> Some e in
-        Mutex.lock t.m;
-        (match fail with
-        | Some _ when t.failure = None -> t.failure <- fail
-        | _ -> ());
-        t.completed <- t.completed + 1;
-        if t.completed = t.size - 1 then Condition.signal t.finished;
-        Mutex.unlock t.m
-      end
-    done
-
-  let create size =
-    let t =
-      {
-        size;
-        job = ignore;
-        gen = 0;
-        completed = 0;
-        failure = None;
-        stop = false;
-        m = Mutex.create ();
-        start = Condition.create ();
-        finished = Condition.create ();
-        members = [||];
-      }
-    in
-    if size > 1 then
-      t.members <-
-        Array.init (size - 1) (fun k -> Domain.spawn (fun () -> worker t (k + 1)));
-    t
-
-  let run t job =
-    if t.size = 1 then job 0
-    else begin
-      Mutex.lock t.m;
-      t.job <- job;
-      t.completed <- 0;
-      t.failure <- None;
-      t.gen <- t.gen + 1;
-      Condition.broadcast t.start;
-      Mutex.unlock t.m;
-      let fail0 = match job 0 with () -> None | exception e -> Some e in
-      Mutex.lock t.m;
-      while t.completed < t.size - 1 do
-        Condition.wait t.finished t.m
-      done;
-      let fail = match fail0 with None -> t.failure | some -> some in
-      Mutex.unlock t.m;
-      match fail with Some e -> raise e | None -> ()
-    end
-
-  let shutdown t =
-    if t.size > 1 then begin
-      Mutex.lock t.m;
-      t.stop <- true;
-      Condition.broadcast t.start;
-      Mutex.unlock t.m;
-      Array.iter Domain.join t.members;
-      t.members <- [||]
-    end
-end
+(* Run [job k] for every [k] in [0, n): the caller takes 0, fresh domains
+   the rest.  Returns when all are done, re-raising the first failure
+   (the caller's, then in member order). *)
+let run_domains n job =
+  let members =
+    Array.init (n - 1) (fun k -> Domain.spawn (fun () -> job (k + 1)))
+  in
+  let outcome f = match f () with () -> None | exception e -> Some e in
+  let first = outcome (fun () -> job 0) in
+  let rest = Array.map (fun d -> outcome (fun () -> Domain.join d)) members in
+  let failure =
+    Array.fold_left
+      (fun acc f -> match acc with None -> f | Some _ -> acc)
+      first rest
+  in
+  Option.iter raise failure
 
 (* --- concurrent growable vectors ---------------------------------------- *)
 
@@ -388,10 +295,6 @@ end
 
 (* --- the engine, functorised over the system ---------------------------- *)
 
-let round_pow2 n =
-  let rec go p = if p >= n then p else go (p * 2) in
-  go 1
-
 module Engine (S : System.S) = struct
   module St = Store.Make (struct
     type t = S.state
@@ -400,24 +303,18 @@ module Engine (S : System.S) = struct
     let hash = S.hash_state
   end)
 
-  let make_table ?expected_states ~shards mode =
-    let nshards = round_pow2 (max 1 shards) in
+  let make_table ?expected_states mode =
     (* The stripes start at 512 states each and grow; an expected-state
        hint may lower that start (states shard by hash, so the per-shard
-       load is count / nshards), never raise it. *)
+       load is count / shards), never raise it. *)
     let expected =
       match expected_states with
-      | None -> 512 * nshards
-      | Some n -> min (512 * nshards) n
+      | None -> 512 * shards
+      | Some n -> min (512 * shards) n
     in
-    St.create ~expected ~shards:nshards mode
+    St.create ~expected ~shards mode
 
-  let intern_pid tbl s ~depth =
-    match St.intern tbl s ~depth with
-    | St.Fresh pid -> (pid, true)
-    | St.Known pid | St.Relaxed (pid, _) -> (pid, false)
-
-  (* --- canonical replay (shared by both engines) ---------------------- *)
+  (* --- canonical replay ------------------------------------------------ *)
 
   type replay_result = {
     r_pid_of : int array;  (* canonical index -> provisional id *)
@@ -482,369 +379,7 @@ module Engine (S : System.S) = struct
       r_levels = levels;
     }
 
-  (* ====================================================================== *)
-  (* Level-synchronised engine (the pre-work-stealing baseline).            *)
-  (* ====================================================================== *)
-
-  (* Per-domain per-level output buffers.  [fresh] keeps, for every state
-     this domain won the intern race for: provisional id, state, parent
-     edge, goal flag.  [recs] keeps one successor record per expanded
-     frontier slot. *)
-  type chunk = {
-    mutable recs : (int * (S.label * int) array) list;
-    mutable fresh : (int * S.state * int * S.label * bool) list;
-    mutable fresh_n : int;
-  }
-
-  let new_chunk () = { recs = []; fresh = []; fresh_n = 0 }
-
-  let expand_chunk ~lookup_only ~goal tbl (front : (int * S.state) array) lo hi
-      out =
-    for i = lo to hi - 1 do
-      let pid, s = front.(i) in
-      let cells =
-        List.map
-          (fun (l, s') ->
-            let j =
-              if lookup_only then St.find_pid tbl s'
-              else begin
-                let j, is_fresh = intern_pid tbl s' ~depth:0 in
-                if is_fresh then begin
-                  out.fresh <- (j, s', pid, l, goal s') :: out.fresh;
-                  out.fresh_n <- out.fresh_n + 1
-                end;
-                j
-              end
-            in
-            (l, j))
-          (S.successors s)
-      in
-      out.recs <- (pid, Array.of_list cells) :: out.recs
-    done
-
-  (* Growable pid-indexed stores.  Provisional ids are dense, so plain
-     doubling arrays indexed by pid suffice; they are written only by the
-     coordinating domain, between level barriers. *)
-  type lstore = {
-    mutable states_of : S.state array;
-    mutable adj : (S.label * int) array array;
-    mutable parent : (int * S.label) option array; (* (parent pid, label) *)
-    mutable goal_flag : Bytes.t;
-  }
-
-  let no_adj : (S.label * int) array = [||]
-
-  let make_lstore s0 =
-    {
-      states_of = Array.make 1024 s0;
-      adj = Array.make 1024 no_adj;
-      parent = Array.make 1024 None;
-      goal_flag = Bytes.make 1024 '\000';
-    }
-
-  let ensure st n =
-    let cap = Array.length st.states_of in
-    if n > cap then begin
-      let cap' = max n (2 * cap) in
-      let grow a fill =
-        let a' = Array.make cap' fill in
-        Array.blit a 0 a' 0 cap;
-        a'
-      in
-      st.states_of <- grow st.states_of st.states_of.(0);
-      st.adj <- grow st.adj no_adj;
-      st.parent <- grow st.parent None;
-      let b = Bytes.make cap' '\000' in
-      Bytes.blit st.goal_flag 0 b 0 cap;
-      st.goal_flag <- b
-    end
-
-  type exploration = {
-    total : int;  (* provisional states interned (may overshoot the bound) *)
-    store : lstore;
-    levels : int list;  (* level sizes, deepest first *)
-    dropped : bool;  (* back-edge pass saw an unknown successor *)
-    tbl : St.t;
-    exh : Budget.reason option;  (* budget tripped between levels *)
-  }
-
-  (* The shared level-synchronised loop.  [keep_adj] retains successor
-     records for the replay; [goal] marks fresh states; [stop_on_goal]
-     ends the loop at the first level that both contains a goal-flagged
-     state and is entirely within the canonical [max_states] prefix.
-     [budget] is polled at level barriers only — this engine has no
-     mid-level suspension, degradation or quarantine; the work-stealing
-     engine is the resilient one. *)
-  let explore ?expected_states ?budget ~max_states ~domains ~shards
-      ~store_mode ~progress ~keep_adj ~goal ~stop_on_goal () =
-    if domains < 1 then invalid_arg "Mc.Pexplore: domains must be >= 1";
-    if max_states < 0 then invalid_arg "Mc.Pexplore: negative max_states";
-    let crew = Crew.create domains in
-    Fun.protect ~finally:(fun () -> Crew.shutdown crew) @@ fun () ->
-    let tbl = make_table ?expected_states ~shards store_mode in
-    let pid0, _ = intern_pid tbl S.initial ~depth:0 in
-    let store = make_lstore S.initial in
-    Bytes.set store.goal_flag pid0 (if goal S.initial then '\001' else '\000');
-    let levels = ref [] in
-    let record_recs chunks =
-      if keep_adj then
-        Array.iter
-          (fun c ->
-            List.iter (fun (pid, cells) -> store.adj.(pid) <- cells) c.recs)
-          chunks
-    in
-    let expand ~lookup_only front =
-      let n = Array.length front in
-      let chunks = Array.init domains (fun _ -> new_chunk ()) in
-      if domains = 1 || n < small_frontier then
-        expand_chunk ~lookup_only ~goal tbl front 0 n chunks.(0)
-      else
-        Crew.run crew (fun k ->
-            expand_chunk ~lookup_only ~goal tbl front (k * n / domains)
-              ((k + 1) * n / domains)
-              chunks.(k));
-      chunks
-    in
-    let rec loop front depth =
-      match
-        match budget with Some b -> Budget.check b | None -> None
-      with
-      | Some _ as exh ->
-          {
-            total = St.total tbl;
-            store;
-            levels = !levels;
-            dropped = false;
-            tbl;
-            exh;
-          }
-      | None -> loop_body front depth
-    and loop_body front depth =
-      levels := Array.length front :: !levels;
-      let total = St.total tbl in
-      progress ~depth ~states:total ~frontier:(Array.length front);
-      if total >= max_states then begin
-        (* Overflow level: fully interned already, cumulative count at or
-           past the bound.  Expand it lookup-only so the replay sees the
-           back-edges the sequential engine keeps, then stop. *)
-        let chunks = expand ~lookup_only:true front in
-        record_recs chunks;
-        let dropped =
-          Array.exists
-            (fun c ->
-              List.exists
-                (fun (_, cells) -> Array.exists (fun (_, j) -> j < 0) cells)
-                c.recs)
-            chunks
-        in
-        { total; store; levels = !levels; dropped; tbl; exh = None }
-      end
-      else if Array.length front = 0 then
-        {
-          total;
-          store;
-          levels = List.tl !levels;
-          dropped = false;
-          tbl;
-          exh = None;
-        }
-      else begin
-        let chunks = expand ~lookup_only:false front in
-        record_recs chunks;
-        let total' = St.total tbl in
-        ensure store total';
-        let fresh_n = Array.fold_left (fun n c -> n + c.fresh_n) 0 chunks in
-        let next = Array.make fresh_n (pid0, S.initial) in
-        let goal_hit = ref false in
-        (* Concatenate the per-chunk fresh lists (each reversed) into the
-           next frontier, filling every chunk's slice back to front. *)
-        let k = ref fresh_n in
-        for ci = domains - 1 downto 0 do
-          List.iter
-            (fun (pid, s, parent_pid, l, g) ->
-              decr k;
-              next.(!k) <- (pid, s);
-              store.states_of.(pid) <- s;
-              store.parent.(pid) <- Some (parent_pid, l);
-              if g then begin
-                Bytes.set store.goal_flag pid '\001';
-                goal_hit := true
-              end)
-            chunks.(ci).fresh
-        done;
-        if !goal_hit && stop_on_goal && total' <= max_states then
-          {
-            total = total';
-            store;
-            levels = !levels;
-            dropped = false;
-            tbl;
-            exh = None;
-          }
-        else loop next (depth + 1)
-      end
-    in
-    loop [| (pid0, S.initial) |] 0
-
-  let stats_of ?(exhausted = None) ?(degraded = []) ?(retries = 0) ~engine
-      ~count ~transitions ~wall ~peak ~histogram ~tbl ~domains ~steals
-      ~relaxations () =
-    {
-      states = count;
-      transitions;
-      wall_seconds = wall;
-      states_per_sec = (if wall > 0. then float_of_int count /. wall else 0.);
-      peak_frontier = peak;
-      depth_histogram = histogram;
-      shard_occupancy = St.occupancy tbl;
-      domains_used = domains;
-      engine;
-      steals;
-      relaxations;
-      coverage = St.coverage tbl;
-      exhausted;
-      degraded;
-      retries;
-    }
-
-  let space ?expected_states ~max_states ~domains ~shards ~store_mode
-      ~progress () =
-    let t0 = Unix.gettimeofday () in
-    let expl =
-      explore ?expected_states ~max_states ~domains ~shards ~store_mode
-        ~progress ~keep_adj:true
-        ~goal:(fun _ -> false)
-        ~stop_on_goal:false ()
-    in
-    let r =
-      replay ~max_states ~emit:true ~total:expl.total
-        ~adj:(fun pid -> expl.store.adj.(pid))
-        ()
-    in
-    let states =
-      Array.init r.r_count (fun c -> expl.store.states_of.(r.r_pid_of.(c)))
-    in
-    let lts = Lts.Graph.make ~num_states:r.r_count ~initial:0 r.r_trans in
-    let wall = Unix.gettimeofday () -. t0 in
-    let stats =
-      stats_of ~engine:"levels" ~count:r.r_count
-        ~transitions:(Lts.Graph.num_transitions lts)
-        ~wall
-        ~peak:(List.fold_left max 0 expl.levels)
-        ~histogram:(Array.of_list (List.rev expl.levels))
-        ~tbl:expl.tbl ~domains ~steals:0 ~relaxations:0 ()
-    in
-    ({ Explore.lts; states; complete = r.r_complete }, stats)
-
-  let count ?expected_states ?budget ~max_states ~domains ~shards ~store_mode
-      () =
-    let expl =
-      explore ?expected_states ?budget ~max_states ~domains ~shards
-        ~store_mode
-        ~progress:(fun ~depth:_ ~states:_ ~frontier:_ -> ())
-        ~keep_adj:false
-        ~goal:(fun _ -> false)
-        ~stop_on_goal:false ()
-    in
-    (* Mirrors [Explore.count]: the canonical count is the bounded prefix,
-       and the space is complete iff nothing fell outside the table. The
-       effective bound floors at one because the initial state is always
-       interned, even under [max_states = 0]. *)
-    let n = max 1 (min expl.total max_states) in
-    ( n,
-      expl.total <= max 1 max_states && (not expl.dropped) && expl.exh = None
-    )
-
-  let trace_to st pid =
-    let rec go pid acc =
-      match st.parent.(pid) with
-      | None -> acc
-      | Some (parent, l) -> go parent (l :: acc)
-    in
-    go pid []
-
-  let find ?expected_states ?budget ~max_states ~domains ~shards ~store_mode
-      ~goal () =
-    if goal S.initial then
-      Explore.Reached { Explore.trace = []; state = S.initial }
-    else begin
-      let expl =
-        explore ?expected_states ?budget ~max_states ~domains ~shards
-          ~store_mode
-          ~progress:(fun ~depth:_ ~states:_ ~frontier:_ -> ())
-          ~keep_adj:true ~goal ~stop_on_goal:true ()
-      in
-      let st = expl.store in
-      match expl.exh with
-      | Some reason ->
-          (* The run was cut short at a level barrier; a goal flagged in
-             an earlier level is still a real witness. *)
-          let witness = ref (-1) in
-          for pid = 0 to expl.total - 1 do
-            if !witness < 0 && Bytes.get st.goal_flag pid = '\001' then
-              witness := pid
-          done;
-          if !witness >= 0 then
-            Explore.Reached
-              {
-                Explore.trace = trace_to st !witness;
-                state = st.states_of.(!witness);
-              }
-          else
-            Explore.Exhausted
-              {
-                Explore.reason;
-                states_so_far = expl.total;
-                coverage = St.coverage expl.tbl;
-              }
-      | None ->
-      (* The effective bound floors at one: the initial state is interned
-         even under [max_states = 0], exactly as in [Explore.find]. *)
-      let emax = max 1 max_states in
-      if expl.total > emax || (expl.total = emax && expl.dropped) then begin
-        (* Truncated: only the canonical [max_states] prefix counts, and
-           only a goal state inside it is a sequential-parity witness. *)
-        let r =
-          replay ~max_states ~emit:false ~total:expl.total
-            ~adj:(fun pid -> st.adj.(pid))
-            ()
-        in
-        let witness = ref (-1) in
-        let c = ref 0 in
-        while !witness < 0 && !c < r.r_count do
-          let pid = r.r_pid_of.(!c) in
-          if Bytes.get st.goal_flag pid = '\001' then witness := pid;
-          incr c
-        done;
-        if !witness >= 0 then
-          Explore.Reached
-            {
-              Explore.trace = trace_to st !witness;
-              state = st.states_of.(!witness);
-            }
-        else Explore.Bound_hit max_states
-      end
-      else begin
-        (* Everything interned is canonical; any goal-flagged state is a
-           shortest witness (the loop stopped at its level). *)
-        let witness = ref (-1) in
-        for pid = 0 to expl.total - 1 do
-          if !witness < 0 && Bytes.get st.goal_flag pid = '\001' then
-            witness := pid
-        done;
-        if !witness >= 0 then
-          Explore.Reached
-            {
-              Explore.trace = trace_to st !witness;
-              state = st.states_of.(!witness);
-            }
-        else Explore.Unreachable
-      end
-    end
-
-  (* ====================================================================== *)
-  (* Work-stealing engine.                                                  *)
-  (* ====================================================================== *)
+  (* --- exploration ----------------------------------------------------- *)
 
   (* [ifresh] records whether the item comes from a [Fresh] intern (as
      opposed to a relaxation re-enqueue): in runs where no item is ever
@@ -1250,8 +785,8 @@ module Engine (S : System.S) = struct
       Mutex.unlock ws.idle_m;
       raise e
 
-  let ws_explore ?expected_states ?budget ?(degrade_ok = false) ?resume
-      ~max_states ~domains ~shards ~store_mode ~keep_adj ~keep_states
+  let explore ?expected_states ?budget ?(degrade_ok = false) ?resume
+      ~max_states ~domains ~store_mode ~keep_adj ~keep_states
       ~keep_parent ~goal ~stop_on_goal () =
     if domains < 1 then invalid_arg "Mc.Pexplore: domains must be >= 1";
     if max_states < 0 then invalid_arg "Mc.Pexplore: negative max_states";
@@ -1263,7 +798,7 @@ module Engine (S : System.S) = struct
               with %d"
              c.Explore.c_max_states max_states)
     | _ -> ());
-    let tbl = make_table ?expected_states ~shards store_mode in
+    let tbl = make_table ?expected_states store_mode in
     let ws =
       {
         tbl;
@@ -1313,7 +848,10 @@ module Engine (S : System.S) = struct
     in
     (match resume with
     | None ->
-        let pid0, _ = intern_pid tbl S.initial ~depth:0 in
+        let pid0 =
+          match St.intern tbl S.initial ~depth:0 with
+          | St.Fresh pid | St.Known pid | St.Relaxed (pid, _) -> pid
+        in
         dh_incr ws.dhists.(0) 0;
         (match ws.states_v with
         | Some sv -> Pvec.set sv pid0 S.initial
@@ -1402,10 +940,7 @@ module Engine (S : System.S) = struct
           incr di;
           i := !i + len
         done);
-    let crew = Crew.create domains in
-    Fun.protect
-      ~finally:(fun () -> Crew.shutdown crew)
-      (fun () -> Crew.run crew (fun k -> ws_worker ws k));
+    run_domains domains (ws_worker ws);
     ws
 
   (* Post-barrier closure check: does some never-expanded (skipped) state
@@ -1457,11 +992,40 @@ module Engine (S : System.S) = struct
         in
         go pid []
 
+  (* States per stamped depth.  The deepest fresh stamp bounds the
+     scan, but relaxation never lowers it, so the bins past the deepest
+     surviving stamp are empty and are trimmed: on a complete unbounded
+     run every stamp is the state's BFS depth and the histogram equals
+     the canonical level sizes. *)
   let ws_histogram ws =
     let md =
       Array.fold_left (fun m dh -> max m dh.mdepth) 0 ws.dhists
     in
-    Array.init (md + 1) (fun d -> depth_count ws d)
+    let h = Array.init (md + 1) (fun d -> depth_count ws d) in
+    let n = ref (md + 1) in
+    while !n > 1 && h.(!n - 1) = 0 do
+      decr n
+    done;
+    Array.sub h 0 !n
+
+  let ws_stats ?exhausted ws ~t0 ~count ~transitions ~histogram =
+    let wall = Unix.gettimeofday () -. t0 in
+    {
+      states = count;
+      transitions;
+      wall_seconds = wall;
+      states_per_sec = (if wall > 0. then float_of_int count /. wall else 0.);
+      peak_frontier = Array.fold_left max 0 histogram;
+      depth_histogram = histogram;
+      shard_occupancy = St.occupancy ws.tbl;
+      domains_used = ws.domains;
+      steals = Atomic.get ws.w_steals;
+      relaxations = Atomic.get ws.w_relax;
+      coverage = St.coverage ws.tbl;
+      exhausted;
+      degraded = ws.degraded;
+      retries = Atomic.get ws.retries;
+    }
 
   (* --- suspension ------------------------------------------------------ *)
 
@@ -1540,8 +1104,8 @@ module Engine (S : System.S) = struct
       c_complete = true;
     }
 
-  let ws_space_run ?expected_states ?budget ?(degrade_ok = false) ?resume
-      ~max_states ~domains ~shards ~store_mode ~progress ~do_replay () =
+  let space_run ?expected_states ?budget ?(degrade_ok = false) ?resume
+      ~max_states ~domains ~store_mode () =
     (match store_mode with
     | Store.Bitstate _ ->
         invalid_arg
@@ -1550,44 +1114,29 @@ module Engine (S : System.S) = struct
     | _ -> ());
     let t0 = Unix.gettimeofday () in
     let ws =
-      ws_explore ?expected_states ?budget ~degrade_ok ?resume ~max_states
-        ~domains ~shards ~store_mode ~keep_adj:true ~keep_states:true
+      explore ?expected_states ?budget ~degrade_ok ?resume ~max_states
+        ~domains ~store_mode ~keep_adj:true ~keep_states:true
         ~keep_parent:false
         ~goal:(fun _ -> false)
         ~stop_on_goal:false ()
     in
     let total = St.total ws.tbl in
     let adj = ws_adj ws and state_of = ws_states ws in
-    let finish ~count ~states ~trans ~complete ~peak ~histogram =
+    let finish ~count ~states ~trans ~complete ~histogram =
       let lts = Lts.Graph.make ~num_states:count ~initial:0 trans in
-      let wall = Unix.gettimeofday () -. t0 in
       let stats =
-        stats_of ~degraded:ws.degraded
-          ~retries:(Atomic.get ws.retries)
-          ~engine:"workstealing" ~count
+        ws_stats ws ~t0 ~count
           ~transitions:(Lts.Graph.num_transitions lts)
-          ~wall ~peak ~histogram ~tbl:ws.tbl ~domains
-          ~steals:(Atomic.get ws.w_steals)
-          ~relaxations:(Atomic.get ws.w_relax)
-          ()
+          ~histogram
       in
       (Explore.Done { Explore.lts; states; complete }, stats)
     in
     match ws_exhausted ws with
     | Some reason ->
-        let wall = Unix.gettimeofday () -. t0 in
-        let histogram = ws_histogram ws in
         let stats =
-          stats_of ~exhausted:(Some reason) ~degraded:ws.degraded
-            ~retries:(Atomic.get ws.retries)
-            ~engine:"workstealing" ~count:total
+          ws_stats ~exhausted:reason ws ~t0 ~count:total
             ~transitions:(Atomic.get ws.edges)
-            ~wall
-            ~peak:(Array.fold_left max 0 histogram)
-            ~histogram ~tbl:ws.tbl ~domains
-            ~steals:(Atomic.get ws.w_steals)
-            ~relaxations:(Atomic.get ws.w_relax)
-            ()
+            ~histogram:(ws_histogram ws)
         in
         (Explore.Suspended (reason, ws_cursor ws ~max_states), stats)
     | None ->
@@ -1602,14 +1151,7 @@ module Engine (S : System.S) = struct
       && Atomic.get ws.w_relax = 0
       && not ws.resumed
     in
-    if
-      ((not do_replay) || canonical_already)
-      && total <= ws.emax
-      && not (ws_dropped ws)
-    then begin
-      (* Fast path: exploration completed within the bound, so the
-         provisional numbering is a valid space (canonical when
-         [canonical_already]). *)
+    if canonical_already && total <= ws.emax && not (ws_dropped ws) then begin
       let states = Array.init total state_of in
       let trans = ref [] in
       for pid = total - 1 downto 0 do
@@ -1619,93 +1161,48 @@ module Engine (S : System.S) = struct
           trans := (pid, l, dst) :: !trans
         done
       done;
-      let histogram = ws_histogram ws in
-      let cum = ref 0 in
-      Array.iteri
-        (fun d n ->
-          cum := !cum + n;
-          progress ~depth:d ~states:!cum ~frontier:n)
-        histogram;
       finish ~count:total ~states ~trans:!trans ~complete:true
-        ~peak:(Array.fold_left max 0 histogram)
-        ~histogram
+        ~histogram:(ws_histogram ws)
     end
     else begin
       let r = replay ~max_states ~emit:true ~total ~adj () in
-      let cum = ref 0 in
-      Array.iteri
-        (fun d n ->
-          cum := !cum + n;
-          progress ~depth:d ~states:!cum ~frontier:n)
-        r.r_levels;
       let states = Array.init r.r_count (fun c -> state_of r.r_pid_of.(c)) in
       finish ~count:r.r_count ~states ~trans:r.r_trans ~complete:r.r_complete
-        ~peak:(Array.fold_left max 0 r.r_levels)
         ~histogram:r.r_levels
     end
 
-  let ws_space ?expected_states ~max_states ~domains ~shards ~store_mode
-      ~progress ~do_replay () =
-    match
-      ws_space_run ?expected_states ~max_states ~domains ~shards ~store_mode
-        ~progress ~do_replay ()
-    with
-    | Explore.Done sp, stats -> (sp, stats)
-    | Explore.Suspended _, _ -> assert false (* no budget, cannot suspend *)
-
-  let ws_count ?expected_states ?budget ?(degrade_ok = false) ~max_states
-      ~domains ~shards ~store_mode () =
+  let count ?expected_states ?budget ?(degrade_ok = false) ~max_states
+      ~domains ~store_mode () =
+    let t0 = Unix.gettimeofday () in
     let ws =
-      ws_explore ?expected_states ?budget ~degrade_ok ~max_states ~domains
-        ~shards ~store_mode ~keep_adj:false ~keep_states:false
-        ~keep_parent:false
+      explore ?expected_states ?budget ~degrade_ok ~max_states ~domains
+        ~store_mode ~keep_adj:false ~keep_states:false ~keep_parent:false
         ~goal:(fun _ -> false)
         ~stop_on_goal:false ()
     in
     let total = St.total ws.tbl in
     let n = max 1 (min total max_states) in
+    let exhausted = ws_exhausted ws in
     let complete =
-      (match ws_exhausted ws with None -> true | Some _ -> false)
-      && total <= max 1 max_states
-      && not (ws_dropped ws)
+      exhausted = None && total <= max 1 max_states && not (ws_dropped ws)
     in
-    ((n, complete), ws)
-
-  let ws_count_stats ?expected_states ?budget ?degrade_ok ~max_states ~domains
-      ~shards ~store_mode () =
-    let t0 = Unix.gettimeofday () in
-    let r, ws =
-      ws_count ?expected_states ?budget ?degrade_ok ~max_states ~domains
-        ~shards ~store_mode ()
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    let histogram = ws_histogram ws in
     let stats =
-      stats_of
-        ~exhausted:(ws_exhausted ws)
-        ~degraded:ws.degraded
-        ~retries:(Atomic.get ws.retries)
-        ~engine:"workstealing" ~count:(fst r)
+      ws_stats ?exhausted ws ~t0 ~count:n
         ~transitions:(Atomic.get ws.edges)
-        ~wall
-        ~peak:(Array.fold_left max 0 histogram)
-        ~histogram ~tbl:ws.tbl ~domains
-        ~steals:(Atomic.get ws.w_steals)
-        ~relaxations:(Atomic.get ws.w_relax)
-        ()
+        ~histogram:(ws_histogram ws)
     in
-    (r, stats)
+    ((n, complete), stats)
 
-  let ws_find ?expected_states ?budget ?(degrade_ok = false) ~max_states
-      ~domains ~shards ~store_mode ~goal () =
+  let find ?expected_states ?budget ?(degrade_ok = false) ~max_states
+      ~domains ~store_mode ~goal () =
     if goal S.initial then
       Explore.Reached { Explore.trace = []; state = S.initial }
     else begin
       let tracks = match store_mode with Store.Bitstate _ -> false | _ -> true in
       let ws =
-        ws_explore ?expected_states ?budget ~degrade_ok ~max_states ~domains
-          ~shards ~store_mode ~keep_adj:tracks ~keep_states:true
-          ~keep_parent:true ~goal ~stop_on_goal:true ()
+        explore ?expected_states ?budget ~degrade_ok ~max_states ~domains
+          ~store_mode ~keep_adj:tracks ~keep_states:true ~keep_parent:true
+          ~goal ~stop_on_goal:true ()
       in
       let total = St.total ws.tbl in
       let emax = max 1 max_states in
@@ -1769,82 +1266,39 @@ end
 
 (* --- public entry points ------------------------------------------------ *)
 
-let no_progress ~depth:_ ~states:_ ~frontier:_ = ()
-
-let reject_levels_bitstate store =
-  match store with
-  | Store.Bitstate _ ->
-      invalid_arg
-        "Mc.Pexplore: the bitstate store requires the work-stealing engine"
-  | _ -> ()
-
-let space_stats (type s l) ?(max_states = Explore.default_max)
-    ?expected_states ?domains ?(shards = default_shards)
-    ?(progress = no_progress) ?(store = Store.Exact) ?(workstealing = true)
-    ?(replay = true) (sys : (s, l) System.t) : (s, l) Explore.space * stats =
-  let domains = match domains with Some d -> d | None -> default_domains () in
-  let module E = Engine ((val sys)) in
-  if workstealing then
-    E.ws_space ?expected_states ~max_states ~domains ~shards ~store_mode:store
-      ~progress ~do_replay:replay ()
-  else begin
-    reject_levels_bitstate store;
-    E.space ?expected_states ~max_states ~domains ~shards ~store_mode:store
-      ~progress ()
-  end
-
-let space ?max_states ?expected_states ?domains ?shards ?progress ?store
-    ?workstealing ?replay sys =
-  fst
-    (space_stats ?max_states ?expected_states ?domains ?shards ?progress
-       ?store ?workstealing ?replay sys)
-
 let space_run (type s l) ?(max_states = Explore.default_max) ?expected_states
-    ?domains ?(shards = default_shards) ?(progress = no_progress)
-    ?(store = Store.Exact) ?budget ?(degrade = true) ?resume
+    ?domains ?(store = Store.Exact) ?budget ?(degrade = true) ?resume
     (sys : (s, l) System.t) : (s, l) Explore.run_result * stats =
   let domains = match domains with Some d -> d | None -> default_domains () in
   let module E = Engine ((val sys)) in
-  E.ws_space_run ?expected_states ?budget ~degrade_ok:degrade ?resume
-    ~max_states ~domains ~shards ~store_mode:store ~progress ~do_replay:true
-    ()
+  E.space_run ?expected_states ?budget ~degrade_ok:degrade ?resume ~max_states
+    ~domains ~store_mode:store ()
 
-let count (type s l) ?(max_states = Explore.default_max) ?expected_states
-    ?domains ?(shards = default_shards) ?(store = Store.Exact)
-    ?(workstealing = true) ?budget ?(degrade = true) (sys : (s, l) System.t) :
-    int * bool =
-  let domains = match domains with Some d -> d | None -> default_domains () in
-  let module E = Engine ((val sys)) in
-  if workstealing then
-    fst
-      (E.ws_count ?expected_states ?budget ~degrade_ok:degrade ~max_states
-         ~domains ~shards ~store_mode:store ())
-  else begin
-    reject_levels_bitstate store;
-    E.count ?expected_states ?budget ~max_states ~domains ~shards
-      ~store_mode:store ()
-  end
+let space_stats ?max_states ?expected_states ?domains ?store sys =
+  match space_run ?max_states ?expected_states ?domains ?store sys with
+  | Explore.Done sp, stats -> (sp, stats)
+  | Explore.Suspended _, _ -> assert false (* no budget, cannot suspend *)
+
+let space ?max_states ?expected_states ?domains ?store sys =
+  fst (space_stats ?max_states ?expected_states ?domains ?store sys)
 
 let count_stats (type s l) ?(max_states = Explore.default_max)
-    ?expected_states ?domains ?(shards = default_shards)
-    ?(store = Store.Exact) ?budget ?(degrade = true) (sys : (s, l) System.t) :
-    (int * bool) * stats =
+    ?expected_states ?domains ?(store = Store.Exact) ?budget ?(degrade = true)
+    (sys : (s, l) System.t) : (int * bool) * stats =
   let domains = match domains with Some d -> d | None -> default_domains () in
   let module E = Engine ((val sys)) in
-  E.ws_count_stats ?expected_states ?budget ~degrade_ok:degrade ~max_states
-    ~domains ~shards ~store_mode:store ()
+  E.count ?expected_states ?budget ~degrade_ok:degrade ~max_states ~domains
+    ~store_mode:store ()
+
+let count ?max_states ?expected_states ?domains ?store ?budget ?degrade sys =
+  fst
+    (count_stats ?max_states ?expected_states ?domains ?store ?budget ?degrade
+       sys)
 
 let find (type s l) ?(max_states = Explore.default_max) ?expected_states
-    ?domains ?(shards = default_shards) ?(store = Store.Exact)
-    ?(workstealing = true) ?budget ?(degrade = true) ~goal
+    ?domains ?(store = Store.Exact) ?budget ?(degrade = true) ~goal
     (sys : (s, l) System.t) : (s, l) Explore.verdict =
   let domains = match domains with Some d -> d | None -> default_domains () in
   let module E = Engine ((val sys)) in
-  if workstealing then
-    E.ws_find ?expected_states ?budget ~degrade_ok:degrade ~max_states
-      ~domains ~shards ~store_mode:store ~goal ()
-  else begin
-    reject_levels_bitstate store;
-    E.find ?expected_states ?budget ~max_states ~domains ~shards
-      ~store_mode:store ~goal ()
-  end
+  E.find ?expected_states ?budget ~degrade_ok:degrade ~max_states ~domains
+    ~store_mode:store ~goal ()

@@ -1,28 +1,23 @@
 (** Parallel explicit-state exploration (OCaml 5 domains).
 
-    Two engines share a sharded, lock-striped state table ({!Store}):
+    A work-stealing engine over a lock-striped state table ({!Store},
+    64 stripes): every domain owns a chunked deque of work items; owners
+    push and pop whole chunks, idle domains steal the oldest half of a
+    victim's chunks (the BFS-shallowest, hence largest, remaining
+    subtrees).  Termination is detected with a global pending-item
+    counter.  Items carry BFS depth stamps that are {e relaxed} —
+    re-enqueued with the shorter depth — whenever a shorter path to a
+    known state is found, which keeps truncation under [max_states]
+    exact: a state is only skipped when its stamped depth exceeds the
+    smallest depth whose cumulative state count reaches the bound, so
+    every state the sequential engine would retain is interned and
+    expanded.
 
-    - The {e work-stealing} engine (default): every domain owns a
-      chunked deque of work items; owners push and pop whole chunks at
-      the newest end, idle domains steal the oldest half of a victim's
-      chunks (the BFS-shallowest, hence largest, remaining subtrees).
-      Termination is detected with a global pending-item counter.  Items
-      carry BFS depth stamps that are {e relaxed} — re-enqueued with the
-      shorter depth — whenever a shorter path to a known state is found,
-      which keeps truncation under [max_states] exact: a state is only
-      skipped when its stamped depth exceeds the smallest depth whose
-      cumulative state count reaches the bound, so every state the
-      sequential engine would retain is interned and expanded.
-
-    - The {e level-synchronised} engine ([~workstealing:false]): each
-      BFS level is split into contiguous chunks, one per domain, with a
-      barrier per level.  This is the baseline the work-stealing engine
-      is benchmarked against; it does not support bitstate stores.
-
-    In the default [~replay:true] mode a final sequential replay over
-    the collected integer adjacency renumbers states into canonical
-    sequential BFS discovery order, so results are {e deterministic and
-    byte-identical} to the sequential engine:
+    A final sequential replay over the collected integer adjacency
+    renumbers states into canonical sequential BFS discovery order (it
+    is skipped when the run already processed states in that order), so
+    results are {e deterministic and byte-identical} to the sequential
+    engine:
 
     - {!space} produces exactly the {!Explore.space} result — same state
       numbering, same transition order, same [states] array, same
@@ -33,26 +28,19 @@
       truncation behaviour;
     - {!count} agrees with {!Explore.count}.
 
-    [~replay:false] skips the canonicalisation for {!space} when the
-    exploration completed within the bound: the returned space uses the
-    (non-deterministic) provisional numbering but has the same state
-    set, transition multiset and [complete] flag.  Truncated runs fall
-    back to the replay regardless.
-
     Compressed stores ({!Store.Hash_compaction}, {!Store.Bitstate})
     make the results {e probabilistic}: distinct states that collide are
     conflated, which can only under-report states (and hence miss
     violations), never over-report.  Byte-identical parity holds for
     hash compaction up to fingerprint collisions (~2^-62 per pair at the
     default width).  Bitstate keeps no state identities: it is rejected
-    by {!space} and by the level-synchronised engine, {!find} witnesses
-    lose the shortest-trace guarantee, and a [false] completeness flag
-    is reported whenever the bound was engaged.
+    by {!space}, {!find} witnesses lose the shortest-trace guarantee,
+    and a [false] completeness flag is reported whenever the bound was
+    engaged.
 
-    [domains] defaults to [Domain.recommended_domain_count ()]; [1] runs
-    the whole pipeline on the calling domain.  [shards] (default 64,
-    rounded up to a power of two) sets the number of lock stripes of the
-    state table. *)
+    The engine's only knobs are [domains] and [store].  [domains]
+    defaults to [Domain.recommended_domain_count ()]; [1] runs the whole
+    pipeline on the calling domain. *)
 
 type stats = {
   states : int;  (** canonical (retained) states *)
@@ -60,11 +48,11 @@ type stats = {
   wall_seconds : float;
   states_per_sec : float;
   peak_frontier : int;  (** largest BFS level *)
-  depth_histogram : int array;  (** states discovered per BFS level *)
+  depth_histogram : int array;
+      (** states per BFS level, from level 0 to the deepest non-empty one *)
   shard_occupancy : int array;  (** interned states per table stripe *)
   domains_used : int;
-  engine : string;  (** ["workstealing"] or ["levels"] *)
-  steals : int;  (** successful steal operations (work-stealing only) *)
+  steals : int;  (** successful steal operations *)
   relaxations : int;
       (** depth-stamp improvements that re-enqueued a known state *)
   coverage : Store.coverage;  (** store mode and omission estimate *)
@@ -81,20 +69,12 @@ val space :
   ?max_states:int ->
   ?expected_states:int ->
   ?domains:int ->
-  ?shards:int ->
-  ?progress:(depth:int -> states:int -> frontier:int -> unit) ->
   ?store:Store.mode ->
-  ?workstealing:bool ->
-  ?replay:bool ->
   ('s, 'l) System.t ->
   ('s, 'l) Explore.space
 (** [space sys] builds the reachable state graph in parallel.  With the
-    default exact store and [~replay:true] the result is byte-identical
-    to [Explore.space ?max_states sys] regardless of [domains] and
-    engine.  [progress] is invoked once per BFS level with the depth,
-    cumulative state count and level size (from the coordinating domain
-    in the level-synchronised engine; during the canonical replay in the
-    work-stealing engine).
+    default exact store the result is byte-identical to
+    [Explore.space ?max_states sys] regardless of [domains].
 
     The lock-striped state table starts at 512 states per shard and
     grows; an [expected_states] hint may lower that start, never raise
@@ -107,11 +87,7 @@ val space_stats :
   ?max_states:int ->
   ?expected_states:int ->
   ?domains:int ->
-  ?shards:int ->
-  ?progress:(depth:int -> states:int -> frontier:int -> unit) ->
   ?store:Store.mode ->
-  ?workstealing:bool ->
-  ?replay:bool ->
   ('s, 'l) System.t ->
   ('s, 'l) Explore.space * stats
 (** Like {!space}, additionally returning exploration statistics. *)
@@ -120,16 +96,13 @@ val space_run :
   ?max_states:int ->
   ?expected_states:int ->
   ?domains:int ->
-  ?shards:int ->
-  ?progress:(depth:int -> states:int -> frontier:int -> unit) ->
   ?store:Store.mode ->
   ?budget:Budget.t ->
   ?degrade:bool ->
   ?resume:('s, 'l) Explore.cursor ->
   ('s, 'l) System.t ->
   ('s, 'l) Explore.run_result * stats
-(** The resilient form of {!space_stats} (work-stealing engine only).
-    A {!Budget} trip — or an unrecoverable successor crash — suspends
+(** The resilient form of {!space_stats}.  A {!Budget} trip — or an unrecoverable successor crash — suspends
     the run into an {!Explore.cursor} holding every interned state, the
     recorded adjacency and the unexpanded frontier; [resume] continues
     from such a cursor.  A resumed run always replays, so its [Done]
@@ -152,47 +125,41 @@ val count :
   ?max_states:int ->
   ?expected_states:int ->
   ?domains:int ->
-  ?shards:int ->
   ?store:Store.mode ->
-  ?workstealing:bool ->
   ?budget:Budget.t ->
   ?degrade:bool ->
   ('s, 'l) System.t ->
   int * bool
 (** Parallel {!Explore.count}: reachable-state count plus completeness
     flag, without retaining the graph.  Compressed stores under-count on
-    collision; bitstate is supported (work-stealing engine only) and is
-    the intended high-volume counting mode.  A [budget] trip reports the
-    count so far with [complete = false]; [degrade] (default [true])
-    lets memory trips walk the store down the compression ladder instead
-    of stopping (work-stealing engine only). *)
+    collision; bitstate is supported and is the intended high-volume
+    counting mode.  A [budget] trip reports the count so far with
+    [complete = false]; [degrade] (default [true]) lets memory trips
+    walk the store down the compression ladder instead of stopping. *)
 
 val count_stats :
   ?max_states:int ->
   ?expected_states:int ->
   ?domains:int ->
-  ?shards:int ->
   ?store:Store.mode ->
   ?budget:Budget.t ->
   ?degrade:bool ->
   ('s, 'l) System.t ->
   (int * bool) * stats
-(** {!count} on the work-stealing engine, additionally returning
-    exploration statistics (including the store's {!Store.coverage}
-    estimate — the way to surface bitstate omission probabilities).
-    [stats.transitions] counts successor edges of first-time expansions,
-    and the depth histogram uses stamped depths, which both coincide
-    with the canonical values on unbounded runs.  [stats.exhausted],
-    [stats.degraded] and [stats.retries] report budget trips, in-place
-    store degradations and quarantine retries of this run. *)
+(** {!count}, additionally returning exploration statistics (including
+    the store's {!Store.coverage} estimate — the way to surface bitstate
+    omission probabilities).  [stats.transitions] counts successor edges
+    of first-time expansions, and the depth histogram uses stamped
+    depths, which both coincide with the canonical values on complete
+    unbounded runs.  [stats.exhausted], [stats.degraded] and
+    [stats.retries] report budget trips, in-place store degradations and
+    quarantine retries of this run. *)
 
 val find :
   ?max_states:int ->
   ?expected_states:int ->
   ?domains:int ->
-  ?shards:int ->
   ?store:Store.mode ->
-  ?workstealing:bool ->
   ?budget:Budget.t ->
   ?degrade:bool ->
   goal:('s -> bool) ->

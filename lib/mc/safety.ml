@@ -26,15 +26,15 @@ let product (type s l) (sys : (s, l) System.t) (m : l Monitor.t) :
   end)
 
 (* Route goal searches through the sequential or the parallel engine: a
-   non-exact store or an explicit engine selection forces Pexplore even
-   on one domain (the sequential engine has no store support). *)
+   non-exact store forces Pexplore even on one domain (the sequential
+   engine has no store support). *)
 let run_find ?max_states ?expected_states ?(domains = 1)
-    ?(store = Store.Exact) ?workstealing ?budget ?degrade ~goal sys =
-  if domains <= 1 && store = Store.Exact && workstealing = None then
+    ?(store = Store.Exact) ?budget ?degrade ~goal sys =
+  if domains <= 1 && store = Store.Exact then
     Explore.find ?max_states ?expected_states ?budget ~goal sys
   else
-    Pexplore.find ?max_states ?expected_states ~domains ~store ?workstealing
-      ?budget ?degrade ~goal sys
+    Pexplore.find ?max_states ?expected_states ~domains ~store ?budget
+      ?degrade ~goal sys
 
 (* A reduced replacement system built with the sequential proviso forces
    the sequential engine: its seen-set needs a deterministic call order.
@@ -52,8 +52,8 @@ let of_find_verdict = function
   | Explore.Exhausted e -> Exhausted e
 
 let check_monitor (type s l) ?max_states ?expected_states ?domains ?slice
-    ?reduction ?(parallel_reduction = false) ?store ?workstealing ?budget
-    ?degrade (sys : (s, l) System.t) (m : l Monitor.t) : l verdict =
+    ?reduction ?(parallel_reduction = false) ?store ?budget ?degrade
+    (sys : (s, l) System.t) (m : l Monitor.t) : l verdict =
   (* A slice replaces the base system before the reduction is consulted:
      a reduction, when also given, was built over the sliced model
      upstream and wins. *)
@@ -61,25 +61,23 @@ let check_monitor (type s l) ?max_states ?expected_states ?domains ?slice
   let sys, domains = apply_reduction reduction ~parallel_reduction domains sys in
   let prod = product sys m in
   of_find_verdict
-    (run_find ?max_states ?expected_states ?domains ?store ?workstealing
-       ?budget ?degrade
+    (run_find ?max_states ?expected_states ?domains ?store ?budget ?degrade
        ~goal:(fun (_, q) -> m.Monitor.accepting q)
        prod)
 
 let check_forbidden ?max_states ?expected_states ?domains ?slice ?reduction
-    ?parallel_reduction ?store ?workstealing ?budget ?degrade sys r =
+    ?parallel_reduction ?store ?budget ?degrade sys r =
   check_monitor ?max_states ?expected_states ?domains ?slice ?reduction
-    ?parallel_reduction ?store ?workstealing ?budget ?degrade sys
-    (Regex.compile r)
+    ?parallel_reduction ?store ?budget ?degrade sys (Regex.compile r)
 
 let check_state (type s l) ?max_states ?expected_states ?domains ?slice
-    ?reduction ?(parallel_reduction = false) ?store ?workstealing ?budget
-    ?degrade (sys : (s, l) System.t) bad : l verdict =
+    ?reduction ?(parallel_reduction = false) ?store ?budget ?degrade
+    (sys : (s, l) System.t) bad : l verdict =
   let sys = Option.value slice ~default:sys in
   let sys, domains = apply_reduction reduction ~parallel_reduction domains sys in
   of_find_verdict
-    (run_find ?max_states ?expected_states ?domains ?store ?workstealing
-       ?budget ?degrade ~goal:bad sys)
+    (run_find ?max_states ?expected_states ?domains ?store ?budget ?degrade
+       ~goal:bad sys)
 
 let holds = function
   | Holds -> true

@@ -25,7 +25,6 @@ val check_monitor :
   ?reduction:('s, 'l) System.t ->
   ?parallel_reduction:bool ->
   ?store:Store.mode ->
-  ?workstealing:bool ->
   ?budget:Budget.t ->
   ?degrade:bool ->
   ('s, 'l) System.t ->
@@ -49,8 +48,7 @@ val check_monitor :
     violation in the covered fraction of the space" (the omission
     estimate is {!Store.coverage}; surface it via
     {!Pexplore.count_stats}).  A [Violated] verdict is always real: its
-    trace replays on the uncompressed system.  [workstealing] picks the
-    {!Pexplore} engine variant explicitly (default: work-stealing).
+    trace replays on the uncompressed system.
 
     [budget] bounds the search by wall clock and/or live heap; a trip
     yields the qualified {!Exhausted} verdict instead of running to
@@ -92,7 +90,6 @@ val check_forbidden :
   ?reduction:('s, 'l) System.t ->
   ?parallel_reduction:bool ->
   ?store:Store.mode ->
-  ?workstealing:bool ->
   ?budget:Budget.t ->
   ?degrade:bool ->
   ('s, 'l) System.t ->
@@ -109,7 +106,6 @@ val check_state :
   ?reduction:('s, 'l) System.t ->
   ?parallel_reduction:bool ->
   ?store:Store.mode ->
-  ?workstealing:bool ->
   ?budget:Budget.t ->
   ?degrade:bool ->
   ('s, 'l) System.t ->

@@ -30,10 +30,7 @@
       backward propagation over non-resetting edges; inactive clocks
       stay in the vector but are zeroed by a canonicalizer
       ({!Ta.Semantics.canonicalizer}), collapsing states that differ
-      only in clock values nothing will read before resetting;
-   6. an activity-aware static bound replaces the declaration-product
-      bound: per automaton, the sum over locations of the product of
-      the {e active} owned-clock domains.
+      only in clock values nothing will read before resetting.
 
    Step 4 keeps every guard and invariant of the kept part, which is
    what makes the projection exact rather than merely conservative:
@@ -63,7 +60,6 @@ type t = {
   removed_locs : (string * string) list; (* automaton, location *)
   inactive : (string * (string * string list) list) list;
       (* automaton -> location -> inactive owned clocks *)
-  expected : I.card; (* activity-aware post-slice state bound *)
 }
 
 (* --- expression helpers ------------------------------------------------- *)
@@ -524,76 +520,7 @@ let slice ?(seed = empty_seed) (model : M.t) : t =
   in
   (* 5. clock activity (the Daws-Yovine pass above, on the sliced
      model, keeping seeded clocks exact). *)
-  let owned_by = owned_by ~seed_clocks sliced (clock_sites sliced) in
   let inactive = inactive_of ~seed_clocks sliced in
-  (* 6. activity-aware bound: per automaton, sum over locations of the
-     product of active owned-clock domains; unowned clocks and kept
-     variables multiply globally as before. *)
-  let _sd, sliced_globals = Lint_ta.intervals_of sliced in
-  let owned_all =
-    List.fold_left
-      (fun acc (a : M.automaton) ->
-        List.fold_left
-          (fun acc c -> SSet.add c acc)
-          acc
-          (owned_by a.M.auto_name))
-      SSet.empty sliced.M.automata
-  in
-  let cap_of c =
-    match
-      List.find_opt (fun (d : M.clock_decl) -> d.M.clock_name = c)
-        sliced.M.clocks
-    with
-    | Some d -> d.M.cap
-    | None -> 0
-  in
-  let expected =
-    let per_auto =
-      List.fold_left
-        (fun acc (a : M.automaton) ->
-          let owned = owned_by a.M.auto_name in
-          let active = activity a owned in
-          let locs_sum =
-            List.fold_left
-              (fun acc (l : M.location) ->
-                let act =
-                  Option.value
-                    (Hashtbl.find_opt active l.M.loc_name)
-                    ~default:SSet.empty
-                in
-                let prod =
-                  SSet.fold
-                    (fun c acc -> I.card_mul acc (I.Finite (cap_of c + 1)))
-                    act (I.Finite 1)
-                in
-                I.card_add acc prod)
-              (I.Finite 0) a.M.locations
-          in
-          let locs_sum =
-            match locs_sum with I.Finite 0 -> I.Finite 1 | s -> s
-          in
-          I.card_mul acc locs_sum)
-        (I.Finite 1) sliced.M.automata
-    in
-    let with_unowned =
-      List.fold_left
-        (fun acc (c : M.clock_decl) ->
-          if SSet.mem c.M.clock_name owned_all then acc
-          else I.card_mul acc (I.Finite (c.M.cap + 1)))
-        per_auto sliced.M.clocks
-    in
-    List.fold_left
-      (fun acc (v : M.var_decl) ->
-        let i =
-          match
-            SMap.find_opt (Lint_ta.vkey v.M.var_name) sliced_globals
-          with
-          | Some i -> i
-          | None -> I.top
-        in
-        I.card_mul acc (I.card_pow (I.width i) (List.length v.M.init)))
-      with_unowned sliced.M.vars
-  in
   {
     model = sliced;
     folded = SMap.bindings consts;
@@ -601,7 +528,6 @@ let slice ?(seed = empty_seed) (model : M.t) : t =
     removed_clocks;
     removed_locs;
     inactive;
-    expected;
   }
 
 (* --- packaging ---------------------------------------------------------- *)

@@ -234,16 +234,15 @@ let test_heartbeat_find_parity () =
   | _ -> Alcotest.fail "expected P0 inactivation to be reachable"
 
 (* ------------------------------------------------------------------ *)
-(* Stores x engines: compression and the legacy level-sync engine.      *)
+(* Stores: the parallel engine under compression.                       *)
 (* ------------------------------------------------------------------ *)
 
 let pid_stores = [ Mc.Store.exact; Mc.Store.hash_compaction ]
 
-(* Property (d): both engines (work-stealing and the level-synchronised
-   baseline), both pid-tracking stores, every domain count: spaces are
-   structurally equal to the sequential oracle (62-bit fingerprints have
-   ~2^-62 collision odds per state pair, so hash compaction is exact on
-   these spaces) and count/find verdicts agree. *)
+(* Property (d): both pid-tracking stores, every domain count: spaces
+   are structurally equal to the sequential oracle (62-bit fingerprints
+   have ~2^-62 collision odds per state pair, so hash compaction is
+   exact on these spaces) and count/find verdicts agree. *)
 let prop_store_engine_parity =
   QCheck.Test.make ~name:"stores x engines x domains parity vs Mc.Explore"
     ~count:60
@@ -255,31 +254,22 @@ let prop_store_engine_parity =
       let seq_count = Mc.Explore.count sys in
       let seq_find = Mc.Explore.find ~goal sys in
       List.for_all
-        (fun workstealing ->
+        (fun store ->
           List.for_all
-            (fun store ->
-              List.for_all
-                (fun d ->
-                  same_space seq_space
-                    (Mc.Pexplore.space ~domains:d ~store ~workstealing sys)
-                  && seq_count
-                     = Mc.Pexplore.count ~domains:d ~store ~workstealing sys
-                  &&
-                  match
-                    ( seq_find,
-                      Mc.Pexplore.find ~domains:d ~store ~workstealing ~goal
-                        sys )
-                  with
-                  | Mc.Explore.Unreachable, Mc.Explore.Unreachable -> true
-                  | Mc.Explore.Reached w, Mc.Explore.Reached w' ->
-                      List.length w.Mc.Explore.trace
-                      = List.length w'.Mc.Explore.trace
-                      && trace_reaches rs ~goal w'.Mc.Explore.trace
-                  | Mc.Explore.Bound_hit n, Mc.Explore.Bound_hit n' -> n = n'
-                  | _ -> false)
-                domain_counts)
-            pid_stores)
-        [ true; false ])
+            (fun d ->
+              same_space seq_space (Mc.Pexplore.space ~domains:d ~store sys)
+              && seq_count = Mc.Pexplore.count ~domains:d ~store sys
+              &&
+              match (seq_find, Mc.Pexplore.find ~domains:d ~store ~goal sys) with
+              | Mc.Explore.Unreachable, Mc.Explore.Unreachable -> true
+              | Mc.Explore.Reached w, Mc.Explore.Reached w' ->
+                  List.length w.Mc.Explore.trace
+                  = List.length w'.Mc.Explore.trace
+                  && trace_reaches rs ~goal w'.Mc.Explore.trace
+              | Mc.Explore.Bound_hit n, Mc.Explore.Bound_hit n' -> n = n'
+              | _ -> false)
+            domain_counts)
+        pid_stores)
 
 (* The process-algebra protocol models under the same matrix: the spaces
    must be byte-identical to the sequential engine's (random PA specs are
@@ -302,53 +292,20 @@ let test_pa_store_engine_byte_identical () =
       in
       let seq = bytes_of (Mc.Explore.space sys) in
       List.iter
-        (fun workstealing ->
+        (fun store ->
           List.iter
-            (fun store ->
-              List.iter
-                (fun d ->
-                  check Alcotest.bool
-                    (Printf.sprintf "%s ws=%b %s d=%d byte-identical"
-                       (Heartbeat.Pa_models.variant_name variant)
-                       workstealing
-                       (Mc.Store.mode_name store)
-                       d)
-                    true
-                    (String.equal seq
-                       (bytes_of
-                          (Mc.Pexplore.space ~domains:d ~store ~workstealing
-                             sys))))
-                domain_counts)
-            pid_stores)
-        [ true; false ])
+            (fun d ->
+              check Alcotest.bool
+                (Printf.sprintf "%s %s d=%d byte-identical"
+                   (Heartbeat.Pa_models.variant_name variant)
+                   (Mc.Store.mode_name store)
+                   d)
+                true
+                (String.equal seq
+                   (bytes_of (Mc.Pexplore.space ~domains:d ~store sys))))
+            domain_counts)
+        pid_stores)
     [ Heartbeat.Pa_models.Binary; Heartbeat.Pa_models.Static ]
-
-let test_noreplay_same_structure () =
-  (* replay:false skips canonical renumbering on completed runs: the
-     numbering is free but the state set, the counts and the complete
-     flag must still match the sequential engine *)
-  let sys = heartbeat_system () in
-  let seq = Mc.Explore.space sys in
-  let seq_set = List.sort compare (Array.to_list seq.Mc.Explore.states) in
-  List.iter
-    (fun d ->
-      let par = Mc.Pexplore.space ~replay:false ~domains:d sys in
-      check Alcotest.bool
-        (Printf.sprintf "complete at %d domains" d)
-        true par.Mc.Explore.complete;
-      check Alcotest.int
-        (Printf.sprintf "state count at %d domains" d)
-        (Lts.Graph.num_states seq.Mc.Explore.lts)
-        (Lts.Graph.num_states par.Mc.Explore.lts);
-      check Alcotest.int
-        (Printf.sprintf "transition count at %d domains" d)
-        (Lts.Graph.num_transitions seq.Mc.Explore.lts)
-        (Lts.Graph.num_transitions par.Mc.Explore.lts);
-      check Alcotest.bool
-        (Printf.sprintf "same state set at %d domains" d)
-        true
-        (seq_set = List.sort compare (Array.to_list par.Mc.Explore.states)))
-    domain_counts
 
 let test_stats_consistency () =
   let sys = counter 500 in
@@ -364,18 +321,59 @@ let test_stats_consistency () =
   check Alcotest.int "peak frontier of a cycle" 1 stats.Mc.Pexplore.peak_frontier;
   check Alcotest.int "domains recorded" 2 stats.Mc.Pexplore.domains_used
 
-let test_progress_callback () =
-  let calls = ref 0 in
-  let last_states = ref 0 in
-  let (_ : (int, string) Mc.Explore.space) =
-    Mc.Pexplore.space ~domains:2
-      ~progress:(fun ~depth:_ ~states ~frontier:_ ->
-        incr calls;
-        last_states := states)
-      (counter 50)
+(* Sizes of the BFS levels of a space, from its initial state: the
+   per-level counts a parallel run's [depth_histogram] must report. *)
+let bfs_levels (sp : ('s, 'l) Mc.Explore.space) =
+  let g = sp.Mc.Explore.lts in
+  let depth = Array.make (Lts.Graph.num_states g) (-1) in
+  let queue = Queue.create () in
+  let visit d s =
+    if depth.(s) < 0 then begin
+      depth.(s) <- d;
+      Queue.add s queue
+    end
   in
-  check Alcotest.bool "progress called per level" true (!calls >= 50);
-  check Alcotest.bool "progress saw interned states" true (!last_states > 0)
+  visit 0 (Lts.Graph.initial g);
+  while not (Queue.is_empty queue) do
+    let s = Queue.pop queue in
+    List.iter (fun (_, t) -> visit (depth.(s) + 1) t) (Lts.Graph.successors g s)
+  done;
+  let levels = Array.make (Array.fold_left max 0 depth + 1) 0 in
+  Array.iter (fun d -> levels.(d) <- levels.(d) + 1) depth;
+  levels
+
+(* Both stats entry points report one bin per BFS level of the
+   sequential space and no bin past the deepest one (relaxation lowers
+   depth stamps, so deep bins can empty out during a run). *)
+let histograms_match sys levels d =
+  let _, space_stats = Mc.Pexplore.space_stats ~domains:d sys in
+  let _, count_stats = Mc.Pexplore.count_stats ~domains:d sys in
+  space_stats.Mc.Pexplore.depth_histogram = levels
+  && count_stats.Mc.Pexplore.depth_histogram = levels
+
+let prop_depth_histogram =
+  QCheck.Test.make ~name:"depth histogram = BFS level sizes (d in {1,2,4})"
+    ~count:100 rand_sys_arb (fun rs ->
+      let sys = table_system rs in
+      let levels = bfs_levels (Mc.Explore.space sys) in
+      List.for_all (histograms_match sys levels) domain_counts)
+
+(* A model deep and diamond-rich enough that two domains relax depth
+   stamps on most runs; the reported depth must still be the true one. *)
+let test_expanding_depth_histogram () =
+  let params = Heartbeat.Params.make ~tmin:1 ~tmax:8 () in
+  let sys =
+    Ta.Semantics.system
+      (Ta.Semantics.compile
+         (Heartbeat.Ta_models.build Heartbeat.Ta_models.Expanding params))
+  in
+  let levels = bfs_levels (Mc.Explore.space sys) in
+  for run = 1 to 10 do
+    check Alcotest.bool
+      (Printf.sprintf "expanding (1,8) histogram at 2 domains, run %d" run)
+      true
+      (histograms_match sys levels 2)
+  done
 
 let tests =
   ( "pexplore",
@@ -393,9 +391,9 @@ let tests =
       QCheck_alcotest.to_alcotest prop_store_engine_parity;
       Alcotest.test_case "PA models: stores x engines byte-identical" `Quick
         test_pa_store_engine_byte_identical;
-      Alcotest.test_case "replay:false keeps the structure" `Quick
-        test_noreplay_same_structure;
       Alcotest.test_case "exploration stats consistency" `Quick
         test_stats_consistency;
-      Alcotest.test_case "progress callback" `Quick test_progress_callback;
+      QCheck_alcotest.to_alcotest prop_depth_histogram;
+      Alcotest.test_case "expanding depth histogram at 2 domains" `Quick
+        test_expanding_depth_histogram;
     ] )

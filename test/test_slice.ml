@@ -5,9 +5,8 @@
    the full system agree on every safety and LTL verdict, on random
    models and on all six shipped protocol variants, alone and composed
    with the ample-set reduction and the parallel engine.  Sliced
-   counterexamples must replay in the full model (the certificate), the
-   post-slice static bound must never exceed the full one, and the
-   slice diagnostics must be deterministic. *)
+   counterexamples must replay in the full model (the certificate), and
+   the slice diagnostics must be deterministic. *)
 
 module T = Proc.Term
 module Sem = Proc.Semantics
@@ -137,17 +136,6 @@ let prop_ta_slice_never_grows =
         count (Slice.Ta.system sl (Ta.Semantics.compile sl.Slice.Ta.model))
       in
       sliced >= 1 && sliced <= full)
-
-let prop_ta_bound_shrinks =
-  QCheck.Test.make
-    ~name:"post-slice static bound never exceeds the full bound" ~count:120
-    random_network (fun model ->
-      let full = Lint.Ta_model.static_bound model in
-      let sl = Slice.Ta.slice ~seed model in
-      match (full, sl.Slice.Ta.expected) with
-      | Lint.Interval.Finite f, Lint.Interval.Finite s -> s <= f
-      | _, Lint.Interval.Unbounded -> full = Lint.Interval.Unbounded
-      | Lint.Interval.Unbounded, Lint.Interval.Finite _ -> true)
 
 let ta_label_formulas =
   let atom a =
@@ -488,7 +476,6 @@ let tests =
     [
       QCheck_alcotest.to_alcotest prop_ta_safety_parity;
       QCheck_alcotest.to_alcotest prop_ta_slice_never_grows;
-      QCheck_alcotest.to_alcotest prop_ta_bound_shrinks;
       QCheck_alcotest.to_alcotest prop_ta_ltl_parity;
       QCheck_alcotest.to_alcotest prop_pa_safety_parity;
       Alcotest.test_case "TA constant folding" `Quick test_ta_constant_folding;
