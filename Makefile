@@ -67,10 +67,13 @@ par:
 
 # Resilience gate: the budget/checkpoint/degradation/quarantine suite
 # (qcheck suspend/resume round trips, store-ladder degradation, raising
-# successors quarantined at 4 domains), then a live interrupt smoke —
-# SIGINT a running hbexplore mid-exploration, require the partial
-# report (exit 4) plus a checkpoint, and resume it to a byte-identical
-# result.
+# successors quarantined at 4 domains), then two live interrupt
+# smokes — SIGINT a running hbexplore mid-exploration, and a PA
+# liveness check (hbltl --pa, SCC engine) mid-product-build; each must
+# report a partial result (exit 4) plus a checkpoint, and resume to a
+# byte-identical result.  The PA instance's clean run takes ~4 s
+# (static n=2 at (3,3), 30 495 states), ten times the 0.4 s the
+# interrupt waits, and its partial report must name the interrupt.
 resilience:
 	$(DUNE) exec test/main.exe -- test resilience
 	$(DUNE) build bin/hbexplore.exe
@@ -85,6 +88,21 @@ resilience:
 	timeout 300 _build/default/bin/hbexplore.exe stats -v dynamic --tmax 40 \
 	  --resume _build/hbres.ck > _build/hbres-resumed.out 2>/dev/null
 	cmp _build/hbres-clean.out _build/hbres-resumed.out
+	$(DUNE) build bin/hbltl.exe
+	rm -f _build/hbres-pa.ck
+	timeout 300 _build/default/bin/hbltl.exe check R1 -v static -n 2 --tmin 3 \
+	  --tmax 3 --pa --engine scc --json > _build/hbres-pa-clean.out
+	timeout --preserve-status -s INT 0.4 \
+	  _build/default/bin/hbltl.exe check R1 -v static -n 2 --tmin 3 --tmax 3 \
+	  --pa --engine scc --json --checkpoint _build/hbres-pa.ck \
+	  > _build/hbres-pa-int.out 2>/dev/null; \
+	  test $$? -eq 4
+	grep -q '"reason":"interrupted"' _build/hbres-pa-int.out
+	test -f _build/hbres-pa.ck
+	timeout 300 _build/default/bin/hbltl.exe check R1 -v static -n 2 --tmin 3 \
+	  --tmax 3 --pa --engine scc --json --resume _build/hbres-pa.ck \
+	  > _build/hbres-pa-resumed.out 2>/dev/null
+	cmp _build/hbres-pa-clean.out _build/hbres-pa-resumed.out
 
 # Slicing gate: the qcheck parity harness (sliced and full explorations
 # agree on every safety and LTL verdict, sliced counterexamples replay

@@ -32,6 +32,13 @@ let usage fmt =
       exit exit_usage)
     fmt
 
+(* Model parameters from the -n/--tmin/--tmax flags; values
+   [Heartbeat.Params.make] rejects are a usage error, not an uncaught
+   exception. *)
+let params ?n ~tmin ~tmax () =
+  try Heartbeat.Params.make ?n ~tmin ~tmax ()
+  with Invalid_argument msg -> usage "%s" msg
+
 let exits =
   Cmd.Exit.info 0 ~doc:"on a clean verdict." ::
   Cmd.Exit.info exit_violation

@@ -181,7 +181,7 @@ let stats_cmd =
       show_stats store count_only json bsecs bmb no_degrade ckpt
       ckpt_every resume_file =
     let jobs = resolve_jobs jobs in
-    let params = H.Params.make ~n ~tmin ~tmax () in
+    let params = Cli_resilience.params ~n ~tmin ~tmax () in
     if zone then begin
       if
         slice || count_only
@@ -417,7 +417,7 @@ let pa_stats_cmd =
                 ratios.")
   in
   let run tmin tmax n reduce slice =
-    let params = H.Params.make ~n ~tmin ~tmax () in
+    let params = Cli_resilience.params ~n ~tmin ~tmax () in
     let ratio (full : H.Pa_verify.explore_stats)
         (other : H.Pa_verify.explore_stats) =
       float_of_int full.H.Pa_verify.states
@@ -460,7 +460,7 @@ let pa_stats_cmd =
 
 let dot_cmd =
   let run which tmin tmax =
-    let params = H.Params.make ~tmin ~tmax () in
+    let params = Cli_resilience.params ~tmin ~tmax () in
     let lts =
       match which with
       | "p0" -> H.Figures.p0_reduced params
@@ -491,7 +491,7 @@ let dot_cmd =
 
 let export_cmd =
   let run format variant tmin tmax n fixed =
-    let params = H.Params.make ~n ~tmin ~tmax () in
+    let params = Cli_resilience.params ~n ~tmin ~tmax () in
     match format with
     | "xta" ->
         let model = H.Ta_models.build ~fixed variant params in
@@ -651,7 +651,7 @@ let deadlocks_cmd =
   let run variant tmin tmax n fixed jobs store bsecs bmb no_degrade =
     let jobs = resolve_jobs jobs in
     let budget = Cli_resilience.budget bsecs bmb in
-    let params = H.Params.make ~n ~tmin ~tmax () in
+    let params = Cli_resilience.params ~n ~tmin ~tmax () in
     let verdict =
       H.Verify.deadlocks ~fixed ~domains:jobs ~store ~budget
         ~degrade:(not no_degrade) variant params

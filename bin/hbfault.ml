@@ -82,7 +82,7 @@ let show_cmd =
       & info [ "scenario" ] ~docv:"NAME" ~doc:"Scenario name (see campaign).")
   in
   let run kind tmin tmax n fixed seed scenario =
-    let params = H.Params.make ~n ~tmin ~tmax () in
+    let params = Cli_resilience.params ~n ~tmin ~tmax () in
     match List.assoc_opt scenario (H.Campaign.default_scenarios params) with
     | None ->
         Format.eprintf "unknown scenario %s; known:@." scenario;

@@ -313,7 +313,7 @@ let check_cmd =
       else if jobs = 0 then Domain.recommended_domain_count ()
       else jobs
     in
-    let params = H.Params.make ~n ~tmin ~tmax () in
+    let params = Cli_resilience.params ~n ~tmin ~tmax () in
     if pa && fixed then
       Cli_resilience.usage
         "--fixed applies to the timed-automata models only (the PA \

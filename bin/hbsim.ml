@@ -20,7 +20,7 @@ let kinds params = H.Experiments.default_kinds params
 
 let rate_cmd =
   let run tmin tmax n seed =
-    let params = H.Params.make ~n ~tmin ~tmax () in
+    let params = Cli_resilience.params ~n ~tmin ~tmax () in
     Format.printf "steady-state heartbeat rate (%a):@." H.Params.pp params;
     List.iter
       (fun k ->
@@ -34,7 +34,7 @@ let rate_cmd =
 
 let detection_cmd =
   let run tmin tmax n runs seed =
-    let params = H.Params.make ~n ~tmin ~tmax () in
+    let params = Cli_resilience.params ~n ~tmin ~tmax () in
     Format.printf "crash-detection delay (%a, %d runs):@." H.Params.pp params
       runs;
     List.iter
@@ -55,7 +55,7 @@ let reliability_cmd =
       & info [ "loss" ] ~docv:"P,P,..." ~doc:"Loss probabilities to sweep.")
   in
   let run tmin tmax n runs seed losses =
-    let params = H.Params.make ~n ~tmin ~tmax () in
+    let params = Cli_resilience.params ~n ~tmin ~tmax () in
     Format.printf "false-deactivation probability (%a, %d runs each):@."
       H.Params.pp params runs;
     List.iter
@@ -83,7 +83,7 @@ let sweep_cmd =
     List.iter
       (fun ratio ->
         let tmin = max 1 (tmax / ratio) in
-        let params = H.Params.make ~n ~tmin ~tmax () in
+        let params = Cli_resilience.params ~n ~tmin ~tmax () in
         let rate = H.Experiments.steady_rate ~seed H.Runtime.Halving params in
         let det =
           H.Experiments.detection ~runs ~seed H.Runtime.Halving params
@@ -102,7 +102,7 @@ let sweep_cmd =
 
 let bursty_cmd =
   let run tmin tmax n runs seed =
-    let params = H.Params.make ~n ~tmin ~tmax () in
+    let params = Cli_resilience.params ~n ~tmin ~tmax () in
     let bursty = Sim.Loss.gilbert ~p_gb:0.01 ~p_bg:0.19 () in
     let avg = Sim.Loss.expected_loss bursty in
     Format.printf
@@ -124,7 +124,7 @@ let bursty_cmd =
 
 let join_cmd =
   let run tmin tmax runs seed =
-    let params = H.Params.make ~tmin ~tmax () in
+    let params = Cli_resilience.params ~tmin ~tmax () in
     Format.printf "%a@." H.Experiments.pp_join
       (H.Experiments.join_latency ~runs ~seed params)
   in

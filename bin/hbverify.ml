@@ -129,7 +129,7 @@ let check_cmd =
     if zone && slice then Cli_resilience.usage "--zone and --slice are exclusive";
     if lu = Zone.Sym.Location && not zone then
       Cli_resilience.usage "--lu location needs --zone";
-    let params = H.Params.make ~n ~tmin ~tmax () in
+    let params = Cli_resilience.params ~n ~tmin ~tmax () in
     let budget = Cli_resilience.budget bsecs bmb in
     let outcome =
       H.Verify.check ~fixed ~slice ~zone ~lu ~budget ~degrade:(not no_degrade)
@@ -254,7 +254,7 @@ let bounds_cmd =
 
 let worst_cmd =
   let run variant tmin tmax fixed =
-    let params = H.Params.make ~tmin ~tmax () in
+    let params = Cli_resilience.params ~tmin ~tmax () in
     let measured = H.Verify.worst_detection ~fixed variant params in
     Format.printf
       "%s%s %a: worst-case detection measured on the model = %d (analytic        halving worst = %d, corrected bound = %d, original claim = %d)@."
@@ -354,7 +354,7 @@ let resolve_jobs jobs =
 let pa_check_cmd =
   let run variant tmin tmax n slice reduce json jobs bsecs bmb no_degrade req =
     let domains = resolve_jobs jobs in
-    let params = H.Params.make ~n ~tmin ~tmax () in
+    let params = Cli_resilience.params ~n ~tmin ~tmax () in
     let budget = Cli_resilience.budget bsecs bmb in
     let verdict =
       H.Pa_verify.check_verdict ~slice ~reduce ~domains ~budget

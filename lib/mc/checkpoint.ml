@@ -1,5 +1,5 @@
 let magic = "HBCKPT01"
-let version = 1
+let version = 2
 
 let save ~file ~kind payload =
   let data = Marshal.to_string payload [] in

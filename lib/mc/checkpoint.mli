@@ -14,6 +14,10 @@
     mid-checkpoint never destroys the previous good one. *)
 
 val version : int
+(** The container format version.  It is bumped whenever a payload type
+    changes shape, so files written by an older build are rejected
+    instead of unmarshalled into the wrong layout: 2 since process-algebra
+    states carry a configuration key per component. *)
 
 val save : file:string -> kind:string -> 'a -> unit
 (** Atomically (re)write [file].  Raises [Sys_error] on IO failure. *)

@@ -74,17 +74,19 @@ let pp_coverage ppf c =
       c.mode c.stored c.bits c.omission_prob c.est_coverage
 
 (* 64-bit FNV-1a over the marshalled bytes, folded to OCaml's 62 usable
-   positive-int bits.  Int64 arithmetic keeps the constants exact. *)
+   positive-int bits.  Int64 arithmetic keeps the constants exact.  The
+   accumulator is a local ref no closure captures, so ocamlopt keeps it
+   unboxed: the only allocation is the marshalled string (a boxed Int64
+   per byte would cost three words per byte hashed). *)
 let fingerprint (type a) (x : a) =
   let s = Marshal.to_string x [ Marshal.No_sharing ] in
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h :=
-        Int64.mul
-          (Int64.logxor !h (Int64.of_int (Char.code c)))
-          0x100000001b3L)
-    s;
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x100000001b3L
+  done;
   Int64.to_int !h land max_int
 
 (* splitmix64 finaliser: derives the second bitstate probe stream from a

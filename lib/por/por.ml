@@ -28,8 +28,10 @@
 
    Every component is tried as a seed and the smallest valid ample set
    wins; if no seed yields one, the state is fully expanded via
-   [Proc.Semantics.successors_from], so the reduced relation is always
-   a sub-structure of the full one.  See DESIGN.md ("Partial-order
+   [Proc.Semantics.successors_with].  Ample candidates come from the
+   same pairing routine ([Proc.Semantics.successors_among]) over the
+   same memoised menus, so the reduced relation is always a
+   sub-structure of the full one.  See DESIGN.md ("Partial-order
    reduction") for the soundness argument. *)
 
 module Sem = Proc.Semantics
@@ -290,13 +292,6 @@ module H = Hashtbl.Make (struct
   let hash = Sem.hash_state
 end)
 
-module TH = Hashtbl.Make (struct
-  type t = T.t
-
-  let equal = ( = )
-  let hash t = Hashtbl.hash_param 128 256 t
-end)
-
 let nstripes = 64
 
 let reduced_successors ?(par = false) (a : analysis) ~alphabet :
@@ -325,6 +320,9 @@ let reduced_successors ?(par = false) (a : analysis) ~alphabet :
   in
   let smu = Mutex.create () in
   let with_stats f = if par then locked smu f else f () in
+  (* The runtime cycle proviso below, and the discovery stamps it reads,
+     are needed only when the static analysis left zeno suspects. *)
+  let proviso = a.zeno_suspects <> [] in
   (* Discovery indices for the cycle proviso: every state this system
      has handed out or been asked about gets a sequence number when
      first seen.  An ample transition into a state discovered no later
@@ -371,19 +369,18 @@ let reduced_successors ?(par = false) (a : analysis) ~alphabet :
      to data; and every derivative's set is a subset of its source's,
      which is what makes it usable for freezing: a component whose
      future offers exclude [partner] can move freely without ever
-     enabling that handshake.  Memoized per term (environments don't
-     affect names). *)
-  let future_cache : SSet.t TH.t = TH.create 256 in
+     enabling that handshake.  Memoized per configuration. *)
+  let future_cache : SSet.t Sem.Table.t = Sem.Table.create 256 in
   let fmu = Mutex.create () in
   let future_offers comp =
-    let t = Sem.component_term comp in
     let cached =
-      if par then locked fmu (fun () -> TH.find_opt future_cache t)
-      else TH.find_opt future_cache t
+      if par then locked fmu (fun () -> Sem.Table.find_opt future_cache comp)
+      else Sem.Table.find_opt future_cache comp
     in
     match cached with
     | Some set -> set
     | None ->
+        let t = Sem.component_term comp in
         let roots = SSet.elements (Lint_pa.callees SSet.empty t) in
         let set =
           SSet.union
@@ -391,7 +388,8 @@ let reduced_successors ?(par = false) (a : analysis) ~alphabet :
             (Lint_pa.offered_by a.defs (Lint_pa.reachable_from a.defs roots))
         in
         let install () =
-          if not (TH.mem future_cache t) then TH.add future_cache t set
+          if not (Sem.Table.mem future_cache comp) then
+            Sem.Table.add future_cache comp set
         in
         if par then locked fmu install else install ();
         set
@@ -422,11 +420,8 @@ let reduced_successors ?(par = false) (a : analysis) ~alphabet :
   in
   let expand (s : Sem.state) ~disc ~mydom : (Sem.label * Sem.state) list =
     let n = Array.length s in
-    let locals = Array.map (Sem.component_steps c) s in
+    let menus = Sem.menus c s in
     let future = Array.map future_offers s in
-    let offers_tick steps =
-      List.exists (fun ((nm, _, _) : string * Proc.Value.t list * _) -> nm = Proc.Spec.tick_name) steps
-    in
     (* Least communication-closed group containing [seed]. *)
     let group seed =
       let in_g = Array.make n false in
@@ -438,71 +433,22 @@ let reduced_successors ?(par = false) (a : analysis) ~alphabet :
         | m :: rest ->
             stack := rest;
             List.iter
-              (fun ((nm, _, _) : string * Proc.Value.t list * _) ->
-                List.iter
-                  (fun ((partner, _result) : string * string) ->
-                    for j = 0 to n - 1 do
-                      if (not in_g.(j)) && SSet.mem partner future.(j) then begin
-                        in_g.(j) <- true;
-                        stack := j :: !stack
-                      end
-                    done)
-                  (Sem.comm_partners c nm))
-              locals.(m)
+              (fun partner ->
+                for j = 0 to n - 1 do
+                  if (not in_g.(j)) && SSet.mem partner future.(j) then begin
+                    in_g.(j) <- true;
+                    stack := j :: !stack
+                  end
+                done)
+              (Sem.partners menus.(m))
       done;
       in_g
     in
-    (* Enabled transitions internal to the group, mirroring the order of
-       [Sem.successors_from] (locals in component order, then
-       communications for i < j); [None] if some label is visible. *)
+    (* Enabled transitions internal to the group, in the order of the
+       full relation; [None] if some label is visible. *)
     let internal in_g =
-      let acc = ref [] in
-      let ok = ref true in
-      let emit label s' =
-        if visible_prop label then ok := false else acc := (label, s') :: !acc
-      in
-      let set1 i comp' =
-        let s' = Array.copy s in
-        s'.(i) <- comp';
-        s'
-      in
-      let set2 i ci j cj =
-        let s' = Array.copy s in
-        s'.(i) <- ci;
-        s'.(j) <- cj;
-        s'
-      in
-      Array.iteri
-        (fun i steps ->
-          if in_g.(i) && !ok then
-            List.iter
-              (fun (name, args, comp') ->
-                if name <> Proc.Spec.tick_name && not (Sem.is_comm c name) then begin
-                  if Sem.is_hidden c name then emit Sem.tau (set1 i comp')
-                  else if Sem.is_visible c name then emit (Sem.Act (name, args)) (set1 i comp')
-                end)
-              steps)
-        locals;
-      for i = 0 to n - 1 do
-        for j = i + 1 to n - 1 do
-          if in_g.(i) && in_g.(j) && !ok then
-            List.iter
-              (fun (name_i, args_i, ci) ->
-                List.iter
-                  (fun ((partner, result) : string * string) ->
-                    List.iter
-                      (fun (name_j, args_j, cj) ->
-                        if name_j = partner && args_i = args_j then begin
-                          if Sem.is_hidden c result then emit Sem.tau (set2 i ci j cj)
-                          else if Sem.is_visible c result then
-                            emit (Sem.Act (result, args_i)) (set2 i ci j cj)
-                        end)
-                      locals.(j))
-                  (Sem.comm_partners c name_i))
-              locals.(i)
-        done
-      done;
-      if !ok then Some (List.rev !acc) else None
+      let amples = Sem.successors_among menus s in_g in
+      if List.exists (fun (l, _) -> visible_prop l) amples then None else Some amples
     in
     let depth = ref 0 in
     let cross_seen = ref false in
@@ -510,7 +456,7 @@ let reduced_successors ?(par = false) (a : analysis) ~alphabet :
       let in_g = group seed in
       let tick_refused =
         let r = ref false in
-        Array.iteri (fun i g -> if g && not (offers_tick locals.(i)) then r := true) in_g;
+        Array.iteri (fun i g -> if g && not (Sem.offers_tick menus.(i)) then r := true) in_g;
         !r
       in
       if not tick_refused then None
@@ -526,7 +472,7 @@ let reduced_successors ?(par = false) (a : analysis) ~alphabet :
                only tick-free (zeno) cycles are a risk, and when the
                static analysis proves there are none, the proviso is
                vacuous and skipped. *)
-            if a.zeno_suspects = [] then Some amples
+            if not proviso then Some amples
             else
               let back (_, s') =
                 match disc_of s' with
@@ -570,16 +516,17 @@ let reduced_successors ?(par = false) (a : analysis) ~alphabet :
                 stats.proviso_blocked <- stats.proviso_blocked + 1;
                 if !cross_seen then
                   stats.cross_domain_blocked <- stats.cross_domain_blocked + 1);
-        Sem.successors_from c locals s
+        Sem.successors_with menus s
   in
   let successors_seq s =
     match H.find_opt memo s with
     | Some r -> r
     | None ->
-        note s;
+        if proviso then note s;
         stats.states <- stats.states + 1;
-        let result = expand s ~disc:(H.find seen s) ~mydom:0 in
-        List.iter (fun (_, s') -> note s') result;
+        let disc = if proviso then H.find seen s else 0 in
+        let result = expand s ~disc ~mydom:0 in
+        if proviso then List.iter (fun (_, s') -> note s') result;
         H.add memo s result;
         result
   in
@@ -596,11 +543,16 @@ let reduced_successors ?(par = false) (a : analysis) ~alphabet :
     match cached with
     | Some r -> r
     | None ->
-        note s;
-        let disc = match disc_of s with Some (d, _) -> d | None -> assert false in
+        let disc =
+          if proviso then begin
+            note s;
+            match disc_of s with Some (d, _) -> d | None -> assert false
+          end
+          else 0
+        in
         with_stats (fun () -> stats.states <- stats.states + 1);
         let result = expand s ~disc ~mydom:(Domain.self () :> int) in
-        List.iter (fun (_, s') -> note s') result;
+        if proviso then List.iter (fun (_, s') -> note s') result;
         locked locks.(k) (fun () ->
             match H.find_opt memo_p.(k) s with
             | Some winner -> winner

@@ -10,6 +10,7 @@ let () =
       Test_pexplore.tests;
       Test_store.tests;
       Test_proc.tests;
+      Test_compiled.tests;
       Test_ta.tests;
       Test_sim.tests;
       Test_heartbeat.tests;

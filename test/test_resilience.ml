@@ -161,7 +161,8 @@ let test_resume_max_states_mismatch () =
        with Invalid_argument _ -> ())
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint files: round trip, kind guard, corruption, truncation.    *)
+(* Checkpoint files: round trip, kind guard, corruption, truncation,   *)
+(* an older format version.                                            *)
 (* ------------------------------------------------------------------ *)
 
 let test_checkpoint_container () =
@@ -210,7 +211,61 @@ let test_checkpoint_container () =
       (match Mc.Checkpoint.load ~file ~kind with
       | Error _ -> ()
       | Ok (_ : (int, string) Mc.Explore.cursor) ->
-          Alcotest.fail "truncated file was accepted")
+          Alcotest.fail "truncated file was accepted");
+      (* A container of format version 1, written before PA states
+         carried configuration keys, is rejected even though its magic,
+         kind and digest are intact. *)
+      let magic_len = String.length "HBCKPT01" in
+      check Alcotest.int "saved with the current version"
+        Mc.Checkpoint.version
+        (Int32.to_int (String.get_int32_be bytes magic_len));
+      check Alcotest.bool "PA key format is version 2 or later" true
+        (Mc.Checkpoint.version >= 2);
+      let old = Bytes.of_string bytes in
+      Bytes.set_int32_be old magic_len 1l;
+      rewrite (Bytes.to_string old);
+      match Mc.Checkpoint.load ~file ~kind with
+      | Error e ->
+          check Alcotest.bool "version named in the error" true
+            (String.starts_with ~prefix:"checkpoint version 1 " e)
+      | Ok (_ : (int, string) Mc.Explore.cursor) ->
+          Alcotest.fail "version 1 container was accepted"
+
+(* A PA liveness check (SCC engine) tripped mid-build, saved and
+   reloaded through [Mc.Checkpoint], resumes to the verdict and lasso of
+   the uninterrupted run: the cursor's PA states survive Marshal with
+   their hashes and equality intact. *)
+let test_pa_checkpoint_resume () =
+  let module H = Heartbeat in
+  let run ?budget ?resume () =
+    H.Pa_verify.check_live_run ~engine:Ltl.Check.Scc ?budget ?resume
+      H.Pa_models.Binary
+      (H.Params.make ~tmin:2 ~tmax:2 ())
+      H.Requirements.R2
+  in
+  let expected =
+    match run () with
+    | Ltl.Check.Concluded v -> v
+    | Ltl.Check.Suspended _ -> Alcotest.fail "unbudgeted run suspended"
+  in
+  check Alcotest.bool "uninterrupted run refutes R2" true
+    (match expected with Ltl.Check.Refuted _ -> true | _ -> false);
+  match run ~budget:(tripping_budget 40) () with
+  | Ltl.Check.Concluded _ -> Alcotest.fail "expected suspension"
+  | Ltl.Check.Suspended (_, cur) -> (
+      let file = Filename.temp_file "hbpa" ".ck" in
+      Fun.protect ~finally:(fun () -> if Sys.file_exists file then Sys.remove file)
+      @@ fun () ->
+      let kind = "test/resilience/pa-binary-r2" in
+      Mc.Checkpoint.save ~file ~kind cur;
+      match Mc.Checkpoint.load ~file ~kind with
+      | Error e -> Alcotest.failf "load failed: %s" e
+      | Ok cur' -> (
+          match run ~resume:cur' () with
+          | Ltl.Check.Concluded v ->
+              check Alcotest.bool "resumed verdict and lasso = uninterrupted" true
+                (v = expected)
+          | Ltl.Check.Suspended _ -> Alcotest.fail "resumed run suspended"))
 
 (* ------------------------------------------------------------------ *)
 (* Parallel suspend/resume: verdict- and set-identical, all stores.     *)
@@ -405,6 +460,8 @@ let tests =
         test_resume_max_states_mismatch;
       Alcotest.test_case "checkpoint container guards" `Quick
         test_checkpoint_container;
+      Alcotest.test_case "PA liveness checkpoint resume" `Quick
+        test_pa_checkpoint_resume;
       QCheck_alcotest.to_alcotest prop_par_resume_verdict_identical;
       QCheck_alcotest.to_alcotest prop_par_resume_bounded;
       Alcotest.test_case "degradation: one rung" `Quick

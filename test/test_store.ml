@@ -1,8 +1,9 @@
 (* Units and soundness checks for the state-compression layer (Mc.Store):
    exact-store roundtrips, CLI-spelling parses, forced fingerprint
    collisions (conflation under-reports, never over-reports, never
-   crashes), and the bitstate coverage estimate against the true
-   omission rate on an enumerable model. *)
+   crashes), the bitstate coverage estimate against the true
+   omission rate on an enumerable model, and the fingerprint function
+   itself. *)
 
 let check = Alcotest.check
 
@@ -281,6 +282,45 @@ let test_bitstate_ample_array_full_coverage () =
   check Alcotest.bool "hash factor is reported" true
     (c.Mc.Store.hash_factor > 1000.)
 
+(* ------------------------------------------------------------------ *)
+(* Fingerprint function                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* [fingerprint] is 64-bit FNV-1a over the [No_sharing] marshalling, and
+   hashing allocates nothing beyond the marshalled string: PA
+   configuration keys are fingerprints, built for every step of every
+   step menu. *)
+let test_fingerprint () =
+  let reference x =
+    let s = Marshal.to_string x [ Marshal.No_sharing ] in
+    Int64.to_int
+      (String.fold_left
+         (fun h c ->
+           Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) 0x100000001b3L)
+         0xcbf29ce484222325L s)
+    land max_int
+  in
+  let same name x =
+    check Alcotest.int name (reference x) (Mc.Store.fingerprint x)
+  in
+  same "int" 0;
+  same "negative int" (-42);
+  same "string" "heartbeat";
+  same "empty list" ([] : int list);
+  same "nested" [ ("p0", [ 1; 2; 3 ]); ("p1", []) ];
+  let big = List.init 10_000 (fun i -> (i, string_of_int i)) in
+  same "large value" big;
+  let bytes = String.length (Marshal.to_string big [ Marshal.No_sharing ]) in
+  ignore (Mc.Store.fingerprint big);
+  let before = Gc.allocated_bytes () in
+  ignore (Mc.Store.fingerprint big);
+  let allocated = Gc.allocated_bytes () -. before in
+  check Alcotest.bool
+    (Printf.sprintf "allocates ~the marshalled string (%.0f bytes for %d)"
+       allocated bytes)
+    true
+    (allocated < float_of_int (2 * bytes))
+
 let tests =
   ( "store",
     [
@@ -302,5 +342,7 @@ let tests =
         test_bitstate_coverage_estimate;
       Alcotest.test_case "bitstate ample array reaches full coverage" `Quick
         test_bitstate_ample_array_full_coverage;
+      Alcotest.test_case "fingerprint is FNV-1a, allocation-free" `Quick
+        test_fingerprint;
       QCheck_alcotest.to_alcotest prop_compressed_never_overreport;
     ] )
