@@ -1,6 +1,6 @@
 DUNE ?= dune
 
-.PHONY: all build test bench bench-parallel faults lint ltl por par resilience slice zone clean fmt
+.PHONY: all build test paper bench faults lint ltl por par resilience slice zone clean fmt
 
 all: build
 
@@ -10,10 +10,33 @@ build:
 test:
 	$(DUNE) runtest
 
-# Full benchmark run: table regeneration check, parallel-exploration
-# report, then the bechamel micro-benchmarks.
+# Reproduce the paper: every model-checking table and figure
+# EXPERIMENTS.md records (hbverify all), then the simulation sections at
+# their default seeds — rate, detection delay, false deactivations under
+# loss, the burst-loss ablation, the joining latency, the
+# failure-detector QoS sweeps and the acceleration-depth ablation.  The
+# output is deterministic.
+paper:
+	$(DUNE) build bin/hbverify.exe bin/hbsim.exe
+	$(DUNE) exec bin/hbverify.exe -- all
+	@echo
+	@echo "=== ICDCS'98 quantitative claims (simulation) ==="
+	@echo
+	$(DUNE) exec bin/hbsim.exe -- rate
+	$(DUNE) exec bin/hbsim.exe -- detection
+	$(DUNE) exec bin/hbsim.exe -- reliability
+	$(DUNE) exec bin/hbsim.exe -- bursty
+	$(DUNE) exec bin/hbsim.exe -- join --tmin 5 --tmax 10
+	$(DUNE) exec bin/hbsim.exe -- fd
+	$(DUNE) exec bin/hbsim.exe -- fd --probes 3
+	$(DUNE) exec bin/hbsim.exe -- sweep
+
+# The benchmark (perfbench/, workloads named in BENCHMARK.json): each
+# workload for 20 s, seed 1, records appended to .bench_results/.
 bench:
-	$(DUNE) exec bench/main.exe
+	for w in paper pa dense liveness; do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 20 || exit 1; \
+	done
 
 # Deterministic fault-injection campaign gate: the fixed variants must
 # survive the default adversary with zero violations, the unfixed ones
@@ -46,7 +69,8 @@ ltl:
 # full explorations agree on monitor and LTL verdicts, reduced
 # counterexamples replay, reduced LTS weak-trace equivalent), then the
 # six-variant smoke: every requirement verdict identical full vs
-# reduced, at least one variant at least halved, JSON byte-identical.
+# reduced vs reduced at 4 domains, at least one variant at least
+# halved, JSON byte-identical.
 por:
 	$(DUNE) exec test/main.exe -- test por
 	$(DUNE) exec bin/hbverify.exe -- pa-smoke
@@ -104,12 +128,11 @@ resilience:
 	  > _build/hbres-pa-resumed.out 2>/dev/null
 	cmp _build/hbres-pa-clean.out _build/hbres-pa-resumed.out
 
-# Slicing gate: the qcheck parity harness (sliced and full explorations
-# agree on every safety and LTL verdict, sliced counterexamples replay
-# in the full model via the certificate, slice composes with the
-# reduction and the parallel engine), then the six-variant slice smoke:
-# verdict parity for slice alone / slice+POR / slice+POR at 4 domains,
-# at least one TA variant's space at least halved, at least one sliced
+# Slicing gate: the qcheck parity harness (sliced and full timed-automata
+# explorations agree on every safety and LTL verdict, sliced
+# counterexamples replay in the full model via the certificate), then
+# the six-variant slice smoke: verdict parity per requirement, at least
+# one variant's space at least halved, at least one sliced
 # counterexample replayed, JSON byte-identical across two runs.
 slice:
 	$(DUNE) exec test/main.exe -- test slice
@@ -145,10 +168,6 @@ zone:
 	  $(DUNE) exec bin/hbexplore.exe -- fc $$m > _build/fc-$$m.xta && \
 	  cmp _build/fc-$$m.xta examples/fc/$$m.xta || exit 1; \
 	done
-
-# Just the sequential-vs-parallel exploration comparison.
-bench-parallel:
-	$(DUNE) exec bench/main.exe -- --parallel-only
 
 clean:
 	$(DUNE) clean

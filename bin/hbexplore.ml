@@ -408,21 +408,8 @@ let pa_stats_cmd =
           ~doc:"Also explore the ample-set reduced state space and report \
                 the reduction ratio.")
   in
-  let pa_slice_arg =
-    Arg.(
-      value & flag
-      & info [ "slice" ]
-          ~doc:"Also explore the statically sliced state space (and, with \
-                $(b,--reduce), the sliced-then-reduced one) and report the \
-                ratios.")
-  in
-  let run tmin tmax n reduce slice =
+  let run tmin tmax n reduce =
     let params = Cli_resilience.params ~n ~tmin ~tmax () in
-    let ratio (full : H.Pa_verify.explore_stats)
-        (other : H.Pa_verify.explore_stats) =
-      float_of_int full.H.Pa_verify.states
-      /. float_of_int other.H.Pa_verify.states
-    in
     List.iter
       (fun v ->
         let full = H.Pa_verify.explore v params in
@@ -430,22 +417,12 @@ let pa_stats_cmd =
           (H.Pa_models.variant_name v)
           H.Params.pp params full.H.Pa_verify.states
           full.H.Pa_verify.transitions;
-        if slice then begin
-          let sl = H.Pa_verify.explore ~slice:true v params in
-          Format.printf "; sliced: %d states, %d transitions (%.2fx)"
-            sl.H.Pa_verify.states sl.H.Pa_verify.transitions (ratio full sl)
-        end;
         if reduce then begin
           let red = H.Pa_verify.explore ~reduce:true v params in
           Format.printf "; reduced: %d states, %d transitions (%.2fx)"
             red.H.Pa_verify.states red.H.Pa_verify.transitions
-            (ratio full red)
-        end;
-        if slice && reduce then begin
-          let both = H.Pa_verify.explore ~slice:true ~reduce:true v params in
-          Format.printf "; sliced+reduced: %d states, %d transitions (%.2fx)"
-            both.H.Pa_verify.states both.H.Pa_verify.transitions
-            (ratio full both)
+            (float_of_int full.H.Pa_verify.states
+            /. float_of_int red.H.Pa_verify.states)
         end;
         Format.printf "@.")
       [ H.Pa_models.Binary; H.Pa_models.Revised; H.Pa_models.Two_phase;
@@ -454,9 +431,8 @@ let pa_stats_cmd =
   Cmd.v
     (Cmd.info "pa-stats"
        ~doc:"Reachable state spaces of the process-algebra models, \
-             optionally with the static slice and the ample-set reduction \
-             for comparison.")
-    Term.(const run $ tmin_arg $ tmax_arg $ n_arg $ reduce_arg $ pa_slice_arg)
+             optionally with the ample-set reduction for comparison.")
+    Term.(const run $ tmin_arg $ tmax_arg $ n_arg $ reduce_arg)
 
 let dot_cmd =
   let run which tmin tmax =

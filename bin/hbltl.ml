@@ -122,12 +122,12 @@ let json_steps to_string steps =
 (* State-space statistics of the model being checked (not of the Büchi
    product): states, transitions, completeness, and — when the ample-set
    reduction is on — the full-space size and the reduction ratio. *)
-let pa_stats_json ~slice ~reduce variant params =
-  let st = H.Pa_verify.explore ~slice ~reduce variant params in
+let pa_stats_json ~reduce variant params =
+  let st = H.Pa_verify.explore ~reduce variant params in
   let buf = Buffer.create 128 in
   Printf.bprintf buf "{\"states\":%d,\"transitions\":%d,\"complete\":%b"
     st.H.Pa_verify.states st.H.Pa_verify.transitions st.H.Pa_verify.complete;
-  if slice || reduce then begin
+  if reduce then begin
     let full = H.Pa_verify.explore variant params in
     Printf.bprintf buf ",\"full_states\":%d,\"reduction_ratio\":%.2f"
       full.H.Pa_verify.states
@@ -227,9 +227,11 @@ let exhaustion_of_cursor reason cursor =
 
 (* The process-algebra path (--pa): same requirements, read as LTL over
    the PA action names, with the ample-set reduction available because
-   those formulas are stutter-invariant. *)
+   those formulas are stutter-invariant.  The constant "slice=false" in
+   the checkpoint kind lets existing PA checkpoints resume, and the
+   constant "slice":false keeps the JSON record's shape. *)
 let run_pa_check ?domains ?budget ?ckpt_file ~ckpt_every ~resume_file variant
-    params slice reduce engine json req =
+    params reduce engine json req =
   let pv =
     match H.Pa_models.of_ta variant with
     | Some pv -> pv
@@ -237,9 +239,9 @@ let run_pa_check ?domains ?budget ?ckpt_file ~ckpt_every ~resume_file variant
   in
   let kind =
     Printf.sprintf
-      "hbltl/check/pa/%s/slice=%b/reduce=%b/req=%s/tmin=%d/tmax=%d/n=%d/engine=scc"
+      "hbltl/check/pa/%s/slice=false/reduce=%b/req=%s/tmin=%d/tmax=%d/n=%d/engine=scc"
       (H.Pa_models.variant_name pv)
-      slice reduce (H.Requirements.name req) params.H.Params.tmin
+      reduce (H.Requirements.name req) params.H.Params.tmin
       params.H.Params.tmax params.H.Params.n
   in
   let resume = Cli_resilience.load_resume ~kind resume_file in
@@ -249,8 +251,8 @@ let run_pa_check ?domains ?budget ?ckpt_file ~ckpt_every ~resume_file variant
       ckpt_file
   in
   let result =
-    H.Pa_verify.check_live_run ~engine ~slice ~reduce ?domains ?budget
-      ?checkpoint ?resume pv params req
+    H.Pa_verify.check_live_run ~engine ~reduce ?domains ?budget ?checkpoint
+      ?resume pv params req
   in
   let verdict, suspended =
     match result with
@@ -267,20 +269,19 @@ let run_pa_check ?domains ?budget ?ckpt_file ~ckpt_every ~resume_file variant
   in
   if json then
     print_endline
-      (verdict_json ~model:"pa" ~variant ~params ~fixed:false ~slice ~reduce
-         ~engine ~req ~formula
+      (verdict_json ~model:"pa" ~variant ~params ~fixed:false ~slice:false
+         ~reduce ~engine ~req ~formula
          ~fairness_names:(fairness_names H.Requirements.live_fairness_pa)
          ~stats:
            (match verdict with
            | Ltl.Check.Exhausted _ -> "null"
-           | _ -> pa_stats_json ~slice ~reduce pv params)
+           | _ -> pa_stats_json ~reduce pv params)
          ~to_string:pa_step_string verdict)
   else begin
-    Format.printf "PA %s %a %s-live (%s engine%s%s)@."
+    Format.printf "PA %s %a %s-live (%s engine%s)@."
       (H.Pa_models.variant_name pv)
       H.Params.pp params (H.Requirements.name req)
       (match engine with Ltl.Check.Ndfs -> "ndfs" | Ltl.Check.Scc -> "scc")
-      (if slice then ", sliced" else "")
       (if reduce then ", reduced" else "");
     Format.printf "property: %s@." (H.Requirements.live_description req);
     Format.printf "formula:  %s@." formula;
@@ -318,6 +319,10 @@ let check_cmd =
       Cli_resilience.usage
         "--fixed applies to the timed-automata models only (the PA \
          encoding has no fixed timing); drop --fixed or --pa";
+    if pa && slice then
+      Cli_resilience.usage
+        "--slice applies to the timed-automata models only; drop --slice \
+         or --pa";
     if reduce && not pa then
       Cli_resilience.usage
         "--reduce requires --pa (the ample-set reduction works on the \
@@ -331,7 +336,7 @@ let check_cmd =
     if pa then
       verdict_exit
         (run_pa_check ~domains ~budget ?ckpt_file ~ckpt_every ~resume_file
-           variant params slice reduce engine json req)
+           variant params reduce engine json req)
     else begin
       let kind =
         Printf.sprintf
@@ -437,9 +442,9 @@ let check_cmd =
     Arg.(
       value & flag
       & info [ "slice" ]
-          ~doc:"Check the statically sliced model (label-preserving, so \
-                liveness verdicts are unchanged; composes with --pa and \
-                --reduce).")
+          ~doc:"Check the statically sliced timed-automata model \
+                (label-preserving, so liveness verdicts are unchanged; \
+                incompatible with --pa).")
   in
   let reduce_arg =
     Arg.(
@@ -593,8 +598,7 @@ let smoke_cmd =
              (H.Requirements.name req))
           (Ltl.Check.holds full = Ltl.Check.holds red))
       H.Requirements.all;
-    (* neither must the static slice, on either encoding, alone or
-       composed with the reduction *)
+    (* neither must the static slice of the timed automata *)
     List.iter
       (fun req ->
         let ta_full =
@@ -608,17 +612,7 @@ let smoke_cmd =
         expect
           (Printf.sprintf "ta binary %s-live: sliced agrees with full"
              (H.Requirements.name req))
-          (Ltl.Check.holds ta_full = Ltl.Check.holds ta_sl);
-        let pa_full = H.Pa_verify.check_live H.Pa_models.Binary pa_params req in
-        let pa_sl =
-          H.Pa_verify.check_live ~slice:true ~reduce:true H.Pa_models.Binary
-            pa_params req
-        in
-        expect
-          (Printf.sprintf
-             "pa binary %s-live: sliced+reduced agrees with full"
-             (H.Requirements.name req))
-          (Ltl.Check.holds pa_full = Ltl.Check.holds pa_sl))
+          (Ltl.Check.holds ta_full = Ltl.Check.holds ta_sl))
       H.Requirements.all;
     (* show one lasso for the log *)
     (match

@@ -10,11 +10,21 @@ let tmax_arg = Arg.(value & opt int 10 & info [ "tmax" ] ~docv:"TMAX" ~doc:"tmax
 let n_arg =
   Arg.(value & opt int 1 & info [ "n" ] ~docv:"N" ~doc:"Participants.")
 
+(* An omitted --runs or --seed leaves the experiment's own default in
+   place (Experiments, Fd.Qos), the values EXPERIMENTS.md quotes. *)
 let runs_arg =
-  Arg.(value & opt int 200 & info [ "runs" ] ~docv:"RUNS" ~doc:"Repetitions.")
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "runs" ] ~docv:"RUNS"
+        ~doc:"Repetitions (default: the experiment's own run count).")
 
 let seed_arg =
-  Arg.(value & opt int64 42L & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
+  Arg.(
+    value
+    & opt (some int64) None
+    & info [ "seed" ] ~docv:"SEED"
+        ~doc:"PRNG seed (default: the experiment's own seed).")
 
 let kinds params = H.Experiments.default_kinds params
 
@@ -25,7 +35,7 @@ let rate_cmd =
     List.iter
       (fun k ->
         Format.printf "  %a@." H.Experiments.pp_rate
-          (H.Experiments.steady_rate ~seed k params))
+          (H.Experiments.steady_rate ?seed k params))
       (kinds params)
   in
   Cmd.v
@@ -35,13 +45,14 @@ let rate_cmd =
 let detection_cmd =
   let run tmin tmax n runs seed =
     let params = Cli_resilience.params ~n ~tmin ~tmax () in
+    let rows =
+      List.map
+        (fun k -> H.Experiments.detection ?runs ?seed k params)
+        (kinds params)
+    in
     Format.printf "crash-detection delay (%a, %d runs):@." H.Params.pp params
-      runs;
-    List.iter
-      (fun k ->
-        Format.printf "  %a@." H.Experiments.pp_detection
-          (H.Experiments.detection ~runs ~seed k params))
-      (kinds params)
+      (List.hd rows).H.Experiments.runs;
+    List.iter (Format.printf "  %a@." H.Experiments.pp_detection) rows
   in
   Cmd.v
     (Cmd.info "detection" ~doc:"Crash-detection delay per discipline.")
@@ -56,16 +67,20 @@ let reliability_cmd =
   in
   let run tmin tmax n runs seed losses =
     let params = Cli_resilience.params ~n ~tmin ~tmax () in
-    Format.printf "false-deactivation probability (%a, %d runs each):@."
-      H.Params.pp params runs;
-    List.iter
-      (fun loss ->
-        List.iter
-          (fun k ->
-            Format.printf "  %a@." H.Experiments.pp_reliability
-              (H.Experiments.reliability ~runs ~seed k params ~loss))
-          (kinds params))
-      losses
+    let rows =
+      List.concat_map
+        (fun loss ->
+          List.map
+            (fun k -> H.Experiments.reliability ?runs ?seed k params ~loss)
+            (kinds params))
+        losses
+    in
+    (match rows with
+    | r :: _ ->
+        Format.printf "false-deactivation probability (%a, %d runs each):@."
+          H.Params.pp params r.H.Experiments.r_runs
+    | [] -> ());
+    List.iter (Format.printf "  %a@." H.Experiments.pp_reliability) rows
   in
   Cmd.v
     (Cmd.info "reliability"
@@ -78,21 +93,27 @@ let sweep_cmd =
   let run tmax n runs seed =
     let ratios = [ 1; 2; 4; 8 ] in
     Format.printf
-      "acceleration depth sweep (tmax=%d): rate and detection vs tmax/tmin@."
+      "acceleration depth sweep (tmax=%d): rate, detection and false \
+       deactivations at 5%% loss vs tmax/tmin@."
       tmax;
     List.iter
       (fun ratio ->
         let tmin = max 1 (tmax / ratio) in
         let params = Cli_resilience.params ~n ~tmin ~tmax () in
-        let rate = H.Experiments.steady_rate ~seed H.Runtime.Halving params in
+        let rate = H.Experiments.steady_rate ?seed H.Runtime.Halving params in
         let det =
-          H.Experiments.detection ~runs ~seed H.Runtime.Halving params
+          H.Experiments.detection ?runs ?seed H.Runtime.Halving params
+        in
+        let rel =
+          H.Experiments.reliability ?runs ?seed H.Runtime.Halving params
+            ~loss:0.05
         in
         Format.printf
           "  tmin=%-3d rate %6.4f  mean detection %6.2f  max %6.2f  bound \
-           %6.2f@."
+           %6.2f  false rate %5.3f@."
           tmin rate.H.Experiments.msgs_per_time det.H.Experiments.mean_delay
-          det.H.Experiments.max_delay det.H.Experiments.analytic_bound)
+          det.H.Experiments.max_delay det.H.Experiments.analytic_bound
+          rel.H.Experiments.false_rate)
       ratios
   in
   Cmd.v
@@ -110,11 +131,14 @@ let bursty_cmd =
       (100.0 *. avg) H.Params.pp params;
     List.iter
       (fun k ->
-        let b = H.Experiments.reliability_model ~runs ~seed k params ~model:bursty in
-        let u = H.Experiments.reliability ~runs ~seed k params ~loss:avg in
+        let b =
+          H.Experiments.reliability_model ?runs ?seed k params ~model:bursty
+        in
+        let u = H.Experiments.reliability ?runs ?seed k params ~loss:avg in
         Format.printf "  %-14s bursty %3d/%d   independent %3d/%d@."
-          (H.Runtime.kind_name k) b.H.Experiments.false_detections runs
-          u.H.Experiments.false_detections runs)
+          (H.Runtime.kind_name k) b.H.Experiments.false_detections
+          b.H.Experiments.r_runs u.H.Experiments.false_detections
+          u.H.Experiments.r_runs)
       (kinds params)
   in
   Cmd.v
@@ -126,7 +150,7 @@ let join_cmd =
   let run tmin tmax runs seed =
     let params = Cli_resilience.params ~tmin ~tmax () in
     Format.printf "%a@." H.Experiments.pp_join
-      (H.Experiments.join_latency ~runs ~seed params)
+      (H.Experiments.join_latency ?runs ?seed params)
   in
   Cmd.v
     (Cmd.info "join"
@@ -145,7 +169,7 @@ let fd_cmd =
       "failure-detector QoS (period 10, loss %.2f, probes %d):@." loss probes;
     List.iter
       (fun r -> Format.printf "  %a@." Fd.Qos.pp_tradeoff r)
-      (Fd.Qos.margin_sweep ~runs ~probes ~loss ~seed ())
+      (Fd.Qos.margin_sweep ?runs ~probes ~loss ?seed ())
   in
   Cmd.v
     (Cmd.info "fd"

@@ -40,18 +40,3 @@ let lookups s =
   s.por_lookups + s.pa_bound_lookups + s.ta_bound_lookups + s.lu_lookups
 
 let hits s = s.por_hits + s.pa_bound_hits + s.ta_bound_hits + s.lu_hits
-
-let to_json s =
-  Printf.sprintf
-    {|{"por":{"lookups":%d,"hits":%d},"pa_bound":{"lookups":%d,"hits":%d},"ta_bound":{"lookups":%d,"hits":%d},"lu_bounds":{"lookups":%d,"hits":%d},"total":{"lookups":%d,"hits":%d}}|}
-    s.por_lookups s.por_hits s.pa_bound_lookups s.pa_bound_hits
-    s.ta_bound_lookups s.ta_bound_hits s.lu_lookups s.lu_hits (lookups s)
-    (hits s)
-
-let pp ppf s =
-  Format.fprintf ppf
-    "analysis caches: %d/%d hits (por %d/%d, pa bound %d/%d, ta bound %d/%d, \
-     lu bounds %d/%d)"
-    (hits s) (lookups s) s.por_hits s.por_lookups s.pa_bound_hits
-    s.pa_bound_lookups s.ta_bound_hits s.ta_bound_lookups s.lu_hits
-    s.lu_lookups

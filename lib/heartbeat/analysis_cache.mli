@@ -21,8 +21,3 @@ val stats : unit -> stats
 
 val lookups : stats -> int
 val hits : stats -> int
-
-val to_json : stats -> string
-(** Single-line JSON object (deterministic key order). *)
-
-val pp : Format.formatter -> stats -> unit

@@ -92,20 +92,15 @@ let monitors variant (p : Params.t) req :
           fault @ bad );
       ]
 
-let check_verdict ?(max_states = default_max) ?(domains = 1) ?(slice = false)
+let check_verdict ?(max_states = default_max) ?(domains = 1)
     ?(reduce = false) ?store ?budget ?degrade variant params req =
   let spec = Pa_models.build variant params in
   let sys = Proc.Semantics.system spec in
-  (* the slice never touches action labels, so the monitors and their
-     POR alphabets carry over unchanged; the reduction is computed over
-     the sliced spec (what is actually explored) *)
-  let sspec = if slice then (Slice_pa.slice spec).Slice_pa.spec else spec in
-  let slice_sys = if slice then Some (Proc.Semantics.system sspec) else None in
   (* reduction composes with domains > 1 through the parallel-safe
      proviso: each reduced system is built with [~par:true] and Safety
      is told not to force the sequential engine *)
   let par = domains > 1 in
-  let analysis = if reduce then Some (Por.analyze_cached sspec) else None in
+  let analysis = if reduce then Some (Por.analyze_cached spec) else None in
   (* first non-Holds verdict wins; all monitors must hold for Holds *)
   let rec go = function
     | [] -> Mc.Safety.Holds
@@ -114,19 +109,16 @@ let check_verdict ?(max_states = default_max) ?(domains = 1) ?(slice = false)
           Option.map (fun a -> Por.reduced_system ~alphabet ~par a) analysis
         in
         match
-          Mc.Safety.check_monitor ~max_states ~domains ?slice:slice_sys
-            ?reduction ~parallel_reduction:par ?store ?budget ?degrade sys
-            monitor
+          Mc.Safety.check_monitor ~max_states ~domains ?reduction
+            ~parallel_reduction:par ?store ?budget ?degrade sys monitor
         with
         | Mc.Safety.Holds -> go rest
         | v -> v)
   in
   go (monitors variant params req)
 
-let check ?max_states ?domains ?slice ?reduce ?store variant params req =
-  match
-    check_verdict ?max_states ?domains ?slice ?reduce ?store variant params req
-  with
+let check ?max_states ?domains ?reduce ?store variant params req =
+  match check_verdict ?max_states ?domains ?reduce ?store variant params req with
   | Mc.Safety.Holds -> true
   | Mc.Safety.Violated _ -> false
   | Mc.Safety.Unknown n ->
@@ -140,10 +132,9 @@ let check ?max_states ?domains ?slice ?reduce ?store variant params req =
         (Pa_models.variant_name variant)
         (Requirements.name req)
 
-let state_count ?(max_states = default_max) ?(domains = 1) ?(slice = false)
-    ?(reduce = false) ?store variant params =
+let state_count ?(max_states = default_max) ?(domains = 1) ?(reduce = false)
+    ?store variant params =
   let spec = Pa_models.build variant params in
-  let spec = if slice then (Slice_pa.slice spec).Slice_pa.spec else spec in
   let parallel = domains > 1 || store <> None in
   let count, complete =
     let sys =
@@ -160,10 +151,8 @@ let state_count ?(max_states = default_max) ?(domains = 1) ?(slice = false)
 
 type explore_stats = { states : int; transitions : int; complete : bool }
 
-let explore ?(max_states = default_max) ?(slice = false) ?(reduce = false)
-    variant params =
+let explore ?(max_states = default_max) ?(reduce = false) variant params =
   let spec = Pa_models.build variant params in
-  let spec = if slice then (Slice_pa.slice spec).Slice_pa.spec else spec in
   let sys =
     if reduce then Por.reduced_system (Por.analyze_cached spec)
     else Proc.Semantics.system spec
@@ -175,37 +164,30 @@ let explore ?(max_states = default_max) ?(slice = false) ?(reduce = false)
     complete = space.Mc.Explore.complete;
   }
 
-let check_live ?(engine = Ltl.Check.Ndfs) ?(max_states = default_max)
-    ?(slice = false) ?(reduce = false) ?(domains = 1) ?store ?budget variant
-    params req =
+(* The model and the optional ample-set reduction both LTL entry points
+   check. *)
+let live_parts ~reduce ~domains variant params =
   let spec = Pa_models.build variant params in
   let sys = Proc.Semantics.system spec in
-  let sspec = if slice then (Slice_pa.slice spec).Slice_pa.spec else spec in
-  let slice_sys = if slice then Some (Proc.Semantics.system sspec) else None in
   let reduction =
     if reduce then
-      let a = Por.analyze_cached sspec in
+      let a = Por.analyze_cached spec in
       Some (fun ~alphabet -> Por.reduction ~par:(domains > 1) a ~alphabet)
     else None
   in
-  Ltl.Check.check ~engine ~fairness:Requirements.live_fairness_pa
-    ?slice:slice_sys ?reduction ~max_states ~domains ?store ?budget sys
+  (sys, reduction)
+
+let check_live ?(engine = Ltl.Check.Ndfs) ?(max_states = default_max)
+    ?(reduce = false) ?(domains = 1) ?store ?budget variant params req =
+  let sys, reduction = live_parts ~reduce ~domains variant params in
+  Ltl.Check.check ~engine ~fairness:Requirements.live_fairness_pa ?reduction
+    ~max_states ~domains ?store ?budget sys
     (Requirements.live_formula_pa variant params req)
 
 let check_live_run ?(engine = Ltl.Check.Ndfs) ?(max_states = default_max)
-    ?(slice = false) ?(reduce = false) ?(domains = 1) ?store ?budget
-    ?checkpoint ?resume variant params req =
-  let spec = Pa_models.build variant params in
-  let sys = Proc.Semantics.system spec in
-  let sspec = if slice then (Slice_pa.slice spec).Slice_pa.spec else spec in
-  let slice_sys = if slice then Some (Proc.Semantics.system sspec) else None in
-  let reduction =
-    if reduce then
-      let a = Por.analyze_cached sspec in
-      Some (fun ~alphabet -> Por.reduction ~par:(domains > 1) a ~alphabet)
-    else None
-  in
+    ?(reduce = false) ?(domains = 1) ?store ?budget ?checkpoint ?resume variant
+    params req =
+  let sys, reduction = live_parts ~reduce ~domains variant params in
   Ltl.Check.check_run ~engine ~fairness:Requirements.live_fairness_pa
-    ?slice:slice_sys ?reduction ~max_states ~domains ?store ?budget
-    ?checkpoint ?resume sys
+    ?reduction ~max_states ~domains ?store ?budget ?checkpoint ?resume sys
     (Requirements.live_formula_pa variant params req)

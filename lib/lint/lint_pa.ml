@@ -773,13 +773,6 @@ let bound_memo : (S.t, I.card) Lint_memo.t = Lint_memo.create ()
 let static_bound_cached spec = Lint_memo.find bound_memo spec static_bound
 let cache_stats () = Lint_memo.stats bound_memo
 
-(* The final parameter intervals alone (no diagnostics, no bound): what
-   the slicer's constant-propagation pass consumes. *)
-let intervals_of (spec : S.t) : aval array SMap.t =
-  let defs = def_table spec in
-  let state, _ = analyze_intervals spec defs (thresholds_of spec) in
-  state
-
 let analyze ~model (spec : S.t) : R.t =
   let _sigs, type_diags = Lint_types.check spec in
   let structural_diags = structural spec in

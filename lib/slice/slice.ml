@@ -2,15 +2,12 @@
 
    [Slice.Ta] slices timed-automata networks against a property seed
    (cone-of-influence, dead-write elimination, constant folding,
-   Daws-Yovine clock activity); [Slice.Pa] slices process-algebra
-   specifications (constant parameter folding, dead-parameter
-   elimination).  Both are exact label-preserving projections, so
-   counterexamples found in a sliced system replay in the full one by
-   guided replay of their label trace — [replay] below is the
-   certificate check. *)
+   Daws-Yovine clock activity).  The slice is an exact label-preserving
+   projection, so counterexamples found in a sliced system replay in
+   the full one by guided replay of their label trace — [replay] below
+   is the certificate check. *)
 
 module Ta = Slice_ta
-module Pa = Slice_pa
 
 (* [replay sys trace] — does the label trace embed in [sys] from its
    initial state?  Because slicing preserves label traces exactly, a

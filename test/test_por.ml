@@ -314,8 +314,8 @@ let prop_parallel_safety_parity =
         sample_monitors)
 
 let test_variant_parallel_reduced_parity () =
-  (* the shipped protocols through the whole stack: Pa_verify.check with
-     reduce composes with domains > 1 via the parallel proviso *)
+  (* the six shipped protocols through the whole stack: Pa_verify.check
+     with reduce composes with domains > 1 via the parallel proviso *)
   let params = Heartbeat.Params.make ~tmin:2 ~tmax:3 () in
   List.iter
     (fun v ->
@@ -333,7 +333,7 @@ let test_variant_parallel_reduced_parity () =
                 (Heartbeat.Pa_verify.check ~reduce:true ~domains v params req))
             [ 1; 4 ])
         Heartbeat.Requirements.all)
-    [ Heartbeat.Pa_models.Binary; Heartbeat.Pa_models.Static ]
+    pa_variants
 
 let test_cross_domain_fallback_pinned () =
   (* Pinned regression for the conservative cross-domain fallback.

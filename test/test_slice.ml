@@ -1,15 +1,13 @@
-(* Tests for the property-driven static slicer (lib/slice).
+(* Tests for the property-driven static slicer of timed automata
+   (lib/slice).
 
    Slicing is an exact label-preserving projection, so the load-bearing
    property is verdict parity in BOTH directions: the sliced system and
    the full system agree on every safety and LTL verdict, on random
-   models and on all six shipped protocol variants, alone and composed
-   with the ample-set reduction and the parallel engine.  Sliced
+   models and on all six shipped protocol variants.  Sliced
    counterexamples must replay in the full model (the certificate), and
    the slice diagnostics must be deterministic. *)
 
-module T = Proc.Term
-module Sem = Proc.Semantics
 module M = Ta.Model
 module E = Ta.Expr
 
@@ -164,43 +162,6 @@ let prop_ta_ltl_parity =
           = Ltl.Check.holds (Ltl.Check.check ~max_states ~slice:ssys sys f))
         ta_label_formulas)
 
-(* --- random process-algebra specifications ---------------------------
-
-   Reuses test_por's generator and monitor shapes; the slice composes
-   with the ample-set reduction and the parallel engine, so parity is
-   checked for slice alone, slice + reduction, and slice + reduction at
-   4 domains. *)
-
-let prop_pa_safety_parity =
-  QCheck.Test.make
-    ~name:"PA monitor verdicts agree full vs sliced (+reduce, +domains)"
-    ~count:60 Test_por.random_spec (fun spec ->
-      let sys = Sem.system spec in
-      let sl = Slice.Pa.slice spec in
-      let ssys = Sem.system sl.Slice.Pa.spec in
-      let a = Por.analyze sl.Slice.Pa.spec in
-      List.for_all
-        (fun (monitor, alphabet) ->
-          let full = Mc.Safety.check_monitor ~max_states sys monitor in
-          let agree v =
-            match (full, v) with
-            | Mc.Safety.Holds, Mc.Safety.Holds -> true
-            | Mc.Safety.Violated _, Mc.Safety.Violated trace ->
-                Slice.replay sys trace
-            | _ -> false
-          in
-          agree
-            (Mc.Safety.check_monitor ~max_states ~slice:ssys sys monitor)
-          && agree
-               (Mc.Safety.check_monitor ~max_states ~slice:ssys
-                  ~reduction:(Por.reduced_system ~alphabet a)
-                  sys monitor)
-          && agree
-               (Mc.Safety.check_monitor ~max_states ~slice:ssys
-                  ~reduction:(Por.reduced_system ~alphabet ~par:true a)
-                  ~parallel_reduction:true ~domains:4 sys monitor))
-        Test_por.sample_monitors)
-
 (* --- pinned slicer behaviour ----------------------------------------- *)
 
 (* A constant variable is folded, a dead one removed, and the guards
@@ -278,83 +239,7 @@ let test_ta_clock_activity () =
     (Printf.sprintf "canonicalization merges states (%d < %d)" sliced full)
     true (sliced < full)
 
-(* A provably constant parameter is folded and a dead one dropped, and
-   the action traces are untouched. *)
-let test_pa_param_slicing () =
-  let p =
-    let open Proc.Pexpr in
-    T.def "P" [ "t"; "junk" ]
-      (T.choice
-         [
-           T.(act "tick" [] @. call "P" Proc.Pexpr.[ v "t"; v "junk" + int 1 ]);
-           T.when_ (v "t" = int 2)
-             T.(act "a" [] @. call "P" Proc.Pexpr.[ v "t"; int 0 ]);
-         ])
-  in
-  let spec =
-    {
-      Proc.Spec.defs = [ p ];
-      init = [ ("P", [ Proc.Value.int 2; Proc.Value.int 0 ]) ];
-      comms = [];
-      allow = [ "a" ];
-      hide = [];
-    }
-  in
-  let sl = Slice.Pa.slice spec in
-  check Alcotest.bool "t folded to 2" true
-    (List.exists
-       (fun (d, prm, _) -> d = "P" && prm = "t")
-       sl.Slice.Pa.folded_params);
-  check Alcotest.bool "junk dropped" true
-    (List.mem ("P", "junk") sl.Slice.Pa.dropped_params);
-  let count spec = fst (Mc.Explore.count ~max_states (Sem.system spec)) in
-  check Alcotest.bool "sliced is no larger" true
-    (count sl.Slice.Pa.spec <= count spec);
-  let full = Mc.Safety.check_monitor ~max_states (Sem.system spec)
-      (Mc.Monitor.never (fun l -> Sem.label_name l = "a"))
-  and sliced =
-    Mc.Safety.check_monitor ~max_states (Sem.system sl.Slice.Pa.spec)
-      (Mc.Monitor.never (fun l -> Sem.label_name l = "a"))
-  in
-  check Alcotest.bool "both violated (a happens)" true
-    (match (full, sliced) with
-    | Mc.Safety.Violated _, Mc.Safety.Violated _ -> true
-    | _ -> false)
-
 (* --- the shipped protocol variants ----------------------------------- *)
-
-let pa_variants =
-  [ Heartbeat.Pa_models.Binary; Heartbeat.Pa_models.Revised;
-    Heartbeat.Pa_models.Two_phase; Heartbeat.Pa_models.Static;
-    Heartbeat.Pa_models.Expanding; Heartbeat.Pa_models.Dynamic ]
-
-let small_params = Heartbeat.Params.make ~n:1 ~tmin:2 ~tmax:3 ()
-
-let test_pa_variant_safety_parity () =
-  List.iter
-    (fun v ->
-      List.iter
-        (fun req ->
-          let full = Heartbeat.Pa_verify.check v small_params req in
-          List.iter
-            (fun (label, verdict) ->
-              check Alcotest.bool
-                (Printf.sprintf "%s %s full = %s"
-                   (Heartbeat.Pa_models.variant_name v)
-                   (Heartbeat.Requirements.name req)
-                   label)
-                full verdict)
-            [
-              ("sliced", Heartbeat.Pa_verify.check ~slice:true v small_params req);
-              ( "sliced+reduced",
-                Heartbeat.Pa_verify.check ~slice:true ~reduce:true v
-                  small_params req );
-              ( "sliced+reduced at 4 domains",
-                Heartbeat.Pa_verify.check ~slice:true ~reduce:true ~domains:4 v
-                  small_params req );
-            ])
-        Heartbeat.Requirements.all)
-    pa_variants
 
 let test_ta_variant_safety_parity () =
   (* tmin = tmax = 2 is the race point: the unfixed R2/R3 violations
@@ -405,7 +290,6 @@ let test_variant_liveness_parity () =
   let params = Heartbeat.Params.make ~tmin:2 ~tmax:2 () in
   List.iter
     (fun req ->
-      (* TA encoding *)
       List.iter
         (fun v ->
           check Alcotest.bool
@@ -415,20 +299,7 @@ let test_variant_liveness_parity () =
             (Ltl.Check.holds (Heartbeat.Verify.check_live v params req))
             (Ltl.Check.holds
                (Heartbeat.Verify.check_live ~slice:true v params req)))
-        [ Heartbeat.Ta_models.Binary; Heartbeat.Ta_models.Revised ];
-      (* PA encoding, composed with the reduction *)
-      List.iter
-        (fun v ->
-          let full = Heartbeat.Pa_verify.check_live v params req in
-          check Alcotest.bool
-            (Printf.sprintf "pa %s %s live full = sliced+reduced"
-               (Heartbeat.Pa_models.variant_name v)
-               (Heartbeat.Requirements.name req))
-            (Ltl.Check.holds full)
-            (Ltl.Check.holds
-               (Heartbeat.Pa_verify.check_live ~slice:true ~reduce:true v
-                  params req)))
-        [ Heartbeat.Pa_models.Binary; Heartbeat.Pa_models.Revised ])
+        [ Heartbeat.Ta_models.Binary; Heartbeat.Ta_models.Revised ])
     Heartbeat.Requirements.all
 
 (* --- diagnostics and caches ------------------------------------------ *)
@@ -446,24 +317,17 @@ let test_diagnostics_deterministic () =
       (fun (d : Lint.Report.diag) -> Format.asprintf "%a" Lint.Report.pp_diag d)
       (Slice.Ta.diagnostics (Slice.Ta.slice model))
   in
-  let spec =
-    Heartbeat.Pa_models.build Heartbeat.Pa_models.Dynamic params
-  in
-  let render_pa () =
-    List.map
-      (fun (d : Lint.Report.diag) -> Format.asprintf "%a" Lint.Report.pp_diag d)
-      (Slice.Pa.diagnostics (Slice.Pa.slice spec))
-  in
   check Alcotest.(list string) "TA slice diagnostics reproduce" (render_ta ())
     (render_ta ());
-  check Alcotest.(list string) "PA slice diagnostics reproduce" (render_pa ())
-    (render_pa ());
   check Alcotest.bool "TA slice diagnostics are non-empty" true
     (render_ta () <> [])
 
 let test_analysis_cache_hits () =
   (* repeated analyses of the same spec hit the memo table *)
-  let spec = Heartbeat.Pa_models.build Heartbeat.Pa_models.Binary small_params in
+  let spec =
+    Heartbeat.Pa_models.build Heartbeat.Pa_models.Binary
+      (Heartbeat.Params.make ~n:1 ~tmin:2 ~tmax:3 ())
+  in
   let a1 = Por.analyze_cached spec in
   let before = snd (Por.cache_stats ()) in
   let a2 = Por.analyze_cached spec in
@@ -477,12 +341,8 @@ let tests =
       QCheck_alcotest.to_alcotest prop_ta_safety_parity;
       QCheck_alcotest.to_alcotest prop_ta_slice_never_grows;
       QCheck_alcotest.to_alcotest prop_ta_ltl_parity;
-      QCheck_alcotest.to_alcotest prop_pa_safety_parity;
       Alcotest.test_case "TA constant folding" `Quick test_ta_constant_folding;
       Alcotest.test_case "TA clock activity" `Quick test_ta_clock_activity;
-      Alcotest.test_case "PA parameter slicing" `Quick test_pa_param_slicing;
-      Alcotest.test_case "shipped PA variants: safety parity" `Slow
-        test_pa_variant_safety_parity;
       Alcotest.test_case "shipped TA variants: safety parity + certificate"
         `Slow test_ta_variant_safety_parity;
       Alcotest.test_case "shipped variants: liveness parity" `Slow
