@@ -1,7 +1,8 @@
-(* Shared resilience plumbing for the command-line tools: budget flags,
-   checkpoint/resume flags, documented exit codes, and signal handling
-   that turns an interrupted run into a reported partial result instead
-   of a dead process. *)
+(* Shared plumbing for the command-line tools: budget flags,
+   checkpoint/resume flags, documented exit codes, signal handling that
+   turns an interrupted run into a reported partial result instead of a
+   dead process, flag validation, and the JSON helpers more than one
+   tool prints with. *)
 
 open Cmdliner
 
@@ -39,6 +40,12 @@ let params ?n ~tmin ~tmax () =
   try Heartbeat.Params.make ?n ~tmin ~tmax ()
   with Invalid_argument msg -> usage "%s" msg
 
+(* Exploration domains from -j/--jobs: 0 means all recommended cores. *)
+let resolve_jobs jobs =
+  if jobs < 0 then usage "--jobs must be >= 0"
+  else if jobs = 0 then Domain.recommended_domain_count ()
+  else jobs
+
 let exits =
   Cmd.Exit.info 0 ~doc:"on a clean verdict." ::
   Cmd.Exit.info exit_violation
@@ -70,10 +77,13 @@ let budget_mb_arg =
     & opt (some int) None
     & info [ "budget-mb" ] ~docv:"MB"
         ~doc:
-          "Live-heap budget in megabytes.  Engines that support it first \
-           degrade the state store down the compression ladder in place \
-           (exact, hashcompact, bitstate) and only stop once the ladder \
-           is exhausted; see $(b,--no-degrade).")
+          "Live-heap budget in megabytes: a trip stops the run and \
+           reports partial results (exit 4).  Where the subcommand offers \
+           $(b,--no-degrade), the parallel engine ($(b,-j) 2 or more), a \
+           compressed $(b,--store) and $(b,--count) first degrade the \
+           state store down the compression ladder in place (exact, \
+           hashcompact, bitstate) and only stop once the ladder is \
+           exhausted.")
 
 let no_degrade_arg =
   Arg.(
@@ -156,3 +166,22 @@ let exhaustion_json (e : Mc.Explore.exhaustion) =
     (Mc.Budget.reason_name e.Mc.Explore.reason)
     e.Mc.Explore.states_so_far
     (coverage_json e.Mc.Explore.coverage)
+
+(* Exploration statistics of a (possibly reduced) process-algebra state
+   space as a deterministic JSON object; with [reduce] also the
+   full-space size and the reduction ratio, so CI logs show what the
+   reduction bought. *)
+let pa_stats_json ~reduce variant params =
+  let module P = Heartbeat.Pa_verify in
+  let st = P.explore ~reduce variant params in
+  let buf = Buffer.create 128 in
+  Printf.bprintf buf "{\"states\":%d,\"transitions\":%d,\"complete\":%b"
+    st.P.states st.P.transitions st.P.complete;
+  if reduce then begin
+    let full = P.explore variant params in
+    Printf.bprintf buf ",\"full_states\":%d,\"reduction_ratio\":%.2f"
+      full.P.states
+      (float_of_int full.P.states /. float_of_int st.P.states)
+  end;
+  Buffer.add_string buf "}";
+  Buffer.contents buf

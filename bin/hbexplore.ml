@@ -80,11 +80,6 @@ let store_arg =
            quantifies the omission risk. Violations and deadlocks that \
            $(i,are) reported remain real.")
 
-let resolve_jobs jobs =
-  if jobs < 0 then Cli_resilience.usage "--jobs must be >= 0"
-  else if jobs = 0 then Domain.recommended_domain_count ()
-  else jobs
-
 let count_arg =
   Arg.(
     value & flag
@@ -120,13 +115,9 @@ let lu_arg =
     value
     & opt lu_conv Zone.Sym.Global
     & info [ "lu" ] ~docv:"MODE"
-        ~doc:"LU-bound source: $(b,global) (one pair per clock, whole \
-              network) or $(b,location) (per-location tables from the \
-              lubounds backward fixpoint).  With $(b,--zone) this selects \
-              the Extra+LU extrapolation; on the discrete engine it caps \
-              each clock at its per-location bound during delays (same \
-              reachable locations and variables; the valuation count \
-              usually shrinks on clock-dominated spaces).")
+        ~doc:"Zone-extrapolation bounds: $(b,global) (one LU pair per \
+              clock, whole network) or $(b,location) (per-location tables \
+              from the lubounds backward fixpoint).  Needs $(b,--zone).")
 
 let lu_name = function
   | Zone.Sym.Global -> "global"
@@ -180,7 +171,7 @@ let stats_cmd =
   let run variant tmin tmax n fixed monitors slice zone no_subsume lu jobs
       show_stats store count_only json bsecs bmb no_degrade ckpt
       ckpt_every resume_file =
-    let jobs = resolve_jobs jobs in
+    let jobs = Cli_resilience.resolve_jobs jobs in
     let params = Cli_resilience.params ~n ~tmin ~tmax () in
     if zone then begin
       if
@@ -203,10 +194,8 @@ let stats_cmd =
     end
     else begin
     if no_subsume then Cli_resilience.usage "--no-subsume needs --zone";
-    if lu = Zone.Sym.Location && slice then
-      Cli_resilience.usage
-        "--lu location caps the full model's clocks (drop --slice: the \
-         sliced model has its own activity-based reduction)";
+    if lu = Zone.Sym.Location then
+      Cli_resilience.usage "--lu location needs --zone";
     let model =
       H.Ta_models.build ~fixed ~with_r1_monitors:monitors variant params
     in
@@ -216,20 +205,7 @@ let stats_cmd =
       if slice then
         let sl = Slice.Ta.slice model in
         Slice.Ta.system sl (Ta.Semantics.compile sl.Slice.Ta.model)
-      else
-        (* --lu location: delays saturate each clock at its per-location
-           bound (from the lubounds backward fixpoint) instead of the
-           global cap — same reachable locations and variables, usually
-           fewer clock valuations.  Sound here because exploration
-           observes only the discrete part. *)
-        let net = Ta.Semantics.compile model in
-        let net =
-          if lu = Zone.Sym.Location then
-            Ta.Semantics.with_loc_caps net
-              (Lubounds.caps_for net model (Lubounds.analyze_cached model))
-          else net
-        in
-        Ta.Semantics.system net
+      else Ta.Semantics.system (Ta.Semantics.compile model)
     in
     let max_states = 10_000_000 in
     let count_mode =
@@ -240,22 +216,22 @@ let stats_cmd =
         "--checkpoint/--resume need the state graph (drop --count; bitstate \
          stores keep no graph)";
     (* the checkpoint kind guards resume identity: same tool, model,
-       parameters, bound and store family, or the resume is rejected *)
+       parameters, bound and store family, or the resume is rejected
+       (the constant "lu=global" lets existing checkpoints resume) *)
     let kind =
       Printf.sprintf
-        "hbexplore/stats/ta/%s/fixed=%b/monitors=%b/slice=%b/lu=%s/tmin=%d/tmax=%d/n=%d/max=%d/store=%s"
+        "hbexplore/stats/ta/%s/fixed=%b/monitors=%b/slice=%b/lu=global/tmin=%d/tmax=%d/n=%d/max=%d/store=%s"
         (H.Ta_models.variant_name variant)
-        fixed monitors slice (lu_name lu) tmin tmax n max_states
+        fixed monitors slice tmin tmax n max_states
         (Mc.Store.mode_name store)
     in
     let header ppf () =
-      Format.fprintf ppf "%s%s %a%s%s%s"
+      Format.fprintf ppf "%s%s %a%s%s"
         (H.Ta_models.variant_name variant)
         (if fixed then " [fixed]" else "")
         H.Params.pp params
         (if monitors then " +monitors" else "")
         (if slice then " [sliced]" else "")
-        (if lu = Zone.Sym.Location then " [lu=location]" else "")
     in
     let json_result ~states ~transitions ~complete ~coverage ~exhausted
         ~degraded =
@@ -625,7 +601,7 @@ let fc_cmd =
 
 let deadlocks_cmd =
   let run variant tmin tmax n fixed jobs store bsecs bmb no_degrade =
-    let jobs = resolve_jobs jobs in
+    let jobs = Cli_resilience.resolve_jobs jobs in
     let budget = Cli_resilience.budget bsecs bmb in
     let params = Cli_resilience.params ~n ~tmin ~tmax () in
     let verdict =

@@ -90,20 +90,6 @@ let req_arg =
 (* JSON rendering (deterministic: fixed key order, no hash iteration)  *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let step_string = function
   | Ltl.Check.Step Ta.Semantics.Delay -> "tick"
   | Ltl.Check.Step (Ta.Semantics.Act a) -> a
@@ -113,30 +99,16 @@ let pa_step_string = function
   | Ltl.Check.Step l -> Format.asprintf "%a" Proc.Semantics.pp_label l
   | Ltl.Check.Stutter -> "(stutter)"
 
+let json_string s = "\"" ^ Cli_resilience.json_escape s ^ "\""
+
 let json_steps to_string steps =
-  "["
-  ^ String.concat ","
-      (List.map (fun s -> "\"" ^ json_escape (to_string s) ^ "\"") steps)
+  "[" ^ String.concat "," (List.map (fun s -> json_string (to_string s)) steps)
   ^ "]"
 
-(* State-space statistics of the model being checked (not of the Büchi
-   product): states, transitions, completeness, and — when the ample-set
-   reduction is on — the full-space size and the reduction ratio. *)
-let pa_stats_json ~reduce variant params =
-  let st = H.Pa_verify.explore ~reduce variant params in
-  let buf = Buffer.create 128 in
-  Printf.bprintf buf "{\"states\":%d,\"transitions\":%d,\"complete\":%b"
-    st.H.Pa_verify.states st.H.Pa_verify.transitions st.H.Pa_verify.complete;
-  if reduce then begin
-    let full = H.Pa_verify.explore variant params in
-    Printf.bprintf buf ",\"full_states\":%d,\"reduction_ratio\":%.2f"
-      full.H.Pa_verify.states
-      (float_of_int full.H.Pa_verify.states
-      /. float_of_int st.H.Pa_verify.states)
-  end;
-  Buffer.add_string buf "}";
-  Buffer.contents buf
-
+(* State-space statistics of the timed-automata model being checked
+   (not of the Büchi product): states, transitions, completeness, and
+   with [slice] the full-space size and the slice ratio.  PA runs print
+   [Cli_resilience.pa_stats_json]. *)
 let ta_stats_json ~fixed ~slice variant params =
   let model = H.Ta_models.build ~fixed variant params in
   let sys =
@@ -178,9 +150,8 @@ let verdict_json ~model ~variant ~params ~fixed ~slice ~reduce ~engine ~req
     params.H.Params.n fixed slice reduce (H.Requirements.name req)
     (match engine with Ltl.Check.Ndfs -> "ndfs" | Ltl.Check.Scc -> "scc");
   bprintf buf "\"formula\":\"%s\",\"fairness\":[%s],\"stats\":%s,"
-    (json_escape formula)
-    (String.concat ","
-       (List.map (fun n -> "\"" ^ json_escape n ^ "\"") fairness_names))
+    (Cli_resilience.json_escape formula)
+    (String.concat "," (List.map json_string fairness_names))
     stats;
   (match verdict with
   | Ltl.Check.Holds -> bprintf buf "\"verdict\":\"holds\"}"
@@ -275,7 +246,7 @@ let run_pa_check ?domains ?budget ?ckpt_file ~ckpt_every ~resume_file variant
          ~stats:
            (match verdict with
            | Ltl.Check.Exhausted _ -> "null"
-           | _ -> pa_stats_json ~reduce pv params)
+           | _ -> Cli_resilience.pa_stats_json ~reduce pv params)
          ~to_string:pa_step_string verdict)
   else begin
     Format.printf "PA %s %a %s-live (%s engine%s)@."
@@ -309,11 +280,7 @@ let run_pa_check ?domains ?budget ?ckpt_file ~ckpt_every ~resume_file variant
 let check_cmd =
   let run variant tmin tmax n fixed pa slice reduce engine json msc jobs bsecs
       bmb ckpt_file ckpt_every resume_file req =
-    let domains =
-      if jobs < 0 then Cli_resilience.usage "--jobs must be >= 0"
-      else if jobs = 0 then Domain.recommended_domain_count ()
-      else jobs
-    in
+    let domains = Cli_resilience.resolve_jobs jobs in
     let params = Cli_resilience.params ~n ~tmin ~tmax () in
     if pa && fixed then
       Cli_resilience.usage

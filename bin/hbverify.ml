@@ -125,15 +125,14 @@ let lu_arg =
               never more zones).  Needs $(b,--zone).")
 
 let check_cmd =
-  let run variant tmin tmax n fixed slice zone lu bsecs bmb no_degrade req =
+  let run variant tmin tmax n fixed slice zone lu bsecs bmb req =
     if zone && slice then Cli_resilience.usage "--zone and --slice are exclusive";
     if lu = Zone.Sym.Location && not zone then
       Cli_resilience.usage "--lu location needs --zone";
     let params = Cli_resilience.params ~n ~tmin ~tmax () in
     let budget = Cli_resilience.budget bsecs bmb in
     let outcome =
-      H.Verify.check ~fixed ~slice ~zone ~lu ~budget ~degrade:(not no_degrade)
-        variant params req
+      H.Verify.check ~fixed ~slice ~zone ~lu ~budget variant params req
     in
     let name ppf () =
       Format.fprintf ppf "%s%s %a %s%s%s"
@@ -185,8 +184,7 @@ let check_cmd =
     Term.(
       const run $ variant_arg $ tmin_arg $ tmax_arg $ n_arg $ fixed_arg
       $ ta_slice_arg $ zone_arg $ lu_arg $ Cli_resilience.budget_secs_arg
-      $ Cli_resilience.budget_mb_arg $ Cli_resilience.no_degrade_arg
-      $ req_arg)
+      $ Cli_resilience.budget_mb_arg $ req_arg)
 
 let cex_cmd =
   let scenarios =
@@ -311,23 +309,6 @@ let reduce_arg =
 let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit the deterministic JSON verdict.")
 
-(* Exploration statistics of the (possibly reduced) state space as a
-   deterministic JSON object; with [reduce] also the full-space size and
-   the reduction ratio, so CI logs show what the reduction bought. *)
-let stats_json ~reduce variant params =
-  let st = H.Pa_verify.explore ~reduce variant params in
-  let buf = Buffer.create 128 in
-  Printf.bprintf buf "{\"states\":%d,\"transitions\":%d,\"complete\":%b"
-    st.H.Pa_verify.states st.H.Pa_verify.transitions st.H.Pa_verify.complete;
-  if reduce then begin
-    let full = H.Pa_verify.explore variant params in
-    Printf.bprintf buf ",\"full_states\":%d,\"reduction_ratio\":%.2f"
-      full.H.Pa_verify.states
-      (float_of_int full.H.Pa_verify.states /. float_of_int st.H.Pa_verify.states)
-  end;
-  Buffer.add_string buf "}";
-  Buffer.contents buf
-
 let jobs_arg =
   Arg.(
     value
@@ -339,14 +320,9 @@ let jobs_arg =
            $(b,--reduce) through the parallel-safe cycle proviso). 0 uses \
            all cores.")
 
-let resolve_jobs jobs =
-  if jobs < 0 then Cli_resilience.usage "--jobs must be >= 0"
-  else if jobs = 0 then Domain.recommended_domain_count ()
-  else jobs
-
 let pa_check_cmd =
   let run variant tmin tmax n reduce json jobs bsecs bmb no_degrade req =
-    let domains = resolve_jobs jobs in
+    let domains = Cli_resilience.resolve_jobs jobs in
     let params = Cli_resilience.params ~n ~tmin ~tmax () in
     let budget = Cli_resilience.budget bsecs bmb in
     let verdict =
@@ -372,12 +348,13 @@ let pa_check_cmd =
     match verdict with
     | Mc.Safety.Holds ->
         if json then
-          print_json "\"verdict\":\"holds\"" (stats_json ~reduce variant params)
+          print_json "\"verdict\":\"holds\""
+            (Cli_resilience.pa_stats_json ~reduce variant params)
         else print_text "HOLDS"
     | Mc.Safety.Violated _ ->
         if json then
           print_json "\"verdict\":\"violated\""
-            (stats_json ~reduce variant params)
+            (Cli_resilience.pa_stats_json ~reduce variant params)
         else print_text "VIOLATED";
         exit Cli_resilience.exit_violation
     | Mc.Safety.Unknown st ->

@@ -93,7 +93,7 @@ let monitors variant (p : Params.t) req :
       ]
 
 let check_verdict ?(max_states = default_max) ?(domains = 1)
-    ?(reduce = false) ?store ?budget ?degrade variant params req =
+    ?(reduce = false) ?budget ?degrade variant params req =
   let spec = Pa_models.build variant params in
   let sys = Proc.Semantics.system spec in
   (* reduction composes with domains > 1 through the parallel-safe
@@ -110,15 +110,15 @@ let check_verdict ?(max_states = default_max) ?(domains = 1)
         in
         match
           Mc.Safety.check_monitor ~max_states ~domains ?reduction
-            ~parallel_reduction:par ?store ?budget ?degrade sys monitor
+            ~parallel_reduction:par ?budget ?degrade sys monitor
         with
         | Mc.Safety.Holds -> go rest
         | v -> v)
   in
   go (monitors variant params req)
 
-let check ?max_states ?domains ?reduce ?store variant params req =
-  match check_verdict ?max_states ?domains ?reduce ?store variant params req with
+let check ?max_states ?domains ?reduce variant params req =
+  match check_verdict ?max_states ?domains ?reduce variant params req with
   | Mc.Safety.Holds -> true
   | Mc.Safety.Violated _ -> false
   | Mc.Safety.Unknown n ->
@@ -131,23 +131,6 @@ let check ?max_states ?domains ?reduce ?store variant params req =
         Mc.Explore.pp_exhaustion e
         (Pa_models.variant_name variant)
         (Requirements.name req)
-
-let state_count ?(max_states = default_max) ?(domains = 1) ?(reduce = false)
-    ?store variant params =
-  let spec = Pa_models.build variant params in
-  let parallel = domains > 1 || store <> None in
-  let count, complete =
-    let sys =
-      if reduce then
-        Por.reduced_system ~par:(domains > 1) (Por.analyze_cached spec)
-      else Proc.Semantics.system spec
-    in
-    if parallel then
-      Mc.Pexplore.count ~max_states ~domains ?store sys
-    else Mc.Explore.count ~max_states sys
-  in
-  if not complete then failwith "Pa_verify.state_count: state bound exceeded";
-  count
 
 type explore_stats = { states : int; transitions : int; complete : bool }
 
@@ -177,17 +160,16 @@ let live_parts ~reduce ~domains variant params =
   in
   (sys, reduction)
 
-let check_live ?(engine = Ltl.Check.Ndfs) ?(max_states = default_max)
-    ?(reduce = false) ?(domains = 1) ?store ?budget variant params req =
+let check_live ?(engine = Ltl.Check.Ndfs) ?(reduce = false) ?(domains = 1)
+    variant params req =
   let sys, reduction = live_parts ~reduce ~domains variant params in
   Ltl.Check.check ~engine ~fairness:Requirements.live_fairness_pa ?reduction
-    ~max_states ~domains ?store ?budget sys
+    ~max_states:default_max ~domains sys
     (Requirements.live_formula_pa variant params req)
 
-let check_live_run ?(engine = Ltl.Check.Ndfs) ?(max_states = default_max)
-    ?(reduce = false) ?(domains = 1) ?store ?budget ?checkpoint ?resume variant
-    params req =
+let check_live_run ?(engine = Ltl.Check.Ndfs) ?(reduce = false) ?(domains = 1)
+    ?budget ?checkpoint ?resume variant params req =
   let sys, reduction = live_parts ~reduce ~domains variant params in
   Ltl.Check.check_run ~engine ~fairness:Requirements.live_fairness_pa
-    ?reduction ~max_states ~domains ?store ?budget ?checkpoint ?resume sys
+    ?reduction ~max_states:default_max ~domains ?budget ?checkpoint ?resume sys
     (Requirements.live_formula_pa variant params req)

@@ -15,7 +15,6 @@ val check_verdict :
   ?max_states:int ->
   ?domains:int ->
   ?reduce:bool ->
-  ?store:Mc.Store.mode ->
   ?budget:Mc.Budget.t ->
   ?degrade:bool ->
   Pa_models.variant ->
@@ -25,15 +24,14 @@ val check_verdict :
 (** Like {!check} but as a full {!Mc.Safety.verdict}: the first
     non-[Holds] verdict among the requirement's monitors is returned
     (monitors are checked in participant order).  A [budget] trip
-    surfaces as [Exhausted] instead of raising; [degrade] (default
-    [true]) lets memory trips walk the store down the compression
-    ladder in place (see {!Mc.Safety.check_monitor}). *)
+    surfaces as [Exhausted] instead of raising; at [domains > 1],
+    [degrade] (default [true]) lets memory trips walk the store down
+    the compression ladder in place (see {!Mc.Safety.check_monitor}). *)
 
 val check :
   ?max_states:int ->
   ?domains:int ->
   ?reduce:bool ->
-  ?store:Mc.Store.mode ->
   Pa_models.variant ->
   Params.t ->
   Requirements.requirement ->
@@ -46,25 +44,8 @@ val check :
     unchanged, counterexample traces may schedule independent actions
     differently.  [reduce] composes with [domains > 1]: the reduced
     systems are then built with the parallel-safe proviso
-    ([Por.reduced_system ~par:true]) and explored in parallel.  [store]
-    is forwarded to the engine ({!Mc.Safety}); a [true] result under a
-    compressed store is probabilistic in the usual under-approximating
-    sense.
+    ([Por.reduced_system ~par:true]) and explored in parallel.
     @raise Failure if the state bound (default 4 million) is exceeded. *)
-
-val state_count :
-  ?max_states:int ->
-  ?domains:int ->
-  ?reduce:bool ->
-  ?store:Mc.Store.mode ->
-  Pa_models.variant ->
-  Params.t ->
-  int
-(** Size of the reachable state space (for tests and benchmarks); with
-    [reduce], of the reduced sub-structure (parallel-proviso-reduced
-    when [domains > 1], so the count may differ slightly from the
-    sequential reduced count between runs — full counts are unaffected).
-    A compressed [store] under-counts on fingerprint collision. *)
 
 type explore_stats = { states : int; transitions : int; complete : bool }
 
@@ -82,11 +63,8 @@ val explore :
 
 val check_live :
   ?engine:Ltl.Check.engine ->
-  ?max_states:int ->
   ?reduce:bool ->
   ?domains:int ->
-  ?store:Mc.Store.mode ->
-  ?budget:Mc.Budget.t ->
   Pa_models.variant ->
   Params.t ->
   Requirements.requirement ->
@@ -96,15 +74,13 @@ val check_live :
     ({!Requirements.live_fairness_pa}).  With [reduce] the check offers
     {!Ltl.Check.check} the partial-order reduction (parallel-safe when
     [domains > 1]); the formulas pass the stutter-invariance gate, so
-    it is actually applied.  [domains] and [store] take effect with
-    the {!Ltl.Check.Scc} engine (see {!Ltl.Check.check}). *)
+    it is actually applied.  [domains] takes effect with the
+    {!Ltl.Check.Scc} engine (see {!Ltl.Check.check}). *)
 
 val check_live_run :
   ?engine:Ltl.Check.engine ->
-  ?max_states:int ->
   ?reduce:bool ->
   ?domains:int ->
-  ?store:Mc.Store.mode ->
   ?budget:Mc.Budget.t ->
   ?checkpoint:
     (int

@@ -18,35 +18,28 @@ type outcome = {
 
 val check :
   ?fixed:bool ->
-  ?max_states:int ->
-  ?domains:int ->
   ?slice:bool ->
-  ?store:Mc.Store.mode ->
   ?budget:Mc.Budget.t ->
-  ?degrade:bool ->
   ?zone:bool ->
   ?lu:Zone.Sym.lu ->
   Ta_models.variant ->
   Params.t ->
   Requirements.requirement ->
   outcome
-(** Model-check one requirement.  [domains] (default 1) selects the
-    sequential or the parallel exploration engine ({!Mc.Pexplore}); the
-    verdict and counterexample length are identical either way.
-    [store] is forwarded to {!Mc.Safety}: a
-    compressed store makes [holds = true] probabilistic (omitted states
-    are never explored), while violations found are always real.
+(** Model-check one requirement with the sequential exact-store
+    explorer ({!Mc.Explore.find}).
     [slice] (default false) first slices the model against the
     requirement's property seed ({!Requirements.slice_seed}, the
-    [slice] library): irrelevant variables and clocks are projected
-    out, constants folded, and per-location inactive clocks zeroed.
+    [slice] library) and explores the sliced system instead:
+    irrelevant variables and clocks are projected out, constants
+    folded, and per-location inactive clocks zeroed.
     The verdict is unchanged (the slice is an exact label-preserving
     projection) and the counterexample trace replays in the full model
     ({!Slice.replay}).
     [budget] bounds the run by wall clock / live heap; a trip is
-    reported in [outcome.exhausted] rather than raising, and with
-    [degrade] (default [true]) memory trips first walk the store down
-    the compression ladder (see {!Mc.Safety.check_monitor}).
+    reported in [outcome.exhausted] rather than raising.  The
+    sequential engine cannot degrade its store, so a memory trip
+    exhausts.
     [zone] (default false) checks the {e dense-time} semantics instead,
     through the symbolic zone engine ({!Zone.Reach} over {!Zone.Sym}):
     states are location/variable vectors paired with canonical DBMs,
@@ -58,19 +51,15 @@ val check :
     extrapolation mode; {!Zone.Sym.Location} uses the per-location
     bound tables from the [lubounds] backward fixpoint — same
     verdicts, never more stored zones.
-    @raise Invalid_argument if [zone] is combined with [slice],
-    [domains > 1] or [store] (the zone engine is sequential with an
-    exact store), or if [lu] is [Location] without [zone].
+    @raise Invalid_argument if [zone] is combined with [slice], or if
+    [lu] is [Location] without [zone].
     @raise Failure if the state bound is exceeded (no verdict). *)
 
 val check_live :
   ?fixed:bool ->
   ?engine:Ltl.Check.engine ->
-  ?max_states:int ->
   ?slice:bool ->
   ?domains:int ->
-  ?store:Mc.Store.mode ->
-  ?budget:Mc.Budget.t ->
   Ta_models.variant ->
   Params.t ->
   Requirements.requirement ->
@@ -78,17 +67,19 @@ val check_live :
 (** Model-check the liveness formulation of a requirement
     ({!Requirements.live_formula}) under time divergence
     ({!Requirements.live_fairness}).  The watchdog automata are never
-    included: R1-live is a pure LTL property.  A refutation carries a
-    lasso (render it with {!Msc.render_lasso}); [Unknown] is returned
-    when the product state bound is hit. *)
+    included: R1-live is a pure LTL property.  [slice] checks the
+    property-free slice of the model (label-preserving, so the verdict
+    is unchanged).  [domains] builds the {!Ltl.Check.Scc} engine's
+    product graph in parallel (same verdict and lasso).  A refutation
+    carries a lasso (render it with
+    {!Msc.render_lasso}); [Unknown] is returned when the product state
+    bound is hit. *)
 
 val check_live_run :
   ?fixed:bool ->
   ?engine:Ltl.Check.engine ->
-  ?max_states:int ->
   ?slice:bool ->
   ?domains:int ->
-  ?store:Mc.Store.mode ->
   ?budget:Mc.Budget.t ->
   ?checkpoint:
     (int
@@ -114,25 +105,16 @@ type row = {
   r3 : bool;
 }
 
-val table :
-  ?fixed:bool ->
-  ?n:int ->
-  ?datasets:(int * int) list ->
-  ?domains:int ->
-  ?slice:bool ->
-  ?store:Mc.Store.mode ->
-  Ta_models.variant ->
-  row list
-(** One verification row per data set (default: the paper's
-    {!Params.table_datasets}), i.e. Table 1 for the binary family and
+val table : ?fixed:bool -> ?n:int -> Ta_models.variant -> row list
+(** One verification row per data set of the paper
+    ({!Params.table_datasets}), i.e. Table 1 for the binary family and
     static, Table 2 for expanding/dynamic. *)
 
 val pp_table :
   Format.formatter -> header:string -> row list -> unit
 (** Render rows in the layout of the paper's tables ([T]/[F] entries). *)
 
-val worst_detection :
-  ?fixed:bool -> ?max_states:int -> ?domains:int -> Ta_models.variant -> Params.t -> int
+val worst_detection : ?fixed:bool -> Ta_models.variant -> Params.t -> int
 (** The exact worst-case time between the last heartbeat received by
     p\[0\] and p\[0\]'s inactivation, measured {e on the model}: the
     smallest watchdog bound [B] such that the R1 property with bound [B]
@@ -143,7 +125,6 @@ val worst_detection :
 
 val deadlocks :
   ?fixed:bool ->
-  ?max_states:int ->
   ?domains:int ->
   ?store:Mc.Store.mode ->
   ?budget:Mc.Budget.t ->
@@ -152,19 +133,11 @@ val deadlocks :
   Params.t ->
   Ta.Semantics.label Mc.Safety.verdict
 (** Deadlock search as a full verdict: {!Mc.Safety.Holds} means no
-    configuration without successors, [Violated] carries a shortest
-    trace to one, and a [budget] trip yields [Exhausted] instead of
-    raising. *)
-
-val deadlock_free :
-  ?fixed:bool ->
-  ?max_states:int ->
-  ?domains:int ->
-  ?store:Mc.Store.mode ->
-  Ta_models.variant ->
-  Params.t ->
-  bool
-(** Sanity check used by the test suite: the model has no configuration
-    without successors (would indicate a modelling artefact such as a
-    blocked urgent location).
-    @raise Failure on a hit state bound or tripped budget. *)
+    configuration without successors (one would indicate a modelling
+    artefact such as a blocked urgent location), [Violated] carries a
+    shortest trace to one, and a [budget] trip yields [Exhausted]
+    instead of raising.  One domain with the exact [store] (the
+    defaults) runs the sequential engine; more [domains] or a
+    compressed [store] run {!Mc.Pexplore}, where [degrade] (default
+    [true]) lets a memory trip walk the store down the compression
+    ladder.  Under a compressed store [Holds] is probabilistic. *)

@@ -328,20 +328,19 @@ let bfs_cycle g comp c a =
    connected component containing an accepting state, then extract the
    shortest lasso into it by breadth-first search — deterministic, and
    minimal in prefix length. *)
-let scc_emptiness (type p m) ?(domains = 1) ?(store = Mc.Store.Exact) ?budget
-    ?checkpoint ?resume (sys : (p, m) Mc.System.t) ~(accepting : p -> bool)
-    ~max_states =
+let scc_emptiness (type p m) ?(domains = 1) ?budget ?checkpoint ?resume
+    (sys : (p, m) Mc.System.t) ~(accepting : p -> bool) ~max_states =
   let run =
     (* the parallel engine reproduces Explore.space byte-for-byte, so
        the graph (and hence the lasso) is unchanged *)
-    if domains <= 1 && store = Mc.Store.Exact then
+    if domains <= 1 then
       Mc.Explore.space_run ~max_states ?budget ?checkpoint ?resume sys
     else
       (* degradation is off because a compressed product space cannot
          carry the lasso extraction (state identities degrade away) *)
       fst
-        (Mc.Pexplore.space_run ~max_states ~domains ~store ?budget
-           ~degrade:false ?resume sys)
+        (Mc.Pexplore.space_run ~max_states ~domains ?budget ~degrade:false
+           ?resume sys)
   in
   match run with
   | Mc.Explore.Suspended (reason, cursor) -> SSusp (reason, cursor)
@@ -368,13 +367,9 @@ let scc_emptiness (type p m) ?(domains = 1) ?(store = Mc.Store.Exact) ?budget
 (* Top level                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let check_run ?(engine = Ndfs) ?(stutter = Extend) ?(fairness = []) ?slice
-    ?reduction ?(max_states = Mc.Explore.default_max) ?domains ?store ?budget
+let check_run ?(engine = Ndfs) ?(stutter = Extend) ?(fairness = [])
+    ?reduction ?(max_states = Mc.Explore.default_max) ?domains ?budget
     ?checkpoint ?resume sys f =
-  (* a slice replaces the base system before the reduction callback is
-     consulted: the reduction, when also given, was built over the
-     sliced model upstream *)
-  let sys = Option.value slice ~default:sys in
   (match engine with
   | Scc -> ()
   | Ndfs ->
@@ -409,8 +404,8 @@ let check_run ?(engine = Ndfs) ?(stutter = Extend) ?(fairness = []) ?slice
     match engine with
     | Ndfs -> ndfs_emptiness ?budget psys ~accepting ~max_states
     | Scc ->
-        scc_emptiness ?domains ?store ?budget ?checkpoint ?resume psys
-          ~accepting ~max_states
+        scc_emptiness ?domains ?budget ?checkpoint ?resume psys ~accepting
+          ~max_states
   in
   match result with
   | SEmpty -> Concluded Holds
@@ -427,25 +422,22 @@ let check_run ?(engine = Ndfs) ?(stutter = Extend) ?(fairness = []) ?slice
            })
   | SSusp (reason, cursor) -> Suspended (reason, cursor)
 
-let check ?engine ?stutter ?fairness ?slice ?reduction ?max_states ?domains
-    ?store ?budget sys f =
+let check ?engine ?stutter ?fairness ?reduction ?max_states ?domains ?budget
+    sys f =
   match
-    check_run ?engine ?stutter ?fairness ?slice ?reduction ?max_states
-      ?domains ?store ?budget sys f
+    check_run ?engine ?stutter ?fairness ?reduction ?max_states ?domains
+      ?budget sys f
   with
   | Concluded v -> v
   | Suspended (reason, cursor) ->
       (* no checkpoint sink was given, so fold the suspension into the
          qualified verdict *)
       let n = Mc.Explore.cursor_states cursor in
-      let mode =
-        match store with Some m -> m | None -> Mc.Store.exact
-      in
       Exhausted
         {
           Mc.Explore.reason;
           states_so_far = n;
-          coverage = Mc.Store.coverage_of ~mode ~stored:n;
+          coverage = Mc.Store.coverage_of ~mode:Mc.Store.exact ~stored:n;
         }
 
 let holds = function

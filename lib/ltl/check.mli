@@ -88,11 +88,9 @@ val check :
   ?engine:engine ->
   ?stutter:stutter_policy ->
   ?fairness:'l fairness list ->
-  ?slice:('s, 'l) Mc.System.t ->
   ?reduction:(alphabet:string list -> ('s, 'l) Mc.System.t option) ->
   ?max_states:int ->
   ?domains:int ->
-  ?store:Mc.Store.mode ->
   ?budget:Mc.Budget.t ->
   ('s, 'l) Mc.System.t ->
   'l Formula.t ->
@@ -101,12 +99,9 @@ val check :
     [max_states = Mc.Explore.default_max] (bounding the number of distinct
     product states explored).
 
-    [slice] (default none) is a property-preserving reduced system
-    explored in place of [sys]; the caller guarantees it is an exact
-    label-preserving projection for this formula's alphabet (see the
-    [slice] library).  It replaces the base system {e before} the
-    [reduction] callback is consulted, so the two compose: pass a
-    reduction built over the sliced model.
+    A property-preserving slice (see the [slice] library) is passed as
+    [sys] itself; a [reduction] composed with it is built over the
+    sliced model.
 
     [reduction] (default none) offers a partial-order-reduced
     replacement for [sys] — typically [Por.reduction] partially
@@ -120,17 +115,14 @@ val check :
     independent actions in a different order than an unreduced search
     would report.
 
-    [domains] and [store] affect the {!Scc} engine only: its product
-    graph is then built with {!Mc.Pexplore} (byte-identical to the
-    sequential graph under the exact store), so verdicts and lassos are
-    unchanged at any domain count.
+    [domains] affects the {!Scc} engine only: at more than one domain
+    its product graph is built with {!Mc.Pexplore} (byte-identical to
+    the sequential graph; the store is always exact), so verdicts and
+    lassos are unchanged at any domain count.
     Combining [domains > 1] with [reduction] requires a parallel-safe
     reduction ([Por.reduction ~par:true]).  {!Ndfs} is inherently
     sequential (its stack colouring has no parallel analogue here) and
-    ignores both.  A {!Store.Bitstate} store is rejected by the
-    {!Scc} engine (no state graph); {!Store.Hash_compaction} makes a
-    [Holds] verdict probabilistic in the usual under-approximating
-    sense.
+    ignores it.
 
     [budget] bounds the check by wall clock / live heap / cancellation
     ({!Mc.Budget}); a trip yields {!Exhausted} with the product-state
@@ -141,11 +133,9 @@ val check_run :
   ?engine:engine ->
   ?stutter:stutter_policy ->
   ?fairness:'l fairness list ->
-  ?slice:('s, 'l) Mc.System.t ->
   ?reduction:(alphabet:string list -> ('s, 'l) Mc.System.t option) ->
   ?max_states:int ->
   ?domains:int ->
-  ?store:Mc.Store.mode ->
   ?budget:Mc.Budget.t ->
   ?checkpoint:(int * (('s, 'l) product_cursor -> unit)) ->
   ?resume:('s, 'l) product_cursor ->
@@ -157,7 +147,7 @@ val check_run :
     suspends into a {!product_cursor} instead of concluding; [resume]
     continues from one.  [checkpoint = (every, f)] additionally calls
     [f] with a consistent snapshot every [every] expanded product
-    states on the {e sequential} Scc path (exact store, one domain) —
+    states on the {e sequential} Scc path (one domain) —
     the parallel path checkpoints only at suspension.  Sequential
     resumed runs are byte-identical to uninterrupted ones (same graph,
     same lasso); parallel ones are verdict-identical.

@@ -36,7 +36,6 @@
 
 module E = Ta.Expr
 module M = Ta.Model
-module S = Ta.Semantics
 module I = Lint_interval
 module SMap = Map.Make (String)
 
@@ -397,33 +396,6 @@ let pinned t = t.t_pinned
 let diverging t = t.t_diverging
 let iterations t = t.t_iters
 let clocks t = t.t_clocks
-
-(* --- index-table conversion for the engines -------------------------- *)
-
-(* Per (automaton, location-index, clock-index): the largest constant
-   the clock can still meet from there, max(L, U), -1 when never
-   compared.  Indices follow Ta.Semantics' layout, so the table feeds
-   Ta.Semantics.with_loc_caps directly. *)
-let caps_for (net : S.t) (m : M.t) t : int array array array =
-  Array.of_list
-    (List.mapi
-       (fun ia (a : M.automaton) ->
-         let arr = Array.make (List.length a.M.locations) [||] in
-         List.iter
-           (fun (l : M.location) ->
-             let li = S.loc_index net ~auto:ia l.M.loc_name in
-             arr.(li) <-
-               Array.of_list
-                 (List.map
-                    (fun clock ->
-                      let lo, up =
-                        bounds t ~auto:a.M.auto_name ~loc:l.M.loc_name ~clock
-                      in
-                      max lo up)
-                    t.t_clocks))
-           a.M.locations;
-         arr)
-       m.M.automata)
 
 (* --- lint section ---------------------------------------------------- *)
 

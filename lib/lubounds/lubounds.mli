@@ -14,8 +14,7 @@
     product: each component of a macro edge contributes at its own
     source location, and the sound per-state bound is the maximum of
     the per-component bounds over the current location vector
-    ({!Zone.Sym} composes it that way at extrapolation time, the
-    discrete engine via {!Ta.Semantics.with_loc_caps}).
+    ({!Zone.Sym} composes it that way at extrapolation time).
 
     Degenerate cases: a clock in a constraint outside the
     diagonal-free conjunctive fragment is conservatively pinned to its
@@ -61,13 +60,6 @@ val iterations : t -> int
 
 val clocks : t -> string list
 (** Clock names in declaration order. *)
-
-val caps_for : Ta.Semantics.t -> Ta.Model.t -> t -> int array array array
-(** Per (automaton index, location index, clock index): the largest
-    constant the clock can still meet from that location,
-    [max L U], [-1] when never compared — indexed to feed
-    {!Ta.Semantics.with_loc_caps} directly.  [net] must be the
-    compilation of [m]. *)
 
 val diagnostics : Ta.Model.t -> Lint_report.diag list
 (** The TA-LU lint section: info lines with the per-location bound

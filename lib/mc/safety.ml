@@ -25,25 +25,13 @@ let product (type s l) (sys : (s, l) System.t) (m : l Monitor.t) :
     let pp_label = S.pp_label
   end)
 
-(* Route goal searches through the sequential or the parallel engine: a
-   non-exact store forces Pexplore even on one domain (the sequential
-   engine has no store support). *)
-let run_find ?max_states ?expected_states ?(domains = 1)
-    ?(store = Store.Exact) ?budget ?degrade ~goal sys =
-  if domains <= 1 && store = Store.Exact then
+let run_find ?max_states ?expected_states ?(domains = 1) ?budget ?degrade
+    ~goal sys =
+  if domains <= 1 then
     Explore.find ?max_states ?expected_states ?budget ~goal sys
   else
-    Pexplore.find ?max_states ?expected_states ~domains ~store ?budget
-      ?degrade ~goal sys
-
-(* A reduced replacement system built with the sequential proviso forces
-   the sequential engine: its seen-set needs a deterministic call order.
-   When the caller vouches the reduction uses the parallel-safe proviso
-   ([Por.reduced_system ~par:true]), the requested domain count stands. *)
-let apply_reduction reduction ~parallel_reduction domains sys =
-  match reduction with
-  | None -> (sys, domains)
-  | Some reduced -> (reduced, if parallel_reduction then domains else Some 1)
+    Pexplore.find ?max_states ?expected_states ~domains ?budget ?degrade ~goal
+      sys
 
 let of_find_verdict = function
   | Explore.Unreachable -> Holds
@@ -51,33 +39,29 @@ let of_find_verdict = function
   | Explore.Bound_hit n -> Unknown n
   | Explore.Exhausted e -> Exhausted e
 
-let check_monitor (type s l) ?max_states ?expected_states ?domains ?slice
-    ?reduction ?(parallel_reduction = false) ?store ?budget ?degrade
-    (sys : (s, l) System.t) (m : l Monitor.t) : l verdict =
-  (* A slice replaces the base system before the reduction is consulted:
-     a reduction, when also given, was built over the sliced model
-     upstream and wins. *)
-  let sys = Option.value slice ~default:sys in
-  let sys, domains = apply_reduction reduction ~parallel_reduction domains sys in
-  let prod = product sys m in
+(* A reduced replacement system built with the sequential proviso forces
+   the sequential engine: its seen-set needs a deterministic call order.
+   When the caller vouches the reduction uses the parallel-safe proviso
+   ([Por.reduced_system ~par:true]), the requested domain count stands. *)
+let check_monitor (type s l) ?max_states ?expected_states ?domains ?reduction
+    ?(parallel_reduction = false) ?budget ?degrade (sys : (s, l) System.t)
+    (m : l Monitor.t) : l verdict =
+  let sys, domains =
+    match reduction with
+    | None -> (sys, domains)
+    | Some reduced -> (reduced, if parallel_reduction then domains else Some 1)
+  in
   of_find_verdict
-    (run_find ?max_states ?expected_states ?domains ?store ?budget ?degrade
+    (run_find ?max_states ?expected_states ?domains ?budget ?degrade
        ~goal:(fun (_, q) -> m.Monitor.accepting q)
-       prod)
+       (product sys m))
 
-let check_forbidden ?max_states ?expected_states ?domains ?slice ?reduction
-    ?parallel_reduction ?store ?budget ?degrade sys r =
-  check_monitor ?max_states ?expected_states ?domains ?slice ?reduction
-    ?parallel_reduction ?store ?budget ?degrade sys (Regex.compile r)
+let check_forbidden ?max_states sys r =
+  check_monitor ?max_states sys (Regex.compile r)
 
-let check_state (type s l) ?max_states ?expected_states ?domains ?slice
-    ?reduction ?(parallel_reduction = false) ?store ?budget ?degrade
-    (sys : (s, l) System.t) bad : l verdict =
-  let sys = Option.value slice ~default:sys in
-  let sys, domains = apply_reduction reduction ~parallel_reduction domains sys in
+let check_state ?max_states ?expected_states ?domains ?budget sys bad =
   of_find_verdict
-    (run_find ?max_states ?expected_states ?domains ?store ?budget ?degrade
-       ~goal:bad sys)
+    (run_find ?max_states ?expected_states ?domains ?budget ~goal:bad sys)
 
 let holds = function
   | Holds -> true

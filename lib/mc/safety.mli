@@ -21,10 +21,8 @@ val check_monitor :
   ?max_states:int ->
   ?expected_states:int ->
   ?domains:int ->
-  ?slice:('s, 'l) System.t ->
   ?reduction:('s, 'l) System.t ->
   ?parallel_reduction:bool ->
-  ?store:Store.mode ->
   ?budget:Budget.t ->
   ?degrade:bool ->
   ('s, 'l) System.t ->
@@ -37,18 +35,8 @@ val check_monitor :
     and counterexample lengths are identical either way.  [expected_states]
     is forwarded to the engine, where it may only lower the state
     index's starting size (see {!Explore.count}); it never affects
-    verdicts.
-
-    [store] (default {!Store.Exact}) selects the state-storage mode; any
-    non-exact store routes through {!Pexplore} even on one domain.  A
-    {!Holds} verdict obtained under {!Store.Hash_compaction} or
-    {!Store.Bitstate} is {e probabilistic}: fingerprint-colliding states
-    are conflated and never expanded, so a violation reachable only
-    through an omitted state is missed — "no violation" then means "no
-    violation in the covered fraction of the space" (the omission
-    estimate is {!Store.coverage}; surface it via
-    {!Pexplore.count_stats}).  A [Violated] verdict is always real: its
-    trace replays on the uncompressed system.
+    verdicts.  The store is always exact; callers that choose a
+    compressed store go to {!Pexplore} directly.
 
     [budget] bounds the search by wall clock and/or live heap; a trip
     yields the qualified {!Exhausted} verdict instead of running to
@@ -57,15 +45,8 @@ val check_monitor :
     walks the store down the compression ladder
     ([Exact -> Hash_compaction -> Bitstate]) and only exhausts once at
     the bottom — the run then completes with a probabilistic verdict
-    instead of dying.
-
-    [slice], when given, is a property-preserving reduced model explored
-    {e in place of} [sys] (the caller guarantees it is an exact
-    label-preserving projection for this monitor — see the [slice]
-    library).  It replaces the base system {e before} [reduction] is
-    consulted: pass a [reduction] built over the sliced model to
-    compose the two.  Unlike [reduction], a slice is an ordinary
-    stateless system, so it composes with any [domains] and [store].
+    instead of dying.  The sequential engine cannot degrade: on one
+    domain a memory trip exhausts.
 
     [reduction], when given, is explored {e in place of} [sys].  The
     caller guarantees it is a sound reduction of [sys] for this
@@ -80,40 +61,30 @@ val check_monitor :
     [~parallel_reduction:true] {e only} when the reduction was built
     with the parallel-safe proviso ([Por.reduced_system ~par:true] /
     [Por.reduction ~par:true]); the requested [domains] then stands and
-    the reduced product is explored in parallel. *)
+    the reduced product is explored in parallel.
+
+    A property-preserving slice (see the [slice] library) is passed as
+    [sys] itself: it is an ordinary system. *)
 
 val check_forbidden :
-  ?max_states:int ->
-  ?expected_states:int ->
-  ?domains:int ->
-  ?slice:('s, 'l) System.t ->
-  ?reduction:('s, 'l) System.t ->
-  ?parallel_reduction:bool ->
-  ?store:Store.mode ->
-  ?budget:Budget.t ->
-  ?degrade:bool ->
-  ('s, 'l) System.t ->
-  'l Regex.t ->
-  'l verdict
+  ?max_states:int -> ('s, 'l) System.t -> 'l Regex.t -> 'l verdict
 (** [check_forbidden sys r] decides the µ-calculus safety formula
-    [\[r\]false]: [Violated w] means the trace [w] matches [r]. *)
+    [\[r\]false]: [Violated w] means the trace [w] matches [r].
+    Sequential, exact store. *)
 
 val check_state :
   ?max_states:int ->
   ?expected_states:int ->
   ?domains:int ->
-  ?slice:('s, 'l) System.t ->
-  ?reduction:('s, 'l) System.t ->
-  ?parallel_reduction:bool ->
-  ?store:Store.mode ->
   ?budget:Budget.t ->
-  ?degrade:bool ->
   ('s, 'l) System.t ->
   ('s -> bool) ->
   'l verdict
 (** [check_state sys bad] decides the (negated) reachability property
     [E<> bad]: [Violated w] means [w] leads to a state satisfying [bad].
-    This is the UPPAAL-style check used for the timed-automata models. *)
+    This is the UPPAAL-style check used for the timed-automata models.
+    [domains] and [budget] as for {!check_monitor}; a memory trip on
+    the parallel engine degrades the store by default. *)
 
 val holds : 'l verdict -> bool
 (** [holds v] is [true] only for {!Holds}. *)

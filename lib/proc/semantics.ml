@@ -386,12 +386,8 @@ let system_of (c : compiled) : (state, label) Mc.System.t =
 
 let system (spec : Spec.t) : (state, label) Mc.System.t = system_of (compile spec)
 
-let lts ?max_states ?(domains = 1) spec =
-  let sys = system spec in
-  let space =
-    if domains <= 1 then Mc.Explore.space ?max_states sys
-    else Mc.Pexplore.space ?max_states ~domains sys
-  in
+let lts spec =
+  let space = Mc.Explore.space (system spec) in
   if not space.Mc.Explore.complete then
     failwith "Proc.Semantics.lts: state bound exceeded";
   space.Mc.Explore.lts

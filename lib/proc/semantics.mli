@@ -127,8 +127,7 @@ val hash_state : state -> int
 (** Combines the components' cached keys: a pure function of the
     state's data, stable across [Marshal] round trips and processes. *)
 
-val lts : ?max_states:int -> ?domains:int -> Spec.t -> label Lts.Graph.t
-(** Convenience: the reachable labelled transition system of the spec.
-    [domains] (default 1) selects the sequential ({!Mc.Explore}) or
-    parallel ({!Mc.Pexplore}) engine; the graph is identical either way.
-    @raise Failure if [max_states] is exceeded. *)
+val lts : Spec.t -> label Lts.Graph.t
+(** Convenience: the reachable labelled transition system of the spec,
+    built by {!Mc.Explore.space}.
+    @raise Failure if {!Mc.Explore.default_max} states are exceeded. *)

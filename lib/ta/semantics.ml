@@ -39,11 +39,6 @@ type t = {
   env : env;
   chans : Model.chan_decl array;
   init_config : config;
-  loc_bounds : int array array array option;
-      (* per (automaton, location, clock): the largest constant the
-         clock can still meet from there, -1 = never compared; the
-         delay step caps each clock at min(declared cap, 1 + max over
-         the current location vector) when present *)
 }
 
 let fail fmt = Format.kasprintf invalid_arg fmt
@@ -290,7 +285,6 @@ let compile (net : Model.t) : t =
       env;
       chans;
       init_config;
-      loc_bounds = None;
     }
   in
   (* Reject models whose initial configuration violates an invariant. *)
@@ -431,27 +425,10 @@ let successors t (c : config) : (label * config) list =
   (* unit delay *)
   if not (urgent_or_committed_present t c) then begin
     let c' = Array.copy c in
-    (match t.loc_bounds with
-    | None ->
-        for k = 0 to t.num_clocks - 1 do
-          let off = t.clock_offset + k in
-          if c'.(off) < t.clock_caps.(k) then c'.(off) <- c'.(off) + 1
-        done
-    | Some tbl ->
-        (* values beyond 1 + the largest constant still meetable from
-           the current location vector are indistinguishable: clamp
-           there instead of at the declared cap (possibly downward,
-           when a move shrank the bound since the last delay) *)
-        for k = 0 to t.num_clocks - 1 do
-          let b = ref (-1) in
-          for i = 0 to n - 1 do
-            let v = tbl.(i).(c.(i)).(k) in
-            if v > !b then b := v
-          done;
-          let cap = min t.clock_caps.(k) (!b + 1) in
-          let off = t.clock_offset + k in
-          c'.(off) <- min (c'.(off) + 1) cap
-        done);
+    for k = 0 to t.num_clocks - 1 do
+      let off = t.clock_offset + k in
+      if c'.(off) < t.clock_caps.(k) then c'.(off) <- c'.(off) + 1
+    done;
     if invariants_ok t c' then acc := (Delay, c') :: !acc
   end;
   List.rev !acc
@@ -498,34 +475,6 @@ let clock_offset t = t.clock_offset
 let clock_caps t = t.clock_caps
 let lookup_var t name = t.env.lookup_var name
 let lookup_clock t name = t.env.lookup_clock name
-
-(* Per-location clock capping: delay saturates each clock at
-   min(declared cap, 1 + the largest constant it can still meet from
-   the current location vector).  Sound for location/variable
-   observations because the location bounds are backward-closed (every
-   comparison, invariant and read reachable before the next reset is
-   below the bound) and reads pin the bound to the declared cap, so
-   all values at or above the effective cap are bisimilar.  Clock
-   observations in caller predicates see the capped values — callers
-   that read clocks directly must stay on the declared-cap semantics. *)
-let with_loc_caps t (table : int array array array) =
-  if Array.length table <> Array.length t.autos then
-    fail "with_loc_caps: expected %d automata tables, got %d"
-      (Array.length t.autos) (Array.length table);
-  Array.iteri
-    (fun i (a : compiled_auto) ->
-      if Array.length table.(i) <> Array.length a.a_locs then
-        fail "with_loc_caps: %s has %d locations, table has %d" a.a_name
-          (Array.length a.a_locs)
-          (Array.length table.(i));
-      Array.iter
-        (fun row ->
-          if Array.length row <> t.num_clocks then
-            fail "with_loc_caps: clock row length %d, expected %d"
-              (Array.length row) t.num_clocks)
-        table.(i))
-    t.autos;
-  { t with loc_bounds = Some table }
 
 let loc_index t ~auto name =
   match Hashtbl.find_opt t.loc_indices.(auto) name with

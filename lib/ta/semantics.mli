@@ -87,22 +87,6 @@ val compile_bexpr_fn : t -> Expr.b -> config -> bool
     the clock {e cell} — callers that zero clock cells must only pass
     clock-free expressions. *)
 
-val with_loc_caps : t -> int array array array -> t
-(** [with_loc_caps t table] switches the delay step to per-location
-    clock capping: each clock saturates at [min (declared cap)
-    (1 + max over the current location vector of
-    table.(auto).(location).(clock))], clamping downward when a move
-    shrank the bound ([-1] entries pin the clock at 0).  [table] must
-    give backward-closed location bounds (every constant the clock can
-    still be compared against, every invariant constant, and the
-    declared cap at locations where an update reads it —
-    {!Lubounds.caps_for} produces exactly this), which makes the
-    capped semantics bisimilar to the declared-cap semantics for
-    location and variable observations.  Predicates reading clocks
-    via {!clock} observe the capped values.
-    @raise Invalid_argument when the table shape does not match the
-    network. *)
-
 val canonicalizer :
   t -> inactive:(string * (string * string list) list) list -> config -> config
 (** [canonicalizer t ~inactive] builds a projection that zeroes, for each

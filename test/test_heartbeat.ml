@@ -197,18 +197,16 @@ let test_deadlock_free () =
       List.iter
         (fun (tmin, tmax) ->
           let params = H.Params.make ~tmin ~tmax () in
-          check Alcotest.bool
-            (Printf.sprintf "%s (%d,%d)"
-               (H.Ta_models.variant_name variant)
-               tmin tmax)
-            true
-            (H.Verify.deadlock_free variant params);
-          check Alcotest.bool
-            (Printf.sprintf "%s fixed (%d,%d)"
-               (H.Ta_models.variant_name variant)
-               tmin tmax)
-            true
-            (H.Verify.deadlock_free ~fixed:true variant params))
+          List.iter
+            (fun fixed ->
+              check Alcotest.bool
+                (Printf.sprintf "%s%s (%d,%d)"
+                   (H.Ta_models.variant_name variant)
+                   (if fixed then " fixed" else "")
+                   tmin tmax)
+                true
+                (H.Verify.deadlocks ~fixed variant params = Mc.Safety.Holds))
+            [ false; true ])
         [ (1, 3); (3, 3); (2, 4) ])
     H.Ta_models.all_variants
 
@@ -396,6 +394,26 @@ let test_counterexample_is_executable () =
       let final = List.fold_left step [ Ta.Semantics.initial net ] trace in
       check Alcotest.bool "trace is executable" true (final <> [])
 
+(* --- engine combinations Verify.check rejects --- *)
+
+let test_check_rejects_zone_with_slice () =
+  let params = H.Params.make ~tmin:1 ~tmax:2 () in
+  Alcotest.check_raises "zone and slice"
+    (Invalid_argument "Verify.check: zone and slice engines are exclusive")
+    (fun () ->
+      ignore
+        (H.Verify.check ~zone:true ~slice:true H.Ta_models.Binary params
+           H.Requirements.R2))
+
+let test_check_rejects_location_lu_without_zone () =
+  let params = H.Params.make ~tmin:1 ~tmax:2 () in
+  Alcotest.check_raises "location LU on the discrete engine"
+    (Invalid_argument "Verify.check: --lu location needs the zone engine")
+    (fun () ->
+      ignore
+        (H.Verify.check ~lu:Zone.Sym.Location H.Ta_models.Binary params
+           H.Requirements.R2))
+
 let quick name f = Alcotest.test_case name `Quick f
 let slow name f = Alcotest.test_case name `Slow f
 
@@ -434,6 +452,9 @@ let tests =
       slow "static protocol with two participants" test_static_two_participants;
       quick "component figures" test_figure_lts;
       quick "counterexamples replay" test_counterexample_is_executable;
+      quick "check rejects zone with slice" test_check_rejects_zone_with_slice;
+      quick "check rejects location LU without zone"
+        test_check_rejects_location_lu_without_zone;
     ] )
 
 (* --- MSC rendering --- *)

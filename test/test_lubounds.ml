@@ -279,50 +279,6 @@ let test_fischer_strictly_fewer_zones () =
     (Printf.sprintf "location %d < global %d" l g)
     true (l < g)
 
-(* --- discrete per-location capping ---------------------------------- *)
-
-(* per-location delay capping changes which clock valuations are
-   stored (clamping down on entry to a low-bound location can even
-   create valuations the plain engine never holds), but every
-   location/variable observation is preserved: the bounds are
-   backward-closed, so values above the bound satisfy exactly the same
-   future guards until the next reset.  The verdicts must agree. *)
-let test_discrete_loc_caps_verdicts () =
-  let v = Heartbeat.Ta_models.Binary in
-  let p = Heartbeat.Params.make ~tmin:1 ~tmax:2 ~n:2 () in
-  List.iter
-    (fun r ->
-      let model =
-        Heartbeat.Ta_models.build
-          ~with_r1_monitors:(Heartbeat.Requirements.needs_monitors r)
-          v p
-      in
-      let plain = S.compile model in
-      let lub = Lubounds.analyze model in
-      let capped =
-        S.with_loc_caps (S.compile model) (Lubounds.caps_for plain model lub)
-      in
-      let verdict t =
-        discrete_reaches ~max_states:5_000_000 t
-          (Heartbeat.Requirements.bad_state v p t r)
-      in
-      match (verdict plain, verdict capped) with
-      | Some a, Some b ->
-          if a <> b then
-            Alcotest.failf "%s: plain %b, location-capped %b"
-              (Heartbeat.Requirements.name r)
-              a b
-      | _ ->
-          Alcotest.failf "%s: state bound hit" (Heartbeat.Requirements.name r))
-    Heartbeat.Requirements.all
-
-let test_with_loc_caps_validates () =
-  let _, model = List.hd variant_models in
-  let t = S.compile model in
-  match S.with_loc_caps t [| [| [| 0 |] |] |] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "mis-shaped table must be rejected"
-
 (* --- the qcheck parity harness -------------------------------------- *)
 
 (* one random model, one predicate: discrete = zone-global =
@@ -438,10 +394,6 @@ let tests =
         test_fc_parity_both_modes;
       Alcotest.test_case "fischer strictly fewer zones" `Quick
         test_fischer_strictly_fewer_zones;
-      Alcotest.test_case "discrete per-location caps keep the verdicts"
-        `Quick test_discrete_loc_caps_verdicts;
-      Alcotest.test_case "with_loc_caps validates shape" `Quick
-        test_with_loc_caps_validates;
       QCheck_alcotest.to_alcotest prop_three_way_random;
       Alcotest.test_case "variant parity under location LU: binary" `Quick
         (variant_parity_location Heartbeat.Ta_models.Binary);

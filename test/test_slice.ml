@@ -113,9 +113,8 @@ let prop_ta_safety_parity =
       let sl = Slice.Ta.slice ~seed model in
       let snet = Ta.Semantics.compile sl.Slice.Ta.model in
       let sliced =
-        Mc.Safety.check_state ~max_states
-          ~slice:(Slice.Ta.system sl snet)
-          sys (bad_of snet)
+        Mc.Safety.check_state ~max_states (Slice.Ta.system sl snet)
+          (bad_of snet)
       in
       match (full, sliced) with
       | Mc.Safety.Holds, Mc.Safety.Holds -> true
@@ -159,7 +158,7 @@ let prop_ta_ltl_parity =
       List.for_all
         (fun f ->
           Ltl.Check.holds (Ltl.Check.check ~max_states sys f)
-          = Ltl.Check.holds (Ltl.Check.check ~max_states ~slice:ssys sys f))
+          = Ltl.Check.holds (Ltl.Check.check ~max_states ssys f))
         ta_label_formulas)
 
 (* --- pinned slicer behaviour ----------------------------------------- *)
