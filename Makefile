@@ -144,13 +144,12 @@ slice:
 # Zone-engine gate: the qcheck discrete-vs-zone agreement harness (DBM
 # units, random-network verdict parity, guided replay of zone
 # counterexamples), the location-LU analysis suite (backward-fixpoint
-# units, three-way verdict parity discrete vs global vs location LU,
-# zone-count monotonicity), then the six-variant zone smoke (R1-R3
-# verdict parity discrete vs dense-time in both LU modes, subsumption
-# active, location LU never storing more zones, JSON byte-identical
-# across two runs), the FC-suite LU A/B (verdicts match the specs in
-# both modes, byte-identical JSON), a Fontana-Cleaveland spot check
-# through the .xta front end, and a drift check that the shipped
+# units, every heartbeat clock constraint closed, verdict parity
+# discrete vs location LU), then the six-variant zone smoke (R1-R3
+# verdict parity discrete vs dense-time, subsumption active, JSON
+# byte-identical across two runs), the FC-suite zone counts (verdicts
+# match the specs, byte-identical JSON), a Fontana-Cleaveland spot
+# check through the .xta front end, and a drift check that the shipped
 # examples/fc/*.xta are exactly what the Fc registry prints.
 zone:
 	$(DUNE) exec test/main.exe -- test zone

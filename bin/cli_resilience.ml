@@ -10,7 +10,7 @@ open Cmdliner
      0   clean verdict (holds / deadlock-free / campaign passed)
      1   violation, refutation or deadlock found
      2   usage error the flag parser cannot see: conflicting flags, an
-         unknown name, an unreadable checkpoint
+         unknown name, an unreadable checkpoint, a malformed model file
      3   state bound hit before a verdict (Unknown)
      4   resource budget exhausted or run interrupted; partial results
          were reported (and a checkpoint written when requested)
@@ -51,8 +51,8 @@ let exits =
   Cmd.Exit.info exit_violation
     ~doc:"when a violation, refutation or deadlock was found." ::
   Cmd.Exit.info exit_usage
-    ~doc:"on a usage error: conflicting flags, an unknown name or an \
-          unreadable checkpoint." ::
+    ~doc:"on a usage error: conflicting flags, an unknown name, an \
+          unreadable checkpoint or a malformed model file." ::
   Cmd.Exit.info exit_unknown
     ~doc:"when the state bound was hit before a verdict (UNKNOWN)." ::
   Cmd.Exit.info exit_exhausted

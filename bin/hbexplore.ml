@@ -107,31 +107,15 @@ let no_subsume_arg =
               inclusion subsumption (the zone graph as a plain transition \
               system driven by the generic explorer).")
 
-let lu_conv =
-  Arg.enum [ ("global", Zone.Sym.Global); ("location", Zone.Sym.Location) ]
-
-let lu_arg =
-  Arg.(
-    value
-    & opt lu_conv Zone.Sym.Global
-    & info [ "lu" ] ~docv:"MODE"
-        ~doc:"Zone-extrapolation bounds: $(b,global) (one LU pair per \
-              clock, whole network) or $(b,location) (per-location tables \
-              from the lubounds backward fixpoint).  Needs $(b,--zone).")
-
-let lu_name = function
-  | Zone.Sym.Global -> "global"
-  | Zone.Sym.Location -> "location"
-
 (* Zone-graph statistics.  With subsumption this is the waiting-list
    discipline of Zone.Reach; without it the zone system is handed to
    the generic Mc.Explore engine as-is, exercising the Mc.System
    integration. *)
-let zone_stats ~variant ~params ~fixed ~monitors ~subsume ~lu ~json header =
+let zone_stats ~variant ~params ~fixed ~monitors ~subsume ~json header =
   let model =
     H.Ta_models.build ~fixed ~with_r1_monitors:monitors variant params
   in
-  let z = Zone.Sym.compile ~lu model in
+  let z = Zone.Sym.compile model in
   let states, complete, subsumed =
     if subsume then begin
       let stats = Zone.Reach.new_stats () in
@@ -148,8 +132,7 @@ let zone_stats ~variant ~params ~fixed ~monitors ~subsume ~lu ~json header =
   in
   if json then
     Printf.printf
-      "{\"tool\":\"hbexplore\",\"cmd\":\"stats\",\"engine\":\"zone\",\"lu\":\"%s\",\"variant\":\"%s\",\"fixed\":%b,\"monitors\":%b,\"tmin\":%d,\"tmax\":%d,\"n\":%d,\"subsume\":%b,\"states\":%d,%s\"complete\":%b}\n"
-      (lu_name lu)
+      "{\"tool\":\"hbexplore\",\"cmd\":\"stats\",\"engine\":\"zone\",\"variant\":\"%s\",\"fixed\":%b,\"monitors\":%b,\"tmin\":%d,\"tmax\":%d,\"n\":%d,\"subsume\":%b,\"states\":%d,%s\"complete\":%b}\n"
       (H.Ta_models.variant_name variant)
       fixed monitors params.H.Params.tmin params.H.Params.tmax
       params.H.Params.n subsume states
@@ -158,8 +141,7 @@ let zone_stats ~variant ~params ~fixed ~monitors ~subsume ~lu ~json header =
       | None -> "")
       complete
   else
-    Format.printf "%a [zone%s%s]: %d zones (%s%s)@." header ()
-      (if lu = Zone.Sym.Location then " lu=location" else "")
+    Format.printf "%a [zone%s]: %d zones (%s%s)@." header ()
       (if subsume then "" else ", no subsumption")
       states
       (if complete then "complete" else "TRUNCATED")
@@ -168,7 +150,7 @@ let zone_stats ~variant ~params ~fixed ~monitors ~subsume ~lu ~json header =
       | None -> "")
 
 let stats_cmd =
-  let run variant tmin tmax n fixed monitors slice zone no_subsume lu jobs
+  let run variant tmin tmax n fixed monitors slice zone no_subsume jobs
       show_stats store count_only json bsecs bmb no_degrade ckpt
       ckpt_every resume_file =
     let jobs = Cli_resilience.resolve_jobs jobs in
@@ -190,12 +172,10 @@ let stats_cmd =
           (if monitors then " +monitors" else "")
       in
       zone_stats ~variant ~params ~fixed ~monitors ~subsume:(not no_subsume)
-        ~lu ~json header
+        ~json header
     end
     else begin
     if no_subsume then Cli_resilience.usage "--no-subsume needs --zone";
-    if lu = Zone.Sym.Location then
-      Cli_resilience.usage "--lu location needs --zone";
     let model =
       H.Ta_models.build ~fixed ~with_r1_monitors:monitors variant params
     in
@@ -217,7 +197,8 @@ let stats_cmd =
          stores keep no graph)";
     (* the checkpoint kind guards resume identity: same tool, model,
        parameters, bound and store family, or the resume is rejected
-       (the constant "lu=global" lets existing checkpoints resume) *)
+       (the constant "lu=global", from the deleted --lu flag, lets
+       existing checkpoints resume) *)
     let kind =
       Printf.sprintf
         "hbexplore/stats/ta/%s/fixed=%b/monitors=%b/slice=%b/lu=global/tmin=%d/tmax=%d/n=%d/max=%d/store=%s"
@@ -368,8 +349,7 @@ let stats_cmd =
              the dense-time zone graph with $(b,--zone)).")
     Term.(
       const run $ variant_arg $ tmin_arg $ tmax_arg $ n_arg $ fixed_arg
-      $ monitors_arg $ slice_arg $ zone_arg $ no_subsume_arg $ lu_arg
-      $ jobs_arg
+      $ monitors_arg $ slice_arg $ zone_arg $ no_subsume_arg $ jobs_arg
       $ exploration_stats_arg $ store_arg $ count_arg $ json_arg
       $ Cli_resilience.budget_secs_arg
       $ Cli_resilience.budget_mb_arg $ Cli_resilience.no_degrade_arg
@@ -471,68 +451,55 @@ let export_cmd =
       const run $ format_arg $ variant_arg $ tmin_arg $ tmax_arg $ n_arg
       $ fixed_arg)
 
-(* Per-benchmark zone counts for both LU-extrapolation modes, with a
-   verdict check against the spec's expected answer.  This is the
-   global-vs-location A/B measurement over the whole FC suite; the
-   --json form is byte-deterministic (counts only, no wall times) and
-   gated by `make zone`. *)
+(* Per-benchmark zone counts, with a verdict check against the spec's
+   expected answer, over the whole FC suite; the --json form is
+   byte-deterministic (counts only, no wall times) and gated by `make
+   zone`. *)
 let fc_zones specs json =
   let failures = ref 0 in
   let rows =
     List.map
       (fun (s : Fc.spec) ->
-        let measure lu =
-          let z = Zone.Sym.compile ~lu s.Fc.model in
-          let goal = Zone.Sym.bad_of z (Fc.bad_predicate s (Zone.Sym.net z)) in
-          let verdict =
-            match Zone.Reach.find ~max_states:10_000_000 z ~goal with
-            | Mc.Explore.Unreachable -> Some true
-            | Mc.Explore.Reached _ -> Some false
-            | Mc.Explore.Bound_hit _ | Mc.Explore.Exhausted _ -> None
-          in
-          let zones, complete =
-            Zone.Reach.count ~max_states:10_000_000 ~subsume:true z
-          in
-          (verdict, zones, complete)
+        let z = Zone.Sym.compile s.Fc.model in
+        let goal = Zone.Sym.bad_of z (Fc.bad_predicate s (Zone.Sym.net z)) in
+        let verdict =
+          match Zone.Reach.find ~max_states:10_000_000 z ~goal with
+          | Mc.Explore.Unreachable -> Some true
+          | Mc.Explore.Reached _ -> Some false
+          | Mc.Explore.Bound_hit _ | Mc.Explore.Exhausted _ -> None
         in
-        let g_verdict, g_zones, g_complete = measure Zone.Sym.Global in
-        let l_verdict, l_zones, l_complete = measure Zone.Sym.Location in
-        let parity =
-          g_verdict = Some s.Fc.safe && l_verdict = Some s.Fc.safe
+        let zones, complete =
+          Zone.Reach.count ~max_states:10_000_000 ~subsume:true z
         in
-        (* monotonicity: location bounds never exceed the global ones,
-           so coarser extrapolation can only merge zones *)
-        if not (parity && g_complete && l_complete && l_zones <= g_zones)
-        then incr failures;
-        (s, parity, g_zones, l_zones))
+        let parity = verdict = Some s.Fc.safe in
+        if not (parity && complete) then incr failures;
+        (s, parity, zones))
       specs
   in
   if json then begin
     print_string "{\"tool\":\"hbexplore\",\"cmd\":\"fc-zones\",\"rows\":[";
     List.iteri
-      (fun k ((s : Fc.spec), parity, g_zones, l_zones) ->
+      (fun k ((s : Fc.spec), parity, zones) ->
         if k > 0 then print_string ",";
         Printf.printf
-          "{\"model\":\"%s\",\"safe\":%b,\"verdict_parity\":%b,\"zones_global\":%d,\"zones_location\":%d}"
-          s.Fc.fc_name s.Fc.safe parity g_zones l_zones)
+          "{\"model\":\"%s\",\"safe\":%b,\"verdict_parity\":%b,\"zones\":%d}"
+          s.Fc.fc_name s.Fc.safe parity zones)
       rows;
     Printf.printf "],\"failures\":%d}\n" !failures
   end
   else
     List.iter
-      (fun ((s : Fc.spec), parity, g_zones, l_zones) ->
-        Format.printf "%-16s %-6s %s  zones: global %d, location %d (%.2fx)@."
-          s.Fc.fc_name
+      (fun ((s : Fc.spec), parity, zones) ->
+        Format.printf "%-16s %-6s %s  zones: %d@." s.Fc.fc_name
           (if s.Fc.safe then "safe" else "unsafe")
           (if parity then "verdict ok" else "VERDICT WRONG")
-          g_zones l_zones
-          (float_of_int g_zones /. float_of_int l_zones))
+          zones)
       rows;
   if !failures > 0 then exit 1
 
 (* The Fontana-Cleaveland workload: print a benchmark as .xta (the
    exact content of examples/fc/NAME.xta), list the registry, or
-   measure zone counts under both LU modes with --zones. *)
+   zone-check the suite and report its zone counts with --zones. *)
 let fc_cmd =
   let name_arg =
     Arg.(
@@ -552,9 +519,8 @@ let fc_cmd =
       value & flag
       & info [ "zones" ]
           ~doc:"Instead of printing models, zone-check each selected \
-                benchmark under both global and location LU extrapolation \
-                and report the zone counts (verdicts must match the spec; \
-                location LU must never store more zones).")
+                benchmark and report its zone count (the verdict must \
+                match the spec).")
   in
   let run name fischer_n zones json =
     if json && not zones then Cli_resilience.usage "--json needs --zones";
@@ -595,8 +561,8 @@ let fc_cmd =
   Cmd.v
     (Cmd.info "fc"
        ~doc:"Print a Fontana-Cleaveland benchmark model as UPPAAL .xta \
-             (zone-check them with hbverify xta), or A/B the zone counts \
-             of both LU-extrapolation modes with $(b,--zones).")
+             (zone-check them with hbverify xta), or zone-check the suite \
+             and report its zone counts with $(b,--zones).")
     Term.(const run $ name_arg $ fischer_n_arg $ zones_arg $ json_arg)
 
 let deadlocks_cmd =

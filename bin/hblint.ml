@@ -47,13 +47,14 @@ let run_one name kind : Lint.Report.t =
   | Ta (v, fixed) ->
       (* TA reports carry the property-free slice summary (TA-SLICE):
          folded constants, dead writes, inactive clocks — the zone
-         engine's fragment check (TA-ZONE): per-clock static LU bounds,
-         with errors on anything --zone could not explore (diagonal
-         constraints, clocks under disjunction, non-integer clock
-         comparisons, clock-guarded broadcast receivers) — and the
-         location-sensitive LU tables (TA-LU) from the [lubounds]
-         backward fixpoint, with a warning per clock whose per-location
-         bound diverges to the declared cap. *)
+         engine's fragment check (TA-ZONE): errors on anything --zone
+         could not explore (diagonal constraints, clocks under
+         disjunction, non-integer clock comparisons, clock-guarded
+         broadcast receivers), clock-read case splits and each clock's
+         network-wide LU bounds — and the location-sensitive LU tables
+         (TA-LU) from the [lubounds] backward fixpoint the zone engine
+         extrapolates with, with the one warning per bound the interval
+         analysis cannot close (TA-LU-DIVERGE). *)
       let model = H.Ta_models.build ~fixed ~with_r1_monitors:true v lint_params in
       let r = Lint.Ta_model.analyze ~model:name model in
       Lint.Report.make ~model:name

@@ -111,28 +111,13 @@ let zone_arg =
               of the discrete explorer.  Verdicts coincide for the shipped \
               models; counterexamples are action sequences modulo time.")
 
-let lu_conv =
-  Arg.enum [ ("global", Zone.Sym.Global); ("location", Zone.Sym.Location) ]
-
-let lu_arg =
-  Arg.(
-    value
-    & opt lu_conv Zone.Sym.Global
-    & info [ "lu" ] ~docv:"MODE"
-        ~doc:"Zone-extrapolation bounds: $(b,global) uses one LU pair per \
-              clock over the whole network, $(b,location) the per-location \
-              tables from the lubounds backward fixpoint (same verdicts, \
-              never more zones).  Needs $(b,--zone).")
-
 let check_cmd =
-  let run variant tmin tmax n fixed slice zone lu bsecs bmb req =
+  let run variant tmin tmax n fixed slice zone bsecs bmb req =
     if zone && slice then Cli_resilience.usage "--zone and --slice are exclusive";
-    if lu = Zone.Sym.Location && not zone then
-      Cli_resilience.usage "--lu location needs --zone";
     let params = Cli_resilience.params ~n ~tmin ~tmax () in
     let budget = Cli_resilience.budget bsecs bmb in
     let outcome =
-      H.Verify.check ~fixed ~slice ~zone ~lu ~budget variant params req
+      H.Verify.check ~fixed ~slice ~zone ~budget variant params req
     in
     let name ppf () =
       Format.fprintf ppf "%s%s %a %s%s%s"
@@ -140,9 +125,7 @@ let check_cmd =
         (if fixed then " [fixed]" else "")
         H.Params.pp params (H.Requirements.name req)
         (if slice then " [sliced]" else "")
-        (if zone then
-           if lu = Zone.Sym.Location then " [zone lu=location]" else " [zone]"
-         else "")
+        (if zone then " [zone]" else "")
     in
     match outcome.H.Verify.exhausted with
     | Some e ->
@@ -183,7 +166,7 @@ let check_cmd =
        ~doc:"Model-check one requirement on one variant.")
     Term.(
       const run $ variant_arg $ tmin_arg $ tmax_arg $ n_arg $ fixed_arg
-      $ ta_slice_arg $ zone_arg $ lu_arg $ Cli_resilience.budget_secs_arg
+      $ ta_slice_arg $ zone_arg $ Cli_resilience.budget_secs_arg
       $ Cli_resilience.budget_mb_arg $ req_arg)
 
 let cex_cmd =
@@ -610,12 +593,12 @@ let slice_smoke_cmd =
     Term.(const run $ json_arg)
 
 (* The soundness gate for `make zone`: on every shipped variant, the
-   dense-time zone verdict must equal the discrete one for every
-   requirement, every zone counterexample must replay in the discrete
-   semantics (delays free, actions exact), and inclusion subsumption
-   must keep the verdicts while never storing more states.  All output
-   is byte-deterministic: state and subsumption counts, no wall
-   times. *)
+   dense-time zone verdict (location LU) must equal the discrete one
+   for every requirement, every zone counterexample must replay in the
+   discrete semantics (delays free, actions exact), and inclusion
+   subsumption must keep the verdicts while never storing more states.
+   All output is byte-deterministic: state and subsumption counts, no
+   wall times. *)
 let zone_smoke_cmd =
   let smoke_params = H.Params.make ~n:1 ~tmin:1 ~tmax:2 () in
   let run json =
@@ -630,93 +613,71 @@ let zone_smoke_cmd =
               (fun req ->
                 let disc = H.Verify.check variant params req in
                 let zone = H.Verify.check ~zone:true variant params req in
-                let zloc =
-                  H.Verify.check ~zone:true ~lu:Zone.Sym.Location variant
-                    params req
-                in
                 let parity = disc.H.Verify.holds = zone.H.Verify.holds in
-                let lu_parity = disc.H.Verify.holds = zloc.H.Verify.holds in
-                let replay trace =
-                  incr replays;
-                  let model =
-                    H.Ta_models.build
-                      ~with_r1_monitors:(H.Requirements.needs_monitors req)
-                      variant params
-                  in
-                  let net = Ta.Semantics.compile model in
-                  Zone.Reach.guided_replay (Ta.Semantics.system net) ~trace
-                    ~goal:(H.Requirements.bad_state variant params net req)
-                in
                 let replayed =
-                  (match zone.H.Verify.counterexample with
+                  match zone.H.Verify.counterexample with
                   | None -> true
-                  | Some trace -> replay trace)
-                  && match zloc.H.Verify.counterexample with
-                     | None -> true
-                     | Some trace -> replay trace
+                  | Some trace ->
+                      incr replays;
+                      let model =
+                        H.Ta_models.build
+                          ~with_r1_monitors:(H.Requirements.needs_monitors req)
+                          variant params
+                      in
+                      let net = Ta.Semantics.compile model in
+                      Zone.Reach.guided_replay (Ta.Semantics.system net)
+                        ~trace
+                        ~goal:(H.Requirements.bad_state variant params net req)
                 in
-                if not (parity && lu_parity && replayed) then incr failures;
-                (req, parity, lu_parity, replayed))
+                if not (parity && replayed) then incr failures;
+                (req, parity, replayed))
               H.Requirements.all
           in
           let model = H.Ta_models.build ~with_r1_monitors:true variant params in
           let z = Zone.Sym.compile model in
-          let zl = Zone.Sym.compile ~lu:Zone.Sym.Location model in
           let s_on = Zone.Reach.new_stats () in
           let s_off = Zone.Reach.new_stats () in
-          let s_loc = Zone.Reach.new_stats () in
           let n_on, c_on = Zone.Reach.count ~subsume:true ~stats:s_on z in
           let n_off, c_off = Zone.Reach.count ~subsume:false ~stats:s_off z in
-          let n_loc, c_loc = Zone.Reach.count ~subsume:true ~stats:s_loc zl in
           if not (c_on && c_off && n_on <= n_off) then incr failures;
-          (* the location-LU monotonicity gate: per-location bounds are
-             at most the global ones, so coarser extrapolation can only
-             merge zones — never create new ones *)
-          if not (c_loc && n_loc <= n_on) then incr failures;
-          (variant, params, results, n_on, s_on.Zone.Reach.subsumed, n_off,
-           n_loc))
+          (variant, params, results, n_on, s_on.Zone.Reach.subsumed, n_off))
         H.Ta_models.all_variants
     in
     (* subsumption must actually discard something on at least one
        shipped variant, or the discipline is untested *)
     let total_subsumed =
-      List.fold_left (fun acc (_, _, _, _, s, _, _) -> acc + s) 0 rows
+      List.fold_left (fun acc (_, _, _, _, s, _) -> acc + s) 0 rows
     in
     if json then begin
       print_string "{\"tool\":\"hbverify\",\"gate\":\"zone-smoke\",\"rows\":[";
       List.iteri
-        (fun k (variant, params, results, n_on, subsumed, n_off, n_loc) ->
+        (fun k (variant, params, results, n_on, subsumed, n_off) ->
           if k > 0 then print_string ",";
           Printf.printf
-            "{\"variant\":\"%s\",\"tmin\":%d,\"tmax\":%d,\"n\":%d,\"parity\":%b,\"replayed\":%b,\"zone_states\":%d,\"subsumed\":%d,\"zone_states_no_subsume\":%d,\"lu_parity\":%b,\"zone_states_lu_location\":%d}"
+            "{\"variant\":\"%s\",\"tmin\":%d,\"tmax\":%d,\"n\":%d,\"parity\":%b,\"replayed\":%b,\"zone_states\":%d,\"subsumed\":%d,\"zone_states_no_subsume\":%d}"
             (H.Ta_models.variant_name variant)
             params.H.Params.tmin params.H.Params.tmax params.H.Params.n
-            (List.for_all (fun (_, p, _, _) -> p) results)
-            (List.for_all (fun (_, _, _, r) -> r) results)
-            n_on subsumed n_off
-            (List.for_all (fun (_, _, p, _) -> p) results)
-            n_loc)
+            (List.for_all (fun (_, p, _) -> p) results)
+            (List.for_all (fun (_, _, r) -> r) results)
+            n_on subsumed n_off)
         rows;
       Printf.printf
-        "],\"replays\":%d,\"total_subsumed\":%d,\"lu_version\":2,\"failures\":%d}\n"
+        "],\"replays\":%d,\"total_subsumed\":%d,\"failures\":%d}\n"
         !replays total_subsumed !failures
     end
     else
       List.iter
-        (fun (variant, params, results, n_on, subsumed, n_off, n_loc) ->
+        (fun (variant, params, results, n_on, subsumed, n_off) ->
           Format.printf "TA %-10s %a " (H.Ta_models.variant_name variant)
             H.Params.pp params;
           List.iter
-            (fun (req, parity, lu_parity, replayed) ->
-              Format.printf "%s %s%s%s  " (H.Requirements.name req)
+            (fun (req, parity, replayed) ->
+              Format.printf "%s %s%s  " (H.Requirements.name req)
                 (if parity then "ok" else "VERDICT CHANGED")
-                (if lu_parity then "" else " LU VERDICT CHANGED")
                 (if replayed then "" else " REPLAY FAILED"))
             results;
-          Format.printf
-            "zones %d (+%d subsumed; %d without subsumption; %d with \
-             location LU)@."
-            n_on subsumed n_off n_loc)
+          Format.printf "zones %d (+%d subsumed; %d without subsumption)@."
+            n_on subsumed n_off)
         rows;
     if total_subsumed = 0 then begin
       Format.printf "FAILED: subsumption never discarded a zone@.";
@@ -730,17 +691,19 @@ let zone_smoke_cmd =
   in
   Cmd.v
     (Cmd.info "zone-smoke"
-       ~doc:"Zone-engine gate: the dense-time zone verdicts agree with the \
-             discrete ones on every requirement for all six variants under \
-             both LU-extrapolation modes, zone counterexamples replay \
-             discretely, inclusion subsumption keeps verdicts while \
-             measurably discarding zones, and location-LU extrapolation \
-             never stores more zones than global LU.")
+       ~doc:"Zone-engine gate: the dense-time zone verdicts (location-LU \
+             extrapolation) agree with the discrete ones on every \
+             requirement for all six variants, zone counterexamples replay \
+             discretely, and inclusion subsumption keeps verdicts while \
+             measurably discarding zones.")
     Term.(const run $ json_arg)
 
 (* Check an arbitrary .xta model (e.g. the Fontana-Cleaveland suite in
    examples/fc/) against forbidden-location sets under the zone
-   engine. *)
+   engine.  A model the front end cannot take — a syntax error, a
+   constraint outside the zone fragment, an unknown name, an update
+   that divides by zero — is bad input: one line naming the file, and
+   exit 2. *)
 let xta_cmd =
   let forbid_conv =
     let parse s =
@@ -792,29 +755,39 @@ let xta_cmd =
       value & pos 0 (some file) None
       & info [] ~docv:"FILE" ~doc:"An UPPAAL .xta model file.")
   in
-  let run file fc forbid lu json =
-    let model, forbid, expect_name =
+  let run file fc forbid json =
+    let source, expect_name =
       match (fc, file) with
-      | Some name, _ -> (
-          match Fc.find name with
-          | Some spec -> (spec.Fc.model, spec.Fc.forbid, name)
-          | None -> Cli_resilience.usage "unknown benchmark %s" name)
-      | None, Some path ->
-          let ic = open_in path in
-          let len = in_channel_length ic in
-          let src = really_input_string ic len in
-          close_in ic;
-          (Ta.Xta.parse src, forbid, Filename.basename path)
+      | Some name, _ -> (name, name)
+      | None, Some path -> (path, Filename.basename path)
       | None, None -> Cli_resilience.usage "need a FILE or --fc NAME"
     in
-    if forbid = [] then Cli_resilience.usage "no --forbid sets given";
-    let z = Zone.Sym.compile ~lu model in
-    let net = Zone.Sym.net z in
-    let spec = { Fc.fc_name = expect_name; model; forbid; safe = true } in
+    let bad_input msg = Cli_resilience.usage "%s: %s" source msg in
     let stats = Zone.Reach.new_stats () in
     let verdict =
-      Zone.Reach.find ~stats z
-        ~goal:(Zone.Sym.bad_of z (Fc.bad_predicate spec net))
+      try
+        let model, forbid =
+          match fc with
+          | Some name -> (
+              match Fc.find name with
+              | Some spec -> (spec.Fc.model, spec.Fc.forbid)
+              | None -> Cli_resilience.usage "unknown benchmark %s" name)
+          | None ->
+              let src = In_channel.with_open_text source In_channel.input_all in
+              (Ta.Xta.parse src, forbid)
+        in
+        if forbid = [] then Cli_resilience.usage "no --forbid sets given";
+        let z = Zone.Sym.compile model in
+        let spec = { Fc.fc_name = expect_name; model; forbid; safe = true } in
+        let bad = Fc.bad_predicate spec (Zone.Sym.net z) in
+        Zone.Reach.find ~stats z ~goal:(Zone.Sym.bad_of z bad)
+      with
+      | Ta.Xta.Parse_error msg
+      | Zone.Sym.Unsupported msg
+      | Invalid_argument msg
+      | Sys_error msg ->
+          bad_input msg
+      | Division_by_zero -> bad_input "division by zero"
     in
     let status, trace =
       match verdict with
@@ -823,17 +796,12 @@ let xta_cmd =
       | Mc.Explore.Bound_hit _ -> ("unknown", None)
       | Mc.Explore.Exhausted _ -> ("exhausted", None)
     in
-    let lu_name =
-      match lu with Zone.Sym.Global -> "global" | Zone.Sym.Location -> "location"
-    in
     if json then
       Printf.printf
-        "{\"tool\":\"hbverify\",\"model\":\"%s\",\"engine\":\"zone\",\"lu\":\"%s\",\"verdict\":\"%s\",\"zone_states\":%d,\"subsumed\":%d}\n"
-        expect_name lu_name status stats.Zone.Reach.states
-        stats.Zone.Reach.subsumed
+        "{\"tool\":\"hbverify\",\"model\":\"%s\",\"engine\":\"zone\",\"verdict\":\"%s\",\"zone_states\":%d,\"subsumed\":%d}\n"
+        expect_name status stats.Zone.Reach.states stats.Zone.Reach.subsumed
     else begin
-      Format.printf "%s [zone lu=%s]: %s (%d zones, %d subsumed)@." expect_name
-        lu_name
+      Format.printf "%s [zone]: %s (%d zones, %d subsumed)@." expect_name
         (String.uppercase_ascii status)
         stats.Zone.Reach.states stats.Zone.Reach.subsumed;
       Option.iter
@@ -854,7 +822,7 @@ let xta_cmd =
        ~doc:"Zone-check an UPPAAL .xta model (or a built-in \
              Fontana-Cleaveland benchmark) against forbidden location \
              sets.")
-    Term.(const run $ file_arg $ fc_arg $ forbid_arg $ lu_arg $ json_arg)
+    Term.(const run $ file_arg $ fc_arg $ forbid_arg $ json_arg)
 
 (* Every model-checking result EXPERIMENTS.md records, in the paper's
    order; `make paper` follows it with the hbsim simulation sections. *)

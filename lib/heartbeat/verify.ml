@@ -50,10 +50,10 @@ let outcome ~engine ~states variant params req = function
 (* Dense-time check via the zone engine: same model builders, same bad
    predicates (they observe only the discrete part), different
    exploration. *)
-let check_zone ~fixed ?budget ~lu variant params req =
+let check_zone ~fixed ?budget variant params req =
   let with_r1_monitors = Requirements.needs_monitors req in
   let model = Ta_models.build ~fixed ~with_r1_monitors variant params in
-  let z = Zone.Sym.compile ~lu model in
+  let z = Zone.Sym.compile model in
   let bad = Requirements.bad_state variant params (Zone.Sym.net z) req in
   let stats = Zone.Reach.new_stats () in
   let r =
@@ -63,16 +63,14 @@ let check_zone ~fixed ?budget ~lu variant params req =
   outcome ~engine:"zone " ~states:(Some stats.Zone.Reach.states) variant
     params req r
 
-let check ?(fixed = false) ?(slice = false) ?budget ?(zone = false)
-    ?(lu = Zone.Sym.Global) variant params req =
+let check ?(fixed = false) ?(slice = false) ?budget ?(zone = false) ?lu:_
+    variant params req =
   if zone then begin
     if slice then
       invalid_arg "Verify.check: zone and slice engines are exclusive";
-    check_zone ~fixed ?budget ~lu variant params req
+    check_zone ~fixed ?budget variant params req
   end
   else begin
-    if lu <> Zone.Sym.Global then
-      invalid_arg "Verify.check: --lu location needs the zone engine";
     let with_r1_monitors = Requirements.needs_monitors req in
     let model = Ta_models.build ~fixed ~with_r1_monitors variant params in
     let sys, bad =

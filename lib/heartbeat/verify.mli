@@ -47,12 +47,10 @@ val check :
     constraints closed) the verdict coincides with the discrete one;
     counterexample traces are action sequences modulo time and replay
     discretely ({!Zone.Reach.guided_replay}).
-    [lu] (default {!Zone.Sym.Global}) selects the zone engine's
-    extrapolation mode; {!Zone.Sym.Location} uses the per-location
-    bound tables from the [lubounds] backward fixpoint — same
-    verdicts, never more stored zones.
-    @raise Invalid_argument if [zone] is combined with [slice], or if
-    [lu] is [Location] without [zone].
+    The zone engine extrapolates with location-based LU bounds, its
+    only mode; [lu] selects nothing and remains only for callers that
+    still pass [~lu:Zone.Sym.Location] (see {!Zone.Sym.lu}).
+    @raise Invalid_argument if [zone] is combined with [slice].
     @raise Failure if the state bound is exceeded (no verdict). *)
 
 val check_live :

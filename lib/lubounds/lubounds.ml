@@ -22,7 +22,9 @@
    conjunctive fragment (diagonals, disjunctions, disequalities,
    clock arithmetic) are conservatively pinned to their global bounds
    at every location — sound, and irrelevant to the zone engine, which
-   rejects such models outright.
+   rejects such models outright.  The fragment itself lives here too:
+   [split] is the one splitter the zone engine compiles guards with
+   and its TA-ZONE lint section classifies them with.
 
    Synchronisation needs no product construction: each component of a
    binary or broadcast macro edge contributes its guard atoms at its
@@ -54,9 +56,11 @@ type t = {
   t_iters : int;
 }
 
-(* --- the constraint fragment, atom collection ----------------------- *)
+(* --- the clock-constraint fragment ---------------------------------- *)
 
-exception Out_of_fragment
+type atom = { clock : string; lower : bool; strict : bool; bound : E.t }
+
+exception Frag of string * string
 
 let rec expr_has_clock = function
   | E.Int _ | E.Var _ -> false
@@ -109,37 +113,63 @@ let flip_cmp = function
   | E.Ge -> E.Le
   | (E.Eq | E.Ne) as c -> c
 
-(* (clock, is-lower-bound, bound expression); strictness is irrelevant
-   to LU constants. *)
-let atoms_of_cmp cmp c e =
+let atoms_of_cmp cmp clock bound =
+  let atom lower strict = { clock; lower; strict; bound } in
   match cmp with
-  | E.Lt | E.Le -> [ (c, false, e) ]
-  | E.Gt | E.Ge -> [ (c, true, e) ]
-  | E.Eq -> [ (c, false, e); (c, true, e) ]
-  | E.Ne -> raise Out_of_fragment
+  | E.Lt -> [ atom false true ]
+  | E.Le -> [ atom false false ]
+  | E.Gt -> [ atom true true ]
+  | E.Ge -> [ atom true false ]
+  | E.Eq -> [ atom false false; atom true false ]
+  | E.Ne ->
+      raise (Frag ("TA-ZONE-CONVEX", "clock disequality (!=) is not convex"))
 
-(* Clock atoms of a conjunctive guard, negation pushed inward — the
-   same fragment Zone.Sym compiles.  Raises {!Out_of_fragment} on
-   diagonals, clocks under disjunction/disequality, or clocks inside
-   arithmetic. *)
-let atoms_of (b : E.b) : (string * bool * E.t) list =
-  let rec go b acc =
-    if not (bexpr_has_clock b) then acc
+(* [c ~ d], [c - d ~ e] or [c ~ d + e] (either side, [e] clock-free):
+   a constraint on the difference of two clocks. *)
+let diagonal a b =
+  let clock = function E.Clock _ -> true | _ -> false in
+  let diff = function E.Sub (E.Clock _, E.Clock _) -> true | _ -> false in
+  let shifted = function
+    | E.Add (E.Clock _, e) | E.Add (e, E.Clock _) -> not (expr_has_clock e)
+    | _ -> false
+  in
+  let one_way a b =
+    (clock a && (clock b || shifted b)) || (diff a && not (expr_has_clock b))
+  in
+  one_way a b || one_way b a
+
+(* Split a guard/invariant into clock-free conjuncts plus clock atoms.
+   Negation is pushed inward first, so [!(c > 3)] is fine; a clock
+   under a disjunction or [!=], a diagonal, or a clock inside other
+   arithmetic is outside the fragment. *)
+let split (b : E.b) : E.b list * atom list =
+  let rec go b ((data, atoms) as acc) =
+    if not (bexpr_has_clock b) then (b :: data, atoms)
     else
       match b with
       | E.And (x, y) -> go y (go x acc)
       | E.Cmp (cmp, E.Clock c, e) when not (expr_has_clock e) ->
-          atoms_of_cmp cmp c e @ acc
+          (data, atoms_of_cmp cmp c e @ atoms)
       | E.Cmp (cmp, e, E.Clock c) when not (expr_has_clock e) ->
-          atoms_of_cmp (flip_cmp cmp) c e @ acc
-      | E.Cmp _ | E.Or _ -> raise Out_of_fragment
+          (data, atoms_of_cmp (flip_cmp cmp) c e @ atoms)
+      | E.Cmp (_, x, y) when diagonal x y ->
+          raise
+            (Frag
+               ( "TA-ZONE-DIAGONAL",
+                 "diagonal clock constraint (Extra_LU is only sound \
+                  diagonal-free)" ))
+      | E.Cmp _ -> raise (Frag ("TA-ZONE-ARITH", "clock inside arithmetic"))
       | E.Not inner -> go (negate inner) acc
-      | E.True | E.False -> acc
+      | E.Or _ ->
+          raise
+            (Frag ("TA-ZONE-CONVEX", "clock constraint under disjunction"))
+      | E.True | E.False -> (b :: data, atoms)
   in
-  List.rev (go b [])
+  let data, atoms = go b ([], []) in
+  (List.rev data, List.rev atoms)
 
-(* Clocks an update sequence reads before (or without) resetting them
-   — mirrors Zone.Sym.update_reads. *)
+(* Clocks an update sequence reads before (or without) resetting them:
+   exactly the reads the zone successor must case-split on. *)
 let update_reads (updates : M.update list) : string list =
   let reset = ref [] and reads = ref [] in
   List.iter
@@ -185,8 +215,7 @@ let analyze (m : M.t) : t =
         !tbl
   in
   (* Static supremum of a bound expression over all reachable variable
-     values, by interval evaluation against the lint fixpoint — the
-     same closure Zone.Sym uses for its global bounds. *)
+     values, by interval evaluation against the lint fixpoint. *)
   let rec sup_itv (e : E.t) : I.t =
     match e with
     | E.Int n -> I.const n
@@ -194,7 +223,7 @@ let analyze (m : M.t) : t =
         match SMap.find_opt (Lint_ta.vkey x) globals with
         | Some iv -> iv
         | None -> I.top)
-    | E.Clock _ -> I.top (* atoms_of rejected it; never reached *)
+    | E.Clock _ -> I.top (* split rejected it; never reached *)
     | E.Add (a, b) -> I.add (sup_itv a) (sup_itv b)
     | E.Sub (a, b) -> I.sub (sup_itv a) (sup_itv b)
     | E.Mul (a, b) -> I.mul (sup_itv a) (sup_itv b)
@@ -243,13 +272,14 @@ let analyze (m : M.t) : t =
       end
     in
     let contribute i where guard =
-      match atoms_of guard with
-      | atoms ->
+      match split guard with
+      | _, atoms ->
           List.iter
-            (fun (c, lower, e) ->
-              bump (if lower then lb else ub) i c (sup_of where c e))
+            (fun a ->
+              bump (if a.lower then lb else ub) i a.clock
+                (sup_of where a.clock a.bound))
             atoms
-      | exception Out_of_fragment -> pin (clocks_of_b [] guard)
+      | exception Frag _ -> pin (clocks_of_b [] guard)
     in
     List.iteri
       (fun i (l : M.location) ->
@@ -352,8 +382,8 @@ let analyze (m : M.t) : t =
     t_iters = !iters;
   }
 
-(* Memoised on the model term: the verify sweeps and the zone engine
-   revisit the same model for several requirements and both LU modes. *)
+(* Memoised on the model term: the verify sweeps, the zone engine and
+   the two lint sections revisit the same model. *)
 let memo : (M.t, t) Lint_memo.t = Lint_memo.create ()
 let analyze_cached m = Lint_memo.find memo m analyze
 let cache_stats () = Lint_memo.stats memo

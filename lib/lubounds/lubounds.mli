@@ -22,6 +22,41 @@
     analysis cannot close makes the clock's bound diverge and falls
     back to the declared cap (both reported). *)
 
+(** {2 The clock-constraint fragment}
+
+    Conjunctions of clock-free boolean expressions and atoms [c ~ e]
+    between one clock and a clock-free integer expression, [~] any of
+    [< <= == >= >].  The zone engine compiles exactly this fragment;
+    the analysis below pins the clocks of anything outside it. *)
+
+type atom = {
+  clock : string;
+  lower : bool;  (** [c >(=) e]; otherwise [c <(=) e] *)
+  strict : bool;
+  bound : Ta.Expr.t;  (** clock-free *)
+}
+
+exception Frag of string * string
+(** A constraint outside the fragment, as [(code, reason)]: code
+    [TA-ZONE-CONVEX] (a clock under a disjunction or [!=]),
+    [TA-ZONE-DIAGONAL] ([c ~ d], [c - d ~ e], [c ~ d + e]) or
+    [TA-ZONE-ARITH] (a clock inside other arithmetic). *)
+
+val split : Ta.Expr.b -> Ta.Expr.b list * atom list
+(** Split a guard or invariant into its clock-free conjuncts and its
+    clock atoms, negation pushed inward first ([c == e] gives a lower
+    and an upper atom).
+    @raise Frag on a constraint outside the fragment. *)
+
+val expr_has_clock : Ta.Expr.t -> bool
+(** Whether a clock occurs anywhere in the expression. *)
+
+val update_reads : Ta.Model.update list -> string list
+(** Clocks an update sequence reads before (or without) resetting
+    them, in first-read order. *)
+
+(** {2 The analysis} *)
+
 type t
 (** The per-(automaton, location, clock) bound tables of one model. *)
 
@@ -29,7 +64,8 @@ val analyze : Ta.Model.t -> t
 
 val analyze_cached : Ta.Model.t -> t
 (** {!analyze} memoised on the model term ({!Lint_memo}): sweeps
-    revisit the same model for several requirements and LU modes. *)
+    revisit the same model for several requirements, and the zone
+    engine and both lint sections read one result. *)
 
 val cache_stats : unit -> int * int
 (** (lookups, hits) of the {!analyze_cached} memo table. *)
@@ -39,8 +75,9 @@ val bounds : t -> auto:string -> loc:string -> clock:string -> int * int
     @raise Invalid_argument on unknown automaton or location names. *)
 
 val global_bounds : t -> string -> int * int
-(** The location-insensitive maxima, i.e. the bounds global Extra_LU
-    uses.  Per-location bounds never exceed these. *)
+(** The location-insensitive maxima over the whole network, the
+    per-clock summary the TA-ZONE lint section reports.  Per-location
+    bounds never exceed these. *)
 
 val tables : t -> (string * (string * (string * int * int) list) list) list
 (** Every automaton (model order) with every location (model order)

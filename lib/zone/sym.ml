@@ -6,9 +6,9 @@
    invariants and updates are compiled by the discrete compiler itself
    — the two engines cannot drift apart on data semantics.  Only the
    clock fragments get a second, symbolic compilation: conjunctions of
-   atoms [c ~ e] with clock-free [e], applied to the DBM as row/column
-   constraints whose bound is evaluated against the current discrete
-   part.
+   atoms [c ~ e] with clock-free [e] (Lubounds.split, the one owner of
+   the fragment), applied to the DBM as row/column constraints whose
+   bound is evaluated against the current discrete part.
 
    Clock reads in update right-hand sides (the heartbeat models'
    [spent := d0]) are handled by finite case-split: the successor
@@ -19,143 +19,28 @@
    saturation, which is what makes discrete and zone verdicts agree on
    closed models (see test/test_zone.ml).
 
-   Extrapolation is Extra_LU in one of two modes.  [Global] (the
-   PR 9 behaviour): one static L/U pair per clock, obtained by
-   interval analysis of every bound expression (Lint_ta's fixpoint);
-   clocks read by updates are pinned to L = U = cap since a read
-   observes the exact value up to the cap.  [Location]: per-state
-   bounds looked up from the discrete part — Lubounds' backward
-   fixpoint gives per-(automaton, location, clock) constants, composed
-   at extrapolation time as the maximum over the current location
-   vector (sound for the product; see lib/lubounds), with the
-   Daws-Yovine inactive clocks dropped to the L = U = -1 degenerate
-   case on top of the existing reset-to-zero. *)
+   Extrapolation is location-based Extra_LU: per-state bounds looked
+   up from the discrete part — Lubounds' backward fixpoint gives
+   per-(automaton, location, clock) constants, composed at
+   extrapolation time as the maximum over the current location vector
+   (sound for the product; see lib/lubounds), with the Daws-Yovine
+   inactive clocks dropped to the L = U = -1 degenerate case on top of
+   the existing reset-to-zero. *)
 
 module E = Ta.Expr
 module M = Ta.Model
 module S = Ta.Semantics
-module I = Lint_interval
-module SMap = Map.Make (String)
 
 exception Unsupported of string
 
-(* Internal: a constraint outside the zone fragment, as (code, reason)
-   — the lint section turns these into TA-ZONE-* diagnostics, compile
-   into {!Unsupported}. *)
-exception Frag of string * string
-
-(* --- the supported constraint fragment, at the AST level ------------ *)
-
-type aatom = {
-  aa_clock : string;
-  aa_lower : bool; (* lower bound: c >(=) e; else c <(=) e *)
-  aa_strict : bool;
-  aa_expr : E.t;
-}
-
-let rec expr_has_clock = function
-  | E.Int _ | E.Var _ -> false
-  | E.Clock _ -> true
-  | E.Elem (_, i) -> expr_has_clock i
-  | E.Add (a, b) | E.Sub (a, b) | E.Mul (a, b) | E.Div (a, b)
-  | E.Min (a, b) | E.Max (a, b) ->
-      expr_has_clock a || expr_has_clock b
-
-let rec bexpr_has_clock = function
-  | E.True | E.False -> false
-  | E.Cmp (_, a, b) -> expr_has_clock a || expr_has_clock b
-  | E.Not b -> bexpr_has_clock b
-  | E.And (a, b) | E.Or (a, b) -> bexpr_has_clock a || bexpr_has_clock b
-
-let negate_cmp = function
-  | E.Lt -> E.Ge
-  | E.Le -> E.Gt
-  | E.Eq -> E.Ne
-  | E.Ne -> E.Eq
-  | E.Ge -> E.Lt
-  | E.Gt -> E.Le
-
-let rec negate = function
-  | E.True -> E.False
-  | E.False -> E.True
-  | E.Cmp (cmp, a, b) -> E.Cmp (negate_cmp cmp, a, b)
-  | E.Not b -> b
-  | E.And (a, b) -> E.Or (negate a, negate b)
-  | E.Or (a, b) -> E.And (negate a, negate b)
-
-let flip_cmp = function
-  | E.Lt -> E.Gt
-  | E.Le -> E.Ge
-  | E.Gt -> E.Lt
-  | E.Ge -> E.Le
-  | (E.Eq | E.Ne) as c -> c
-
-let atoms_of_cmp cmp c e =
-  let atom lower strict =
-    { aa_clock = c; aa_lower = lower; aa_strict = strict; aa_expr = e }
-  in
-  match cmp with
-  | E.Lt -> [ atom false true ]
-  | E.Le -> [ atom false false ]
-  | E.Gt -> [ atom true true ]
-  | E.Ge -> [ atom true false ]
-  | E.Eq -> [ atom false false; atom true false ]
-  | E.Ne ->
-      raise (Frag ("TA-ZONE-CONVEX", "clock disequality (!=) is not convex"))
-
-(* Split a guard/invariant into clock-free conjuncts plus clock atoms.
-   Negation is pushed inward first, so [!(c > 3)] is fine; a clock
-   under a disjunction, a diagonal [c - d ~ e], or a clock inside
-   arithmetic is outside the fragment. *)
-let split (b : E.b) : E.b list * aatom list =
-  let rec go b ((data, atoms) as acc) =
-    if not (bexpr_has_clock b) then (b :: data, atoms)
-    else
-      match b with
-      | E.And (x, y) -> go y (go x acc)
-      | E.Cmp (cmp, E.Clock c, e) when not (expr_has_clock e) ->
-          (data, atoms_of_cmp cmp c e @ atoms)
-      | E.Cmp (cmp, e, E.Clock c) when not (expr_has_clock e) ->
-          (data, atoms_of_cmp (flip_cmp cmp) c e @ atoms)
-      | E.Cmp (_, a, b) ->
-          if
-            (match a with E.Clock _ -> true | _ -> false)
-            && match b with E.Clock _ -> true | _ -> false
-          then
-            raise
-              (Frag
-                 ( "TA-ZONE-DIAGONAL",
-                   "diagonal clock constraint (Extra_LU is only sound \
-                    diagonal-free)" ))
-          else raise (Frag ("TA-ZONE-ARITH", "clock inside arithmetic"))
-      | E.Not inner -> go (negate inner) acc
-      | E.Or _ ->
-          raise
-            (Frag ("TA-ZONE-CONVEX", "clock constraint under disjunction"))
-      | E.True | E.False -> (b :: data, atoms)
-  in
-  let data, atoms = go b ([], []) in
-  (List.rev data, List.rev atoms)
-
-(* --- static analysis: fragment check, LU bounds, update reads ------- *)
+(* --- static checks: fragment, broadcast receivers, update reads ----- *)
 
 type analysis = {
   an_errors : (string * string * string) list; (* where, code, reason *)
   an_bcast_bad : string list; (* broadcast receivers with clock guards *)
   an_nonint : (string * string) list; (* where, clock: Div in bound expr *)
   an_reads : (string * string list) list; (* edge, clocks read pre-reset *)
-  an_l : int SMap.t; (* largest lower-bound constant per clock *)
-  an_u : int SMap.t;
-  an_fallback : (string * string) list; (* where, clock: cap fallback *)
 }
-
-let rec clocks_of acc = function
-  | E.Int _ | E.Var _ -> acc
-  | E.Clock c -> if List.mem c acc then acc else c :: acc
-  | E.Elem (_, i) -> clocks_of acc i
-  | E.Add (a, b) | E.Sub (a, b) | E.Mul (a, b) | E.Div (a, b)
-  | E.Min (a, b) | E.Max (a, b) ->
-      clocks_of (clocks_of acc a) b
 
 let rec has_div = function
   | E.Int _ | E.Var _ | E.Clock _ -> false
@@ -165,37 +50,7 @@ let rec has_div = function
     ->
       has_div a || has_div b
 
-(* Clocks an update sequence reads before (or without) resetting them:
-   exactly the reads the zone successor must case-split on. *)
-let update_reads (updates : M.update list) : string list =
-  let reset = ref [] and reads = ref [] in
-  List.iter
-    (fun (u : M.update) ->
-      match u with
-      | M.Reset c -> if not (List.mem c !reset) then reset := c :: !reset
-      | M.Assign (lhs, rhs) ->
-          let exprs =
-            rhs :: (match lhs with M.Element (_, i) -> [ i ] | M.Scalar _ -> [])
-          in
-          List.iter
-            (fun e ->
-              List.iter
-                (fun c ->
-                  if not (List.mem c !reset) && not (List.mem c !reads) then
-                    reads := c :: !reads)
-                (clocks_of [] e))
-            exprs)
-    updates;
-  List.rev !reads
-
 let analyze_model (m : M.t) : analysis =
-  let _, globals = Lint_ta.intervals_of m in
-  let caps =
-    List.fold_left
-      (fun acc (c : M.clock_decl) -> SMap.add c.M.clock_name c.M.cap acc)
-      SMap.empty m.M.clocks
-  in
-  let cap_of c = Option.value (SMap.find_opt c caps) ~default:0 in
   let broadcast =
     List.filter_map
       (fun (c : M.chan_decl) ->
@@ -205,56 +60,16 @@ let analyze_model (m : M.t) : analysis =
   let errors = ref []
   and bcast = ref []
   and nonint = ref []
-  and reads = ref []
-  and fallback = ref [] in
-  let lb = ref SMap.empty and ub = ref SMap.empty in
-  let bump tbl c v =
-    tbl :=
-      SMap.update c
-        (function None -> Some v | Some w -> Some (max w v))
-        !tbl
-  in
-  (* Static supremum of a bound expression over all reachable variable
-     values, by interval evaluation against the lint fixpoint. *)
-  let rec sup_itv (e : E.t) : I.t =
-    match e with
-    | E.Int n -> I.const n
-    | E.Var x | E.Elem (x, _) -> (
-        match SMap.find_opt (Lint_ta.vkey x) globals with
-        | Some iv -> iv
-        | None -> I.top)
-    | E.Clock _ -> I.top (* rejected by [split]; never reached *)
-    | E.Add (a, b) -> I.add (sup_itv a) (sup_itv b)
-    | E.Sub (a, b) -> I.sub (sup_itv a) (sup_itv b)
-    | E.Mul (a, b) -> I.mul (sup_itv a) (sup_itv b)
-    | E.Div (a, b) -> I.div (sup_itv a) (sup_itv b)
-    | E.Min (a, b) -> I.min_ (sup_itv a) (sup_itv b)
-    | E.Max (a, b) -> I.max_ (sup_itv a) (sup_itv b)
-  in
-  let record_atoms where (atoms : aatom list) =
-    List.iter
-      (fun a ->
-        if has_div a.aa_expr then nonint := (where, a.aa_clock) :: !nonint;
-        let sup = (sup_itv a.aa_expr).I.hi in
-        let sup =
-          if sup = I.pos_inf then begin
-            fallback := (where, a.aa_clock) :: !fallback;
-            cap_of a.aa_clock
-          end
-          else sup
-        in
-        (* A negative bound is trivially true (lower) or empties the
-           zone outright (upper); either way it never needs to survive
-           extrapolation. *)
-        if sup >= 0 then bump (if a.aa_lower then lb else ub) a.aa_clock sup)
-      atoms
-  in
+  and reads = ref [] in
   let do_guard where b =
-    match split b with
+    match Lubounds.split b with
     | _, atoms ->
-        record_atoms where atoms;
+        List.iter
+          (fun (a : Lubounds.atom) ->
+            if has_div a.bound then nonint := (where, a.clock) :: !nonint)
+          atoms;
         atoms
-    | exception Frag (code, reason) ->
+    | exception Lubounds.Frag (code, reason) ->
         errors := (where, code, reason) :: !errors;
         []
   in
@@ -265,7 +80,7 @@ let analyze_model (m : M.t) : analysis =
           let where =
             Printf.sprintf "%s.%s invariant" a.M.auto_name l.M.loc_name
           in
-          ignore (do_guard where l.M.invariant : aatom list))
+          ignore (do_guard where l.M.invariant : Lubounds.atom list))
         a.M.locations;
       List.iter
         (fun (e : M.edge) ->
@@ -277,16 +92,8 @@ let analyze_model (m : M.t) : analysis =
           | M.Recv ch when List.mem ch broadcast && atoms <> [] ->
               bcast := where :: !bcast
           | _ -> ());
-          let rds = update_reads e.M.updates in
-          if rds <> [] then begin
-            reads := (where, rds) :: !reads;
-            (* a read observes the exact value up to the cap *)
-            List.iter
-              (fun c ->
-                bump lb c (cap_of c);
-                bump ub c (cap_of c))
-              rds
-          end)
+          let rds = Lubounds.update_reads e.M.updates in
+          if rds <> [] then reads := (where, rds) :: !reads)
         a.M.edges)
     m.M.automata;
   {
@@ -294,9 +101,6 @@ let analyze_model (m : M.t) : analysis =
     an_bcast_bad = List.rev !bcast;
     an_nonint = List.rev !nonint;
     an_reads = List.rev !reads;
-    an_l = !lb;
-    an_u = !ub;
-    an_fallback = List.rev !fallback;
   }
 
 (* --- compiled form -------------------------------------------------- *)
@@ -331,7 +135,7 @@ type zloc = {
   zl_recv : zedge list array;
 }
 
-type lu = Global | Location
+type lu = Location
 
 type t = {
   znet : S.t;
@@ -340,9 +144,7 @@ type t = {
   zautos : zloc array array;
   zchans : M.chan_decl array;
   zcaps : int array; (* by DBM index; zcaps.(0) unused *)
-  zlu_l : int array;
-  zlu_u : int array;
-  zlu : lu;
+  zlub : Lubounds.t;
   zloc_l : int array array array; (* auto -> loc -> DBM index -> L *)
   zloc_u : int array array array;
   zscr_l : int array; (* scratch per-state composition buffers: the *)
@@ -361,7 +163,7 @@ type state = { disc : int array; dbm : Dbm.t }
    successor's case split. *)
 let rec comp_e net cidx (e : E.t) :
     (int array -> (int -> int) -> int) * int list =
-  if not (expr_has_clock e) then begin
+  if not (Lubounds.expr_has_clock e) then begin
     let f = S.compile_expr_fn net e in
     ((fun d _ -> f (S.of_cells d)), [])
   end
@@ -416,27 +218,27 @@ let comp_update net cidx (u : M.update) : zupd =
           ri @ rr )
 
 let comp_guard net cidx ~where (b : E.b) : (int array -> bool) * atom list =
-  match split b with
+  match Lubounds.split b with
   | data, aatoms ->
       let fns = List.map (S.compile_bexpr_fn net) data in
       let data_fn d = List.for_all (fun f -> f (S.of_cells d)) fns in
       let atoms =
         List.map
-          (fun (a : aatom) ->
-            let f = S.compile_expr_fn net a.aa_expr in
+          (fun (a : Lubounds.atom) ->
+            let f = S.compile_expr_fn net a.bound in
             {
-              at_i = cidx a.aa_clock;
-              at_lower = a.aa_lower;
-              at_strict = a.aa_strict;
+              at_i = cidx a.clock;
+              at_lower = a.lower;
+              at_strict = a.strict;
               at_bound = (fun d -> f (S.of_cells d));
             })
           aatoms
       in
       (data_fn, atoms)
-  | exception Frag (_, reason) ->
+  | exception Lubounds.Frag (_, reason) ->
       raise (Unsupported (where ^ ": " ^ reason))
 
-let compile ?(lu = Global) (model : M.t) : t =
+let compile ?lu:_ (model : M.t) : t =
   (* Reject the whole model up front if any constraint is outside the
      fragment, with a located message. *)
   let an = analyze_model model in
@@ -462,12 +264,6 @@ let compile ?(lu = Global) (model : M.t) : t =
   List.iteri
     (fun k (c : M.clock_decl) -> zclock_names.(k + 1) <- c.M.clock_name)
     model.M.clocks;
-  let zlu_l = Array.make dim (-1) and zlu_u = Array.make dim (-1) in
-  for k = 1 to dim - 1 do
-    let name = zclock_names.(k) in
-    zlu_l.(k) <- Option.value (SMap.find_opt name an.an_l) ~default:(-1);
-    zlu_u.(k) <- Option.value (SMap.find_opt name an.an_u) ~default:(-1)
-  done;
   let zchans = Array.of_list model.M.chans in
   let num_chans = Array.length zchans in
   let chan_id = Hashtbl.create 8 in
@@ -552,10 +348,9 @@ let compile ?(lu = Global) (model : M.t) : t =
     tbl
   in
   (* Per-(automaton, location) LU arrays by DBM index, from the
-     backward fixpoint.  Built in both modes (they also feed the
-     lu_tables reporting API); only Location-mode settle consults
-     them.  Location order matches zautos: both come from the model's
-     location lists via S.loc_index. *)
+     backward fixpoint; settle composes them per state.  Location order
+     matches zautos: both come from the model's location lists via
+     S.loc_index. *)
   let lub = Lubounds.analyze_cached model in
   let loc_tbl select =
     Array.of_list
@@ -584,9 +379,7 @@ let compile ?(lu = Global) (model : M.t) : t =
     zautos;
     zchans;
     zcaps;
-    zlu_l;
-    zlu_u;
-    zlu = lu;
+    zlub = lub;
     zloc_l = loc_tbl fst;
     zloc_u = loc_tbl snd;
     zscr_l = Array.make dim (-1);
@@ -600,9 +393,9 @@ let dim t = t.zdim
 
 let lu_bounds t =
   List.init (t.zdim - 1) (fun k ->
-      (t.zclock_names.(k + 1), t.zlu_l.(k + 1), t.zlu_u.(k + 1)))
-
-let lu_mode t = t.zlu
+      let name = t.zclock_names.(k + 1) in
+      let l, u = Lubounds.global_bounds t.zlub name in
+      (name, l, u))
 
 let lu_tables t =
   List.init t.zn (fun i ->
@@ -626,7 +419,8 @@ let constrain_atom t z (a : atom) disc =
 
 (* Post-transition pipeline: target invariants, delay (unless a target
    location is urgent or committed), invariants again, inactive-clock
-   zeroing, Extra_LU.  [z] is owned by the caller and consumed. *)
+   zeroing, location Extra_LU.  [z] is owned by the caller and
+   consumed. *)
 let settle t disc z : state option =
   let ok = ref true in
   for i = 0 to t.zn - 1 do
@@ -662,33 +456,30 @@ let settle t disc z : state option =
         (fun k -> Dbm.reset ~dim:t.zdim z k)
         t.zinactive.(i).(disc.(i))
     done;
-    (match t.zlu with
-    | Global -> Dbm.extrapolate_lu ~dim:t.zdim z ~l:t.zlu_l ~u:t.zlu_u
-    | Location ->
-        (* compose the per-state bounds: max over the automata's
-           current locations, then the Daws-Yovine degenerate case —
-           an inactive clock (just reset to zero above) is never
-           compared before its next reset, i.e. L = U = -1 *)
-        let l = t.zscr_l and u = t.zscr_u in
-        for k = 1 to t.zdim - 1 do
+    (* compose the per-state bounds: max over the automata's current
+       locations, then the Daws-Yovine degenerate case — an inactive
+       clock (just reset to zero above) is never compared before its
+       next reset, i.e. L = U = -1 *)
+    let l = t.zscr_l and u = t.zscr_u in
+    for k = 1 to t.zdim - 1 do
+      l.(k) <- -1;
+      u.(k) <- -1
+    done;
+    for i = 0 to t.zn - 1 do
+      let bl = t.zloc_l.(i).(disc.(i)) and bu = t.zloc_u.(i).(disc.(i)) in
+      for k = 1 to t.zdim - 1 do
+        if bl.(k) > l.(k) then l.(k) <- bl.(k);
+        if bu.(k) > u.(k) then u.(k) <- bu.(k)
+      done
+    done;
+    for i = 0 to t.zn - 1 do
+      Array.iter
+        (fun k ->
           l.(k) <- -1;
-          u.(k) <- -1
-        done;
-        for i = 0 to t.zn - 1 do
-          let bl = t.zloc_l.(i).(disc.(i)) and bu = t.zloc_u.(i).(disc.(i)) in
-          for k = 1 to t.zdim - 1 do
-            if bl.(k) > l.(k) then l.(k) <- bl.(k);
-            if bu.(k) > u.(k) then u.(k) <- bu.(k)
-          done
-        done;
-        for i = 0 to t.zn - 1 do
-          Array.iter
-            (fun k ->
-              l.(k) <- -1;
-              u.(k) <- -1)
-            t.zinactive.(i).(disc.(i))
-        done;
-        Dbm.extrapolate_lu ~dim:t.zdim z ~l ~u);
+          u.(k) <- -1)
+        t.zinactive.(i).(disc.(i))
+    done;
+    Dbm.extrapolate_lu ~dim:t.zdim z ~l ~u;
     Some { disc; dbm = z }
   end
 
@@ -944,15 +735,6 @@ let diagnostics (m : M.t) : Lint_report.diag list =
           clock)
       an.an_nonint
   in
-  let fallback =
-    List.map
-      (fun (where, clock) ->
-        R.diag ~severity:R.Warning ~code:"TA-ZONE-LU-CAP" ~where
-          "bound on clock %s is unbounded by interval analysis; Extra_LU \
-           falls back to the declared cap"
-          clock)
-      an.an_fallback
-  in
   let reads =
     List.map
       (fun (where, clocks) ->
@@ -963,18 +745,15 @@ let diagnostics (m : M.t) : Lint_report.diag list =
           (String.concat ", " clocks))
       an.an_reads
   in
+  let lub = Lubounds.analyze_cached m in
   let lu =
     List.map
       (fun (c : M.clock_decl) ->
         let name = c.M.clock_name in
-        let get tbl =
-          match SMap.find_opt name tbl with
-          | Some v -> string_of_int v
-          | None -> "none"
-        in
+        let l, u = Lubounds.global_bounds lub name in
+        let show v = if v < 0 then "none" else string_of_int v in
         R.diag ~severity:R.Info ~code:"TA-ZONE-LU" ~where:name
-          "Extra_LU bounds: L=%s U=%s (cap %d)" (get an.an_l) (get an.an_u)
-          c.M.cap)
+          "Extra_LU bounds: L=%s U=%s (cap %d)" (show l) (show u) c.M.cap)
       m.M.clocks
   in
-  frag @ bcast @ nonint @ fallback @ reads @ lu
+  frag @ bcast @ nonint @ reads @ lu

@@ -15,20 +15,22 @@
     resets and variable updates in order, conjoin the target
     invariants, delay ([up], unless a target location is urgent or
     committed), re-conjoin the invariants, zero the Daws–Yovine
-    inactive clocks, and apply Extra_LU extrapolation with static
-    per-clock bounds derived from the model by interval analysis.
+    inactive clocks, and apply Extra_LU extrapolation with
+    location-based bounds: {!Lubounds}' backward fixpoint, composed as
+    the maximum over the current location vector, with inactive clocks
+    dropped to [L = U = -1].
     Each zone is closed and non-empty by construction, so a state is a
     canonical representative of its region set and states compare by
     plain structural equality (or, better, by zone inclusion — see
     {!Reach}).
 
-    Supported constraint language: conjunctions of clock-free boolean
-    expressions and atomic comparisons [c ~ e] between one clock and a
-    clock-free integer expression ([~] any of [< <= == >= >]).
-    Diagonal constraints ([c - d ~ e]), clocks under disjunction or
-    [!=], and clocks inside arithmetic raise {!Unsupported} — Extra_LU
-    is only sound for diagonal-free automata, and the rest would need
-    zone splitting.  Clock {e reads} in update right-hand sides are
+    Supported constraint language: {!Lubounds.split}'s fragment,
+    conjunctions of clock-free boolean expressions and atomic
+    comparisons [c ~ e] between one clock and a clock-free integer
+    expression ([~] any of [< <= == >= >]).  Diagonal constraints
+    ([c - d ~ e]), clocks under disjunction or [!=], and clocks inside
+    other arithmetic raise {!Unsupported} — Extra_LU is only sound for
+    diagonal-free automata, and the rest would need zone splitting.  Clock {e reads} in update right-hand sides are
     supported exactly by finite case-split on the integer value read
     (saturated at the clock's declared cap, mirroring the discrete
     semantics' saturation).  Receivers on broadcast channels must have
@@ -47,18 +49,15 @@ type state = { disc : int array; dbm : Dbm.t }
     [dbm] is closed, non-empty and extrapolated.  Treat both as
     immutable. *)
 
-type lu = Global | Location
-(** Extrapolation mode.  [Global]: one static L/U pair per clock (the
-    maxima over the whole model).  [Location]: per-state bounds from
-    {!Lubounds}' backward fixpoint, composed as the maximum over the
-    current location vector, with Daws–Yovine inactive clocks dropped
-    to [L = U = -1].  Verdict-preserving either way (both are sound
-    Extra+LU abstractions of the same zone graph); [Location] never
-    stores more zones and typically far fewer. *)
+type lu = Location
+(** Extrapolation modes; location-based Extra_LU is the only one.
+    [?lu] selects nothing: it remains on {!compile} only because the
+    benchmark harness ([perfbench/hbbench.ml]) still passes
+    [~lu:Location], and goes once that caller stops. *)
 
 val compile : ?lu:lu -> Ta.Model.t -> t
-(** Compile a network for zone exploration.  [lu] defaults to
-    [Global].
+(** Compile a network for zone exploration.  [lu] is ignored (see
+    {!lu}).
     @raise Unsupported on constraints outside the zone fragment.
     @raise Invalid_argument on the errors {!Ta.Semantics.compile}
     rejects (unknown names, initial invariant violation). *)
@@ -86,19 +85,16 @@ val bad_of : t -> (Ta.Semantics.config -> bool) -> state -> bool
 
 val lu_bounds : t -> (string * int * int) list
 (** Per clock: name, largest lower-bound constant L, largest
-    upper-bound constant U — the global maxima, i.e. what [Global]
-    mode extrapolates with ([-1] = the model never compares the clock
-    that way).  For the per-location tables see {!lu_tables}. *)
-
-val lu_mode : t -> lu
-(** The extrapolation mode this network was compiled with. *)
+    upper-bound constant U over the whole network
+    ({!Lubounds.global_bounds}; [-1] = the model never compares the
+    clock that way).  For the per-location tables extrapolation uses
+    see {!lu_tables}. *)
 
 val lu_tables : t -> (string * (string * (string * int * int) list) list) list
-(** The per-location bound tables behind [Location] mode, computed in
-    both modes: every automaton (model order) with every location
-    (model order) and every clock (declaration order) as
-    [(clock, L, U)].  Each entry never exceeds the {!lu_bounds}
-    global pair for its clock. *)
+(** The per-location bound tables extrapolation composes: every
+    automaton (model order) with every location (model order) and
+    every clock (declaration order) as [(clock, L, U)].  Each entry
+    never exceeds the {!lu_bounds} pair for its clock. *)
 
 val subsumes : t -> state -> state -> bool
 (** [subsumes t big small]: same discrete part and [big]'s zone
@@ -112,6 +108,8 @@ val diagnostics : Ta.Model.t -> Lint_report.diag list
 (** The TA-ZONE lint section: errors for constraints outside the zone
     fragment (diagonal constraints, clocks under disjunction,
     non-integer clock comparisons, clock-guarded broadcast receivers)
-    and info lines reporting the static LU bounds and update
-    clock-read case splits.  A model with no TA-ZONE errors compiles
+    and info lines reporting update clock-read case splits and each
+    clock's network-wide LU bounds ({!lu_bounds}).  A bound the
+    interval analysis cannot close is reported once, by the TA-LU
+    section ({!Lubounds.diagnostics}).  A model with no TA-ZONE errors compiles
     with {!compile}. *)

@@ -405,15 +405,6 @@ let test_check_rejects_zone_with_slice () =
         (H.Verify.check ~zone:true ~slice:true H.Ta_models.Binary params
            H.Requirements.R2))
 
-let test_check_rejects_location_lu_without_zone () =
-  let params = H.Params.make ~tmin:1 ~tmax:2 () in
-  Alcotest.check_raises "location LU on the discrete engine"
-    (Invalid_argument "Verify.check: --lu location needs the zone engine")
-    (fun () ->
-      ignore
-        (H.Verify.check ~lu:Zone.Sym.Location H.Ta_models.Binary params
-           H.Requirements.R2))
-
 let quick name f = Alcotest.test_case name `Quick f
 let slow name f = Alcotest.test_case name `Slow f
 
@@ -453,8 +444,6 @@ let tests =
       quick "component figures" test_figure_lts;
       quick "counterexamples replay" test_counterexample_is_executable;
       quick "check rejects zone with slice" test_check_rejects_zone_with_slice;
-      quick "check rejects location LU without zone"
-        test_check_rejects_location_lu_without_zone;
     ] )
 
 (* --- MSC rendering --- *)

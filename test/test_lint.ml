@@ -278,6 +278,36 @@ let test_ta_zeno () =
   in
   fires_exactly "TA-ZENO" (lint_ta m)
 
+(* A clock bound by a variable that grows without limit cannot be
+   closed by the interval analysis: the TA-ZONE and TA-LU sections
+   together report it once, as TA-LU-DIVERGE at the guarding edge. *)
+let test_ta_lu_diverge_once () =
+  let m =
+    ta
+      ~vars:[ M.scalar "v" 0 ]
+      ~clocks:[ { M.clock_name = "k"; cap = 3 } ]
+      [
+        auto "A" [ l0 ]
+          [
+            self
+              ~guard:E.(clk "k" <= v "v")
+              ~updates:[ M.Assign (M.Scalar "v", E.(v "v" + i 1)) ]
+              ();
+          ];
+      ]
+  in
+  let warnings =
+    List.filter_map
+      (fun (d : R.diag) ->
+        if d.R.severity = R.Warning then Some (d.R.code, d.R.where) else None)
+      (Zone.Sym.diagnostics m @ Lubounds.diagnostics m)
+  in
+  check
+    Alcotest.(list (pair string string))
+    "one divergence warning"
+    [ ("TA-LU-DIVERGE", "A: L0 -> L0") ]
+    warnings
+
 (* --- shipped models lint clean ---------------------------------------- *)
 
 let lint_params = H.Params.make ~n:2 ~tmin:4 ~tmax:10 ()
@@ -451,6 +481,8 @@ let tests =
       Alcotest.test_case "mutation: TA-VAR-UNBOUNDED" `Quick
         test_ta_var_unbounded;
       Alcotest.test_case "mutation: TA-ZENO" `Quick test_ta_zeno;
+      Alcotest.test_case "TA-LU-DIVERGE reported once" `Quick
+        test_ta_lu_diverge_once;
       Alcotest.test_case "all shipped models lint clean" `Quick
         test_shipped_clean;
       Alcotest.test_case "json output is deterministic" `Quick

@@ -1,12 +1,13 @@
 (* The location-sensitive LU analysis: backward-fixpoint units (guards
    and invariants contribute at their source, resets kill propagation,
    clock reads pin to the cap), the soundness pins (per-location bounds
-   never exceed the global ones on any shipped model; fischer-broken's
-   dense-only mutex violation survives location extrapolation), and the
-   qcheck parity harness — on random closed-constraint networks the
-   zone verdict under location LU must equal the one under global LU
-   and the discrete verdict, location-LU counterexamples must replay
-   discretely, and the location-LU zone graph must never be larger. *)
+   never exceed the global ones on any shipped model; every heartbeat
+   clock constraint is closed, which discrete/zone parity rests on;
+   fischer-broken's dense-only mutex violation survives location
+   extrapolation; the FC suite keeps its verdicts), and the qcheck
+   parity harness — on random closed-constraint networks the zone
+   verdict under location LU must equal the discrete one, and its
+   counterexamples must replay discretely. *)
 
 let check = Alcotest.check
 
@@ -184,15 +185,65 @@ let test_location_bounds_below_global () =
         (Lubounds.tables t))
     variant_models
 
+(* Digitisation is exact for closed clock constraints (PAPER.md), and
+   the discrete/zone parity of every heartbeat verdict rests on it:
+   every guard and invariant of every variant, fixed or not, with or
+   without the R1 watchdogs, at every table point splits into the
+   fragment with no strict atom. *)
+let test_heartbeat_atoms_closed () =
+  let atoms = ref 0 in
+  List.iter
+    (fun v ->
+      List.iter
+        (fun (tmin, tmax) ->
+          let p = Heartbeat.Params.make ~n:2 ~tmin ~tmax () in
+          List.iter
+            (fun (fixed, with_r1_monitors) ->
+              let m =
+                Heartbeat.Ta_models.build ~fixed ~with_r1_monitors v p
+              in
+              let closed where b =
+                match Lubounds.split b with
+                | _, xs ->
+                    List.iter
+                      (fun (a : Lubounds.atom) ->
+                        incr atoms;
+                        if a.Lubounds.strict then
+                          Alcotest.failf "%s %a: strict atom on %s at %s"
+                            (Heartbeat.Ta_models.variant_name v)
+                            Heartbeat.Params.pp p a.Lubounds.clock where)
+                      xs
+                | exception Lubounds.Frag (code, reason) ->
+                    Alcotest.failf "%s %a: %s at %s (%s)"
+                      (Heartbeat.Ta_models.variant_name v)
+                      Heartbeat.Params.pp p code where reason
+              in
+              List.iter
+                (fun (a : M.automaton) ->
+                  List.iter
+                    (fun (l : M.location) ->
+                      closed (a.M.auto_name ^ "." ^ l.M.loc_name) l.M.invariant)
+                    a.M.locations;
+                  List.iter
+                    (fun (e : M.edge) ->
+                      closed
+                        (Printf.sprintf "%s: %s -> %s" a.M.auto_name e.M.src
+                           e.M.dst)
+                        e.M.guard)
+                    a.M.edges)
+                m.M.automata)
+            [ (false, false); (false, true); (true, false); (true, true) ])
+        Heartbeat.Params.table_datasets)
+    Heartbeat.Ta_models.all_variants;
+  Alcotest.(check bool) "clock atoms were inspected" true (!atoms > 0)
+
 (* the tables Zone.Sym serves must be the analysis's own, and its
    global bounds must agree with the analysis maxima *)
 let test_zone_serves_analysis_tables () =
   List.iter
     (fun (name, model) ->
-      let z = Zone.Sym.compile ~lu:Zone.Sym.Location model in
+      let z = Zone.Sym.compile model in
       let t = Lubounds.analyze model in
-      Alcotest.(check bool) (name ^ ": mode recorded") true
-        (Zone.Sym.lu_mode z = Zone.Sym.Location);
       List.iter2
         (fun (za, zlocs) (ta, tlocs) ->
           check Alcotest.string (name ^ ": automaton order") ta za;
@@ -221,7 +272,7 @@ let test_fischer_broken_still_found () =
   match Fc.find "fischer-broken" with
   | None -> Alcotest.fail "fischer-broken missing from the registry"
   | Some s -> (
-      let z = Zone.Sym.compile ~lu:Zone.Sym.Location s.Fc.model in
+      let z = Zone.Sym.compile s.Fc.model in
       let goal = Zone.Sym.bad_of z (Fc.bad_predicate s (Zone.Sym.net z)) in
       match Zone.Reach.find z ~goal with
       | Mc.Explore.Reached w ->
@@ -234,69 +285,40 @@ let test_fischer_broken_still_found () =
           Alcotest.fail "location LU lost the fischer-broken violation"
       | _ -> Alcotest.fail "bound hit")
 
-(* the whole FC suite: verdict parity between both LU modes, and the
-   location-LU zone graph never larger *)
-let test_fc_parity_both_modes () =
+(* the whole FC suite keeps its verdicts under location LU, and every
+   zone graph is explored to completion *)
+let test_fc_verdicts () =
   List.iter
     (fun (s : Fc.spec) ->
-      let verdict lu =
-        let z = Zone.Sym.compile ~lu s.Fc.model in
-        let goal = Zone.Sym.bad_of z (Fc.bad_predicate s (Zone.Sym.net z)) in
+      let z = Zone.Sym.compile s.Fc.model in
+      let goal = Zone.Sym.bad_of z (Fc.bad_predicate s (Zone.Sym.net z)) in
+      let safe =
         match Zone.Reach.find z ~goal with
         | Mc.Explore.Unreachable -> true
         | Mc.Explore.Reached _ -> false
         | _ -> Alcotest.failf "%s: bound hit" s.Fc.fc_name
       in
+      Alcotest.(check bool) (s.Fc.fc_name ^ ": verdict") s.Fc.safe safe;
       Alcotest.(check bool)
-        (s.Fc.fc_name ^ ": global verdict")
-        s.Fc.safe (verdict Zone.Sym.Global);
-      Alcotest.(check bool)
-        (s.Fc.fc_name ^ ": location verdict")
-        s.Fc.safe
-        (verdict Zone.Sym.Location);
-      let count lu =
-        let z = Zone.Sym.compile ~lu s.Fc.model in
-        let n, complete = Zone.Reach.count ~subsume:true z in
-        Alcotest.(check bool) (s.Fc.fc_name ^ ": complete") true complete;
-        n
-      in
-      let g = count Zone.Sym.Global and l = count Zone.Sym.Location in
-      if l > g then
-        Alcotest.failf "%s: location LU stored more zones (%d > %d)"
-          s.Fc.fc_name l g)
+        (s.Fc.fc_name ^ ": complete")
+        true
+        (snd (Zone.Reach.count ~subsume:true z)))
     Fc.all
-
-(* fischer is the headline case: the clock is reset before every
-   comparison on the way back to Idle, so location bounds actually bite
-   and the zone graph strictly shrinks already at n = 2 *)
-let test_fischer_strictly_fewer_zones () =
-  let model = Fc.fischer () in
-  let count lu =
-    fst (Zone.Reach.count ~subsume:true (Zone.Sym.compile ~lu model))
-  in
-  let g = count Zone.Sym.Global and l = count Zone.Sym.Location in
-  Alcotest.(check bool)
-    (Printf.sprintf "location %d < global %d" l g)
-    true (l < g)
 
 (* --- the qcheck parity harness -------------------------------------- *)
 
-(* one random model, one predicate: discrete = zone-global =
-   zone-location verdicts, location counterexamples replay discretely,
-   and the location zone graph is never larger than the global one *)
-let agree_three_way model (pred : S.t -> S.config -> bool) =
+(* one random model, one predicate: the location-LU zone verdict equals
+   the discrete one, and its counterexamples replay discretely *)
+let agree model (pred : S.t -> S.config -> bool) =
   let td = S.compile model in
-  let zg = Zone.Sym.compile model in
-  let zl = Zone.Sym.compile ~lu:Zone.Sym.Location model in
+  let z = Zone.Sym.compile model in
   let d = discrete_reaches td (pred td) in
-  let g = zone_reaches zg (Zone.Sym.bad_of zg (pred (Zone.Sym.net zg))) in
-  let l = zone_reaches zl (Zone.Sym.bad_of zl (pred (Zone.Sym.net zl))) in
-  match (d, g, l) with
-  | Some dr, Some (gr, _), Some (lr, ltrace) ->
-      if dr <> gr || dr <> lr then
-        QCheck.Test.fail_reportf
-          "verdict mismatch: discrete %b, zone global %b, zone location %b" dr
-          gr lr;
+  let l = zone_reaches z (Zone.Sym.bad_of z (pred (Zone.Sym.net z))) in
+  match (d, l) with
+  | Some dr, Some (lr, ltrace) ->
+      if dr <> lr then
+        QCheck.Test.fail_reportf "verdict mismatch: discrete %b, zone %b" dr
+          lr;
       (match ltrace with
       | Some trace ->
           if
@@ -306,17 +328,11 @@ let agree_three_way model (pred : S.t -> S.config -> bool) =
             QCheck.Test.fail_report
               "location-LU counterexample does not replay discretely"
       | None -> ());
-      let ng, cg = Zone.Reach.count ~max_states:50_000 ~subsume:true zg in
-      let nl, cl = Zone.Reach.count ~max_states:50_000 ~subsume:true zl in
-      if cg && cl && nl > ng then
-        QCheck.Test.fail_reportf "location LU stored more zones (%d > %d)" nl
-          ng;
       true
   | _ -> true (* bound hit: nothing to compare *)
 
-let prop_three_way_random =
-  QCheck.Test.make
-    ~name:"location LU = global LU = discrete on random closed TA" ~count:120
+let prop_random =
+  QCheck.Test.make ~name:"location LU = discrete (random)" ~count:120
     Test_zone.zone_random_network (fun model ->
       let last =
         Printf.sprintf "L%d"
@@ -327,7 +343,7 @@ let prop_three_way_random =
         let x = S.var t "x" in
         fun c -> in_last c && x c = 1
       in
-      agree_three_way model pred)
+      agree model pred)
 
 (* the shipped variants under location LU, all requirements: same
    verdicts as the discrete engine *)
@@ -341,7 +357,7 @@ let variant_parity_location ?(n = 2) variant () =
           variant p
       in
       let td = S.compile model in
-      let zl = Zone.Sym.compile ~lu:Zone.Sym.Location model in
+      let zl = Zone.Sym.compile model in
       let pred t = Heartbeat.Requirements.bad_state variant p t r in
       let d = discrete_reaches ~max_states:5_000_000 td (pred td) in
       let l =
@@ -386,15 +402,15 @@ let tests =
         test_diagonal_pins_to_global;
       Alcotest.test_case "location bounds below global (all variants)" `Quick
         test_location_bounds_below_global;
+      Alcotest.test_case "heartbeat clock atoms closed" `Quick
+        test_heartbeat_atoms_closed;
       Alcotest.test_case "zone engine serves the analysis tables" `Quick
         test_zone_serves_analysis_tables;
       Alcotest.test_case "fischer-broken violation survives location LU"
         `Quick test_fischer_broken_still_found;
-      Alcotest.test_case "fc suite parity in both LU modes" `Quick
-        test_fc_parity_both_modes;
-      Alcotest.test_case "fischer strictly fewer zones" `Quick
-        test_fischer_strictly_fewer_zones;
-      QCheck_alcotest.to_alcotest prop_three_way_random;
+      Alcotest.test_case "fc suite verdicts, location LU" `Quick
+        test_fc_verdicts;
+      QCheck_alcotest.to_alcotest prop_random;
       Alcotest.test_case "variant parity under location LU: binary" `Quick
         (variant_parity_location Heartbeat.Ta_models.Binary);
       Alcotest.test_case "variant parity under location LU: dynamic" `Quick

@@ -239,28 +239,34 @@ let test_clock_read_split () =
   Alcotest.(check bool) "x = 4 impossible" false (reach_x 4);
   Alcotest.(check bool) "x = 5 impossible" false (reach_x 5)
 
+(* the diagonal forms [k ~ l], [k - l ~ e] and [k ~ l + e] *)
 let test_unsupported_constraints () =
-  let diag =
-    net
-      ~clocks:[ { M.clock_name = "k"; cap = 5 }; { M.clock_name = "l"; cap = 5 } ]
-      [
-        auto "A" [ M.loc "A" ]
-          [ M.edge ~src:"A" ~dst:"A" ~guard:E.(clk "k" <= clk "l") () ];
-      ]
-  in
-  (try
-     ignore (Zone.Sym.compile diag : Zone.Sym.t);
-     Alcotest.fail "diagonal constraint must be rejected"
-   with Zone.Sym.Unsupported msg ->
-     Alcotest.(check bool) "message names the edge" true
-       (String.length msg > 0));
-  let diags = Zone.Sym.diagnostics diag in
-  Alcotest.(check bool) "lint flags the diagonal" true
-    (List.exists
-       (fun (d : Lint_report.diag) ->
-         d.Lint_report.code = "TA-ZONE-DIAGONAL"
-         && d.Lint_report.severity = Lint_report.Error)
-       diags)
+  List.iter
+    (fun (name, guard) ->
+      let diag =
+        net
+          ~clocks:
+            [ { M.clock_name = "k"; cap = 5 }; { M.clock_name = "l"; cap = 5 } ]
+          [ auto "A" [ M.loc "A" ] [ M.edge ~src:"A" ~dst:"A" ~guard () ] ]
+      in
+      (try
+         ignore (Zone.Sym.compile diag : Zone.Sym.t);
+         Alcotest.failf "%s: diagonal constraint must be rejected" name
+       with Zone.Sym.Unsupported msg ->
+         Alcotest.(check bool) (name ^ ": message names the edge") true
+           (String.length msg > 0));
+      let diags = Zone.Sym.diagnostics diag in
+      Alcotest.(check bool) (name ^ ": lint flags the diagonal") true
+        (List.exists
+           (fun (d : Lint_report.diag) ->
+             d.Lint_report.code = "TA-ZONE-DIAGONAL"
+             && d.Lint_report.severity = Lint_report.Error)
+           diags))
+    [
+      ("k <= l", E.(clk "k" <= clk "l"));
+      ("k - l <= 1", E.(clk "k" - clk "l" <= i 1));
+      ("k <= l + 1", E.(clk "k" <= clk "l" + i 1));
+    ]
 
 (* --- discrete vs zone agreement ------------------------------------- *)
 
