@@ -142,23 +142,9 @@ let load_resume ~kind = function
       | Ok c -> Some c
       | Error e -> usage "cannot resume from %s: %s" file e)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let coverage_json (c : Mc.Store.coverage) =
-  Printf.sprintf "{\"mode\":\"%s\",\"est_coverage\":%.6f}"
-    (json_escape c.Mc.Store.mode)
+  Printf.sprintf "{\"mode\":%s,\"est_coverage\":%.6f}"
+    (Lint.Report.json_str c.Mc.Store.mode)
     c.Mc.Store.est_coverage
 
 let exhaustion_json (e : Mc.Explore.exhaustion) =

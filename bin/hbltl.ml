@@ -99,10 +99,10 @@ let pa_step_string = function
   | Ltl.Check.Step l -> Format.asprintf "%a" Proc.Semantics.pp_label l
   | Ltl.Check.Stutter -> "(stutter)"
 
-let json_string s = "\"" ^ Cli_resilience.json_escape s ^ "\""
-
 let json_steps to_string steps =
-  "[" ^ String.concat "," (List.map (fun s -> json_string (to_string s)) steps)
+  "["
+  ^ String.concat ","
+      (List.map (fun s -> Lint.Report.json_str (to_string s)) steps)
   ^ "]"
 
 (* State-space statistics of the timed-automata model being checked
@@ -149,9 +149,9 @@ let verdict_json ~model ~variant ~params ~fixed ~slice ~reduce ~engine ~req
     "\"n\":%d,\"fixed\":%b,\"slice\":%b,\"reduce\":%b,\"requirement\":\"%s\",\"engine\":\"%s\","
     params.H.Params.n fixed slice reduce (H.Requirements.name req)
     (match engine with Ltl.Check.Ndfs -> "ndfs" | Ltl.Check.Scc -> "scc");
-  bprintf buf "\"formula\":\"%s\",\"fairness\":[%s],\"stats\":%s,"
-    (Cli_resilience.json_escape formula)
-    (String.concat "," (List.map json_string fairness_names))
+  bprintf buf "\"formula\":%s,\"fairness\":[%s],\"stats\":%s,"
+    (Lint.Report.json_str formula)
+    (String.concat "," (List.map Lint.Report.json_str fairness_names))
     stats;
   (match verdict with
   | Ltl.Check.Holds -> bprintf buf "\"verdict\":\"holds\"}"
@@ -428,8 +428,7 @@ let check_cmd =
           ~doc:
             "Exploration domains for the scc engine's product graph \
              (identical verdicts and lassos; ndfs is sequential and \
-             ignores this). 0 uses all cores. Composes with --reduce via \
-             the parallel-safe cycle proviso.")
+             ignores this). 0 uses all cores. Composes with --reduce.")
   in
   Cmd.v
     (Cmd.info "check" ~exits:Cli_resilience.exits

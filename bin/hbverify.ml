@@ -300,8 +300,7 @@ let jobs_arg =
         ~doc:
           "Exploration domains: 1 runs the sequential engine, more runs the \
            work-stealing parallel engine (identical verdicts; composes with \
-           $(b,--reduce) through the parallel-safe cycle proviso). 0 uses \
-           all cores.")
+           $(b,--reduce)). 0 uses all cores.")
 
 let pa_check_cmd =
   let run variant tmin tmax n reduce json jobs bsecs bmb no_degrade req =
@@ -798,8 +797,9 @@ let xta_cmd =
     in
     if json then
       Printf.printf
-        "{\"tool\":\"hbverify\",\"model\":\"%s\",\"engine\":\"zone\",\"verdict\":\"%s\",\"zone_states\":%d,\"subsumed\":%d}\n"
-        expect_name status stats.Zone.Reach.states stats.Zone.Reach.subsumed
+        "{\"tool\":\"hbverify\",\"model\":%s,\"engine\":\"zone\",\"verdict\":\"%s\",\"zone_states\":%d,\"subsumed\":%d}\n"
+        (Lint.Report.json_str expect_name)
+        status stats.Zone.Reach.states stats.Zone.Reach.subsumed
     else begin
       Format.printf "%s [zone]: %s (%d zones, %d subsumed)@." expect_name
         (String.uppercase_ascii status)

@@ -15,9 +15,10 @@
 module H = Heartbeat
 
 let describe kind params =
-  let crash = { H.Runtime.who = 1; at = 137.0 } in
   let cfg =
-    H.Runtime.config ~kind ~crash ~seed:2024L ~duration:400.0 params
+    H.Runtime.config ~kind
+      ~faults:[ Sim.Fault.crash ~at:137.0 1 ]
+      ~seed:2024L ~duration:400.0 params
   in
   let result = H.Runtime.run cfg in
   Format.printf "%-14s: %4d heartbeats in 400 time units"

@@ -250,20 +250,6 @@ let violations t =
 
 let fstr = Printf.sprintf "%.12g"
 
-let esc s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let outcome_to_json o =
   let b = Buffer.create 512 in
   let { kind; params; scenario; faults; seed; duration; fixed = _; _ } =
@@ -271,19 +257,20 @@ let outcome_to_json o =
   in
   Buffer.add_string b
     (Printf.sprintf
-       "{\"kind\":\"%s\",\"tmin\":%d,\"tmax\":%d,\"n\":%d,\"scenario\":\"%s\",\"seed\":\"%Ld\",\"duration\":%s,\"faults\":%s"
-       (esc (Runtime.kind_name kind))
-       params.Params.tmin params.Params.tmax params.Params.n (esc scenario)
+       "{\"kind\":%s,\"tmin\":%d,\"tmax\":%d,\"n\":%d,\"scenario\":%s,\"seed\":\"%Ld\",\"duration\":%s,\"faults\":%s"
+       (Lint_report.json_str (Runtime.kind_name kind))
+       params.Params.tmin params.Params.tmax params.Params.n
+       (Lint_report.json_str scenario)
        seed (fstr duration) (F.to_json faults));
   (match o.verdict with
   | Monitors.Pass -> Buffer.add_string b ",\"verdict\":\"pass\""
   | Monitors.Fail v ->
       Buffer.add_string b
         (Printf.sprintf
-           ",\"verdict\":\"fail\",\"violation\":{\"req\":\"%s\",\"at\":%s,\"reason\":\"%s\",\"prefix_events\":%d}"
+           ",\"verdict\":\"fail\",\"violation\":{\"req\":\"%s\",\"at\":%s,\"reason\":%s,\"prefix_events\":%d}"
            (Requirements.name v.Monitors.req)
            (fstr v.Monitors.at)
-           (esc v.Monitors.reason)
+           (Lint_report.json_str v.Monitors.reason)
            (List.length v.Monitors.prefix)));
   Option.iter
     (fun s -> Buffer.add_string b (",\"shrunk\":" ^ F.to_json s))

@@ -35,7 +35,7 @@ let detection ?(runs = 200) ?(seed = 42L) kind params =
     in
     let cfg =
       Runtime.config ~kind
-        ~crash:{ Runtime.who = 1; at = crash_at }
+        ~faults:[ Sim.Fault.crash ~at:crash_at 1 ]
         ~seed:(Sim.Rng.int64 master) ~duration:(crash_at +. horizon) params
     in
     let result = Runtime.run cfg in

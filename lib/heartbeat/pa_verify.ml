@@ -96,21 +96,17 @@ let check_verdict ?(max_states = default_max) ?(domains = 1)
     ?(reduce = false) ?budget ?degrade variant params req =
   let spec = Pa_models.build variant params in
   let sys = Proc.Semantics.system spec in
-  (* reduction composes with domains > 1 through the parallel-safe
-     proviso: each reduced system is built with [~par:true] and Safety
-     is told not to force the sequential engine *)
-  let par = domains > 1 in
   let analysis = if reduce then Some (Por.analyze_cached spec) else None in
   (* first non-Holds verdict wins; all monitors must hold for Holds *)
   let rec go = function
     | [] -> Mc.Safety.Holds
     | (monitor, alphabet) :: rest -> (
         let reduction =
-          Option.map (fun a -> Por.reduced_system ~alphabet ~par a) analysis
+          Option.map (fun a -> Por.reduced_system ~alphabet a) analysis
         in
         match
-          Mc.Safety.check_monitor ~max_states ~domains ?reduction
-            ~parallel_reduction:par ?budget ?degrade sys monitor
+          Mc.Safety.check_monitor ~max_states ~domains ?reduction ?budget
+            ?degrade sys monitor
         with
         | Mc.Safety.Holds -> go rest
         | v -> v)
@@ -149,27 +145,24 @@ let explore ?(max_states = default_max) ?(reduce = false) variant params =
 
 (* The model and the optional ample-set reduction both LTL entry points
    check. *)
-let live_parts ~reduce ~domains variant params =
+let live_parts ~reduce variant params =
   let spec = Pa_models.build variant params in
   let sys = Proc.Semantics.system spec in
   let reduction =
-    if reduce then
-      let a = Por.analyze_cached spec in
-      Some (fun ~alphabet -> Por.reduction ~par:(domains > 1) a ~alphabet)
-    else None
+    if reduce then Some (Por.reduction (Por.analyze_cached spec)) else None
   in
   (sys, reduction)
 
 let check_live ?(engine = Ltl.Check.Ndfs) ?(reduce = false) ?(domains = 1)
     variant params req =
-  let sys, reduction = live_parts ~reduce ~domains variant params in
+  let sys, reduction = live_parts ~reduce variant params in
   Ltl.Check.check ~engine ~fairness:Requirements.live_fairness_pa ?reduction
     ~max_states:default_max ~domains sys
     (Requirements.live_formula_pa variant params req)
 
 let check_live_run ?(engine = Ltl.Check.Ndfs) ?(reduce = false) ?(domains = 1)
     ?budget ?checkpoint ?resume variant params req =
-  let sys, reduction = live_parts ~reduce ~domains variant params in
+  let sys, reduction = live_parts ~reduce variant params in
   Ltl.Check.check_run ~engine ~fairness:Requirements.live_fairness_pa
     ?reduction ~max_states:default_max ~domains ?budget ?checkpoint ?resume sys
     (Requirements.live_formula_pa variant params req)

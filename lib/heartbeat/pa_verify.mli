@@ -42,9 +42,7 @@ val check :
     (default false) explores an ample-set reduced sub-structure instead
     ({!Por}), with each monitor's alphabet kept visible; the verdict is
     unchanged, counterexample traces may schedule independent actions
-    differently.  [reduce] composes with [domains > 1]: the reduced
-    systems are then built with the parallel-safe proviso
-    ([Por.reduced_system ~par:true]) and explored in parallel.
+    differently.  [reduce] composes with any [domains].
     @raise Failure if the state bound (default 4 million) is exceeded. *)
 
 type explore_stats = { states : int; transitions : int; complete : bool }
@@ -72,8 +70,7 @@ val check_live :
 (** The liveness reading of the requirement
     ({!Requirements.live_formula_pa}) under time divergence
     ({!Requirements.live_fairness_pa}).  With [reduce] the check offers
-    {!Ltl.Check.check} the partial-order reduction (parallel-safe when
-    [domains > 1]); the formulas pass the stutter-invariance gate, so
+    {!Ltl.Check.check} the partial-order reduction; the formulas pass the stutter-invariance gate, so
     it is actually applied.  [domains] takes effect with the
     {!Ltl.Check.Scc} engine (see {!Ltl.Check.check}). *)
 

@@ -5,29 +5,25 @@ let kind_name = function
   | Two_phase -> "two-phase"
   | Fixed_rate k -> Printf.sprintf "fixed-rate(%d)" k
 
-type crash = { who : int; at : float }
-
 type config = {
   params : Params.t;
   kind : kind;
   loss : float;
   loss_model : Sim.Loss.t option;
   duration : float;
-  crash : crash option;
   faults : Sim.Fault.schedule;
   fixed_bounds : bool;
   seed : int64;
 }
 
-let config ?(kind = Halving) ?(loss = 0.0) ?loss_model ?crash ?(faults = [])
+let config ?(kind = Halving) ?(loss = 0.0) ?loss_model ?(faults = [])
     ?(fixed_bounds = false) ?(seed = 1L) ~duration params =
   (match kind with
   | Fixed_rate k when k < 1 ->
       invalid_arg "Heartbeat.Runtime: Fixed_rate needs k >= 1"
   | _ -> ());
   Sim.Fault.validate faults;
-  { params; kind; loss; loss_model; duration; crash; faults; fixed_bounds;
-    seed }
+  { params; kind; loss; loss_model; duration; faults; fixed_bounds; seed }
 
 type result = {
   messages_sent : int;
@@ -263,16 +259,6 @@ let run ?on_event (cfg : config) : result =
     rearm_deadline participants.(i) (participant_deadline i)
   done;
   start_coordinator ();
-  (* Crash injection: the legacy single scripted crash, kept verbatim for
-     existing experiments, plus the declarative fault schedule. *)
-  Option.iter
-    (fun { who; at } ->
-      ignore
-        (Sim.Engine.schedule engine ~delay:at (fun () ->
-             fault_log :=
-               (Sim.Engine.now engine, Sim.Fault.Crash who) :: !fault_log;
-             do_crash who)))
-    cfg.crash;
   if cfg.faults <> [] then begin
     let nodes = List.init (n + 1) Fun.id in
     let link ~src ~dst =
@@ -306,18 +292,14 @@ let run ?on_event (cfg : config) : result =
   }
 
 let first_crash_at cfg =
-  let scheduled =
+  match
     List.filter_map
       (fun { Sim.Fault.at; action } ->
         match action with Sim.Fault.Crash _ -> Some at | _ -> None)
       cfg.faults
-  in
-  let all =
-    match cfg.crash with
-    | Some { at; _ } -> at :: scheduled
-    | None -> scheduled
-  in
-  match all with [] -> None | _ -> Some (List.fold_left min infinity all)
+  with
+  | [] -> None
+  | all -> Some (List.fold_left min infinity all)
 
 let detection_delay cfg result =
   match (first_crash_at cfg, result.p0_detected_at) with

@@ -25,10 +25,6 @@ type kind =
 
 val kind_name : kind -> string
 
-type crash = { who : int; at : float }
-(** Crash participant [who] (0 for the coordinator) at time [at] — the
-    legacy single scripted crash; use [faults] for anything richer. *)
-
 type config = {
   params : Params.t;
   kind : kind;
@@ -36,11 +32,11 @@ type config = {
   loss_model : Sim.Loss.t option;
       (** overrides [loss] when given (e.g. bursty Gilbert–Elliott) *)
   duration : float;  (** simulated time horizon *)
-  crash : crash option;
   faults : Sim.Fault.schedule;
-      (** declarative fault schedule: multiple crashes (coordinator
-          included), crash-then-recover, partitions, burst loss,
-          duplication, reordering, delay jitter *)
+      (** declarative fault schedule: crashes ([Sim.Fault.crash ~at who],
+          [who = 0] for the coordinator), crash-then-recover,
+          partitions, burst loss, duplication, reordering, delay
+          jitter *)
   fixed_bounds : bool;
       (** use the corrected (§6.2) participant bounds instead of
           [3*tmax - tmin] *)
@@ -51,7 +47,6 @@ val config :
   ?kind:kind ->
   ?loss:float ->
   ?loss_model:Sim.Loss.t ->
-  ?crash:crash ->
   ?faults:Sim.Fault.schedule ->
   ?fixed_bounds:bool ->
   ?seed:int64 ->
@@ -75,7 +70,7 @@ type result = {
       (** [p0_detected_at] fired although nothing had crashed *)
   fault_log : (float * Sim.Fault.action) list;
       (** every injected fault event with its firing timestamp, in
-          order (includes the legacy [crash]) *)
+          order *)
 }
 
 val run : ?on_event:(Monitors.event -> unit) -> config -> result
@@ -85,5 +80,5 @@ val run : ?on_event:(Monitors.event -> unit) -> config -> result
     attach {!Monitors.feed} to check requirements online. *)
 
 val detection_delay : config -> result -> float option
-(** Time from the earliest configured or scheduled crash to p[0]'s
+(** Time from the earliest scheduled crash to p[0]'s
     detection, when both happened. *)

@@ -118,9 +118,7 @@ val check :
     [domains] affects the {!Scc} engine only: at more than one domain
     its product graph is built with {!Mc.Pexplore} (byte-identical to
     the sequential graph; the store is always exact), so verdicts and
-    lassos are unchanged at any domain count.
-    Combining [domains > 1] with [reduction] requires a parallel-safe
-    reduction ([Por.reduction ~par:true]).  {!Ndfs} is inherently
+    lassos are unchanged at any domain count.  {!Ndfs} is inherently
     sequential (its stack colouring has no parallel analogue here) and
     ignores it.
 

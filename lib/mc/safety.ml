@@ -39,18 +39,9 @@ let of_find_verdict = function
   | Explore.Bound_hit n -> Unknown n
   | Explore.Exhausted e -> Exhausted e
 
-(* A reduced replacement system built with the sequential proviso forces
-   the sequential engine: its seen-set needs a deterministic call order.
-   When the caller vouches the reduction uses the parallel-safe proviso
-   ([Por.reduced_system ~par:true]), the requested domain count stands. *)
 let check_monitor (type s l) ?max_states ?expected_states ?domains ?reduction
-    ?(parallel_reduction = false) ?budget ?degrade (sys : (s, l) System.t)
-    (m : l Monitor.t) : l verdict =
-  let sys, domains =
-    match reduction with
-    | None -> (sys, domains)
-    | Some reduced -> (reduced, if parallel_reduction then domains else Some 1)
-  in
+    ?budget ?degrade (sys : (s, l) System.t) (m : l Monitor.t) : l verdict =
+  let sys = Option.value reduction ~default:sys in
   of_find_verdict
     (run_find ?max_states ?expected_states ?domains ?budget ?degrade
        ~goal:(fun (_, q) -> m.Monitor.accepting q)

@@ -22,7 +22,6 @@ val check_monitor :
   ?expected_states:int ->
   ?domains:int ->
   ?reduction:('s, 'l) System.t ->
-  ?parallel_reduction:bool ->
   ?budget:Budget.t ->
   ?degrade:bool ->
   ('s, 'l) System.t ->
@@ -55,13 +54,8 @@ val check_monitor :
     monitors).  The verdict is then unchanged, but a [Violated] trace
     may order independent actions differently and, under a tight
     [max_states], an [Unknown] full run may become a conclusive reduced
-    one (fewer states to visit).  By default a reduction implies
-    [domains = 1]: the sequential cycle proviso's seen-set needs the
-    deterministic sequential call order.  Pass
-    [~parallel_reduction:true] {e only} when the reduction was built
-    with the parallel-safe proviso ([Por.reduced_system ~par:true] /
-    [Por.reduction ~par:true]); the requested [domains] then stands and
-    the reduced product is explored in parallel.
+    one (fewer states to visit).  [domains] applies to the reduced
+    product as to any other system.
 
     A property-preserving slice (see the [slice] library) is passed as
     [sys] itself: it is an ordinary system. *)

@@ -1,11 +1,12 @@
 (* State-storage modes for the exploration engines.  See store.mli for
    the contract; the concurrency story is the same lock-striping used by
    the explorer table: a state is owned by exactly one stripe (selected
-   from its key hash, or from its fingerprint in the compressed modes so
-   that colliding states are serialised through the same lock), and all
-   per-state mutation happens under that stripe's mutex.  The
-   provisional-id counter is a plain [Atomic.t] fetched while holding
-   the stripe lock, which makes ids dense and insertion atomic.
+   from its key hash by [stripe], or from its fingerprint in the
+   compressed modes so that colliding states are serialised through the
+   same lock), and all per-state mutation happens under that stripe's
+   mutex.  The provisional-id counter is a plain [Atomic.t] fetched
+   while holding the stripe lock, which makes ids dense and insertion
+   atomic.
 
    The representation is additionally *mutable*: when a memory budget
    trips, [degrade] swaps the whole table one rung down the compression
@@ -159,10 +160,17 @@ let coverage_of ~mode ~stored =
         exact = false;
       }
 
-let round_pow2 n =
-  let r = ref 1 in
-  while !r < n do
-    r := !r lsl 1
+(* Fibonacci hashing: the top [bits] bits of [h] times an odd constant
+   (2^63 over the golden ratio).  Each stripe's [Hashtbl] picks its
+   bucket from the low bits of the same hash, so a stripe taken from
+   those bits would leave every key of a stripe sharing them, and the
+   stripe's table using 1/2^bits of its buckets. *)
+let stripe ~bits h = (h * 0x4f1bbcdcbfa53e0b) lsr (Sys.int_size - bits)
+
+let log2_ceil n =
+  let r = ref 0 in
+  while 1 lsl !r < n do
+    incr r
   done;
   !r
 
@@ -191,6 +199,7 @@ struct
     mutable mode : mode;
     mutable repr : repr; (* swapped under ALL stripe locks by [degrade] *)
     locks : Mutex.t array;
+    bits : int; (* log2 of the stripe count *)
     mask : int;
     next : int Atomic.t;
     filled : int array; (* insertions per stripe, under the stripe lock *)
@@ -200,7 +209,8 @@ struct
   type intern_result = Fresh of int | Known of int | Relaxed of int * int
 
   let create ?(expected = 1024) ?(fingerprint = fingerprint) ~shards mode =
-    let nshards = round_pow2 (max 1 shards) in
+    let bits = log2_ceil shards in
+    let nshards = 1 lsl bits in
     let per_shard = max 64 (expected / nshards) in
     let repr =
       match mode with
@@ -225,6 +235,7 @@ struct
       mode;
       repr;
       locks = Array.init nshards (fun _ -> Mutex.create ());
+      bits;
       mask = nshards - 1;
       next = Atomic.make 0;
       filled = Array.make nshards 0;
@@ -300,7 +311,7 @@ struct
     let res =
       match repr with
       | Rexact shards ->
-          let shard = K.hash s land max_int land t.mask in
+          let shard = stripe ~bits:t.bits (K.hash s) in
           let tbl = shards.(shard) in
           with_stripe t shard repr (fun () ->
               intern_slot
@@ -333,7 +344,7 @@ struct
     let res =
       match repr with
       | Rexact shards ->
-          let shard = K.hash s land max_int land t.mask in
+          let shard = stripe ~bits:t.bits (K.hash s) in
           with_stripe t shard repr (fun () ->
               match T.find_opt shards.(shard) s with
               | Some e -> e.pid

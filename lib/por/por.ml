@@ -292,9 +292,10 @@ module H = Hashtbl.Make (struct
   let hash = Sem.hash_state
 end)
 
-let nstripes = 64
+let stripe_bits = 6
+let nstripes = 1 lsl stripe_bits
 
-let reduced_successors ?(par = false) (a : analysis) ~alphabet :
+let reduced_successors (a : analysis) ~alphabet :
     (Sem.state -> (Sem.label * Sem.state) list) * stats =
   let c = a.compiled in
   let prop = SSet.of_list alphabet in
@@ -309,59 +310,46 @@ let reduced_successors ?(par = false) (a : analysis) ~alphabet :
       cross_domain_blocked = 0;
     }
   in
-  (* Every stripe-lock critical section below runs under [Fun.protect]:
+  (* Every lock's critical section below runs under [Mutex.protect]:
      the hashed operations inside call [Sem.hash_state]/[Sem.equal_state],
      and a raise there with a lock still held would deadlock every other
      domain on that stripe (the work-stealing engine survives raising
      user code precisely because no lock is orphaned). *)
-  let locked m f =
-    Mutex.lock m;
-    Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-  in
   let smu = Mutex.create () in
-  let with_stats f = if par then locked smu f else f () in
+  let with_stats f = Mutex.protect smu f in
   (* The runtime cycle proviso below, and the discovery stamps it reads,
      are needed only when the static analysis left zeno suspects. *)
   let proviso = a.zeno_suspects <> [] in
-  (* Discovery indices for the cycle proviso: every state this system
+  (* Discovery stamps for the cycle proviso: every state this system
      has handed out or been asked about gets a sequence number when
      first seen.  An ample transition into a state discovered no later
      than the current one is a potential cycle-closing back edge and
      forces full expansion; edges to later-discovered states (the
-     common diamond-convergence case) are harmless.  Soundness needs no
-     assumption on the caller's exploration order beyond it being
-     sequential: on any all-reduced cycle, the state with the minimal
-     discovery index was noted before its cycle predecessor was, so the
-     predecessor's expansion saw the back edge and cannot have chosen
-     that ample set.  Memoization makes the reduced relation a function
-     of the state despite the stateful proviso. *)
-  let seen : int H.t = H.create 4096 in
-  let next_disc = ref 0 in
-  let memo : (Sem.label * Sem.state) list H.t = H.create 4096 in
-  (* Parallel ([par = true]) variants of [seen]/[memo]: lock-striped
-     tables safe to drive from several domains at once, e.g. from the
-     work-stealing explorer.  The sequential soundness argument above
-     survives any interleaving because the discovery counter is fetched
+     common diamond-convergence case) are harmless.
+
+     [seen] and [memo] are lock-striped, so any number of domains may
+     call the system at once, and the stamp counter is fetched
      {e inside} the owning stripe's lock: the in-lock fetches are
-     totally ordered, so a [None] answer read under the lock implies the
-     state's eventual stamp strictly exceeds every stamp already handed
-     out — in particular the reader's own [disc].  On an all-reduced
-     cycle in the final (memoized, winner-takes-all) relation, the
+     totally ordered, so a [None] answer read under the lock implies
+     the state's eventual stamp strictly exceeds every stamp already
+     handed out — in particular the reader's own.  On an all-reduced
+     cycle in the final (memoised, winner-takes-all) relation, the
      minimal-stamp state therefore cannot have been invisible to its
      cycle predecessor's winning expansion, which must have seen the
-     back edge and fully expanded.  Each stamp also records the domain
+     back edge and fully expanded.  On one domain the stamps are the
+     sequential discovery order.  Each stamp also records the domain
      that minted it; a back edge whose stamp was minted by another
-     domain is counted in [cross_domain_blocked] — the full expansion it
-     forces is the conservative fallback on cross-domain edges. *)
-  let locks = Array.init (if par then nstripes else 0) (fun _ -> Mutex.create ()) in
-  let seen_p : (int * int) H.t array =
-    Array.init (if par then nstripes else 0) (fun _ -> H.create 64)
+     domain is counted in [cross_domain_blocked] — the full expansion
+     it forces is the conservative fallback on cross-domain edges. *)
+  let locks = Array.init nstripes (fun _ -> Mutex.create ()) in
+  let seen : (int * int) H.t array =
+    Array.init nstripes (fun _ -> H.create 64)
   in
-  let memo_p : (Sem.label * Sem.state) list H.t array =
-    Array.init (if par then nstripes else 0) (fun _ -> H.create 64)
+  let memo : (Sem.label * Sem.state) list H.t array =
+    Array.init nstripes (fun _ -> H.create 64)
   in
-  let next_disc_p = Atomic.make 0 in
-  let stripe s = Sem.hash_state s land max_int land (nstripes - 1) in
+  let next_disc = Atomic.make 0 in
+  let stripe s = Mc.Store.stripe ~bits:stripe_bits (Sem.hash_state s) in
   (* Future offers of a configuration: every action name it could ever
      offer again, over-approximated syntactically — the prefix names of
      its own term plus those of every definition reachable from its
@@ -369,59 +357,55 @@ let reduced_successors ?(par = false) (a : analysis) ~alphabet :
      to data; and every derivative's set is a subset of its source's,
      which is what makes it usable for freezing: a component whose
      future offers exclude [partner] can move freely without ever
-     enabling that handshake.  Memoized per configuration. *)
+     enabling that handshake.  Memoized per configuration; one lock
+     acquisition looks up a whole state. *)
   let future_cache : SSet.t Sem.Table.t = Sem.Table.create 256 in
   let fmu = Mutex.create () in
-  let future_offers comp =
+  let future_offers (s : Sem.state) =
     let cached =
-      if par then locked fmu (fun () -> Sem.Table.find_opt future_cache comp)
-      else Sem.Table.find_opt future_cache comp
+      Mutex.protect fmu (fun () ->
+          Array.map (Sem.Table.find_opt future_cache) s)
     in
-    match cached with
-    | Some set -> set
-    | None ->
-        let t = Sem.component_term comp in
-        let roots = SSet.elements (Lint_pa.callees SSet.empty t) in
-        let set =
-          SSet.union
-            (Lint_pa.offered SSet.empty t)
-            (Lint_pa.offered_by a.defs (Lint_pa.reachable_from a.defs roots))
-        in
-        let install () =
-          if not (Sem.Table.mem future_cache comp) then
-            Sem.Table.add future_cache comp set
-        in
-        if par then locked fmu install else install ();
-        set
+    Array.mapi
+      (fun i -> function
+        | Some set -> set
+        | None ->
+            let comp = s.(i) in
+            let t = Sem.component_term comp in
+            let roots = SSet.elements (Lint_pa.callees SSet.empty t) in
+            let set =
+              SSet.union
+                (Lint_pa.offered SSet.empty t)
+                (Lint_pa.offered_by a.defs
+                   (Lint_pa.reachable_from a.defs roots))
+            in
+            Mutex.protect fmu (fun () ->
+                if not (Sem.Table.mem future_cache comp) then
+                  Sem.Table.add future_cache comp set);
+            set)
+      cached
   in
+  (* The stamp of [s], minted now if [s] is new. *)
   let note s =
-    if par then
-      let k = stripe s in
-      locked locks.(k) (fun () ->
-          match H.find_opt seen_p.(k) s with
-          | Some _ -> ()
-          | None ->
-              (* counter fetched inside the stripe lock — see the
-                 soundness comment at [seen_p] *)
-              let d = Atomic.fetch_and_add next_disc_p 1 in
-              H.add seen_p.(k) s (d, (Domain.self () :> int)))
-    else if not (H.mem seen s) then begin
-      H.add seen s !next_disc;
-      incr next_disc
-    end
+    let k = stripe s in
+    Mutex.protect locks.(k) (fun () ->
+        match H.find_opt seen.(k) s with
+        | Some (d, _) -> d
+        | None ->
+            let d = Atomic.fetch_and_add next_disc 1 in
+            H.add seen.(k) s (d, (Domain.self () :> int));
+            d)
   in
   (* Stamp and minting domain of a noted state; [None] means "discovered
-     strictly later than any stamp already read" (see [seen_p]). *)
+     strictly later than any stamp already read" (see [seen]). *)
   let disc_of s =
-    if par then
-      let k = stripe s in
-      locked locks.(k) (fun () -> H.find_opt seen_p.(k) s)
-    else Option.map (fun d -> (d, 0)) (H.find_opt seen s)
+    let k = stripe s in
+    Mutex.protect locks.(k) (fun () -> H.find_opt seen.(k) s)
   in
   let expand (s : Sem.state) ~disc ~mydom : (Sem.label * Sem.state) list =
     let n = Array.length s in
     let menus = Sem.menus c s in
-    let future = Array.map future_offers s in
+    let future = future_offers s in
     (* Least communication-closed group containing [seed]. *)
     let group seed =
       let in_g = Array.make n false in
@@ -518,53 +502,35 @@ let reduced_successors ?(par = false) (a : analysis) ~alphabet :
                   stats.cross_domain_blocked <- stats.cross_domain_blocked + 1);
         Sem.successors_with menus s
   in
-  let successors_seq s =
-    match H.find_opt memo s with
-    | Some r -> r
-    | None ->
-        if proviso then note s;
-        stats.states <- stats.states + 1;
-        let disc = if proviso then H.find seen s else 0 in
-        let result = expand s ~disc ~mydom:0 in
-        if proviso then List.iter (fun (_, s') -> note s') result;
-        H.add memo s result;
-        result
-  in
-  (* Parallel variant: expansions are computed outside the locks and
-     installed into the memo winner-takes-all, so racing domains may
-     both expand a state but every caller observes the single winning
-     expansion — the reduced relation stays a function of the state
-     within a run.  [stats.states] consequently counts expansion
-     computations, which can slightly exceed the number of distinct
-     reduced states under races. *)
-  let successors_par s =
+  (* Expansions are computed outside the locks and installed into the
+     memo winner-takes-all, so racing domains may both expand a state
+     but every caller observes the single winning expansion — the
+     reduced relation stays a function of the state within a run.
+     [stats.states] consequently counts expansion computations, which
+     can slightly exceed the number of distinct reduced states under
+     races. *)
+  let successors s =
     let k = stripe s in
-    let cached = locked locks.(k) (fun () -> H.find_opt memo_p.(k) s) in
-    match cached with
+    match Mutex.protect locks.(k) (fun () -> H.find_opt memo.(k) s) with
     | Some r -> r
     | None ->
-        let disc =
-          if proviso then begin
-            note s;
-            match disc_of s with Some (d, _) -> d | None -> assert false
-          end
-          else 0
-        in
+        let disc = if proviso then note s else 0 in
         with_stats (fun () -> stats.states <- stats.states + 1);
         let result = expand s ~disc ~mydom:(Domain.self () :> int) in
-        if proviso then List.iter (fun (_, s') -> note s') result;
-        locked locks.(k) (fun () ->
-            match H.find_opt memo_p.(k) s with
+        if proviso then
+          List.iter (fun (_, s') -> ignore (note s' : int)) result;
+        Mutex.protect locks.(k) (fun () ->
+            match H.find_opt memo.(k) s with
             | Some winner -> winner
             | None ->
-                H.add memo_p.(k) s result;
+                H.add memo.(k) s result;
                 result)
   in
-  ((if par then successors_par else successors_seq), stats)
+  (successors, stats)
 
-let reduced_system_stats ?(alphabet = []) ?par (a : analysis) :
+let reduced_system_stats ?(alphabet = []) (a : analysis) :
     (Sem.state, Sem.label) Mc.System.t * stats =
-  let successors, stats = reduced_successors ?par a ~alphabet in
+  let successors, stats = reduced_successors a ~alphabet in
   let sys : (Sem.state, Sem.label) Mc.System.t =
     (module struct
       type state = Sem.state
@@ -580,8 +546,8 @@ let reduced_system_stats ?(alphabet = []) ?par (a : analysis) :
   in
   (sys, stats)
 
-let reduced_system ?alphabet ?par a = fst (reduced_system_stats ?alphabet ?par a)
-let reduction ?par a ~alphabet = Some (reduced_system ~alphabet ?par a)
+let reduced_system ?alphabet a = fst (reduced_system_stats ?alphabet a)
+let reduction a ~alphabet = Some (reduced_system ~alphabet a)
 
 (* --- hblint report section -------------------------------------------- *)
 

@@ -12,25 +12,25 @@
     stutter-invariant LTL over that alphabet (see DESIGN.md for the
     soundness argument and the cycle proviso).
 
-    The reduced system is stateful (it memoizes expansions to
-    implement the cycle proviso).  By default ([par = false]) it must
-    be explored {e sequentially} — {!Mc.Explore}, {!Mc.Safety} with
-    [domains = 1], or the {!Ltl.Check} engines.  With [~par:true] the
-    proviso's seen-set and memo become lock-striped and the discovery
-    stamps are minted inside the stripe locks, which makes the reduced
-    system safe to feed to {!Mc.Pexplore} with any domain count: a
-    state whose stamp is still unknown to a reader is guaranteed to be
-    stamped strictly later, so the sequential back-edge argument
+    The reduced system is stateful: it memoizes expansions to
+    implement the cycle proviso.  Its seen-set and memo are
+    lock-striped and the discovery stamps are minted inside the stripe
+    locks, so any explorer may drive it at any domain count —
+    {!Mc.Explore}, {!Mc.Safety}, the {!Ltl.Check} engines or
+    {!Mc.Pexplore}.  A state whose stamp is still unknown to a reader is
+    guaranteed to be stamped strictly later, so the back-edge argument
     (the minimal-stamp state on an all-reduced cycle must have been
     visible to its predecessor's expansion) holds under any
     interleaving, and back edges judged against stamps minted by
     another domain conservatively force full expansion (counted in
-    [cross_domain_blocked]).  Racing expansions are resolved
-    winner-takes-all in the memo, so within one run the reduced
-    relation is still a function of the state; across runs the winner
-    — and hence the reduced graph and its statistics — may differ with
-    scheduling.  Parallel reduced runs therefore guarantee {e verdict}
-    parity with the full system, not byte-identical state spaces. *)
+    [cross_domain_blocked]).  On one domain the stamps are the
+    sequential discovery order, so the reduced graph is deterministic.
+    Racing expansions are resolved winner-takes-all in the memo, so
+    within one run the reduced relation is still a function of the
+    state; across parallel runs the winner — and hence the reduced
+    graph and its statistics — may differ with scheduling.  Parallel
+    reduced runs therefore guarantee {e verdict} parity with the full
+    system, not byte-identical state spaces. *)
 
 type analysis
 (** Result of the static pass over one specification. *)
@@ -74,7 +74,9 @@ val zeno_suspects : analysis -> int list
     the potential movers of a tick-free cycle.  [[]] iff {!zeno_free}. *)
 
 type stats = {
-  mutable states : int;  (** states whose successors were computed *)
+  mutable states : int;
+      (** expansions computed: the states whose successors were
+          computed, plus any expansion a racing domain lost *)
   mutable ample_states : int;
       (** of those, states where an ample subset was returned *)
   mutable no_refuser : int;
@@ -89,13 +91,12 @@ type stats = {
   mutable cross_domain_blocked : int;
       (** of the [proviso_blocked] expansions, those where a blocking
           back edge's discovery stamp was minted by another domain —
-          the parallel proviso's conservative cross-domain fallback.
-          Always [0] sequentially. *)
+          the proviso's conservative cross-domain fallback.  Always
+          [0] on one domain. *)
 }
 
 val reduced_system_stats :
   ?alphabet:string list ->
-  ?par:bool ->
   analysis ->
   (Proc.Semantics.state, Proc.Semantics.label) Mc.System.t * stats
 (** A reduced system together with its live counters.  [alphabet] is
@@ -104,24 +105,14 @@ val reduced_system_stats :
     atoms of a stutter-invariant LTL formula).  Every transition label
     whose name is in [alphabet] is treated as visible and never
     reduced past.  The default [[]] (pure reachability / state
-    counting) reduces the most.
-
-    [par] (default [false]) selects the lock-striped parallel proviso
-    described in the module header; sequential exploration of a
-    [~par:true] system is also sound (and deterministic on a single
-    domain), it merely pays the locking overhead.  In parallel mode
-    [states] counts expansion computations, which can slightly exceed
-    the number of distinct reduced states when domains race on the
-    same state. *)
+    counting) reduces the most. *)
 
 val reduced_system :
   ?alphabet:string list ->
-  ?par:bool ->
   analysis ->
   (Proc.Semantics.state, Proc.Semantics.label) Mc.System.t
 
 val reduction :
-  ?par:bool ->
   analysis ->
   alphabet:string list ->
   (Proc.Semantics.state, Proc.Semantics.label) Mc.System.t option

@@ -187,10 +187,9 @@ let lhs_var = function M.Scalar x -> x | M.Element (x, _) -> x
    in A (and it is not seeded, so property observers keep exact values).
    active(l) = reads local to l (its invariant, plus guards and update
    expressions of edges out of l) joined with active(l') over
-   non-resetting edges l -> l'.  Shared with the zone engine, which
-   zeroes inactive clocks in its DBMs for the same reason the slicer
-   zeroes them in discrete states: nothing reads them before a reset,
-   so the projection is a label-preserving bisimulation. *)
+   non-resetting edges l -> l'.  The slicer zeroes inactive clocks in
+   discrete states: nothing reads them before a reset, so the
+   projection is a label-preserving bisimulation. *)
 
 let clock_sites (model : M.t) =
   (* clock -> set of automaton names touching it *)
@@ -304,10 +303,6 @@ let inactive_of ~seed_clocks (model : M.t) =
         in
         if per_loc = [] then None else Some (a.M.auto_name, per_loc))
     model.M.automata
-
-(* The zone engine's entry point: per-automaton, per-location inactive
-   clocks of the full (unsliced, unseeded) model. *)
-let clock_activity (model : M.t) = inactive_of ~seed_clocks:SSet.empty model
 
 (* --- the pass ----------------------------------------------------------- *)
 

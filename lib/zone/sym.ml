@@ -23,9 +23,10 @@
    up from the discrete part — Lubounds' backward fixpoint gives
    per-(automaton, location, clock) constants, composed at
    extrapolation time as the maximum over the current location vector
-   (sound for the product; see lib/lubounds), with the Daws-Yovine
-   inactive clocks dropped to the L = U = -1 degenerate case on top of
-   the existing reset-to-zero. *)
+   (sound for the product; see lib/lubounds).  A clock nothing reads
+   before its next reset has L = U = -1 there, and Extra_LU then
+   forgets it entirely: its row and column go to infinity and its
+   lower bound to 0, whatever its value. *)
 
 module E = Ta.Expr
 module M = Ta.Model
@@ -149,7 +150,6 @@ type t = {
   zloc_u : int array array array;
   zscr_l : int array; (* scratch per-state composition buffers: the *)
   zscr_u : int array; (* engine is sequential, settle owns them *)
-  zinactive : int array array array; (* auto -> loc -> DBM indices *)
   zclock_names : string array; (* by DBM index *)
 }
 
@@ -328,25 +328,6 @@ let compile ?lu:_ (model : M.t) : t =
   in
   let zautos = Array.of_list (List.mapi compile_auto model.M.automata) in
   let zn = Array.length zautos in
-  let zinactive =
-    let tbl =
-      Array.init zn (fun ia -> Array.make (Array.length zautos.(ia)) [||])
-    in
-    let auto_id = Hashtbl.create 8 in
-    List.iteri
-      (fun ia (a : M.automaton) -> Hashtbl.replace auto_id a.M.auto_name ia)
-      model.M.automata;
-    List.iter
-      (fun (auto, per_loc) ->
-        let ia = Hashtbl.find auto_id auto in
-        List.iter
-          (fun (loc, clocks) ->
-            let k = S.loc_index net ~auto:ia loc in
-            tbl.(ia).(k) <- Array.of_list (List.map cidx clocks))
-          per_loc)
-      (Slice_ta.clock_activity model);
-    tbl
-  in
   (* Per-(automaton, location) LU arrays by DBM index, from the
      backward fixpoint; settle composes them per state.  Location order
      matches zautos: both come from the model's location lists via
@@ -384,7 +365,6 @@ let compile ?lu:_ (model : M.t) : t =
     zloc_u = loc_tbl snd;
     zscr_l = Array.make dim (-1);
     zscr_u = Array.make dim (-1);
-    zinactive;
     zclock_names;
   }
 
@@ -418,9 +398,8 @@ let constrain_atom t z (a : atom) disc =
   else Dbm.constrain ~dim:t.zdim z a.at_i 0 (Dbm.bnd b ~strict:a.at_strict)
 
 (* Post-transition pipeline: target invariants, delay (unless a target
-   location is urgent or committed), invariants again, inactive-clock
-   zeroing, location Extra_LU.  [z] is owned by the caller and
-   consumed. *)
+   location is urgent or committed), invariants again, location
+   Extra_LU.  [z] is owned by the caller and consumed. *)
 let settle t disc z : state option =
   let ok = ref true in
   for i = 0 to t.zn - 1 do
@@ -451,15 +430,8 @@ let settle t disc z : state option =
           t.zautos.(i).(disc.(i)).zl_inv_atoms
       done
     end;
-    for i = 0 to t.zn - 1 do
-      Array.iter
-        (fun k -> Dbm.reset ~dim:t.zdim z k)
-        t.zinactive.(i).(disc.(i))
-    done;
     (* compose the per-state bounds: max over the automata's current
-       locations, then the Daws-Yovine degenerate case — an inactive
-       clock (just reset to zero above) is never compared before its
-       next reset, i.e. L = U = -1 *)
+       locations *)
     let l = t.zscr_l and u = t.zscr_u in
     for k = 1 to t.zdim - 1 do
       l.(k) <- -1;
@@ -471,13 +443,6 @@ let settle t disc z : state option =
         if bl.(k) > l.(k) then l.(k) <- bl.(k);
         if bu.(k) > u.(k) then u.(k) <- bu.(k)
       done
-    done;
-    for i = 0 to t.zn - 1 do
-      Array.iter
-        (fun k ->
-          l.(k) <- -1;
-          u.(k) <- -1)
-        t.zinactive.(i).(disc.(i))
     done;
     Dbm.extrapolate_lu ~dim:t.zdim z ~l ~u;
     Some { disc; dbm = z }

@@ -14,11 +14,11 @@
     whose data guard holds, conjoin the clock guard atoms, apply the
     resets and variable updates in order, conjoin the target
     invariants, delay ([up], unless a target location is urgent or
-    committed), re-conjoin the invariants, zero the Daws–Yovine
-    inactive clocks, and apply Extra_LU extrapolation with
-    location-based bounds: {!Lubounds}' backward fixpoint, composed as
-    the maximum over the current location vector, with inactive clocks
-    dropped to [L = U = -1].
+    committed), re-conjoin the invariants, and apply Extra_LU
+    extrapolation with location-based bounds: {!Lubounds}' backward
+    fixpoint, composed as the maximum over the current location
+    vector.  A clock nothing reads before its next reset has
+    [L = U = -1], which Extra_LU turns into an unconstrained clock.
     Each zone is closed and non-empty by construction, so a state is a
     canonical representative of its region set and states compare by
     plain structural equality (or, better, by zone inclusion — see

@@ -3,6 +3,8 @@
    clock reads pin to the cap), the soundness pins (per-location bounds
    never exceed the global ones on any shipped model; every heartbeat
    clock constraint is closed, which discrete/zone parity rests on;
+   every clock the Daws-Yovine activity pass finds inactive has no LU
+   bound, which lets the zone engine do without that pass;
    fischer-broken's dense-only mutex violation survives location
    extrapolation; the FC suite keeps its verdicts), and the qcheck
    parity harness — on random closed-constraint networks the zone
@@ -237,6 +239,68 @@ let test_heartbeat_atoms_closed () =
     Heartbeat.Ta_models.all_variants;
   Alcotest.(check bool) "clock atoms were inspected" true (!atoms > 0)
 
+(* Zone.Sym keeps no clock-activity table of its own; it relies on
+   this.  A clock the slicer's Daws-Yovine pass finds inactive at a
+   location (nothing reads it before its next reset) has L = U = -1
+   there, and at every location of every other automaton, since only
+   its owner mentions it.  The bound settle composes is then -1, and
+   Extra_LU forgets the clock's value exactly as zeroing it would. *)
+let test_inactive_clocks_unbounded () =
+  let inactive = ref 0 in
+  let check_model name (m : M.t) =
+    let t = Lubounds.analyze m in
+    let unbounded where clock (l, u) =
+      if (l, u) <> (-1, -1) then
+        Alcotest.failf "%s: inactive clock %s has (%d,%d) at %s" name clock l
+          u where
+    in
+    List.iter
+      (fun (auto, per_loc) ->
+        List.iter
+          (fun (loc, clocks) ->
+            List.iter
+              (fun clock ->
+                incr inactive;
+                unbounded (auto ^ "." ^ loc) clock
+                  (Lubounds.bounds t ~auto ~loc ~clock);
+                List.iter
+                  (fun (other, locs) ->
+                    if other <> auto then
+                      List.iter
+                        (fun (loc', row) ->
+                          List.iter
+                            (fun (c, l, u) ->
+                              if c = clock then
+                                unbounded (other ^ "." ^ loc') clock (l, u))
+                            row)
+                        locs)
+                  (Lubounds.tables t))
+              clocks)
+          per_loc)
+      (Slice_ta.inactive_of ~seed_clocks:Slice_ta.SSet.empty m)
+  in
+  List.iter
+    (fun v ->
+      List.iter
+        (fun (tmin, tmax) ->
+          let p = Heartbeat.Params.make ~n:2 ~tmin ~tmax () in
+          List.iter
+            (fun (fixed, with_r1_monitors) ->
+              check_model
+                (Format.asprintf "%s%s%s %a"
+                   (Heartbeat.Ta_models.variant_name v)
+                   (if fixed then " fixed" else "")
+                   (if with_r1_monitors then " +R1" else "")
+                   Heartbeat.Params.pp p)
+                (Heartbeat.Ta_models.build ~fixed ~with_r1_monitors v p))
+            [ (false, false); (false, true); (true, false); (true, true) ])
+        Heartbeat.Params.table_datasets)
+    Heartbeat.Ta_models.all_variants;
+  List.iter (fun (s : Fc.spec) -> check_model s.Fc.fc_name s.Fc.model) Fc.all;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d inactive clocks were inspected" !inactive)
+    true (!inactive > 0)
+
 (* the tables Zone.Sym serves must be the analysis's own, and its
    global bounds must agree with the analysis maxima *)
 let test_zone_serves_analysis_tables () =
@@ -404,6 +468,8 @@ let tests =
         test_location_bounds_below_global;
       Alcotest.test_case "heartbeat clock atoms closed" `Quick
         test_heartbeat_atoms_closed;
+      Alcotest.test_case "inactive clocks have no LU bound" `Quick
+        test_inactive_clocks_unbounded;
       Alcotest.test_case "zone engine serves the analysis tables" `Quick
         test_zone_serves_analysis_tables;
       Alcotest.test_case "fischer-broken violation survives location LU"

@@ -282,13 +282,13 @@ let test_zeno_suspects_detected () =
   check Alcotest.(list int) "component 0 suspected" [ 0 ]
     (Por.zeno_suspects a)
 
-(* --- the parallel-safe proviso --------------------------------------- *)
+(* --- the proviso at several domains ---------------------------------- *)
 
-(* Satellite gate: monitor verdicts agree full vs par-reduced at 1 and 4
-   domains.  The par proviso judges back edges against lock-striped
-   discovery stamps instead of the sequential seen-set, so only verdict
-   parity (not byte parity) is promised — which is exactly what this
-   property checks, including counterexample replayability. *)
+(* Monitor verdicts agree full vs reduced at 1 and 4 domains.  Across
+   domains the proviso judges back edges against stamps minted in
+   whatever order the domains reach the stripes, so only verdict parity
+   (not byte parity) is promised — which is exactly what this property
+   checks, including counterexample replayability. *)
 let prop_parallel_safety_parity =
   QCheck.Test.make
     ~name:"monitor verdicts agree full vs par-reduced (d in {1,4})" ~count:60
@@ -302,8 +302,8 @@ let prop_parallel_safety_parity =
             (fun domains ->
               let red =
                 Mc.Safety.check_monitor ~max_states
-                  ~reduction:(Por.reduced_system ~alphabet ~par:true a)
-                  ~parallel_reduction:true ~domains sys monitor
+                  ~reduction:(Por.reduced_system ~alphabet a)
+                  ~domains sys monitor
               in
               match (full, red) with
               | Mc.Safety.Holds, Mc.Safety.Holds -> true
@@ -315,7 +315,7 @@ let prop_parallel_safety_parity =
 
 let test_variant_parallel_reduced_parity () =
   (* the six shipped protocols through the whole stack: Pa_verify.check
-     with reduce composes with domains > 1 via the parallel proviso *)
+     with reduce composes with domains > 1 *)
   let params = Heartbeat.Params.make ~tmin:2 ~tmax:3 () in
   List.iter
     (fun v ->
@@ -363,7 +363,7 @@ let test_cross_domain_fallback_pinned () =
   let a = Por.analyze spec in
   check Alcotest.bool "the hidden loop is a zeno suspect" false
     (Por.zeno_free a);
-  let rsys, stats = Por.reduced_system_stats ~alphabet:[ "v1" ] ~par:true a in
+  let rsys, stats = Por.reduced_system_stats ~alphabet:[ "v1" ] a in
   let module R =
     (val rsys : Mc.System.S
            with type state = Sem.state
@@ -386,7 +386,7 @@ let test_cross_domain_fallback_pinned () =
     (stats.Por.proviso_blocked >= 1)
 
 let test_sequential_proviso_never_cross () =
-  (* the sequential proviso can never see a foreign stamp *)
+  (* on one domain the proviso can never see a foreign stamp *)
   let params = Heartbeat.Params.make ~tmin:2 ~tmax:3 () in
   let a = Por.analyze (Heartbeat.Pa_models.build Heartbeat.Pa_models.Binary params) in
   let rsys, stats = Por.reduced_system_stats a in

@@ -68,7 +68,7 @@ let test_crash_detected_within_bound () =
 let test_p0_crash_inactivates_participants () =
   let cfg =
     H.Runtime.config ~kind:H.Runtime.Halving
-      ~crash:{ H.Runtime.who = 0; at = 55.0 }
+      ~faults:[ Sim.Fault.crash ~at:55.0 0 ]
       ~seed:9L ~duration:300.0
       (H.Params.make ~n:3 ~tmin:2 ~tmax:10 ())
   in
@@ -83,10 +83,10 @@ let test_p0_crash_inactivates_participants () =
     r.H.Runtime.pi_inactivated_at
 
 let test_fixed_bounds_shrink_reaction () =
-  let crash = { H.Runtime.who = 0; at = 55.0 } in
+  let faults = [ Sim.Fault.crash ~at:55.0 0 ] in
   let run fixed_bounds =
     let cfg =
-      H.Runtime.config ~kind:H.Runtime.Halving ~crash ~fixed_bounds ~seed:9L
+      H.Runtime.config ~kind:H.Runtime.Halving ~faults ~fixed_bounds ~seed:9L
         ~duration:300.0 params
     in
     match (H.Runtime.run cfg).H.Runtime.pi_inactivated_at with
@@ -128,10 +128,10 @@ let test_zero_loss_no_false_detection () =
     [ H.Runtime.Halving; H.Runtime.Two_phase; H.Runtime.Fixed_rate 3 ]
 
 let test_detection_delay_accessor () =
-  let crash = { H.Runtime.who = 1; at = 50.0 } in
   let cfg =
-    H.Runtime.config ~kind:H.Runtime.Halving ~crash ~seed:2L ~duration:300.0
-      params
+    H.Runtime.config ~kind:H.Runtime.Halving
+      ~faults:[ Sim.Fault.crash ~at:50.0 1 ]
+      ~seed:2L ~duration:300.0 params
   in
   let r = H.Runtime.run cfg in
   (match H.Runtime.detection_delay cfg r with

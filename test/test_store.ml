@@ -77,6 +77,39 @@ let test_exact_roundtrip () =
     && c.Mc.Store.omission_prob = 0.
     && c.Mc.Store.est_coverage = 1.)
 
+(* Each exact shard is a [Hashtbl] keyed by the same hash the shard is
+   picked from.  Were the shard picked from the hash's low bits, every
+   key of a shard would share the bits its bucket index reads, and a
+   fresh intern would walk a long bucket chain: 100 000 ints over 64
+   shards cost ~88 [equal] calls per intern that way. *)
+let test_exact_shards_spread () =
+  let calls = ref 0 in
+  let module C = Mc.Store.Make (struct
+    type t = int
+
+    let equal a b =
+      incr calls;
+      Int.equal a b
+    let hash = Hashtbl.hash
+  end) in
+  let n = 100_000 and shards = 64 in
+  let t = C.create ~shards Mc.Store.Exact in
+  for i = 0 to n - 1 do
+    match C.intern t i ~depth:0 with
+    | C.Fresh _ -> ()
+    | _ -> Alcotest.failf "state %d should be Fresh" i
+  done;
+  let per_intern = float_of_int !calls /. float_of_int n in
+  check Alcotest.bool
+    (Printf.sprintf "%.2f equal calls per fresh intern (<= 4)" per_intern)
+    true (per_intern <= 4.);
+  let occ = C.occupancy t in
+  let top = Array.fold_left max 0 occ in
+  check Alcotest.bool
+    (Printf.sprintf "fullest shard %d <= twice the mean %d" top (n / shards))
+    true
+    (top <= 2 * n / shards)
+
 (* ------------------------------------------------------------------ *)
 (* Forced fingerprint collisions                                       *)
 (* ------------------------------------------------------------------ *)
@@ -326,6 +359,8 @@ let tests =
     [
       Alcotest.test_case "of_string spellings" `Quick test_of_string;
       Alcotest.test_case "exact roundtrip" `Quick test_exact_roundtrip;
+      Alcotest.test_case "exact shards spread over their buckets" `Quick
+        test_exact_shards_spread;
       Alcotest.test_case "forced collision conflates (hashcompact)" `Quick
         test_forced_collision_conflates;
       Alcotest.test_case "forced collision conflates (bitstate)" `Quick
