@@ -1,8 +1,9 @@
-(* Shared plumbing for the command-line tools: budget flags,
-   checkpoint/resume flags, documented exit codes, signal handling that
-   turns an interrupted run into a reported partial result instead of a
-   dead process, flag validation, and the JSON helpers more than one
-   tool prints with. *)
+(* Shared plumbing for the command-line tools: the one definition of
+   every flag more than one tool takes (model parameters, variant,
+   requirement, engine switches, budget and checkpoint/resume flags),
+   documented exit codes, signal handling that turns an interrupted run
+   into a reported partial result instead of a dead process, flag
+   validation, and the JSON helpers more than one tool prints with. *)
 
 open Cmdliner
 
@@ -33,19 +34,6 @@ let usage fmt =
       exit exit_usage)
     fmt
 
-(* Model parameters from the -n/--tmin/--tmax flags; values
-   [Heartbeat.Params.make] rejects are a usage error, not an uncaught
-   exception. *)
-let params ?n ~tmin ~tmax () =
-  try Heartbeat.Params.make ?n ~tmin ~tmax ()
-  with Invalid_argument msg -> usage "%s" msg
-
-(* Exploration domains from -j/--jobs: 0 means all recommended cores. *)
-let resolve_jobs jobs =
-  if jobs < 0 then usage "--jobs must be >= 0"
-  else if jobs = 0 then Domain.recommended_domain_count ()
-  else jobs
-
 let exits =
   Cmd.Exit.info 0 ~doc:"on a clean verdict." ::
   Cmd.Exit.info exit_violation
@@ -61,6 +49,146 @@ let exits =
           checkpoint written if $(b,--checkpoint) was given." ::
   Cmd.Exit.info 130 ~doc:"on a forced quit (second SIGINT/SIGTERM)." ::
   Cmd.Exit.defaults
+
+(* ------------------------------------------------------------------ *)
+(* The model and engine flags, each defined once                        *)
+(* ------------------------------------------------------------------ *)
+
+let variant_conv =
+  let name = Heartbeat.Ta_models.variant_name in
+  let all = Heartbeat.Ta_models.all_variants in
+  let parse s =
+    match List.find_opt (fun v -> name v = s) all with
+    | Some v -> Ok v
+    | None ->
+        Error
+          (`Msg
+             (Printf.sprintf "unknown variant %s (expected one of: %s)" s
+                (String.concat ", " (List.map name all))))
+  in
+  Arg.conv (parse, fun ppf v -> Format.pp_print_string ppf (name v))
+
+let variant_arg =
+  Arg.(
+    value
+    & opt variant_conv Heartbeat.Ta_models.Binary
+    & info [ "v"; "variant" ] ~docv:"VARIANT"
+        ~doc:"Protocol variant: binary, revised, two-phase, static, \
+              expanding or dynamic.")
+
+let n_arg default =
+  Arg.(
+    value & opt int default
+    & info [ "n" ] ~docv:"N"
+        ~doc:"Number of participants (multi-party variants).")
+
+let tmin_arg default =
+  Arg.(
+    value & opt int default
+    & info [ "tmin" ] ~docv:"TMIN" ~doc:"Lower round bound.")
+
+let tmax_arg default =
+  Arg.(
+    value & opt int default
+    & info [ "tmax" ] ~docv:"TMAX" ~doc:"Upper round bound.")
+
+(* The model parameters -n, --tmin and --tmax as one term, validated by
+   [Heartbeat.Params.make]: a value it rejects is a usage error, not an
+   uncaught exception.  Each argument is the calling subcommand's
+   default for that flag; a flag without a default is not offered and
+   reads 1. *)
+let params ?n ?tmin ?tmax () =
+  let flag arg = function Some d -> arg d | None -> Term.const 1 in
+  let make n tmin tmax =
+    try Heartbeat.Params.make ~n ~tmin ~tmax ()
+    with Invalid_argument msg -> usage "%s" msg
+  in
+  Term.(const make $ flag n_arg n $ flag tmin_arg tmin $ flag tmax_arg tmax)
+
+let req_conv =
+  let parse = function
+    | "R1" | "r1" -> Ok Heartbeat.Requirements.R1
+    | "R2" | "r2" -> Ok Heartbeat.Requirements.R2
+    | "R3" | "r3" -> Ok Heartbeat.Requirements.R3
+    | s -> Error (`Msg ("unknown requirement " ^ s))
+  in
+  Arg.conv
+    ( parse,
+      fun ppf r -> Format.pp_print_string ppf (Heartbeat.Requirements.name r) )
+
+let req_arg =
+  Arg.(
+    required
+    & pos 0 (some req_conv) None
+    & info [] ~docv:"REQ" ~doc:"Requirement: R1, R2 or R3.")
+
+let fixed_arg =
+  Arg.(
+    value & flag
+    & info [ "fixed" ]
+        ~doc:"Use the corrected (section-6) version of the model.")
+
+let json_arg =
+  Arg.(value & flag & info [ "json" ] ~doc:"Emit the deterministic JSON result.")
+
+(* Exploration domains from -j/--jobs: 0 means all recommended cores. *)
+let jobs =
+  let resolve jobs =
+    if jobs < 0 then usage "--jobs must be >= 0"
+    else if jobs = 0 then Domain.recommended_domain_count ()
+    else jobs
+  in
+  Term.(
+    const resolve
+    $ Arg.(
+        value & opt int 1
+        & info [ "j"; "jobs" ] ~docv:"N"
+            ~doc:
+              "Exploration domains: 1 runs the sequential engine, more run \
+               the work-stealing parallel engine with identical results \
+               (composes with $(b,--reduce); the ndfs LTL engine is \
+               sequential and ignores this).  0 uses all cores."))
+
+let slice_arg =
+  Arg.(
+    value & flag
+    & info [ "slice" ]
+        ~doc:
+          "Use the statically sliced timed-automata model: dead writes, \
+           constant folding, clock activity and, for a safety check, the \
+           requirement's cone of influence.  The slice is an exact, \
+           label-preserving projection: verdicts are unchanged.")
+
+let reduce_arg =
+  Arg.(
+    value & flag
+    & info [ "reduce" ]
+        ~doc:
+          "Explore the ample-set reduced state space of the \
+           process-algebra model (sound partial-order reduction: same \
+           verdicts, fewer states).")
+
+let zone_arg =
+  Arg.(
+    value & flag
+    & info [ "zone" ]
+        ~doc:
+          "Explore the dense-time zone graph (canonical DBMs with \
+           inclusion subsumption) instead of the discrete state space.  \
+           Verdicts coincide for the shipped models; counterexamples are \
+           action sequences modulo time.")
+
+let msc_arg =
+  Arg.(
+    value & flag
+    & info [ "msc" ]
+        ~doc:
+          "Render the counterexample as a message sequence chart instead \
+           of an event list.")
+
+(* ------------------------------------------------------------------ *)
+(* Budgets, checkpoints and resume                                      *)
+(* ------------------------------------------------------------------ *)
 
 let budget_secs_arg =
   Arg.(
@@ -153,21 +281,40 @@ let exhaustion_json (e : Mc.Explore.exhaustion) =
     e.Mc.Explore.states_so_far
     (coverage_json e.Mc.Explore.coverage)
 
-(* Exploration statistics of a (possibly reduced) process-algebra state
-   space as a deterministic JSON object; with [reduce] also the
-   full-space size and the reduction ratio, so CI logs show what the
+(* The system a check explores and, for a slice or a reduction, the
+   full system it came from.  The slice is the property-free one: no
+   seed, so it wins through dead writes, folded constants and clock
+   activity alone. *)
+let ta_systems ~slice model =
+  let full = Ta.Semantics.system (Ta.Semantics.compile model) in
+  if slice then
+    let sl = Slice.Ta.slice model in
+    (Slice.Ta.system sl (Ta.Semantics.compile sl.Slice.Ta.model), Some full)
+  else (full, None)
+
+let pa_systems ~reduce spec =
+  let full = Proc.Semantics.system spec in
+  if reduce then (Por.reduced_system (Por.analyze_cached spec), Some full)
+  else (full, None)
+
+(* Statistics of the state space a check ran on, as a deterministic
+   JSON object: states, transitions and completeness of [sys]; with
+   [full], the unsliced or unreduced system [sys] was derived from, also
+   the full state count and the ratio, so CI logs show what the slice or
    reduction bought. *)
-let pa_stats_json ~reduce variant params =
-  let module P = Heartbeat.Pa_verify in
-  let st = P.explore ~reduce variant params in
+let stats_json ~max_states ?full sys =
+  let states (sp : _ Mc.Explore.space) = Lts.Graph.num_states sp.Mc.Explore.lts in
+  let sp = Mc.Explore.space ~max_states sys in
   let buf = Buffer.create 128 in
   Printf.bprintf buf "{\"states\":%d,\"transitions\":%d,\"complete\":%b"
-    st.P.states st.P.transitions st.P.complete;
-  if reduce then begin
-    let full = P.explore variant params in
-    Printf.bprintf buf ",\"full_states\":%d,\"reduction_ratio\":%.2f"
-      full.P.states
-      (float_of_int full.P.states /. float_of_int st.P.states)
-  end;
+    (states sp)
+    (Lts.Graph.num_transitions sp.Mc.Explore.lts)
+    sp.Mc.Explore.complete;
+  Option.iter
+    (fun full ->
+      let full = states (Mc.Explore.space ~max_states full) in
+      Printf.bprintf buf ",\"full_states\":%d,\"reduction_ratio\":%.2f" full
+        (float_of_int full /. float_of_int (states sp)))
+    full;
   Buffer.add_string buf "}";
   Buffer.contents buf

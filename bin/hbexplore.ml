@@ -4,52 +4,10 @@
 open Cmdliner
 module H = Heartbeat
 
-let variant_conv =
-  let parse s =
-    match
-      List.find_opt
-        (fun v -> H.Ta_models.variant_name v = s)
-        H.Ta_models.all_variants
-    with
-    | Some v -> Ok v
-    | None -> Error (`Msg ("unknown variant " ^ s))
-  in
-  Arg.conv
-    (parse, fun ppf v -> Format.pp_print_string ppf (H.Ta_models.variant_name v))
-
-let variant_arg =
-  Arg.(
-    value
-    & opt variant_conv H.Ta_models.Binary
-    & info [ "v"; "variant" ] ~docv:"VARIANT" ~doc:"Protocol variant.")
-
-let tmin_arg = Arg.(value & opt int 1 & info [ "tmin" ] ~docv:"TMIN" ~doc:"tmin.")
-let tmax_arg = Arg.(value & opt int 10 & info [ "tmax" ] ~docv:"TMAX" ~doc:"tmax.")
-
-let n_arg =
-  Arg.(value & opt int 1 & info [ "n" ] ~docv:"N" ~doc:"Participants.")
-
-let fixed_arg = Arg.(value & flag & info [ "fixed" ] ~doc:"Fixed version.")
+let params = Cli_resilience.params ~n:1 ~tmin:1 ~tmax:10 ()
 
 let monitors_arg =
   Arg.(value & flag & info [ "monitors" ] ~doc:"Include the R1 watchdogs.")
-
-let slice_arg =
-  Arg.(
-    value & flag
-    & info [ "slice" ]
-        ~doc:"Explore the statically sliced model (dead-write elimination, \
-              constant folding, clock-activity reduction; exact, \
-              label-preserving).")
-
-let jobs_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Exploration domains: 1 runs the sequential engine, more runs \
-           the parallel engine (identical output). 0 uses all cores.")
 
 let exploration_stats_arg =
   Arg.(
@@ -89,16 +47,6 @@ let count_arg =
            high-volume mode; composes with compressed stores and the \
            degradation ladder).")
 
-let json_arg =
-  Arg.(value & flag & info [ "json" ] ~doc:"Emit the deterministic JSON result.")
-
-let zone_arg =
-  Arg.(
-    value & flag
-    & info [ "zone" ]
-        ~doc:"Explore the dense-time zone graph (canonical DBMs with \
-              inclusion subsumption) instead of the discrete state space.")
-
 let no_subsume_arg =
   Arg.(
     value & flag
@@ -110,8 +58,9 @@ let no_subsume_arg =
 (* Zone-graph statistics.  With subsumption this is the waiting-list
    discipline of Zone.Reach; without it the zone system is handed to
    the generic Mc.Explore engine as-is, exercising the Mc.System
-   integration. *)
-let zone_stats ~variant ~params ~fixed ~monitors ~subsume ~json header =
+   integration.  A budget trip (or Ctrl-C) reports the zones counted so
+   far and exits 4, as the discrete path does. *)
+let zone_stats ~variant ~params ~fixed ~monitors ~subsume ~json ~budget header =
   let model =
     H.Ta_models.build ~fixed ~with_r1_monitors:monitors variant params
   in
@@ -120,16 +69,17 @@ let zone_stats ~variant ~params ~fixed ~monitors ~subsume ~json header =
     if subsume then begin
       let stats = Zone.Reach.new_stats () in
       let n, complete =
-        Zone.Reach.count ~max_states:10_000_000 ~stats z
+        Zone.Reach.count ~max_states:10_000_000 ~budget ~stats z
       in
       (n, complete, Some stats.Zone.Reach.subsumed)
     end
     else
       let n, complete =
-        Mc.Explore.count ~max_states:10_000_000 (Zone.Sym.system z)
+        Mc.Explore.count ~max_states:10_000_000 ~budget (Zone.Sym.system z)
       in
       (n, complete, None)
   in
+  let exhausted = Mc.Budget.tripped budget in
   if json then
     Printf.printf
       "{\"tool\":\"hbexplore\",\"cmd\":\"stats\",\"engine\":\"zone\",\"variant\":\"%s\",\"fixed\":%b,\"monitors\":%b,\"tmin\":%d,\"tmax\":%d,\"n\":%d,\"subsume\":%b,\"states\":%d,%s\"complete\":%b}\n"
@@ -144,17 +94,19 @@ let zone_stats ~variant ~params ~fixed ~monitors ~subsume ~json header =
     Format.printf "%a [zone%s]: %d zones (%s%s)@." header ()
       (if subsume then "" else ", no subsumption")
       states
-      (if complete then "complete" else "TRUNCATED")
+      (match exhausted with
+      | Some r -> "EXHAUSTED: " ^ Mc.Budget.reason_name r
+      | None -> if complete then "complete" else "TRUNCATED")
       (match subsumed with
       | Some s -> Printf.sprintf "; %d subsumed" s
-      | None -> "")
+      | None -> "");
+  if exhausted <> None then exit Cli_resilience.exit_exhausted
 
 let stats_cmd =
-  let run variant tmin tmax n fixed monitors slice zone no_subsume jobs
+  let run variant params fixed monitors slice zone no_subsume jobs
       show_stats store count_only json bsecs bmb no_degrade ckpt
       ckpt_every resume_file =
-    let jobs = Cli_resilience.resolve_jobs jobs in
-    let params = Cli_resilience.params ~n ~tmin ~tmax () in
+    let { H.Params.tmin; tmax; n } = params in
     if zone then begin
       if
         slice || count_only
@@ -172,21 +124,14 @@ let stats_cmd =
           (if monitors then " +monitors" else "")
       in
       zone_stats ~variant ~params ~fixed ~monitors ~subsume:(not no_subsume)
-        ~json header
+        ~json ~budget:(Cli_resilience.budget bsecs bmb) header
     end
     else begin
     if no_subsume then Cli_resilience.usage "--no-subsume needs --zone";
     let model =
       H.Ta_models.build ~fixed ~with_r1_monitors:monitors variant params
     in
-    (* the property-free slice: no seed, so the reduction comes from dead
-       writes, folded constants and clock activity alone *)
-    let sys =
-      if slice then
-        let sl = Slice.Ta.slice model in
-        Slice.Ta.system sl (Ta.Semantics.compile sl.Slice.Ta.model)
-      else Ta.Semantics.system (Ta.Semantics.compile model)
-    in
+    let sys, _ = Cli_resilience.ta_systems ~slice model in
     let max_states = 10_000_000 in
     let count_mode =
       count_only || match store with Mc.Store.Bitstate _ -> true | _ -> false
@@ -348,29 +293,22 @@ let stats_cmd =
        ~doc:"Reachable state space of a timed-automata model (discrete, or \
              the dense-time zone graph with $(b,--zone)).")
     Term.(
-      const run $ variant_arg $ tmin_arg $ tmax_arg $ n_arg $ fixed_arg
-      $ monitors_arg $ slice_arg $ zone_arg $ no_subsume_arg $ jobs_arg
-      $ exploration_stats_arg $ store_arg $ count_arg $ json_arg
-      $ Cli_resilience.budget_secs_arg
+      const run $ Cli_resilience.variant_arg $ params
+      $ Cli_resilience.fixed_arg $ monitors_arg $ Cli_resilience.slice_arg
+      $ Cli_resilience.zone_arg $ no_subsume_arg $ Cli_resilience.jobs
+      $ exploration_stats_arg $ store_arg $ count_arg
+      $ Cli_resilience.json_arg $ Cli_resilience.budget_secs_arg
       $ Cli_resilience.budget_mb_arg $ Cli_resilience.no_degrade_arg
       $ Cli_resilience.checkpoint_arg $ Cli_resilience.checkpoint_every_arg
       $ Cli_resilience.resume_arg)
 
 let pa_stats_cmd =
-  let reduce_arg =
-    Arg.(
-      value & flag
-      & info [ "reduce" ]
-          ~doc:"Also explore the ample-set reduced state space and report \
-                the reduction ratio.")
-  in
-  let run tmin tmax n reduce =
-    let params = Cli_resilience.params ~n ~tmin ~tmax () in
+  let run params reduce =
     List.iter
       (fun v ->
         let full = H.Pa_verify.explore v params in
         Format.printf "PA %-10s %a: %d states, %d transitions"
-          (H.Pa_models.variant_name v)
+          (H.Ta_models.variant_name v)
           H.Params.pp params full.H.Pa_verify.states
           full.H.Pa_verify.transitions;
         if reduce then begin
@@ -381,18 +319,16 @@ let pa_stats_cmd =
             /. float_of_int red.H.Pa_verify.states)
         end;
         Format.printf "@.")
-      [ H.Pa_models.Binary; H.Pa_models.Revised; H.Pa_models.Two_phase;
-        H.Pa_models.Static; H.Pa_models.Expanding; H.Pa_models.Dynamic ]
+      H.Ta_models.all_variants
   in
   Cmd.v
     (Cmd.info "pa-stats"
        ~doc:"Reachable state spaces of the process-algebra models, \
              optionally with the ample-set reduction for comparison.")
-    Term.(const run $ tmin_arg $ tmax_arg $ n_arg $ reduce_arg)
+    Term.(const run $ params $ Cli_resilience.reduce_arg)
 
 let dot_cmd =
-  let run which tmin tmax =
-    let params = Cli_resilience.params ~tmin ~tmax () in
+  let run which params =
     let lts =
       match which with
       | "p0" -> H.Figures.p0_reduced params
@@ -418,22 +354,20 @@ let dot_cmd =
     (Cmd.info "dot"
        ~doc:"Emit a component state space (paper Figures 1 and 2) as \
              Graphviz dot.")
-    Term.(const run $ which_arg $ Arg.(value & opt int 1 & info [ "tmin" ])
-          $ Arg.(value & opt int 2 & info [ "tmax" ]))
+    Term.(const run $ which_arg $ Cli_resilience.params ~tmin:1 ~tmax:2 ())
 
 let export_cmd =
-  let run format variant tmin tmax n fixed =
-    let params = Cli_resilience.params ~n ~tmin ~tmax () in
+  let run format variant params fixed =
     match format with
     | "xta" ->
         let model = H.Ta_models.build ~fixed variant params in
         print_string (Ta.Xta.to_string model)
-    | "mcrl2" -> (
-        match H.Pa_models.of_ta variant with
-        | Some pv -> print_string (Proc.Mcrl2.to_string (H.Pa_models.build pv params))
-        | None ->
-            Cli_resilience.usage "no process-algebra encoding for %s"
-              (H.Ta_models.variant_name variant))
+    | "mcrl2" ->
+        if fixed then
+          Cli_resilience.usage
+            "--fixed applies to the timed-automata models only (the PA \
+             encoding has no fixed timing); drop --fixed or export xta";
+        print_string (Proc.Mcrl2.to_string (H.Pa_models.build variant params))
     | other -> Cli_resilience.usage "unknown format %s" other
   in
   let format_arg =
@@ -448,8 +382,8 @@ let export_cmd =
     (Cmd.info "export"
        ~doc:"Export a protocol model for the UPPAAL or mCRL2 toolsets.")
     Term.(
-      const run $ format_arg $ variant_arg $ tmin_arg $ tmax_arg $ n_arg
-      $ fixed_arg)
+      const run $ format_arg $ Cli_resilience.variant_arg $ params
+      $ Cli_resilience.fixed_arg)
 
 (* Per-benchmark zone counts, with a verdict check against the spec's
    expected answer, over the whole FC suite; the --json form is
@@ -469,7 +403,7 @@ let fc_zones specs json =
           | Mc.Explore.Bound_hit _ | Mc.Explore.Exhausted _ -> None
         in
         let zones, complete =
-          Zone.Reach.count ~max_states:10_000_000 ~subsume:true z
+          Zone.Reach.count ~max_states:10_000_000 z
         in
         let parity = verdict = Some s.Fc.safe in
         if not (parity && complete) then incr failures;
@@ -563,13 +497,12 @@ let fc_cmd =
        ~doc:"Print a Fontana-Cleaveland benchmark model as UPPAAL .xta \
              (zone-check them with hbverify xta), or zone-check the suite \
              and report its zone counts with $(b,--zones).")
-    Term.(const run $ name_arg $ fischer_n_arg $ zones_arg $ json_arg)
+    Term.(
+      const run $ name_arg $ fischer_n_arg $ zones_arg $ Cli_resilience.json_arg)
 
 let deadlocks_cmd =
-  let run variant tmin tmax n fixed jobs store bsecs bmb no_degrade =
-    let jobs = Cli_resilience.resolve_jobs jobs in
+  let run variant params fixed jobs store bsecs bmb no_degrade =
     let budget = Cli_resilience.budget bsecs bmb in
-    let params = Cli_resilience.params ~n ~tmin ~tmax () in
     let verdict =
       H.Verify.deadlocks ~fixed ~domains:jobs ~store ~budget
         ~degrade:(not no_degrade) variant params
@@ -603,8 +536,9 @@ let deadlocks_cmd =
     (Cmd.info "deadlocks" ~exits:Cli_resilience.exits
        ~doc:"Check a model for deadlocked configurations.")
     Term.(
-      const run $ variant_arg $ tmin_arg $ tmax_arg $ n_arg $ fixed_arg
-      $ jobs_arg $ store_arg $ Cli_resilience.budget_secs_arg
+      const run $ Cli_resilience.variant_arg $ params
+      $ Cli_resilience.fixed_arg $ Cli_resilience.jobs $ store_arg
+      $ Cli_resilience.budget_secs_arg
       $ Cli_resilience.budget_mb_arg $ Cli_resilience.no_degrade_arg)
 
 let () =

@@ -7,18 +7,12 @@ module H = Heartbeat
 let seed_arg =
   Arg.(value & opt int64 7L & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
-let n_arg =
-  Arg.(value & opt int 1 & info [ "n" ] ~docv:"N" ~doc:"Participants.")
-
 let fixed_arg =
   Arg.(
     value & flag
     & info [ "fixed" ]
         ~doc:"Monitor against the corrected (\\u00a76.2) bounds instead of \
               the paper's claimed 2*tmax.")
-
-let json_arg =
-  Arg.(value & flag & info [ "json" ] ~doc:"Emit the deterministic JSON report.")
 
 let duration_arg =
   Arg.(
@@ -45,12 +39,13 @@ let kind_arg =
     & info [ "kind" ] ~docv:"KIND" ~doc:"Coordinator discipline.")
 
 let campaign_cmd =
-  let run fixed seed n duration_factor no_shrink json bsecs bmb =
+  let run fixed seed (params : H.Params.t) duration_factor no_shrink json
+      bsecs bmb =
     (* the budget doubles as the SIGINT token: an interrupted campaign
        reports the completed prefix (JSON or text) instead of dying *)
     let budget = Cli_resilience.budget bsecs bmb in
     let c =
-      H.Campaign.run ~fixed ~seed ~n ~duration_factor
+      H.Campaign.run ~fixed ~seed ~n:params.H.Params.n ~duration_factor
         ~shrink_failures:(not no_shrink) ~budget ()
     in
     if json then print_string (H.Campaign.to_json c)
@@ -65,24 +60,21 @@ let campaign_cmd =
          "Sweep the default fault scenarios over all disciplines and table \
           parameter points.")
     Term.(
-      const run $ fixed_arg $ seed_arg $ n_arg $ duration_arg $ no_shrink_arg
-      $ json_arg $ Cli_resilience.budget_secs_arg
+      const run $ fixed_arg $ seed_arg
+      (* -n only: the campaign sweeps the table points itself *)
+      $ Cli_resilience.params ~n:1 ()
+      $ duration_arg $ no_shrink_arg $ Cli_resilience.json_arg
+      $ Cli_resilience.budget_secs_arg
       $ Cli_resilience.budget_mb_arg)
 
 let show_cmd =
-  let tmin_arg =
-    Arg.(value & opt int 4 & info [ "tmin" ] ~docv:"TMIN" ~doc:"tmin.")
-  in
-  let tmax_arg =
-    Arg.(value & opt int 10 & info [ "tmax" ] ~docv:"TMAX" ~doc:"tmax.")
-  in
   let scenario_arg =
     Arg.(
       value & opt string "crash-early"
       & info [ "scenario" ] ~docv:"NAME" ~doc:"Scenario name (see campaign).")
   in
-  let run kind tmin tmax n fixed seed scenario =
-    let params = Cli_resilience.params ~n ~tmin ~tmax () in
+  let run kind params fixed seed scenario =
+    let { H.Params.tmin; tmax; n } = params in
     match List.assoc_opt scenario (H.Campaign.default_scenarios params) with
     | None ->
         Format.eprintf "unknown scenario %s; known:@." scenario;
@@ -122,8 +114,9 @@ let show_cmd =
          "Run one scenario at one parameter point and render the violating \
           trace MSC-style.")
     Term.(
-      const run $ kind_arg $ tmin_arg $ tmax_arg $ n_arg $ fixed_arg $ seed_arg
-      $ scenario_arg)
+      const run $ kind_arg
+      $ Cli_resilience.params ~n:1 ~tmin:4 ~tmax:10 ()
+      $ fixed_arg $ seed_arg $ scenario_arg)
 
 (* The CI gate: the corrected protocols survive the whole default
    adversary, the unfixed ones are refuted at a table F point, and the

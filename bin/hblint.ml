@@ -13,7 +13,7 @@ open Cmdliner
 module H = Heartbeat
 
 type kind =
-  | Pa of H.Pa_models.variant
+  | Pa of H.Ta_models.variant
   | Ta of H.Ta_models.variant * bool (* fixed? *)
 
 (* The shipped-model inventory, linted with the same mid-size parameter
@@ -23,13 +23,11 @@ let inventory : (string * kind) list =
   List.concat_map
     (fun v ->
       let name = H.Ta_models.variant_name v in
-      let pa =
-        match H.Pa_models.of_ta v with
-        | Some pv -> [ ("pa:" ^ name, Pa pv) ]
-        | None -> []
-      in
-      pa
-      @ [ ("ta:" ^ name, Ta (v, false)); ("ta:" ^ name ^ ":fixed", Ta (v, true)) ])
+      [
+        ("pa:" ^ name, Pa v);
+        ("ta:" ^ name, Ta (v, false));
+        ("ta:" ^ name ^ ":fixed", Ta (v, true));
+      ])
     H.Ta_models.all_variants
 
 let lint_params = H.Params.make ~n:2 ~tmin:4 ~tmax:10 ()
@@ -96,9 +94,6 @@ let models_arg =
         ~doc:
           "Lint only $(docv) (repeatable); e.g. pa:binary, ta:static:fixed. \
            Default: every shipped model.")
-
-let json_arg =
-  Arg.(value & flag & info [ "json" ] ~doc:"Emit the deterministic JSON report.")
 
 let strict_arg =
   Arg.(
@@ -167,7 +162,7 @@ let cmd =
          "Static analysis (typechecking, structural lints, range analysis, \
           state-bound estimation) over the heartbeat PA and TA models.")
     Term.(
-      const run $ models_arg $ json_arg $ strict_arg $ verbose_arg
+      const run $ models_arg $ Cli_resilience.json_arg $ strict_arg $ verbose_arg
       $ allow_arg $ list_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -8,47 +8,7 @@
 open Cmdliner
 module H = Heartbeat
 
-let variant_conv =
-  let parse s =
-    match
-      List.find_opt
-        (fun v -> H.Ta_models.variant_name v = s)
-        H.Ta_models.all_variants
-    with
-    | Some v -> Ok v
-    | None ->
-        Error
-          (`Msg
-             (Printf.sprintf "unknown variant %s (expected one of: %s)" s
-                (String.concat ", "
-                   (List.map H.Ta_models.variant_name H.Ta_models.all_variants))))
-  in
-  Arg.conv
-    (parse, fun ppf v -> Format.pp_print_string ppf (H.Ta_models.variant_name v))
-
-let variant_arg =
-  Arg.(
-    value
-    & opt variant_conv H.Ta_models.Binary
-    & info [ "v"; "variant" ] ~docv:"VARIANT"
-        ~doc:"Protocol variant: binary, revised, two-phase, static, \
-              expanding or dynamic.")
-
-let tmin_arg =
-  Arg.(value & opt int 10 & info [ "tmin" ] ~docv:"TMIN" ~doc:"Lower round bound.")
-
-let tmax_arg =
-  Arg.(value & opt int 10 & info [ "tmax" ] ~docv:"TMAX" ~doc:"Upper round bound.")
-
-let n_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "n" ] ~docv:"N" ~doc:"Number of participants (multi-party variants).")
-
-let fixed_arg =
-  Arg.(
-    value & flag
-    & info [ "fixed" ] ~doc:"Check the corrected (section-6) version.")
+let engine_name = function Ltl.Check.Ndfs -> "ndfs" | Ltl.Check.Scc -> "scc"
 
 let engine_conv =
   let parse = function
@@ -56,11 +16,7 @@ let engine_conv =
     | "scc" -> Ok Ltl.Check.Scc
     | s -> Error (`Msg ("unknown engine " ^ s ^ " (expected ndfs or scc)"))
   in
-  Arg.conv
-    ( parse,
-      fun ppf e ->
-        Format.pp_print_string ppf
-          (match e with Ltl.Check.Ndfs -> "ndfs" | Ltl.Check.Scc -> "scc") )
+  Arg.conv (parse, fun ppf e -> Format.pp_print_string ppf (engine_name e))
 
 let engine_arg =
   Arg.(
@@ -69,22 +25,6 @@ let engine_arg =
     & info [ "e"; "engine" ] ~docv:"ENGINE"
         ~doc:"Emptiness engine: ndfs (on-the-fly nested DFS) or scc \
               (Tarjan components over the built product).")
-
-let req_conv =
-  let parse = function
-    | "R1" | "r1" -> Ok H.Requirements.R1
-    | "R2" | "r2" -> Ok H.Requirements.R2
-    | "R3" | "r3" -> Ok H.Requirements.R3
-    | s -> Error (`Msg ("unknown requirement " ^ s))
-  in
-  Arg.conv
-    (parse, fun ppf r -> Format.pp_print_string ppf (H.Requirements.name r))
-
-let req_arg =
-  Arg.(
-    required
-    & pos 0 (some req_conv) None
-    & info [] ~docv:"REQ" ~doc:"Requirement: R1, R2 or R3.")
 
 (* ------------------------------------------------------------------ *)
 (* JSON rendering (deterministic: fixed key order, no hash iteration)  *)
@@ -105,37 +45,6 @@ let json_steps to_string steps =
       (List.map (fun s -> Lint.Report.json_str (to_string s)) steps)
   ^ "]"
 
-(* State-space statistics of the timed-automata model being checked
-   (not of the Büchi product): states, transitions, completeness, and
-   with [slice] the full-space size and the slice ratio.  PA runs print
-   [Cli_resilience.pa_stats_json]. *)
-let ta_stats_json ~fixed ~slice variant params =
-  let model = H.Ta_models.build ~fixed variant params in
-  let sys =
-    if slice then
-      let sl = Slice.Ta.slice model in
-      Slice.Ta.system sl (Ta.Semantics.compile sl.Slice.Ta.model)
-    else Ta.Semantics.system (Ta.Semantics.compile model)
-  in
-  let space = Mc.Explore.space ~max_states:10_000_000 sys in
-  let buf = Buffer.create 128 in
-  Printf.bprintf buf "{\"states\":%d,\"transitions\":%d,\"complete\":%b"
-    (Lts.Graph.num_states space.Mc.Explore.lts)
-    (Lts.Graph.num_transitions space.Mc.Explore.lts)
-    space.Mc.Explore.complete;
-  if slice then begin
-    let full =
-      Mc.Explore.space ~max_states:10_000_000
-        (Ta.Semantics.system (Ta.Semantics.compile model))
-    in
-    Printf.bprintf buf ",\"full_states\":%d,\"reduction_ratio\":%.2f"
-      (Lts.Graph.num_states full.Mc.Explore.lts)
-      (float_of_int (Lts.Graph.num_states full.Mc.Explore.lts)
-      /. float_of_int (Lts.Graph.num_states space.Mc.Explore.lts))
-  end;
-  Buffer.add_string buf "}";
-  Buffer.contents buf
-
 let verdict_json ~model ~variant ~params ~fixed ~slice ~reduce ~engine ~req
     ~formula ~fairness_names ~stats ~to_string verdict =
   let open Printf in
@@ -148,7 +57,7 @@ let verdict_json ~model ~variant ~params ~fixed ~slice ~reduce ~engine ~req
   bprintf buf
     "\"n\":%d,\"fixed\":%b,\"slice\":%b,\"reduce\":%b,\"requirement\":\"%s\",\"engine\":\"%s\","
     params.H.Params.n fixed slice reduce (H.Requirements.name req)
-    (match engine with Ltl.Check.Ndfs -> "ndfs" | Ltl.Check.Scc -> "scc");
+    (engine_name engine);
   bprintf buf "\"formula\":%s,\"fairness\":[%s],\"stats\":%s,"
     (Lint.Report.json_str formula)
     (String.concat "," (List.map Lint.Report.json_str fairness_names))
@@ -173,11 +82,6 @@ let fairness_names fs =
 (* check                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let run_check ?domains variant params fixed engine req =
-  ( H.Verify.check_live ~fixed ~engine ?domains variant params req,
-    Format.asprintf "%a" Ltl.Formula.pp
-      (H.Requirements.live_formula variant params req) )
-
 (* Exit code for a concluded verdict; [exit 0] is implicit. *)
 let verdict_exit = function
   | Ltl.Check.Holds -> ()
@@ -196,92 +100,16 @@ let exhaustion_of_cursor reason cursor =
     coverage = Mc.Store.coverage_of ~mode:Mc.Store.exact ~stored:n;
   }
 
-(* The process-algebra path (--pa): same requirements, read as LTL over
-   the PA action names, with the ample-set reduction available because
-   those formulas are stutter-invariant.  The constant "slice=false" in
-   the checkpoint kind lets existing PA checkpoints resume, and the
-   constant "slice":false keeps the JSON record's shape. *)
-let run_pa_check ?domains ?budget ?ckpt_file ~ckpt_every ~resume_file variant
-    params reduce engine json req =
-  let pv =
-    match H.Pa_models.of_ta variant with
-    | Some pv -> pv
-    | None -> assert false (* of_ta is total *)
-  in
-  let kind =
-    Printf.sprintf
-      "hbltl/check/pa/%s/slice=false/reduce=%b/req=%s/tmin=%d/tmax=%d/n=%d/engine=scc"
-      (H.Pa_models.variant_name pv)
-      reduce (H.Requirements.name req) params.H.Params.tmin
-      params.H.Params.tmax params.H.Params.n
-  in
-  let resume = Cli_resilience.load_resume ~kind resume_file in
-  let checkpoint =
-    Option.map
-      (fun file -> (ckpt_every, Cli_resilience.save_checkpoint ~kind file))
-      ckpt_file
-  in
-  let result =
-    H.Pa_verify.check_live_run ~engine ~reduce ?domains ?budget ?checkpoint
-      ?resume pv params req
-  in
-  let verdict, suspended =
-    match result with
-    | Ltl.Check.Concluded v -> (v, false)
-    | Ltl.Check.Suspended (reason, cursor) ->
-        Option.iter
-          (fun file -> Cli_resilience.save_checkpoint ~kind file cursor)
-          ckpt_file;
-        (Ltl.Check.Exhausted (exhaustion_of_cursor reason cursor), true)
-  in
-  let formula =
-    Format.asprintf "%a" Ltl.Formula.pp
-      (H.Requirements.live_formula_pa pv params req)
-  in
-  if json then
-    print_endline
-      (verdict_json ~model:"pa" ~variant ~params ~fixed:false ~slice:false
-         ~reduce ~engine ~req ~formula
-         ~fairness_names:(fairness_names H.Requirements.live_fairness_pa)
-         ~stats:
-           (match verdict with
-           | Ltl.Check.Exhausted _ -> "null"
-           | _ -> Cli_resilience.pa_stats_json ~reduce pv params)
-         ~to_string:pa_step_string verdict)
-  else begin
-    Format.printf "PA %s %a %s-live (%s engine%s)@."
-      (H.Pa_models.variant_name pv)
-      H.Params.pp params (H.Requirements.name req)
-      (match engine with Ltl.Check.Ndfs -> "ndfs" | Ltl.Check.Scc -> "scc")
-      (if reduce then ", reduced" else "");
-    Format.printf "property: %s@." (H.Requirements.live_description req);
-    Format.printf "formula:  %s@." formula;
-    match verdict with
-    | Ltl.Check.Holds -> Format.printf "verdict:  HOLDS@."
-    | Ltl.Check.Unknown st ->
-        Format.printf "verdict:  UNKNOWN (state bound hit at %d)@." st
-    | Ltl.Check.Exhausted e ->
-        Format.printf "verdict:  EXHAUSTED (%a)%s@." Mc.Explore.pp_exhaustion
-          e
-          (if suspended && ckpt_file <> None then "; checkpoint written"
-           else "")
-    | Ltl.Check.Refuted lasso ->
-        Format.printf "verdict:  REFUTED@.@.";
-        List.iter
-          (fun s -> Format.printf "  %s@." (pa_step_string s))
-          lasso.Ltl.Check.prefix;
-        Format.printf "  -- cycle repeats forever --@.";
-        List.iter
-          (fun s -> Format.printf "  %s@." (pa_step_string s))
-          lasso.Ltl.Check.cycle
-  end;
-  verdict
+(* A refutation lasso as text: the prefix as [prefix] renders it, then
+   the cycle, one step per line. *)
+let print_lasso ~prefix ~step (lasso : _ Ltl.Check.lasso) =
+  prefix lasso.Ltl.Check.prefix;
+  Format.printf "  -- cycle repeats forever --@.";
+  List.iter (fun s -> Format.printf "  %s@." (step s)) lasso.Ltl.Check.cycle
 
 let check_cmd =
-  let run variant tmin tmax n fixed pa slice reduce engine json msc jobs bsecs
+  let run variant params fixed pa slice reduce engine json msc domains bsecs
       bmb ckpt_file ckpt_every resume_file req =
-    let domains = Cli_resilience.resolve_jobs jobs in
-    let params = Cli_resilience.params ~n ~tmin ~tmax () in
     if pa && fixed then
       Cli_resilience.usage
         "--fixed applies to the timed-automata models only (the PA \
@@ -300,16 +128,19 @@ let check_cmd =
         "--checkpoint/--resume require the scc engine (the nested DFS \
          search state is not checkpointable); add --engine scc";
     let budget = Cli_resilience.budget bsecs bmb in
-    if pa then
-      verdict_exit
-        (run_pa_check ~domains ~budget ?ckpt_file ~ckpt_every ~resume_file
-           variant params reduce engine json req)
-    else begin
+    let model = if pa then "pa" else "ta" in
+    (* One path for both encodings: resume from a checkpoint of the same
+       kind, run, save the cursor of a suspended product build, then
+       print the verdict as JSON or text.  The encodings differ only in
+       the arguments. *)
+    let check ~flags ~run ~formula ~fairness ~stats ~step ~print_refutation =
+      (* the kind guards resume identity *)
       let kind =
         Printf.sprintf
-          "hbltl/check/ta/%s/fixed=%b/slice=%b/req=%s/tmin=%d/tmax=%d/n=%d/engine=scc"
+          "hbltl/check/%s/%s/%s/req=%s/tmin=%d/tmax=%d/n=%d/engine=scc" model
           (H.Ta_models.variant_name variant)
-          fixed slice (H.Requirements.name req) tmin tmax n
+          flags (H.Requirements.name req) params.H.Params.tmin
+          params.H.Params.tmax params.H.Params.n
       in
       let resume = Cli_resilience.load_resume ~kind resume_file in
       let checkpoint =
@@ -317,12 +148,8 @@ let check_cmd =
           (fun file -> (ckpt_every, Cli_resilience.save_checkpoint ~kind file))
           ckpt_file
       in
-      let result =
-        H.Verify.check_live_run ~fixed ~engine ~slice ~domains ~budget
-          ?checkpoint ?resume variant params req
-      in
       let verdict, suspended =
-        match result with
+        match run ~checkpoint ~resume with
         | Ltl.Check.Concluded v -> (v, false)
         | Ltl.Check.Suspended (reason, cursor) ->
             Option.iter
@@ -330,26 +157,23 @@ let check_cmd =
               ckpt_file;
             (Ltl.Check.Exhausted (exhaustion_of_cursor reason cursor), true)
       in
-      let formula =
-        Format.asprintf "%a" Ltl.Formula.pp
-          (H.Requirements.live_formula variant params req)
-      in
+      let formula = Format.asprintf "%a" Ltl.Formula.pp formula in
       if json then
         print_endline
-          (verdict_json ~model:"ta" ~variant ~params ~fixed ~slice
-             ~reduce:false ~engine ~req ~formula
-             ~fairness_names:(fairness_names H.Requirements.live_fairness)
+          (verdict_json ~model ~variant ~params ~fixed ~slice ~reduce ~engine
+             ~req ~formula ~fairness_names:(fairness_names fairness)
              ~stats:
                (match verdict with
                | Ltl.Check.Exhausted _ -> "null"
-               | _ -> ta_stats_json ~fixed ~slice variant params)
-             ~to_string:step_string verdict)
+               | _ -> stats ())
+             ~to_string:step verdict)
       else begin
-        Format.printf "%s%s %a %s-live (%s engine)@."
+        Format.printf "%s%s%s %a %s-live (%s engine%s)@."
+          (if pa then "PA " else "")
           (H.Ta_models.variant_name variant)
           (if fixed then " [fixed]" else "")
-          H.Params.pp params (H.Requirements.name req)
-          (match engine with Ltl.Check.Ndfs -> "ndfs" | Ltl.Check.Scc -> "scc");
+          H.Params.pp params (H.Requirements.name req) (engine_name engine)
+          (if reduce then ", reduced" else "");
         Format.printf "property: %s@." (H.Requirements.live_description req);
         Format.printf "formula:  %s@." formula;
         match verdict with
@@ -363,83 +187,87 @@ let check_cmd =
                else "")
         | Ltl.Check.Refuted lasso ->
             Format.printf "verdict:  REFUTED@.@.";
-            if msc then
-              print_string
-                (H.Msc.render_lasso ~n
-                   ~header:
-                     (Printf.sprintf "%s-live refutation — %s%s"
-                        (H.Requirements.name req)
-                        (H.Ta_models.variant_name variant)
-                        (if fixed then " [fixed]" else ""))
-                   lasso)
-            else begin
-              List.iter
-                (fun e ->
-                  Format.printf "  t=%-4d %s@." e.H.Scenarios.time
-                    e.H.Scenarios.action)
-                (H.Scenarios.timeline (Ltl.Check.strip lasso.Ltl.Check.prefix));
-              Format.printf "  -- cycle repeats forever --@.";
-              List.iter
-                (fun s -> Format.printf "  %s@." (step_string s))
-                lasso.Ltl.Check.cycle
-            end
+            print_refutation lasso
       end;
       verdict_exit verdict
-    end
-  in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the deterministic JSON verdict.")
-  in
-  let msc_arg =
-    Arg.(
-      value & flag
-      & info [ "msc" ]
-          ~doc:"Render a refutation lasso as a message sequence chart.")
+    in
+    if pa then
+      (* The process-algebra encoding: the same requirements, read as LTL
+         over the PA action names, with the ample-set reduction
+         available because those formulas are stutter-invariant.  The
+         constant "slice=false" in the checkpoint kind lets existing PA
+         checkpoints resume. *)
+      check
+        ~flags:(Printf.sprintf "slice=false/reduce=%b" reduce)
+        ~run:(fun ~checkpoint ~resume ->
+          H.Pa_verify.check_live_run ~engine ~reduce ~domains ~budget
+            ?checkpoint ?resume variant params req)
+        ~formula:(H.Requirements.live_formula_pa variant params req)
+        ~fairness:H.Requirements.live_fairness_pa
+        ~stats:(fun () ->
+          let sys, full =
+            Cli_resilience.pa_systems ~reduce
+              (H.Pa_models.build variant params)
+          in
+          Cli_resilience.stats_json ~max_states:4_000_000 ?full sys)
+        ~step:pa_step_string
+        ~print_refutation:
+          (print_lasso ~step:pa_step_string
+             ~prefix:
+               (List.iter (fun s -> Format.printf "  %s@." (pa_step_string s))))
+    else
+      check
+        ~flags:(Printf.sprintf "fixed=%b/slice=%b" fixed slice)
+        ~run:(fun ~checkpoint ~resume ->
+          H.Verify.check_live_run ~fixed ~engine ~slice ~domains ~budget
+            ?checkpoint ?resume variant params req)
+        ~formula:(H.Requirements.live_formula variant params req)
+        ~fairness:H.Requirements.live_fairness
+        ~stats:(fun () ->
+          let sys, full =
+            Cli_resilience.ta_systems ~slice
+              (H.Ta_models.build ~fixed variant params)
+          in
+          Cli_resilience.stats_json ~max_states:10_000_000 ?full sys)
+        ~step:step_string
+        ~print_refutation:(fun lasso ->
+          if msc then
+            print_string
+              (H.Msc.render_lasso ~n:params.H.Params.n
+                 ~header:
+                   (Printf.sprintf "%s-live refutation — %s%s"
+                      (H.Requirements.name req)
+                      (H.Ta_models.variant_name variant)
+                      (if fixed then " [fixed]" else ""))
+                 lasso)
+          else
+            print_lasso ~step:step_string lasso ~prefix:(fun prefix ->
+                List.iter
+                  (fun e ->
+                    Format.printf "  t=%-4d %s@." e.H.Scenarios.time
+                      e.H.Scenarios.action)
+                  (H.Scenarios.timeline (Ltl.Check.strip prefix))))
   in
   let pa_arg =
     Arg.(
       value & flag
       & info [ "pa" ]
           ~doc:"Check the process-algebra encoding instead of the \
-                timed-automata one (incompatible with --fixed).")
-  in
-  let slice_arg =
-    Arg.(
-      value & flag
-      & info [ "slice" ]
-          ~doc:"Check the statically sliced timed-automata model \
-                (label-preserving, so liveness verdicts are unchanged; \
-                incompatible with --pa).")
-  in
-  let reduce_arg =
-    Arg.(
-      value & flag
-      & info [ "reduce" ]
-          ~doc:"With --pa: explore an ample-set reduced state space \
-                (sound for these stutter-invariant formulas).")
-  in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Exploration domains for the scc engine's product graph \
-             (identical verdicts and lassos; ndfs is sequential and \
-             ignores this). 0 uses all cores. Composes with --reduce.")
+                timed-automata one (incompatible with --fixed and \
+                --slice; the only encoding --reduce applies to).")
   in
   Cmd.v
     (Cmd.info "check" ~exits:Cli_resilience.exits
        ~doc:"Check the liveness formulation of one requirement.")
     Term.(
-      const run $ variant_arg $ tmin_arg $ tmax_arg $ n_arg $ fixed_arg
-      $ pa_arg $ slice_arg $ reduce_arg $ engine_arg $ json_arg $ msc_arg
-      $ jobs_arg
+      const run $ Cli_resilience.variant_arg
+      $ Cli_resilience.params ~n:1 ~tmin:10 ~tmax:10 ()
+      $ Cli_resilience.fixed_arg $ pa_arg $ Cli_resilience.slice_arg
+      $ Cli_resilience.reduce_arg $ engine_arg $ Cli_resilience.json_arg
+      $ Cli_resilience.msc_arg $ Cli_resilience.jobs
       $ Cli_resilience.budget_secs_arg $ Cli_resilience.budget_mb_arg
       $ Cli_resilience.checkpoint_arg $ Cli_resilience.checkpoint_every_arg
-      $ Cli_resilience.resume_arg $ req_arg)
+      $ Cli_resilience.resume_arg $ Cli_resilience.req_arg)
 
 (* ------------------------------------------------------------------ *)
 (* table                                                               *)
@@ -456,7 +284,7 @@ let table_cmd =
   let run engine =
     Format.printf
       "liveness verdicts at the race point tmin = tmax (%s engine)@.@."
-      (match engine with Ltl.Check.Ndfs -> "ndfs" | Ltl.Check.Scc -> "scc");
+      (engine_name engine);
     Format.printf "  %-19s %-18s %3s %3s %3s@." "variant" "params" "R1" "R2"
       "R3";
     List.iter
@@ -539,15 +367,20 @@ let smoke_cmd =
     let render () =
       let variant = H.Ta_models.Binary and req = H.Requirements.R2 in
       let params = race_params variant in
-      let verdict, formula =
-        run_check variant params false Ltl.Check.Scc req
+      let verdict =
+        H.Verify.check_live ~engine:Ltl.Check.Scc variant params req
+      in
+      let sys, _ =
+        Cli_resilience.ta_systems ~slice:false
+          (H.Ta_models.build variant params)
       in
       verdict_json ~model:"ta" ~variant ~params ~fixed:false ~slice:false
-        ~reduce:false ~engine:Ltl.Check.Scc ~req ~formula
+        ~reduce:false ~engine:Ltl.Check.Scc ~req
+        ~formula:
+          (Format.asprintf "%a" Ltl.Formula.pp
+             (H.Requirements.live_formula variant params req))
         ~fairness_names:(fairness_names H.Requirements.live_fairness)
-        ~stats:
-          (ta_stats_json ~fixed:false ~slice:false variant
-             (race_params variant))
+        ~stats:(Cli_resilience.stats_json ~max_states:10_000_000 sys)
         ~to_string:step_string verdict
     in
     expect "json verdict reproduces byte-identically" (render () = render ());

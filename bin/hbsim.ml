@@ -4,20 +4,27 @@
 open Cmdliner
 module H = Heartbeat
 
-let tmin_arg = Arg.(value & opt int 2 & info [ "tmin" ] ~docv:"TMIN" ~doc:"tmin.")
-let tmax_arg = Arg.(value & opt int 10 & info [ "tmax" ] ~docv:"TMAX" ~doc:"tmax.")
-
-let n_arg =
-  Arg.(value & opt int 1 & info [ "n" ] ~docv:"N" ~doc:"Participants.")
+let params = Cli_resilience.params ~n:1 ~tmin:2 ~tmax:10 ()
 
 (* An omitted --runs or --seed leaves the experiment's own default in
    place (Experiments, Fd.Qos), the values EXPERIMENTS.md quotes. *)
 let runs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "runs" ] ~docv:"RUNS"
-        ~doc:"Repetitions (default: the experiment's own run count).")
+  let positive = function
+    | Some runs when runs < 1 -> Cli_resilience.usage "--runs must be >= 1"
+    | runs -> runs
+  in
+  Term.(
+    const positive
+    $ Arg.(
+        value
+        & opt (some int) None
+        & info [ "runs" ] ~docv:"RUNS"
+            ~doc:"Repetitions (default: the experiment's own run count)."))
+
+(* A loss probability outside [0,1] is a usage error. *)
+let valid_loss p =
+  try Sim.Loss.validate (Sim.Loss.bernoulli p)
+  with Invalid_argument msg -> Cli_resilience.usage "--loss %g: %s" p msg
 
 let seed_arg =
   Arg.(
@@ -29,8 +36,7 @@ let seed_arg =
 let kinds params = H.Experiments.default_kinds params
 
 let rate_cmd =
-  let run tmin tmax n seed =
-    let params = Cli_resilience.params ~n ~tmin ~tmax () in
+  let run params seed =
     Format.printf "steady-state heartbeat rate (%a):@." H.Params.pp params;
     List.iter
       (fun k ->
@@ -40,11 +46,10 @@ let rate_cmd =
   in
   Cmd.v
     (Cmd.info "rate" ~doc:"Steady-state message rate per discipline.")
-    Term.(const run $ tmin_arg $ tmax_arg $ n_arg $ seed_arg)
+    Term.(const run $ params $ seed_arg)
 
 let detection_cmd =
-  let run tmin tmax n runs seed =
-    let params = Cli_resilience.params ~n ~tmin ~tmax () in
+  let run params runs seed =
     let rows =
       List.map
         (fun k -> H.Experiments.detection ?runs ?seed k params)
@@ -56,7 +61,7 @@ let detection_cmd =
   in
   Cmd.v
     (Cmd.info "detection" ~doc:"Crash-detection delay per discipline.")
-    Term.(const run $ tmin_arg $ tmax_arg $ n_arg $ runs_arg $ seed_arg)
+    Term.(const run $ params $ runs_arg $ seed_arg)
 
 let reliability_cmd =
   let losses_arg =
@@ -65,8 +70,8 @@ let reliability_cmd =
       & opt (list float) [ 0.01; 0.02; 0.05; 0.1; 0.2 ]
       & info [ "loss" ] ~docv:"P,P,..." ~doc:"Loss probabilities to sweep.")
   in
-  let run tmin tmax n runs seed losses =
-    let params = Cli_resilience.params ~n ~tmin ~tmax () in
+  let run params runs seed losses =
+    List.iter valid_loss losses;
     let rows =
       List.concat_map
         (fun loss ->
@@ -85,13 +90,12 @@ let reliability_cmd =
   Cmd.v
     (Cmd.info "reliability"
        ~doc:"False deactivations under message loss, per discipline.")
-    Term.(
-      const run $ tmin_arg $ tmax_arg $ n_arg $ runs_arg $ seed_arg
-      $ losses_arg)
+    Term.(const run $ params $ runs_arg $ seed_arg $ losses_arg)
 
 let sweep_cmd =
-  let run tmax n runs seed =
+  let run (base : H.Params.t) runs seed =
     let ratios = [ 1; 2; 4; 8 ] in
+    let tmax = base.H.Params.tmax in
     Format.printf
       "acceleration depth sweep (tmax=%d): rate, detection and false \
        deactivations at 5%% loss vs tmax/tmin@."
@@ -99,7 +103,7 @@ let sweep_cmd =
     List.iter
       (fun ratio ->
         let tmin = max 1 (tmax / ratio) in
-        let params = Cli_resilience.params ~n ~tmin ~tmax () in
+        let params = H.Params.make ~n:base.H.Params.n ~tmin ~tmax () in
         let rate = H.Experiments.steady_rate ?seed H.Runtime.Halving params in
         let det =
           H.Experiments.detection ?runs ?seed H.Runtime.Halving params
@@ -119,11 +123,11 @@ let sweep_cmd =
   Cmd.v
     (Cmd.info "sweep"
        ~doc:"Sweep the acceleration depth tmax/tmin (halving discipline).")
-    Term.(const run $ tmax_arg $ n_arg $ runs_arg $ seed_arg)
+    Term.(
+      const run $ Cli_resilience.params ~n:1 ~tmax:10 () $ runs_arg $ seed_arg)
 
 let bursty_cmd =
-  let run tmin tmax n runs seed =
-    let params = Cli_resilience.params ~n ~tmin ~tmax () in
+  let run params runs seed =
     let bursty = Sim.Loss.gilbert ~p_gb:0.01 ~p_bg:0.19 () in
     let avg = Sim.Loss.expected_loss bursty in
     Format.printf
@@ -144,18 +148,18 @@ let bursty_cmd =
   Cmd.v
     (Cmd.info "bursty"
        ~doc:"Ablate the independence assumption: Gilbert-Elliott vs Bernoulli loss at equal average rate.")
-    Term.(const run $ tmin_arg $ tmax_arg $ n_arg $ runs_arg $ seed_arg)
+    Term.(const run $ params $ runs_arg $ seed_arg)
 
 let join_cmd =
-  let run tmin tmax runs seed =
-    let params = Cli_resilience.params ~tmin ~tmax () in
+  let run params runs seed =
     Format.printf "%a@." H.Experiments.pp_join
       (H.Experiments.join_latency ?runs ?seed params)
   in
   Cmd.v
     (Cmd.info "join"
        ~doc:"Joining-phase latency of the expanding protocol vs the corrected bound 2*tmax + tmin.")
-    Term.(const run $ tmin_arg $ tmax_arg $ runs_arg $ seed_arg)
+    Term.(
+      const run $ Cli_resilience.params ~tmin:2 ~tmax:10 () $ runs_arg $ seed_arg)
 
 let fd_cmd =
   let probes_arg =
@@ -165,6 +169,7 @@ let fd_cmd =
     Arg.(value & opt float 0.05 & info [ "loss" ] ~docv:"P" ~doc:"Loss rate.")
   in
   let run runs seed probes loss =
+    valid_loss loss;
     Format.printf
       "failure-detector QoS (period 10, loss %.2f, probes %d):@." loss probes;
     List.iter

@@ -4,56 +4,7 @@
 open Cmdliner
 module H = Heartbeat
 
-let variant_conv =
-  let parse s =
-    match
-      List.find_opt
-        (fun v -> H.Ta_models.variant_name v = s)
-        H.Ta_models.all_variants
-    with
-    | Some v -> Ok v
-    | None ->
-        Error
-          (`Msg
-             (Printf.sprintf "unknown variant %s (expected one of: %s)" s
-                (String.concat ", "
-                   (List.map H.Ta_models.variant_name H.Ta_models.all_variants))))
-  in
-  Arg.conv (parse, fun ppf v -> Format.pp_print_string ppf (H.Ta_models.variant_name v))
-
-let variant_arg =
-  Arg.(
-    value
-    & opt variant_conv H.Ta_models.Binary
-    & info [ "v"; "variant" ] ~docv:"VARIANT"
-        ~doc:"Protocol variant: binary, revised, two-phase, static, \
-              expanding or dynamic.")
-
-let tmin_arg =
-  Arg.(value & opt int 1 & info [ "tmin" ] ~docv:"TMIN" ~doc:"Lower round bound.")
-
-let tmax_arg =
-  Arg.(value & opt int 10 & info [ "tmax" ] ~docv:"TMAX" ~doc:"Upper round bound.")
-
-let n_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "n" ] ~docv:"N" ~doc:"Number of participants (multi-party variants).")
-
-let fixed_arg =
-  Arg.(
-    value & flag
-    & info [ "fixed" ] ~doc:"Verify the corrected (section-6) version.")
-
-let req_conv =
-  let parse = function
-    | "R1" | "r1" -> Ok H.Requirements.R1
-    | "R2" | "r2" -> Ok H.Requirements.R2
-    | "R3" | "r3" -> Ok H.Requirements.R3
-    | s -> Error (`Msg ("unknown requirement " ^ s))
-  in
-  Arg.conv
-    (parse, fun ppf r -> Format.pp_print_string ppf (H.Requirements.name r))
+let params = Cli_resilience.params ~n:1 ~tmin:1 ~tmax:10 ()
 
 let print_variant_table ~fixed ~n variant =
   let rows = H.Verify.table ~fixed ~n variant in
@@ -96,25 +47,9 @@ let table_fixed_cmd =
        ~doc:"Verify the section-6 fixed versions of all six variants.")
     Term.(const print_table_fixed $ const ())
 
-let ta_slice_arg =
-  Arg.(
-    value & flag
-    & info [ "slice" ]
-        ~doc:"Model-check the property-directed static slice instead of the               full model (cone-of-influence + dead writes + constant               folding + clock activity; exact, same verdicts).")
-
-let zone_arg =
-  Arg.(
-    value & flag
-    & info [ "zone" ]
-        ~doc:"Check the dense-time semantics through the symbolic zone \
-              engine (DBM zone graph with inclusion subsumption) instead \
-              of the discrete explorer.  Verdicts coincide for the shipped \
-              models; counterexamples are action sequences modulo time.")
-
 let check_cmd =
-  let run variant tmin tmax n fixed slice zone bsecs bmb req =
+  let run variant params fixed slice zone bsecs bmb req =
     if zone && slice then Cli_resilience.usage "--zone and --slice are exclusive";
-    let params = Cli_resilience.params ~n ~tmin ~tmax () in
     let budget = Cli_resilience.budget bsecs bmb in
     let outcome =
       H.Verify.check ~fixed ~slice ~zone ~budget variant params req
@@ -155,19 +90,14 @@ let check_cmd =
           outcome.H.Verify.counterexample;
         if not outcome.H.Verify.holds then exit Cli_resilience.exit_violation
   in
-  let req_arg =
-    Arg.(
-      required
-      & pos 0 (some req_conv) None
-      & info [] ~docv:"REQ" ~doc:"Requirement: R1, R2 or R3.")
-  in
   Cmd.v
     (Cmd.info "check" ~exits:Cli_resilience.exits
        ~doc:"Model-check one requirement on one variant.")
     Term.(
-      const run $ variant_arg $ tmin_arg $ tmax_arg $ n_arg $ fixed_arg
-      $ ta_slice_arg $ zone_arg $ Cli_resilience.budget_secs_arg
-      $ Cli_resilience.budget_mb_arg $ req_arg)
+      const run $ Cli_resilience.variant_arg $ params
+      $ Cli_resilience.fixed_arg $ Cli_resilience.slice_arg
+      $ Cli_resilience.zone_arg $ Cli_resilience.budget_secs_arg
+      $ Cli_resilience.budget_mb_arg $ Cli_resilience.req_arg)
 
 let cex_cmd =
   let scenarios =
@@ -190,13 +120,6 @@ let cex_cmd =
     in
     Arg.conv (parse, Format.pp_print_string)
   in
-  let msc_arg =
-    Arg.(
-      value & flag
-      & info [ "msc" ]
-          ~doc:"Render the trace as a message sequence chart instead of an \
-                event list.")
-  in
   let run name msc =
     let scenario = (List.assoc name scenarios) () in
     if msc then print_string (H.Msc.render scenario)
@@ -212,7 +135,7 @@ let cex_cmd =
   in
   Cmd.v
     (Cmd.info "cex" ~doc:"Print a counterexample figure of the paper.")
-    Term.(const run $ name_arg $ msc_arg)
+    Term.(const run $ name_arg $ Cli_resilience.msc_arg)
 
 let print_bounds tmax =
   Format.printf
@@ -231,14 +154,14 @@ let bounds_cmd =
   Cmd.v
     (Cmd.info "bounds"
        ~doc:"Print the section-6.2 detection-bound analysis for a tmin sweep.")
-    Term.(const print_bounds $ tmax_arg)
+    Term.(const print_bounds $ Cli_resilience.tmax_arg 10)
 
 let worst_cmd =
-  let run variant tmin tmax fixed =
-    let params = Cli_resilience.params ~tmin ~tmax () in
+  let run variant params fixed =
     let measured = H.Verify.worst_detection ~fixed variant params in
     Format.printf
-      "%s%s %a: worst-case detection measured on the model = %d (analytic        halving worst = %d, corrected bound = %d, original claim = %d)@."
+      "%s%s %a: worst-case detection measured on the model = %d (analytic \
+       halving worst = %d, corrected bound = %d, original claim = %d)@."
       (H.Ta_models.variant_name variant)
       (if fixed then " [fixed]" else "")
       H.Params.pp params measured
@@ -248,64 +171,19 @@ let worst_cmd =
   in
   Cmd.v
     (Cmd.info "worst"
-       ~doc:"Measure the exact worst-case detection delay on the model              (binary search over the watchdog bound).")
-    Term.(const run $ variant_arg $ tmin_arg $ tmax_arg $ fixed_arg)
+       ~doc:"Measure the exact worst-case detection delay on the model \
+             (binary search over the watchdog bound).")
+    Term.(
+      const run $ Cli_resilience.variant_arg
+      $ Cli_resilience.params ~tmin:1 ~tmax:10 ()
+      $ Cli_resilience.fixed_arg)
 
 (* ------------------------------------------------------------------ *)
 (* process-algebra checks (with optional partial-order reduction)      *)
 (* ------------------------------------------------------------------ *)
 
-let pa_variants =
-  [ H.Pa_models.Binary; H.Pa_models.Revised; H.Pa_models.Two_phase;
-    H.Pa_models.Static; H.Pa_models.Expanding; H.Pa_models.Dynamic ]
-
-let pa_variant_conv =
-  let parse s =
-    match
-      List.find_opt (fun v -> H.Pa_models.variant_name v = s) pa_variants
-    with
-    | Some v -> Ok v
-    | None ->
-        Error
-          (`Msg
-             (Printf.sprintf "unknown variant %s (expected one of: %s)" s
-                (String.concat ", " (List.map H.Pa_models.variant_name pa_variants))))
-  in
-  Arg.conv
-    (parse, fun ppf v -> Format.pp_print_string ppf (H.Pa_models.variant_name v))
-
-let pa_variant_arg =
-  Arg.(
-    value
-    & opt pa_variant_conv H.Pa_models.Binary
-    & info [ "v"; "variant" ] ~docv:"VARIANT"
-        ~doc:"Protocol variant: binary, revised, two-phase, static, \
-              expanding or dynamic.")
-
-let reduce_arg =
-  Arg.(
-    value & flag
-    & info [ "reduce" ]
-        ~doc:"Explore an ample-set reduced state space (sound partial-order \
-              reduction; same verdicts, fewer states).")
-
-let json_arg =
-  Arg.(value & flag & info [ "json" ] ~doc:"Emit the deterministic JSON verdict.")
-
-let jobs_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Exploration domains: 1 runs the sequential engine, more runs the \
-           work-stealing parallel engine (identical verdicts; composes with \
-           $(b,--reduce)). 0 uses all cores.")
-
 let pa_check_cmd =
-  let run variant tmin tmax n reduce json jobs bsecs bmb no_degrade req =
-    let domains = Cli_resilience.resolve_jobs jobs in
-    let params = Cli_resilience.params ~n ~tmin ~tmax () in
+  let run variant params reduce json domains bsecs bmb no_degrade req =
     let budget = Cli_resilience.budget bsecs bmb in
     let verdict =
       H.Pa_verify.check_verdict ~reduce ~domains ~budget
@@ -316,27 +194,29 @@ let pa_check_cmd =
     let print_json verdict_field stats =
       Printf.printf
         "{\"tool\":\"hbverify\",\"model\":\"pa\",\"variant\":\"%s\",\"tmin\":%d,\"tmax\":%d,\"n\":%d,\"requirement\":\"%s\",\"slice\":false,\"reduce\":%b,%s,\"stats\":%s}\n"
-        (H.Pa_models.variant_name variant)
+        (H.Ta_models.variant_name variant)
         params.H.Params.tmin params.H.Params.tmax params.H.Params.n
         (H.Requirements.name req) reduce verdict_field stats
     in
     let print_text status =
       Format.printf "PA %s %a %s%s: %s@."
-        (H.Pa_models.variant_name variant)
+        (H.Ta_models.variant_name variant)
         H.Params.pp params (H.Requirements.name req)
         (if reduce then " [reduced]" else "")
         status
     in
+    let stats () =
+      let sys, full =
+        Cli_resilience.pa_systems ~reduce (H.Pa_models.build variant params)
+      in
+      Cli_resilience.stats_json ~max_states:4_000_000 ?full sys
+    in
     match verdict with
     | Mc.Safety.Holds ->
-        if json then
-          print_json "\"verdict\":\"holds\""
-            (Cli_resilience.pa_stats_json ~reduce variant params)
+        if json then print_json "\"verdict\":\"holds\"" (stats ())
         else print_text "HOLDS"
     | Mc.Safety.Violated _ ->
-        if json then
-          print_json "\"verdict\":\"violated\""
-            (Cli_resilience.pa_stats_json ~reduce variant params)
+        if json then print_json "\"verdict\":\"violated\"" (stats ())
         else print_text "VIOLATED";
         exit Cli_resilience.exit_violation
     | Mc.Safety.Unknown st ->
@@ -360,21 +240,16 @@ let pa_check_cmd =
                Mc.Explore.pp_exhaustion e);
         exit Cli_resilience.exit_exhausted
   in
-  let req_arg =
-    Arg.(
-      required
-      & pos 0 (some req_conv) None
-      & info [] ~docv:"REQ" ~doc:"Requirement: R1, R2 or R3.")
-  in
   Cmd.v
     (Cmd.info "pa-check" ~exits:Cli_resilience.exits
        ~doc:"Model-check one requirement on a process-algebra model, \
              optionally with ample-set partial-order reduction.")
     Term.(
-      const run $ pa_variant_arg $ tmin_arg $ tmax_arg $ n_arg $ reduce_arg
-      $ json_arg $ jobs_arg $ Cli_resilience.budget_secs_arg
+      const run $ Cli_resilience.variant_arg $ params
+      $ Cli_resilience.reduce_arg $ Cli_resilience.json_arg
+      $ Cli_resilience.jobs $ Cli_resilience.budget_secs_arg
       $ Cli_resilience.budget_mb_arg $ Cli_resilience.no_degrade_arg
-      $ req_arg)
+      $ Cli_resilience.req_arg)
 
 (* The soundness gate for `make por`: on every shipped variant, the
    reduced explorations, sequential and at 4 domains, must give the
@@ -385,7 +260,7 @@ let pa_smoke_cmd =
   let smoke_params variant =
     (* static gets a genuinely concurrent instance (n = 2, the point
        where the reduction passes 2x) at a tmax the gate can afford *)
-    if variant = H.Pa_models.Static then H.Params.make ~n:2 ~tmin:2 ~tmax:3 ()
+    if variant = H.Ta_models.Static then H.Params.make ~n:2 ~tmin:2 ~tmax:3 ()
     else H.Params.make ~n:1 ~tmin:2 ~tmax:4 ()
   in
   let run json =
@@ -412,7 +287,7 @@ let pa_smoke_cmd =
           if not (full.H.Pa_verify.complete && red.H.Pa_verify.complete) then
             incr failures;
           (variant, params, verdicts, full, red))
-        pa_variants
+        H.Ta_models.all_variants
     in
     let ratio (full : H.Pa_verify.explore_stats) (red : H.Pa_verify.explore_stats) =
       float_of_int full.H.Pa_verify.states /. float_of_int red.H.Pa_verify.states
@@ -424,7 +299,7 @@ let pa_smoke_cmd =
           if k > 0 then print_string ",";
           Printf.printf
             "{\"variant\":\"%s\",\"tmin\":%d,\"tmax\":%d,\"n\":%d,\"parity\":%b,\"full_states\":%d,\"reduced_states\":%d,\"reduction_ratio\":%.2f}"
-            (H.Pa_models.variant_name variant)
+            (H.Ta_models.variant_name variant)
             params.H.Params.tmin params.H.Params.tmax params.H.Params.n
             (List.for_all snd verdicts)
             full.H.Pa_verify.states red.H.Pa_verify.states (ratio full red))
@@ -434,7 +309,7 @@ let pa_smoke_cmd =
     else
       List.iter
         (fun (variant, params, verdicts, full, red) ->
-          Format.printf "PA %-10s %a " (H.Pa_models.variant_name variant)
+          Format.printf "PA %-10s %a " (H.Ta_models.variant_name variant)
             H.Params.pp params;
           List.iter
             (fun (req, agree) ->
@@ -463,7 +338,46 @@ let pa_smoke_cmd =
              (sequential and at 4 domains) agree with the full ones on \
              every requirement verdict for all six process-algebra \
              variants, and the reduction at least halves one of them.")
-    Term.(const run $ json_arg)
+    Term.(const run $ Cli_resilience.json_arg)
+
+(* The per-requirement loop the slice and zone gates share: each
+   requirement is checked on the full discrete model and through [alt]
+   (the slice or the zone engine); the verdicts must agree, and every
+   [alt] counterexample must [replay] in the full discrete model, whose
+   compiled network [replay] receives.  Failures and replays are
+   counted into the refs. *)
+let parity_results ~failures ~replays ~alt ~replay variant params =
+  List.map
+    (fun req ->
+      let full = H.Verify.check variant params req in
+      let o = alt variant params req in
+      let parity = full.H.Verify.holds = o.H.Verify.holds in
+      let replayed =
+        match o.H.Verify.counterexample with
+        | None -> true
+        | Some trace ->
+            incr replays;
+            let model =
+              H.Ta_models.build
+                ~with_r1_monitors:(H.Requirements.needs_monitors req)
+                variant params
+            in
+            replay req (Ta.Semantics.compile model) trace
+      in
+      if not (parity && replayed) then incr failures;
+      (req, parity, replayed))
+    H.Requirements.all
+
+let all_parity results = List.for_all (fun (_, p, _) -> p) results
+let all_replayed results = List.for_all (fun (_, _, r) -> r) results
+
+let print_results results =
+  List.iter
+    (fun (req, parity, replayed) ->
+      Format.printf "%s %s%s  " (H.Requirements.name req)
+        (if parity then "ok" else "VERDICT CHANGED")
+        (if replayed then "" else " REPLAY FAILED"))
+    results
 
 (* The soundness gate for `make slice`: slicing is an exact projection,
    so on every shipped TA variant the sliced and full checks must give
@@ -488,43 +402,22 @@ let slice_smoke_cmd =
           List.map
             (fun ta_params ->
               let results =
-                List.map
-                  (fun req ->
-                    let full = H.Verify.check variant ta_params req in
-                    let sl = H.Verify.check ~slice:true variant ta_params req in
-                    let parity = full.H.Verify.holds = sl.H.Verify.holds in
-                    let replayed =
-                      match sl.H.Verify.counterexample with
-                      | None -> true
-                      | Some trace ->
-                          incr replays;
-                          let model =
-                            H.Ta_models.build
-                              ~with_r1_monitors:
-                                (H.Requirements.needs_monitors req)
-                              variant ta_params
-                          in
-                          Slice.replay
-                            (Ta.Semantics.system (Ta.Semantics.compile model))
-                            trace
-                    in
-                    if not (parity && replayed) then incr failures;
-                    (req, parity, replayed))
-                  H.Requirements.all
+                parity_results ~failures ~replays
+                  ~alt:(H.Verify.check ~slice:true)
+                  ~replay:(fun _ net trace ->
+                    Slice.replay (Ta.Semantics.system net) trace)
+                  variant ta_params
               in
-              let model = H.Ta_models.build variant ta_params in
               let count sys =
                 (Mc.Explore.space ~max_states:10_000_000 sys).Mc.Explore.lts
                 |> Lts.Graph.num_states
               in
-              let full_states =
-                count (Ta.Semantics.system (Ta.Semantics.compile model))
+              let sliced, full =
+                Cli_resilience.ta_systems ~slice:true
+                  (H.Ta_models.build variant ta_params)
               in
-              let sliced_states =
-                let sl = Slice.Ta.slice model in
-                count
-                  (Slice.Ta.system sl (Ta.Semantics.compile sl.Slice.Ta.model))
-              in
+              let full_states = count (Option.get full) in
+              let sliced_states = count sliced in
               (variant, ta_params, results, full_states, sliced_states))
             ta_params_list)
         H.Ta_models.all_variants
@@ -537,10 +430,8 @@ let slice_smoke_cmd =
           Printf.printf
             "{\"variant\":\"%s\",\"tmin\":%d,\"tmax\":%d,\"parity\":%b,\"replayed\":%b,\"full_states\":%d,\"sliced_states\":%d,\"slice_ratio\":%.2f}"
             (H.Ta_models.variant_name variant)
-            params.H.Params.tmin params.H.Params.tmax
-            (List.for_all (fun (_, p, _) -> p) results)
-            (List.for_all (fun (_, _, r) -> r) results)
-            full_states sliced_states
+            params.H.Params.tmin params.H.Params.tmax (all_parity results)
+            (all_replayed results) full_states sliced_states
             (float_of_int full_states /. float_of_int sliced_states))
         ta_rows;
       Printf.printf "],\"failures\":%d}\n" !failures
@@ -550,12 +441,7 @@ let slice_smoke_cmd =
         (fun (variant, params, results, full_states, sliced_states) ->
           Format.printf "TA %-10s %a " (H.Ta_models.variant_name variant)
             H.Params.pp params;
-          List.iter
-            (fun (req, parity, replayed) ->
-              Format.printf "%s %s%s  " (H.Requirements.name req)
-                (if parity then "ok" else "VERDICT CHANGED")
-                (if replayed then "" else " REPLAY FAILED"))
-            results;
+          print_results results;
           Format.printf "states %d -> sliced %d (%.2fx)@." full_states
             sliced_states
             (float_of_int full_states /. float_of_int sliced_states))
@@ -589,7 +475,7 @@ let slice_smoke_cmd =
              the full ones on every requirement verdict for all six \
              variants, sliced counterexamples replay in the full models, \
              and the slice measurably shrinks at least one state space.")
-    Term.(const run $ json_arg)
+    Term.(const run $ Cli_resilience.json_arg)
 
 (* The soundness gate for `make zone`: on every shipped variant, the
    dense-time zone verdict (location LU) must equal the discrete one
@@ -608,36 +494,20 @@ let zone_smoke_cmd =
         (fun variant ->
           let params = smoke_params in
           let results =
-            List.map
-              (fun req ->
-                let disc = H.Verify.check variant params req in
-                let zone = H.Verify.check ~zone:true variant params req in
-                let parity = disc.H.Verify.holds = zone.H.Verify.holds in
-                let replayed =
-                  match zone.H.Verify.counterexample with
-                  | None -> true
-                  | Some trace ->
-                      incr replays;
-                      let model =
-                        H.Ta_models.build
-                          ~with_r1_monitors:(H.Requirements.needs_monitors req)
-                          variant params
-                      in
-                      let net = Ta.Semantics.compile model in
-                      Zone.Reach.guided_replay (Ta.Semantics.system net)
-                        ~trace
-                        ~goal:(H.Requirements.bad_state variant params net req)
-                in
-                if not (parity && replayed) then incr failures;
-                (req, parity, replayed))
-              H.Requirements.all
+            parity_results ~failures ~replays
+              ~alt:(H.Verify.check ~zone:true)
+              ~replay:(fun req net trace ->
+                Zone.Reach.guided_replay (Ta.Semantics.system net) ~trace
+                  ~goal:(H.Requirements.bad_state variant params net req))
+              variant params
           in
+          (* the equality-only zone graph is the zone system under the
+             generic explorer *)
           let model = H.Ta_models.build ~with_r1_monitors:true variant params in
           let z = Zone.Sym.compile model in
           let s_on = Zone.Reach.new_stats () in
-          let s_off = Zone.Reach.new_stats () in
-          let n_on, c_on = Zone.Reach.count ~subsume:true ~stats:s_on z in
-          let n_off, c_off = Zone.Reach.count ~subsume:false ~stats:s_off z in
+          let n_on, c_on = Zone.Reach.count ~stats:s_on z in
+          let n_off, c_off = Mc.Explore.count (Zone.Sym.system z) in
           if not (c_on && c_off && n_on <= n_off) then incr failures;
           (variant, params, results, n_on, s_on.Zone.Reach.subsumed, n_off))
         H.Ta_models.all_variants
@@ -656,9 +526,7 @@ let zone_smoke_cmd =
             "{\"variant\":\"%s\",\"tmin\":%d,\"tmax\":%d,\"n\":%d,\"parity\":%b,\"replayed\":%b,\"zone_states\":%d,\"subsumed\":%d,\"zone_states_no_subsume\":%d}"
             (H.Ta_models.variant_name variant)
             params.H.Params.tmin params.H.Params.tmax params.H.Params.n
-            (List.for_all (fun (_, p, _) -> p) results)
-            (List.for_all (fun (_, _, r) -> r) results)
-            n_on subsumed n_off)
+            (all_parity results) (all_replayed results) n_on subsumed n_off)
         rows;
       Printf.printf
         "],\"replays\":%d,\"total_subsumed\":%d,\"failures\":%d}\n"
@@ -669,12 +537,7 @@ let zone_smoke_cmd =
         (fun (variant, params, results, n_on, subsumed, n_off) ->
           Format.printf "TA %-10s %a " (H.Ta_models.variant_name variant)
             H.Params.pp params;
-          List.iter
-            (fun (req, parity, replayed) ->
-              Format.printf "%s %s%s  " (H.Requirements.name req)
-                (if parity then "ok" else "VERDICT CHANGED")
-                (if replayed then "" else " REPLAY FAILED"))
-            results;
+          print_results results;
           Format.printf "zones %d (+%d subsumed; %d without subsumption)@."
             n_on subsumed n_off)
         rows;
@@ -695,7 +558,7 @@ let zone_smoke_cmd =
              requirement for all six variants, zone counterexamples replay \
              discretely, and inclusion subsumption keeps verdicts while \
              measurably discarding zones.")
-    Term.(const run $ json_arg)
+    Term.(const run $ Cli_resilience.json_arg)
 
 (* Check an arbitrary .xta model (e.g. the Fontana-Cleaveland suite in
    examples/fc/) against forbidden-location sets under the zone
@@ -822,7 +685,8 @@ let xta_cmd =
        ~doc:"Zone-check an UPPAAL .xta model (or a built-in \
              Fontana-Cleaveland benchmark) against forbidden location \
              sets.")
-    Term.(const run $ file_arg $ fc_arg $ forbid_arg $ json_arg)
+    Term.(
+      const run $ file_arg $ fc_arg $ forbid_arg $ Cli_resilience.json_arg)
 
 (* Every model-checking result EXPERIMENTS.md records, in the paper's
    order; `make paper` follows it with the hbsim simulation sections. *)

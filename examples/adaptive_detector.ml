@@ -16,16 +16,17 @@
 
 let describe name estimator probes =
   let crash_at = 120.0 in
+  let loss = Sim.Loss.bernoulli 0.08 in
   let detect =
     let cfg =
-      Fd.Detector.config ~estimator ~probes ~loss:0.08 ~crash:(1, crash_at)
+      Fd.Detector.config ~estimator ~probes ~loss ~crash:(1, crash_at)
         ~seed:77L ~duration:400.0 ()
     in
     (Fd.Qos.measure cfg).Fd.Qos.detection_time
   in
   let quiet =
     let cfg =
-      Fd.Detector.config ~estimator ~probes ~loss:0.08 ~seed:78L
+      Fd.Detector.config ~estimator ~probes ~loss ~seed:78L
         ~duration:3_000.0 ()
     in
     Fd.Qos.measure cfg

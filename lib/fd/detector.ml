@@ -6,8 +6,7 @@ type config = {
   estimator : Estimator.t;
   probes : int;
   rtt_bound : float;
-  loss : float;
-  loss_model : Sim.Loss.t option;
+  loss : Sim.Loss.t;
   delay_lo : float;
   delay_hi : float;
   duration : float;
@@ -16,7 +15,7 @@ type config = {
 }
 
 let config ?(n = 1) ?(period = 10.0) ?(estimator = Estimator.Fixed { margin = 2.0 })
-    ?(probes = 0) ?(rtt_bound = 2.0) ?(loss = 0.0) ?loss_model ?(delay_lo = 0.0)
+    ?(probes = 0) ?(rtt_bound = 2.0) ?(loss = Sim.Loss.bernoulli 0.0) ?(delay_lo = 0.0)
     ?(delay_hi = 1.0) ?crash ?(seed = 1L) ~duration () =
   if n < 1 then invalid_arg "Fd.Detector: n must be >= 1";
   if period <= 0.0 then invalid_arg "Fd.Detector: period must be positive";
@@ -29,7 +28,6 @@ let config ?(n = 1) ?(period = 10.0) ?(estimator = Estimator.Fixed { margin = 2.
     probes;
     rtt_bound;
     loss;
-    loss_model;
     delay_lo;
     delay_hi;
     duration;
@@ -64,8 +62,8 @@ let run (cfg : config) : result =
         })
   in
   let link deliver =
-    Sim.Net.create engine ~loss:cfg.loss ?model:cfg.loss_model
-      ~delay_lo:cfg.delay_lo ~delay_hi:cfg.delay_hi ~deliver ()
+    Sim.Net.create engine ~loss:cfg.loss ~delay_lo:cfg.delay_lo
+      ~delay_hi:cfg.delay_hi ~deliver ()
   in
   (* forward declarations tied together below *)
   let on_heartbeat = ref (fun (_ : int) -> ()) in

@@ -22,8 +22,7 @@ type config = {
   estimator : Estimator.t;
   probes : int;  (** 0 = classic; k > 0 = accelerated confirmation *)
   rtt_bound : float;  (** round-trip bound used by probe confirmation *)
-  loss : float;
-  loss_model : Sim.Loss.t option;
+  loss : Sim.Loss.t;  (** the links' loss model *)
   delay_lo : float;
   delay_hi : float;  (** one-way heartbeat delay range *)
   duration : float;
@@ -37,8 +36,7 @@ val config :
   ?estimator:Estimator.t ->
   ?probes:int ->
   ?rtt_bound:float ->
-  ?loss:float ->
-  ?loss_model:Sim.Loss.t ->
+  ?loss:Sim.Loss.t ->
   ?delay_lo:float ->
   ?delay_hi:float ->
   ?crash:int * float ->

@@ -69,6 +69,7 @@ type tradeoff_row = {
 
 let margin_sweep ?(runs = 50) ?(margins = [ 0.5; 1.0; 2.0; 4.0; 8.0 ])
     ?(probes = 0) ?(loss = 0.05) ?(seed = 5L) () =
+  let loss = Sim.Loss.bernoulli loss in
   let master = Sim.Rng.create seed in
   List.map
     (fun margin ->

@@ -63,24 +63,29 @@ type reliability_row = {
   false_rate : float;
 }
 
-let reliability ?(runs = 200) ?(duration = 2_000.0) ?(seed = 7L) kind params
-    ~loss =
+let reliability_model ?(runs = 200) ?(duration = 2_000.0) ?(seed = 7L) kind
+    params ~model =
   let master = Sim.Rng.create seed in
   let false_detections = ref 0 in
   for _ = 1 to runs do
     let cfg =
-      Runtime.config ~kind ~loss ~seed:(Sim.Rng.int64 master) ~duration params
+      Runtime.config ~kind ~loss:model ~seed:(Sim.Rng.int64 master) ~duration
+        params
     in
     let result = Runtime.run cfg in
     if result.Runtime.false_detection then incr false_detections
   done;
   {
     r_kind = kind;
-    loss;
+    loss = Sim.Loss.expected_loss model;
     r_runs = runs;
     false_detections = !false_detections;
     false_rate = float_of_int !false_detections /. float_of_int runs;
   }
+
+let reliability ?runs ?duration ?seed kind params ~loss =
+  reliability_model ?runs ?duration ?seed kind params
+    ~model:(Sim.Loss.bernoulli loss)
 
 let default_kinds (_ : Params.t) =
   [ Runtime.Halving; Runtime.Two_phase; Runtime.Fixed_rate 2 ]
@@ -100,26 +105,6 @@ let pp_reliability ppf r =
   Format.fprintf ppf "%-14s loss=%4.2f  false detections %d/%d (rate %.3f)"
     (Runtime.kind_name r.r_kind)
     r.loss r.false_detections r.r_runs r.false_rate
-
-let reliability_model ?(runs = 200) ?(duration = 2_000.0) ?(seed = 7L) kind
-    params ~model =
-  let master = Sim.Rng.create seed in
-  let false_detections = ref 0 in
-  for _ = 1 to runs do
-    let cfg =
-      Runtime.config ~kind ~loss_model:model ~seed:(Sim.Rng.int64 master)
-        ~duration params
-    in
-    let result = Runtime.run cfg in
-    if result.Runtime.false_detection then incr false_detections
-  done;
-  {
-    r_kind = kind;
-    loss = Sim.Loss.expected_loss model;
-    r_runs = runs;
-    false_detections = !false_detections;
-    false_rate = float_of_int !false_detections /. float_of_int runs;
-  }
 
 type join_row = {
   j_runs : int;

@@ -1,27 +1,16 @@
 module T = Proc.Term
 module P = Proc.Pexpr
 
-type variant = Binary | Revised | Two_phase | Static | Expanding | Dynamic
+type variant = Ta_models.variant =
+  | Binary
+  | Revised
+  | Two_phase
+  | Static
+  | Expanding
+  | Dynamic
 
-let variant_name = function
-  | Binary -> "binary"
-  | Revised -> "revised"
-  | Two_phase -> "two-phase"
-  | Static -> "static"
-  | Expanding -> "expanding"
-  | Dynamic -> "dynamic"
-
-let of_ta = function
-  | Ta_models.Binary -> Some Binary
-  | Ta_models.Revised -> Some Revised
-  | Ta_models.Two_phase -> Some Two_phase
-  | Ta_models.Static -> Some Static
-  | Ta_models.Expanding -> Some Expanding
-  | Ta_models.Dynamic -> Some Dynamic
-
-let has_join = function
-  | Expanding | Dynamic -> true
-  | Binary | Revised | Two_phase | Static -> false
+let variant_name = Ta_models.variant_name
+let has_join = Ta_models.has_join
 
 (* Action names.  s_/r_ prefixes are the communication halves; the bare
    name is the synchronisation result. *)
@@ -485,12 +474,8 @@ let p0_start_def (p : Params.t) n =
 
 let build variant (p : Params.t) : Proc.Spec.t =
   let joining = has_join variant in
-  let n =
-    match variant with
-    | Static | Expanding | Dynamic -> p.Params.n
-    | Binary | Revised | Two_phase -> 1
-  in
-  let participants = List.init n (fun k -> k + 1) in
+  let participants = Ta_models.participants variant p in
+  let n = List.length participants in
   let tmax = p.Params.tmax in
   let defs =
     [ p0_def variant p n ]

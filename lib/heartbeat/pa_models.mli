@@ -32,14 +32,20 @@
     this encoding and the timed-automata encoding ({!Ta_models}) give
     identical verdicts — the paper's CADP/UPPAAL cross-validation. *)
 
-type variant = Binary | Revised | Two_phase | Static | Expanding | Dynamic
+type variant = Ta_models.variant =
+  | Binary
+  | Revised
+  | Two_phase
+  | Static
+  | Expanding
+  | Dynamic
+(** {!Ta_models.variant}, re-exported with its constructors. *)
 
 val variant_name : variant -> string
-
-val of_ta : Ta_models.variant -> variant option
-(** The corresponding PA variant (total since all six are encoded). *)
+(** {!Ta_models.variant_name}. *)
 
 val has_join : variant -> bool
+(** {!Ta_models.has_join}. *)
 
 val build : variant -> Params.t -> Proc.Spec.t
 (** Build the specification ([Params.n] participants for the multi-party

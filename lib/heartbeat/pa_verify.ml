@@ -1,13 +1,5 @@
 let default_max = 4_000_000
 
-let participants variant (p : Params.t) =
-  let n =
-    match (variant : Pa_models.variant) with
-    | Pa_models.Static | Pa_models.Expanding | Pa_models.Dynamic -> p.Params.n
-    | Pa_models.Binary | Pa_models.Revised | Pa_models.Two_phase -> 1
-  in
-  List.init n (fun k -> k + 1)
-
 let name_in names (l : Proc.Semantics.label) =
   match l with
   | Proc.Semantics.Tick -> false
@@ -21,8 +13,8 @@ let is_tick (l : Proc.Semantics.label) = l = Proc.Semantics.Tick
    reduction must keep visible for the verdict to carry over. *)
 let monitors variant (p : Params.t) req :
     (Proc.Semantics.label Mc.Monitor.t * string list) list =
-  let ps = participants variant p in
-  let joining = Pa_models.has_join variant in
+  let ps = Ta_models.participants variant p in
+  let joining = Ta_models.has_join variant in
   let loses = List.concat_map (Pa_models.act_lose variant) ps in
   match (req : Requirements.requirement) with
   | Requirements.R1 ->
@@ -120,12 +112,12 @@ let check ?max_states ?domains ?reduce variant params req =
   | Mc.Safety.Unknown n ->
       Format.kasprintf failwith
         "Pa_verify.check: state bound %d exceeded (%s, %s)" n
-        (Pa_models.variant_name variant)
+        (Ta_models.variant_name variant)
         (Requirements.name req)
   | Mc.Safety.Exhausted e ->
       Format.kasprintf failwith "Pa_verify.check: %a (%s, %s)"
         Mc.Explore.pp_exhaustion e
-        (Pa_models.variant_name variant)
+        (Ta_models.variant_name variant)
         (Requirements.name req)
 
 type explore_stats = { states : int; transitions : int; complete : bool }

@@ -4,10 +4,6 @@ let all = [ R1; R2; R3 ]
 let name = function R1 -> "R1" | R2 -> "R2" | R3 -> "R3"
 let needs_monitors = function R1 -> true | R2 | R3 -> false
 
-let participants variant (p : Params.t) =
-  let n = if Ta_models.is_multi variant then p.Params.n else 1 in
-  List.init n (fun k -> k + 1)
-
 (* "p[j] is still a live participant": any location other than the two
    inactivated ones.  Never-joined and left participants are handled
    separately, following the paper's UPPAAL formulas
@@ -30,7 +26,7 @@ let no_excuse_pred variant net j =
     else fun _ -> false
   in
   let unjoined =
-    if variant = Ta_models.Expanding || variant = Ta_models.Dynamic then
+    if Ta_models.has_join variant then
       let jv = Ta.Semantics.var net (Printf.sprintf "jnd%d" j) in
       fun c -> jv c = 0
     else fun _ -> false
@@ -40,7 +36,7 @@ let no_excuse_pred variant net j =
 let bad_state variant (p : Params.t) (net : Ta.Semantics.t) req =
   let loc_is auto loc = Ta.Semantics.loc_is net ~auto ~loc in
   let var name = Ta.Semantics.var net name in
-  let ps = participants variant p in
+  let ps = Ta_models.participants variant p in
   match req with
   | R1 ->
       (* Some watchdog reached its error location. *)
@@ -79,10 +75,8 @@ let bad_state variant (p : Params.t) (net : Ta.Semantics.t) req =
    predicate can be built against the sliced net and the seeded clocks
    keep exact values.  No clocks are observed by any requirement. *)
 let slice_seed variant (p : Params.t) req : Slice_ta.seed =
-  let ps = participants variant p in
-  let joining =
-    variant = Ta_models.Expanding || variant = Ta_models.Dynamic
-  in
+  let ps = Ta_models.participants variant p in
+  let joining = Ta_models.has_join variant in
   let alive_locs j =
     [ (Ta_models.p_name j, "VInact"); (Ta_models.p_name j, "NVInact") ]
     @ if variant = Ta_models.Dynamic then [ (Ta_models.p_name j, "Left") ] else []
@@ -142,10 +136,8 @@ let live_fairness =
   [ Ltl.Check.often "time" (fun l -> l = Ta.Semantics.Delay) ]
 
 let live_formula variant (p : Params.t) req =
-  let ps = participants variant p in
-  let joining =
-    variant = Ta_models.Expanding || variant = Ta_models.Dynamic
-  in
+  let ps = Ta_models.participants variant p in
+  let joining = Ta_models.has_join variant in
   let dlv1 i = act (Printf.sprintf "dlv1_%d" i) in
   let dlv0 i = act (Printf.sprintf "dlv0_%d" i) in
   let join i = act (Printf.sprintf "join%d" i) in
@@ -209,14 +201,6 @@ let pa_act name =
       | Proc.Semantics.Act (n, _) -> n = name
       | Proc.Semantics.Tick -> false)
 
-let pa_participants variant (p : Params.t) =
-  let n =
-    match (variant : Pa_models.variant) with
-    | Pa_models.Static | Pa_models.Expanding | Pa_models.Dynamic -> p.Params.n
-    | Pa_models.Binary | Pa_models.Revised | Pa_models.Two_phase -> 1
-  in
-  List.init n (fun k -> k + 1)
-
 (* One single-name atom per fault: a multi-name predicate would break
    the [Lbl] contract {!Ltl.Formula.stutter_invariant} relies on, and
    with it the partial-order reduction of the check. *)
@@ -238,8 +222,8 @@ let live_fairness_pa =
   [ Ltl.Check.often "tick" (fun l -> l = Proc.Semantics.Tick) ]
 
 let live_formula_pa variant (p : Params.t) req =
-  let ps = pa_participants variant p in
-  let joining = Pa_models.has_join variant in
+  let ps = Ta_models.participants variant p in
+  let joining = Ta_models.has_join variant in
   let dlv1 i = pa_act (Pa_models.act_beat_delivered_to_p0 i) in
   let dlv0 i = pa_act (Pa_models.act_beat_delivered_to_pi i) in
   let jdlv i = pa_act (Pa_models.act_join_delivered_to_p0 i) in

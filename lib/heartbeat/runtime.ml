@@ -8,22 +8,21 @@ let kind_name = function
 type config = {
   params : Params.t;
   kind : kind;
-  loss : float;
-  loss_model : Sim.Loss.t option;
+  loss : Sim.Loss.t;
   duration : float;
   faults : Sim.Fault.schedule;
   fixed_bounds : bool;
   seed : int64;
 }
 
-let config ?(kind = Halving) ?(loss = 0.0) ?loss_model ?(faults = [])
+let config ?(kind = Halving) ?(loss = Sim.Loss.bernoulli 0.0) ?(faults = [])
     ?(fixed_bounds = false) ?(seed = 1L) ~duration params =
   (match kind with
   | Fixed_rate k when k < 1 ->
       invalid_arg "Heartbeat.Runtime: Fixed_rate needs k >= 1"
   | _ -> ());
   Sim.Fault.validate faults;
-  { params; kind; loss; loss_model; duration; faults; fixed_bounds; seed }
+  { params; kind; loss; duration; faults; fixed_bounds; seed }
 
 type result = {
   messages_sent : int;
@@ -82,7 +81,7 @@ let run ?on_event (cfg : config) : result =
   let fault_log = ref [] in
   (* One-way links; each direction gets half the round-trip budget. *)
   let link ~src ~dst deliver =
-    Sim.Net.create engine ~loss:cfg.loss ?model:cfg.loss_model
+    Sim.Net.create engine ~loss:cfg.loss
       ~on_drop:(fun kind _ ->
         emit (Monitors.Drop { src; dst; at = Sim.Engine.now engine; kind }))
       ~on_late:(fun _ ->

@@ -28,9 +28,9 @@ val kind_name : kind -> string
 type config = {
   params : Params.t;
   kind : kind;
-  loss : float;  (** per-message loss probability *)
-  loss_model : Sim.Loss.t option;
-      (** overrides [loss] when given (e.g. bursty Gilbert–Elliott) *)
+  loss : Sim.Loss.t;
+      (** the links' loss model: [Sim.Loss.bernoulli p] for a fixed
+          per-message probability, or bursty Gilbert–Elliott *)
   duration : float;  (** simulated time horizon *)
   faults : Sim.Fault.schedule;
       (** declarative fault schedule: crashes ([Sim.Fault.crash ~at who],
@@ -45,8 +45,7 @@ type config = {
 
 val config :
   ?kind:kind ->
-  ?loss:float ->
-  ?loss_model:Sim.Loss.t ->
+  ?loss:Sim.Loss.t ->
   ?faults:Sim.Fault.schedule ->
   ?fixed_bounds:bool ->
   ?seed:int64 ->

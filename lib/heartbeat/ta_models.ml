@@ -21,6 +21,9 @@ let has_join = function
   | Expanding | Dynamic -> true
   | Binary | Revised | Two_phase | Static -> false
 
+let participants variant (p : Params.t) =
+  List.init (if is_multi variant then p.Params.n else 1) (fun k -> k + 1)
+
 let p0_name = "P0"
 let p_name i = Printf.sprintf "P%d" i
 let monitor_name i = Printf.sprintf "M%d" i
@@ -495,8 +498,8 @@ let r1_bound variant ~fixed (p : Params.t) =
 let build ?(fixed = false) ?(with_r1_monitors = false) ?r1_bound:r1_override
     variant (p : Params.t) =
   let tmin = p.Params.tmin and tmax = p.Params.tmax in
-  let n = if is_multi variant then p.Params.n else 1 in
-  let participants = List.init n (fun k -> k + 1) in
+  let participants = participants variant p in
+  let n = List.length participants in
   let joining = has_join variant in
   let r1b =
     match r1_override with

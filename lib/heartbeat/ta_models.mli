@@ -46,12 +46,23 @@ type variant =
   | Expanding
   | Dynamic
 
+(** The six protocol variants, shared by both encodings: {!Pa_models}
+    re-exports this type, so a variant names the same design decision
+    in the timed-automata and the process-algebra model. *)
+
 val all_variants : variant list
 val variant_name : variant -> string
 
 val is_multi : variant -> bool
 (** [true] for the variants honouring [Params.n] (Static, Expanding,
     Dynamic); the binary family always has one participant. *)
+
+val has_join : variant -> bool
+(** [true] for the variants with a joining phase (Expanding, Dynamic). *)
+
+val participants : variant -> Params.t -> int list
+(** The participant numbers [1..n] of a model: [Params.n] of them for
+    the multi-party variants, one otherwise. *)
 
 val build :
   ?fixed:bool ->

@@ -1109,7 +1109,7 @@ module Engine (S : System.S) = struct
     (match store_mode with
     | Store.Bitstate _ ->
         invalid_arg
-          "Mc.Pexplore.space: a bitstate store keeps no state identities \
+          "Mc.Pexplore.space_run: a bitstate store keeps no state identities \
            and cannot produce a state graph"
     | _ -> ());
     let t0 = Unix.gettimeofday () in
@@ -1274,14 +1274,6 @@ let space_run (type s l) ?(max_states = Explore.default_max) ?expected_states
   E.space_run ?expected_states ?budget ~degrade_ok:degrade ?resume ~max_states
     ~domains ~store_mode:store ()
 
-let space_stats ?max_states ?expected_states ?domains ?store sys =
-  match space_run ?max_states ?expected_states ?domains ?store sys with
-  | Explore.Done sp, stats -> (sp, stats)
-  | Explore.Suspended _, _ -> assert false (* no budget, cannot suspend *)
-
-let space ?max_states ?expected_states ?domains ?store sys =
-  fst (space_stats ?max_states ?expected_states ?domains ?store sys)
-
 let count_stats (type s l) ?(max_states = Explore.default_max)
     ?expected_states ?domains ?(store = Store.Exact) ?budget ?(degrade = true)
     (sys : (s, l) System.t) : (int * bool) * stats =
@@ -1289,11 +1281,6 @@ let count_stats (type s l) ?(max_states = Explore.default_max)
   let module E = Engine ((val sys)) in
   E.count ?expected_states ?budget ~degrade_ok:degrade ~max_states ~domains
     ~store_mode:store ()
-
-let count ?max_states ?expected_states ?domains ?store ?budget ?degrade sys =
-  fst
-    (count_stats ?max_states ?expected_states ?domains ?store ?budget ?degrade
-       sys)
 
 let find (type s l) ?(max_states = Explore.default_max) ?expected_states
     ?domains ?(store = Store.Exact) ?budget ?(degrade = true) ~goal

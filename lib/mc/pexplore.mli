@@ -19,14 +19,14 @@
     results are {e deterministic and byte-identical} to the sequential
     engine:
 
-    - {!space} produces exactly the {!Explore.space} result — same state
-      numbering, same transition order, same [states] array, same
+    - {!space_run} produces exactly the {!Explore.space} result — same
+      state numbering, same transition order, same [states] array, same
       [complete] flag, and the same truncation contract under
       [max_states] — for every domain count;
     - {!find} agrees with {!Explore.find} on the verdict constructor, on
       the witness trace length (shortest), and on {!Explore.Bound_hit}
       truncation behaviour;
-    - {!count} agrees with {!Explore.count}.
+    - {!count_stats} agrees with {!Explore.count}.
 
     Compressed stores ({!Store.Hash_compaction}, {!Store.Bitstate})
     make the results {e probabilistic}: distinct states that collide are
@@ -34,7 +34,7 @@
     violations), never over-report.  Byte-identical parity holds for
     hash compaction up to fingerprint collisions (~2^-62 per pair at the
     default width).  Bitstate keeps no state identities: it is rejected
-    by {!space}, {!find} witnesses lose the shortest-trace guarantee,
+    by {!space_run}, {!find} witnesses lose the shortest-trace guarantee,
     and a [false] completeness flag is reported whenever the bound was
     engaged.
 
@@ -65,33 +65,6 @@ type stats = {
 
 val pp_stats : Format.formatter -> stats -> unit
 
-val space :
-  ?max_states:int ->
-  ?expected_states:int ->
-  ?domains:int ->
-  ?store:Store.mode ->
-  ('s, 'l) System.t ->
-  ('s, 'l) Explore.space
-(** [space sys] builds the reachable state graph in parallel.  With the
-    default exact store the result is byte-identical to
-    [Explore.space ?max_states sys] regardless of [domains].
-
-    The lock-striped state table starts at 512 states per shard and
-    grows; an [expected_states] hint may lower that start, never raise
-    it.  Results are unaffected.
-
-    @raise Invalid_argument on a {!Store.Bitstate} store, which cannot
-    produce a state graph. *)
-
-val space_stats :
-  ?max_states:int ->
-  ?expected_states:int ->
-  ?domains:int ->
-  ?store:Store.mode ->
-  ('s, 'l) System.t ->
-  ('s, 'l) Explore.space * stats
-(** Like {!space}, additionally returning exploration statistics. *)
-
 val space_run :
   ?max_states:int ->
   ?expected_states:int ->
@@ -102,7 +75,16 @@ val space_run :
   ?resume:('s, 'l) Explore.cursor ->
   ('s, 'l) System.t ->
   ('s, 'l) Explore.run_result * stats
-(** The resilient form of {!space_stats}.  A {!Budget} trip — or an unrecoverable successor crash — suspends
+(** [space_run sys] builds the reachable state graph in parallel, with
+    exploration statistics.  With the default exact store and no
+    budget the [Done] space is byte-identical to
+    [Explore.space ?max_states sys] regardless of [domains].
+
+    The lock-striped state table starts at 512 states per shard and
+    grows; an [expected_states] hint may lower that start, never raise
+    it.  Results are unaffected.
+
+    A {!Budget} trip — or an unrecoverable successor crash — suspends
     the run into an {!Explore.cursor} holding every interned state, the
     recorded adjacency and the unexpanded frontier; [resume] continues
     from such a cursor.  A resumed run always replays, so its [Done]
@@ -119,23 +101,10 @@ val space_run :
     reported in [stats.degraded].  Note a store degraded to bitstate no
     longer tracks state identities, so the space degenerates (missing
     destinations are dropped and [complete] is [false]) — prefer
-    {!count} or {!find} when heavy degradation is expected. *)
+    {!count_stats} or {!find} when heavy degradation is expected.
 
-val count :
-  ?max_states:int ->
-  ?expected_states:int ->
-  ?domains:int ->
-  ?store:Store.mode ->
-  ?budget:Budget.t ->
-  ?degrade:bool ->
-  ('s, 'l) System.t ->
-  int * bool
-(** Parallel {!Explore.count}: reachable-state count plus completeness
-    flag, without retaining the graph.  Compressed stores under-count on
-    collision; bitstate is supported and is the intended high-volume
-    counting mode.  A [budget] trip reports the count so far with
-    [complete = false]; [degrade] (default [true]) lets memory trips
-    walk the store down the compression ladder instead of stopping. *)
+    @raise Invalid_argument on a {!Store.Bitstate} store, which cannot
+    produce a state graph. *)
 
 val count_stats :
   ?max_states:int ->
@@ -146,9 +115,15 @@ val count_stats :
   ?degrade:bool ->
   ('s, 'l) System.t ->
   (int * bool) * stats
-(** {!count}, additionally returning exploration statistics (including
-    the store's {!Store.coverage} estimate — the way to surface bitstate
-    omission probabilities).  [stats.transitions] counts successor edges
+(** Parallel {!Explore.count}: reachable-state count plus completeness
+    flag, without retaining the graph.  Compressed stores under-count
+    on collision; bitstate is supported and is the intended high-volume
+    counting mode.  A [budget] trip reports the count so far with
+    [complete = false]; [degrade] (default [true]) lets memory trips
+    walk the store down the compression ladder instead of stopping.
+
+    The exploration statistics include the store's {!Store.coverage}
+    estimate — the way to surface bitstate omission probabilities.  [stats.transitions] counts successor edges
     of first-time expansions, and the depth histogram uses stamped
     depths, which both coincide with the canonical values on complete
     unbounded runs.  [stats.exhausted], [stats.degraded] and

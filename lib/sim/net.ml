@@ -27,17 +27,15 @@ let check_prob name p =
   if p < 0.0 || p > 1.0 then
     invalid_arg (Printf.sprintf "Sim.Net.%s: probability outside [0,1]" name)
 
-let create engine ?(loss = 0.0) ?model ?on_drop ?on_late ~delay_lo ~delay_hi
-    ~deliver () =
+let create engine ?(loss = Loss.bernoulli 0.0) ?on_drop ?on_late ~delay_lo
+    ~delay_hi ~deliver () =
   if delay_lo < 0.0 || delay_hi < delay_lo then
     invalid_arg "Sim.Net.create: bad delay range";
-  if loss < 0.0 || loss > 1.0 then invalid_arg "Sim.Net.create: bad loss rate";
-  let model = match model with Some m -> m | None -> Loss.bernoulli loss in
-  Loss.validate model;
+  Loss.validate loss;
   {
     engine;
-    model;
-    loss_state = Loss.start model;
+    model = loss;
+    loss_state = Loss.start loss;
     delay_lo;
     delay_hi;
     deliver;

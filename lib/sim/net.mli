@@ -23,8 +23,7 @@ type drop_kind =
 
 val create :
   Engine.t ->
-  ?loss:float ->
-  ?model:Loss.t ->
+  ?loss:Loss.t ->
   ?on_drop:(drop_kind -> 'a -> unit) ->
   ?on_late:('a -> unit) ->
   delay_lo:float ->
@@ -34,15 +33,15 @@ val create :
   'a t
 (** [create engine ~loss ~delay_lo ~delay_hi ~deliver ()] builds a
     unidirectional link.  Each sent message is dropped according to the
-    loss model — [model] if given, otherwise Bernoulli with probability
-    [loss] (default 0) — and otherwise delivered after a uniform random
-    delay in [\[delay_lo, delay_hi\]].  [on_drop] is called (with the
+    loss model [loss] (default [Loss.bernoulli 0.0], lossless; a fixed
+    rate [p] is [Loss.bernoulli p]) and otherwise delivered after a
+    uniform random delay in [\[delay_lo, delay_hi\]].  [on_drop] is called (with the
     kind) whenever a message is lost or dropped; [on_late] is called
     just before delivering a message whose drawn delay exceeded
     [delay_hi] — possible only under {!set_reorder} / {!set_jitter},
     i.e. when the channel's delay assumption was deliberately broken.
     @raise Invalid_argument on a negative delay, [delay_hi < delay_lo], or
-    an invalid loss model. *)
+    an invalid loss model ({!Loss.validate}). *)
 
 val send : 'a t -> 'a -> unit
 

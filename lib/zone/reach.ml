@@ -55,8 +55,8 @@ let trace_to (v : vec) id =
   in
   go id []
 
-let find ?(max_states = Mc.Explore.default_max) ?(subsume = true) ?budget
-    ?stats (t : Sym.t) ~goal :
+let find ?(max_states = Mc.Explore.default_max) ?budget ?stats (t : Sym.t)
+    ~goal :
     (Sym.state, S.label) Mc.Explore.verdict =
   let stats = match stats with Some s -> s | None -> new_stats () in
   let dim = Sym.dim t in
@@ -75,9 +75,7 @@ let find ?(max_states = Mc.Explore.default_max) ?(subsume = true) ?budget
           b
     in
     let covered =
-      if subsume then
-        List.exists (fun (z, _) -> Dbm.includes ~dim z s.Sym.dbm) !bucket
-      else List.exists (fun (z, _) -> Dbm.equal z s.Sym.dbm) !bucket
+      List.exists (fun (z, _) -> Dbm.includes ~dim z s.Sym.dbm) !bucket
     in
     if covered then stats.subsumed <- stats.subsumed + 1
     else if nodes.len >= max_states then truncated := true
@@ -128,9 +126,9 @@ let find ?(max_states = Mc.Explore.default_max) ?(subsume = true) ?budget
         if !truncated then Mc.Explore.Bound_hit stats.states
         else Mc.Explore.Unreachable
 
-let count ?max_states ?subsume ?budget ?stats t =
+let count ?max_states ?budget ?stats t =
   let stats = match stats with Some s -> s | None -> new_stats () in
-  match find ?max_states ?subsume ?budget ~stats t ~goal:(fun _ -> false) with
+  match find ?max_states ?budget ~stats t ~goal:(fun _ -> false) with
   | Mc.Explore.Unreachable -> (stats.states, true)
   | Mc.Explore.Bound_hit n -> (n, false)
   | Mc.Explore.Exhausted e -> (e.Mc.Explore.states_so_far, false)

@@ -6,9 +6,10 @@
     part has a zone that {e includes} the new one (every behaviour of
     the new state is a behaviour of the stored one, so nothing
     reachable is lost).  This is the classic waiting-list discipline
-    that makes zone graphs finite {e and} small — plain equality
-    ([subsume:false]) is exact too (Extra_LU already guarantees
-    finiteness) but stores every distinct zone.
+    that makes zone graphs finite {e and} small.  The equality-only zone
+    graph (exact too, since Extra_LU already guarantees finiteness, but
+    storing every distinct zone) is {!Sym.system} under the generic
+    {!Mc.Explore}; this module has no equality mode.
 
     Verdicts reuse {!Mc.Explore.verdict}, so callers
     ({!Heartbeat.Verify}) treat the two engines uniformly.  Goal states
@@ -21,15 +22,13 @@ type stats = {
   mutable states : int;  (** stored (non-subsumed) states *)
   mutable transitions : int;  (** successor edges generated *)
   mutable subsumed : int;
-      (** successors discarded by zone inclusion ([subsume:true]) or
-          zone equality ([subsume:false]) against a stored state *)
+      (** successors discarded by zone inclusion in a stored state *)
 }
 
 val new_stats : unit -> stats
 
 val find :
   ?max_states:int ->
-  ?subsume:bool ->
   ?budget:Mc.Budget.t ->
   ?stats:stats ->
   Sym.t ->
@@ -37,15 +36,13 @@ val find :
   (Sym.state, Ta.Semantics.label) Mc.Explore.verdict
 (** [find t ~goal] searches breadth-first for a goal state, returning a
     shortest (in macro steps) witness trace of [Act] labels.
-    [subsume] defaults to [true]; [max_states] to
-    {!Mc.Explore.default_max}.  The budget is polled once per expanded
+    [max_states] defaults to {!Mc.Explore.default_max}.  The budget is polled once per expanded
     state; a trip yields [Exhausted] with exact coverage over the
     stored states.  Pass [stats] to observe the subsumption counters
     of the run. *)
 
 val count :
   ?max_states:int ->
-  ?subsume:bool ->
   ?budget:Mc.Budget.t ->
   ?stats:stats ->
   Sym.t ->

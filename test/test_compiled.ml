@@ -238,7 +238,7 @@ let variants =
       (Dynamic, H.Params.make ~tmin:2 ~tmax:3 (), (2482, 6921), (1641, 3850));
     ]
 
-let vname v = H.Pa_models.variant_name v
+let vname v = H.Ta_models.variant_name v
 
 let test_variants_match_reference () =
   List.iter

@@ -49,7 +49,8 @@ let test_estimator_ewma () =
 (* --- detector semantics --- *)
 
 let quiet_cfg ?(probes = 0) ?(loss = 0.0) ?crash ?(seed = 3L) () =
-  Fd.Detector.config ~probes ~loss ?crash ~seed ~duration:500.0 ()
+  Fd.Detector.config ~probes ~loss:(Sim.Loss.bernoulli loss) ?crash ~seed
+    ~duration:500.0 ()
 
 let test_no_mistakes_without_loss () =
   List.iter

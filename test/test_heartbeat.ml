@@ -214,29 +214,21 @@ let test_deadlock_free () =
 
 let test_pa_ta_agree () =
   List.iter
-    (fun (pv, tv) ->
+    (fun v ->
       List.iter
         (fun (tmin, tmax) ->
           let params = H.Params.make ~tmin ~tmax () in
           List.iter
             (fun req ->
-              let pa = H.Pa_verify.check pv params req in
-              let ta = (H.Verify.check tv params req).H.Verify.holds in
+              let pa = H.Pa_verify.check v params req in
+              let ta = (H.Verify.check v params req).H.Verify.holds in
               check Alcotest.bool
-                (Printf.sprintf "%s (%d,%d) %s"
-                   (H.Pa_models.variant_name pv)
+                (Printf.sprintf "%s (%d,%d) %s" (H.Ta_models.variant_name v)
                    tmin tmax (H.Requirements.name req))
                 ta pa)
             H.Requirements.all)
         [ (1, 2); (2, 2); (1, 3); (3, 3); (2, 4) ])
-    [
-      (H.Pa_models.Binary, H.Ta_models.Binary);
-      (H.Pa_models.Revised, H.Ta_models.Revised);
-      (H.Pa_models.Two_phase, H.Ta_models.Two_phase);
-      (H.Pa_models.Static, H.Ta_models.Static);
-      (H.Pa_models.Expanding, H.Ta_models.Expanding);
-      (H.Pa_models.Dynamic, H.Ta_models.Dynamic);
-    ]
+    H.Ta_models.all_variants
 
 let test_pa_table2_expanding_r2 () =
   (* The PA encoding independently reproduces the R2 row of Table 2 for

@@ -317,20 +317,14 @@ let shipped_reports () =
     (fun v ->
       let name = H.Ta_models.variant_name v in
       let pa =
-        match H.Pa_models.of_ta v with
-        | None -> []
-        | Some pv ->
-            [
-              Lint.Pa.analyze ~model:("pa:" ^ name)
-                (H.Pa_models.build pv lint_params);
-            ]
+        Lint.Pa.analyze ~model:("pa:" ^ name) (H.Pa_models.build v lint_params)
       in
       let ta fixed =
         let label = if fixed then "ta:" ^ name ^ ":fixed" else "ta:" ^ name in
         Lint.Ta_model.analyze ~model:label
           (H.Ta_models.build ~fixed ~with_r1_monitors:true v lint_params)
       in
-      pa @ [ ta false; ta true ])
+      [ pa; ta false; ta true ])
     H.Ta_models.all_variants
 
 let test_shipped_clean () =
@@ -393,7 +387,9 @@ let test_presize_parity () =
   let tiny, tc = Mc.Explore.count ~expected_states:1 sys in
   check Alcotest.(pair int bool) "seq hinted" (base, bc) (hinted, hc);
   check Alcotest.(pair int bool) "seq tiny hint" (base, bc) (tiny, tc);
-  let par, pc = Mc.Pexplore.count ~domains:2 ~expected_states:7 sys in
+  let (par, pc), _ =
+    Mc.Pexplore.count_stats ~domains:2 ~expected_states:7 sys
+  in
   check Alcotest.(pair int bool) "par hinted" (base, bc) (par, pc)
 
 (* --- pinning: the write-only leave flag stays gone --------------------- *)

@@ -366,7 +366,7 @@ let test_fc_verdicts () =
       Alcotest.(check bool)
         (s.Fc.fc_name ^ ": complete")
         true
-        (snd (Zone.Reach.count ~subsume:true z)))
+        (snd (Zone.Reach.count z)))
     Fc.all
 
 (* --- the qcheck parity harness -------------------------------------- *)

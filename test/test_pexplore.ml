@@ -6,6 +6,19 @@
 let check = Alcotest.check
 let domain_counts = [ 1; 2; 4 ]
 
+(* The parallel space and count through the engine's entry points; with
+   no budget a run cannot suspend. *)
+let par_space_stats ?max_states ?store ~domains sys =
+  match Mc.Pexplore.space_run ?max_states ?store ~domains sys with
+  | Mc.Explore.Done sp, stats -> (sp, stats)
+  | Mc.Explore.Suspended _, _ -> Alcotest.fail "suspended without a budget"
+
+let par_space ?max_states ?store ~domains sys =
+  fst (par_space_stats ?max_states ?store ~domains sys)
+
+let par_count ?max_states ?store ?domains sys =
+  fst (Mc.Pexplore.count_stats ?max_states ?store ?domains sys)
+
 (* ------------------------------------------------------------------ *)
 (* Random finite systems: a sparse successor table over states 0..n-1. *)
 (* ------------------------------------------------------------------ *)
@@ -80,7 +93,7 @@ let prop_space_parity =
       let sys = table_system rs in
       let seq = Mc.Explore.space sys in
       List.for_all
-        (fun d -> same_space seq (Mc.Pexplore.space ~domains:d sys))
+        (fun d -> same_space seq (par_space ~domains:d sys))
         domain_counts)
 
 (* Property (b): goal searches agree on the verdict; witnesses have the
@@ -121,8 +134,8 @@ let prop_bound_parity =
       let seq_find = Mc.Explore.find ~max_states ~goal sys in
       List.for_all
         (fun d ->
-          same_space seq_space (Mc.Pexplore.space ~max_states ~domains:d sys)
-          && seq_count = Mc.Pexplore.count ~max_states ~domains:d sys
+          same_space seq_space (par_space ~max_states ~domains:d sys)
+          && seq_count = par_count ~max_states ~domains:d sys
           &&
           match (seq_find, Mc.Pexplore.find ~max_states ~domains:d ~goal sys) with
           | Mc.Explore.Unreachable, Mc.Explore.Unreachable -> true
@@ -154,7 +167,7 @@ let test_counter_parity () =
   let seq = Mc.Explore.space sys in
   List.iter
     (fun d ->
-      let par = Mc.Pexplore.space ~domains:d sys in
+      let par = par_space ~domains:d sys in
       check Alcotest.bool
         (Printf.sprintf "counter identical at %d domains" d)
         true
@@ -186,7 +199,7 @@ let test_heartbeat_byte_identical () =
       check Alcotest.bool
         (Printf.sprintf "binary heartbeat byte-identical at %d domains" d)
         true
-        (String.equal seq_bytes (bytes_of (Mc.Pexplore.space ~domains:d sys))))
+        (String.equal seq_bytes (bytes_of (par_space ~domains:d sys))))
     domain_counts
 
 let test_heartbeat_truncated_parity () =
@@ -197,7 +210,7 @@ let test_heartbeat_truncated_parity () =
       check Alcotest.bool "seq truncated" false seq.Mc.Explore.complete;
       List.iter
         (fun d ->
-          let par = Mc.Pexplore.space ~max_states ~domains:d sys in
+          let par = par_space ~max_states ~domains:d sys in
           check Alcotest.bool
             (Printf.sprintf "truncated space identical (bound %d, %d domains)"
                max_states d)
@@ -257,8 +270,8 @@ let prop_store_engine_parity =
         (fun store ->
           List.for_all
             (fun d ->
-              same_space seq_space (Mc.Pexplore.space ~domains:d ~store sys)
-              && seq_count = Mc.Pexplore.count ~domains:d ~store sys
+              same_space seq_space (par_space ~domains:d ~store sys)
+              && seq_count = par_count ~domains:d ~store sys
               &&
               match (seq_find, Mc.Pexplore.find ~domains:d ~store ~goal sys) with
               | Mc.Explore.Unreachable, Mc.Explore.Unreachable -> true
@@ -297,19 +310,19 @@ let test_pa_store_engine_byte_identical () =
             (fun d ->
               check Alcotest.bool
                 (Printf.sprintf "%s %s d=%d byte-identical"
-                   (Heartbeat.Pa_models.variant_name variant)
+                   (Heartbeat.Ta_models.variant_name variant)
                    (Mc.Store.mode_name store)
                    d)
                 true
                 (String.equal seq
-                   (bytes_of (Mc.Pexplore.space ~domains:d ~store sys))))
+                   (bytes_of (par_space ~domains:d ~store sys))))
             domain_counts)
         pid_stores)
     [ Heartbeat.Pa_models.Binary; Heartbeat.Pa_models.Static ]
 
 let test_stats_consistency () =
   let sys = counter 500 in
-  let space, stats = Mc.Pexplore.space_stats ~domains:2 sys in
+  let space, stats = par_space_stats ~domains:2 sys in
   check Alcotest.int "stats states" 500 stats.Mc.Pexplore.states;
   check Alcotest.int "stats transitions"
     (Lts.Graph.num_transitions space.Mc.Explore.lts)
@@ -346,7 +359,7 @@ let bfs_levels (sp : ('s, 'l) Mc.Explore.space) =
    sequential space and no bin past the deepest one (relaxation lowers
    depth stamps, so deep bins can empty out during a run). *)
 let histograms_match sys levels d =
-  let _, space_stats = Mc.Pexplore.space_stats ~domains:d sys in
+  let _, space_stats = par_space_stats ~domains:d sys in
   let _, count_stats = Mc.Pexplore.count_stats ~domains:d sys in
   space_stats.Mc.Pexplore.depth_histogram = levels
   && count_stats.Mc.Pexplore.depth_histogram = levels

@@ -176,11 +176,6 @@ let prop_ltl_parity =
 
 (* --- the shipped protocol variants ----------------------------------- *)
 
-let pa_variants =
-  [ Heartbeat.Pa_models.Binary; Heartbeat.Pa_models.Revised;
-    Heartbeat.Pa_models.Two_phase; Heartbeat.Pa_models.Static;
-    Heartbeat.Pa_models.Expanding; Heartbeat.Pa_models.Dynamic ]
-
 let small_params = Heartbeat.Params.make ~n:1 ~tmin:2 ~tmax:3 ()
 
 let test_variant_safety_parity () =
@@ -194,11 +189,11 @@ let test_variant_safety_parity () =
           in
           check Alcotest.bool
             (Printf.sprintf "%s %s full = reduced"
-               (Heartbeat.Pa_models.variant_name v)
+               (Heartbeat.Ta_models.variant_name v)
                (Heartbeat.Requirements.name req))
             full red)
         Heartbeat.Requirements.all)
-    pa_variants
+    Heartbeat.Ta_models.all_variants
 
 let test_static_n2_safety_parity () =
   let params = Heartbeat.Params.make ~n:2 ~tmin:2 ~tmax:2 () in
@@ -224,7 +219,7 @@ let test_variant_liveness_parity () =
           in
           check Alcotest.bool
             (Printf.sprintf "%s %s live full = reduced"
-               (Heartbeat.Pa_models.variant_name v)
+               (Heartbeat.Ta_models.variant_name v)
                (Heartbeat.Requirements.name req))
             (Ltl.Check.holds full) (Ltl.Check.holds red))
         Heartbeat.Requirements.all)
@@ -257,13 +252,13 @@ let test_variants_zeno_free () =
     (fun v ->
       let a = Por.analyze (Heartbeat.Pa_models.build v params) in
       check Alcotest.bool
-        (Heartbeat.Pa_models.variant_name v ^ " zeno-free")
+        (Heartbeat.Ta_models.variant_name v ^ " zeno-free")
         true (Por.zeno_free a);
       check
         Alcotest.(list int)
-        (Heartbeat.Pa_models.variant_name v ^ " no suspects")
+        (Heartbeat.Ta_models.variant_name v ^ " no suspects")
         [] (Por.zeno_suspects a))
-    pa_variants
+    Heartbeat.Ta_models.all_variants
 
 let test_zeno_suspects_detected () =
   (* a tick-free self-loop is not zeno-free, and the suspect is named *)
@@ -326,14 +321,14 @@ let test_variant_parallel_reduced_parity () =
             (fun domains ->
               check Alcotest.bool
                 (Printf.sprintf "%s %s full = par-reduced at %d domains"
-                   (Heartbeat.Pa_models.variant_name v)
+                   (Heartbeat.Ta_models.variant_name v)
                    (Heartbeat.Requirements.name req)
                    domains)
                 full
                 (Heartbeat.Pa_verify.check ~reduce:true ~domains v params req))
             [ 1; 4 ])
         Heartbeat.Requirements.all)
-    pa_variants
+    Heartbeat.Ta_models.all_variants
 
 let test_cross_domain_fallback_pinned () =
   (* Pinned regression for the conservative cross-domain fallback.

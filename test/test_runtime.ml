@@ -8,7 +8,10 @@ module H = Heartbeat
 let params = H.Params.make ~n:1 ~tmin:2 ~tmax:10 ()
 
 let test_deterministic_per_seed () =
-  let cfg = H.Runtime.config ~kind:H.Runtime.Halving ~loss:0.1 ~seed:5L ~duration:500.0 params in
+  let cfg =
+    H.Runtime.config ~kind:H.Runtime.Halving ~loss:(Sim.Loss.bernoulli 0.1)
+      ~seed:5L ~duration:500.0 params
+  in
   let a = H.Runtime.run cfg and b = H.Runtime.run cfg in
   check Alcotest.int "same messages" a.H.Runtime.messages_sent
     b.H.Runtime.messages_sent;

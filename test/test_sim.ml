@@ -281,7 +281,7 @@ let test_net_loss_accounting () =
   let e = Sim.Engine.create ~seed:8L () in
   let delivered = ref 0 in
   let link =
-    Sim.Net.create e ~loss:0.5 ~delay_lo:0.0 ~delay_hi:1.0
+    Sim.Net.create e ~loss:(Sim.Loss.bernoulli 0.5) ~delay_lo:0.0 ~delay_hi:1.0
       ~deliver:(fun () -> incr delivered)
       ()
   in
@@ -314,7 +314,8 @@ let test_net_down () =
 let test_net_partition_vs_loss_accounting () =
   let e = Sim.Engine.create ~seed:11L () in
   let link =
-    Sim.Net.create e ~loss:0.5 ~delay_lo:0.0 ~delay_hi:0.1 ~deliver:ignore ()
+    Sim.Net.create e ~loss:(Sim.Loss.bernoulli 0.5) ~delay_lo:0.0 ~delay_hi:0.1
+      ~deliver:ignore ()
   in
   for _ = 1 to 200 do
     Sim.Net.send link ()
@@ -448,10 +449,11 @@ let test_net_bad_args () =
   Alcotest.check_raises "bad delays" (Invalid_argument "Sim.Net.create: bad delay range")
     (fun () ->
       ignore (Sim.Net.create e ~delay_lo:2.0 ~delay_hi:1.0 ~deliver:ignore ()));
-  Alcotest.check_raises "bad loss" (Invalid_argument "Sim.Net.create: bad loss rate")
+  Alcotest.check_raises "bad loss" (Invalid_argument "Sim.Loss: loss outside [0,1]")
     (fun () ->
       ignore
-        (Sim.Net.create e ~loss:1.5 ~delay_lo:0.0 ~delay_hi:1.0 ~deliver:ignore ()))
+        (Sim.Net.create e ~loss:(Sim.Loss.bernoulli 1.5) ~delay_lo:0.0
+           ~delay_hi:1.0 ~deliver:ignore ()))
 
 let tests =
   ( "sim",

@@ -175,7 +175,7 @@ let test_narrow_compact_underreports () =
   List.iter
     (fun d ->
       let count, complete =
-        Mc.Pexplore.count ~domains:d
+        Test_pexplore.par_count ~domains:d
           ~store:(Mc.Store.Hash_compaction { bits = 8 })
           sys
       in
@@ -214,14 +214,14 @@ let prop_compressed_never_overreport =
     QCheck.(pair Test_pexplore.rand_sys_arb (int_range 1 16))
     (fun (rs, bits) ->
       let sys = Test_pexplore.table_system rs in
-      let exact, _ = Mc.Pexplore.count ~domains:2 sys in
+      let exact, _ = Test_pexplore.par_count ~domains:2 sys in
       let compact, _ =
-        Mc.Pexplore.count ~domains:2
+        Test_pexplore.par_count ~domains:2
           ~store:(Mc.Store.Hash_compaction { bits })
           sys
       in
       let bit, _ =
-        Mc.Pexplore.count ~domains:2
+        Test_pexplore.par_count ~domains:2
           ~store:(Mc.Store.Bitstate { log2_bits = 10; hashes = 2 })
           sys
       in
@@ -231,11 +231,11 @@ let test_fullwidth_compact_exact_parity () =
   (* at the default 62-bit width a collision on a few thousand states has
      probability ~1e-12: the count matches the exact store *)
   let sys = Test_pexplore.counter 5000 in
-  let exact, _ = Mc.Pexplore.count sys in
+  let exact, _ = Test_pexplore.par_count sys in
   List.iter
     (fun d ->
       let compact, complete =
-        Mc.Pexplore.count ~domains:d ~store:Mc.Store.hash_compaction sys
+        Test_pexplore.par_count ~domains:d ~store:Mc.Store.hash_compaction sys
       in
       check Alcotest.bool "complete" true complete;
       check Alcotest.int
