@@ -149,9 +149,9 @@ slice:
 
 # Zone-engine gate: the qcheck discrete-vs-zone agreement harness (DBM
 # units, random-network verdict parity, guided replay of zone
-# counterexamples), the location-LU analysis suite (backward-fixpoint
-# units, every heartbeat clock constraint closed, verdict parity
-# discrete vs location LU), then the six-variant zone smoke (R1-R3
+# counterexamples, FC verdicts), the location-LU analysis suite
+# (backward-fixpoint units, every heartbeat clock constraint closed,
+# inactive clocks unbounded), then the six-variant zone smoke (R1-R3
 # verdict parity discrete vs dense-time, subsumption active, JSON
 # byte-identical across two runs), the FC-suite zone counts (verdicts
 # match the specs, byte-identical JSON), a Fontana-Cleaveland spot

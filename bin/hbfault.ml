@@ -11,14 +11,14 @@ let fixed_arg =
   Arg.(
     value & flag
     & info [ "fixed" ]
-        ~doc:"Monitor against the corrected (\\u00a76.2) bounds instead of \
+        ~doc:"Monitor against the corrected (section-6.2) bounds instead of \
               the paper's claimed 2*tmax.")
 
 let duration_arg =
   Arg.(
     value & opt float 10.0
     & info [ "duration-factor" ] ~docv:"F"
-        ~doc:"Run each point for F * tmax simulated time.")
+        ~doc:"Run each point for F * tmax simulated time (F > 0).")
 
 let no_shrink_arg =
   Arg.(
@@ -41,6 +41,9 @@ let kind_arg =
 let campaign_cmd =
   let run fixed seed (params : H.Params.t) duration_factor no_shrink json
       bsecs bmb =
+    (* a factor of 0 or less runs no events and passes every point *)
+    if not (duration_factor > 0. && Float.is_finite duration_factor) then
+      Cli_resilience.usage "--duration-factor must be a positive number";
     (* the budget doubles as the SIGINT token: an interrupted campaign
        reports the completed prefix (JSON or text) instead of dying *)
     let budget = Cli_resilience.budget bsecs bmb in

@@ -118,6 +118,9 @@ let check_cmd =
       Cli_resilience.usage
         "--slice applies to the timed-automata models only; drop --slice \
          or --pa";
+    if pa && msc then
+      Cli_resilience.usage
+        "--msc renders timed-automata lassos only; drop --msc or --pa";
     if reduce && not pa then
       Cli_resilience.usage
         "--reduce requires --pa (the ample-set reduction works on the \

@@ -170,6 +170,7 @@ let fd_cmd =
   in
   let run runs seed probes loss =
     valid_loss loss;
+    if probes < 0 then Cli_resilience.usage "--probes must be >= 0";
     Format.printf
       "failure-detector QoS (period 10, loss %.2f, probes %d):@." loss probes;
     List.iter

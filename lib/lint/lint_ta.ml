@@ -99,17 +99,16 @@ let references (m : M.t) (d : decls) : R.diag list =
         diags := R.diag ~severity:R.Error ~code ~where "%s" msg :: !diags)
       fmt
   in
-  let rec expr ~where (e : E.t) =
+  let leaf ~where () (e : E.t) =
     match e with
-    | E.Int _ -> ()
     | E.Var x -> (
         match Hashtbl.find_opt d.vars x with
         | None -> err ~code:"TA-UNDEF-VAR" ~where "unknown variable %s" x
         | Some cells ->
             if is_array cells then
               err ~code:"TA-ARRAY" ~where "%s is an array, not a scalar" x)
-    | E.Elem (x, idx) ->
-        (match Hashtbl.find_opt d.vars x with
+    | E.Elem (x, idx) -> (
+        match Hashtbl.find_opt d.vars x with
         | None -> err ~code:"TA-UNDEF-VAR" ~where "unknown variable %s" x
         | Some cells -> (
             match idx with
@@ -117,27 +116,14 @@ let references (m : M.t) (d : decls) : R.diag list =
                 err ~code:"TA-IDX-RANGE" ~where
                   "index %d out of range for %s (size %d)" i x
                   (List.length cells)
-            | _ -> ()));
-        expr ~where idx
+            | _ -> ()))
     | E.Clock c ->
         if not (Hashtbl.mem d.clocks c) then
           err ~code:"TA-UNDEF-CLOCK" ~where "unknown clock %s" c
-    | E.Add (a, b) | E.Sub (a, b) | E.Mul (a, b) | E.Div (a, b)
-    | E.Min (a, b) | E.Max (a, b) ->
-        expr ~where a;
-        expr ~where b
+    | _ -> ()
   in
-  let rec bexpr ~where (b : E.b) =
-    match b with
-    | E.True | E.False -> ()
-    | E.Cmp (_, a, b) ->
-        expr ~where a;
-        expr ~where b
-    | E.Not b -> bexpr ~where b
-    | E.And (a, b) | E.Or (a, b) ->
-        bexpr ~where a;
-        bexpr ~where b
-  in
+  let expr ~where = E.fold (leaf ~where) () in
+  let bexpr ~where = E.fold_b (leaf ~where) () in
   List.iter
     (fun (a : M.automaton) ->
       let locs =
@@ -172,30 +158,13 @@ let references (m : M.t) (d : decls) : R.diag list =
           List.iter
             (fun (u : M.update) ->
               match u with
-              | M.Reset c ->
-                  if not (Hashtbl.mem d.clocks c) then
-                    err ~code:"TA-UNDEF-CLOCK" ~where "unknown clock %s" c
-              | M.Assign (M.Scalar x, rhs) ->
-                  (match Hashtbl.find_opt d.vars x with
-                  | None ->
-                      err ~code:"TA-UNDEF-VAR" ~where "unknown variable %s" x
-                  | Some cells ->
-                      if is_array cells then
-                        err ~code:"TA-ARRAY" ~where
-                          "%s is an array, not a scalar" x);
-                  expr ~where rhs
-              | M.Assign (M.Element (x, idx), rhs) ->
-                  (match Hashtbl.find_opt d.vars x with
-                  | None ->
-                      err ~code:"TA-UNDEF-VAR" ~where "unknown variable %s" x
-                  | Some cells -> (
-                      match idx with
-                      | E.Int i when i < 0 || i >= List.length cells ->
-                          err ~code:"TA-IDX-RANGE" ~where
-                            "index %d out of range for %s (size %d)" i x
-                            (List.length cells)
-                      | _ -> ()));
-                  expr ~where idx;
+              (* a reset or assignment target is checked like a read *)
+              | M.Reset c -> expr ~where (E.Clock c)
+              | M.Assign (lhs, rhs) ->
+                  expr ~where
+                    (match lhs with
+                    | M.Scalar x -> E.Var x
+                    | M.Element (x, idx) -> E.Elem (x, idx));
                   expr ~where rhs)
             e.M.updates)
         a.M.edges)
@@ -279,44 +248,33 @@ let usage (m : M.t) (d : decls) reach : R.diag list =
       | true, true -> ())
     d.chans;
   (* Clock usage: [reads] from guards, invariants and update right-hand
-     sides; [resets] from updates. *)
+     sides; [resets] from updates.  Variable usage likewise: [var_reads]
+     (an array is read by any element access) and [var_writes]. *)
   let reads = Hashtbl.create 8 and resets = Hashtbl.create 8 in
-  let rec expr_clocks (e : E.t) =
-    match e with
-    | E.Int _ | E.Var _ -> ()
-    | E.Elem (_, i) -> expr_clocks i
+  let var_reads = Hashtbl.create 32 and var_writes = Hashtbl.create 32 in
+  let read () = function
     | E.Clock c -> Hashtbl.replace reads c ()
-    | E.Add (a, b) | E.Sub (a, b) | E.Mul (a, b) | E.Div (a, b)
-    | E.Min (a, b) | E.Max (a, b) ->
-        expr_clocks a;
-        expr_clocks b
-  in
-  let rec bexpr_clocks (b : E.b) =
-    match b with
-    | E.True | E.False -> ()
-    | E.Cmp (_, a, b) ->
-        expr_clocks a;
-        expr_clocks b
-    | E.Not b -> bexpr_clocks b
-    | E.And (a, b) | E.Or (a, b) ->
-        bexpr_clocks a;
-        bexpr_clocks b
+    | E.Var x | E.Elem (x, _) -> Hashtbl.replace var_reads x ()
+    | _ -> ()
   in
   List.iter
     (fun (a : M.automaton) ->
-      List.iter (fun (l : M.location) -> bexpr_clocks l.M.invariant)
+      List.iter (fun (l : M.location) -> E.fold_b read () l.M.invariant)
         a.M.locations;
       List.iter
         (fun (e : M.edge) ->
-          bexpr_clocks e.M.guard;
+          E.fold_b read () e.M.guard;
           List.iter
             (fun (u : M.update) ->
               match u with
               | M.Reset c -> Hashtbl.replace resets c ()
-              | M.Assign (M.Scalar _, rhs) -> expr_clocks rhs
-              | M.Assign (M.Element (_, i), rhs) ->
-                  expr_clocks i;
-                  expr_clocks rhs)
+              | M.Assign (M.Scalar x, rhs) ->
+                  Hashtbl.replace var_writes x ();
+                  E.fold read () rhs
+              | M.Assign (M.Element (x, i), rhs) ->
+                  Hashtbl.replace var_writes x ();
+                  E.fold read () i;
+                  E.fold read () rhs)
             e.M.updates)
         a.M.edges)
     m.M.automata;
@@ -332,52 +290,6 @@ let usage (m : M.t) (d : decls) reach : R.diag list =
         add R.Info ~code:"TA-CLOCK-NO-RESET" ~where
           "clock %s is read but never reset (measures time since start)" c)
     d.clocks;
-  (* Variable usage. *)
-  let var_reads = Hashtbl.create 32 and var_writes = Hashtbl.create 32 in
-  let rec expr_vars (e : E.t) =
-    match e with
-    | E.Int _ | E.Clock _ -> ()
-    | E.Var x -> Hashtbl.replace var_reads x ()
-    | E.Elem (x, i) ->
-        Hashtbl.replace var_reads x ();
-        expr_vars i
-    | E.Add (a, b) | E.Sub (a, b) | E.Mul (a, b) | E.Div (a, b)
-    | E.Min (a, b) | E.Max (a, b) ->
-        expr_vars a;
-        expr_vars b
-  in
-  let rec bexpr_vars (b : E.b) =
-    match b with
-    | E.True | E.False -> ()
-    | E.Cmp (_, a, b) ->
-        expr_vars a;
-        expr_vars b
-    | E.Not b -> bexpr_vars b
-    | E.And (a, b) | E.Or (a, b) ->
-        bexpr_vars a;
-        bexpr_vars b
-  in
-  List.iter
-    (fun (a : M.automaton) ->
-      List.iter (fun (l : M.location) -> bexpr_vars l.M.invariant)
-        a.M.locations;
-      List.iter
-        (fun (e : M.edge) ->
-          bexpr_vars e.M.guard;
-          List.iter
-            (fun (u : M.update) ->
-              match u with
-              | M.Reset _ -> ()
-              | M.Assign (M.Scalar x, rhs) ->
-                  Hashtbl.replace var_writes x ();
-                  expr_vars rhs
-              | M.Assign (M.Element (x, i), rhs) ->
-                  Hashtbl.replace var_writes x ();
-                  expr_vars i;
-                  expr_vars rhs)
-            e.M.updates)
-        a.M.edges)
-    m.M.automata;
   Hashtbl.iter
     (fun x _init ->
       if not (Hashtbl.mem var_reads x) then
@@ -490,41 +402,23 @@ let rec refine d env (b : E.b) truth : ienv option =
 
 let model_thresholds (m : M.t) =
   let acc = ref [ 0; 1 ] in
-  let rec expr (e : E.t) =
-    match e with
-    | E.Int n -> acc := n :: !acc
-    | E.Var _ | E.Clock _ -> ()
-    | E.Elem (_, i) -> expr i
-    | E.Add (a, b) | E.Sub (a, b) | E.Mul (a, b) | E.Div (a, b)
-    | E.Min (a, b) | E.Max (a, b) ->
-        expr a;
-        expr b
-  in
-  let rec bexpr (b : E.b) =
-    match b with
-    | E.True | E.False -> ()
-    | E.Cmp (_, a, b) ->
-        expr a;
-        expr b
-    | E.Not b -> bexpr b
-    | E.And (a, b) | E.Or (a, b) ->
-        bexpr a;
-        bexpr b
-  in
+  let literal () = function E.Int n -> acc := n :: !acc | _ -> () in
   List.iter
     (fun (a : M.automaton) ->
-      List.iter (fun (l : M.location) -> bexpr l.M.invariant) a.M.locations;
+      List.iter
+        (fun (l : M.location) -> E.fold_b literal () l.M.invariant)
+        a.M.locations;
       List.iter
         (fun (e : M.edge) ->
-          bexpr e.M.guard;
+          E.fold_b literal () e.M.guard;
           List.iter
             (fun (u : M.update) ->
               match u with
               | M.Reset _ -> ()
-              | M.Assign (M.Scalar _, rhs) -> expr rhs
+              | M.Assign (M.Scalar _, rhs) -> E.fold literal () rhs
               | M.Assign (M.Element (_, i), rhs) ->
-                  expr i;
-                  expr rhs)
+                  E.fold literal () i;
+                  E.fold literal () rhs)
             e.M.updates)
         a.M.edges)
     m.M.automata;

@@ -62,33 +62,15 @@ type atom = { clock : string; lower : bool; strict : bool; bound : E.t }
 
 exception Frag of string * string
 
-let rec expr_has_clock = function
-  | E.Int _ | E.Var _ -> false
-  | E.Clock _ -> true
-  | E.Elem (_, i) -> expr_has_clock i
-  | E.Add (a, b) | E.Sub (a, b) | E.Mul (a, b) | E.Div (a, b)
-  | E.Min (a, b) | E.Max (a, b) ->
-      expr_has_clock a || expr_has_clock b
+let has_clock acc = function E.Clock _ -> true | _ -> acc
+let expr_has_clock = E.fold has_clock false
+let bexpr_has_clock = E.fold_b has_clock false
 
-let rec bexpr_has_clock = function
-  | E.True | E.False -> false
-  | E.Cmp (_, a, b) -> expr_has_clock a || expr_has_clock b
-  | E.Not b -> bexpr_has_clock b
-  | E.And (a, b) | E.Or (a, b) -> bexpr_has_clock a || bexpr_has_clock b
-
-let rec clocks_of_e acc = function
-  | E.Int _ | E.Var _ -> acc
-  | E.Clock c -> if List.mem c acc then acc else c :: acc
-  | E.Elem (_, i) -> clocks_of_e acc i
-  | E.Add (a, b) | E.Sub (a, b) | E.Mul (a, b) | E.Div (a, b)
-  | E.Min (a, b) | E.Max (a, b) ->
-      clocks_of_e (clocks_of_e acc a) b
-
-let rec clocks_of_b acc = function
-  | E.True | E.False -> acc
-  | E.Cmp (_, a, b) -> clocks_of_e (clocks_of_e acc a) b
-  | E.Not b -> clocks_of_b acc b
-  | E.And (a, b) | E.Or (a, b) -> clocks_of_b (clocks_of_b acc a) b
+(* each clock not yet in [acc] is prepended: distinct clocks, latest
+   first occurrence first *)
+let clocks_of acc = function
+  | E.Clock c when not (List.mem c acc) -> c :: acc
+  | _ -> acc
 
 let negate_cmp = function
   | E.Lt -> E.Ge
@@ -186,7 +168,7 @@ let update_reads (updates : M.update list) : string list =
                 (fun c ->
                   if not (List.mem c !reset) && not (List.mem c !reads) then
                     reads := c :: !reads)
-                (clocks_of_e [] e))
+                (E.fold clocks_of [] e))
             exprs)
     updates;
   List.rev !reads
@@ -279,7 +261,7 @@ let analyze (m : M.t) : t =
               bump (if a.lower then lb else ub) i a.clock
                 (sup_of where a.clock a.bound))
             atoms
-      | exception Frag _ -> pin (clocks_of_b [] guard)
+      | exception Frag _ -> pin (E.fold_b clocks_of [] guard)
     in
     List.iteri
       (fun i (l : M.location) ->

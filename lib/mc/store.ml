@@ -31,25 +31,30 @@ let mode_name = function
   | Hash_compaction _ -> "hashcompact"
   | Bitstate _ -> "bitstate"
 
+(* A CLI parameter inside [lo..hi], or an error naming the range. *)
+let param what lo hi v =
+  match int_of_string_opt v with
+  | Some n when n >= lo && n <= hi -> Ok n
+  | _ -> Error (Printf.sprintf "invalid %s %S (expected %d..%d)" what v lo hi)
+
 let of_string s =
+  let log2_bits m = param "bitstate size (log2 bits)" 10 40 m in
   match String.split_on_char ':' (String.lowercase_ascii (String.trim s)) with
   | [ "exact" ] -> Ok Exact
   | [ "hashcompact" ] -> Ok hash_compaction
-  | [ "hashcompact"; b ] -> (
-      match int_of_string_opt b with
-      | Some b when b >= 1 -> Ok (Hash_compaction { bits = clamp 1 62 b })
-      | _ -> Error (Printf.sprintf "invalid fingerprint width %S" b))
+  | [ "hashcompact"; b ] ->
+      Result.map
+        (fun bits -> Hash_compaction { bits })
+        (param "fingerprint width" 1 62 b)
   | [ "bitstate" ] -> Ok bitstate
-  | [ "bitstate"; m ] | [ "bitstate"; m; "" ] -> (
-      match int_of_string_opt m with
-      | Some m when m >= 1 ->
-          Ok (Bitstate { log2_bits = clamp 10 40 m; hashes = 3 })
-      | _ -> Error (Printf.sprintf "invalid bitstate size %S" m))
-  | [ "bitstate"; m; k ] -> (
-      match (int_of_string_opt m, int_of_string_opt k) with
-      | Some m, Some k when m >= 1 && k >= 1 ->
-          Ok (Bitstate { log2_bits = clamp 10 40 m; hashes = clamp 1 8 k })
-      | _ -> Error (Printf.sprintf "invalid bitstate spec %S" s))
+  | [ "bitstate"; m ] | [ "bitstate"; m; "" ] ->
+      Result.map (fun log2_bits -> Bitstate { log2_bits; hashes = 3 })
+        (log2_bits m)
+  | [ "bitstate"; m; k ] ->
+      Result.bind (log2_bits m) (fun log2_bits ->
+          Result.map
+            (fun hashes -> Bitstate { log2_bits; hashes })
+            (param "bitstate hash count" 1 8 k))
   | _ ->
       Error
         (Printf.sprintf

@@ -55,7 +55,9 @@ val mode_name : mode -> string
 val of_string : string -> (mode, string) result
 (** Parse a CLI spelling: ["exact"], ["hashcompact"], ["bitstate"],
     optionally with parameters as ["hashcompact:BITS"] or
-    ["bitstate:LOG2BITS:HASHES"]. *)
+    ["bitstate:LOG2BITS:HASHES"].  A parameter outside its range
+    ([BITS] 1..62, [LOG2BITS] 10..40, [HASHES] 1..8) is an error naming
+    the range, not clamped. *)
 
 type coverage = {
   mode : string;  (** {!mode_name} of the store that produced this *)

@@ -25,12 +25,13 @@
       seed and from every kept guard/invariant; writes to irrelevant
       variables are dropped, then unread variables and clocks are
       projected out of the declarations;
-   5. clock-activity reduction (Daws–Yovine) — for clocks used by a
-      single automaton, per-location active sets are computed by
-      backward propagation over non-resetting edges; inactive clocks
-      stay in the vector but are zeroed by a canonicalizer
-      ({!Ta.Semantics.canonicalizer}), collapsing states that differ
-      only in clock values nothing will read before resetting.
+   5. clock-activity reduction (Daws–Yovine) — a clock used by a
+      single automaton is inactive at a location where the LU analysis
+      ({!Lubounds}) finds no bound: nothing compares or reads it there
+      before its next reset.  Inactive clocks stay in the vector but
+      are zeroed by a canonicalizer ({!Ta.Semantics.canonicalizer}),
+      collapsing states that differ only in clock values nothing will
+      read before resetting.
 
    Step 4 keeps every guard and invariant of the kept part, which is
    what makes the projection exact rather than merely conservative:
@@ -64,26 +65,10 @@ type t = {
 
 (* --- expression helpers ------------------------------------------------- *)
 
-let rec subst_expr env (e : E.t) : E.t =
-  match e with
-  | E.Int _ | E.Clock _ -> e
-  | E.Var x -> (
+let subst env = function
+  | E.Var x as e -> (
       match SMap.find_opt x env with Some n -> E.Int n | None -> e)
-  | E.Elem (x, i) -> E.Elem (x, subst_expr env i)
-  | E.Add (a, b) -> E.Add (subst_expr env a, subst_expr env b)
-  | E.Sub (a, b) -> E.Sub (subst_expr env a, subst_expr env b)
-  | E.Mul (a, b) -> E.Mul (subst_expr env a, subst_expr env b)
-  | E.Div (a, b) -> E.Div (subst_expr env a, subst_expr env b)
-  | E.Min (a, b) -> E.Min (subst_expr env a, subst_expr env b)
-  | E.Max (a, b) -> E.Max (subst_expr env a, subst_expr env b)
-
-let rec subst_bexpr env (b : E.b) : E.b =
-  match b with
-  | E.True | E.False -> b
-  | E.Cmp (c, a, b') -> E.Cmp (c, subst_expr env a, subst_expr env b')
-  | E.Not b -> E.Not (subst_bexpr env b)
-  | E.And (a, b) -> E.And (subst_bexpr env a, subst_bexpr env b)
-  | E.Or (a, b) -> E.Or (subst_bexpr env a, subst_bexpr env b)
+  | e -> e
 
 let rec fold_expr (e : E.t) : E.t =
   match e with
@@ -147,37 +132,21 @@ let rec fold_bexpr (b : E.b) : E.b =
       | E.False, x | x, E.False -> x
       | a, b -> E.Or (a, b))
 
-let rec expr_vars acc (e : E.t) =
-  match e with
-  | E.Int _ | E.Clock _ -> acc
-  | E.Var x -> SSet.add x acc
-  | E.Elem (x, i) -> expr_vars (SSet.add x acc) i
-  | E.Add (a, b) | E.Sub (a, b) | E.Mul (a, b) | E.Div (a, b)
-  | E.Min (a, b) | E.Max (a, b) ->
-      expr_vars (expr_vars acc a) b
+(* Leaf collectors for {!Ta.Expr.fold}: the variables an expression
+   reads (an array is read by any element access) and its clocks. *)
+let var_reads acc = function
+  | E.Var x | E.Elem (x, _) -> SSet.add x acc
+  | _ -> acc
 
-let rec bexpr_vars acc (b : E.b) =
-  match b with
-  | E.True | E.False -> acc
-  | E.Cmp (_, a, b') -> expr_vars (expr_vars acc a) b'
-  | E.Not b -> bexpr_vars acc b
-  | E.And (a, b) | E.Or (a, b) -> bexpr_vars (bexpr_vars acc a) b
+let clock_reads acc = function E.Clock c -> SSet.add c acc | _ -> acc
 
-let rec expr_clocks acc (e : E.t) =
-  match e with
-  | E.Int _ | E.Var _ -> acc
-  | E.Clock c -> SSet.add c acc
-  | E.Elem (_, i) -> expr_clocks acc i
-  | E.Add (a, b) | E.Sub (a, b) | E.Mul (a, b) | E.Div (a, b)
-  | E.Min (a, b) | E.Max (a, b) ->
-      expr_clocks (expr_clocks acc a) b
-
-let rec bexpr_clocks acc (b : E.b) =
-  match b with
-  | E.True | E.False -> acc
-  | E.Cmp (_, a, b') -> expr_clocks (expr_clocks acc a) b'
-  | E.Not b -> bexpr_clocks acc b
-  | E.And (a, b) | E.Or (a, b) -> bexpr_clocks (bexpr_clocks acc a) b
+(* The reads of an assignment: its element index and its right-hand
+   side. *)
+let assign_reads f acc lhs rhs =
+  let acc =
+    match lhs with M.Scalar _ -> acc | M.Element (_, i) -> E.fold f acc i
+  in
+  E.fold f acc rhs
 
 let lhs_var = function M.Scalar x -> x | M.Element (x, _) -> x
 
@@ -185,38 +154,39 @@ let lhs_var = function M.Scalar x -> x | M.Element (x, _) -> x
 
    A clock is owned by automaton A when every read and reset of it sits
    in A (and it is not seeded, so property observers keep exact values).
-   active(l) = reads local to l (its invariant, plus guards and update
-   expressions of edges out of l) joined with active(l') over
-   non-resetting edges l -> l'.  The slicer zeroes inactive clocks in
+   An owned clock is inactive at a location of A where its LU bounds
+   are (-1, -1): no guard, invariant or update read compares it from
+   there before its next reset (a comparison with a negative constant,
+   which the analysis drops, holds or fails whatever the clock reads).
+   That is the Daws-Yovine activity fixpoint, run once by {!Lubounds}
+   over non-resetting edges.  The slicer zeroes inactive clocks in
    discrete states: nothing reads them before a reset, so the
    projection is a label-preserving bisimulation. *)
 
 let clock_sites (model : M.t) =
   (* clock -> set of automaton names touching it *)
   let tbl = Hashtbl.create 8 in
-  let touch auto c =
-    let prev = Option.value (Hashtbl.find_opt tbl c) ~default:SSet.empty in
-    Hashtbl.replace tbl c (SSet.add auto prev)
-  in
   List.iter
     (fun (a : M.automaton) ->
-      let name = a.M.auto_name in
+      let touch () = function
+        | E.Clock c ->
+            let prev =
+              Option.value (Hashtbl.find_opt tbl c) ~default:SSet.empty
+            in
+            Hashtbl.replace tbl c (SSet.add a.M.auto_name prev)
+        | _ -> ()
+      in
       List.iter
-        (fun (l : M.location) ->
-          SSet.iter (touch name) (bexpr_clocks SSet.empty l.M.invariant))
+        (fun (l : M.location) -> E.fold_b touch () l.M.invariant)
         a.M.locations;
       List.iter
         (fun (e : M.edge) ->
-          SSet.iter (touch name) (bexpr_clocks SSet.empty e.M.guard);
+          E.fold_b touch () e.M.guard;
           List.iter
             (fun (u : M.update) ->
               match u with
-              | M.Reset c -> touch name c
-              | M.Assign (M.Scalar _, rhs) ->
-                  SSet.iter (touch name) (expr_clocks SSet.empty rhs)
-              | M.Assign (M.Element (_, i), rhs) ->
-                  SSet.iter (touch name)
-                    (expr_clocks (expr_clocks SSet.empty i) rhs))
+              | M.Reset c -> touch () (E.Clock c)
+              | M.Assign (lhs, rhs) -> assign_reads touch () lhs rhs)
             e.M.updates)
         a.M.edges)
     model.M.automata;
@@ -233,75 +203,27 @@ let owned_by ~seed_clocks (model : M.t) sites auto =
         | _ -> None)
     model.M.clocks
 
-let activity (a : M.automaton) owned =
-  let owned_set = SSet.of_list owned in
-  let local l =
-    let inv_reads = bexpr_clocks SSet.empty l.M.invariant in
-    List.fold_left
-      (fun acc (e : M.edge) ->
-        if e.M.src <> l.M.loc_name then acc
-        else
-          let acc = bexpr_clocks acc e.M.guard in
-          List.fold_left
-            (fun acc (u : M.update) ->
-              match u with
-              | M.Reset _ -> acc
-              | M.Assign (M.Scalar _, rhs) -> expr_clocks acc rhs
-              | M.Assign (M.Element (_, i), rhs) ->
-                  expr_clocks (expr_clocks acc i) rhs)
-            acc e.M.updates)
-      inv_reads a.M.edges
-    |> SSet.inter owned_set
-  in
-  let active = Hashtbl.create 8 in
-  List.iter
-    (fun (l : M.location) -> Hashtbl.replace active l.M.loc_name (local l))
-    a.M.locations;
-  let get l = Option.value (Hashtbl.find_opt active l) ~default:SSet.empty in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (e : M.edge) ->
-        let resets =
-          List.filter_map
-            (fun (u : M.update) ->
-              match u with M.Reset c -> Some c | M.Assign _ -> None)
-            e.M.updates
-          |> SSet.of_list
-        in
-        let flow = SSet.diff (get e.M.dst) resets in
-        let cur = get e.M.src in
-        let next = SSet.union cur flow in
-        if not (SSet.equal cur next) then begin
-          Hashtbl.replace active e.M.src next;
-          changed := true
-        end)
-      a.M.edges
-  done;
-  active
-
 let inactive_of ~seed_clocks (model : M.t) =
   let sites = clock_sites model in
+  let lu = Lubounds.analyze model in
   List.filter_map
     (fun (a : M.automaton) ->
-      let owned = owned_by ~seed_clocks model sites a.M.auto_name in
-      if owned = [] then None
-      else
-        let active = activity a owned in
-        let per_loc =
-          List.filter_map
-            (fun (l : M.location) ->
-              let act =
-                Option.value
-                  (Hashtbl.find_opt active l.M.loc_name)
-                  ~default:SSet.empty
-              in
-              let inact = List.filter (fun c -> not (SSet.mem c act)) owned in
-              if inact = [] then None else Some (l.M.loc_name, inact))
-            a.M.locations
-        in
-        if per_loc = [] then None else Some (a.M.auto_name, per_loc))
+      let auto = a.M.auto_name in
+      let owned = owned_by ~seed_clocks model sites auto in
+      let per_loc =
+        List.filter_map
+          (fun (l : M.location) ->
+            let loc = l.M.loc_name in
+            match
+              List.filter
+                (fun clock -> Lubounds.bounds lu ~auto ~loc ~clock = (-1, -1))
+                owned
+            with
+            | [] -> None
+            | inact -> Some (loc, inact))
+          a.M.locations
+      in
+      if per_loc = [] then None else Some (auto, per_loc))
     model.M.automata
 
 (* --- the pass ----------------------------------------------------------- *)
@@ -332,8 +254,8 @@ let slice ?(seed = empty_seed) (model : M.t) : t =
   in
   (* 2. substitute + fold; drop writes to folded vars and edges with
      statically-false guards. *)
-  let rw_expr e = fold_expr (subst_expr consts e) in
-  let rw_bexpr b = fold_bexpr (subst_bexpr consts b) in
+  let rw_expr e = fold_expr (E.map (subst consts) e) in
+  let rw_bexpr b = fold_bexpr (E.map_b (subst consts) b) in
   let rw_updates us =
     List.filter_map
       (fun (u : M.update) ->
@@ -400,18 +322,19 @@ let slice ?(seed = empty_seed) (model : M.t) : t =
   (* 4. backward relevance fixpoint.  Every kept guard and invariant is
      preserved verbatim, so their reads are all relevant; the closure
      adds the reads feeding writes to relevant variables. *)
+  let reads (vs, cs) b =
+    (E.fold_b var_reads vs b, E.fold_b clock_reads cs b)
+  in
   let base_vars, base_clocks =
     List.fold_left
       (fun acc (a : M.automaton) ->
         let acc =
           List.fold_left
-            (fun (vs, cs) (l : M.location) ->
-              (bexpr_vars vs l.M.invariant, bexpr_clocks cs l.M.invariant))
+            (fun acc (l : M.location) -> reads acc l.M.invariant)
             acc a.M.locations
         in
         List.fold_left
-          (fun (vs, cs) (e : M.edge) ->
-            (bexpr_vars vs e.M.guard, bexpr_clocks cs e.M.guard))
+          (fun acc (e : M.edge) -> reads acc e.M.guard)
           acc a.M.edges)
       (seed_vars, seed_clocks)
       automata
@@ -426,19 +349,10 @@ let slice ?(seed = empty_seed) (model : M.t) : t =
                 match u with
                 | M.Reset _ -> None
                 | M.Assign (lhs, rhs) ->
-                    let reads_v =
-                      match lhs with
-                      | M.Scalar _ -> expr_vars SSet.empty rhs
-                      | M.Element (_, i) ->
-                          expr_vars (expr_vars SSet.empty i) rhs
-                    in
-                    let reads_c =
-                      match lhs with
-                      | M.Scalar _ -> expr_clocks SSet.empty rhs
-                      | M.Element (_, i) ->
-                          expr_clocks (expr_clocks SSet.empty i) rhs
-                    in
-                    Some (lhs_var lhs, reads_v, reads_c))
+                    Some
+                      ( lhs_var lhs,
+                        assign_reads var_reads SSet.empty lhs rhs,
+                        assign_reads clock_reads SSet.empty lhs rhs ))
               e.M.updates)
           a.M.edges)
       automata
@@ -513,8 +427,8 @@ let slice ?(seed = empty_seed) (model : M.t) : t =
       M.automata = automata;
     }
   in
-  (* 5. clock activity (the Daws-Yovine pass above, on the sliced
-     model, keeping seeded clocks exact). *)
+  (* 5. clock activity (the LU bounds of the sliced model, keeping
+     seeded clocks exact). *)
   let inactive = inactive_of ~seed_clocks sliced in
   {
     model = sliced;

@@ -39,6 +39,42 @@ let not_ b = Not b
 let conj = List.fold_left ( && ) True
 let is_true e = Cmp (Ne, e, Int 0)
 
+(* The one traversal of the leaf-level walkers (clock and variable
+   collectors, substitutions): [fold] visits leaves and array nodes left
+   to right, each [Elem] before its index; [map] rewrites leaves and
+   keeps array names. *)
+let rec fold f acc e =
+  match e with
+  | Int _ | Var _ | Clock _ -> f acc e
+  | Elem (_, i) -> fold f (f acc e) i
+  | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) | Min (a, b) | Max (a, b)
+    ->
+      fold f (fold f acc a) b
+
+let rec fold_b f acc = function
+  | True | False -> acc
+  | Cmp (_, a, b) -> fold f (fold f acc a) b
+  | Not b -> fold_b f acc b
+  | And (a, b) | Or (a, b) -> fold_b f (fold_b f acc a) b
+
+let rec map f e =
+  match e with
+  | Int _ | Var _ | Clock _ -> f e
+  | Elem (x, i) -> Elem (x, map f i)
+  | Add (a, b) -> Add (map f a, map f b)
+  | Sub (a, b) -> Sub (map f a, map f b)
+  | Mul (a, b) -> Mul (map f a, map f b)
+  | Div (a, b) -> Div (map f a, map f b)
+  | Min (a, b) -> Min (map f a, map f b)
+  | Max (a, b) -> Max (map f a, map f b)
+
+let rec map_b f = function
+  | (True | False) as b -> b
+  | Cmp (c, a, b) -> Cmp (c, map f a, map f b)
+  | Not b -> Not (map_b f b)
+  | And (a, b) -> And (map_b f a, map_b f b)
+  | Or (a, b) -> Or (map_b f a, map_b f b)
+
 let rec pp ppf = function
   | Int n -> Format.pp_print_int ppf n
   | Var name -> Format.pp_print_string ppf name

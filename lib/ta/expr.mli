@@ -52,5 +52,22 @@ val conj : b list -> b
 val is_true : t -> b
 (** [is_true e] is [e <> 0] — booleans are stored as 0/1 variables. *)
 
+(** {2 Traversal} *)
+
+val fold : ('a -> t -> 'a) -> 'a -> t -> 'a
+(** [fold f acc e] calls [f] on every [Int], [Var] and [Clock] leaf and
+    on every [Elem] node (before its index), left to right. *)
+
+val fold_b : ('a -> t -> 'a) -> 'a -> b -> 'a
+(** {!fold} over every integer expression of a boolean one, left to
+    right. *)
+
+val map : (t -> t) -> t -> t
+(** [map f e] replaces every [Int], [Var] and [Clock] leaf [l] by
+    [f l]; an [Elem] keeps its array name and has its index mapped. *)
+
+val map_b : (t -> t) -> b -> b
+(** {!map} over every integer expression of a boolean one. *)
+
 val pp : Format.formatter -> t -> unit
 val pp_b : Format.formatter -> b -> unit

@@ -556,53 +556,6 @@ let parse_process p ~clocks : Model.automaton =
   eat_sym p "}";
   { Model.auto_name = name; locations = !locations; edges; init_loc }
 
-(* caps: the .xta surface has no clock caps, so infer one large enough
-   for saturation soundness — beyond every integer literal in the
-   document *)
-let max_literal (net_max : int ref) =
-  let rec e_walk (e : Expr.t) =
-    match e with
-    | Expr.Int n -> net_max := max !net_max (abs n)
-    | Expr.Var _ | Expr.Clock _ -> ()
-    | Expr.Elem (_, i) -> e_walk i
-    | Expr.Add (a, b) | Expr.Sub (a, b) | Expr.Mul (a, b) | Expr.Div (a, b)
-    | Expr.Min (a, b) | Expr.Max (a, b) ->
-        e_walk a; e_walk b
-  in
-  let rec b_walk (b : Expr.b) =
-    match b with
-    | Expr.True | Expr.False -> ()
-    | Expr.Cmp (_, a, b) -> e_walk a; e_walk b
-    | Expr.Not b -> b_walk b
-    | Expr.And (a, b) | Expr.Or (a, b) -> b_walk a; b_walk b
-  in
-  (e_walk, b_walk)
-
-(* identifiers lex as Var; promote the declared clocks to Clock *)
-let promote_clocks clocks =
-  let is_clock n = List.mem n clocks in
-  let rec e_fix (e : Expr.t) =
-    match e with
-    | Expr.Var n when is_clock n -> Expr.Clock n
-    | Expr.Int _ | Expr.Var _ | Expr.Clock _ -> e
-    | Expr.Elem (n, i) -> Expr.Elem (n, e_fix i)
-    | Expr.Add (a, b) -> Expr.Add (e_fix a, e_fix b)
-    | Expr.Sub (a, b) -> Expr.Sub (e_fix a, e_fix b)
-    | Expr.Mul (a, b) -> Expr.Mul (e_fix a, e_fix b)
-    | Expr.Div (a, b) -> Expr.Div (e_fix a, e_fix b)
-    | Expr.Min (a, b) -> Expr.Min (e_fix a, e_fix b)
-    | Expr.Max (a, b) -> Expr.Max (e_fix a, e_fix b)
-  in
-  let rec b_fix (b : Expr.b) =
-    match b with
-    | Expr.True | Expr.False -> b
-    | Expr.Cmp (c, a, b) -> Expr.Cmp (c, e_fix a, e_fix b)
-    | Expr.Not b -> Expr.Not (b_fix b)
-    | Expr.And (a, b) -> Expr.And (b_fix a, b_fix b)
-    | Expr.Or (a, b) -> Expr.Or (b_fix a, b_fix b)
-  in
-  (e_fix, b_fix)
-
 let parse (src : string) : Model.t =
   let p = { toks = lex src; pos = 0 } in
   let d = { d_vars = []; d_clocks = []; d_chans = [] } in
@@ -639,8 +592,11 @@ let parse (src : string) : Model.t =
         | None -> perr p "system instantiates undeclared process %s" n)
       order
   in
-  (* promote clock identifiers and infer caps *)
-  let e_fix, b_fix = promote_clocks clocks in
+  (* identifiers lex as Var; promote the declared clocks to Clock *)
+  let promote = function
+    | Expr.Var n when List.mem n clocks -> Expr.Clock n
+    | e -> e
+  in
   let automata =
     List.map
       (fun (a : Model.automaton) ->
@@ -649,45 +605,56 @@ let parse (src : string) : Model.t =
           Model.locations =
             List.map
               (fun (l : Model.location) ->
-                { l with Model.invariant = b_fix l.Model.invariant })
+                {
+                  l with
+                  Model.invariant = Expr.map_b promote l.Model.invariant;
+                })
               a.Model.locations;
           edges =
             List.map
               (fun (e : Model.edge) ->
                 {
                   e with
-                  Model.guard = b_fix e.Model.guard;
+                  Model.guard = Expr.map_b promote e.Model.guard;
                   updates =
                     List.map
                       (function
                         | Model.Reset c -> Model.Reset c
                         | Model.Assign (Model.Scalar v, ex) ->
-                            Model.Assign (Model.Scalar v, e_fix ex)
+                            Model.Assign (Model.Scalar v, Expr.map promote ex)
                         | Model.Assign (Model.Element (v, i), ex) ->
                             Model.Assign
-                              (Model.Element (v, e_fix i), e_fix ex))
+                              ( Model.Element (v, Expr.map promote i),
+                                Expr.map promote ex ))
                       e.Model.updates;
                 })
               a.Model.edges;
         })
       automata
   in
+  (* caps: the .xta surface has no clock caps, so infer one large enough
+     for saturation soundness — beyond every integer literal in the
+     document *)
   let biggest = ref 0 in
-  let e_walk, b_walk = max_literal biggest in
+  let literal () = function
+    | Expr.Int n -> biggest := max !biggest (abs n)
+    | _ -> ()
+  in
   List.iter
     (fun (a : Model.automaton) ->
       List.iter
-        (fun (l : Model.location) -> b_walk l.Model.invariant)
+        (fun (l : Model.location) -> Expr.fold_b literal () l.Model.invariant)
         a.Model.locations;
       List.iter
         (fun (e : Model.edge) ->
-          b_walk e.Model.guard;
+          Expr.fold_b literal () e.Model.guard;
           List.iter
             (function
               | Model.Reset _ -> ()
-              | Model.Assign (Model.Scalar _, ex) -> e_walk ex
+              | Model.Assign (Model.Scalar _, ex) -> Expr.fold literal () ex
               | Model.Assign (Model.Element (_, i), ex) ->
-                  e_walk i; e_walk ex)
+                  Expr.fold literal () i;
+                  Expr.fold literal () ex)
             e.Model.updates)
         a.Model.edges)
     automata;

@@ -1,21 +1,19 @@
 (* The location-sensitive LU analysis: backward-fixpoint units (guards
    and invariants contribute at their source, resets kill propagation,
-   clock reads pin to the cap), the soundness pins (per-location bounds
-   never exceed the global ones on any shipped model; every heartbeat
-   clock constraint is closed, which discrete/zone parity rests on;
-   every clock the Daws-Yovine activity pass finds inactive has no LU
-   bound, which lets the zone engine do without that pass;
-   fischer-broken's dense-only mutex violation survives location
-   extrapolation; the FC suite keeps its verdicts), and the qcheck
-   parity harness — on random closed-constraint networks the zone
-   verdict under location LU must equal the discrete one, and its
-   counterexamples must replay discretely. *)
+   clock reads pin to the cap) and the soundness pins (per-location
+   bounds never exceed the global ones on any shipped model; every
+   heartbeat clock constraint is closed, which discrete/zone parity
+   rests on; every clock the slicer finds inactive has no LU bound in
+   any automaton, which lets the zone engine do without an activity
+   table; fischer-broken's dense-only mutex violation survives location
+   extrapolation).  Location LU is the zone engine's only
+   extrapolation, so the discrete/zone verdict parity on random
+   networks, the six variants and the FC suite lives in test_zone. *)
 
 let check = Alcotest.check
 
 module M = Ta.Model
 module E = Ta.Expr
-module S = Ta.Semantics
 
 let net ?(vars = []) ?(clocks = []) ?(chans = []) automata =
   { M.vars; clocks; chans; automata }
@@ -30,18 +28,6 @@ let bounds_at m ~loc =
   Lubounds.bounds t ~auto:"A" ~loc ~clock:"k"
 
 let pair = Alcotest.(pair int int)
-
-let discrete_reaches ?(max_states = 50_000) t goal =
-  match Mc.Explore.find ~max_states ~goal (S.system t) with
-  | Mc.Explore.Reached _ -> Some true
-  | Mc.Explore.Unreachable -> Some false
-  | Mc.Explore.Bound_hit _ | Mc.Explore.Exhausted _ -> None
-
-let zone_reaches ?(max_states = 50_000) z goal =
-  match Zone.Reach.find ~max_states z ~goal with
-  | Mc.Explore.Reached w -> Some (true, Some w.Mc.Explore.trace)
-  | Mc.Explore.Unreachable -> Some (false, None)
-  | Mc.Explore.Bound_hit _ | Mc.Explore.Exhausted _ -> None
 
 (* --- backward-fixpoint units ---------------------------------------- *)
 
@@ -244,7 +230,9 @@ let test_heartbeat_atoms_closed () =
    location (nothing reads it before its next reset) has L = U = -1
    there, and at every location of every other automaton, since only
    its owner mentions it.  The bound settle composes is then -1, and
-   Extra_LU forgets the clock's value exactly as zeroing it would. *)
+   Extra_LU forgets the clock's value exactly as zeroing it would.  The
+   slicer reads inactivity off these bounds, so the first half holds by
+   construction; the second checks the slicer's ownership rule. *)
 let test_inactive_clocks_unbounded () =
   let inactive = ref 0 in
   let check_model name (m : M.t) =
@@ -349,98 +337,6 @@ let test_fischer_broken_still_found () =
           Alcotest.fail "location LU lost the fischer-broken violation"
       | _ -> Alcotest.fail "bound hit")
 
-(* the whole FC suite keeps its verdicts under location LU, and every
-   zone graph is explored to completion *)
-let test_fc_verdicts () =
-  List.iter
-    (fun (s : Fc.spec) ->
-      let z = Zone.Sym.compile s.Fc.model in
-      let goal = Zone.Sym.bad_of z (Fc.bad_predicate s (Zone.Sym.net z)) in
-      let safe =
-        match Zone.Reach.find z ~goal with
-        | Mc.Explore.Unreachable -> true
-        | Mc.Explore.Reached _ -> false
-        | _ -> Alcotest.failf "%s: bound hit" s.Fc.fc_name
-      in
-      Alcotest.(check bool) (s.Fc.fc_name ^ ": verdict") s.Fc.safe safe;
-      Alcotest.(check bool)
-        (s.Fc.fc_name ^ ": complete")
-        true
-        (snd (Zone.Reach.count z)))
-    Fc.all
-
-(* --- the qcheck parity harness -------------------------------------- *)
-
-(* one random model, one predicate: the location-LU zone verdict equals
-   the discrete one, and its counterexamples replay discretely *)
-let agree model (pred : S.t -> S.config -> bool) =
-  let td = S.compile model in
-  let z = Zone.Sym.compile model in
-  let d = discrete_reaches td (pred td) in
-  let l = zone_reaches z (Zone.Sym.bad_of z (pred (Zone.Sym.net z))) in
-  match (d, l) with
-  | Some dr, Some (lr, ltrace) ->
-      if dr <> lr then
-        QCheck.Test.fail_reportf "verdict mismatch: discrete %b, zone %b" dr
-          lr;
-      (match ltrace with
-      | Some trace ->
-          if
-            not
-              (Zone.Reach.guided_replay (S.system td) ~trace ~goal:(pred td))
-          then
-            QCheck.Test.fail_report
-              "location-LU counterexample does not replay discretely"
-      | None -> ());
-      true
-  | _ -> true (* bound hit: nothing to compare *)
-
-let prop_random =
-  QCheck.Test.make ~name:"location LU = discrete (random)" ~count:120
-    Test_zone.zone_random_network (fun model ->
-      let last =
-        Printf.sprintf "L%d"
-          (List.length (List.nth model.M.automata 0).M.locations - 1)
-      in
-      let pred t =
-        let in_last = S.loc_is t ~auto:"A" ~loc:last in
-        let x = S.var t "x" in
-        fun c -> in_last c && x c = 1
-      in
-      agree model pred)
-
-(* the shipped variants under location LU, all requirements: same
-   verdicts as the discrete engine *)
-let variant_parity_location ?(n = 2) variant () =
-  let p = Heartbeat.Params.make ~tmin:1 ~tmax:2 ~n () in
-  List.iter
-    (fun r ->
-      let model =
-        Heartbeat.Ta_models.build
-          ~with_r1_monitors:(Heartbeat.Requirements.needs_monitors r)
-          variant p
-      in
-      let td = S.compile model in
-      let zl = Zone.Sym.compile model in
-      let pred t = Heartbeat.Requirements.bad_state variant p t r in
-      let d = discrete_reaches ~max_states:5_000_000 td (pred td) in
-      let l =
-        zone_reaches ~max_states:5_000_000 zl
-          (Zone.Sym.bad_of zl (pred (Zone.Sym.net zl)))
-      in
-      match (d, l) with
-      | Some dr, Some (lr, _) ->
-          if dr <> lr then
-            Alcotest.failf "%s/%s: discrete %b, zone location %b"
-              (Heartbeat.Ta_models.variant_name variant)
-              (Heartbeat.Requirements.name r)
-              dr lr
-      | _ ->
-          Alcotest.failf "%s/%s: state bound hit"
-            (Heartbeat.Ta_models.variant_name variant)
-            (Heartbeat.Requirements.name r))
-    Heartbeat.Requirements.all
-
 let test_memo_hits () =
   let _, model = List.hd variant_models in
   let l0, _ = Lubounds.cache_stats () in
@@ -474,12 +370,5 @@ let tests =
         test_zone_serves_analysis_tables;
       Alcotest.test_case "fischer-broken violation survives location LU"
         `Quick test_fischer_broken_still_found;
-      Alcotest.test_case "fc suite verdicts, location LU" `Quick
-        test_fc_verdicts;
-      QCheck_alcotest.to_alcotest prop_random;
-      Alcotest.test_case "variant parity under location LU: binary" `Quick
-        (variant_parity_location Heartbeat.Ta_models.Binary);
-      Alcotest.test_case "variant parity under location LU: dynamic" `Quick
-        (variant_parity_location ~n:1 Heartbeat.Ta_models.Dynamic);
       Alcotest.test_case "analysis memoised" `Quick test_memo_hits;
     ] )

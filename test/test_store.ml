@@ -33,14 +33,17 @@ let test_of_string () =
   ok " Exact " Mc.Store.Exact;
   ok "hashcompact" (Mc.Store.Hash_compaction { bits = 62 });
   ok "hashcompact:8" (Mc.Store.Hash_compaction { bits = 8 });
-  ok "hashcompact:999" (Mc.Store.Hash_compaction { bits = 62 });
   ok "bitstate" (Mc.Store.Bitstate { log2_bits = 25; hashes = 3 });
   ok "bitstate:12" (Mc.Store.Bitstate { log2_bits = 12; hashes = 3 });
   ok "bitstate:12:5" (Mc.Store.Bitstate { log2_bits = 12; hashes = 5 });
-  ok "bitstate:5" (Mc.Store.Bitstate { log2_bits = 10; hashes = 3 });
-  ok "bitstate:12:99" (Mc.Store.Bitstate { log2_bits = 12; hashes = 8 });
   err "hashcompact:x";
   err "hashcompact:0";
+  (* out-of-range parameters are errors, so that bitstate:99:99 cannot
+     reach a 2^40-bit allocation *)
+  err "hashcompact:999";
+  err "bitstate:5";
+  err "bitstate:12:99";
+  err "bitstate:99:99";
   err "bitstate:0";
   err "supertrace";
   err ""

@@ -470,19 +470,25 @@ let test_heartbeat_models_in_fragment () =
 
 (* --- the Fontana-Cleaveland workload -------------------------------- *)
 
+(* every spec keeps its verdict, and every zone graph is explored to
+   completion *)
 let test_fc_verdicts () =
   List.iter
     (fun (s : Fc.spec) ->
       let z = Zone.Sym.compile s.Fc.model in
       let goal = Zone.Sym.bad_of z (Fc.bad_predicate s (Zone.Sym.net z)) in
-      match (Zone.Reach.find z ~goal, s.Fc.safe) with
+      (match (Zone.Reach.find z ~goal, s.Fc.safe) with
       | Mc.Explore.Unreachable, true | Mc.Explore.Reached _, false -> ()
       | Mc.Explore.Unreachable, false ->
           Alcotest.failf "%s: expected unsafe, engine says safe" s.Fc.fc_name
       | Mc.Explore.Reached _, true ->
           Alcotest.failf "%s: expected safe, engine found a violation"
             s.Fc.fc_name
-      | _ -> Alcotest.failf "%s: bound hit" s.Fc.fc_name)
+      | _ -> Alcotest.failf "%s: bound hit" s.Fc.fc_name);
+      Alcotest.(check bool)
+        (s.Fc.fc_name ^ ": complete")
+        true
+        (snd (Zone.Reach.count z)))
     Fc.all
 
 let test_fc_not_vacuous () =
