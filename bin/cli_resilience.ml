@@ -190,28 +190,36 @@ let msc_arg =
 (* Budgets, checkpoints and resume                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* A budget or an interval of zero or less would trip at once or never
+   fire: a usage error, like every other out-of-range flag value. *)
+let positive flag ok x = if ok x then x else usage "%s must be > 0" flag
+
 let budget_secs_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "budget-secs" ] ~docv:"SECS"
-        ~doc:
-          "Wall-clock budget: after $(docv) seconds the run stops \
-           cooperatively and reports partial results (exit 4).")
+  Term.(
+    const (Option.map (positive "--budget-secs" (fun s -> s > 0.)))
+    $ Arg.(
+        value
+        & opt (some float) None
+        & info [ "budget-secs" ] ~docv:"SECS"
+            ~doc:
+              "Wall-clock budget: after $(docv) seconds the run stops \
+               cooperatively and reports partial results (exit 4)."))
 
 let budget_mb_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "budget-mb" ] ~docv:"MB"
-        ~doc:
-          "Live-heap budget in megabytes: a trip stops the run and \
-           reports partial results (exit 4).  Where the subcommand offers \
-           $(b,--no-degrade), the parallel engine ($(b,-j) 2 or more), a \
-           compressed $(b,--store) and $(b,--count) first degrade the \
-           state store down the compression ladder in place (exact, \
-           hashcompact, bitstate) and only stop once the ladder is \
-           exhausted.")
+  Term.(
+    const (Option.map (positive "--budget-mb" (fun mb -> mb > 0)))
+    $ Arg.(
+        value
+        & opt (some int) None
+        & info [ "budget-mb" ] ~docv:"MB"
+            ~doc:
+              "Live-heap budget in megabytes: a trip stops the run and \
+               reports partial results (exit 4).  Where the subcommand \
+               offers $(b,--no-degrade), the parallel engine ($(b,-j) 2 \
+               or more), a compressed $(b,--store) and $(b,--count) first \
+               degrade the state store down the compression ladder in \
+               place (exact, hashcompact, bitstate) and only stop once \
+               the ladder is exhausted."))
 
 let no_degrade_arg =
   Arg.(
@@ -231,12 +239,15 @@ let checkpoint_arg =
            suspension (budget trip or signal), for $(b,--resume).")
 
 let checkpoint_every_arg =
-  Arg.(
-    value & opt int 100_000
-    & info [ "checkpoint-every" ] ~docv:"STATES"
-        ~doc:
-          "Periodic checkpoint interval in expanded states (sequential \
-           engine only; the parallel engine checkpoints on suspension).")
+  Term.(
+    const (positive "--checkpoint-every" (fun k -> k > 0))
+    $ Arg.(
+        value & opt int 100_000
+        & info [ "checkpoint-every" ] ~docv:"STATES"
+            ~doc:
+              "Periodic checkpoint interval in expanded states (sequential \
+               engine only; the parallel engine checkpoints on \
+               suspension)."))
 
 let resume_arg =
   Arg.(

@@ -458,6 +458,11 @@ let fc_cmd =
   in
   let run name fischer_n zones json =
     if json && not zones then Cli_resilience.usage "--json needs --zones";
+    (match (name, fischer_n) with
+    | _, None -> ()
+    | Some "fischer", Some n ->
+        if n < 1 then Cli_resilience.usage "-n must be >= 1"
+    | _, Some _ -> Cli_resilience.usage "-n applies to fischer only");
     if zones then
       let specs =
         match name with

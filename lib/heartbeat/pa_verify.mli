@@ -11,6 +11,17 @@
     verdicts of {!Verify} on common data sets (the paper's claim that
     "both model checkers produced similar results"). *)
 
+val monitors :
+  Pa_models.variant ->
+  Params.t ->
+  Requirements.requirement ->
+  (Proc.Semantics.label Mc.Monitor.t * string list) list
+(** The safety monitors that check a requirement, one per watched
+    participant for R1 and R2 and one for R3, each with its alphabet:
+    the action names its predicates observe, plus [tick] for the R1
+    deadlines.  The alphabet is what {!Por} keeps visible when a check
+    is reduced. *)
+
 val check_verdict :
   ?max_states:int ->
   ?domains:int ->

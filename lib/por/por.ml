@@ -27,14 +27,19 @@
      models) or are caught by a runtime discovery-order proviso.
 
    Every component is tried as a seed and the smallest valid ample set
-   wins; if no seed yields one, the state is fully expanded via
-   [Proc.Semantics.successors_with].  Ample candidates come from the
-   same pairing routine ([Proc.Semantics.successors_among]) over the
-   same memoised menus, so the reduced relation is always a
-   sub-structure of the full one.  See DESIGN.md ("Partial-order
-   reduction") for the soundness argument. *)
+   wins; if no seed yields one, the state is fully expanded.  The search
+   runs on masks the memoised menus carry (the partner halves a
+   component offers now, the halves it could ever offer): per state, n
+   dependency masks and their transitive closure give every seed's
+   group, and the full transition list, built once by the one pairing
+   routine ([Proc.Semantics.transitions]), is tagged with each
+   transition's participant mask and visibility, so an ample set is
+   that list filtered against a group mask.  The reduced relation is
+   therefore always a sub-structure of the full one.  See DESIGN.md
+   ("Partial-order reduction") for the soundness argument. *)
 
 module Sem = Proc.Semantics
+module Mask = Proc.Mask
 module T = Proc.Term
 module SSet = Lint_pa.SSet
 module SMap = Lint_pa.SMap
@@ -43,7 +48,6 @@ module R = Lint_report
 
 type analysis = {
   compiled : Sem.compiled;
-  defs : (string, T.def) Hashtbl.t;
   names : string array;
   alphabets : SSet.t array;
   offerer_tbl : (string, int list) Hashtbl.t;
@@ -259,7 +263,7 @@ let analyze spec =
     alphabets;
   Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) offerer_tbl;
   let zeno_suspects = compute_zeno_suspects compiled spec defs alphabets in
-  { compiled; defs; names; alphabets; offerer_tbl; zeno_suspects }
+  { compiled; names; alphabets; offerer_tbl; zeno_suspects }
 
 (* The analysis is a pure function of the spec term, so verification
    sweeps that revisit the same spec (table cells, smoke matrices) can
@@ -350,41 +354,6 @@ let reduced_successors (a : analysis) ~alphabet :
   in
   let next_disc = Atomic.make 0 in
   let stripe s = Mc.Store.stripe ~bits:stripe_bits (Sem.hash_state s) in
-  (* Future offers of a configuration: every action name it could ever
-     offer again, over-approximated syntactically — the prefix names of
-     its own term plus those of every definition reachable from its
-     calls.  Action names are static strings, so this set is exact up
-     to data; and every derivative's set is a subset of its source's,
-     which is what makes it usable for freezing: a component whose
-     future offers exclude [partner] can move freely without ever
-     enabling that handshake.  Memoized per configuration; one lock
-     acquisition looks up a whole state. *)
-  let future_cache : SSet.t Sem.Table.t = Sem.Table.create 256 in
-  let fmu = Mutex.create () in
-  let future_offers (s : Sem.state) =
-    let cached =
-      Mutex.protect fmu (fun () ->
-          Array.map (Sem.Table.find_opt future_cache) s)
-    in
-    Array.mapi
-      (fun i -> function
-        | Some set -> set
-        | None ->
-            let comp = s.(i) in
-            let t = Sem.component_term comp in
-            let roots = SSet.elements (Lint_pa.callees SSet.empty t) in
-            let set =
-              SSet.union
-                (Lint_pa.offered SSet.empty t)
-                (Lint_pa.offered_by a.defs
-                   (Lint_pa.reachable_from a.defs roots))
-            in
-            Mutex.protect fmu (fun () ->
-                if not (Sem.Table.mem future_cache comp) then
-                  Sem.Table.add future_cache comp set);
-            set)
-      cached
-  in
   (* The stamp of [s], minted now if [s] is new. *)
   let note s =
     let k = stripe s in
@@ -405,102 +374,129 @@ let reduced_successors (a : analysis) ~alphabet :
   let expand (s : Sem.state) ~disc ~mydom : (Sem.label * Sem.state) list =
     let n = Array.length s in
     let menus = Sem.menus c s in
-    let future = future_offers s in
-    (* Least communication-closed group containing [seed]. *)
-    let group seed =
-      let in_g = Array.make n false in
-      in_g.(seed) <- true;
-      let stack = ref [ seed ] in
-      while !stack <> [] do
-        match !stack with
-        | [] -> ()
-        | m :: rest ->
-            stack := rest;
-            List.iter
-              (fun partner ->
-                for j = 0 to n - 1 do
-                  if (not in_g.(j)) && SSet.mem partner future.(j) then begin
-                    in_g.(j) <- true;
-                    stack := j :: !stack
-                  end
-                done)
-              (Sem.partners menus.(m))
-      done;
-      in_g
+    (* Least communication-closed group of every seed.  Component [m]
+       pulls in [j] when a partner of a half [m] offers now is among the
+       halves [j] could ever offer (its future offers: every derivative
+       offers a subset, so a component outside the group can never grow
+       a matching offer).  [group.(m)] starts as [m] and the components
+       it pulls in, and Warshall's transitive closure turns each row into
+       its seed's group. *)
+    let group =
+      Array.init n (fun m ->
+          let g = Mask.create n in
+          Mask.add g m;
+          let partners = Sem.partner_mask menus.(m) in
+          if not (Mask.is_empty partners) then
+            for j = 0 to n - 1 do
+              if Mask.meets partners (Sem.future_mask menus.(j)) then Mask.add g j
+            done;
+          g)
     in
-    (* Enabled transitions internal to the group, in the order of the
-       full relation; [None] if some label is visible. *)
-    let internal in_g =
-      let amples = Sem.successors_among menus s in_g in
-      if List.exists (fun (l, _) -> visible_prop l) amples then None else Some amples
+    for k = 0 to n - 1 do
+      for i = 0 to n - 1 do
+        if i <> k && Mask.mem group.(i) k then Mask.union_into group.(i) group.(k)
+      done
+    done;
+    let refusers = Mask.create n in
+    Array.iteri (fun i m -> if not (Sem.offers_tick m) then Mask.add refusers i) menus;
+    (* The full transition list, built once.  Its non-tick prefix is
+       tagged with each transition's participant mask and visibility;
+       an ample set is that prefix filtered against a group mask, in the
+       order of the full relation. *)
+    let succs, parts = Sem.transitions menus s in
+    let steps = Array.of_list succs in
+    let parts = Array.of_list parts in
+    let m =
+      let rec first_tick t =
+        if t < Array.length parts && parts.(t) >= 0 then first_tick (t + 1) else t
+      in
+      first_tick 0
     in
+    let inside =
+      Array.init m (fun t ->
+          let p = Mask.create n in
+          Mask.add p (parts.(t) / n);
+          Mask.add p (parts.(t) mod n);
+          p)
+    in
+    let visible = Array.init m (fun t -> visible_prop (fst steps.(t))) in
     let depth = ref 0 in
     let cross_seen = ref false in
-    let try_seed seed =
-      let in_g = group seed in
-      let tick_refused =
-        let r = ref false in
-        Array.iteri (fun i g -> if g && not (Sem.offers_tick menus.(i)) then r := true) in_g;
-        !r
-      in
-      if not tick_refused then None
-      else
-        match internal in_g with
-        | None | Some [] -> (if !depth < 1 then depth := 1); None
-        | Some amples ->
-            (* Cycle proviso: an ample transition back to an
-               earlier-discovered (or the current) state could close a
-               cycle along which the deferred transitions never fire.
-               Ample sets never contain the tick, so any reduced cycle
-               through a tick edge already has a fully expanded state —
-               only tick-free (zeno) cycles are a risk, and when the
-               static analysis proves there are none, the proviso is
-               vacuous and skipped. *)
-            if not proviso then Some amples
-            else
-              let back (_, s') =
-                match disc_of s' with
-                | Some (d, dom) ->
-                    if d <= disc then begin
-                      if dom <> mydom then cross_seen := true;
-                      true
-                    end
-                    else false
-                | None -> false
-              in
-              if List.exists back amples then ((if !depth < 2 then depth := 2); None)
-              else Some amples
-    in
     (* Every component is tried as a seed and the smallest valid ample
        set wins (ties go to the lowest seed, keeping the choice
        deterministic).  Hub components close to near-total groups whose
        "ample" set defers almost nothing; a peripheral seed — an
        in-flight channel, say — often freezes just itself and its
-       current partners. *)
-    let best = ref None in
+       current partners.  Once a winner is known, a candidate is counted
+       only while it could still beat it. *)
+    let best = ref (-1) and best_k = ref max_int in
+    (* The number of ample transitions of group [g]: [0] if one is
+       visible or there are none, [-1] if it cannot beat the winner. *)
+    let count g =
+      let rec go t k =
+        if t = m then k
+        else if not (Mask.subset inside.(t) g) then go (t + 1) k
+        else if visible.(t) then 0
+        else if k + 1 >= !best_k then -1
+        else go (t + 1) (k + 1)
+      in
+      go 0 0
+    in
+    (* Cycle proviso: an ample transition back to an earlier-discovered
+       (or the current) state could close a cycle along which the
+       deferred transitions never fire.  Ample sets never contain the
+       tick, so any reduced cycle through a tick edge already has a
+       fully expanded state — only tick-free (zeno) cycles are a risk,
+       and when the static analysis proves there are none, the proviso
+       is vacuous and skipped. *)
+    let back_edge g =
+      let rec go t =
+        t < m
+        && ((Mask.subset inside.(t) g
+            &&
+            match disc_of (snd steps.(t)) with
+            | Some (d, dom) when d <= disc ->
+                if dom <> mydom then cross_seen := true;
+                true
+            | Some _ | None -> false)
+           || go (t + 1))
+      in
+      go 0
+    in
     for seed = 0 to n - 1 do
-      match try_seed seed with
-      | None -> ()
-      | Some amples -> (
-          let k = List.length amples in
-          match !best with
-          | Some (k0, _) when k0 <= k -> ()
-          | _ -> best := Some (k, amples))
+      let g = group.(seed) in
+      (* Some member must refuse the tick, or the tick stays enabled *)
+      if Mask.meets g refusers then
+        match count g with
+        | -1 -> ()
+        | 0 -> if !depth < 1 then depth := 1
+        | k ->
+            if proviso && back_edge g then (if !depth < 2 then depth := 2)
+            else begin
+              best := seed;
+              best_k := k
+            end
     done;
-    match !best with
-    | Some (_, amples) ->
-        with_stats (fun () -> stats.ample_states <- stats.ample_states + 1);
-        amples
-    | None ->
-        with_stats (fun () ->
-            match !depth with
-            | 0 -> stats.no_refuser <- stats.no_refuser + 1
-            | 1 -> stats.visible_blocked <- stats.visible_blocked + 1
-            | _ ->
-                stats.proviso_blocked <- stats.proviso_blocked + 1;
-                if !cross_seen then
-                  stats.cross_domain_blocked <- stats.cross_domain_blocked + 1);
-        Sem.successors_with menus s
+    if !best >= 0 then begin
+      with_stats (fun () -> stats.ample_states <- stats.ample_states + 1);
+      let g = group.(!best) in
+      let rec keep t acc =
+        if t < 0 then acc
+        else keep (t - 1) (if Mask.subset inside.(t) g then steps.(t) :: acc else acc)
+      in
+      keep (m - 1) []
+    end
+    else begin
+      with_stats (fun () ->
+          match !depth with
+          | 0 -> stats.no_refuser <- stats.no_refuser + 1
+          | 1 -> stats.visible_blocked <- stats.visible_blocked + 1
+          | _ ->
+              stats.proviso_blocked <- stats.proviso_blocked + 1;
+              if !cross_seen then
+                stats.cross_domain_blocked <- stats.cross_domain_blocked + 1);
+      succs
+    end
   in
   (* Expansions are computed outside the locks and installed into the
      memo winner-takes-all, so racing domains may both expand a state

@@ -12,6 +12,15 @@
     stutter-invariant LTL over that alphabet (see DESIGN.md for the
     soundness argument and the cycle proviso).
 
+    The ample search at a state reads the masks each memoised
+    {!Proc.Semantics} menu carries (the partner halves a component
+    offers now, the halves it could ever offer) and one transition
+    list, built by the full relation's pairing routine with each
+    transition's participants: it closes every seed's group by bit
+    operations and filters that list against the group's mask.  So a
+    reduced expansion costs about one full expansion, and an ample set
+    keeps the full relation's transition order.
+
     The reduced system is stateful: it memoizes expansions to
     implement the cycle proviso.  Its seen-set and memo are
     lock-striped and the discovery stamps are minted inside the stripe

@@ -133,13 +133,18 @@ type half = {
 
 (* The step menu of a configuration, every action classified once: tick
    offers, independent actions with their labels built (blocked actions
-   are dropped), and communication halves.  [partners] lists the partner
-   names of the halves, for the ample-set group closure. *)
+   are dropped), and communication halves.  Three masks over the half
+   ids: [offered], the halves offered now; [partners], their partner
+   halves, which lets pairing skip component pairs that cannot meet;
+   and [future], every half the configuration could ever offer again,
+   for the ample-set reducer. *)
 type menu = {
   ticks : component list;
   locals : (label * component) list;
   halves : half list;
-  partners : string list;
+  offered : Mask.t;
+  partners : Mask.t;
+  future : Mask.t;
 }
 
 type entry = { canon : component; mutable menu : menu option }
@@ -157,8 +162,13 @@ type compiled = {
   (* Communication lookup: action name -> (partner name, result) list, in
      both directions. *)
   comm : (string, string * string) Hashtbl.t;
-  (* Communication half names -> small ints, so pairing compares ints. *)
+  (* Communication half names -> small ints, so pairing compares ints
+     and menus carry masks over them. *)
   comm_ids : (string, int) Hashtbl.t;
+  (* Definition name -> the halves it or any definition it reaches
+     through calls offers; built with the first menu, so compiling
+     stays as cheap as the interning it does. *)
+  def_future : (string, Mask.t) Hashtbl.t option Atomic.t;
   initial : state;
   configs : entry Table.t;
   lock : Mutex.t;
@@ -175,10 +185,77 @@ let entry c comp =
 
 let intern c comp = (Mutex.protect c.lock (fun () -> entry c comp)).canon
 
+(* Adds to [m] the halves [t] offers syntactically (both branches of a
+   condition, every value of a sum, no call unfolded) and returns the
+   definitions it calls, consed onto [calls]. *)
+let rec scan ids m calls (t : Term.t) =
+  match t with
+  | Term.Nil -> calls
+  | Term.Prefix (a, p) ->
+      Option.iter (Mask.add m) (Hashtbl.find_opt ids a.Term.act_name);
+      scan ids m calls p
+  | Term.Choice ps -> List.fold_left (scan ids m) calls ps
+  | Term.Sum (_, _, _, p) -> scan ids m calls p
+  | Term.Cond (_, p, q) -> scan ids m (scan ids m calls p) q
+  | Term.Call (name, _) -> name :: calls
+
+(* The future halves of every definition: its own syntactic offers and
+   those of every definition reachable from it through calls, by one
+   depth-first walk per definition over the call graph numbered by
+   definition. *)
+let def_futures defs ids =
+  let size = Hashtbl.length ids in
+  let names = Array.of_seq (Hashtbl.to_seq_keys defs) in
+  let index = Hashtbl.create (Array.length names) in
+  Array.iteri (fun k name -> Hashtbl.replace index name k) names;
+  let own = Array.map (fun _ -> Mask.create size) names in
+  let calls =
+    Array.mapi
+      (fun k name ->
+        List.map (Hashtbl.find index)
+          (scan ids own.(k) [] (Hashtbl.find defs name).Term.body))
+      names
+  in
+  let walked = Array.make (Array.length names) (-1) in
+  let futures = Hashtbl.create (Array.length names) in
+  Array.iteri
+    (fun root name ->
+      let m = Mask.create size in
+      let rec go d =
+        if walked.(d) <> root then begin
+          walked.(d) <- root;
+          Mask.union_into m own.(d);
+          List.iter go calls.(d)
+        end
+      in
+      go root;
+      Hashtbl.replace futures name m)
+    names;
+  futures
+
+(* Domains racing on the first menu build equal tables; a table is
+   complete before it is published. *)
+let def_future c name =
+  let table =
+    match Atomic.get c.def_future with
+    | Some table -> table
+    | None ->
+        let table = def_futures c.defs c.comm_ids in
+        Atomic.set c.def_future (Some table);
+        table
+  in
+  Hashtbl.find table name
+
 let build_menu c comp =
   let hidden name = Hashtbl.mem c.hide name in
   let visible name = Hashtbl.mem c.allow name in
-  let ticks = ref [] and locals = ref [] and halves = ref [] and partners = ref [] in
+  let size = Hashtbl.length c.comm_ids in
+  let offered = Mask.create size and partners = Mask.create size in
+  let future = Mask.create size in
+  List.iter
+    (fun d -> Mask.union_into future (def_future c d))
+    (scan c.comm_ids future [] comp.proc);
+  let ticks = ref [] and locals = ref [] and halves = ref [] in
   List.iter
     (fun (name, args, next) ->
       let next = intern c next in
@@ -195,12 +272,13 @@ let build_menu c comp =
             else None
           in
           List.iter
-            (fun (partner, _) ->
-              if not (List.mem partner !partners) then partners := partner :: !partners)
+            (fun (partner, _) -> Mask.add partners (Hashtbl.find c.comm_ids partner))
             pairs;
+          let h_name = Hashtbl.find c.comm_ids name in
+          Mask.add offered h_name;
           halves :=
             {
-              h_name = Hashtbl.find c.comm_ids name;
+              h_name;
               h_args = args;
               h_next = next;
               h_pairs =
@@ -217,7 +295,9 @@ let build_menu c comp =
     ticks = List.rev !ticks;
     locals = List.rev !locals;
     halves = List.rev !halves;
-    partners = List.rev !partners;
+    offered;
+    partners;
+    future;
   }
 
 let menu_of c comp =
@@ -237,7 +317,8 @@ let menu_of c comp =
               e.menu <- Some m;
               m)
 
-let no_menu = { ticks = []; locals = []; halves = []; partners = [] }
+let no_menu =
+  { ticks = []; locals = []; halves = []; offered = [||]; partners = [||]; future = [||] }
 
 let menus c (s : state) =
   let n = Array.length s in
@@ -294,6 +375,7 @@ let compile (spec : Spec.t) : compiled =
       hide;
       comm;
       comm_ids;
+      def_future = Atomic.make None;
       initial;
       configs = Table.create 64;
       lock = Mutex.create ();
@@ -310,28 +392,31 @@ let is_hidden c name = Hashtbl.mem c.hide name
 let comm_partners c name = Hashtbl.find_all c.comm name
 let is_comm c name = Hashtbl.mem c.comm name
 let offers_tick m = m.ticks <> []
-let partners m = m.partners
+let partner_mask m = m.partners
+let future_mask m = m.future
 
-(* The one pairing routine: the successors of [s] by the transitions
-   among the components [among] selects — independent actions in
-   component order, then communications for [i < j] — followed, when
-   [tick], by the global tick (every component must offer one). *)
-let pair (menus : menu array) (s : state) ~among ~tick : (label * state) list =
+(* The one pairing routine: the successors of [s] — independent actions
+   in component order, then communications for [i < j], then the global
+   tick (every component must offer one).  Components [i < j] are only
+   paired when a partner of [i]'s halves is among [j]'s.  With [parts],
+   each transition's participants are consed onto it as it is emitted:
+   [i * n + j] ([j = i] for an independent action), [-1] for a tick. *)
+let pair (menus : menu array) (s : state) ~parts : (label * state) list =
   let n = Array.length s in
   let acc = ref [] in
   for i = 0 to n - 1 do
-    if among i then
-      List.iter
-        (fun (label, ci) ->
-          let s' = Array.copy s in
-          s'.(i) <- ci;
-          acc := (label, s') :: !acc)
-        menus.(i).locals
+    List.iter
+      (fun (label, ci) ->
+        let s' = Array.copy s in
+        s'.(i) <- ci;
+        acc := (label, s') :: !acc;
+        match parts with Some p -> p := ((i * n) + i) :: !p | None -> ())
+      menus.(i).locals
   done;
   for i = 0 to n - 1 do
-    if among i && menus.(i).halves <> [] then
+    if menus.(i).halves <> [] then
       for j = i + 1 to n - 1 do
-        if among j && menus.(j).halves <> [] then
+        if Mask.meets menus.(i).partners menus.(j).offered then
           List.iter
             (fun hi ->
               List.iter
@@ -342,27 +427,36 @@ let pair (menus : menu array) (s : state) ~among ~tick : (label * state) list =
                         let s' = Array.copy s in
                         s'.(i) <- hi.h_next;
                         s'.(j) <- hj.h_next;
-                        acc := (label, s') :: !acc
+                        acc := (label, s') :: !acc;
+                        match parts with
+                        | Some p -> p := ((i * n) + j) :: !p
+                        | None -> ()
                       end)
                     menus.(j).halves)
                 hi.h_pairs)
             menus.(i).halves
       done
   done;
-  if tick && n > 0 && Array.for_all offers_tick menus then begin
+  if n > 0 && Array.for_all offers_tick menus then begin
     (* Cartesian product over the (usually singleton) tick choices. *)
     let rec expand i chosen =
-      if i = n then acc := (Tick, Array.of_list (List.rev chosen)) :: !acc
+      if i = n then begin
+        acc := (Tick, Array.of_list (List.rev chosen)) :: !acc;
+        match parts with Some p -> p := -1 :: !p | None -> ()
+      end
       else List.iter (fun c -> expand (i + 1) (c :: chosen)) menus.(i).ticks
     in
     expand 0 []
   end;
   List.rev !acc
 
-let successors_among menus s members =
-  pair menus s ~among:(fun i -> members.(i)) ~tick:false
+let successors_with menus s = pair menus s ~parts:None
 
-let successors_with menus s = pair menus s ~among:(fun _ -> true) ~tick:true
+let transitions menus s =
+  let parts = ref [] in
+  let succs = pair menus s ~parts:(Some parts) in
+  (succs, List.rev !parts)
+
 let successors_of c s = successors_with (menus c s) s
 
 let pp_state ppf (s : state) =

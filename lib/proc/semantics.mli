@@ -41,10 +41,15 @@ val system : Spec.t -> (state, label) Mc.System.t
     first expansion, every action pre-classified (tick offer,
     independent action with its label, blocked, or communication half
     with its partners and result labels); later states that contain
-    the configuration reuse the menu.  This is what alternative
-    successor functions (the ample-set reducer in [lib/por]) build on:
-    they read each component's menu and compute successors restricted
-    to a set of components through the same pairing routine, so the
+    the configuration reuse the menu.  The communication-half names
+    are interned as small ints at compile time, and each menu also
+    carries {!Mask.t}s over them: the halves the configuration offers
+    now (pairing skips component pairs whose offers cannot meet), their
+    partners, and every half it could ever offer again.  The ample-set
+    reducer in [lib/por] builds on these: it reads the last two masks
+    to decide which components depend on which, and takes the full
+    transition list from {!transitions}, the same pairing routine as
+    {!successors_with}, with each transition's participants, so the
     reduced system explores a sub-structure of the full one. *)
 
 type compiled
@@ -61,16 +66,10 @@ val initial_of : compiled -> state
 
 val component_term : component -> Term.t
 (** The process term of a configuration (top-level calls are unfolded
-    in every successor configuration).  Lets static analyses compute,
-    per configuration, which actions it could ever offer again. *)
+    in every successor configuration). *)
 
 val component_env : component -> Pexpr.env
 (** The data environment of a configuration. *)
-
-module Table : Hashtbl.S with type key = component
-(** Hash tables keyed by configuration: hashing reads the cached
-    structural key; equality tries physical equality, then the key,
-    then structural equality of term and environment. *)
 
 val is_visible : compiled -> string -> bool
 (** The name is in the spec's [allow] list. *)
@@ -96,20 +95,28 @@ val menus : compiled -> state -> menu array
 val offers_tick : menu -> bool
 (** The configuration offers at least one [tick]. *)
 
-val partners : menu -> string list
-(** The partner names of the configuration's communication halves, each
-    once. *)
+val partner_mask : menu -> Mask.t
+(** The partner halves of the communication halves the configuration
+    offers now, whatever their result (visible, hidden or blocked). *)
 
-val successors_among : menu array -> state -> bool array -> (label * state) list
-(** [successors_among menus s members]: the transitions of [s] among
-    the components with [members.(i)] — their independent actions in
-    component order, then their communications for [i < j].  No tick.
-    [menus] must be [menus c s]. *)
+val future_mask : menu -> Mask.t
+(** Every communication half the configuration could ever offer again:
+    the halves its term offers syntactically (both branches of a
+    condition, every value of a sum) and those of every definition
+    reachable from its calls.  A successor's mask is a subset of its
+    source's, so a component whose mask misses a half can move freely
+    without ever enabling that handshake. *)
 
 val successors_with : menu array -> state -> (label * state) list
 (** The full successor list of a state given its menus: independent
     actions in component order, then communications for [i < j], then
     the global tick.  This is the step relation of {!system}. *)
+
+val transitions : menu array -> state -> (label * state) list * int list
+(** {!successors_with}'s list, built by the same routine, together with
+    each transition's participants in the same order: [i * n + j] for a
+    communication of components [i < j], [i * n + i] for an independent
+    action of [i], [-1] for a tick ([n] is the state's length). *)
 
 val successors_of : compiled -> state -> (label * state) list
 

@@ -389,6 +389,274 @@ let test_sequential_proviso_never_cross () =
   check Alcotest.int "cross_domain_blocked is 0 sequentially" 0
     stats.Por.cross_domain_blocked
 
+(* --- differential: the string-set reducer ----------------------------
+
+   [Reference] is the ample search [Por] ran before it worked on masks
+   over one tagged transition list: it closes each seed's group by
+   probing string sets of future offers ([Lint_pa]'s syntactic
+   analysis) and pairs the transitions of every candidate group anew.
+   It runs over the term interpreter ([Pa_reference]), so beyond the
+   static zeno verdict it shares no code with [Por] or
+   [Proc.Semantics]'s menus.  On one domain the reducer must match it
+   exactly: the same successor lists (labels, states, order) and the
+   same [Por.stats]. *)
+
+module Reference = struct
+  module R = Pa_reference
+  module SSet = Lint_pa.SSet
+
+  (* [compare] rather than [=]: only the total order skips physically
+     shared subterms, and successors share their terms with the
+     definitions. *)
+  module H = Hashtbl.Make (struct
+    type t = R.state
+
+    let equal a b = compare a b = 0
+    let hash = Hashtbl.hash_param 128 256
+  end)
+
+  module C = Hashtbl.Make (struct
+    type t = R.component
+
+    let equal a b = compare a b = 0
+    let hash = Hashtbl.hash_param 128 256
+  end)
+
+  let reduced_successors (a : Por.analysis) ~alphabet =
+    let spec = Sem.spec_of (Por.compiled a) in
+    let defs = Lint_pa.def_table spec in
+    let comm = Hashtbl.create 16 in
+    List.iter
+      (fun (s, r, res) ->
+        Hashtbl.add comm s (r, res);
+        Hashtbl.add comm r (s, res))
+      spec.Proc.Spec.comms;
+    let prop = SSet.of_list alphabet in
+    let proviso = Por.zeno_suspects a <> [] in
+    let stats =
+      {
+        Por.states = 0;
+        ample_states = 0;
+        no_refuser = 0;
+        proviso_blocked = 0;
+        visible_blocked = 0;
+        cross_domain_blocked = 0;
+      }
+    in
+    let seen = H.create 64 and memo = H.create 64 in
+    let note s =
+      match H.find_opt seen s with
+      | Some d -> d
+      | None ->
+          let d = H.length seen in
+          H.add seen s d;
+          d
+    in
+    let futures = C.create 64 in
+    let future (comp : R.component) =
+      match C.find_opt futures comp with
+      | Some set -> set
+      | None ->
+          let t = comp.R.proc in
+          let roots = SSet.elements (Lint_pa.callees SSet.empty t) in
+          let set =
+            SSet.union (Lint_pa.offered SSet.empty t)
+              (Lint_pa.offered_by defs (Lint_pa.reachable_from defs roots))
+          in
+          C.add futures comp set;
+          set
+    in
+    let expand s ~disc =
+      let n = Array.length s in
+      let locals = Array.map (R.local_steps defs) s in
+      let future = Array.map future s in
+      let partners =
+        Array.map
+          (List.concat_map (fun (name, _, _) ->
+               List.map fst (Hashtbl.find_all comm name)))
+          locals
+      in
+      let offers_tick =
+        Array.map
+          (List.exists (fun (name, _, _) -> name = Proc.Spec.tick_name))
+          locals
+      in
+      let group seed =
+        let in_g = Array.make n false in
+        in_g.(seed) <- true;
+        let rec close = function
+          | [] -> ()
+          | m :: rest ->
+              let pulled = ref rest in
+              List.iter
+                (fun partner ->
+                  for j = 0 to n - 1 do
+                    if (not in_g.(j)) && SSet.mem partner future.(j) then begin
+                      in_g.(j) <- true;
+                      pulled := j :: !pulled
+                    end
+                  done)
+                partners.(m);
+              close !pulled
+        in
+        close [ seed ];
+        in_g
+      in
+      let depth = ref 0 in
+      let try_seed seed =
+        let in_g = group seed in
+        let refused = ref false in
+        Array.iteri (fun i g -> if g && not offers_tick.(i) then refused := true) in_g;
+        if not !refused then None
+        else
+          let amples =
+            R.successors_from spec comm ~among:(fun i -> in_g.(i)) ~tick:false locals s
+          in
+          let visible (l, _) = SSet.mem (Sem.label_name l) prop in
+          let back (_, s') =
+            match H.find_opt seen s' with Some d -> d <= disc | None -> false
+          in
+          if amples = [] || List.exists visible amples then begin
+            depth := max !depth 1;
+            None
+          end
+          else if proviso && List.exists back amples then begin
+            depth := 2;
+            None
+          end
+          else Some amples
+      in
+      let best = ref None in
+      for seed = 0 to n - 1 do
+        match (try_seed seed, !best) with
+        | None, _ -> ()
+        | Some amples, Some (k0, _) when k0 <= List.length amples -> ()
+        | Some amples, _ -> best := Some (List.length amples, amples)
+      done;
+      match !best with
+      | Some (_, amples) ->
+          stats.ample_states <- stats.ample_states + 1;
+          amples
+      | None ->
+          (match !depth with
+          | 0 -> stats.no_refuser <- stats.no_refuser + 1
+          | 1 -> stats.visible_blocked <- stats.visible_blocked + 1
+          | _ -> stats.proviso_blocked <- stats.proviso_blocked + 1);
+          R.successors_from spec comm ~among:(fun _ -> true) ~tick:true locals s
+    in
+    let successors s =
+      match H.find_opt memo s with
+      | Some r -> r
+      | None ->
+          let disc = if proviso then note s else 0 in
+          stats.states <- stats.states + 1;
+          let r = expand s ~disc in
+          if proviso then List.iter (fun (_, s') -> ignore (note s' : int)) r;
+          H.add memo s r;
+          r
+    in
+    (successors, stats)
+end
+
+module SH = Hashtbl.Make (struct
+  type t = Sem.state
+
+  let equal = Sem.equal_state
+  let hash = Sem.hash_state
+end)
+
+(* Drive the reducer and [Reference] through the same expansions —
+   breadth-first over the reduced graph, at most [limit] states — and
+   compare every successor list, then the statistics. *)
+let same_as_reference ?(limit = max_int) a ~alphabet =
+  let sys, stats = Por.reduced_system_stats ~alphabet a in
+  let module S =
+    (val sys : Mc.System.S with type state = Sem.state and type label = Sem.label)
+  in
+  let reference, ref_stats = Reference.reduced_successors a ~alphabet in
+  let seen = SH.create 1024 and queue = Queue.create () in
+  SH.add seen S.initial ();
+  Queue.push S.initial queue;
+  let same = ref true and expanded = ref 0 in
+  while !same && !expanded < limit && not (Queue.is_empty queue) do
+    let s = Queue.pop queue in
+    incr expanded;
+    let mine = S.successors s in
+    let theirs = reference (Pa_reference.view s) in
+    same :=
+      List.length mine = List.length theirs
+      && List.for_all2
+           (fun (l, s') (l', r') -> l = l' && compare (Pa_reference.view s') r' = 0)
+           mine theirs;
+    List.iter
+      (fun (_, s') ->
+        if not (SH.mem seen s') then begin
+          SH.add seen s' ();
+          Queue.push s' queue
+        end)
+      mine
+  done;
+  !same && stats = ref_stats
+
+let prop_same_as_reference =
+  QCheck.Test.make ~name:"reduced successors and stats = string-set reference"
+    ~count:150 random_spec (fun spec ->
+      let a = Por.analyze spec in
+      List.for_all
+        (fun alphabet -> same_as_reference a ~alphabet)
+        ([] :: List.map snd sample_monitors))
+
+(* The six variants at the benchmark's points (static at n = 2 with
+   (2,2), the others at n = 1 with (2,3)), under the empty alphabet and
+   each monitor alphabet of R1-R3. *)
+let test_variants_same_as_reference () =
+  List.iter
+    (fun v ->
+      let p =
+        if v = Heartbeat.Pa_models.Static then
+          Heartbeat.Params.make ~n:2 ~tmin:2 ~tmax:2 ()
+        else Heartbeat.Params.make ~tmin:2 ~tmax:3 ()
+      in
+      let a = Por.analyze (Heartbeat.Pa_models.build v p) in
+      let alphabets =
+        [] :: List.concat_map
+                (fun req -> List.map snd (Heartbeat.Pa_verify.monitors v p req))
+                Heartbeat.Requirements.all
+      in
+      List.iteri
+        (fun k alphabet ->
+          check Alcotest.bool
+            (Printf.sprintf "%s alphabet %d: reduced = reference"
+               (Heartbeat.Ta_models.variant_name v) k)
+            true (same_as_reference a ~alphabet))
+        alphabets)
+    Heartbeat.Ta_models.all_variants
+
+(* More than 62 communication halves: the partner and future-offer masks
+   span two words.  The first 2 000 expansions of each, under the empty
+   alphabet and R3's. *)
+let test_multiword_same_as_reference () =
+  List.iter
+    (fun (v, p) ->
+      let spec = Heartbeat.Pa_models.build v p in
+      let halves =
+        List.sort_uniq compare
+          (List.concat_map (fun (s, r, _) -> [ s; r ]) spec.Proc.Spec.comms)
+      in
+      let what = Heartbeat.Ta_models.variant_name v in
+      check Alcotest.bool (what ^ ": more than 62 halves") true
+        (List.length halves > 62);
+      let a = Por.analyze spec in
+      List.iter
+        (fun alphabet ->
+          check Alcotest.bool (what ^ ": reduced = reference") true
+            (same_as_reference ~limit:2_000 a ~alphabet))
+        ([] :: List.map snd (Heartbeat.Pa_verify.monitors v p Heartbeat.Requirements.R3)))
+    [
+      (Heartbeat.Pa_models.Dynamic, Heartbeat.Params.make ~n:2 ~tmin:1 ~tmax:1 ());
+      (Heartbeat.Pa_models.Static, Heartbeat.Params.make ~n:4 ~tmin:1 ~tmax:1 ());
+    ]
+
 (* --- the stutter-invariance gate ------------------------------------- *)
 
 let test_stutter_classifier () =
@@ -475,6 +743,11 @@ let tests =
         test_truncated_reduction_deterministic;
       Alcotest.test_case "diagnostics deterministic" `Quick
         test_diagnostics_deterministic;
+      QCheck_alcotest.to_alcotest prop_same_as_reference;
+      Alcotest.test_case "six variants: reduced = string-set reference" `Quick
+        test_variants_same_as_reference;
+      Alcotest.test_case "multi-word masks: reduced = string-set reference" `Quick
+        test_multiword_same_as_reference;
       QCheck_alcotest.to_alcotest prop_reduced_substructure;
       QCheck_alcotest.to_alcotest prop_safety_parity;
       QCheck_alcotest.to_alcotest prop_weak_trace_equivalent;
