@@ -66,12 +66,12 @@ ltl:
 	cmp _build/hbltl-1.json _build/hbltl-2.json
 
 # Partial-order-reduction gate: the qcheck parity harness (reduced and
-# full explorations agree on monitor and LTL verdicts at 1 and 4
-# domains, reduced counterexamples replay, reduced LTS weak-trace
-# equivalent), then the six-variant smoke: every requirement verdict
-# identical full vs reduced vs reduced at 4 domains (one reducer
-# serves every domain count), at least one variant at least halved,
-# JSON byte-identical.
+# full explorations agree on monitor and LTL verdicts, reduced
+# counterexamples replay, reduced LTS weak-trace equivalent, reduced
+# successors and statistics identical to the string-set reference),
+# then the six-variant smoke: every requirement verdict identical full
+# vs reduced, at least one variant at least halved, JSON
+# byte-identical.
 por:
 	$(DUNE) exec test/main.exe -- test por
 	$(DUNE) exec bin/hbverify.exe -- pa-smoke
@@ -84,13 +84,11 @@ por:
 # engines x stores x domain counts, goal and truncation verdicts in
 # parity), the store units (exact shards spread over their buckets,
 # hash-compaction, bitstate coverage estimates, collision injection),
-# the POR soundness suite including the cycle proviso at 4 domains,
 # then one large exact-store run: dynamic at tmax 40 (498 876 states)
 # must print the same report at -j 1 and -j 2.
 par:
 	$(DUNE) exec test/main.exe -- test pexplore
 	$(DUNE) exec test/main.exe -- test store
-	$(DUNE) exec test/main.exe -- test por
 	$(DUNE) exec bin/hbexplore.exe -- stats -v dynamic --tmax 40 -j 1 > _build/hbpar-1.out
 	$(DUNE) exec bin/hbexplore.exe -- stats -v dynamic --tmax 40 -j 2 > _build/hbpar-2.out
 	cmp _build/hbpar-1.out _build/hbpar-2.out

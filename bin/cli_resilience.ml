@@ -145,9 +145,8 @@ let jobs =
         & info [ "j"; "jobs" ] ~docv:"N"
             ~doc:
               "Exploration domains: 1 runs the sequential engine, more run \
-               the work-stealing parallel engine with identical results \
-               (composes with $(b,--reduce); the ndfs LTL engine is \
-               sequential and ignores this).  0 uses all cores."))
+               the work-stealing parallel engine with identical results.  \
+               0 uses all cores."))
 
 let slice_arg =
   Arg.(

@@ -111,11 +111,11 @@ let stats_cmd =
       if
         slice || count_only
         || store <> Mc.Store.Exact
-        || jobs > 1 || ckpt <> None || resume_file <> None
+        || jobs > 1 || no_degrade || ckpt <> None || resume_file <> None
       then
         Cli_resilience.usage
           "--zone is sequential with an exact store (drop --slice, --store, \
-           --count, -j, --checkpoint and --resume)";
+           --count, -j, --no-degrade, --checkpoint and --resume)";
       let header ppf () =
         Format.fprintf ppf "%s%s %a%s"
           (H.Ta_models.variant_name variant)

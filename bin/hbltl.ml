@@ -108,8 +108,8 @@ let print_lasso ~prefix ~step (lasso : _ Ltl.Check.lasso) =
   List.iter (fun s -> Format.printf "  %s@." (step s)) lasso.Ltl.Check.cycle
 
 let check_cmd =
-  let run variant params fixed pa slice reduce engine json msc domains bsecs
-      bmb ckpt_file ckpt_every resume_file req =
+  let run variant params fixed pa slice reduce engine json msc bsecs bmb
+      ckpt_file ckpt_every resume_file req =
     if pa && fixed then
       Cli_resilience.usage
         "--fixed applies to the timed-automata models only (the PA \
@@ -203,8 +203,8 @@ let check_cmd =
       check
         ~flags:(Printf.sprintf "slice=false/reduce=%b" reduce)
         ~run:(fun ~checkpoint ~resume ->
-          H.Pa_verify.check_live_run ~engine ~reduce ~domains ~budget
-            ?checkpoint ?resume variant params req)
+          H.Pa_verify.check_live_run ~engine ~reduce ~budget ?checkpoint
+            ?resume variant params req)
         ~formula:(H.Requirements.live_formula_pa variant params req)
         ~fairness:H.Requirements.live_fairness_pa
         ~stats:(fun () ->
@@ -222,8 +222,8 @@ let check_cmd =
       check
         ~flags:(Printf.sprintf "fixed=%b/slice=%b" fixed slice)
         ~run:(fun ~checkpoint ~resume ->
-          H.Verify.check_live_run ~fixed ~engine ~slice ~domains ~budget
-            ?checkpoint ?resume variant params req)
+          H.Verify.check_live_run ~fixed ~engine ~slice ~budget ?checkpoint
+            ?resume variant params req)
         ~formula:(H.Requirements.live_formula variant params req)
         ~fairness:H.Requirements.live_fairness
         ~stats:(fun () ->
@@ -267,8 +267,8 @@ let check_cmd =
       $ Cli_resilience.params ~n:1 ~tmin:10 ~tmax:10 ()
       $ Cli_resilience.fixed_arg $ pa_arg $ Cli_resilience.slice_arg
       $ Cli_resilience.reduce_arg $ engine_arg $ Cli_resilience.json_arg
-      $ Cli_resilience.msc_arg $ Cli_resilience.jobs
-      $ Cli_resilience.budget_secs_arg $ Cli_resilience.budget_mb_arg
+      $ Cli_resilience.msc_arg $ Cli_resilience.budget_secs_arg
+      $ Cli_resilience.budget_mb_arg
       $ Cli_resilience.checkpoint_arg $ Cli_resilience.checkpoint_every_arg
       $ Cli_resilience.resume_arg $ Cli_resilience.req_arg)
 

@@ -84,8 +84,8 @@ let monitors variant (p : Params.t) req :
           fault @ bad );
       ]
 
-let check_verdict ?(max_states = default_max) ?(domains = 1)
-    ?(reduce = false) ?budget ?degrade variant params req =
+let check_verdict ?(max_states = default_max) ?(reduce = false) ?budget variant
+    params req =
   let spec = Pa_models.build variant params in
   let sys = Proc.Semantics.system spec in
   let analysis = if reduce then Some (Por.analyze_cached spec) else None in
@@ -97,16 +97,15 @@ let check_verdict ?(max_states = default_max) ?(domains = 1)
           Option.map (fun a -> Por.reduced_system ~alphabet a) analysis
         in
         match
-          Mc.Safety.check_monitor ~max_states ~domains ?reduction ?budget
-            ?degrade sys monitor
+          Mc.Safety.check_monitor ~max_states ?reduction ?budget sys monitor
         with
         | Mc.Safety.Holds -> go rest
         | v -> v)
   in
   go (monitors variant params req)
 
-let check ?max_states ?domains ?reduce variant params req =
-  match check_verdict ?max_states ?domains ?reduce variant params req with
+let check ?max_states ?reduce variant params req =
+  match check_verdict ?max_states ?reduce variant params req with
   | Mc.Safety.Holds -> true
   | Mc.Safety.Violated _ -> false
   | Mc.Safety.Unknown n ->
@@ -145,16 +144,15 @@ let live_parts ~reduce variant params =
   in
   (sys, reduction)
 
-let check_live ?(engine = Ltl.Check.Ndfs) ?(reduce = false) ?(domains = 1)
-    variant params req =
+let check_live ?(engine = Ltl.Check.Ndfs) ?(reduce = false) variant params req =
   let sys, reduction = live_parts ~reduce variant params in
   Ltl.Check.check ~engine ~fairness:Requirements.live_fairness_pa ?reduction
-    ~max_states:default_max ~domains sys
+    ~max_states:default_max sys
     (Requirements.live_formula_pa variant params req)
 
-let check_live_run ?(engine = Ltl.Check.Ndfs) ?(reduce = false) ?(domains = 1)
-    ?budget ?checkpoint ?resume variant params req =
+let check_live_run ?(engine = Ltl.Check.Ndfs) ?(reduce = false) ?budget
+    ?checkpoint ?resume variant params req =
   let sys, reduction = live_parts ~reduce variant params in
   Ltl.Check.check_run ~engine ~fairness:Requirements.live_fairness_pa
-    ?reduction ~max_states:default_max ~domains ?budget ?checkpoint ?resume sys
+    ?reduction ~max_states:default_max ?budget ?checkpoint ?resume sys
     (Requirements.live_formula_pa variant params req)

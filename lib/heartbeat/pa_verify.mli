@@ -7,6 +7,11 @@
     is a deadline monitor over [tick]s ({!Mc.Monitor.deadline}) — the
     exact counterpart of the paper's watchdog-with-error-action scheme.
 
+    Every check runs sequentially on the calling domain: the safety
+    checks through {!Mc.Safety.check_monitor}, the liveness checks
+    through {!Ltl.Check}.  A reduced check builds its own {!Por} system
+    per monitor or formula, which belongs to that domain.
+
     The test suite checks these verdicts against the timed-automata
     verdicts of {!Verify} on common data sets (the paper's claim that
     "both model checkers produced similar results"). *)
@@ -24,10 +29,8 @@ val monitors :
 
 val check_verdict :
   ?max_states:int ->
-  ?domains:int ->
   ?reduce:bool ->
   ?budget:Mc.Budget.t ->
-  ?degrade:bool ->
   Pa_models.variant ->
   Params.t ->
   Requirements.requirement ->
@@ -35,25 +38,20 @@ val check_verdict :
 (** Like {!check} but as a full {!Mc.Safety.verdict}: the first
     non-[Holds] verdict among the requirement's monitors is returned
     (monitors are checked in participant order).  A [budget] trip
-    surfaces as [Exhausted] instead of raising; at [domains > 1],
-    [degrade] (default [true]) lets memory trips walk the store down
-    the compression ladder in place (see {!Mc.Safety.check_monitor}). *)
+    surfaces as [Exhausted] instead of raising. *)
 
 val check :
   ?max_states:int ->
-  ?domains:int ->
   ?reduce:bool ->
   Pa_models.variant ->
   Params.t ->
   Requirements.requirement ->
   bool
 (** [check variant params req] model-checks [req] on the process-algebra
-    model; [true] means the requirement holds.  [domains] (default 1)
-    selects the sequential or parallel exploration engine.  [reduce]
-    (default false) explores an ample-set reduced sub-structure instead
-    ({!Por}), with each monitor's alphabet kept visible; the verdict is
-    unchanged, counterexample traces may schedule independent actions
-    differently.  [reduce] composes with any [domains].
+    model; [true] means the requirement holds.  [reduce] (default false)
+    explores an ample-set reduced sub-structure instead ({!Por}), with
+    each monitor's alphabet kept visible; the verdict is unchanged,
+    counterexample traces may schedule independent actions differently.
     @raise Failure if the state bound (default 4 million) is exceeded. *)
 
 type explore_stats = { states : int; transitions : int; complete : bool }
@@ -73,7 +71,6 @@ val explore :
 val check_live :
   ?engine:Ltl.Check.engine ->
   ?reduce:bool ->
-  ?domains:int ->
   Pa_models.variant ->
   Params.t ->
   Requirements.requirement ->
@@ -82,13 +79,11 @@ val check_live :
     ({!Requirements.live_formula_pa}) under time divergence
     ({!Requirements.live_fairness_pa}).  With [reduce] the check offers
     {!Ltl.Check.check} the partial-order reduction; the formulas pass the stutter-invariance gate, so
-    it is actually applied.  [domains] takes effect with the
-    {!Ltl.Check.Scc} engine (see {!Ltl.Check.check}). *)
+    it is actually applied. *)
 
 val check_live_run :
   ?engine:Ltl.Check.engine ->
   ?reduce:bool ->
-  ?domains:int ->
   ?budget:Mc.Budget.t ->
   ?checkpoint:
     (int

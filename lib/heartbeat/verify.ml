@@ -94,16 +94,16 @@ let live_system ~fixed ~slice variant params =
   else Ta.Semantics.system (Ta.Semantics.compile model)
 
 let check_live ?(fixed = false) ?(engine = Ltl.Check.Ndfs) ?(slice = false)
-    ?domains variant params req =
+    variant params req =
   Ltl.Check.check ~engine ~fairness:Requirements.live_fairness
-    ~max_states:default_max ?domains
+    ~max_states:default_max
     (live_system ~fixed ~slice variant params)
     (Requirements.live_formula variant params req)
 
 let check_live_run ?(fixed = false) ?(engine = Ltl.Check.Ndfs) ?(slice = false)
-    ?domains ?budget ?checkpoint ?resume variant params req =
+    ?budget ?checkpoint ?resume variant params req =
   Ltl.Check.check_run ~engine ~fairness:Requirements.live_fairness
-    ~max_states:default_max ?domains ?budget ?checkpoint ?resume
+    ~max_states:default_max ?budget ?checkpoint ?resume
     (live_system ~fixed ~slice variant params)
     (Requirements.live_formula variant params req)
 
@@ -176,9 +176,9 @@ let pp_table ppf ~header rows =
   List.iter (fun r -> Format.fprintf ppf " %4s" (tf r.r3)) rows;
   Format.fprintf ppf "@."
 
-(* Same routing as Mc.Safety: one domain with an exact store runs the
-   sequential engine (budgeted or not); only the parallel engine and the
-   compressed stores can degrade. *)
+(* One domain with an exact store runs the sequential engine (budgeted
+   or not); only the parallel engine and the compressed stores can
+   degrade. *)
 let deadlocks ?(fixed = false) ?(domains = 1) ?(store = Mc.Store.Exact)
     ?budget ?degrade variant params =
   let model = Ta_models.build ~fixed variant params in

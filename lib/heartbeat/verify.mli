@@ -3,7 +3,9 @@
 
     This is the workflow of the paper's §5.4–5.5: build the model for a
     data set [(tmin, tmax)], check each requirement, and tabulate
-    satisfied / violated. *)
+    satisfied / violated.  Every verdict runs sequentially on the
+    calling domain; only {!deadlocks}, where the caller picks a store,
+    reaches the parallel engine {!Mc.Pexplore}. *)
 
 type outcome = {
   holds : bool;
@@ -57,7 +59,6 @@ val check_live :
   ?fixed:bool ->
   ?engine:Ltl.Check.engine ->
   ?slice:bool ->
-  ?domains:int ->
   Ta_models.variant ->
   Params.t ->
   Requirements.requirement ->
@@ -67,9 +68,7 @@ val check_live :
     ({!Requirements.live_fairness}).  The watchdog automata are never
     included: R1-live is a pure LTL property.  [slice] checks the
     property-free slice of the model (label-preserving, so the verdict
-    is unchanged).  [domains] builds the {!Ltl.Check.Scc} engine's
-    product graph in parallel (same verdict and lasso).  A refutation
-    carries a lasso (render it with
+    is unchanged).  A refutation carries a lasso (render it with
     {!Msc.render_lasso}); [Unknown] is returned when the product state
     bound is hit. *)
 
@@ -77,7 +76,6 @@ val check_live_run :
   ?fixed:bool ->
   ?engine:Ltl.Check.engine ->
   ?slice:bool ->
-  ?domains:int ->
   ?budget:Mc.Budget.t ->
   ?checkpoint:
     (int

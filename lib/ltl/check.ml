@@ -328,21 +328,9 @@ let bfs_cycle g comp c a =
    connected component containing an accepting state, then extract the
    shortest lasso into it by breadth-first search — deterministic, and
    minimal in prefix length. *)
-let scc_emptiness (type p m) ?(domains = 1) ?budget ?checkpoint ?resume
+let scc_emptiness (type p m) ?budget ?checkpoint ?resume
     (sys : (p, m) Mc.System.t) ~(accepting : p -> bool) ~max_states =
-  let run =
-    (* the parallel engine reproduces Explore.space byte-for-byte, so
-       the graph (and hence the lasso) is unchanged *)
-    if domains <= 1 then
-      Mc.Explore.space_run ~max_states ?budget ?checkpoint ?resume sys
-    else
-      (* degradation is off because a compressed product space cannot
-         carry the lasso extraction (state identities degrade away) *)
-      fst
-        (Mc.Pexplore.space_run ~max_states ~domains ?budget ~degrade:false
-           ?resume sys)
-  in
-  match run with
+  match Mc.Explore.space_run ~max_states ?budget ?checkpoint ?resume sys with
   | Mc.Explore.Suspended (reason, cursor) -> SSusp (reason, cursor)
   | Mc.Explore.Done space ->
   let g = space.Mc.Explore.lts in
@@ -368,8 +356,8 @@ let scc_emptiness (type p m) ?(domains = 1) ?budget ?checkpoint ?resume
 (* ------------------------------------------------------------------ *)
 
 let check_run ?(engine = Ndfs) ?(stutter = Extend) ?(fairness = [])
-    ?reduction ?(max_states = Mc.Explore.default_max) ?domains ?budget
-    ?checkpoint ?resume sys f =
+    ?reduction ?(max_states = Mc.Explore.default_max) ?budget ?checkpoint
+    ?resume sys f =
   (match engine with
   | Scc -> ()
   | Ndfs ->
@@ -404,8 +392,7 @@ let check_run ?(engine = Ndfs) ?(stutter = Extend) ?(fairness = [])
     match engine with
     | Ndfs -> ndfs_emptiness ?budget psys ~accepting ~max_states
     | Scc ->
-        scc_emptiness ?domains ?budget ?checkpoint ?resume psys ~accepting
-          ~max_states
+        scc_emptiness ?budget ?checkpoint ?resume psys ~accepting ~max_states
   in
   match result with
   | SEmpty -> Concluded Holds
@@ -422,12 +409,8 @@ let check_run ?(engine = Ndfs) ?(stutter = Extend) ?(fairness = [])
            })
   | SSusp (reason, cursor) -> Suspended (reason, cursor)
 
-let check ?engine ?stutter ?fairness ?reduction ?max_states ?domains ?budget
-    sys f =
-  match
-    check_run ?engine ?stutter ?fairness ?reduction ?max_states ?domains
-      ?budget sys f
-  with
+let check ?engine ?stutter ?fairness ?reduction ?max_states ?budget sys f =
+  match check_run ?engine ?stutter ?fairness ?reduction ?max_states ?budget sys f with
   | Concluded v -> v
   | Suspended (reason, cursor) ->
       (* no checkpoint sink was given, so fold the suspension into the

@@ -13,9 +13,10 @@
     first accepting cycle.  {!Scc} builds the full product graph with
     {!Mc.Explore} and scans its Tarjan components ({!Lts.Graph.scc}) for a
     nontrivial one containing an accepting state: the cross-validation
-    engine, and the one that reports shortest-prefix lassos.  Both are
-    deterministic; they agree on every verdict (the test suite checks this
-    on random models). *)
+    engine, the one that reports shortest-prefix lassos, and the one whose
+    product build suspends into a checkpoint and resumes.  Both run
+    sequentially on the calling domain and are deterministic; they agree
+    on every verdict (the test suite checks this on random models). *)
 
 (** {2 Runs, stuttering, fairness} *)
 
@@ -90,7 +91,6 @@ val check :
   ?fairness:'l fairness list ->
   ?reduction:(alphabet:string list -> ('s, 'l) Mc.System.t option) ->
   ?max_states:int ->
-  ?domains:int ->
   ?budget:Mc.Budget.t ->
   ('s, 'l) Mc.System.t ->
   'l Formula.t ->
@@ -115,13 +115,6 @@ val check :
     independent actions in a different order than an unreduced search
     would report.
 
-    [domains] affects the {!Scc} engine only: at more than one domain
-    its product graph is built with {!Mc.Pexplore} (byte-identical to
-    the sequential graph; the store is always exact), so verdicts and
-    lassos are unchanged at any domain count.  {!Ndfs} is inherently
-    sequential (its stack colouring has no parallel analogue here) and
-    ignores it.
-
     [budget] bounds the check by wall clock / live heap / cancellation
     ({!Mc.Budget}); a trip yields {!Exhausted} with the product-state
     count reached.  Both engines poll it: {!Ndfs} once per product
@@ -133,7 +126,6 @@ val check_run :
   ?fairness:'l fairness list ->
   ?reduction:(alphabet:string list -> ('s, 'l) Mc.System.t option) ->
   ?max_states:int ->
-  ?domains:int ->
   ?budget:Mc.Budget.t ->
   ?checkpoint:(int * (('s, 'l) product_cursor -> unit)) ->
   ?resume:('s, 'l) product_cursor ->
@@ -145,10 +137,8 @@ val check_run :
     suspends into a {!product_cursor} instead of concluding; [resume]
     continues from one.  [checkpoint = (every, f)] additionally calls
     [f] with a consistent snapshot every [every] expanded product
-    states on the {e sequential} Scc path (one domain) —
-    the parallel path checkpoints only at suspension.  Sequential
-    resumed runs are byte-identical to uninterrupted ones (same graph,
-    same lasso); parallel ones are verdict-identical.
+    states.  Resumed runs are byte-identical to uninterrupted ones
+    (same graph, same lasso).
     @raise Invalid_argument if [checkpoint] or [resume] is given with
     the {!Ndfs} engine (its search state is not checkpointable). *)
 

@@ -25,34 +25,25 @@ let product (type s l) (sys : (s, l) System.t) (m : l Monitor.t) :
     let pp_label = S.pp_label
   end)
 
-let run_find ?max_states ?expected_states ?(domains = 1) ?budget ?degrade
-    ~goal sys =
-  if domains <= 1 then
-    Explore.find ?max_states ?expected_states ?budget ~goal sys
-  else
-    Pexplore.find ?max_states ?expected_states ~domains ?budget ?degrade ~goal
-      sys
-
 let of_find_verdict = function
   | Explore.Unreachable -> Holds
   | Explore.Reached w -> Violated w.Explore.trace
   | Explore.Bound_hit n -> Unknown n
   | Explore.Exhausted e -> Exhausted e
 
-let check_monitor (type s l) ?max_states ?expected_states ?domains ?reduction
-    ?budget ?degrade (sys : (s, l) System.t) (m : l Monitor.t) : l verdict =
+let check_monitor (type s l) ?max_states ?expected_states ?reduction ?budget
+    (sys : (s, l) System.t) (m : l Monitor.t) : l verdict =
   let sys = Option.value reduction ~default:sys in
   of_find_verdict
-    (run_find ?max_states ?expected_states ?domains ?budget ?degrade
+    (Explore.find ?max_states ?expected_states ?budget
        ~goal:(fun (_, q) -> m.Monitor.accepting q)
        (product sys m))
 
 let check_forbidden ?max_states sys r =
   check_monitor ?max_states sys (Regex.compile r)
 
-let check_state ?max_states ?expected_states ?domains ?budget sys bad =
-  of_find_verdict
-    (run_find ?max_states ?expected_states ?domains ?budget ~goal:bad sys)
+let check_state ?max_states ?expected_states ?budget sys bad =
+  of_find_verdict (Explore.find ?max_states ?expected_states ?budget ~goal:bad sys)
 
 let holds = function
   | Holds -> true

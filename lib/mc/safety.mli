@@ -4,7 +4,10 @@
     searches for a violation, returning a shortest counterexample trace when
     one exists — the workflow the paper performs with CADP (µ-calculus
     safety formulae on the mCRL2 state space) and with UPPAAL (reachability
-    of monitor error locations). *)
+    of monitor error locations).  Every check runs the sequential
+    exact-store engine ({!Explore.find}) on the calling domain; callers
+    that pick a compressed store or several domains go to {!Pexplore}
+    directly. *)
 
 type 'l verdict =
   | Holds  (** exhaustive exploration found no violation *)
@@ -20,32 +23,21 @@ type 'l verdict =
 val check_monitor :
   ?max_states:int ->
   ?expected_states:int ->
-  ?domains:int ->
   ?reduction:('s, 'l) System.t ->
   ?budget:Budget.t ->
-  ?degrade:bool ->
   ('s, 'l) System.t ->
   'l Monitor.t ->
   'l verdict
 (** [check_monitor sys m] explores the product of [sys] and [m] and reports
-    whether an accepting monitor state is reachable.  [domains] (default 1)
-    selects the exploration engine: [1] uses the sequential {!Explore},
-    more uses the parallel {!Pexplore} with that many domains; verdicts
-    and counterexample lengths are identical either way.  [expected_states]
-    is forwarded to the engine, where it may only lower the state
-    index's starting size (see {!Explore.count}); it never affects
-    verdicts.  The store is always exact; callers that choose a
-    compressed store go to {!Pexplore} directly.
+    whether an accepting monitor state is reachable, with a shortest
+    counterexample when it is.  [expected_states] is forwarded to
+    {!Explore.find}, where it may only lower the state index's starting
+    size (see {!Explore.count}); it never affects verdicts.
 
     [budget] bounds the search by wall clock and/or live heap; a trip
     yields the qualified {!Exhausted} verdict instead of running to
-    completion.  With [degrade = true] (the default when a budget with
-    a memory limit is given to the parallel engine) a memory trip first
-    walks the store down the compression ladder
-    ([Exact -> Hash_compaction -> Bitstate]) and only exhausts once at
-    the bottom — the run then completes with a probabilistic verdict
-    instead of dying.  The sequential engine cannot degrade: on one
-    domain a memory trip exhausts.
+    completion.  The exact store cannot degrade, so a memory trip
+    exhausts.
 
     [reduction], when given, is explored {e in place of} [sys].  The
     caller guarantees it is a sound reduction of [sys] for this
@@ -54,8 +46,7 @@ val check_monitor :
     monitors).  The verdict is then unchanged, but a [Violated] trace
     may order independent actions differently and, under a tight
     [max_states], an [Unknown] full run may become a conclusive reduced
-    one (fewer states to visit).  [domains] applies to the reduced
-    product as to any other system.
+    one (fewer states to visit).
 
     A property-preserving slice (see the [slice] library) is passed as
     [sys] itself: it is an ordinary system. *)
@@ -69,7 +60,6 @@ val check_forbidden :
 val check_state :
   ?max_states:int ->
   ?expected_states:int ->
-  ?domains:int ->
   ?budget:Budget.t ->
   ('s, 'l) System.t ->
   ('s -> bool) ->
@@ -77,8 +67,7 @@ val check_state :
 (** [check_state sys bad] decides the (negated) reachability property
     [E<> bad]: [Violated w] means [w] leads to a state satisfying [bad].
     This is the UPPAAL-style check used for the timed-automata models.
-    [domains] and [budget] as for {!check_monitor}; a memory trip on
-    the parallel engine degrades the store by default. *)
+    [budget] as for {!check_monitor}. *)
 
 val holds : 'l verdict -> bool
 (** [holds v] is [true] only for {!Holds}. *)

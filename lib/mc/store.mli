@@ -87,13 +87,6 @@ val fingerprint : 'a -> int
 (** The 62-bit FNV-1a fingerprint of a value's marshalled bytes
     ([Marshal.No_sharing]).  Deterministic across runs and domains. *)
 
-val stripe : bits:int -> int -> int
-(** [stripe ~bits h] picks one of [2^bits] lock stripes for a key with
-    hash [h]: the top [bits] bits of [h] times an odd constant.  A
-    stripe that holds a [Hashtbl] keyed by the same hash must not be
-    picked from [h]'s low bits, which are the bits the table's bucket
-    index reads.  [bits] is in [0..62]. *)
-
 (** Concurrent lock-striped state tables, functorised over the state
     type.  All operations are thread-safe; [intern] additionally
     maintains a per-state BFS depth stamp used by the work-stealing

@@ -286,7 +286,6 @@ type stats = {
   mutable no_refuser : int;
   mutable proviso_blocked : int;
   mutable visible_blocked : int;
-  mutable cross_domain_blocked : int;
 }
 
 module H = Hashtbl.Make (struct
@@ -295,9 +294,6 @@ module H = Hashtbl.Make (struct
   let equal = Sem.equal_state
   let hash = Sem.hash_state
 end)
-
-let stripe_bits = 6
-let nstripes = 1 lsl stripe_bits
 
 let reduced_successors (a : analysis) ~alphabet :
     (Sem.state -> (Sem.label * Sem.state) list) * stats =
@@ -311,67 +307,29 @@ let reduced_successors (a : analysis) ~alphabet :
       no_refuser = 0;
       proviso_blocked = 0;
       visible_blocked = 0;
-      cross_domain_blocked = 0;
     }
   in
-  (* Every lock's critical section below runs under [Mutex.protect]:
-     the hashed operations inside call [Sem.hash_state]/[Sem.equal_state],
-     and a raise there with a lock still held would deadlock every other
-     domain on that stripe (the work-stealing engine survives raising
-     user code precisely because no lock is orphaned). *)
-  let smu = Mutex.create () in
-  let with_stats f = Mutex.protect smu f in
   (* The runtime cycle proviso below, and the discovery stamps it reads,
      are needed only when the static analysis left zeno suspects. *)
   let proviso = a.zeno_suspects <> [] in
   (* Discovery stamps for the cycle proviso: every state this system
-     has handed out or been asked about gets a sequence number when
+     has handed out or been asked about gets its discovery order when
      first seen.  An ample transition into a state discovered no later
      than the current one is a potential cycle-closing back edge and
      forces full expansion; edges to later-discovered states (the
-     common diamond-convergence case) are harmless.
-
-     [seen] and [memo] are lock-striped, so any number of domains may
-     call the system at once, and the stamp counter is fetched
-     {e inside} the owning stripe's lock: the in-lock fetches are
-     totally ordered, so a [None] answer read under the lock implies
-     the state's eventual stamp strictly exceeds every stamp already
-     handed out — in particular the reader's own.  On an all-reduced
-     cycle in the final (memoised, winner-takes-all) relation, the
-     minimal-stamp state therefore cannot have been invisible to its
-     cycle predecessor's winning expansion, which must have seen the
-     back edge and fully expanded.  On one domain the stamps are the
-     sequential discovery order.  Each stamp also records the domain
-     that minted it; a back edge whose stamp was minted by another
-     domain is counted in [cross_domain_blocked] — the full expansion
-     it forces is the conservative fallback on cross-domain edges. *)
-  let locks = Array.init nstripes (fun _ -> Mutex.create ()) in
-  let seen : (int * int) H.t array =
-    Array.init nstripes (fun _ -> H.create 64)
-  in
-  let memo : (Sem.label * Sem.state) list H.t array =
-    Array.init nstripes (fun _ -> H.create 64)
-  in
-  let next_disc = Atomic.make 0 in
-  let stripe s = Mc.Store.stripe ~bits:stripe_bits (Sem.hash_state s) in
+     common diamond-convergence case) are harmless. *)
+  let seen : int H.t = H.create 64 in
+  let memo : (Sem.label * Sem.state) list H.t = H.create 64 in
   (* The stamp of [s], minted now if [s] is new. *)
   let note s =
-    let k = stripe s in
-    Mutex.protect locks.(k) (fun () ->
-        match H.find_opt seen.(k) s with
-        | Some (d, _) -> d
-        | None ->
-            let d = Atomic.fetch_and_add next_disc 1 in
-            H.add seen.(k) s (d, (Domain.self () :> int));
-            d)
+    match H.find_opt seen s with
+    | Some d -> d
+    | None ->
+        let d = H.length seen in
+        H.add seen s d;
+        d
   in
-  (* Stamp and minting domain of a noted state; [None] means "discovered
-     strictly later than any stamp already read" (see [seen]). *)
-  let disc_of s =
-    let k = stripe s in
-    Mutex.protect locks.(k) (fun () -> H.find_opt seen.(k) s)
-  in
-  let expand (s : Sem.state) ~disc ~mydom : (Sem.label * Sem.state) list =
+  let expand (s : Sem.state) ~disc : (Sem.label * Sem.state) list =
     let n = Array.length s in
     let menus = Sem.menus c s in
     (* Least communication-closed group of every seed.  Component [m]
@@ -421,7 +379,6 @@ let reduced_successors (a : analysis) ~alphabet :
     in
     let visible = Array.init m (fun t -> visible_prop (fst steps.(t))) in
     let depth = ref 0 in
-    let cross_seen = ref false in
     (* Every component is tried as a seed and the smallest valid ample
        set wins (ties go to the lowest seed, keeping the choice
        deterministic).  Hub components close to near-total groups whose
@@ -454,11 +411,9 @@ let reduced_successors (a : analysis) ~alphabet :
         t < m
         && ((Mask.subset inside.(t) g
             &&
-            match disc_of (snd steps.(t)) with
-            | Some (d, dom) when d <= disc ->
-                if dom <> mydom then cross_seen := true;
-                true
-            | Some _ | None -> false)
+            match H.find_opt seen (snd steps.(t)) with
+            | Some d -> d <= disc
+            | None -> false)
            || go (t + 1))
       in
       go 0
@@ -478,7 +433,7 @@ let reduced_successors (a : analysis) ~alphabet :
             end
     done;
     if !best >= 0 then begin
-      with_stats (fun () -> stats.ample_states <- stats.ample_states + 1);
+      stats.ample_states <- stats.ample_states + 1;
       let g = group.(!best) in
       let rec keep t acc =
         if t < 0 then acc
@@ -487,40 +442,29 @@ let reduced_successors (a : analysis) ~alphabet :
       keep (m - 1) []
     end
     else begin
-      with_stats (fun () ->
-          match !depth with
-          | 0 -> stats.no_refuser <- stats.no_refuser + 1
-          | 1 -> stats.visible_blocked <- stats.visible_blocked + 1
-          | _ ->
-              stats.proviso_blocked <- stats.proviso_blocked + 1;
-              if !cross_seen then
-                stats.cross_domain_blocked <- stats.cross_domain_blocked + 1);
+      (match !depth with
+      | 0 -> stats.no_refuser <- stats.no_refuser + 1
+      | 1 -> stats.visible_blocked <- stats.visible_blocked + 1
+      | _ -> stats.proviso_blocked <- stats.proviso_blocked + 1);
       succs
     end
   in
-  (* Expansions are computed outside the locks and installed into the
-     memo winner-takes-all, so racing domains may both expand a state
-     but every caller observes the single winning expansion — the
-     reduced relation stays a function of the state within a run.
-     [stats.states] consequently counts expansion computations, which
-     can slightly exceed the number of distinct reduced states under
-     races. *)
+  (* [seen] and [memo] are unsynchronised, so the system belongs to the
+     domain that built it; a call from any other domain is refused
+     before it touches them. *)
+  let owner = (Domain.self () :> int) in
   let successors s =
-    let k = stripe s in
-    match Mutex.protect locks.(k) (fun () -> H.find_opt memo.(k) s) with
+    if (Domain.self () :> int) <> owner then
+      invalid_arg "Por: reduced system called from a domain that did not build it";
+    match H.find_opt memo s with
     | Some r -> r
     | None ->
         let disc = if proviso then note s else 0 in
-        with_stats (fun () -> stats.states <- stats.states + 1);
-        let result = expand s ~disc ~mydom:(Domain.self () :> int) in
-        if proviso then
-          List.iter (fun (_, s') -> ignore (note s' : int)) result;
-        Mutex.protect locks.(k) (fun () ->
-            match H.find_opt memo.(k) s with
-            | Some winner -> winner
-            | None ->
-                H.add memo.(k) s result;
-                result)
+        stats.states <- stats.states + 1;
+        let result = expand s ~disc in
+        if proviso then List.iter (fun (_, s') -> ignore (note s' : int)) result;
+        H.add memo s result;
+        result
   in
   (successors, stats)
 

@@ -21,25 +21,15 @@
     reduced expansion costs about one full expansion, and an ample set
     keeps the full relation's transition order.
 
-    The reduced system is stateful: it memoizes expansions to
-    implement the cycle proviso.  Its seen-set and memo are
-    lock-striped and the discovery stamps are minted inside the stripe
-    locks, so any explorer may drive it at any domain count —
-    {!Mc.Explore}, {!Mc.Safety}, the {!Ltl.Check} engines or
-    {!Mc.Pexplore}.  A state whose stamp is still unknown to a reader is
-    guaranteed to be stamped strictly later, so the back-edge argument
-    (the minimal-stamp state on an all-reduced cycle must have been
-    visible to its predecessor's expansion) holds under any
-    interleaving, and back edges judged against stamps minted by
-    another domain conservatively force full expansion (counted in
-    [cross_domain_blocked]).  On one domain the stamps are the
-    sequential discovery order, so the reduced graph is deterministic.
-    Racing expansions are resolved winner-takes-all in the memo, so
-    within one run the reduced relation is still a function of the
-    state; across parallel runs the winner — and hence the reduced
-    graph and its statistics — may differ with scheduling.  Parallel
-    reduced runs therefore guarantee {e verdict} parity with the full
-    system, not byte-identical state spaces. *)
+    The reduced system is stateful: it memoizes expansions and stamps
+    every state with its discovery order to implement the cycle
+    proviso, so for a given explorer the reduced graph and its
+    statistics are deterministic.  Those tables are unsynchronised: the
+    system belongs to the domain that built it, and a call from another
+    domain raises [Invalid_argument] instead of racing.  The sequential
+    explorers drive it ({!Mc.Explore}, {!Mc.Safety}, the {!Ltl.Check}
+    engines); queries that run on several domains build one reduced
+    system each. *)
 
 type analysis
 (** Result of the static pass over one specification. *)
@@ -85,7 +75,7 @@ val zeno_suspects : analysis -> int list
 type stats = {
   mutable states : int;
       (** expansions computed: the states whose successors were
-          computed, plus any expansion a racing domain lost *)
+          computed *)
   mutable ample_states : int;
       (** of those, states where an ample subset was returned *)
   mutable no_refuser : int;
@@ -97,11 +87,6 @@ type stats = {
   mutable visible_blocked : int;
       (** fully expanded: every tick-refusing candidate offered a
           visible label (or nothing at all) *)
-  mutable cross_domain_blocked : int;
-      (** of the [proviso_blocked] expansions, those where a blocking
-          back edge's discovery stamp was minted by another domain —
-          the proviso's conservative cross-domain fallback.  Always
-          [0] on one domain. *)
 }
 
 val reduced_system_stats :
@@ -114,7 +99,9 @@ val reduced_system_stats :
     atoms of a stutter-invariant LTL formula).  Every transition label
     whose name is in [alphabet] is treated as visible and never
     reduced past.  The default [[]] (pure reachability / state
-    counting) reduces the most. *)
+    counting) reduces the most.  The system's successor function
+    raises [Invalid_argument] when called from a domain other than the
+    one that built it. *)
 
 val reduced_system :
   ?alphabet:string list ->

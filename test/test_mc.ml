@@ -414,15 +414,12 @@ let test_check_unknown () =
   | _ -> Alcotest.fail "expected Unknown 3"
 
 (* Truncating the product space must surface as Unknown (never Holds) for
-   every checker entry point, including the parallel engine. *)
+   every checker entry point. *)
 let test_check_unknown_monitor () =
   let m = Mc.Monitor.never (String.equal "boom") in
-  (match Mc.Safety.check_monitor ~max_states:3 (counter 10) m with
+  match Mc.Safety.check_monitor ~max_states:3 (counter 10) m with
   | Mc.Safety.Unknown 3 -> ()
-  | _ -> Alcotest.fail "expected Unknown 3 from check_monitor");
-  match Mc.Safety.check_monitor ~max_states:3 ~domains:2 (counter 10) m with
-  | Mc.Safety.Unknown 3 -> ()
-  | _ -> Alcotest.fail "expected Unknown 3 from parallel check_monitor"
+  | _ -> Alcotest.fail "expected Unknown 3 from check_monitor"
 
 let test_check_unknown_forbidden () =
   (* The violation needs three steps; a two-state product bound cannot

@@ -431,21 +431,26 @@ let test_budget_semantics () =
   | Some Mc.Budget.Cancelled -> ()
   | _ -> Alcotest.fail "cancellation must survive rearm"
 
+(* The same trip through the sequential verdict and through the
+   parallel engine's find, whose verdict [Verify.deadlocks] maps. *)
 let test_safety_exhausted () =
   let sys = Test_pexplore.counter 500 in
-  List.iter
-    (fun domains ->
-      match
-        Mc.Safety.check_state ~domains ~budget:(tripping_budget 1) sys
-          (fun _ -> false)
-      with
-      | Mc.Safety.Exhausted e ->
-          check Alcotest.string
-            (Printf.sprintf "reason surfaced at %d domain(s)" domains)
-            "interrupted"
-            (Mc.Budget.reason_name e.Mc.Explore.reason)
-      | _ -> Alcotest.failf "expected Exhausted at %d domain(s)" domains)
-    [ 1; 2 ]
+  let interrupted what (e : Mc.Explore.exhaustion) =
+    check Alcotest.string (what ^ ": reason surfaced") "interrupted"
+      (Mc.Budget.reason_name e.Mc.Explore.reason)
+  in
+  (match
+     Mc.Safety.check_state ~budget:(tripping_budget 1) sys (fun _ -> false)
+   with
+  | Mc.Safety.Exhausted e -> interrupted "Safety.check_state" e
+  | _ -> Alcotest.fail "expected Exhausted from Safety.check_state");
+  match
+    Mc.Pexplore.find ~domains:2 ~budget:(tripping_budget 1)
+      ~goal:(fun _ -> false)
+      sys
+  with
+  | Mc.Explore.Exhausted e -> interrupted "Pexplore.find at 2 domains" e
+  | _ -> Alcotest.fail "expected Exhausted from Pexplore.find at 2 domains"
 
 let tests =
   ( "resilience",
