@@ -79,23 +79,25 @@ por:
 	$(DUNE) exec bin/hbverify.exe -- pa-smoke --json > _build/hbpor-2.json
 	cmp _build/hbpor-1.json _build/hbpor-2.json
 
-# Parallel-engine gate: the qcheck parity harness for the
-# work-stealing engine (spaces byte-identical to Mc.Explore across
-# engines x stores x domain counts, goal and truncation verdicts in
-# parity), the store units (exact shards spread over their buckets,
-# hash-compaction, bitstate coverage estimates, collision injection),
-# then one large exact-store run: dynamic at tmax 40 (498 876 states)
-# must print the same report at -j 1 and -j 2.
+# Parallel-counter gate: the qcheck parity harness for the
+# work-stealing counter (counts and completeness flags equal to
+# Mc.Explore.count across stores x domain counts, also under a
+# max_states bound, and depth histograms equal to the BFS levels), the
+# store units (exact shards spread over their buckets, hash-compaction,
+# bitstate coverage estimates, collision injection), then one large
+# exact-store count: dynamic at tmax 40 (498 876 states) must print the
+# same report at -j 1 and -j 2.
 par:
 	$(DUNE) exec test/main.exe -- test pexplore
 	$(DUNE) exec test/main.exe -- test store
-	$(DUNE) exec bin/hbexplore.exe -- stats -v dynamic --tmax 40 -j 1 > _build/hbpar-1.out
-	$(DUNE) exec bin/hbexplore.exe -- stats -v dynamic --tmax 40 -j 2 > _build/hbpar-2.out
+	$(DUNE) exec bin/hbexplore.exe -- stats -v dynamic --tmax 40 --count -j 1 > _build/hbpar-1.out
+	$(DUNE) exec bin/hbexplore.exe -- stats -v dynamic --tmax 40 --count -j 2 > _build/hbpar-2.out
 	cmp _build/hbpar-1.out _build/hbpar-2.out
 
 # Resilience gate: the budget/checkpoint/degradation/quarantine suite
-# (qcheck suspend/resume round trips, store-ladder degradation, raising
-# successors quarantined at 4 domains), then two live interrupt
+# (qcheck suspend/resume round trips, store-ladder degradation and
+# raising successors quarantined at 4 domains in the counter), then
+# two live interrupt
 # smokes — SIGINT a running hbexplore mid-exploration, and a PA
 # liveness check (hbltl --pa, SCC engine) mid-product-build; each must
 # report a partial result (exit 4) plus a checkpoint, and resume to a

@@ -131,23 +131,6 @@ let fixed_arg =
 let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit the deterministic JSON result.")
 
-(* Exploration domains from -j/--jobs: 0 means all recommended cores. *)
-let jobs =
-  let resolve jobs =
-    if jobs < 0 then usage "--jobs must be >= 0"
-    else if jobs = 0 then Domain.recommended_domain_count ()
-    else jobs
-  in
-  Term.(
-    const resolve
-    $ Arg.(
-        value & opt int 1
-        & info [ "j"; "jobs" ] ~docv:"N"
-            ~doc:
-              "Exploration domains: 1 runs the sequential engine, more run \
-               the work-stealing parallel engine with identical results.  \
-               0 uses all cores."))
-
 let slice_arg =
   Arg.(
     value & flag
@@ -213,20 +196,11 @@ let budget_mb_arg =
         & info [ "budget-mb" ] ~docv:"MB"
             ~doc:
               "Live-heap budget in megabytes: a trip stops the run and \
-               reports partial results (exit 4).  Where the subcommand \
-               offers $(b,--no-degrade), the parallel engine ($(b,-j) 2 \
-               or more), a compressed $(b,--store) and $(b,--count) first \
-               degrade the state store down the compression ladder in \
-               place (exact, hashcompact, bitstate) and only stop once \
-               the ladder is exhausted."))
-
-let no_degrade_arg =
-  Arg.(
-    value & flag
-    & info [ "no-degrade" ]
-        ~doc:
-          "Disable the graceful store degradation on a memory-budget \
-           trip: stop and report partial results instead.")
+               reports partial results (exit 4).  Under $(b,hbexplore \
+               stats --count) a trip first degrades the state store down \
+               the compression ladder in place (exact, hashcompact, \
+               bitstate), and the run only stops once the ladder is \
+               exhausted."))
 
 let checkpoint_arg =
   Arg.(
@@ -243,10 +217,7 @@ let checkpoint_every_arg =
     $ Arg.(
         value & opt int 100_000
         & info [ "checkpoint-every" ] ~docv:"STATES"
-            ~doc:
-              "Periodic checkpoint interval in expanded states (sequential \
-               engine only; the parallel engine checkpoints on \
-               suspension)."))
+            ~doc:"Periodic checkpoint interval in expanded states."))
 
 let resume_arg =
   Arg.(
@@ -255,10 +226,9 @@ let resume_arg =
     & info [ "resume" ] ~docv:"FILE"
         ~doc:
           "Resume from a checkpoint written by $(b,--checkpoint).  The \
-           model, parameters and store mode must match the writing run \
-           (the checkpoint records them and a mismatch is rejected).  \
-           Sequential resumed runs are byte-identical to uninterrupted \
-           ones; parallel ones are verdict-identical.")
+           model and parameters must match the writing run (the \
+           checkpoint records them and a mismatch is rejected).  A \
+           resumed run is byte-identical to an uninterrupted one.")
 
 (* Every resilient subcommand carries a budget, even without limits: it
    is the SIGINT/SIGTERM cancellation token that turns Ctrl-C into a

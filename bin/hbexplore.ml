@@ -13,7 +13,10 @@ let exploration_stats_arg =
   Arg.(
     value & flag
     & info [ "stats" ]
-        ~doc:"Print exploration statistics (states/s, frontier, shards).")
+        ~doc:
+          "With $(b,--count): print the counter's statistics (states/s, \
+           frontier, shards, steals).  Text only: rejected with \
+           $(b,--json) and $(b,--zone).")
 
 let store_conv =
   let parse s =
@@ -28,15 +31,14 @@ let store_arg =
     & opt store_conv Mc.Store.Exact
     & info [ "store" ] ~docv:"MODE"
         ~doc:
-          "State storage mode: $(b,exact) (default, no omissions), \
-           $(b,hashcompact)[:BITS] (64-bit fingerprints) or \
-           $(b,bitstate)[:LOG2BITS[:HASHES]] (supertrace bit array). The \
-           compressed modes conflate fingerprint-colliding states, so any \
-           $(i,no violation) / $(i,complete) answer they produce is \
-           probabilistic — a violation hidden behind an omitted state is \
-           missed, never invented; the printed coverage estimate \
-           quantifies the omission risk. Violations and deadlocks that \
-           $(i,are) reported remain real.")
+          "State storage mode of $(b,--count): $(b,exact) (default, no \
+           omissions), $(b,hashcompact)[:BITS] (62-bit fingerprints) or \
+           $(b,bitstate)[:LOG2BITS[:HASHES]] (supertrace bit array). A \
+           compressed mode selects $(b,--count). It conflates \
+           fingerprint-colliding states, so its count is a probabilistic \
+           lower bound, never an over-count; the printed coverage \
+           estimate quantifies the omission risk. State graphs and \
+           verdicts always use the exact store.")
 
 let count_arg =
   Arg.(
@@ -44,8 +46,35 @@ let count_arg =
     & info [ "count" ]
         ~doc:
           "Count reachable states without retaining the graph (the \
-           high-volume mode; composes with compressed stores and the \
-           degradation ladder).")
+           high-volume mode; the only one that takes $(b,-j), compressed \
+           stores, $(b,--stats) and the degradation ladder).")
+
+(* Counting domains from -j/--jobs: 0 means all recommended cores. *)
+let jobs =
+  let resolve jobs =
+    if jobs < 0 then Cli_resilience.usage "--jobs must be >= 0"
+    else if jobs = 0 then Domain.recommended_domain_count ()
+    else jobs
+  in
+  Term.(
+    const resolve
+    $ Arg.(
+        value & opt int 1
+        & info [ "j"; "jobs" ] ~docv:"N"
+            ~doc:
+              "Counting domains for $(b,--count): the work-stealing \
+               counter runs on $(docv) domains with identical counts (0 \
+               uses all cores).  State graphs are built on one domain, so \
+               without $(b,--count) only 1 is accepted."))
+
+let no_degrade_arg =
+  Arg.(
+    value & flag
+    & info [ "no-degrade" ]
+        ~doc:
+          "With $(b,--count): disable the graceful store degradation on \
+           a memory-budget trip, and stop and report partial results \
+           instead.")
 
 let no_subsume_arg =
   Arg.(
@@ -107,15 +136,19 @@ let stats_cmd =
       show_stats store count_only json bsecs bmb no_degrade ckpt
       ckpt_every resume_file =
     let { H.Params.tmin; tmax; n } = params in
+    if show_stats && json then
+      Cli_resilience.usage
+        "--stats prints text statistics; drop --stats or --json";
     if zone then begin
       if
         slice || count_only
         || store <> Mc.Store.Exact
-        || jobs > 1 || no_degrade || ckpt <> None || resume_file <> None
+        || jobs > 1 || show_stats || no_degrade || ckpt <> None
+        || resume_file <> None
       then
         Cli_resilience.usage
           "--zone is sequential with an exact store (drop --slice, --store, \
-           --count, -j, --no-degrade, --checkpoint and --resume)";
+           --count, -j, --stats, --no-degrade, --checkpoint and --resume)";
       let header ppf () =
         Format.fprintf ppf "%s%s %a%s"
           (H.Ta_models.variant_name variant)
@@ -133,23 +166,26 @@ let stats_cmd =
     in
     let sys, _ = Cli_resilience.ta_systems ~slice model in
     let max_states = 10_000_000 in
-    let count_mode =
-      count_only || match store with Mc.Store.Bitstate _ -> true | _ -> false
-    in
+    (* a compressed store only counts: graphs use the exact store *)
+    let count_mode = count_only || store <> Mc.Store.Exact in
     if count_mode && (ckpt <> None || resume_file <> None) then
       Cli_resilience.usage
-        "--checkpoint/--resume need the state graph (drop --count; bitstate \
-         stores keep no graph)";
+        "--checkpoint/--resume need the state graph (drop --count and \
+         --store)";
+    if (not count_mode) && (jobs > 1 || show_stats || no_degrade) then
+      Cli_resilience.usage
+        "-j, --stats and --no-degrade need --count (the state graph is \
+         built on one domain with an exact store)";
     (* the checkpoint kind guards resume identity: same tool, model,
-       parameters, bound and store family, or the resume is rejected
-       (the constant "lu=global", from the deleted --lu flag, lets
-       existing checkpoints resume) *)
+       parameters and bound, or the resume is rejected (the constants
+       "lu=global", from the deleted --lu flag, and "store=exact", the
+       only store a graph is built on, let existing checkpoints
+       resume) *)
     let kind =
       Printf.sprintf
-        "hbexplore/stats/ta/%s/fixed=%b/monitors=%b/slice=%b/lu=global/tmin=%d/tmax=%d/n=%d/max=%d/store=%s"
+        "hbexplore/stats/ta/%s/fixed=%b/monitors=%b/slice=%b/lu=global/tmin=%d/tmax=%d/n=%d/max=%d/store=exact"
         (H.Ta_models.variant_name variant)
         fixed monitors slice tmin tmax n max_states
-        (Mc.Store.mode_name store)
     in
     let header ppf () =
       Format.fprintf ppf "%s%s %a%s%s"
@@ -178,8 +214,8 @@ let stats_cmd =
         (String.concat ","
            (List.map (fun m -> "\"" ^ m ^ "\"") degraded))
     in
+    let budget = Cli_resilience.budget bsecs bmb in
     if count_mode then begin
-      let budget = Cli_resilience.budget bsecs bmb in
       let (count, complete), stats =
         Mc.Pexplore.count_stats ~max_states ~domains:jobs ~store ~budget
           ~degrade:(not no_degrade) sys
@@ -210,60 +246,27 @@ let stats_cmd =
         exit Cli_resilience.exit_exhausted
     end
     else begin
-      let sequential =
-        jobs <= 1 && (not show_stats) && store = Mc.Store.Exact
+      let resume = Cli_resilience.load_resume ~kind resume_file in
+      let checkpoint =
+        Option.map
+          (fun file -> (ckpt_every, Cli_resilience.save_checkpoint ~kind file))
+          ckpt
       in
-      let result, stats =
-        if sequential then begin
-          let budget = Cli_resilience.budget bsecs bmb in
-          let resume = Cli_resilience.load_resume ~kind resume_file in
-          let checkpoint =
-            Option.map
-              (fun file ->
-                (ckpt_every, Cli_resilience.save_checkpoint ~kind file))
-              ckpt
-          in
-          (Mc.Explore.space_run ~max_states ~budget ?checkpoint ?resume sys,
-           None)
-        end
-        else begin
-          let budget = Cli_resilience.budget bsecs bmb in
-          let resume = Cli_resilience.load_resume ~kind resume_file in
-          let result, stats =
-            Mc.Pexplore.space_run ~max_states ~domains:jobs ~store ~budget
-              ~degrade:(not no_degrade) ?resume sys
-          in
-          (result, Some stats)
-        end
-      in
-      match result with
+      match
+        Mc.Explore.space_run ~max_states ~budget ?checkpoint ?resume sys
+      with
       | Mc.Explore.Done space ->
           if json then
             json_result
               ~states:(Lts.Graph.num_states space.Mc.Explore.lts)
               ~transitions:
                 (Some (Lts.Graph.num_transitions space.Mc.Explore.lts))
-              ~complete:space.Mc.Explore.complete
-              ~coverage:(Option.map (fun s -> s.Mc.Pexplore.coverage) stats)
-              ~exhausted:None
-              ~degraded:
-                (match stats with
-                | Some s -> s.Mc.Pexplore.degraded
-                | None -> [])
-          else begin
+              ~complete:space.Mc.Explore.complete ~coverage:None
+              ~exhausted:None ~degraded:[]
+          else
             Format.printf "%a: %a (%s)@." header ()
               Lts.Graph.pp_stats space.Mc.Explore.lts
-              (if space.Mc.Explore.complete then "complete" else "TRUNCATED");
-            (match stats with
-            | Some s when store <> Mc.Store.Exact ->
-                Format.printf "coverage: %a@." Mc.Store.pp_coverage
-                  s.Mc.Pexplore.coverage
-            | _ -> ());
-            (match stats with
-            | Some s when show_stats ->
-                Format.printf "%a@." Mc.Pexplore.pp_stats s
-            | _ -> ())
-          end
+              (if space.Mc.Explore.complete then "complete" else "TRUNCATED")
       | Mc.Explore.Suspended (reason, cursor) ->
           Option.iter
             (fun file -> Cli_resilience.save_checkpoint ~kind file cursor)
@@ -272,12 +275,7 @@ let stats_cmd =
           let frontier = Mc.Explore.cursor_frontier cursor in
           if json then
             json_result ~states ~transitions:None ~complete:false
-              ~coverage:(Option.map (fun s -> s.Mc.Pexplore.coverage) stats)
-              ~exhausted:(Some reason)
-              ~degraded:
-                (match stats with
-                | Some s -> s.Mc.Pexplore.degraded
-                | None -> [])
+              ~coverage:None ~exhausted:(Some reason) ~degraded:[]
           else
             Format.printf
               "%a: EXHAUSTED (%a) — %d states interned, %d frontier states \
@@ -295,10 +293,10 @@ let stats_cmd =
     Term.(
       const run $ Cli_resilience.variant_arg $ params
       $ Cli_resilience.fixed_arg $ monitors_arg $ Cli_resilience.slice_arg
-      $ Cli_resilience.zone_arg $ no_subsume_arg $ Cli_resilience.jobs
+      $ Cli_resilience.zone_arg $ no_subsume_arg $ jobs
       $ exploration_stats_arg $ store_arg $ count_arg
       $ Cli_resilience.json_arg $ Cli_resilience.budget_secs_arg
-      $ Cli_resilience.budget_mb_arg $ Cli_resilience.no_degrade_arg
+      $ Cli_resilience.budget_mb_arg $ no_degrade_arg
       $ Cli_resilience.checkpoint_arg $ Cli_resilience.checkpoint_every_arg
       $ Cli_resilience.resume_arg)
 
@@ -506,25 +504,16 @@ let fc_cmd =
       const run $ name_arg $ fischer_n_arg $ zones_arg $ Cli_resilience.json_arg)
 
 let deadlocks_cmd =
-  let run variant params fixed jobs store bsecs bmb no_degrade =
+  let run variant params fixed bsecs bmb =
     let budget = Cli_resilience.budget bsecs bmb in
-    let verdict =
-      H.Verify.deadlocks ~fixed ~domains:jobs ~store ~budget
-        ~degrade:(not no_degrade) variant params
-    in
+    let verdict = H.Verify.deadlocks ~fixed ~budget variant params in
     let line s =
       Format.printf "%s %a: %s@."
         (H.Ta_models.variant_name variant)
         H.Params.pp params s
     in
     match verdict with
-    | Mc.Safety.Holds ->
-        line
-          ("deadlock-free"
-          ^
-          if store <> Mc.Store.Exact then
-            " (probabilistic: compressed store may omit states)"
-          else "")
+    | Mc.Safety.Holds -> line "deadlock-free"
     | Mc.Safety.Violated _ ->
         line "HAS DEADLOCKS";
         exit Cli_resilience.exit_violation
@@ -542,9 +531,8 @@ let deadlocks_cmd =
        ~doc:"Check a model for deadlocked configurations.")
     Term.(
       const run $ Cli_resilience.variant_arg $ params
-      $ Cli_resilience.fixed_arg $ Cli_resilience.jobs $ store_arg
-      $ Cli_resilience.budget_secs_arg
-      $ Cli_resilience.budget_mb_arg $ Cli_resilience.no_degrade_arg)
+      $ Cli_resilience.fixed_arg $ Cli_resilience.budget_secs_arg
+      $ Cli_resilience.budget_mb_arg)
 
 let () =
   let info =

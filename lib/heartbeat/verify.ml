@@ -176,23 +176,8 @@ let pp_table ppf ~header rows =
   List.iter (fun r -> Format.fprintf ppf " %4s" (tf r.r3)) rows;
   Format.fprintf ppf "@."
 
-(* One domain with an exact store runs the sequential engine (budgeted
-   or not); only the parallel engine and the compressed stores can
-   degrade. *)
-let deadlocks ?(fixed = false) ?(domains = 1) ?(store = Mc.Store.Exact)
-    ?budget ?degrade variant params =
-  let model = Ta_models.build ~fixed variant params in
-  let net = Ta.Semantics.compile model in
-  let sys = Ta.Semantics.system net in
-  let goal c = Ta.Semantics.successors net c = [] in
-  match
-    if domains <= 1 && store = Mc.Store.Exact then
-      Mc.Explore.find ~max_states:default_max ?budget ~goal sys
-    else
-      Mc.Pexplore.find ~max_states:default_max ~domains ~store ?budget
-        ?degrade ~goal sys
-  with
-  | Mc.Explore.Unreachable -> Mc.Safety.Holds
-  | Mc.Explore.Reached w -> Mc.Safety.Violated w.Mc.Explore.trace
-  | Mc.Explore.Bound_hit n -> Mc.Safety.Unknown n
-  | Mc.Explore.Exhausted e -> Mc.Safety.Exhausted e
+let deadlocks ?(fixed = false) ?budget variant params =
+  let net = Ta.Semantics.compile (Ta_models.build ~fixed variant params) in
+  Mc.Safety.check_state ~max_states:default_max ?budget
+    (Ta.Semantics.system net)
+    (fun c -> Ta.Semantics.successors net c = [])

@@ -3,9 +3,8 @@
 
     This is the workflow of the paper's §5.4–5.5: build the model for a
     data set [(tmin, tmax)], check each requirement, and tabulate
-    satisfied / violated.  Every verdict runs sequentially on the
-    calling domain; only {!deadlocks}, where the caller picks a store,
-    reaches the parallel engine {!Mc.Pexplore}. *)
+    satisfied / violated.  Every verdict, {!deadlocks} included, runs
+    sequentially on the calling domain with an exact store. *)
 
 type outcome = {
   holds : bool;
@@ -121,10 +120,7 @@ val worst_detection : ?fixed:bool -> Ta_models.variant -> Params.t -> int
 
 val deadlocks :
   ?fixed:bool ->
-  ?domains:int ->
-  ?store:Mc.Store.mode ->
   ?budget:Mc.Budget.t ->
-  ?degrade:bool ->
   Ta_models.variant ->
   Params.t ->
   Ta.Semantics.label Mc.Safety.verdict
@@ -132,8 +128,6 @@ val deadlocks :
     configuration without successors (one would indicate a modelling
     artefact such as a blocked urgent location), [Violated] carries a
     shortest trace to one, and a [budget] trip yields [Exhausted]
-    instead of raising.  One domain with the exact [store] (the
-    defaults) runs the sequential engine; more [domains] or a
-    compressed [store] run {!Mc.Pexplore}, where [degrade] (default
-    [true]) lets a memory trip walk the store down the compression
-    ladder.  Under a compressed store [Holds] is probabilistic. *)
+    instead of raising.  Like every verdict, it runs the sequential
+    exact-store engine ({!Mc.Safety.check_state}), so [Holds] is
+    exhaustive and a memory trip exhausts. *)

@@ -135,14 +135,14 @@ let space_run (type s l) ?(max_states = default_max) ?expected_states ?budget
   let module S = (val sys) in
   let module I = Index (S) in
   let index = I.create expected_states in
-  (* BFS depth per id, recorded for the parallel engine's truncation
-     machinery; the sequential loop itself never branches on it. *)
+  (* BFS depth per id, recorded for the cursor layout; the loop itself
+     never branches on it. *)
   let depths = ref [||] in
   let complete = ref true in
   let transitions = ref [] in
   (* The frontier: the ids a resumed cursor hands over, in its order,
      then every id from [head] on.  A cursor from this engine hands over
-     a contiguous range; the parallel engine's need not be one. *)
+     a contiguous range; a cursor built elsewhere need not be one. *)
   let pending = ref [||] in
   let next_pending = ref 0 in
   let head = ref 0 in

@@ -28,7 +28,8 @@ type exhaustion = {
   states_so_far : int;  (** states interned before stopping *)
   coverage : Store.coverage;
       (** store omission estimate over the {e visited} states — the
-          trivially-exact record for sequential/exact runs *)
+          trivially-exact record, since every engine that returns an
+          exhaustion runs an exact store *)
 }
 
 val pp_exhaustion : Format.formatter -> exhaustion -> unit
@@ -43,9 +44,12 @@ type ('s, 'l) cursor = {
 }
 (** A suspended exploration: everything needed to continue exactly where
     a budget trip or signal stopped the run.  The fields are exposed for
-    the parallel engine and the checkpoint layer; treat the type as
-    opaque otherwise.  Cursors are plain data (no closures) and safe to
-    [Marshal] whenever the state and label types are. *)
+    the checkpoint layer; treat the type as opaque otherwise.  Only
+    {!space_run} takes and resumes cursors.  [c_depths] is recorded but
+    no engine branches on it, and a resumed [c_queue] need not be a
+    contiguous range of ids: it is expanded in its order, then every id
+    discovered after it.  Cursors are plain data (no closures) and safe
+    to [Marshal] whenever the state and label types are. *)
 
 val cursor_states : ('s, 'l) cursor -> int
 val cursor_frontier : ('s, 'l) cursor -> int
@@ -70,10 +74,7 @@ val space_run :
 
     {b Resume determinism.}  For a cursor produced by {e this} engine,
     [Done sp] after any number of suspend/resume round-trips is
-    byte-identical to the uninterrupted result.  Cursors produced by
-    the parallel engine ({!Pexplore}) use parallel discovery order, so
-    resuming them here yields the same state {e set} and verdicts but
-    not necessarily the same numbering. *)
+    byte-identical to the uninterrupted result. *)
 
 val space :
   ?max_states:int -> ?expected_states:int -> ('s, 'l) System.t -> ('s, 'l) space
@@ -104,9 +105,10 @@ type ('s, 'l) verdict =
   | Reached of ('s, 'l) witness
   | Bound_hit of int  (** no goal within the first [n] states explored *)
   | Exhausted of exhaustion
-      (** the budget tripped (or a successor crashed, in the parallel
-          engine) before the search concluded; no goal was found among
-          the states visited so far *)
+      (** the budget tripped before the search concluded; no goal was
+          found among the states visited so far.  A raising successor
+          is not caught: only {!Pexplore.count_stats} quarantines one
+          and reports a crash. *)
 
 val find :
   ?max_states:int ->

@@ -1,4 +1,4 @@
-(* Parallel explicit-state exploration over OCaml 5 domains.
+(* Parallel state counting over OCaml 5 domains.
 
    One work-stealing engine over a lock-striped state table ([Mc.Store],
    which also provides hash-compaction and bitstate compression).  Each
@@ -11,28 +11,24 @@
    order and triggers relaxation cascades.  Idle thieves block on a
    condition variable; termination is detected with a global
    pending-chunk counter whose final decrement broadcasts the wake-up.
-   Because items carry BFS depth stamps that are *relaxed* (re-enqueued)
-   whenever a shorter path is found, the set of states interned within
-   the [max_states] bound is exactly the sequential one, and a final
-   sequential *replay* over the collected integer adjacency renumbers
-   states in canonical sequential discovery order, re-applying the exact
-   truncation gate of [Explore.space].  A run that finished with zero
-   steals and zero relaxations processed items in exact sequential BFS
-   order, so its provisional numbering is already canonical and the
-   replay is skipped as an identity.  Results are byte-identical to the
-   sequential engine for every domain count.
 
-   Truncation contract: the canonical first [max_states] states — a
-   prefix of complete BFS levels plus part of the boundary level — are
-   always interned and their adjacency recorded, so the replay can cut
-   exactly where the sequential engine would have.  A state is only
-   skipped when its stamped depth exceeds the adaptive cutoff (the
-   smallest depth whose cumulative stamped-state count reaches the
-   bound).  Stamped depths only over-approximate true BFS depths and
-   per-depth counters are decremented before incremented on relaxation,
-   so the computed cutoff never drops below the true boundary level:
-   every state the sequential engine retains is interned and expanded
-   here too. *)
+   The engine only counts.  It keeps no state vector, adjacency or
+   parent links — the store's keys are the only state identities it
+   holds, so a compressed store shrinks what the run keeps.  Witnesses
+   and state graphs come from the sequential [Explore], which keeps
+   every state anyway.
+
+   Truncation contract: items carry BFS depth stamps that are *relaxed*
+   (re-enqueued) whenever a shorter path is found, so the canonical
+   first [max_states] states — a prefix of complete BFS levels plus part
+   of the boundary level — are always interned and expanded, and the
+   count and completeness flag at the bound are [Explore.count]'s.  A
+   state is only skipped when its stamped depth exceeds the adaptive
+   cutoff (the smallest depth whose cumulative stamped-state count
+   reaches the bound).  Stamped depths only over-approximate true BFS
+   depths and per-depth counters are decremented before incremented on
+   relaxation, so the computed cutoff never drops below the true
+   boundary level. *)
 
 type stats = {
   states : int;
@@ -105,71 +101,44 @@ let run_domains n job =
   in
   Option.iter raise failure
 
-(* --- concurrent growable vectors ---------------------------------------- *)
+(* --- concurrent chunked counters ---------------------------------------- *)
 
-(* Chunked vector indexed by dense provisional id.  Chunks are installed
-   with a CAS on the spine, so concurrent writers at distinct indices
-   never lose writes and never resize-copy.  Post-barrier readers see
-   every write made before the exploration joined. *)
-module Pvec = struct
+(* Chunked vector of atomic counters indexed by depth (relaxation depth
+   adjustments).  Chunks are installed with a CAS on the spine, so
+   concurrent writers never lose updates and never resize-copy.  Reads
+   of untouched chunks return 0 without installing the chunk, so
+   post-run scans over sparse vectors allocate nothing. *)
+module Avec = struct
   let chunk_bits = 13
   let chunk_size = 1 lsl chunk_bits
   let chunk_mask = chunk_size - 1
   let max_chunks = 4096
 
-  type 'a t = { spine : 'a array option Atomic.t array; init : unit -> 'a }
-
-  let create_init init =
-    { spine = Array.init max_chunks (fun _ -> Atomic.make None); init }
-
-  let create default = create_init (fun () -> default)
-
-  let chunk t i =
-    let ci = i lsr chunk_bits in
-    match Atomic.get t.spine.(ci) with
-    | Some c -> c
-    | None ->
-        let c = Array.init chunk_size (fun _ -> t.init ()) in
-        if Atomic.compare_and_set t.spine.(ci) None (Some c) then c
-        else begin
-          match Atomic.get t.spine.(ci) with
-          | Some c -> c
-          | None -> assert false
-        end
-
-  let set t i v = (chunk t i).(i land chunk_mask) <- v
-  let get t i = (chunk t i).(i land chunk_mask)
-end
-
-(* Chunked vector of atomic counters (relaxation depth adjustments).
-   Reads of untouched chunks return 0 without installing the chunk, so
-   post-run scans over sparse vectors allocate nothing. *)
-module Avec = struct
   type t = int Atomic.t array option Atomic.t array
 
-  let create () : t = Array.init Pvec.max_chunks (fun _ -> Atomic.make None)
+  let create () : t = Array.init max_chunks (fun _ -> Atomic.make None)
 
   let slot (t : t) i =
-    let ci = i lsr Pvec.chunk_bits in
+    let ci = i lsr chunk_bits in
     let c =
       match Atomic.get t.(ci) with
       | Some c -> c
       | None ->
-          let c = Array.init Pvec.chunk_size (fun _ -> Atomic.make 0) in
+          let c = Array.init chunk_size (fun _ -> Atomic.make 0) in
           if Atomic.compare_and_set t.(ci) None (Some c) then c
           else begin
             match Atomic.get t.(ci) with Some c -> c | None -> assert false
           end
     in
-    c.(i land Pvec.chunk_mask)
+    c.(i land chunk_mask)
 
   let incr t i = Atomic.incr (slot t i)
   let decr t i = Atomic.decr (slot t i)
 
   let get (t : t) i =
-    match Atomic.get t.(i lsr Pvec.chunk_bits) with
+    match Atomic.get t.(i lsr chunk_bits) with
     | None -> 0
-    | Some c -> Atomic.get c.(i land Pvec.chunk_mask)
+    | Some c -> Atomic.get c.(i land chunk_mask)
 end
 
 (* Chunked atomic bit set (per-pid expansion flags): 62 flags per word
@@ -303,84 +272,6 @@ module Engine (S : System.S) = struct
     let hash = S.hash_state
   end)
 
-  let make_table ?expected_states mode =
-    (* The stripes start at 512 states each and grow; an expected-state
-       hint may lower that start (states shard by hash, so the per-shard
-       load is count / shards), never raise it. *)
-    let expected =
-      match expected_states with
-      | None -> 512 * shards
-      | Some n -> min (512 * shards) n
-    in
-    St.create ~expected ~shards mode
-
-  (* --- canonical replay ------------------------------------------------ *)
-
-  type replay_result = {
-    r_pid_of : int array;  (* canonical index -> provisional id *)
-    r_count : int;
-    r_trans : (int * S.label * int) list;
-    r_complete : bool;
-    r_levels : int array;  (* retained states per canonical BFS level *)
-  }
-
-  (* Renumber provisional ids in sequential BFS discovery order and
-     re-apply the exact truncation gate of [Explore.space].  [adj] maps a
-     provisional id to its recorded successor cells. *)
-  let replay ~max_states ~emit ~total ~adj () =
-    let canon = Array.make (max 1 total) (-1) in
-    let cap = max 1 (min total (max max_states 1)) in
-    let pid_of = Array.make cap (-1) in
-    let depth_of = Array.make cap 0 in
-    let count = ref 0 in
-    let complete = ref true in
-    let trans = ref [] in
-    let intern pid depth =
-      if canon.(pid) >= 0 then canon.(pid)
-      else begin
-        let c = !count in
-        canon.(pid) <- c;
-        pid_of.(c) <- pid;
-        depth_of.(c) <- depth;
-        incr count;
-        c
-      end
-    in
-    let (_ : int) = intern 0 0 in
-    let c = ref 0 in
-    while !c < !count do
-      let pid = pid_of.(!c) in
-      let d = depth_of.(!c) in
-      Array.iter
-        (fun (l, dst) ->
-          if dst >= 0 && (!count < max_states || canon.(dst) >= 0) then begin
-            let j = intern dst (d + 1) in
-            if emit then trans := (!c, l, j) :: !trans
-          end
-          else complete := false)
-        (adj pid);
-      incr c
-    done;
-    let levels =
-      if !count = 0 then [||]
-      else begin
-        let a = Array.make (depth_of.(!count - 1) + 1) 0 in
-        for i = 0 to !count - 1 do
-          a.(depth_of.(i)) <- a.(depth_of.(i)) + 1
-        done;
-        a
-      end
-    in
-    {
-      r_pid_of = pid_of;
-      r_count = !count;
-      r_trans = List.rev !trans;
-      r_complete = !complete;
-      r_levels = levels;
-    }
-
-  (* --- exploration ----------------------------------------------------- *)
-
   (* [ifresh] records whether the item comes from a [Fresh] intern (as
      opposed to a relaxation re-enqueue): in runs where no item is ever
      skipped it identifies the unique first expansion of the state
@@ -431,28 +322,21 @@ module Engine (S : System.S) = struct
     dhists : dhist array;  (* per-domain first-intern depth counts *)
     depth_adjust : Avec.t;  (* global +/- adjustments from relaxations *)
     expanded : Aflags.t;
-    goal_cut : int Atomic.t;  (* min depth of a goal state; max_int = none *)
     bound_cut : int Atomic.t;  (* adaptive truncation cutoff; sticky min *)
     emax : int;  (* effective state bound, >= 1 *)
     bounded : bool;
-    states_v : S.state Pvec.t option;
-    adj_v : (S.label * int) array Pvec.t option;
-    parent_v : (int * S.label * int) option Atomic.t Pvec.t option;
-    goal_v : bool Pvec.t;
-    skipped : item list ref array;
-    goal : S.state -> bool;
-    stop_on_goal : bool;
+    skipped : item list ref array;  (* items the cutoff kept unexpanded *)
     domains : int;
     (* --- resilience ----------------------------------------------- *)
     budget : Budget.t option;
     degrade_ok : bool;  (* memory trips walk the store down the ladder *)
     degrade_m : Mutex.t;  (* serialises degradation; guards [degraded] *)
     mutable degraded : string list;  (* ladder rungs taken, in order *)
+    bottom : bool Atomic.t;  (* the ladder has no rung left *)
     retries : int Atomic.t;  (* poisoned items quarantined and retried *)
     crash_m : Mutex.t;  (* guards [crashes] *)
     mutable crashes : (item * string) list;  (* unrecoverable items *)
     claims : bool;  (* track first expansions via the [expanded] bitset *)
-    resumed : bool;  (* seeded from a cursor: provisional order is inherited *)
   }
 
   (* The count of states stamped depth [d]: per-domain monotone fresh
@@ -487,7 +371,7 @@ module Engine (S : System.S) = struct
   (* Memory-budget trip: one worker wins the degradation lock, walks the
      store a rung down the ladder and re-arms the budget; everyone else
      carries on against the swapped representation.  At the bottom of
-     the ladder the trip stays sticky and the run suspends. *)
+     the ladder the trip stays sticky and the run stops ([bottom]). *)
   let try_degrade ws b =
     Mutex.lock ws.degrade_m;
     Fun.protect ~finally:(fun () -> Mutex.unlock ws.degrade_m) @@ fun () ->
@@ -500,7 +384,7 @@ module Engine (S : System.S) = struct
                before the budget re-arms against the current heap *)
             Gc.compact ();
             Budget.rearm b
-        | None -> ())
+        | None -> Atomic.set ws.bottom true)
     | _ -> ()
 
   let budget_tick ws =
@@ -511,13 +395,21 @@ module Engine (S : System.S) = struct
         | Some (Budget.Memory _) when ws.degrade_ok -> try_degrade ws b
         | _ -> ())
 
-  (* A sticky trip (after any degradation had its chance) means the run
-     is suspending: workers drain their queues into [skipped] without
-     expanding, so the frontier is captured for the cursor. *)
-  let ws_suspended ws =
+  (* A trip that will not be re-armed means the run is stopping: workers
+     drain their queues without expanding, and the reason makes the
+     count incomplete.  A memory trip the ladder can still answer is no
+     stop: until [try_degrade] re-arms the budget, the other workers keep
+     expanding, since whatever they dropped in that window would be
+     missing from a count reported complete. *)
+  let ws_stopping ws =
     match ws.budget with
     | None -> false
-    | Some b -> Budget.tripped b <> None
+    | Some b -> (
+        match Budget.tripped b with
+        | None -> false
+        | Some (Budget.Memory _) ->
+            (not ws.degrade_ok) || Atomic.get ws.bottom
+        | Some _ -> true)
 
   let ws_worker ws k =
     let my = ws.deques.(k) in
@@ -574,82 +466,39 @@ module Engine (S : System.S) = struct
         Atomic.get ws.bound_cut
       end
     in
-    let set_parent =
-      match ws.parent_v with
-      | None -> fun _ _ _ _ -> ()
-      | Some pv ->
-          fun j p l d ->
-            let slot = Pvec.get pv j in
-            let rec go () =
-              match Atomic.get slot with
-              | Some (_, _, d0) when d0 <= d -> ()
-              | cur ->
-                  if not (Atomic.compare_and_set slot cur (Some (p, l, d)))
-                  then go ()
-            in
-            go ()
-    in
     let expand it =
       (* The [expanded] bitset is only consulted when items can be
-         skipped (truncation cutoff or goal cutoff); otherwise every
-         item is expanded exactly once per enqueue and [ifresh] already
+         skipped (truncation cutoff or budget); otherwise every item is
+         expanded exactly once per enqueue and [ifresh] already
          identifies the first expansion, with no shared CAS. *)
       let first =
         if ws.claims then Aflags.claim ws.expanded it.ipid else it.ifresh
       in
-      let succs = S.successors it.ist in
       let d' = it.idepth + 1 in
-      let intern1 (l, s') =
-        let j =
-          match St.intern ws.tbl s' ~depth:d' with
-          | St.Fresh j ->
-              dh_incr dh d';
-              (match ws.states_v with
-              | Some sv -> Pvec.set sv j s'
-              | None -> ());
-              set_parent j it.ipid l d';
-              if ws.stop_on_goal && ws.goal s' then begin
-                Pvec.set ws.goal_v j true;
-                atomic_min ws.goal_cut d'
-              end;
-              enqueue
-                { ipid = j; ist = s'; idepth = d'; ifresh = true; iattempt = 0 };
-              j
-          | St.Known j -> j
-          | St.Relaxed (j, old) ->
-              Atomic.incr ws.w_relax;
-              (* decrement before increment: concurrent cutoff scans
-                 may only under-count, keeping the cutoff safe *)
-              Avec.decr ws.depth_adjust old;
-              Avec.incr ws.depth_adjust d';
-              set_parent j it.ipid l d';
-              if ws.stop_on_goal && Pvec.get ws.goal_v j then
-                atomic_min ws.goal_cut d';
-              enqueue
-                {
-                  ipid = j;
-                  ist = s';
-                  idepth = d';
-                  ifresh = false;
-                  iattempt = 0;
-                };
-              j
-        in
-        (l, j)
+      let intern1 n (_, s') =
+        (match St.intern ws.tbl s' ~depth:d' with
+        | St.Fresh j ->
+            dh_incr dh d';
+            enqueue
+              { ipid = j; ist = s'; idepth = d'; ifresh = true; iattempt = 0 }
+        | St.Known _ -> ()
+        | St.Relaxed (j, old) ->
+            Atomic.incr ws.w_relax;
+            (* decrement before increment: concurrent cutoff scans
+               may only under-count, keeping the cutoff safe *)
+            Avec.decr ws.depth_adjust old;
+            Avec.incr ws.depth_adjust d';
+            enqueue
+              {
+                ipid = j;
+                ist = s';
+                idepth = d';
+                ifresh = false;
+                iattempt = 0;
+              });
+        n + 1
       in
-      let n =
-        match ws.adj_v with
-        | Some av ->
-            let cells = Array.of_list (List.map intern1 succs) in
-            Pvec.set av it.ipid cells;
-            Array.length cells
-        | None ->
-            List.fold_left
-              (fun n c ->
-                ignore (intern1 c : S.label * int);
-                n + 1)
-              0 succs
-      in
+      let n = List.fold_left intern1 0 (S.successors it.ist) in
       if first then edges_acc := !edges_acc + n
     in
     (* A raising successor (or hash/equal) must not take the whole run
@@ -680,15 +529,9 @@ module Engine (S : System.S) = struct
       end
     in
     let process it =
-      if ws_suspended ws then skipped := it :: !skipped
-      else begin
-        let gcut =
-          if ws.stop_on_goal then Atomic.get ws.goal_cut else max_int
-        in
-        if it.idepth < gcut && it.idepth <= cutoff () then (
-          try expand it with e -> quarantine it e)
+      if not (ws_stopping ws) then
+        if it.idepth <= cutoff () then (try expand it with e -> quarantine it e)
         else skipped := it :: !skipped
-      end
     in
     let run_chunk c =
       budget_tick ws;
@@ -785,20 +628,12 @@ module Engine (S : System.S) = struct
       Mutex.unlock ws.idle_m;
       raise e
 
-  let explore ?expected_states ?budget ?(degrade_ok = false) ?resume
-      ~max_states ~domains ~store_mode ~keep_adj ~keep_states
-      ~keep_parent ~goal ~stop_on_goal () =
+  (* Run the engine to termination from the initial state.  The stripes
+     start at 512 states each and grow. *)
+  let explore ?budget ~degrade_ok ~max_states ~domains ~store_mode () =
     if domains < 1 then invalid_arg "Mc.Pexplore: domains must be >= 1";
     if max_states < 0 then invalid_arg "Mc.Pexplore: negative max_states";
-    (match resume with
-    | Some c when c.Explore.c_max_states <> max_states ->
-        invalid_arg
-          (Printf.sprintf
-             "Mc.Pexplore: checkpoint was taken with max_states=%d, resumed \
-              with %d"
-             c.Explore.c_max_states max_states)
-    | _ -> ());
-    let tbl = make_table ?expected_states store_mode in
+    let tbl = St.create ~expected:(512 * shards) ~shards store_mode in
     let ws =
       {
         tbl;
@@ -816,130 +651,40 @@ module Engine (S : System.S) = struct
         dhists = Array.init domains (fun _ -> dh_create ());
         depth_adjust = Avec.create ();
         expanded = Aflags.create ();
-        goal_cut = Atomic.make max_int;
         bound_cut = Atomic.make max_int;
         emax = max 1 max_states;
         bounded = max_states < max_int;
-        states_v = (if keep_states then Some (Pvec.create S.initial) else None);
-        adj_v = (if keep_adj then Some (Pvec.create [||]) else None);
-        parent_v =
-          (if keep_parent then
-             Some (Pvec.create_init (fun () -> Atomic.make None))
-           else None);
-        goal_v = Pvec.create false;
         skipped = Array.init domains (fun _ -> ref []);
-        goal;
-        stop_on_goal;
         domains;
         budget;
         degrade_ok;
         degrade_m = Mutex.create ();
         degraded = [];
+        bottom = Atomic.make false;
         retries = Atomic.make 0;
         crash_m = Mutex.create ();
         crashes = [];
-        (* suspension and resume both need exact first-expansion
-           tracking, so any budget or cursor forces the bitset on *)
-        claims =
-          max_states < max_int || stop_on_goal || budget <> None
-          || resume <> None;
-        resumed = resume <> None;
+        (* a run that can skip items (cutoff or budget) needs exact
+           first-expansion tracking *)
+        claims = max_states < max_int || budget <> None;
       }
     in
-    (match resume with
-    | None ->
-        let pid0 =
-          match St.intern tbl S.initial ~depth:0 with
-          | St.Fresh pid | St.Known pid | St.Relaxed (pid, _) -> pid
-        in
-        dh_incr ws.dhists.(0) 0;
-        (match ws.states_v with
-        | Some sv -> Pvec.set sv pid0 S.initial
-        | None -> ());
-        if stop_on_goal && goal S.initial then begin
-          Pvec.set ws.goal_v pid0 true;
-          atomic_min ws.goal_cut 0
-        end;
-        Atomic.incr ws.pending;
-        Deque.push ws.deques.(0)
-          [|
-            {
-              ipid = pid0;
-              ist = S.initial;
-              idepth = 0;
-              ifresh = true;
-              iattempt = 0;
-            };
-          |]
-    | Some c ->
-        (* Rebuild the table in pid order so provisional ids match the
-           cursor's, then restore adjacency, mark everything off the
-           frontier as already expanded, and scatter the frontier
-           round-robin over the deques. *)
-        let cs = c.Explore.c_states and cd = c.Explore.c_depths in
-        let n = Array.length cs in
-        for i = 0 to n - 1 do
-          (match St.intern tbl cs.(i) ~depth:cd.(i) with
-          | St.Fresh pid when pid = i -> ()
-          | St.Fresh _ | St.Known _ | St.Relaxed _ ->
-              invalid_arg
-                "Mc.Pexplore: resume store does not reproduce checkpoint \
-                 state ids (was the store mode changed between runs?)");
-          dh_incr ws.dhists.(0) cd.(i);
-          (match ws.states_v with
-          | Some sv -> Pvec.set sv i cs.(i)
-          | None -> ());
-          if stop_on_goal && goal cs.(i) then begin
-            Pvec.set ws.goal_v i true;
-            atomic_min ws.goal_cut cd.(i)
-          end
-        done;
-        (match ws.adj_v with
-        | Some av ->
-            let by_src = Hashtbl.create 1024 in
-            (* [c_trans] is newest-first, so consing while walking it
-               leaves each per-source list in original emission order *)
-            List.iter
-              (fun (src, l, dst) ->
-                let prev =
-                  match Hashtbl.find_opt by_src src with
-                  | Some cells -> cells
-                  | None -> []
-                in
-                Hashtbl.replace by_src src ((l, dst) :: prev))
-              c.Explore.c_trans;
-            Hashtbl.iter
-              (fun src cells -> Pvec.set av src (Array.of_list cells))
-              by_src
-        | None -> ());
-        let infront = Array.make (max 1 n) false in
-        Array.iter (fun i -> infront.(i) <- true) c.Explore.c_queue;
-        for pid = 0 to n - 1 do
-          if not infront.(pid) then
-            ignore (Aflags.claim ws.expanded pid : bool)
-        done;
-        let nq = Array.length c.Explore.c_queue in
-        let di = ref 0 in
-        let i = ref 0 in
-        while !i < nq do
-          let len = min chunk_cap (nq - !i) in
-          let base = !i in
-          let chunk =
-            Array.init len (fun j ->
-                let pid = c.Explore.c_queue.(base + j) in
-                {
-                  ipid = pid;
-                  ist = cs.(pid);
-                  idepth = cd.(pid);
-                  ifresh = false;
-                  iattempt = 0;
-                })
-          in
-          Atomic.incr ws.pending;
-          Deque.push ws.deques.(!di mod domains) chunk;
-          incr di;
-          i := !i + len
-        done);
+    let pid0 =
+      match St.intern tbl S.initial ~depth:0 with
+      | St.Fresh pid | St.Known pid | St.Relaxed (pid, _) -> pid
+    in
+    dh_incr ws.dhists.(0) 0;
+    Atomic.incr ws.pending;
+    Deque.push ws.deques.(0)
+      [|
+        {
+          ipid = pid0;
+          ist = S.initial;
+          idepth = 0;
+          ifresh = true;
+          iattempt = 0;
+        };
+      |];
     run_domains domains (ws_worker ws);
     ws
 
@@ -971,27 +716,6 @@ module Engine (S : System.S) = struct
       ws.skipped;
     !dropped
 
-  let ws_adj ws =
-    match ws.adj_v with
-    | Some av -> fun pid -> Pvec.get av pid
-    | None -> fun _ -> [||]
-
-  let ws_states ws =
-    match ws.states_v with
-    | Some sv -> fun pid -> Pvec.get sv pid
-    | None -> fun _ -> S.initial
-
-  let ws_trace ws pid =
-    match ws.parent_v with
-    | None -> []
-    | Some pv ->
-        let rec go pid acc =
-          match Atomic.get (Pvec.get pv pid) with
-          | None -> acc
-          | Some (p, l, _) -> go p (l :: acc)
-        in
-        go pid []
-
   (* States per stamped depth.  The deepest fresh stamp bounds the
      scan, but relaxation never lowers it, so the bins past the deepest
      surviving stamp are empty and are trimmed: on a complete unbounded
@@ -1008,284 +732,52 @@ module Engine (S : System.S) = struct
     done;
     Array.sub h 0 !n
 
-  let ws_stats ?exhausted ws ~t0 ~count ~transitions ~histogram =
-    let wall = Unix.gettimeofday () -. t0 in
-    {
-      states = count;
-      transitions;
-      wall_seconds = wall;
-      states_per_sec = (if wall > 0. then float_of_int count /. wall else 0.);
-      peak_frontier = Array.fold_left max 0 histogram;
-      depth_histogram = histogram;
-      shard_occupancy = St.occupancy ws.tbl;
-      domains_used = ws.domains;
-      steals = Atomic.get ws.w_steals;
-      relaxations = Atomic.get ws.w_relax;
-      coverage = St.coverage ws.tbl;
-      exhausted;
-      degraded = ws.degraded;
-      retries = Atomic.get ws.retries;
-    }
-
-  (* --- suspension ------------------------------------------------------ *)
-
-  (* The first unrecoverable crash, as a budget reason naming the state
-     whose expansion raised twice. *)
-  let ws_crash ws =
+  (* Why the run fell short of a full count, if it did: an unrecoverable
+     crash (the first state whose expansion raised twice) outranks the
+     budget trip it may have caused. *)
+  let ws_exhausted ws =
     match List.rev ws.crashes with
-    | [] -> None
     | (it, msg) :: _ ->
         Some
           (Budget.Crashed
              (Format.asprintf "%s at state %a" msg S.pp_state it.ist))
+    | [] -> Option.bind ws.budget Budget.tripped
 
-  (* Why the run fell short of a full verdict, if it did: an
-     unrecoverable crash outranks the budget trip it may have caused. *)
-  let ws_exhausted ws =
-    match ws_crash ws with
-    | Some _ as r -> r
-    | None -> (
-        match ws.budget with None -> None | Some b -> Budget.tripped b)
-
-  let ws_exhaustion ws reason =
-    {
-      Explore.reason;
-      states_so_far = St.total ws.tbl;
-      coverage = St.coverage ws.tbl;
-    }
-
-  (* Capture a suspended run as a sequential-style cursor: every interned
-     state with its depth stamp, all recorded adjacency, and the
-     never-expanded states (drained frontier, cutoff skips, crashed
-     items) as the queue, in pid order.  Requires [keep_states] and
-     [keep_adj]. *)
-  let ws_cursor ws ~max_states =
-    let total = St.total ws.tbl in
-    let state_of = ws_states ws in
-    let states = Array.init total state_of in
-    let stamps = St.depths ws.tbl in
-    let depths =
-      Array.init total (fun i ->
-          if i < Array.length stamps then stamps.(i) else 0)
-    in
-    let adj = ws_adj ws in
-    let trans = ref [] in
-    for pid = 0 to total - 1 do
-      Array.iter
-        (fun (l, dst) -> if dst >= 0 then trans := (pid, l, dst) :: !trans)
-        (adj pid)
-    done;
-    let infront = Array.make (max 1 total) false in
-    let frontier = ref [] in
-    let add pid =
-      if pid >= 0 && pid < total && not infront.(pid) then begin
-        infront.(pid) <- true;
-        frontier := pid :: !frontier
-      end
-    in
-    Array.iter
-      (fun lst ->
-        List.iter
-          (fun it ->
-            if not (Aflags.mem ws.expanded it.ipid) then add it.ipid)
-          !lst)
-      ws.skipped;
-    (* a crashed item claimed its expansion flag before raising, so it
-       must be re-queued explicitly *)
-    List.iter (fun (it, _) -> add it.ipid) ws.crashes;
-    let queue = Array.of_list !frontier in
-    Array.sort compare queue;
-    {
-      Explore.c_max_states = max_states;
-      c_states = states;
-      c_depths = depths;
-      c_trans = !trans;
-      c_queue = queue;
-      c_complete = true;
-    }
-
-  let space_run ?expected_states ?budget ?(degrade_ok = false) ?resume
-      ~max_states ~domains ~store_mode () =
-    (match store_mode with
-    | Store.Bitstate _ ->
-        invalid_arg
-          "Mc.Pexplore.space_run: a bitstate store keeps no state identities \
-           and cannot produce a state graph"
-    | _ -> ());
+  let count ?budget ~degrade_ok ~max_states ~domains ~store_mode () =
     let t0 = Unix.gettimeofday () in
-    let ws =
-      explore ?expected_states ?budget ~degrade_ok ?resume ~max_states
-        ~domains ~store_mode ~keep_adj:true ~keep_states:true
-        ~keep_parent:false
-        ~goal:(fun _ -> false)
-        ~stop_on_goal:false ()
-    in
-    let total = St.total ws.tbl in
-    let adj = ws_adj ws and state_of = ws_states ws in
-    let finish ~count ~states ~trans ~complete ~histogram =
-      let lts = Lts.Graph.make ~num_states:count ~initial:0 trans in
-      let stats =
-        ws_stats ws ~t0 ~count
-          ~transitions:(Lts.Graph.num_transitions lts)
-          ~histogram
-      in
-      (Explore.Done { Explore.lts; states; complete }, stats)
-    in
-    match ws_exhausted ws with
-    | Some reason ->
-        let stats =
-          ws_stats ~exhausted:reason ws ~t0 ~count:total
-            ~transitions:(Atomic.get ws.edges)
-            ~histogram:(ws_histogram ws)
-        in
-        (Explore.Suspended (reason, ws_cursor ws ~max_states), stats)
-    | None ->
-    (* With no steals, every chunk ran on the owning domain in FIFO
-       order, and with no relaxations every state was first reached at
-       its minimal depth — so the provisional numbering already equals
-       sequential BFS discovery order and the replay would be an
-       identity renumbering.  A resumed run inherits the cursor's
-       numbering instead, so it must replay. *)
-    let canonical_already =
-      Atomic.get ws.w_steals = 0
-      && Atomic.get ws.w_relax = 0
-      && not ws.resumed
-    in
-    if canonical_already && total <= ws.emax && not (ws_dropped ws) then begin
-      let states = Array.init total state_of in
-      let trans = ref [] in
-      for pid = total - 1 downto 0 do
-        let cells = adj pid in
-        for k = Array.length cells - 1 downto 0 do
-          let l, dst = cells.(k) in
-          trans := (pid, l, dst) :: !trans
-        done
-      done;
-      finish ~count:total ~states ~trans:!trans ~complete:true
-        ~histogram:(ws_histogram ws)
-    end
-    else begin
-      let r = replay ~max_states ~emit:true ~total ~adj () in
-      let states = Array.init r.r_count (fun c -> state_of r.r_pid_of.(c)) in
-      finish ~count:r.r_count ~states ~trans:r.r_trans ~complete:r.r_complete
-        ~histogram:r.r_levels
-    end
-
-  let count ?expected_states ?budget ?(degrade_ok = false) ~max_states
-      ~domains ~store_mode () =
-    let t0 = Unix.gettimeofday () in
-    let ws =
-      explore ?expected_states ?budget ~degrade_ok ~max_states ~domains
-        ~store_mode ~keep_adj:false ~keep_states:false ~keep_parent:false
-        ~goal:(fun _ -> false)
-        ~stop_on_goal:false ()
-    in
+    let ws = explore ?budget ~degrade_ok ~max_states ~domains ~store_mode () in
     let total = St.total ws.tbl in
     let n = max 1 (min total max_states) in
     let exhausted = ws_exhausted ws in
     let complete =
       exhausted = None && total <= max 1 max_states && not (ws_dropped ws)
     in
-    let stats =
-      ws_stats ?exhausted ws ~t0 ~count:n
-        ~transitions:(Atomic.get ws.edges)
-        ~histogram:(ws_histogram ws)
-    in
-    ((n, complete), stats)
-
-  let find ?expected_states ?budget ?(degrade_ok = false) ~max_states
-      ~domains ~store_mode ~goal () =
-    if goal S.initial then
-      Explore.Reached { Explore.trace = []; state = S.initial }
-    else begin
-      let tracks = match store_mode with Store.Bitstate _ -> false | _ -> true in
-      let ws =
-        explore ?expected_states ?budget ~degrade_ok ~max_states ~domains
-          ~store_mode ~keep_adj:tracks ~keep_states:true ~keep_parent:true
-          ~goal ~stop_on_goal:true ()
-      in
-      let total = St.total ws.tbl in
-      let emax = max 1 max_states in
-      let state_of = ws_states ws in
-      (* Scan flagged goal states for the one with the shortest (relaxed)
-         parent chain: its length equals the sequential BFS depth. *)
-      let best_goal lo hi =
-        let best = ref (-1) and best_len = ref max_int in
-        for pid = lo to hi - 1 do
-          if Pvec.get ws.goal_v pid then begin
-            let len = List.length (ws_trace ws pid) in
-            if len < !best_len then begin
-              best := pid;
-              best_len := len
-            end
-          end
-        done;
-        !best
-      in
-      match ws_exhausted ws with
-      | Some reason ->
-          (* Cut short — but a goal flagged before the trip is still a
-             real witness, and always outranks the exhaustion. *)
-          let w = best_goal 0 total in
-          if w >= 0 then
-            Explore.Reached
-              { Explore.trace = ws_trace ws w; state = state_of w }
-          else Explore.Exhausted (ws_exhaustion ws reason)
-      | None ->
-      if not tracks then begin
-        (* Bitstate: no replay possible; verdicts are probabilistic. *)
-        let w = best_goal 0 total in
-        if w >= 0 then
-          Explore.Reached { Explore.trace = ws_trace ws w; state = state_of w }
-        else if total > emax || ws_dropped ws then Explore.Bound_hit max_states
-        else Explore.Unreachable
-      end
-      else if total > emax || (total = emax && ws_dropped ws) then begin
-        (* Truncated: only a goal inside the canonical prefix counts. *)
-        let r = replay ~max_states ~emit:false ~total ~adj:(ws_adj ws) () in
-        let witness = ref (-1) in
-        let c = ref 0 in
-        while !witness < 0 && !c < r.r_count do
-          let pid = r.r_pid_of.(!c) in
-          if Pvec.get ws.goal_v pid then witness := pid;
-          incr c
-        done;
-        if !witness >= 0 then
-          Explore.Reached
-            { Explore.trace = ws_trace ws !witness; state = state_of !witness }
-        else Explore.Bound_hit max_states
-      end
-      else begin
-        let w = best_goal 0 total in
-        if w >= 0 then
-          Explore.Reached { Explore.trace = ws_trace ws w; state = state_of w }
-        else Explore.Unreachable
-      end
-    end
+    let histogram = ws_histogram ws in
+    let wall = Unix.gettimeofday () -. t0 in
+    ( (n, complete),
+      {
+        states = n;
+        transitions = Atomic.get ws.edges;
+        wall_seconds = wall;
+        states_per_sec = (if wall > 0. then float_of_int n /. wall else 0.);
+        peak_frontier = Array.fold_left max 0 histogram;
+        depth_histogram = histogram;
+        shard_occupancy = St.occupancy ws.tbl;
+        domains_used = ws.domains;
+        steals = Atomic.get ws.w_steals;
+        relaxations = Atomic.get ws.w_relax;
+        coverage = St.coverage ws.tbl;
+        exhausted;
+        degraded = ws.degraded;
+        retries = Atomic.get ws.retries;
+      } )
 end
 
-(* --- public entry points ------------------------------------------------ *)
+(* --- public entry point -------------------------------------------------- *)
 
-let space_run (type s l) ?(max_states = Explore.default_max) ?expected_states
-    ?domains ?(store = Store.Exact) ?budget ?(degrade = true) ?resume
-    (sys : (s, l) System.t) : (s, l) Explore.run_result * stats =
+let count_stats (type s l) ?(max_states = Explore.default_max) ?domains
+    ?(store = Store.Exact) ?budget ?(degrade = true) (sys : (s, l) System.t) :
+    (int * bool) * stats =
   let domains = match domains with Some d -> d | None -> default_domains () in
   let module E = Engine ((val sys)) in
-  E.space_run ?expected_states ?budget ~degrade_ok:degrade ?resume ~max_states
-    ~domains ~store_mode:store ()
-
-let count_stats (type s l) ?(max_states = Explore.default_max)
-    ?expected_states ?domains ?(store = Store.Exact) ?budget ?(degrade = true)
-    (sys : (s, l) System.t) : (int * bool) * stats =
-  let domains = match domains with Some d -> d | None -> default_domains () in
-  let module E = Engine ((val sys)) in
-  E.count ?expected_states ?budget ~degrade_ok:degrade ~max_states ~domains
-    ~store_mode:store ()
-
-let find (type s l) ?(max_states = Explore.default_max) ?expected_states
-    ?domains ?(store = Store.Exact) ?budget ?(degrade = true) ~goal
-    (sys : (s, l) System.t) : (s, l) Explore.verdict =
-  let domains = match domains with Some d -> d | None -> default_domains () in
-  let module E = Engine ((val sys)) in
-  E.find ?expected_states ?budget ~degrade_ok:degrade ~max_states ~domains
-    ~store_mode:store ~goal ()
+  E.count ?budget ~degrade_ok:degrade ~max_states ~domains ~store_mode:store ()

@@ -5,20 +5,19 @@
     one exists — the workflow the paper performs with CADP (µ-calculus
     safety formulae on the mCRL2 state space) and with UPPAAL (reachability
     of monitor error locations).  Every check runs the sequential
-    exact-store engine ({!Explore.find}) on the calling domain; callers
-    that pick a compressed store or several domains go to {!Pexplore}
-    directly. *)
+    exact-store engine ({!Explore.find}) on the calling domain, so
+    [Holds] is always exhaustive: a compressed store or several domains
+    only ever produce a count ({!Pexplore.count_stats}). *)
 
 type 'l verdict =
   | Holds  (** exhaustive exploration found no violation *)
   | Violated of 'l list  (** shortest counterexample, as a label trace *)
   | Unknown of int  (** state bound hit before a verdict was reached *)
   | Exhausted of Explore.exhaustion
-      (** the resource budget tripped (or a successor function crashed
-          in the parallel engine) before a verdict was reached: no
-          violation among the [states_so_far] states actually visited,
-          with the store's coverage estimate qualifying how much of the
-          space that is *)
+      (** the resource budget tripped before a verdict was reached: no
+          violation among the [states_so_far] states actually visited.
+          A raising successor function is not caught: only
+          {!Pexplore.count_stats} quarantines one and reports a crash. *)
 
 val check_monitor :
   ?max_states:int ->

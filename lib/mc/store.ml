@@ -248,7 +248,6 @@ struct
     }
 
   let total t = Atomic.get t.next
-  let current_mode t = t.mode
   let tracks_pids t = match t.repr with Rbit _ -> false | _ -> true
   let occupancy t = Array.copy t.filled
   let coverage t = coverage_of ~mode:t.mode ~stored:(Atomic.get t.next)
@@ -372,8 +371,8 @@ struct
      stripe lock serialises us against all in-flight interns: each is
      either already inside its stripe (we wait for it) or will notice
      the swapped representation and retry.  Provisional ids are
-     preserved, so adjacency/state vectors built by the engines stay
-     valid; colliding fingerprints are conflated to the smaller pid and
+     preserved, so pid-indexed structures of the caller (the counter's
+     expansion flags) stay valid; colliding fingerprints are conflated to the smaller pid and
      depth, exactly as if the run had started in the compressed mode. *)
   let degrade t =
     lock_all t;
@@ -427,20 +426,4 @@ struct
         t.repr <- Rbit { log2_bits; hashes; words };
         Some t.mode
     | Rbit _ -> None
-
-  (* Depth stamp per provisional id, for checkpointing.  Ids conflated
-     away by a fingerprint collision (or untracked by bitstate) keep the
-     default stamp 0. *)
-  let depths t =
-    lock_all t;
-    Fun.protect ~finally:(fun () -> unlock_all t) @@ fun () ->
-    let a = Array.make (Atomic.get t.next) 0 in
-    let put _ e =
-      if e.pid >= 0 && e.pid < Array.length a then a.(e.pid) <- e.depth
-    in
-    (match t.repr with
-    | Rexact shards -> Array.iter (T.iter put) shards
-    | Rfp { shards; _ } -> Array.iter (Hashtbl.iter put) shards
-    | Rbit _ -> ());
-    a
 end

@@ -1,11 +1,10 @@
-(** State-storage modes for the exploration engines: exact, SPIN-style
-    hash compaction, and bitstate/supertrace hashing.
+(** State-storage modes for the parallel counter ({!Pexplore}): exact,
+    SPIN-style hash compaction, and bitstate/supertrace hashing.
 
-    The explorers deduplicate visited states in a sharded, lock-striped
+    The counter deduplicates visited states in a sharded, lock-striped
     table.  This module abstracts {e what the table stores per state}:
 
-    - {!Exact} keeps the full state as the key — today's behaviour, no
-      omissions, byte-identical replay possible;
+    - {!Exact} keeps the full state as the key — no omissions;
     - {!Hash_compaction} keeps only a [bits]-bit fingerprint of the
       state (computed from its marshalled representation).  Two distinct
       states with equal fingerprints are conflated, so a vanishingly
@@ -13,7 +12,7 @@
       over-counted;
     - {!Bitstate} (Holzmann's supertrace) keeps [k] bits in a
       [2^log2_bits]-bit array per state and no state identity at all:
-      maximal compression, probabilistic coverage, no canonical replay.
+      maximal compression, probabilistic coverage.
 
     Every mode reports a {!coverage} estimate in the exploration stats:
     for bitstate the SPIN-style omission probability
@@ -26,8 +25,9 @@
     acyclic, closure-free data whose structural representation is
     canonical with respect to [equal_state] — true of every system in
     this repository.  The compressed modes are therefore {e probabilistic}:
-    a "no violation" verdict obtained under {!Hash_compaction} or
-    {!Bitstate} only covers the visited (non-omitted) states. *)
+    a count obtained under {!Hash_compaction} or {!Bitstate} is a lower
+    bound that only covers the visited (non-omitted) states.  No verdict
+    is taken from them: every verdict runs {!Explore} on full states. *)
 
 type mode =
   | Exact
@@ -123,17 +123,13 @@ end) : sig
   (** States inserted so far (the provisional-id counter). *)
 
   val tracks_pids : t -> bool
-  (** [false] only for {!Bitstate}: no state -> id lookup, no replay.
-      May flip from [true] to [false] mid-run via {!degrade}. *)
+  (** [false] only for {!Bitstate}: no state -> id lookup.  May flip
+      from [true] to [false] mid-run via {!degrade}. *)
 
   val occupancy : t -> int array
   (** Insertions per lock stripe; sums to {!total}. *)
 
   val coverage : t -> coverage
-
-  val current_mode : t -> mode
-  (** The mode the table is operating in {e now} — the creation mode
-      until the first {!degrade}. *)
 
   val degrade : t -> mode option
   (** Swap the table one rung down the compression ladder, in place:
@@ -151,9 +147,4 @@ end) : sig
       while subsequent live interns probe by full-width ones — only the
       default width round-trips exactly.  Narrow widths exist solely
       for collision-injection tests. *)
-
-  val depths : t -> int array
-  (** Snapshot of the BFS depth stamp per provisional id (index = pid),
-      for checkpointing.  Ids conflated away by a fingerprint collision
-      or untracked by {!Bitstate} report depth 0. *)
 end

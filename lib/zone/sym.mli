@@ -76,8 +76,8 @@ val successors : t -> state -> (Ta.Semantics.label * state) list
     symbolic trace is a candidate discrete trace modulo delays. *)
 
 val system : t -> (state, Ta.Semantics.label) Mc.System.t
-(** Package for the generic explorers ({!Mc.Explore},
-    {!Mc.Pexplore}). *)
+(** Package for the generic explorer ({!Mc.Explore}) and counter
+    ({!Mc.Pexplore}). *)
 
 val bad_of : t -> (Ta.Semantics.config -> bool) -> state -> bool
 (** Lift a discrete state predicate (built from clock-free

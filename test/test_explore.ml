@@ -257,7 +257,7 @@ let negative_hash (x, y) =
 (* --- agreement ---------------------------------------------------------- *)
 
 let tripping_budget = Test_resilience.tripping_budget
-let same_space = Test_pexplore.same_space
+let same_space = Test_resilience.same_space
 
 (* Drive a budget-tripped run to completion, resuming each suspension
    with a fresh budget that trips [k >= 2] polls later (so each leg
@@ -319,10 +319,10 @@ let prop_random_systems =
                ~k:(2 + (k mod 7)) sys)
         [ sys; rehash (fun _ -> 0) sys; rehash (fun s -> -1 - s) sys ])
 
-(* Cursors this engine did not take: the parallel engine's, and this
-   engine's own with the frontier reversed.  Their [c_queue] need not be
-   a contiguous range of ids; a resume must expand it in its order and
-   then the newly discovered ids, exactly as the reference does. *)
+(* A cursor this engine did not take: its own with the frontier
+   reversed.  Its [c_queue] is not a contiguous range of ids; a resume
+   must expand it in its order and then the newly discovered ids,
+   exactly as the reference does. *)
 let prop_foreign_cursors =
   QCheck.Test.make ~name:"index resumes foreign cursors like the reference"
     ~count:200
@@ -331,12 +331,6 @@ let prop_foreign_cursors =
       let sys = Test_pexplore.table_system rs in
       let k = 2 + (k mod (rs.Test_pexplore.n + 2)) in
       let cursors =
-        (match
-           Mc.Pexplore.space_run ~domains:2 ~budget:(tripping_budget k) sys
-         with
-        | Mc.Explore.Suspended (_, c), _ -> [ c ]
-        | Mc.Explore.Done _, _ -> [])
-        @
         match Mc.Explore.space_run ~budget:(tripping_budget k) sys with
         | Mc.Explore.Suspended (_, c) ->
             let q = c.Mc.Explore.c_queue in

@@ -18,14 +18,14 @@ let tripping_budget k =
   in
   Mc.Budget.make ~probe ~check_every:1 ()
 
-(* Trip with [Memory] exactly [shots] times over the whole run (the
+(* Trip with [Memory] on [shots] probes in a row, the [from]-th on (the
    budget re-arms after each degradation, so each shot costs one rung of
    the store ladder). *)
-let memory_budget shots =
-  let left = Atomic.make shots in
+let memory_budget ~from shots =
+  let calls = Atomic.make 0 in
   let probe () =
-    if Atomic.fetch_and_add left (-1) > 0 then Some (Mc.Budget.Memory 1)
-    else None
+    let c = Atomic.fetch_and_add calls 1 + 1 in
+    if c >= from && c < from + shots then Some (Mc.Budget.Memory 1) else None
   in
   Mc.Budget.make ~probe ~check_every:1 ()
 
@@ -43,20 +43,16 @@ let sys_of_succ (succ : int -> (string * int) list) : (int, string) Mc.System.t
     let pp_label = Format.pp_print_string
   end)
 
-(* Numbering-independent view of a space: completeness, the state set
-   and the transition multiset over concrete states — what parallel
-   suspend/resume round trips guarantee (only seq->seq round trips
-   promise byte-identity, which [Test_pexplore.same_space] checks). *)
-let sorted_view (sp : (int, string) Mc.Explore.space) =
-  let tr =
-    List.map
-      (fun (s, l, t) ->
-        (sp.Mc.Explore.states.(s), l, sp.Mc.Explore.states.(t)))
-      (Lts.Graph.transitions sp.Mc.Explore.lts)
-  in
-  ( sp.Mc.Explore.complete,
-    List.sort compare (Array.to_list sp.Mc.Explore.states),
-    List.sort compare tr )
+(* Structural space equality: numbering, transition order, state array
+   and completeness must all coincide. *)
+let same_space (a : ('s, 'l) Mc.Explore.space)
+    (b : ('s, 'l) Mc.Explore.space) =
+  a.Mc.Explore.complete = b.Mc.Explore.complete
+  && a.Mc.Explore.states = b.Mc.Explore.states
+  && Lts.Graph.num_states a.Mc.Explore.lts = Lts.Graph.num_states b.Mc.Explore.lts
+  && Lts.Graph.initial a.Mc.Explore.lts = Lts.Graph.initial b.Mc.Explore.lts
+  && Lts.Graph.transitions a.Mc.Explore.lts
+     = Lts.Graph.transitions b.Mc.Explore.lts
 
 (* ------------------------------------------------------------------ *)
 (* Sequential suspend/resume: byte-identical to an uninterrupted run.   *)
@@ -71,10 +67,10 @@ let prop_seq_resume_byte_identical =
       let oracle = Mc.Explore.space sys in
       let budget = tripping_budget (1 + (k mod (rs.n + 2))) in
       match Mc.Explore.space_run ~budget sys with
-      | Mc.Explore.Done sp -> Test_pexplore.same_space oracle sp
+      | Mc.Explore.Done sp -> same_space oracle sp
       | Mc.Explore.Suspended (_, cur) -> (
           match Mc.Explore.space_run ~resume:cur sys with
-          | Mc.Explore.Done sp -> Test_pexplore.same_space oracle sp
+          | Mc.Explore.Done sp -> same_space oracle sp
           | Mc.Explore.Suspended _ -> false))
 
 let prop_seq_resume_bounded =
@@ -88,10 +84,10 @@ let prop_seq_resume_bounded =
       let oracle = Mc.Explore.space ~max_states sys in
       let budget = tripping_budget (1 + (k mod (rs.n + 2))) in
       match Mc.Explore.space_run ~max_states ~budget sys with
-      | Mc.Explore.Done sp -> Test_pexplore.same_space oracle sp
+      | Mc.Explore.Done sp -> same_space oracle sp
       | Mc.Explore.Suspended (_, cur) -> (
           match Mc.Explore.space_run ~max_states ~resume:cur sys with
-          | Mc.Explore.Done sp -> Test_pexplore.same_space oracle sp
+          | Mc.Explore.Done sp -> same_space oracle sp
           | Mc.Explore.Suspended _ -> false))
 
 (* Two interrupts in a row, resumed each time, still land on the exact
@@ -113,7 +109,7 @@ let test_seq_double_interrupt () =
   | Mc.Explore.Done _ -> Alcotest.fail "expected the first run to suspend");
   let sp = drain [ Some (tripping_budget 100); None ] first in
   check Alcotest.bool "double interrupt/resume = uninterrupted" true
-    (Test_pexplore.same_space oracle sp)
+    (same_space oracle sp)
 
 (* Periodic checkpoints: callbacks fire at the configured granularity
    and resuming from the last snapshot of a *completed* run still
@@ -140,7 +136,7 @@ let test_periodic_checkpoint () =
           match Mc.Explore.space_run ~resume:cur sys with
           | Mc.Explore.Done sp' ->
               check Alcotest.bool "resume from periodic snapshot" true
-                (Test_pexplore.same_space sp sp')
+                (same_space sp sp')
           | Mc.Explore.Suspended _ -> Alcotest.fail "resume suspended"))
 
 (* Resuming with a different max_states than the cursor was taken with
@@ -149,16 +145,11 @@ let test_resume_max_states_mismatch () =
   let sys = Test_pexplore.counter 100 in
   match Mc.Explore.space_run ~max_states:80 ~budget:(tripping_budget 10) sys with
   | Mc.Explore.Done _ -> Alcotest.fail "expected suspension"
-  | Mc.Explore.Suspended (_, cur) ->
-      (try
-         ignore (Mc.Explore.space_run ~max_states:60 ~resume:cur sys);
-         Alcotest.fail "sequential resume accepted a max_states mismatch"
-       with Invalid_argument _ -> ());
-      (try
-         ignore
-           (Mc.Pexplore.space_run ~max_states:60 ~domains:2 ~resume:cur sys);
-         Alcotest.fail "parallel resume accepted a max_states mismatch"
-       with Invalid_argument _ -> ())
+  | Mc.Explore.Suspended (_, cur) -> (
+      try
+        ignore (Mc.Explore.space_run ~max_states:60 ~resume:cur sys);
+        Alcotest.fail "resume accepted a max_states mismatch"
+      with Invalid_argument _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint files: round trip, kind guard, corruption, truncation,   *)
@@ -182,7 +173,7 @@ let test_checkpoint_container () =
           | Mc.Explore.Done sp ->
               check Alcotest.bool "resume through the file = uninterrupted"
                 true
-                (Test_pexplore.same_space (Mc.Explore.space sys) sp)
+                (same_space (Mc.Explore.space sys) sp)
           | Mc.Explore.Suspended _ -> Alcotest.fail "file resume suspended"));
       (match Mc.Checkpoint.load ~file ~kind:"test/resilience/other" with
       | Error _ -> ()
@@ -268,71 +259,44 @@ let test_pa_checkpoint_resume () =
           | Ltl.Check.Suspended _ -> Alcotest.fail "resumed run suspended"))
 
 (* ------------------------------------------------------------------ *)
-(* Parallel suspend/resume: verdict- and set-identical, all stores.     *)
-(* ------------------------------------------------------------------ *)
-
-let prop_par_resume_verdict_identical =
-  QCheck.Test.make
-    ~name:"par suspend/resume set-identical (stores x domains {2,4})"
-    ~count:40
-    QCheck.(pair Test_pexplore.rand_sys_arb small_nat)
-    (fun (rs, k) ->
-      let sys = Test_pexplore.table_system rs in
-      let view = sorted_view (Mc.Explore.space sys) in
-      List.for_all
-        (fun store ->
-          List.for_all
-            (fun d ->
-              let budget = tripping_budget (1 + (k mod (rs.n + 2))) in
-              match Mc.Pexplore.space_run ~domains:d ~store ~budget sys with
-              | Mc.Explore.Done sp, _ -> sorted_view sp = view
-              | Mc.Explore.Suspended (_, cur), _ -> (
-                  match
-                    Mc.Pexplore.space_run ~domains:d ~store ~resume:cur sys
-                  with
-                  | Mc.Explore.Done sp, _ -> sorted_view sp = view
-                  | Mc.Explore.Suspended _, _ -> false))
-            [ 2; 4 ])
-        Test_pexplore.pid_stores)
-
-let prop_par_resume_bounded =
-  QCheck.Test.make
-    ~name:"par suspend/resume under max_states matches seq truncation"
-    ~count:60
-    QCheck.(triple Test_pexplore.rand_sys_arb small_nat small_nat)
-    (fun (rs, m, k) ->
-      let sys = Test_pexplore.table_system rs in
-      let max_states = m mod (rs.n + 3) in
-      let view = sorted_view (Mc.Explore.space ~max_states sys) in
-      let budget = tripping_budget (1 + (k mod (rs.n + 2))) in
-      match Mc.Pexplore.space_run ~max_states ~domains:2 ~budget sys with
-      | Mc.Explore.Done sp, _ -> sorted_view sp = view
-      | Mc.Explore.Suspended (_, cur), _ -> (
-          match Mc.Pexplore.space_run ~max_states ~domains:2 ~resume:cur sys with
-          | Mc.Explore.Done sp, _ -> sorted_view sp = view
-          | Mc.Explore.Suspended _, _ -> false))
-
-(* ------------------------------------------------------------------ *)
 (* Degradation ladder: memory trips walk the store down in place.       *)
 (* ------------------------------------------------------------------ *)
 
+(* A binary tree on 0..n-1, complete when n is one less than a power of
+   two; every level is wider than the last, so all domains hold work. *)
+let tree_succ n s =
+  List.filter (fun (_, c) -> c < n) [ ("l", (2 * s) + 1); ("r", (2 * s) + 2) ]
+
+(* One trip costs one rung and nothing else, wherever it lands: from
+   the first poll to a few hundred chunks into a 2^16-state binary tree
+   at 4 domains.  A trip the ladder answers is no stop, so the domains
+   that are mid-chunk while another degrades the store must keep
+   expanding, or what they drop is missing from a count still reported
+   complete.  Hash compaction is exact at this size. *)
 let test_degradation_one_rung () =
-  let sys = Test_pexplore.counter 3000 in
-  let (count, complete), stats =
-    Mc.Pexplore.count_stats ~domains:2 ~budget:(memory_budget 1) sys
-  in
-  check Alcotest.int "count survives the rung" 3000 count;
-  check Alcotest.bool "run completes" true complete;
-  check
-    Alcotest.(list string)
-    "exactly one rung taken" [ "hashcompact" ] stats.Mc.Pexplore.degraded;
-  check Alcotest.bool "no exhaustion after degradation" true
-    (stats.Mc.Pexplore.exhausted = None)
+  let sys = sys_of_succ (tree_succ (1 lsl 16)) in
+  let expected = (Mc.Explore.count sys, []) in
+  List.iter
+    (fun from ->
+      let (count, complete), stats =
+        Mc.Pexplore.count_stats ~domains:4 ~budget:(memory_budget ~from 1) sys
+      in
+      check
+        Alcotest.(list string)
+        "exactly one rung taken" [ "hashcompact" ] stats.Mc.Pexplore.degraded;
+      check
+        Alcotest.(pair (pair int bool) (list string))
+        (Printf.sprintf "count after a trip at poll %d" from)
+        expected
+        ( (count, complete),
+          Option.to_list
+            (Option.map Mc.Budget.reason_name stats.Mc.Pexplore.exhausted) ))
+    [ 1; 20; 40; 80; 160; 320 ]
 
 let test_degradation_full_ladder () =
   let sys = Test_pexplore.counter 3000 in
   let (count, complete), stats =
-    Mc.Pexplore.count_stats ~domains:2 ~budget:(memory_budget 2) sys
+    Mc.Pexplore.count_stats ~domains:2 ~budget:(memory_budget ~from:1 2) sys
   in
   check
     Alcotest.(list string)
@@ -352,7 +316,7 @@ let test_degradation_full_ladder () =
 let test_degradation_disabled_exhausts () =
   let sys = Test_pexplore.counter 3000 in
   let (count, complete), stats =
-    Mc.Pexplore.count_stats ~domains:2 ~budget:(memory_budget 1)
+    Mc.Pexplore.count_stats ~domains:2 ~budget:(memory_budget ~from:1 1)
       ~degrade:false sys
   in
   (match stats.Mc.Pexplore.exhausted with
@@ -365,18 +329,12 @@ let test_degradation_disabled_exhausts () =
 (* Quarantine: raising successors are retried, then surfaced.           *)
 (* ------------------------------------------------------------------ *)
 
-(* A complete binary tree on 0..126; plenty of parallel work around the
-   poisoned state. *)
-let tree_succ s =
-  let l = (2 * s) + 1 and r = (2 * s) + 2 in
-  if r <= 126 then [ ("l", l); ("r", r) ] else []
-
 let test_transient_raise_retried () =
   let raised = Atomic.make false in
   let succ s =
     if s = 60 && not (Atomic.exchange raised true) then
       failwith "transient successor failure"
-    else tree_succ s
+    else tree_succ 127 s
   in
   let (count, complete), stats =
     Mc.Pexplore.count_stats ~domains:4 (sys_of_succ succ)
@@ -388,22 +346,22 @@ let test_transient_raise_retried () =
   check Alcotest.bool "no exhaustion" true
     (stats.Mc.Pexplore.exhausted = None)
 
-(* The satellite pin: a successor that keeps raising must not deadlock
-   the 4-domain run — it terminates with Exhausted (Crashed _) naming
-   the state, after exploring everything else. *)
+(* A successor that keeps raising must not deadlock the 4-domain run:
+   it ends with a Crashed exhaustion naming the state, after counting
+   everything else. *)
 let test_persistent_raise_terminates () =
-  let succ s = if s = 60 then failwith "boom" else tree_succ s in
-  match
-    Mc.Pexplore.find ~domains:4 ~goal:(fun s -> s = 9999) (sys_of_succ succ)
-  with
-  | Mc.Explore.Exhausted e ->
-      (match e.Mc.Explore.reason with
-      | Mc.Budget.Crashed _ -> ()
-      | r ->
-          Alcotest.failf "expected Crashed, got %s" (Mc.Budget.reason_name r));
-      check Alcotest.bool "the rest of the space was still explored" true
-        (e.Mc.Explore.states_so_far >= 120)
-  | _ -> Alcotest.fail "expected Exhausted (Crashed _)"
+  let succ s = if s = 60 then failwith "boom" else tree_succ 127 s in
+  let (count, complete), stats =
+    Mc.Pexplore.count_stats ~domains:4 (sys_of_succ succ)
+  in
+  (match stats.Mc.Pexplore.exhausted with
+  | Some (Mc.Budget.Crashed _) -> ()
+  | Some r ->
+      Alcotest.failf "expected Crashed, got %s" (Mc.Budget.reason_name r)
+  | None -> Alcotest.fail "expected exhausted = Some (Crashed _)");
+  check Alcotest.bool "incomplete" false complete;
+  check Alcotest.bool "the rest of the space was still counted" true
+    (count >= 120)
 
 (* ------------------------------------------------------------------ *)
 (* Budget semantics and verdict surfacing.                              *)
@@ -431,26 +389,17 @@ let test_budget_semantics () =
   | Some Mc.Budget.Cancelled -> ()
   | _ -> Alcotest.fail "cancellation must survive rearm"
 
-(* The same trip through the sequential verdict and through the
-   parallel engine's find, whose verdict [Verify.deadlocks] maps. *)
+(* A trip through the verdict path every safety check and
+   [Verify.deadlocks] take. *)
 let test_safety_exhausted () =
   let sys = Test_pexplore.counter 500 in
-  let interrupted what (e : Mc.Explore.exhaustion) =
-    check Alcotest.string (what ^ ": reason surfaced") "interrupted"
-      (Mc.Budget.reason_name e.Mc.Explore.reason)
-  in
-  (match
-     Mc.Safety.check_state ~budget:(tripping_budget 1) sys (fun _ -> false)
-   with
-  | Mc.Safety.Exhausted e -> interrupted "Safety.check_state" e
-  | _ -> Alcotest.fail "expected Exhausted from Safety.check_state");
   match
-    Mc.Pexplore.find ~domains:2 ~budget:(tripping_budget 1)
-      ~goal:(fun _ -> false)
-      sys
+    Mc.Safety.check_state ~budget:(tripping_budget 1) sys (fun _ -> false)
   with
-  | Mc.Explore.Exhausted e -> interrupted "Pexplore.find at 2 domains" e
-  | _ -> Alcotest.fail "expected Exhausted from Pexplore.find at 2 domains"
+  | Mc.Safety.Exhausted e ->
+      check Alcotest.string "reason surfaced" "interrupted"
+        (Mc.Budget.reason_name e.Mc.Explore.reason)
+  | _ -> Alcotest.fail "expected Exhausted from Safety.check_state"
 
 let tests =
   ( "resilience",
@@ -467,8 +416,6 @@ let tests =
         test_checkpoint_container;
       Alcotest.test_case "PA liveness checkpoint resume" `Quick
         test_pa_checkpoint_resume;
-      QCheck_alcotest.to_alcotest prop_par_resume_verdict_identical;
-      QCheck_alcotest.to_alcotest prop_par_resume_bounded;
       Alcotest.test_case "degradation: one rung" `Quick
         test_degradation_one_rung;
       Alcotest.test_case "degradation: full ladder" `Quick

@@ -194,24 +194,6 @@ let test_narrow_compact_underreports () =
         (count < n))
     [ 1; 4 ]
 
-let test_compact_find_never_fabricates () =
-  (* the chain's last state is hidden behind a collision: find answers
-     Unreachable (a probabilistic miss) — it must never invent a witness
-     for a state it did not visit *)
-  let n = 1000 in
-  let sys = Test_pexplore.counter n in
-  match
-    Mc.Pexplore.find ~domains:2
-      ~store:(Mc.Store.Hash_compaction { bits = 8 })
-      ~goal:(fun s -> s = n - 1)
-      sys
-  with
-  | Mc.Explore.Unreachable -> ()
-  | Mc.Explore.Reached _ ->
-      Alcotest.fail "fabricated a witness beyond the collision cut"
-  | Mc.Explore.Bound_hit _ -> Alcotest.fail "unexpected bound"
-  | Mc.Explore.Exhausted _ -> Alcotest.fail "unexpected exhaustion"
-
 let prop_compressed_never_overreport =
   QCheck.Test.make ~name:"compressed stores never over-report" ~count:100
     QCheck.(pair Test_pexplore.rand_sys_arb (int_range 1 16))
@@ -372,8 +354,6 @@ let tests =
         test_bitstate_distinct_fresh;
       Alcotest.test_case "narrow fingerprints under-report" `Quick
         test_narrow_compact_underreports;
-      Alcotest.test_case "find never fabricates witnesses" `Quick
-        test_compact_find_never_fabricates;
       Alcotest.test_case "full-width fingerprints count exactly" `Quick
         test_fullwidth_compact_exact_parity;
       Alcotest.test_case "bitstate coverage estimate vs ground truth" `Quick
