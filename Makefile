@@ -82,17 +82,22 @@ por:
 # Parallel-counter gate: the qcheck parity harness for the
 # work-stealing counter (counts and completeness flags equal to
 # Mc.Explore.count across stores x domain counts, also under a
-# max_states bound, and depth histograms equal to the BFS levels), the
-# store units (exact shards spread over their buckets, hash-compaction,
-# bitstate coverage estimates, collision injection), then one large
-# exact-store count: dynamic at tmax 40 (498 876 states) must print the
-# same report at -j 1 and -j 2.
+# max_states bound, and transitions equal to those of the sequential
+# space), the store units (exact shards spread over their buckets,
+# hash-compaction, bitstate coverage estimates, collision injection),
+# then two large counts of dynamic at tmax 40 (498 876 states), each of
+# which must print the same report at -j 1 and -j 2: one on the exact
+# store, one under hash compaction (its fingerprints are fixed, and
+# 498 876 states at 62 bits collide with probability about 3e-8).
 par:
 	$(DUNE) exec test/main.exe -- test pexplore
 	$(DUNE) exec test/main.exe -- test store
 	$(DUNE) exec bin/hbexplore.exe -- stats -v dynamic --tmax 40 --count -j 1 > _build/hbpar-1.out
 	$(DUNE) exec bin/hbexplore.exe -- stats -v dynamic --tmax 40 --count -j 2 > _build/hbpar-2.out
 	cmp _build/hbpar-1.out _build/hbpar-2.out
+	$(DUNE) exec bin/hbexplore.exe -- stats -v dynamic --tmax 40 --store hashcompact -j 1 > _build/hbpar-hc-1.out
+	$(DUNE) exec bin/hbexplore.exe -- stats -v dynamic --tmax 40 --store hashcompact -j 2 > _build/hbpar-hc-2.out
+	cmp _build/hbpar-hc-1.out _build/hbpar-hc-2.out
 
 # Resilience gate: the budget/checkpoint/degradation/quarantine suite
 # (qcheck suspend/resume round trips, store-ladder degradation and

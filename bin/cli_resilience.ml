@@ -255,11 +255,15 @@ let coverage_json (c : Mc.Store.coverage) =
     (Lint.Report.json_str c.Mc.Store.mode)
     c.Mc.Store.est_coverage
 
+(* Exhaustions come from exact stores only, so their coverage object is
+   the exact store's constant one. *)
 let exhaustion_json (e : Mc.Explore.exhaustion) =
   Printf.sprintf "{\"reason\":\"%s\",\"states\":%d,\"coverage\":%s}"
     (Mc.Budget.reason_name e.Mc.Explore.reason)
     e.Mc.Explore.states_so_far
-    (coverage_json e.Mc.Explore.coverage)
+    (coverage_json
+       (Mc.Store.coverage_of ~mode:Mc.Store.exact
+          ~stored:e.Mc.Explore.states_so_far))
 
 (* The system a check explores and, for a slice or a reduction, the
    full system it came from.  The slice is the property-free one: no

@@ -15,8 +15,8 @@ let exploration_stats_arg =
     & info [ "stats" ]
         ~doc:
           "With $(b,--count): print the counter's statistics (states/s, \
-           frontier, shards, steals).  Text only: rejected with \
-           $(b,--json) and $(b,--zone).")
+           transitions, shard occupancy, steals, coverage).  Text only: \
+           rejected with $(b,--json) and $(b,--zone).")
 
 let store_conv =
   let parse s =
@@ -177,13 +177,10 @@ let stats_cmd =
         "-j, --stats and --no-degrade need --count (the state graph is \
          built on one domain with an exact store)";
     (* the checkpoint kind guards resume identity: same tool, model,
-       parameters and bound, or the resume is rejected (the constants
-       "lu=global", from the deleted --lu flag, and "store=exact", the
-       only store a graph is built on, let existing checkpoints
-       resume) *)
+       parameters and bound, or the resume is rejected *)
     let kind =
       Printf.sprintf
-        "hbexplore/stats/ta/%s/fixed=%b/monitors=%b/slice=%b/lu=global/tmin=%d/tmax=%d/n=%d/max=%d/store=exact"
+        "hbexplore/stats/ta/%s/fixed=%b/monitors=%b/slice=%b/tmin=%d/tmax=%d/n=%d/max=%d"
         (H.Ta_models.variant_name variant)
         fixed monitors slice tmin tmax n max_states
     in
@@ -226,20 +223,22 @@ let stats_cmd =
           ~exhausted:stats.Mc.Pexplore.exhausted
           ~degraded:stats.Mc.Pexplore.degraded
       else begin
-        Format.printf
-          "%a: %d states visited (%s; counts under a compressed store are \
-           probabilistic lower bounds)@."
-          header () count
+        (* the store that finished the run: a degraded run ends compressed *)
+        let coverage = stats.Mc.Pexplore.coverage in
+        Format.printf "%a: %d states visited (%s%s)@." header () count
           (match stats.Mc.Pexplore.exhausted with
           | Some r -> "EXHAUSTED: " ^ Mc.Budget.reason_name r
-          | None -> if complete then "complete" else "TRUNCATED");
+          | None -> if complete then "complete" else "TRUNCATED")
+          (if coverage.Mc.Store.exact then ""
+           else
+             "; counts under a compressed store are probabilistic lower \
+              bounds");
         (match stats.Mc.Pexplore.degraded with
         | [] -> ()
         | ms ->
             Format.printf "store degraded in place: %s@."
               (String.concat " -> " (Mc.Store.mode_name store :: ms)));
-        Format.printf "coverage: %a@." Mc.Store.pp_coverage
-          stats.Mc.Pexplore.coverage;
+        Format.printf "coverage: %a@." Mc.Store.pp_coverage coverage;
         if show_stats then Format.printf "%a@." Mc.Pexplore.pp_stats stats
       end;
       if stats.Mc.Pexplore.exhausted <> None then

@@ -93,12 +93,7 @@ let verdict_exit = function
    checkpoint (when requested) carries the cursor, the report carries
    the partial state count. *)
 let exhaustion_of_cursor reason cursor =
-  let n = Mc.Explore.cursor_states cursor in
-  {
-    Mc.Explore.reason;
-    states_so_far = n;
-    coverage = Mc.Store.coverage_of ~mode:Mc.Store.exact ~stored:n;
-  }
+  { Mc.Explore.reason; states_so_far = Mc.Explore.cursor_states cursor }
 
 (* A refutation lasso as text: the prefix as [prefix] renders it, then
    the cycle, one step per line. *)
@@ -197,11 +192,9 @@ let check_cmd =
     if pa then
       (* The process-algebra encoding: the same requirements, read as LTL
          over the PA action names, with the ample-set reduction
-         available because those formulas are stutter-invariant.  The
-         constant "slice=false" in the checkpoint kind lets existing PA
-         checkpoints resume. *)
+         available because those formulas are stutter-invariant. *)
       check
-        ~flags:(Printf.sprintf "slice=false/reduce=%b" reduce)
+        ~flags:(Printf.sprintf "reduce=%b" reduce)
         ~run:(fun ~checkpoint ~resume ->
           H.Pa_verify.check_live_run ~engine ~reduce ~budget ?checkpoint
             ?resume variant params req)

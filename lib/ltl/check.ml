@@ -399,14 +399,7 @@ let check_run ?(engine = Ndfs) ?(stutter = Extend) ?(fairness = [])
   | SNonempty (prefix, cycle) -> Concluded (Refuted { prefix; cycle })
   | STrunc n -> Concluded (Unknown n)
   | SExh (reason, n) ->
-      Concluded
-        (Exhausted
-           {
-             Mc.Explore.reason;
-             states_so_far = n;
-             coverage =
-               Mc.Store.coverage_of ~mode:Mc.Store.exact ~stored:n;
-           })
+      Concluded (Exhausted { Mc.Explore.reason; states_so_far = n })
   | SSusp (reason, cursor) -> Suspended (reason, cursor)
 
 let check ?engine ?stutter ?fairness ?reduction ?max_states ?budget sys f =
@@ -415,13 +408,8 @@ let check ?engine ?stutter ?fairness ?reduction ?max_states ?budget sys f =
   | Suspended (reason, cursor) ->
       (* no checkpoint sink was given, so fold the suspension into the
          qualified verdict *)
-      let n = Mc.Explore.cursor_states cursor in
       Exhausted
-        {
-          Mc.Explore.reason;
-          states_so_far = n;
-          coverage = Mc.Store.coverage_of ~mode:Mc.Store.exact ~stored:n;
-        }
+        { Mc.Explore.reason; states_so_far = Mc.Explore.cursor_states cursor }
 
 let holds = function
   | Holds -> true

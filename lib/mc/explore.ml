@@ -104,11 +104,7 @@ let set a i x =
   if i >= Array.length !a then a := extend !a (max 16 (2 * i)) x;
   !a.(i) <- x
 
-type exhaustion = {
-  reason : Budget.reason;
-  states_so_far : int;
-  coverage : Store.coverage;
-}
+type exhaustion = { reason : Budget.reason; states_so_far : int }
 
 let pp_exhaustion ppf e =
   Format.fprintf ppf "exhausted after %d states: %a" e.states_so_far
@@ -117,14 +113,13 @@ let pp_exhaustion ppf e =
 type ('s, 'l) cursor = {
   c_max_states : int;
   c_states : 's array; (* discovery order; index = state id *)
-  c_depths : int array;
   c_trans : (int * 'l * int) list; (* accumulated, newest first *)
-  c_queue : int array; (* unexpanded state ids, front first *)
+  c_head : int; (* the frontier: ids [c_head, length c_states) *)
   c_complete : bool;
 }
 
 let cursor_states c = Array.length c.c_states
-let cursor_frontier c = Array.length c.c_queue
+let cursor_frontier c = Array.length c.c_states - c.c_head
 
 type ('s, 'l) run_result =
   | Done of ('s, 'l) space
@@ -135,19 +130,12 @@ let space_run (type s l) ?(max_states = default_max) ?expected_states ?budget
   let module S = (val sys) in
   let module I = Index (S) in
   let index = I.create expected_states in
-  (* BFS depth per id, recorded for the cursor layout; the loop itself
-     never branches on it. *)
-  let depths = ref [||] in
   let complete = ref true in
   let transitions = ref [] in
-  (* The frontier: the ids a resumed cursor hands over, in its order,
-     then every id from [head] on.  A cursor from this engine hands over
-     a contiguous range; a cursor built elsewhere need not be one. *)
-  let pending = ref [||] in
-  let next_pending = ref 0 in
+  (* The frontier: every id from [head] on. *)
   let head = ref 0 in
   (match resume with
-  | None -> set depths (I.intern index S.initial) 0
+  | None -> ignore (I.intern index S.initial)
   | Some c ->
       if c.c_max_states <> max_states then
         invalid_arg
@@ -158,47 +146,30 @@ let space_run (type s l) ?(max_states = default_max) ?expected_states ?budget
       (* Re-interning in discovery order reproduces the index and its
          ids exactly, so the continuation is byte-identical to an
          uninterrupted run. *)
-      Array.iteri (fun i s -> set depths (I.intern index s) c.c_depths.(i))
-        c.c_states;
+      Array.iter (fun s -> ignore (I.intern index s)) c.c_states;
       transitions := c.c_trans;
       complete := c.c_complete;
-      pending := c.c_queue;
-      head := index.I.count);
+      head := c.c_head);
   let snapshot () =
-    let n = index.I.count in
-    let rest = Array.length !pending - !next_pending in
     {
       c_max_states = max_states;
-      c_states = Array.sub index.I.states 0 n;
-      c_depths = Array.sub !depths 0 n;
+      c_states = Array.sub index.I.states 0 index.I.count;
       c_trans = !transitions;
-      c_queue =
-        Array.append
-          (Array.sub !pending !next_pending rest)
-          (Array.init (n - !head) (fun k -> !head + k));
+      c_head = !head;
       c_complete = !complete;
     }
   in
   let expanded = ref 0 in
   let suspended = ref None in
   (try
-     while !next_pending < Array.length !pending || !head < index.I.count do
+     while !head < index.I.count do
        (match Option.bind budget Budget.check with
        | Some r ->
            suspended := Some (Suspended (r, snapshot ()));
            raise Exit
        | None -> ());
-       let i =
-         if !next_pending < Array.length !pending then begin
-           incr next_pending;
-           !pending.(!next_pending - 1)
-         end
-         else begin
-           incr head;
-           !head - 1
-         end
-       in
-       let d = !depths.(i) in
+       let i = !head in
+       incr head;
        List.iter
          (fun (l, s') ->
            (* Truncation contract: once the bound is reached no new state
@@ -209,11 +180,8 @@ let space_run (type s l) ?(max_states = default_max) ?expected_states ?budget
            let h = S.hash_state s' in
            let r = I.lookup index s' h in
            if r >= 0 then transitions := (i, l, r) :: !transitions
-           else if index.I.count < max_states then begin
-             let j = I.add index s' h r in
-             set depths j (d + 1);
-             transitions := (i, l, j) :: !transitions
-           end
+           else if index.I.count < max_states then
+             transitions := (i, l, I.add index s' h r) :: !transitions
            else complete := false)
          (S.successors index.I.states.(i));
        incr expanded;
@@ -297,13 +265,7 @@ let find (type s l) ?(max_states = default_max) ?expected_states ?budget ~goal
     match (!result, !exhausted) with
     | Some (trace, state), _ -> Reached { trace; state }
     | None, Some reason ->
-        Exhausted
-          {
-            reason;
-            states_so_far = index.I.count;
-            coverage =
-              Store.coverage_of ~mode:Store.exact ~stored:index.I.count;
-          }
+        Exhausted { reason; states_so_far = index.I.count }
     | None, None -> if !truncated then Bound_hit max_states else Unreachable
   end
 

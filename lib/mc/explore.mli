@@ -26,30 +26,27 @@ val default_max : int
 type exhaustion = {
   reason : Budget.reason;  (** which limit tripped *)
   states_so_far : int;  (** states interned before stopping *)
-  coverage : Store.coverage;
-      (** store omission estimate over the {e visited} states — the
-          trivially-exact record, since every engine that returns an
-          exhaustion runs an exact store *)
 }
+(** Every engine that returns an exhaustion runs an exact store, so it
+    carries no coverage estimate. *)
 
 val pp_exhaustion : Format.formatter -> exhaustion -> unit
 
 type ('s, 'l) cursor = {
   c_max_states : int;  (** the bound the run was started with *)
   c_states : 's array;  (** interned states in discovery order *)
-  c_depths : int array;  (** BFS depth stamp per state *)
   c_trans : (int * 'l * int) list;  (** transitions so far, newest first *)
-  c_queue : int array;  (** unexpanded state ids, front first *)
+  c_head : int;
+      (** the first unexpanded id: the frontier is the ids from [c_head]
+          to the last one *)
   c_complete : bool;
 }
 (** A suspended exploration: everything needed to continue exactly where
     a budget trip or signal stopped the run.  The fields are exposed for
     the checkpoint layer; treat the type as opaque otherwise.  Only
-    {!space_run} takes and resumes cursors.  [c_depths] is recorded but
-    no engine branches on it, and a resumed [c_queue] need not be a
-    contiguous range of ids: it is expanded in its order, then every id
-    discovered after it.  Cursors are plain data (no closures) and safe
-    to [Marshal] whenever the state and label types are. *)
+    {!space_run} takes and resumes cursors.  Cursors are plain data (no
+    closures) and safe to [Marshal] whenever the state and label types
+    are. *)
 
 val cursor_states : ('s, 'l) cursor -> int
 val cursor_frontier : ('s, 'l) cursor -> int

@@ -3,16 +3,14 @@
     A work-stealing engine over a lock-striped state table ({!Store},
     64 stripes): every domain owns a chunked deque of work items; owners
     push and pop whole chunks, idle domains steal the oldest half of a
-    victim's chunks (the BFS-shallowest, hence largest, remaining
-    subtrees).  Termination is detected with a global pending-item
-    counter.  Items carry BFS depth stamps that are {e relaxed} —
-    re-enqueued with the shorter depth — whenever a shorter path to a
-    known state is found, which keeps truncation under [max_states]
-    exact: a state is only skipped when its stamped depth exceeds the
-    smallest depth whose cumulative state count reaches the bound, so
-    every state the sequential engine would retain is interned and
-    expanded, and {!count_stats} agrees with {!Explore.count} for every
-    domain count.
+    victim's chunks (the shallowest, hence largest, remaining subtrees).
+    Termination is detected with a global pending-item counter.  Each
+    state is enqueued once, on its first intern, and only if its dense
+    store id is below [max 1 max_states]: every state with a smaller id
+    is expanded, so when the reachable space is larger than the bound
+    some successor gets an id at or past it.  The count and completeness
+    flag at the bound are therefore {!Explore.count}'s for every domain
+    count, whichever states were kept.
 
     The engine only counts: it keeps no state vector, adjacency or
     parent links, so a compressed store ({!Store.Hash_compaction},
@@ -29,17 +27,12 @@
 
 type stats = {
   states : int;  (** states counted (at most [max_states]) *)
-  transitions : int;  (** successor edges of first-time expansions *)
+  transitions : int;  (** successor edges of the expanded states *)
   wall_seconds : float;
   states_per_sec : float;
-  peak_frontier : int;  (** largest BFS level *)
-  depth_histogram : int array;
-      (** states per BFS level, from level 0 to the deepest non-empty one *)
   shard_occupancy : int array;  (** interned states per table stripe *)
   domains_used : int;
   steals : int;  (** successful steal operations *)
-  relaxations : int;
-      (** depth-stamp improvements that re-enqueued a known state *)
   coverage : Store.coverage;  (** store mode and omission estimate *)
   exhausted : Budget.reason option;
       (** why the run fell short of a full count, if it did *)
@@ -76,6 +69,4 @@ val count_stats :
     offending state, after the rest of the space was counted.
 
     The statistics include the store's {!Store.coverage} estimate — the
-    way to surface bitstate omission probabilities.  The depth histogram
-    uses stamped depths, which coincide with the canonical BFS levels on
-    complete unbounded runs. *)
+    way to surface bitstate omission probabilities. *)

@@ -1,12 +1,10 @@
-(* State-storage modes for the exploration engines.  See store.mli for
-   the contract; the concurrency story is the same lock-striping used by
-   the explorer table: a state is owned by exactly one stripe (selected
-   from its key hash by [stripe], or from its fingerprint in the
-   compressed modes so that colliding states are serialised through the
-   same lock), and all per-state mutation happens under that stripe's
-   mutex.  The provisional-id counter is a plain [Atomic.t] fetched
-   while holding the stripe lock, which makes ids dense and insertion
-   atomic.
+(* State-storage modes for the parallel counter.  See store.mli for the
+   contract.  A state is owned by exactly one lock stripe (selected from
+   its key hash by [stripe], or from its fingerprint in the compressed
+   modes so that colliding states are serialised through the same lock),
+   and every insertion happens under that stripe's mutex.  The id
+   counter is a plain [Atomic.t] fetched while holding the stripe lock,
+   which makes ids dense and insertion atomic.
 
    The representation is additionally *mutable*: when a memory budget
    trips, [degrade] swaps the whole table one rung down the compression
@@ -193,11 +191,9 @@ struct
     let hash = K.hash
   end)
 
-  type entry = { pid : int; mutable depth : int }
-
   type repr =
-    | Rexact of entry T.t array
-    | Rfp of { bits : int; shards : (int, entry) Hashtbl.t array }
+    | Rexact of unit T.t array
+    | Rfp of { bits : int; shards : (int, unit) Hashtbl.t array }
     | Rbit of { log2_bits : int; hashes : int; words : int Atomic.t array }
 
   type t = {
@@ -211,7 +207,7 @@ struct
     fp : K.t -> int;
   }
 
-  type intern_result = Fresh of int | Known of int | Relaxed of int * int
+  type intern_result = Fresh of int | Known
 
   let create ?(expected = 1024) ?(fingerprint = fingerprint) ~shards mode =
     let bits = log2_ceil shards in
@@ -248,7 +244,6 @@ struct
     }
 
   let total t = Atomic.get t.next
-  let tracks_pids t = match t.repr with Rbit _ -> false | _ -> true
   let occupancy t = Array.copy t.filled
   let coverage t = coverage_of ~mode:t.mode ~stored:(Atomic.get t.next)
 
@@ -269,21 +264,15 @@ struct
       None)
     else Some (Fun.protect ~finally:(fun () -> Mutex.unlock lock) f)
 
-  (* Exact and fingerprint shards share the same intern shape: find the
-     entry (already under the stripe lock), insert with a fresh dense id
-     when absent, relax the depth stamp when the new path is shorter. *)
-  let intern_slot find add t shard ~depth =
-    match find () with
-    | Some e ->
-        if depth < e.depth then (
-          let old = e.depth in
-          e.depth <- depth;
-          Relaxed (e.pid, old))
-        else Known e.pid
-    | None ->
-        let pid = fresh_id t shard in
-        add { pid; depth };
-        Fresh pid
+  (* Exact and fingerprint shards are sets of the same shape: a member
+     is [Known], an absent key is added under a fresh dense id.  Both
+     run under the stripe lock. *)
+  let intern_slot mem add t shard =
+    if mem () then Known
+    else begin
+      add ();
+      Fresh (fresh_id t shard)
+    end
 
   (* k probe positions in the bit array via double hashing over the
      64-bit fingerprint.  Returns true iff the bit was already set. *)
@@ -308,7 +297,7 @@ struct
       if not (bit_test_set words !pos) then seen := false;
       pos := (!pos + h2) land m1
     done;
-    if !seen then Known (-1) else Fresh (fresh_id t shard)
+    if !seen then Known else Fresh (fresh_id t shard)
 
   let rec intern t s ~depth =
     let repr = t.repr in
@@ -318,10 +307,8 @@ struct
           let shard = stripe ~bits:t.bits (K.hash s) in
           let tbl = shards.(shard) in
           with_stripe t shard repr (fun () ->
-              intern_slot
-                (fun () -> T.find_opt tbl s)
-                (fun e -> T.add tbl s e)
-                t shard ~depth)
+              intern_slot (fun () -> T.mem tbl s) (fun () -> T.add tbl s ()) t
+                shard)
       | Rfp { bits; shards } ->
           (* [(1 lsl 62) - 1 = max_int] on 64-bit OCaml, so the
              full-width default masks to all usable bits *)
@@ -332,9 +319,9 @@ struct
           let tbl = shards.(shard) in
           with_stripe t shard repr (fun () ->
               intern_slot
-                (fun () -> Hashtbl.find_opt tbl f)
-                (fun e -> Hashtbl.add tbl f e)
-                t shard ~depth)
+                (fun () -> Hashtbl.mem tbl f)
+                (fun () -> Hashtbl.add tbl f ())
+                t shard)
       | Rbit { log2_bits; hashes; words } ->
           let f = t.fp s in
           let shard = f land t.mask in
@@ -343,37 +330,15 @@ struct
     in
     match res with None -> intern t s ~depth | Some r -> r
 
-  let rec find_pid t s =
-    let repr = t.repr in
-    let res =
-      match repr with
-      | Rexact shards ->
-          let shard = stripe ~bits:t.bits (K.hash s) in
-          with_stripe t shard repr (fun () ->
-              match T.find_opt shards.(shard) s with
-              | Some e -> e.pid
-              | None -> -1)
-      | Rfp { bits; shards } ->
-          let f = t.fp s land ((1 lsl bits) - 1) in
-          let shard = f land t.mask in
-          with_stripe t shard repr (fun () ->
-              match Hashtbl.find_opt shards.(shard) f with
-              | Some e -> e.pid
-              | None -> -1)
-      | Rbit _ -> Some (-1)
-    in
-    match res with None -> find_pid t s | Some r -> r
-
   let lock_all t = Array.iter Mutex.lock t.locks
   let unlock_all t = Array.iter Mutex.unlock t.locks
 
   (* One rung down the compression ladder, in place.  Holding every
      stripe lock serialises us against all in-flight interns: each is
      either already inside its stripe (we wait for it) or will notice
-     the swapped representation and retry.  Provisional ids are
-     preserved, so pid-indexed structures of the caller (the counter's
-     expansion flags) stay valid; colliding fingerprints are conflated to the smaller pid and
-     depth, exactly as if the run had started in the compressed mode. *)
+     the swapped representation and retry.  The id counter is kept, so
+     ids handed out stay dense; colliding fingerprints are conflated,
+     exactly as if the run had started in the compressed mode. *)
   let degrade t =
     lock_all t;
     Fun.protect ~finally:(fun () -> unlock_all t) @@ fun () ->
@@ -385,18 +350,9 @@ struct
         Array.iter
           (fun tbl ->
             T.iter
-              (fun key e ->
+              (fun key () ->
                 let f = t.fp key land ((1 lsl bits) - 1) in
-                let sh = f land t.mask in
-                match Hashtbl.find_opt fresh.(sh) f with
-                | Some e0 ->
-                    Hashtbl.replace fresh.(sh) f
-                      {
-                        pid = min e.pid e0.pid;
-                        depth = min e.depth e0.depth;
-                      }
-                | None ->
-                    Hashtbl.add fresh.(sh) f { pid = e.pid; depth = e.depth })
+                Hashtbl.replace fresh.(f land t.mask) f ())
               tbl)
           shards;
         Array.iteri (fun i tb -> t.filled.(i) <- Hashtbl.length tb) fresh;
@@ -411,7 +367,7 @@ struct
         Array.iter
           (fun tbl ->
             Hashtbl.iter
-              (fun f _ ->
+              (fun f () ->
                 let h2 =
                   (Int64.to_int (mix64 (Int64.of_int f)) land m1) lor 1
                 in

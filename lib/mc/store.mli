@@ -87,11 +87,10 @@ val fingerprint : 'a -> int
 (** The 62-bit FNV-1a fingerprint of a value's marshalled bytes
     ([Marshal.No_sharing]).  Deterministic across runs and domains. *)
 
-(** Concurrent lock-striped state tables, functorised over the state
-    type.  All operations are thread-safe; [intern] additionally
-    maintains a per-state BFS depth stamp used by the work-stealing
-    engine's truncation machinery (ignored by {!Bitstate}, which tracks
-    no per-state identity). *)
+(** Concurrent lock-striped state sets, functorised over the state
+    type.  All operations are thread-safe.  Each first insertion gets
+    the next dense id; the store keeps no per-state data beyond the key
+    ({!Bitstate}: not even that). *)
 module Make (K : sig
   type t
 
@@ -101,13 +100,8 @@ end) : sig
   type t
 
   type intern_result =
-    | Fresh of int  (** first insertion; the new provisional id *)
-    | Known of int
-        (** already present and the depth did not improve; the stored
-            id, or [-1] if the store tracks no ids ({!Bitstate}) *)
-    | Relaxed of int * int
-        (** already present but [depth] improved the stamp: the stored
-            id and the {e previous} depth *)
+    | Fresh of int  (** first insertion; the new id, dense from [0] *)
+    | Known  (** already present, or a compressed key collided *)
 
   val create :
     ?expected:int -> ?fingerprint:(K.t -> int) -> shards:int -> mode -> t
@@ -116,18 +110,16 @@ end) : sig
       collision-injection tests). *)
 
   val intern : t -> K.t -> depth:int -> intern_result
-  val find_pid : t -> K.t -> int
-  (** [-1] when unknown or when the store tracks no ids. *)
+  (** Insert a state.  [depth] is ignored: it remains only because the
+      benchmark harness ([perfbench/hbbench.ml]) still passes
+      [~depth:0], and goes once that caller stops. *)
 
   val total : t -> int
-  (** States inserted so far (the provisional-id counter). *)
-
-  val tracks_pids : t -> bool
-  (** [false] only for {!Bitstate}: no state -> id lookup.  May flip
-      from [true] to [false] mid-run via {!degrade}. *)
+  (** States inserted so far (the id counter). *)
 
   val occupancy : t -> int array
-  (** Insertions per lock stripe; sums to {!total}. *)
+  (** Insertions per lock stripe; sums to {!total} until a {!degrade}
+      conflates colliding fingerprints. *)
 
   val coverage : t -> coverage
 
@@ -135,12 +127,11 @@ end) : sig
   (** Swap the table one rung down the compression ladder, in place:
       [Exact -> Hash_compaction {bits = 62} -> Bitstate] (2^25 bits,
       3 hashes).  Returns the new mode, or [None] when already at the
-      bottom.  Safe to call concurrently with [intern]/[find_pid]: the
-      swap happens under every stripe lock and racing operations retry
-      against the new representation.  Provisional ids survive the
-      swap (colliding fingerprints conflate to the smaller pid), so
-      engine-side vectors indexed by pid remain valid; the freed exact
-      keys become garbage for the next GC.
+      bottom.  Safe to call concurrently with [intern]: the swap happens
+      under every stripe lock and racing interns retry against the new
+      representation.  The id counter survives the swap, so ids stay
+      dense; colliding fingerprints conflate, and the freed exact keys
+      become garbage for the next GC.
 
       Caveat: degrading a {!Hash_compaction} table created with a
       non-default [bits < 62] re-probes by the {e masked} fingerprints,

@@ -115,13 +115,7 @@ let find ?(max_states = Mc.Explore.default_max) ?budget ?stats (t : Sym.t)
   else
     match !budget_reason with
     | Some reason ->
-        Mc.Explore.Exhausted
-          {
-            reason;
-            states_so_far = stats.states;
-            coverage =
-              Mc.Store.coverage_of ~mode:Mc.Store.Exact ~stored:stats.states;
-          }
+        Mc.Explore.Exhausted { reason; states_so_far = stats.states }
     | None ->
         if !truncated then Mc.Explore.Bound_hit stats.states
         else Mc.Explore.Unreachable

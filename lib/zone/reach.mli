@@ -37,8 +37,8 @@ val find :
 (** [find t ~goal] searches breadth-first for a goal state, returning a
     shortest (in macro steps) witness trace of [Act] labels.
     [max_states] defaults to {!Mc.Explore.default_max}.  The budget is polled once per expanded
-    state; a trip yields [Exhausted] with exact coverage over the
-    stored states.  Pass [stats] to observe the subsumption counters
+    state; a trip yields [Exhausted] with the number of stored
+    states.  Pass [stats] to observe the subsumption counters
     of the run. *)
 
 val count :

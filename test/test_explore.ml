@@ -26,41 +26,39 @@ module Reference = struct
     let module T = Table (S) in
     let index = T.create 16 in
     let states = ref [] in
-    let depths = ref [] in
     let count = ref 0 in
     let complete = ref true in
     let transitions = ref [] in
-    let queue : (int * s * int) Queue.t = Queue.create () in
-    let intern s d =
+    let queue : (int * s) Queue.t = Queue.create () in
+    let intern s =
       match T.find_opt index s with
       | Some i -> i
       | None ->
           let i = !count in
           T.add index s i;
           states := s :: !states;
-          depths := d :: !depths;
           incr count;
           i
     in
     (match resume with
     | None ->
-        let i0 = intern S.initial 0 in
-        Queue.add (i0, S.initial, 0) queue
+        let i0 = intern S.initial in
+        Queue.add (i0, S.initial) queue
     | Some c ->
-        Array.iteri (fun i s -> ignore (intern s c.c_depths.(i))) c.c_states;
+        Array.iter (fun s -> ignore (intern s)) c.c_states;
         transitions := c.c_trans;
         complete := c.c_complete;
-        Array.iter
-          (fun i -> Queue.add (i, c.c_states.(i), c.c_depths.(i)) queue)
-          c.c_queue);
+        for i = c.c_head to !count - 1 do
+          Queue.add (i, c.c_states.(i)) queue
+        done);
+    (* The queue holds the last ids discovered, in order: the frontier
+       starts [Queue.length queue] ids before the end. *)
     let snapshot () =
       {
         c_max_states = max_states;
         c_states = Array.of_list (List.rev !states);
-        c_depths = Array.of_list (List.rev !depths);
         c_trans = !transitions;
-        c_queue =
-          Array.of_seq (Seq.map (fun (i, _, _) -> i) (Queue.to_seq queue));
+        c_head = !count - Queue.length queue;
         c_complete = !complete;
       }
     in
@@ -75,14 +73,14 @@ module Reference = struct
                  raise Exit
              | None -> ())
          | None -> ());
-         let i, s, d = Queue.pop queue in
+         let i, s = Queue.pop queue in
          List.iter
            (fun (l, s') ->
              if !count < max_states || T.mem index s' then begin
                let before = !count in
-               let j = intern s' (d + 1) in
+               let j = intern s' in
                transitions := (i, l, j) :: !transitions;
-               if j >= before then Queue.add (j, s', d + 1) queue
+               if j >= before then Queue.add (j, s') queue
              end
              else complete := false)
            (S.successors s)
@@ -171,13 +169,7 @@ module Reference = struct
       match (!result, !exhausted) with
       | Some (trace, state), _ -> Reached { trace; state }
       | None, Some reason ->
-          Exhausted
-            {
-              reason;
-              states_so_far = !count;
-              coverage =
-                Mc.Store.coverage_of ~mode:Mc.Store.exact ~stored:!count;
-            }
+          Exhausted { reason; states_so_far = !count }
       | None, None -> if !truncated then Bound_hit max_states else Unreachable
     end
 
@@ -319,36 +311,6 @@ let prop_random_systems =
                ~k:(2 + (k mod 7)) sys)
         [ sys; rehash (fun _ -> 0) sys; rehash (fun s -> -1 - s) sys ])
 
-(* A cursor this engine did not take: its own with the frontier
-   reversed.  Its [c_queue] is not a contiguous range of ids; a resume
-   must expand it in its order and then the newly discovered ids,
-   exactly as the reference does. *)
-let prop_foreign_cursors =
-  QCheck.Test.make ~name:"index resumes foreign cursors like the reference"
-    ~count:200
-    QCheck.(pair Test_pexplore.rand_sys_arb small_nat)
-    (fun (rs, k) ->
-      let sys = Test_pexplore.table_system rs in
-      let k = 2 + (k mod (rs.Test_pexplore.n + 2)) in
-      let cursors =
-        match Mc.Explore.space_run ~budget:(tripping_budget k) sys with
-        | Mc.Explore.Suspended (_, c) ->
-            let q = c.Mc.Explore.c_queue in
-            let n = Array.length q in
-            let reversed = Array.init n (fun i -> q.(n - 1 - i)) in
-            [ { c with Mc.Explore.c_queue = reversed } ]
-        | Mc.Explore.Done _ -> []
-      in
-      List.for_all
-        (fun cur ->
-          match
-            ( Mc.Explore.space_run ~resume:cur sys,
-              Reference.space_run ~resume:cur sys )
-          with
-          | Mc.Explore.Done a, Mc.Explore.Done b -> same_space a b
-          | _ -> false)
-        cursors)
-
 let grid_goals w h = [ (fun s -> s = (w - 1, h - 1)); (fun s -> s = (w, h)) ]
 
 let test_zero_hash () =
@@ -412,7 +374,6 @@ let tests =
   ( "explore index",
     [
       QCheck_alcotest.to_alcotest prop_random_systems;
-      QCheck_alcotest.to_alcotest prop_foreign_cursors;
       Alcotest.test_case "zero hash walks probe chains" `Quick test_zero_hash;
       Alcotest.test_case "negative product hashes" `Quick test_negative_hash;
       Alcotest.test_case "more than ten doublings" `Quick test_many_doublings;

@@ -2,8 +2,8 @@
    systems and on the heartbeat and process-algebra models,
    Mc.Pexplore.count_stats must agree with Mc.Explore — the count and the
    completeness flag, also under a max_states bound and with every store
-   that keeps state identities, and the states per BFS level of the
-   sequential space — for every domain count in {1, 2, 4}. *)
+   that keeps state identities, and the transitions of the sequential
+   space — for every domain count in {1, 2, 4}. *)
 
 let check = Alcotest.check
 let domain_counts = [ 1; 2; 4 ]
@@ -109,61 +109,43 @@ let test_heartbeat_truncated_parity () =
 (* Stores: the parallel counter under compression.                      *)
 (* ------------------------------------------------------------------ *)
 
-let pid_stores = [ Mc.Store.exact; Mc.Store.hash_compaction ]
+let keyed_stores = [ Mc.Store.exact; Mc.Store.hash_compaction ]
 
-(* Both pid-tracking stores, every domain count: counts agree with the
-   sequential oracle (62-bit fingerprints have ~2^-62 collision odds per
-   state pair, so hash compaction is exact on these spaces). *)
+(* Both stores that keep a key per state, every domain count: counts
+   agree with the sequential oracle, and the counter expands every state
+   once, so its transitions are those of the sequential space (62-bit
+   fingerprints have ~2^-62 collision odds per state pair, so hash
+   compaction is exact on these spaces). *)
 let prop_store_engine_parity =
   QCheck.Test.make ~name:"stores x engines x domains parity vs Mc.Explore"
     ~count:60 rand_sys_arb (fun rs ->
       let sys = table_system rs in
       let seq = Mc.Explore.count sys in
+      let transitions =
+        Lts.Graph.num_transitions (Mc.Explore.space sys).Mc.Explore.lts
+      in
       List.for_all
         (fun store ->
           List.for_all
-            (fun d -> seq = par_count ~domains:d ~store sys)
+            (fun d ->
+              let result, stats =
+                Mc.Pexplore.count_stats ~domains:d ~store sys
+              in
+              seq = result && stats.Mc.Pexplore.transitions = transitions)
             domain_counts)
-        pid_stores)
+        keyed_stores)
 
-(* Sizes of the BFS levels of a space, from its initial state: the
-   per-level counts a parallel run's [depth_histogram] must report. *)
-let bfs_levels (sp : ('s, 'l) Mc.Explore.space) =
-  let g = sp.Mc.Explore.lts in
-  let depth = Array.make (Lts.Graph.num_states g) (-1) in
-  let queue = Queue.create () in
-  let visit d s =
-    if depth.(s) < 0 then begin
-      depth.(s) <- d;
-      Queue.add s queue
-    end
-  in
-  visit 0 (Lts.Graph.initial g);
-  while not (Queue.is_empty queue) do
-    let s = Queue.pop queue in
-    List.iter (fun (_, t) -> visit (depth.(s) + 1) t) (Lts.Graph.successors g s)
-  done;
-  let levels = Array.make (Array.fold_left max 0 depth + 1) 0 in
-  Array.iter (fun d -> levels.(d) <- levels.(d) + 1) depth;
-  levels
+(* The summary of a count — states and completeness — marshalled, from
+   the sequential engine and from the parallel counter. *)
+let summary_bytes (count, complete) = Marshal.to_string (count, complete) []
 
-(* The summary of a count — states, completeness and states per BFS
-   level — marshalled, from the sequential engine's count and space and
-   from the parallel counter. *)
-let summary_bytes (count, complete) levels =
-  Marshal.to_string (count, complete, levels) []
-
-let par_summary ?store ~domains sys =
-  let result, stats = Mc.Pexplore.count_stats ?store ~domains sys in
-  summary_bytes result stats.Mc.Pexplore.depth_histogram
-
-(* Under both pid-tracking stores at every domain count, the parallel
-   summary is byte-identical to the sequential one. *)
+(* Under both keyed stores at every domain count, the parallel summary
+   is byte-identical to the sequential one. *)
 let agree : type s l. string -> (s, l) Mc.System.t -> unit =
  fun name sys ->
   let seq = Mc.Explore.count sys in
   check Alcotest.bool (name ^ " complete") true (snd seq);
-  let seq_bytes = summary_bytes seq (bfs_levels (Mc.Explore.space sys)) in
+  let seq_bytes = summary_bytes seq in
   List.iter
     (fun store ->
       List.iter
@@ -172,9 +154,10 @@ let agree : type s l. string -> (s, l) Mc.System.t -> unit =
             (Printf.sprintf "%s %s d=%d byte-identical" name
                (Mc.Store.mode_name store) d)
             true
-            (String.equal seq_bytes (par_summary ~store ~domains:d sys)))
+            (String.equal seq_bytes
+               (summary_bytes (par_count ~store ~domains:d sys))))
         domain_counts)
-    pid_stores
+    keyed_stores
 
 let test_counter_parity () = agree "counter 500" (counter 500)
 
@@ -201,43 +184,9 @@ let test_stats_consistency () =
   check Alcotest.int "stats states" 500 stats.Mc.Pexplore.states;
   check Alcotest.int "one transition per state of a cycle" 500
     stats.Mc.Pexplore.transitions;
-  check Alcotest.int "histogram covers all states" 500
-    (Array.fold_left ( + ) 0 stats.Mc.Pexplore.depth_histogram);
   check Alcotest.int "shards cover all states" 500
     (Array.fold_left ( + ) 0 stats.Mc.Pexplore.shard_occupancy);
-  check Alcotest.int "peak frontier of a cycle" 1 stats.Mc.Pexplore.peak_frontier;
   check Alcotest.int "domains recorded" 2 stats.Mc.Pexplore.domains_used
-
-(* The counter reports one bin per BFS level of the sequential space and
-   no bin past the deepest one (relaxation lowers depth stamps, so deep
-   bins can empty out during a run). *)
-let histogram_matches sys levels d =
-  (snd (Mc.Pexplore.count_stats ~domains:d sys)).Mc.Pexplore.depth_histogram
-  = levels
-
-let prop_depth_histogram =
-  QCheck.Test.make ~name:"depth histogram = BFS level sizes (d in {1,2,4})"
-    ~count:100 rand_sys_arb (fun rs ->
-      let sys = table_system rs in
-      let levels = bfs_levels (Mc.Explore.space sys) in
-      List.for_all (histogram_matches sys levels) domain_counts)
-
-(* A model deep and diamond-rich enough that two domains relax depth
-   stamps on most runs; the reported depth must still be the true one. *)
-let test_expanding_depth_histogram () =
-  let params = Heartbeat.Params.make ~tmin:1 ~tmax:8 () in
-  let sys =
-    Ta.Semantics.system
-      (Ta.Semantics.compile
-         (Heartbeat.Ta_models.build Heartbeat.Ta_models.Expanding params))
-  in
-  let levels = bfs_levels (Mc.Explore.space sys) in
-  for run = 1 to 10 do
-    check Alcotest.bool
-      (Printf.sprintf "expanding (1,8) histogram at 2 domains, run %d" run)
-      true
-      (histogram_matches sys levels 2)
-  done
 
 let tests =
   ( "pexplore",
@@ -253,7 +202,4 @@ let tests =
         test_pa_store_engine_byte_identical;
       Alcotest.test_case "exploration stats consistency" `Quick
         test_stats_consistency;
-      QCheck_alcotest.to_alcotest prop_depth_histogram;
-      Alcotest.test_case "expanding depth histogram at 2 domains" `Quick
-        test_expanding_depth_histogram;
     ] )

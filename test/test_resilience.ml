@@ -259,6 +259,62 @@ let test_pa_checkpoint_resume () =
           | Ltl.Check.Suspended _ -> Alcotest.fail "resumed run suspended"))
 
 (* ------------------------------------------------------------------ *)
+(* Checkpoint layout pin.                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The digests of three cursors' marshalled payloads, each taken at a
+   fixed budget trip: a timed-automata space, a process-algebra space
+   and an SCC liveness product.  A change to the shape of a cursor or of
+   a state it carries changes a digest, and a checkpoint of the old
+   shape would then load into the wrong layout: such a change must bump
+   [Mc.Checkpoint.version] and re-record the digests. *)
+let layout_digests =
+  [
+    ("TA binary (1,4)", "50668186b03ea0784eb1aa2f6311b032");
+    ("PA binary (2,3)", "f667260bdbf8506dd5fa7640da9f9362");
+    ("SCC product binary (2,2) R2", "be0b9bb853ef17207efc58d9625d88fc");
+  ]
+
+let test_checkpoint_layout () =
+  let module H = Heartbeat in
+  let digest cur = Digest.to_hex (Digest.string (Marshal.to_string cur [])) in
+  let space_cursor what sys =
+    match Mc.Explore.space_run ~budget:(tripping_budget 100) sys with
+    | Mc.Explore.Suspended (_, cur) -> digest cur
+    | Mc.Explore.Done _ -> Alcotest.failf "%s: expected a suspension" what
+  in
+  let ta =
+    space_cursor "TA"
+      (Ta.Semantics.system
+         (Ta.Semantics.compile
+            (H.Ta_models.build H.Ta_models.Binary
+               (H.Params.make ~tmin:1 ~tmax:4 ()))))
+  in
+  let pa =
+    space_cursor "PA"
+      (Proc.Semantics.system
+         (H.Pa_models.build H.Pa_models.Binary
+            (H.Params.make ~tmin:2 ~tmax:3 ())))
+  in
+  let scc =
+    match
+      H.Verify.check_live_run ~engine:Ltl.Check.Scc
+        ~budget:(tripping_budget 100) H.Ta_models.Binary
+        (H.Params.make ~tmin:2 ~tmax:2 ())
+        H.Requirements.R2
+    with
+    | Ltl.Check.Suspended (_, cur) -> digest cur
+    | Ltl.Check.Concluded _ -> Alcotest.fail "SCC: expected a suspension"
+  in
+  check Alcotest.int "checkpoint format version" 3 Mc.Checkpoint.version;
+  check
+    Alcotest.(list (pair string string))
+    "cursor payload digests: after a change to a cursor or state type, \
+     bump Mc.Checkpoint.version and re-record them"
+    layout_digests
+    (List.combine (List.map fst layout_digests) [ ta; pa; scc ])
+
+(* ------------------------------------------------------------------ *)
 (* Degradation ladder: memory trips walk the store down in place.       *)
 (* ------------------------------------------------------------------ *)
 
@@ -416,6 +472,8 @@ let tests =
         test_checkpoint_container;
       Alcotest.test_case "PA liveness checkpoint resume" `Quick
         test_pa_checkpoint_resume;
+      Alcotest.test_case "checkpoint layout pinned" `Quick
+        test_checkpoint_layout;
       Alcotest.test_case "degradation: one rung" `Quick
         test_degradation_one_rung;
       Alcotest.test_case "degradation: full ladder" `Quick

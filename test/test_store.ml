@@ -54,23 +54,15 @@ let test_of_string () =
 
 let test_exact_roundtrip () =
   let t = S.create ~shards:8 Mc.Store.Exact in
-  check Alcotest.bool "tracks pids" true (S.tracks_pids t);
   for i = 0 to 99 do
-    match S.intern t i ~depth:i with
-    | S.Fresh pid -> check Alcotest.int "dense insertion-order pid" i pid
-    | _ -> Alcotest.failf "state %d should be Fresh" i
+    match S.intern t i ~depth:0 with
+    | S.Fresh id -> check Alcotest.int "dense insertion-order id" i id
+    | S.Known -> Alcotest.failf "state %d should be Fresh" i
   done;
   check Alcotest.int "total" 100 (S.total t);
-  (match S.intern t 7 ~depth:50 with
-  | S.Known pid -> check Alcotest.int "re-intern keeps its pid" 7 pid
-  | _ -> Alcotest.fail "worse depth must be Known");
-  (match S.intern t 7 ~depth:2 with
-  | S.Relaxed (pid, old) ->
-      check Alcotest.int "relaxed pid" 7 pid;
-      check Alcotest.int "previous depth reported" 7 old
-  | _ -> Alcotest.fail "better depth must be Relaxed");
-  check Alcotest.int "find_pid known" 7 (S.find_pid t 7);
-  check Alcotest.int "find_pid unknown" (-1) (S.find_pid t 100);
+  (match S.intern t 7 ~depth:0 with
+  | S.Known -> ()
+  | S.Fresh _ -> Alcotest.fail "a re-intern must be Known");
   check Alcotest.int "total unchanged by re-interns" 100 (S.total t);
   check Alcotest.int "occupancy sums to total" 100
     (Array.fold_left ( + ) 0 (S.occupancy t));
@@ -100,7 +92,7 @@ let test_exact_shards_spread () =
   for i = 0 to n - 1 do
     match C.intern t i ~depth:0 with
     | C.Fresh _ -> ()
-    | _ -> Alcotest.failf "state %d should be Fresh" i
+    | C.Known -> Alcotest.failf "state %d should be Fresh" i
   done;
   let per_intern = float_of_int !calls /. float_of_int n in
   check Alcotest.bool
@@ -119,23 +111,18 @@ let test_exact_shards_spread () =
 
 let test_forced_collision_conflates () =
   (* every state hashes to the same fingerprint: the store must conflate
-     them onto one pid (pure under-report), never mint a second id and
+     them into one entry (pure under-report), never mint a second id and
      never crash *)
   let t =
     S.create ~shards:4 ~fingerprint:(fun _ -> 0x1234) Mc.Store.hash_compaction
   in
-  (match S.intern t 1 ~depth:3 with
+  (match S.intern t 1 ~depth:0 with
   | S.Fresh 0 -> ()
   | _ -> Alcotest.fail "first state must be Fresh 0");
-  (match S.intern t 2 ~depth:5 with
-  | S.Known 0 -> ()
-  | _ -> Alcotest.fail "colliding state must conflate to pid 0, not relax");
-  (match S.intern t 3 ~depth:1 with
-  | S.Relaxed (0, 3) -> ()
-  | _ -> Alcotest.fail "shallower colliding state must relax pid 0's stamp");
-  check Alcotest.int "conflation under-reports total" 1 (S.total t);
-  check Alcotest.int "colliding lookup resolves to the one pid" 0
-    (S.find_pid t 2)
+  (match S.intern t 2 ~depth:0 with
+  | S.Known -> ()
+  | S.Fresh _ -> Alcotest.fail "colliding state must conflate");
+  check Alcotest.int "conflation under-reports total" 1 (S.total t)
 
 let test_forced_collision_bitstate () =
   let t =
@@ -143,26 +130,24 @@ let test_forced_collision_bitstate () =
       ~fingerprint:(fun _ -> 0x1234)
       (Mc.Store.Bitstate { log2_bits = 10; hashes = 3 })
   in
-  check Alcotest.bool "bitstate tracks no pids" false (S.tracks_pids t);
   (match S.intern t 1 ~depth:0 with
   | S.Fresh 0 -> ()
   | _ -> Alcotest.fail "first state must be Fresh 0");
   (match S.intern t 2 ~depth:0 with
-  | S.Known -1 -> ()
-  | _ -> Alcotest.fail "colliding state must read as already seen");
-  check Alcotest.int "one state stored" 1 (S.total t);
-  check Alcotest.int "no pid lookups" (-1) (S.find_pid t 1)
+  | S.Known -> ()
+  | S.Fresh _ -> Alcotest.fail "colliding state must read as already seen");
+  check Alcotest.int "one state stored" 1 (S.total t)
 
 let test_bitstate_distinct_fresh () =
   let t = S.create ~shards:4 (Mc.Store.Bitstate { log2_bits = 20; hashes = 3 }) in
   for i = 0 to 199 do
     match S.intern t i ~depth:0 with
-    | S.Fresh pid -> check Alcotest.int "dense pid" i pid
-    | _ -> Alcotest.failf "state %d unexpectedly collided in a 1 Mbit array" i
+    | S.Fresh id -> check Alcotest.int "dense id" i id
+    | S.Known -> Alcotest.failf "state %d unexpectedly collided in a 1 Mbit array" i
   done;
   (match S.intern t 42 ~depth:0 with
-  | S.Known -1 -> ()
-  | _ -> Alcotest.fail "re-intern must be Known");
+  | S.Known -> ()
+  | S.Fresh _ -> Alcotest.fail "re-intern must be Known");
   check Alcotest.int "total" 200 (S.total t)
 
 (* ------------------------------------------------------------------ *)
