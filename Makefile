@@ -106,21 +106,24 @@ par:
 # smokes — SIGINT a running hbexplore mid-exploration, and a PA
 # liveness check (hbltl --pa, SCC engine) mid-product-build; each must
 # report a partial result (exit 4) plus a checkpoint, and resume to a
-# byte-identical result.  The PA instance's clean run takes ~4 s
-# (static n=2 at (3,3), 30 495 states), ten times the 0.4 s the
-# interrupt waits, and its partial report must name the interrupt.
+# byte-identical result.  Each instance's clean run takes at least ten
+# times the 0.4 s the interrupt waits, so a faster host still stops it
+# mid-run: the TA one (dynamic at tmax 80, 1 711 419 states) ~4.5 s
+# and ~850 MB, the PA one (static n=2 at (3,3), 30 495 states) ~4 s,
+# in the dev profile.  The PA run's partial report must name the
+# interrupt.
 resilience:
 	$(DUNE) exec test/main.exe -- test resilience
 	$(DUNE) build bin/hbexplore.exe
 	rm -f _build/hbres.ck
-	timeout 300 _build/default/bin/hbexplore.exe stats -v dynamic --tmax 40 \
+	timeout 300 _build/default/bin/hbexplore.exe stats -v dynamic --tmax 80 \
 	  > _build/hbres-clean.out
 	timeout --preserve-status -s INT 0.4 \
-	  _build/default/bin/hbexplore.exe stats -v dynamic --tmax 40 \
+	  _build/default/bin/hbexplore.exe stats -v dynamic --tmax 80 \
 	  --checkpoint _build/hbres.ck > _build/hbres-int.out 2>/dev/null; \
 	  test $$? -eq 4
 	test -f _build/hbres.ck
-	timeout 300 _build/default/bin/hbexplore.exe stats -v dynamic --tmax 40 \
+	timeout 300 _build/default/bin/hbexplore.exe stats -v dynamic --tmax 80 \
 	  --resume _build/hbres.ck > _build/hbres-resumed.out 2>/dev/null
 	cmp _build/hbres-clean.out _build/hbres-resumed.out
 	$(DUNE) build bin/hbltl.exe

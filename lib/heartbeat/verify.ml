@@ -180,4 +180,4 @@ let deadlocks ?(fixed = false) ?budget variant params =
   let net = Ta.Semantics.compile (Ta_models.build ~fixed variant params) in
   Mc.Safety.check_state ~max_states:default_max ?budget
     (Ta.Semantics.system net)
-    (fun c -> Ta.Semantics.successors net c = [])
+    (Ta.Semantics.deadlocked net)

@@ -10,7 +10,7 @@ type env = {
 
 type compiled_edge = {
   e_guard : config -> bool;
-  e_updates : (config -> unit) list; (* applied in place, in order *)
+  e_updates : (config -> unit) array; (* applied in place, in order *)
   e_dst : int;
   e_label : string;
 }
@@ -18,16 +18,74 @@ type compiled_edge = {
 type compiled_loc = {
   l_name : string;
   l_kind : Model.loc_kind;
-  l_invariant : config -> bool;
+  l_invariant : (config -> bool) option; (* [None]: the invariant is [true] *)
   l_tau : compiled_edge list;
-  l_send : compiled_edge list array; (* per channel *)
-  l_recv : compiled_edge list array;
+  l_send : (int * compiled_edge) list; (* channel, edge *)
+  l_recv : (int * compiled_edge) list;
 }
 
 type compiled_auto = {
   a_name : string;
   a_locs : compiled_loc array;
 }
+
+(* --- move menus --------------------------------------------------------- *)
+
+(* The non-trivial invariants of a move's target location vector, in
+   automaton order. *)
+type invariants = (config -> bool) array
+
+type receiver = { r_auto : int; r_edge : compiled_edge; r_invs : invariants }
+
+(* A broadcast participant: automaton [g_auto]'s receiving edges on the
+   channel, and whether the committed-location rule lets it move. *)
+type group = { g_auto : int; g_allowed : bool; g_edges : compiled_edge array }
+
+type move =
+  | Tau of { auto : int; edge : compiled_edge; invs : invariants }
+  | Binary of { auto : int; send : compiled_edge; recvs : receiver array }
+      (* one sender edge with its receiver edges, already filtered by the
+         committed-location rule *)
+  | Broadcast of {
+      auto : int;
+      send : compiled_edge;
+      alone : bool; (* the committed rule lets the sender move by itself *)
+      groups : group array;
+    }
+
+(* Every candidate move of one location vector, in the order the
+   successor list takes: tau edges, then per channel the binary pairs and
+   broadcast sends; [delay] is [None] when an urgent or committed location
+   is occupied, else the vector's non-trivial invariants. *)
+type menu = { moves : move array; delay : invariants option }
+
+module Imap = Map.Make (Int)
+
+(* Keys are location vectors, the first [num_automata] cells of a
+   configuration.  A lookup passes the whole configuration, so cells are
+   compared up to the shorter array, which is always the stored key. *)
+module Vmap = Map.Make (struct
+  type t = int array
+
+  let compare (a : t) (b : t) =
+    let n = min (Array.length a) (Array.length b) in
+    let rec go i =
+      if i = n then 0
+      else
+        let d = Int.compare a.(i) b.(i) in
+        if d <> 0 then d else go (i + 1)
+    in
+    go 0
+end)
+
+(* Menus by location vector.  A vector is keyed by its mixed-radix code
+   while the product of location counts fits in an int, and by itself
+   beyond that.  Each map is immutable: a miss builds the menu and
+   publishes a new map by compare-and-set, so several domains can expand
+   one net and the hit path takes no lock. *)
+type memo =
+  | Codes of int array * menu Imap.t Atomic.t (* radix per automaton *)
+  | Vectors of menu Vmap.t Atomic.t
 
 type t = {
   autos : compiled_auto array;
@@ -39,19 +97,24 @@ type t = {
   env : env;
   chans : Model.chan_decl array;
   init_config : config;
+  memo : memo;
 }
 
 let fail fmt = Format.kasprintf invalid_arg fmt
 
 (* --- expression compilation --- *)
 
+let scalar env name =
+  let off, size = env.lookup_var name in
+  if size <> 1 then fail "variable %s is an array, not a scalar" name;
+  off
+
 let rec compile_expr env (e : Expr.t) : config -> int =
   let ce = compile_expr env in
   match e with
   | Expr.Int n -> fun _ -> n
   | Expr.Var name ->
-      let off, size = env.lookup_var name in
-      if size <> 1 then fail "variable %s is an array, not a scalar" name;
+      let off = scalar env name in
       fun c -> c.(off)
   | Expr.Elem (name, idx) ->
       let off, size = env.lookup_var name in
@@ -82,11 +145,24 @@ let rec compile_expr env (e : Expr.t) : config -> int =
       let fa = ce a and fb = ce b in
       fun c -> max (fa c) (fb c)
 
+(* A cell compared with a constant: one closure. *)
+let compare_cell (cmp : Expr.cmp) off k : config -> bool =
+  match cmp with
+  | Expr.Lt -> fun c -> c.(off) < k
+  | Expr.Le -> fun c -> c.(off) <= k
+  | Expr.Eq -> fun c -> c.(off) = k
+  | Expr.Ge -> fun c -> c.(off) >= k
+  | Expr.Gt -> fun c -> c.(off) > k
+  | Expr.Ne -> fun c -> c.(off) <> k
+
 let rec compile_bexpr env (b : Expr.b) : config -> bool =
   let cb = compile_bexpr env and ce = compile_expr env in
   match b with
   | Expr.True -> fun _ -> true
   | Expr.False -> fun _ -> false
+  | Expr.Cmp (cmp, Expr.Var x, Expr.Int k) -> compare_cell cmp (scalar env x) k
+  | Expr.Cmp (cmp, Expr.Clock x, Expr.Int k) ->
+      compare_cell cmp (env.lookup_clock x) k
   | Expr.Cmp (cmp, a, b) ->
       let fa = ce a and fb = ce b in
       let op : int -> int -> bool =
@@ -130,6 +206,21 @@ let compile_update env (u : Model.update) : config -> unit =
 
 (* --- network compilation --- *)
 
+(* The mixed-radix weights of location vectors, or [None] when the
+   product of location counts does not fit in an int. *)
+let radix autos =
+  let n = Array.length autos in
+  let r = Array.make n 0 in
+  let rec go i prod =
+    if i = n then Some r
+    else begin
+      r.(i) <- prod;
+      let k = Array.length autos.(i).a_locs in
+      if prod > max_int / k then None else go (i + 1) (prod * k)
+    end
+  in
+  go 0 1
+
 let compile (net : Model.t) : t =
   let num_autos = List.length net.Model.automata in
   let num_clocks = List.length net.Model.clocks in
@@ -160,7 +251,6 @@ let compile (net : Model.t) : t =
     net.Model.vars;
   let var_inits = List.rev !var_inits in
   let chans = Array.of_list net.Model.chans in
-  let num_chans = Array.length chans in
   let chan_id = Hashtbl.create 8 in
   Array.iteri
     (fun k (cd : Model.chan_decl) ->
@@ -209,26 +299,23 @@ let compile (net : Model.t) : t =
       | Some k -> k
       | None -> fail "unknown channel %s" name
     in
-    let locs =
+    let invariants =
       Array.of_list
         (List.map
            (fun (l : Model.location) ->
-             {
-               l_name = l.Model.loc_name;
-               l_kind = l.Model.kind;
-               l_invariant = compile_bexpr env l.Model.invariant;
-               l_tau = [];
-               l_send = Array.make num_chans [];
-               l_recv = Array.make num_chans [];
-             })
+             match l.Model.invariant with
+             | Expr.True -> None
+             | inv -> Some (compile_bexpr env inv))
            a.Model.locations)
     in
-    (* Re-allocate the per-location arrays so they are not shared. *)
-    Array.iteri
-      (fun k l ->
-        locs.(k) <-
-          { l with l_send = Array.make num_chans []; l_recv = Array.make num_chans [] })
-      locs;
+    (* Each edge is compiled once and pushed onto its source location's
+       list, a synchronising one tagged with its channel (reversed here,
+       put in model order below).  Menus are built from these lists, so
+       compiling allocates no array per location or channel. *)
+    let num_locs = Hashtbl.length loc_index in
+    let tau = Array.make num_locs [] in
+    let send = Array.make num_locs [] in
+    let recv = Array.make num_locs [] in
     List.iter
       (fun (e : Model.edge) ->
         let src = find_loc e.Model.src in
@@ -241,21 +328,31 @@ let compile (net : Model.t) : t =
         let ce =
           {
             e_guard = compile_bexpr env e.Model.guard;
-            e_updates = List.map (compile_update env) e.Model.updates;
+            e_updates =
+              Array.of_list (List.map (compile_update env) e.Model.updates);
             e_dst = find_loc e.Model.dst;
             e_label = Option.value e.Model.act ~default:default_label;
           }
         in
-        let l = locs.(src) in
         match e.Model.sync with
-        | Model.Tau -> locs.(src) <- { l with l_tau = l.l_tau @ [ ce ] }
-        | Model.Send ch ->
-            let k = find_chan ch in
-            l.l_send.(k) <- l.l_send.(k) @ [ ce ]
-        | Model.Recv ch ->
-            let k = find_chan ch in
-            l.l_recv.(k) <- l.l_recv.(k) @ [ ce ])
+        | Model.Tau -> tau.(src) <- ce :: tau.(src)
+        | Model.Send ch -> send.(src) <- (find_chan ch, ce) :: send.(src)
+        | Model.Recv ch -> recv.(src) <- (find_chan ch, ce) :: recv.(src))
       a.Model.edges;
+    let locs =
+      Array.of_list
+        (List.mapi
+           (fun k (l : Model.location) ->
+             {
+               l_name = l.Model.loc_name;
+               l_kind = l.Model.kind;
+               l_invariant = invariants.(k);
+               l_tau = List.rev tau.(k);
+               l_send = List.rev send.(k);
+               l_recv = List.rev recv.(k);
+             })
+           a.Model.locations)
+    in
     { a_name = a.Model.auto_name; a_locs = locs }
   in
   let autos =
@@ -274,6 +371,11 @@ let compile (net : Model.t) : t =
       @ List.init num_clocks (fun _ -> 0)
       @ var_inits)
   in
+  let memo =
+    match radix autos with
+    | Some r -> Codes (r, Atomic.make Imap.empty)
+    | None -> Vectors (Atomic.make Vmap.empty)
+  in
   let t =
     {
       autos;
@@ -285,153 +387,290 @@ let compile (net : Model.t) : t =
       env;
       chans;
       init_config;
+      memo;
     }
   in
   (* Reject models whose initial configuration violates an invariant. *)
   Array.iteri
     (fun i a ->
-      let l = a.a_locs.(init_config.(i)) in
-      if not (l.l_invariant init_config) then
-        fail "initial invariant of %s violated" a.a_name)
+      match a.a_locs.(init_config.(i)).l_invariant with
+      | Some inv when not (inv init_config) ->
+          fail "initial invariant of %s violated" a.a_name
+      | _ -> ())
     autos;
   t
 
-(* --- successor relation --- *)
+(* --- move menus --- *)
 
-let invariants_ok t (c : config) =
-  let ok = ref true in
-  let i = ref 0 in
+let build_menu t (c : config) : menu =
   let n = Array.length t.autos in
-  while !ok && !i < n do
-    let a = t.autos.(!i) in
-    if not (a.a_locs.(c.(!i)).l_invariant c) then ok := false;
-    incr i
-  done;
-  !ok
-
-let current_loc t c i = t.autos.(i).a_locs.(c.(i))
-
-let committed_present t c =
-  let n = Array.length t.autos in
-  let rec go i =
-    i < n
-    && ((current_loc t c i).l_kind = Model.Committed || go (i + 1))
+  let loc i = t.autos.(i).a_locs.(c.(i)) in
+  let kind_present p =
+    let rec go i = i < n && (p (loc i).l_kind || go (i + 1)) in
+    go 0
   in
-  go 0
-
-let urgent_or_committed_present t c =
-  let n = Array.length t.autos in
-  let rec go i =
-    if i >= n then false
-    else
-      match (current_loc t c i).l_kind with
-      | Model.Urgent | Model.Committed -> true
-      | Model.Normal -> go (i + 1)
+  let committed = kind_present (( = ) Model.Committed) in
+  let allowed i = (not committed) || (loc i).l_kind = Model.Committed in
+  (* The non-trivial invariants of [c]'s vector with the automata of
+     [moved] sent to new locations. *)
+  let invariants moved =
+    let acc = ref [] in
+    for k = n - 1 downto 0 do
+      let l = Option.value (List.assoc_opt k moved) ~default:c.(k) in
+      match t.autos.(k).a_locs.(l).l_invariant with
+      | Some inv -> acc := inv :: !acc
+      | None -> ()
+    done;
+    Array.of_list !acc
   in
-  go 0
-
-let apply_edge c (e : compiled_edge) i =
-  c.(i) <- e.e_dst;
-  List.iter (fun u -> u c) e.e_updates
-
-let successors t (c : config) : (label * config) list =
-  let acc = ref [] in
-  let committed = committed_present t c in
-  let n = Array.length t.autos in
-  let allowed i = (not committed) || (current_loc t c i).l_kind = Model.Committed in
-  (* internal edges *)
+  let moves = ref [] in
   for i = 0 to n - 1 do
     if allowed i then
       List.iter
         (fun e ->
-          if e.e_guard c then begin
-            let c' = Array.copy c in
-            apply_edge c' e i;
-            if invariants_ok t c' then acc := (Act e.e_label, c') :: !acc
-          end)
-        (current_loc t c i).l_tau
+          moves :=
+            Tau { auto = i; edge = e; invs = invariants [ (i, e.e_dst) ] }
+            :: !moves)
+        (loc i).l_tau
   done;
-  (* synchronisations *)
+  let on ch edges =
+    List.filter_map (fun (k, e) -> if k = ch then Some e else None) edges
+  in
   Array.iteri
     (fun ch (cd : Model.chan_decl) ->
-      if not cd.Model.broadcast then begin
-        (* binary handshake: sender i, receiver j, i <> j *)
-        for i = 0 to n - 1 do
-          List.iter
-            (fun es ->
-              if es.e_guard c then
-                for j = 0 to n - 1 do
-                  if j <> i && ((not committed) || allowed i || allowed j)
-                  then
-                    List.iter
-                      (fun er ->
-                        if er.e_guard c then begin
-                          let c' = Array.copy c in
-                          apply_edge c' es i;
-                          apply_edge c' er j;
-                          if invariants_ok t c' then
-                            acc := (Act es.e_label, c') :: !acc
-                        end)
-                      (current_loc t c j).l_recv.(ch)
-                done)
-            (current_loc t c i).l_send.(ch)
-        done
-      end
-      else
-        (* broadcast: one sender, every automaton with an enabled receiving
-           edge participates; enumerate the choice of receiving edge per
-           participant. *)
-        for i = 0 to n - 1 do
-          List.iter
-            (fun es ->
-              if es.e_guard c then begin
-                let receivers =
-                  List.init n (fun j ->
-                      if j = i then (j, [])
-                      else
-                        ( j,
-                          List.filter (fun e -> e.e_guard c)
-                            (current_loc t c j).l_recv.(ch) ))
-                in
-                let participating =
-                  List.filter (fun (_, es) -> es <> []) receivers
-                in
-                let committed_ok =
-                  (not committed) || allowed i
-                  || List.exists (fun (j, _) -> allowed j) participating
-                in
-                if committed_ok then begin
-                  (* cartesian product over each participant's choices *)
-                  let rec expand chosen = function
-                    | [] ->
-                        let c' = Array.copy c in
-                        apply_edge c' es i;
-                        List.iter
-                          (fun (j, e) -> apply_edge c' e j)
-                          (List.rev chosen);
-                        if invariants_ok t c' then
-                          acc := (Act es.e_label, c') :: !acc
-                    | (j, choices) :: rest ->
-                        List.iter
-                          (fun e -> expand ((j, e) :: chosen) rest)
-                          choices
-                  in
-                  expand [] participating
-                end
-              end)
-            (current_loc t c i).l_send.(ch)
-        done)
+      for i = 0 to n - 1 do
+        List.iter
+          (fun send ->
+            if not cd.Model.broadcast then begin
+              (* binary handshake: sender i, receiver j, i <> j *)
+              let recvs = ref [] in
+              for j = 0 to n - 1 do
+                if j <> i && ((not committed) || allowed i || allowed j) then
+                  List.iter
+                    (fun er ->
+                      recvs :=
+                        {
+                          r_auto = j;
+                          r_edge = er;
+                          r_invs = invariants [ (i, send.e_dst); (j, er.e_dst) ];
+                        }
+                        :: !recvs)
+                    (on ch (loc j).l_recv)
+              done;
+              moves :=
+                Binary
+                  { auto = i; send; recvs = Array.of_list (List.rev !recvs) }
+                :: !moves
+            end
+            else begin
+              (* broadcast: every automaton with an enabled receiving edge
+                 participates *)
+              let groups =
+                List.filter_map
+                  (fun j ->
+                    match on ch (loc j).l_recv with
+                    | _ when j = i -> None
+                    | [] -> None
+                    | edges ->
+                        Some
+                          {
+                            g_auto = j;
+                            g_allowed = allowed j;
+                            g_edges = Array.of_list edges;
+                          })
+                  (List.init n Fun.id)
+              in
+              moves :=
+                Broadcast
+                  {
+                    auto = i;
+                    send;
+                    alone = (not committed) || allowed i;
+                    groups = Array.of_list groups;
+                  }
+                :: !moves
+            end)
+          (on ch (loc i).l_send)
+      done)
     t.chans;
-  (* unit delay *)
-  if not (urgent_or_committed_present t c) then begin
-    let c' = Array.copy c in
-    for k = 0 to t.num_clocks - 1 do
-      let off = t.clock_offset + k in
-      if c'.(off) < t.clock_caps.(k) then c'.(off) <- c'.(off) + 1
-    done;
-    if invariants_ok t c' then acc := (Delay, c') :: !acc
-  end;
+  let urgent = function
+    | Model.Urgent | Model.Committed -> true
+    | Model.Normal -> false
+  in
+  {
+    moves = Array.of_list (List.rev !moves);
+    delay = (if kind_present urgent then None else Some (invariants []));
+  }
+
+(* Add [m] under [key] unless a racing domain published a menu for it
+   first, and return the menu the map keeps. *)
+let rec publish find add memo key m =
+  let menus = Atomic.get memo in
+  match find key menus with
+  | m' -> m'
+  | exception Not_found ->
+      if Atomic.compare_and_set memo menus (add key m menus) then m
+      else publish find add memo key m
+
+(* The menu of [c]'s location vector, built on its first visit.  Domains
+   racing on one miss each build an equal menu; the first to publish
+   wins and the others use its menu. *)
+let menu t (c : config) =
+  match t.memo with
+  | Codes (radix, memo) -> (
+      let code = ref 0 in
+      for i = 0 to Array.length radix - 1 do
+        code := !code + (c.(i) * radix.(i))
+      done;
+      let code = !code in
+      match Imap.find code (Atomic.get memo) with
+      | m -> m
+      | exception Not_found ->
+          publish Imap.find Imap.add memo code (build_menu t c))
+  | Vectors memo -> (
+      match Vmap.find c (Atomic.get memo) with
+      | m -> m
+      | exception Not_found ->
+          publish Vmap.find Vmap.add memo
+            (Array.sub c 0 (Array.length t.autos))
+            (build_menu t c))
+
+(* --- successor relation --- *)
+
+let rec holds (invs : invariants) c k =
+  k >= Array.length invs || (invs.(k) c && holds invs c (k + 1))
+
+(* Every automaton's invariant, for broadcast targets, whose vector
+   depends on which receivers are enabled. *)
+let invariants_ok t (c : config) =
+  let n = Array.length t.autos in
+  let rec go i =
+    i >= n
+    || (match t.autos.(i).a_locs.(c.(i)).l_invariant with
+       | None -> true
+       | Some inv -> inv c)
+       && go (i + 1)
+  in
+  go 0
+
+let apply c (e : compiled_edge) i =
+  c.(i) <- e.e_dst;
+  let us = e.e_updates in
+  for k = 0 to Array.length us - 1 do
+    us.(k) c
+  done
+
+let delayed t (c : config) =
+  let c' = Array.copy c in
+  for k = 0 to t.num_clocks - 1 do
+    let off = t.clock_offset + k in
+    if c'.(off) < t.clock_caps.(k) then c'.(off) <- c'.(off) + 1
+  done;
+  c'
+
+(* The successors of one broadcast send, consed onto [acc]: every
+   receiving guard is evaluated, in automaton then edge order, and the
+   choice of receiving edge per participant is enumerated with the first
+   participant outermost. *)
+let broadcast t c ~auto ~send ~alone ~groups acc =
+  if not (send.e_guard c) then acc
+  else begin
+    let rec enabled edges k =
+      if k = Array.length edges then []
+      else if edges.(k).e_guard c then edges.(k) :: enabled edges (k + 1)
+      else enabled edges (k + 1)
+    in
+    let rec participants k =
+      if k = Array.length groups then []
+      else
+        let g = groups.(k) in
+        match enabled g.g_edges 0 with
+        | [] -> participants (k + 1)
+        | es -> (g, es) :: participants (k + 1)
+    in
+    let participating = participants 0 in
+    if not (alone || List.exists (fun (g, _) -> g.g_allowed) participating)
+    then acc
+    else
+      let rec expand chosen rest acc =
+        match rest with
+        | [] ->
+            let c' = Array.copy c in
+            apply c' send auto;
+            List.iter (fun (j, e) -> apply c' e j) (List.rev chosen);
+            if invariants_ok t c' then (Act send.e_label, c') :: acc else acc
+        | (g, choices) :: rest ->
+            List.fold_left
+              (fun acc e -> expand ((g.g_auto, e) :: chosen) rest acc)
+              acc choices
+      in
+      expand [] participating acc
+  end
+
+let successors t (c : config) : (label * config) list =
+  let m = menu t c in
+  let acc = ref [] in
+  let moves = m.moves in
+  for k = 0 to Array.length moves - 1 do
+    match moves.(k) with
+    | Tau { auto; edge; invs } ->
+        if edge.e_guard c then begin
+          let c' = Array.copy c in
+          apply c' edge auto;
+          if holds invs c' 0 then acc := (Act edge.e_label, c') :: !acc
+        end
+    | Binary { auto; send; recvs } ->
+        if send.e_guard c then
+          for r = 0 to Array.length recvs - 1 do
+            let { r_auto; r_edge; r_invs } = recvs.(r) in
+            if r_edge.e_guard c then begin
+              let c' = Array.copy c in
+              apply c' send auto;
+              apply c' r_edge r_auto;
+              if holds r_invs c' 0 then acc := (Act send.e_label, c') :: !acc
+            end
+          done
+    | Broadcast { auto; send; alone; groups } ->
+        acc := broadcast t c ~auto ~send ~alone ~groups !acc
+  done;
+  (match m.delay with
+  | Some invs ->
+      let c' = delayed t c in
+      if holds invs c' 0 then acc := (Delay, c') :: !acc
+  | None -> ());
   List.rev !acc
+
+let deadlocked t (c : config) =
+  let m = menu t c in
+  let fires = function
+    | Tau { auto; edge; invs } ->
+        edge.e_guard c
+        &&
+        let c' = Array.copy c in
+        apply c' edge auto;
+        holds invs c' 0
+    | Binary { auto; send; recvs } ->
+        send.e_guard c
+        && Array.exists
+             (fun { r_auto; r_edge; r_invs } ->
+               r_edge.e_guard c
+               &&
+               let c' = Array.copy c in
+               apply c' send auto;
+               apply c' r_edge r_auto;
+               holds r_invs c' 0)
+             recvs
+    | Broadcast { auto; send; alone; groups } -> (
+        match broadcast t c ~auto ~send ~alone ~groups [] with
+        | [] -> false
+        | _ :: _ -> true)
+  in
+  not
+    (Array.exists fires m.moves
+    ||
+    match m.delay with
+    | Some invs -> holds invs (delayed t c) 0
+    | None -> false)
 
 (* --- observations --- *)
 

@@ -34,6 +34,23 @@ val system : t -> (config, label) Mc.System.t
 val initial : t -> config
 
 val successors : t -> config -> (label * config) list
+(** The successors of a configuration, in this order: internal edges
+    (automaton by automaton, each location's edges in model order); then,
+    channel by channel, binary handshakes (sender automaton, sender edge,
+    receiver automaton, receiver edge) and broadcast sends (sender
+    automaton, sender edge; the receiving edges chosen per participant,
+    first participant outermost); then the unit delay.  Guards, updates
+    and invariants are evaluated in that order too, so one that raises
+    (a division by zero, an index out of range) raises the first such
+    exception.  The list is a pure function of the configuration: the
+    move menu of each location vector is built on its first visit and
+    memoised on the compiled network, and [successors] may be called on
+    one network from several domains at once. *)
+
+val deadlocked : t -> config -> bool
+(** [deadlocked t c] is [successors t c = []] wherever [successors]
+    does not raise, but stops at the first enabled move whose target
+    invariants hold. *)
 
 (** {2 Observations on configurations} (for state predicates) *)
 

@@ -12,6 +12,7 @@ let () =
       Test_proc.tests;
       Test_compiled.tests;
       Test_ta.tests;
+      Test_ta_compiled.tests;
       Test_sim.tests;
       Test_heartbeat.tests;
       Test_export.tests;
