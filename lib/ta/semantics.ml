@@ -8,7 +8,7 @@ type env = {
   lookup_clock : string -> int; (* offset *)
 }
 
-type compiled_edge = {
+type edge = {
   e_guard : config -> bool;
   e_updates : (config -> unit) array; (* applied in place, in order *)
   e_dst : int;
@@ -19,9 +19,9 @@ type compiled_loc = {
   l_name : string;
   l_kind : Model.loc_kind;
   l_invariant : (config -> bool) option; (* [None]: the invariant is [true] *)
-  l_tau : compiled_edge list;
-  l_send : (int * compiled_edge) list; (* channel, edge *)
-  l_recv : (int * compiled_edge) list;
+  l_tau : edge list;
+  l_send : (int * edge) list; (* channel, edge *)
+  l_recv : (int * edge) list;
 }
 
 type compiled_auto = {
@@ -35,20 +35,20 @@ type compiled_auto = {
    automaton order. *)
 type invariants = (config -> bool) array
 
-type receiver = { r_auto : int; r_edge : compiled_edge; r_invs : invariants }
+type receiver = { r_auto : int; r_edge : edge; r_invs : invariants }
 
 (* A broadcast participant: automaton [g_auto]'s receiving edges on the
    channel, and whether the committed-location rule lets it move. *)
-type group = { g_auto : int; g_allowed : bool; g_edges : compiled_edge array }
+type group = { g_auto : int; g_allowed : bool; g_edges : edge array }
 
 type move =
-  | Tau of { auto : int; edge : compiled_edge; invs : invariants }
-  | Binary of { auto : int; send : compiled_edge; recvs : receiver array }
+  | Tau of { auto : int; edge : edge; invs : invariants }
+  | Binary of { auto : int; send : edge; recvs : receiver array }
       (* one sender edge with its receiver edges, already filtered by the
          committed-location rule *)
   | Broadcast of {
       auto : int;
-      send : compiled_edge;
+      send : edge;
       alone : bool; (* the committed rule lets the sender move by itself *)
       groups : group array;
     }
@@ -61,8 +61,8 @@ type menu = { moves : move array; delay : invariants option }
 
 module Imap = Map.Make (Int)
 
-(* Keys are location vectors, the first [num_automata] cells of a
-   configuration.  A lookup passes the whole configuration, so cells are
+(* Keys are location vectors, a configuration's first cells (one per
+   automaton).  A lookup passes the whole configuration, so cells are
    compared up to the shorter array, which is always the stored key. *)
 module Vmap = Map.Make (struct
   type t = int array
@@ -412,16 +412,23 @@ let build_menu t (c : config) : menu =
   let committed = kind_present (( = ) Model.Committed) in
   let allowed i = (not committed) || (loc i).l_kind = Model.Committed in
   (* The non-trivial invariants of [c]'s vector with the automata of
-     [moved] sent to new locations. *)
-  let invariants moved =
+     [moved] sent to new locations.  A move that keeps every moved
+     automaton's invariant (a loop, or between locations without one)
+     shares the array of [c]'s own vector. *)
+  let inv k l = t.autos.(k).a_locs.(l).l_invariant in
+  let invariants_of moved =
     let acc = ref [] in
     for k = n - 1 downto 0 do
-      let l = Option.value (List.assoc_opt k moved) ~default:c.(k) in
-      match t.autos.(k).a_locs.(l).l_invariant with
-      | Some inv -> acc := inv :: !acc
+      match inv k (Option.value (List.assoc_opt k moved) ~default:c.(k)) with
+      | Some f -> acc := f :: !acc
       | None -> ()
     done;
     Array.of_list !acc
+  in
+  let own = invariants_of [] in
+  let invariants moved =
+    if List.for_all (fun (k, l) -> inv k l == inv k c.(k)) moved then own
+    else invariants_of moved
   in
   let moves = ref [] in
   for i = 0 to n - 1 do
@@ -499,7 +506,7 @@ let build_menu t (c : config) : menu =
   in
   {
     moves = Array.of_list (List.rev !moves);
-    delay = (if kind_present urgent then None else Some (invariants []));
+    delay = (if kind_present urgent then None else Some own);
   }
 
 (* Add [m] under [key] unless a racing domain published a menu for it
@@ -535,6 +542,13 @@ let menu t (c : config) =
             (Array.sub c 0 (Array.length t.autos))
             (build_menu t c))
 
+let edge_dst e = e.e_dst
+let edge_label e = e.e_label
+
+let loc_edges t ~auto ~loc =
+  let l = t.autos.(auto).a_locs.(loc) in
+  l.l_tau @ List.map snd l.l_send @ List.map snd l.l_recv
+
 (* --- successor relation --- *)
 
 let rec holds (invs : invariants) c k =
@@ -553,7 +567,7 @@ let invariants_ok t (c : config) =
   in
   go 0
 
-let apply c (e : compiled_edge) i =
+let apply c (e : edge) i =
   c.(i) <- e.e_dst;
   let us = e.e_updates in
   for k = 0 to Array.length us - 1 do
@@ -708,20 +722,12 @@ let clock t name =
 
 let of_cells (c : int array) : config = c
 let cells (c : config) : int array = c
-let num_automata t = Array.length t.autos
 let num_clocks t = t.num_clocks
 let clock_offset t = t.clock_offset
 let clock_caps t = t.clock_caps
 let lookup_var t name = t.env.lookup_var name
 let lookup_clock t name = t.env.lookup_clock name
-
-let loc_index t ~auto name =
-  match Hashtbl.find_opt t.loc_indices.(auto) name with
-  | Some k -> k
-  | None -> fail "unknown location %s in %s" name t.autos.(auto).a_name
-
 let loc_name_at t i k = t.autos.(i).a_locs.(k).l_name
-let loc_kind_at t i k = t.autos.(i).a_locs.(k).l_kind
 let auto_name_at t i = t.autos.(i).a_name
 let compile_expr_fn t e = compile_expr t.env e
 let compile_bexpr_fn t b = compile_bexpr t.env b

@@ -52,6 +52,45 @@ val deadlocked : t -> config -> bool
     does not raise, but stops at the first enabled move whose target
     invariants hold. *)
 
+(** {2 Move menus}
+
+    The candidate moves of a location vector, built on its first visit
+    and memoised on the compiled network (safe from several domains).
+    {!successors} walks them, and so does [Zone.Sym.successors], which
+    adds only each edge's symbolic half (keyed by the edges of
+    {!loc_edges}): the pairing and committed-location rules exist once,
+    here.  Moves come in {!successors}' order, so discrete graphs and
+    traces and zone counts all depend on it.  The committed-location rule is
+    already applied ([alone] / [g_allowed]: the broadcast may fire with
+    no allowed receiver / thanks to this one); guards are left to the
+    walker.  [delay] is [None] when an urgent or committed location is
+    occupied.  Treat menus as read-only. *)
+
+type edge
+
+val loc_edges : t -> auto:int -> loc:int -> edge list
+(** The compiled edges leaving a location: its internal, then its
+    sending, then its receiving edges, each in model order.  Menus hold
+    these very values, so they can key a reader's data physically. *)
+
+val edge_dst : edge -> int
+(** The target location's position in its automaton's location list. *)
+
+val edge_label : edge -> string
+
+type invariants
+type receiver = private { r_auto : int; r_edge : edge; r_invs : invariants }
+type group = private { g_auto : int; g_allowed : bool; g_edges : edge array }
+
+type move = private
+  | Tau of { auto : int; edge : edge; invs : invariants }
+  | Binary of { auto : int; send : edge; recvs : receiver array }
+  | Broadcast of { auto : int; send : edge; alone : bool; groups : group array }
+
+type menu = private { moves : move array; delay : invariants option }
+
+val menu : t -> config -> menu
+
 (** {2 Observations on configurations} (for state predicates) *)
 
 val loc_is : t -> auto:string -> loc:string -> config -> bool
@@ -75,7 +114,6 @@ val clock : t -> string -> config -> int
 val of_cells : int array -> config
 val cells : config -> int array
 
-val num_automata : t -> int
 val num_clocks : t -> int
 
 val clock_offset : t -> int
@@ -92,9 +130,7 @@ val lookup_var : t -> string -> int * int
 val lookup_clock : t -> string -> int
 (** Cell offset of a clock.  @raise Invalid_argument on unknown names. *)
 
-val loc_index : t -> auto:int -> string -> int
 val loc_name_at : t -> int -> int -> string
-val loc_kind_at : t -> int -> int -> Model.loc_kind
 val auto_name_at : t -> int -> string
 
 val compile_expr_fn : t -> Expr.t -> config -> int
@@ -112,6 +148,11 @@ val canonicalizer :
     names).  Used by the slicer's clock-activity reduction: states that
     differ only in inactive clocks collapse to one representative.
     @raise Invalid_argument on unknown automaton/location/clock names. *)
+
+val hash_config : config -> int
+val equal_config : config -> config -> bool
+(** The hash and equality of {!system}, also the zone engine's on the
+    discrete part. *)
 
 val pp_config : t -> Format.formatter -> config -> unit
 val pp_label : Format.formatter -> label -> unit

@@ -15,19 +15,10 @@ type stats = {
 let new_stats () = { states = 0; transitions = 0; subsumed = 0 }
 
 module DiscTbl = Hashtbl.Make (struct
-  type t = int array
+  type t = S.config
 
-  let equal (a : int array) (b : int array) =
-    let n = Array.length a in
-    n = Array.length b
-    &&
-    let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
-    go 0
-
-  let hash (a : int array) =
-    let h = ref 0x811c9dc5 in
-    Array.iter (fun x -> h := (!h lxor x) * 0x01000193 land max_int) a;
-    !h
+  let equal = S.equal_config
+  let hash = S.hash_config
 end)
 
 type node = { n_st : Sym.state; n_parent : int; n_via : string }
@@ -67,11 +58,12 @@ let find ?(max_states = Mc.Explore.default_max) ?budget ?stats (t : Sym.t)
   let truncated = ref false in
   let intern parent via (s : Sym.state) =
     let bucket =
-      match DiscTbl.find_opt passed s.Sym.disc with
+      let key = S.of_cells s.Sym.disc in
+      match DiscTbl.find_opt passed key with
       | Some b -> b
       | None ->
           let b = ref [] in
-          DiscTbl.add passed s.Sym.disc b;
+          DiscTbl.add passed key b;
           b
     in
     let covered =

@@ -2,13 +2,19 @@
    (discrete part, canonical DBM) pairs.
 
    The discrete part reuses Ta.Semantics' cell layout (locations,
-   zeroed clock cells, variables), so the data fragments of guards,
-   invariants and updates are compiled by the discrete compiler itself
-   — the two engines cannot drift apart on data semantics.  Only the
-   clock fragments get a second, symbolic compilation: conjunctions of
-   atoms [c ~ e] with clock-free [e] (Lubounds.split, the one owner of
-   the fragment), applied to the DBM as row/column constraints whose
-   bound is evaluated against the current discrete part.
+   zeroed clock cells, variables), and the macro transitions are the
+   moves of Ta.Semantics' memoised menu for the current location
+   vector, so the synchronisation rules (tau edges, binary handshakes,
+   broadcasts, committed-location priority) exist once, in lib/ta.  This
+   module holds only what is symbolic: each edge's data guard, clock
+   atoms and updates, keyed by the discrete compilation's edge, and each
+   location's invariant and urgency.  The data fragments are compiled by
+   the discrete compiler itself — the two engines cannot drift apart on
+   data semantics.  Only the clock fragments get a second, symbolic
+   compilation: conjunctions of atoms [c ~ e] with clock-free [e]
+   (Lubounds.split, the one owner of the fragment), applied to the DBM
+   as row/column constraints whose bound is evaluated against the
+   current discrete part.
 
    Clock reads in update right-hand sides (the heartbeat models'
    [spent := d0]) are handled by finite case-split: the successor
@@ -119,21 +125,18 @@ type zupd =
       (* the closure takes the discrete part and a clock valuation
          (by DBM index); the list is the clocks the RHS reads *)
 
+(* The symbolic half of an edge; its target, label and synchronisation
+   are read off the discrete compilation's edge. *)
 type zedge = {
   ze_data : int array -> bool;
   ze_atoms : atom list;
   ze_updates : zupd list;
-  ze_dst : int;
-  ze_label : string;
 }
 
 type zloc = {
-  zl_kind : M.loc_kind;
+  zl_urgent : bool; (* urgent or committed: no delay *)
   zl_inv_data : int array -> bool;
   zl_inv_atoms : atom list;
-  zl_tau : zedge list;
-  zl_send : zedge list array;
-  zl_recv : zedge list array;
 }
 
 type lu = Location
@@ -142,8 +145,9 @@ type t = {
   znet : S.t;
   zn : int; (* automata *)
   zdim : int; (* clocks + 1 *)
-  zautos : zloc array array;
-  zchans : M.chan_decl array;
+  zedges : (S.edge * zedge) array array array;
+      (* auto -> loc -> the edges leaving it, in S.loc_edges' order *)
+  zlocs : zloc array array; (* auto -> loc -> invariant, urgency *)
   zcaps : int array; (* by DBM index; zcaps.(0) unused *)
   zlub : Lubounds.t;
   zloc_l : int array array array; (* auto -> loc -> DBM index -> L *)
@@ -264,101 +268,70 @@ let compile ?lu:_ (model : M.t) : t =
   List.iteri
     (fun k (c : M.clock_decl) -> zclock_names.(k + 1) <- c.M.clock_name)
     model.M.clocks;
-  let zchans = Array.of_list model.M.chans in
-  let num_chans = Array.length zchans in
-  let chan_id = Hashtbl.create 8 in
-  Array.iteri (fun k (c : M.chan_decl) -> Hashtbl.replace chan_id c.M.chan_name k) zchans;
-  let compile_auto ia (a : M.automaton) =
-    let zlocs =
-      Array.of_list
-        (List.map
-           (fun (l : M.location) ->
-             let where =
-               Printf.sprintf "%s.%s invariant" a.M.auto_name l.M.loc_name
-             in
-             let inv_data, inv_atoms =
-               comp_guard net cidx ~where l.M.invariant
-             in
-             {
-               zl_kind = l.M.kind;
-               zl_inv_data = inv_data;
-               zl_inv_atoms = inv_atoms;
-               zl_tau = [];
-               zl_send = Array.make num_chans [];
-               zl_recv = Array.make num_chans [];
-             })
-           a.M.locations)
-    in
-    (* the per-location sync arrays above are shared between nothing —
-       each List.map step allocates fresh ones *)
-    List.iter
-      (fun (e : M.edge) ->
-        let src = S.loc_index net ~auto:ia e.M.src in
-        let dst = S.loc_index net ~auto:ia e.M.dst in
-        let where =
-          Printf.sprintf "%s: %s -> %s" a.M.auto_name e.M.src e.M.dst
-        in
-        let data, atoms = comp_guard net cidx ~where e.M.guard in
-        let default_label =
-          match e.M.sync with
-          | M.Tau -> "tau"
-          | M.Send ch -> ch ^ "!"
-          | M.Recv ch -> ch ^ "?"
-        in
-        let ze =
-          {
-            ze_data = data;
-            ze_atoms = atoms;
-            ze_updates = List.map (comp_update net cidx) e.M.updates;
-            ze_dst = dst;
-            ze_label = Option.value e.M.act ~default:default_label;
-          }
-        in
-        let l = zlocs.(src) in
-        match e.M.sync with
-        | M.Tau -> zlocs.(src) <- { l with zl_tau = l.zl_tau @ [ ze ] }
-        | M.Send ch ->
-            let k = Hashtbl.find chan_id ch in
-            l.zl_send.(k) <- l.zl_send.(k) @ [ ze ]
-        | M.Recv ch ->
-            let k = Hashtbl.find chan_id ch in
-            l.zl_recv.(k) <- l.zl_recv.(k) @ [ ze ])
-      a.M.edges;
-    zlocs
-  in
-  let zautos = Array.of_list (List.mapi compile_auto model.M.automata) in
-  let zn = Array.length zautos in
-  (* Per-(automaton, location) LU arrays by DBM index, from the
-     backward fixpoint; settle composes them per state.  Location order
-     matches zautos: both come from the model's location lists via
-     S.loc_index. *)
-  let lub = Lubounds.analyze_cached model in
-  let loc_tbl select =
+  (* [f ia a li l] for every location [l] of every automaton [a], by
+     model position (the numbering S.compile gives location cells). *)
+  let per_loc f =
     Array.of_list
       (List.mapi
          (fun ia (a : M.automaton) ->
-           let arr = Array.make (Array.length zautos.(ia)) [||] in
-           List.iter
-             (fun (l : M.location) ->
-               let li = S.loc_index net ~auto:ia l.M.loc_name in
-               let row = Array.make dim (-1) in
-               for k = 1 to dim - 1 do
-                 row.(k) <-
-                   select
-                     (Lubounds.bounds lub ~auto:a.M.auto_name
-                        ~loc:l.M.loc_name ~clock:zclock_names.(k))
-               done;
-               arr.(li) <- row)
-             a.M.locations;
-           arr)
+           Array.of_list (List.mapi (f ia a) a.M.locations))
          model.M.automata)
+  in
+  let zlocs =
+    per_loc (fun _ a _ (l : M.location) ->
+        let where =
+          Printf.sprintf "%s.%s invariant" a.M.auto_name l.M.loc_name
+        in
+        let inv_data, inv_atoms = comp_guard net cidx ~where l.M.invariant in
+        {
+          zl_urgent = l.M.kind <> M.Normal;
+          zl_inv_data = inv_data;
+          zl_inv_atoms = inv_atoms;
+        })
+  in
+  let sym_edge (a : M.automaton) (e : M.edge) =
+    let where = Printf.sprintf "%s: %s -> %s" a.M.auto_name e.M.src e.M.dst in
+    let data, atoms = comp_guard net cidx ~where e.M.guard in
+    {
+      ze_data = data;
+      ze_atoms = atoms;
+      ze_updates = List.map (comp_update net cidx) e.M.updates;
+    }
+  in
+  (* Each location's outgoing edges in S.loc_edges' order (internal,
+     sending, receiving, each in model order), paired with their
+     symbolic halves; a menu's edges are found among them physically. *)
+  let kind (e : M.edge) =
+    match e.M.sync with M.Tau -> 0 | M.Send _ -> 1 | M.Recv _ -> 2
+  in
+  let zedges =
+    per_loc (fun ia a li (l : M.location) ->
+        a.M.edges
+        |> List.filter (fun (e : M.edge) -> e.M.src = l.M.loc_name)
+        |> List.stable_sort (fun x y -> compare (kind x) (kind y))
+        |> List.map2
+             (fun se e -> (se, sym_edge a e))
+             (S.loc_edges net ~auto:ia ~loc:li)
+        |> Array.of_list)
+  in
+  (* Per-(automaton, location) LU arrays by DBM index, from the
+     backward fixpoint; settle composes them per state. *)
+  let lub = Lubounds.analyze_cached model in
+  let loc_tbl select =
+    per_loc (fun _ a _ (l : M.location) ->
+        Array.init dim (fun k ->
+            if k = 0 then -1
+            else
+              select
+                (Lubounds.bounds lub ~auto:a.M.auto_name ~loc:l.M.loc_name
+                   ~clock:zclock_names.(k))))
   in
   {
     znet = net;
-    zn;
+    zn = Array.length zlocs;
     zdim = dim;
-    zautos;
-    zchans;
+    zedges;
+    zlocs;
     zcaps;
     zlub = lub;
     zloc_l = loc_tbl fst;
@@ -381,7 +354,7 @@ let lu_tables t =
   List.init t.zn (fun i ->
       ( S.auto_name_at t.znet i,
         List.init
-          (Array.length t.zautos.(i))
+          (Array.length t.zlocs.(i))
           (fun k ->
             ( S.loc_name_at t.znet i k,
               List.init (t.zdim - 1) (fun j ->
@@ -404,7 +377,7 @@ let settle t disc z : state option =
   let ok = ref true in
   for i = 0 to t.zn - 1 do
     if !ok then begin
-      let l = t.zautos.(i).(disc.(i)) in
+      let l = t.zlocs.(i).(disc.(i)) in
       if not (l.zl_inv_data disc) then ok := false
       else
         List.iter
@@ -416,9 +389,7 @@ let settle t disc z : state option =
   else begin
     let urgent = ref false in
     for i = 0 to t.zn - 1 do
-      match t.zautos.(i).(disc.(i)).zl_kind with
-      | M.Urgent | M.Committed -> urgent := true
-      | M.Normal -> ()
+      if t.zlocs.(i).(disc.(i)).zl_urgent then urgent := true
     done;
     if not !urgent then begin
       Dbm.up ~dim:t.zdim z;
@@ -427,7 +398,7 @@ let settle t disc z : state option =
       for i = 0 to t.zn - 1 do
         List.iter
           (fun a -> ignore (constrain_atom t z a disc : bool))
-          t.zautos.(i).(disc.(i)).zl_inv_atoms
+          t.zlocs.(i).(disc.(i)).zl_inv_atoms
       done
     end;
     (* compose the per-state bounds: max over the automata's current
@@ -488,23 +459,33 @@ let enumerate t z (reads : int list) : (Dbm.t * int array) list =
       in
       List.fold_left expand [ (z, Array.make t.zdim 0) ] reads
 
+let rec find_edge out e k =
+  if fst out.(k) == e then snd out.(k) else find_edge out e (k + 1)
+
+(* The symbolic half of automaton [i]'s edge [e], which leaves its
+   location in [disc]. *)
+let zedge t disc i e = find_edge t.zedges.(i).(disc.(i)) e 0
+
 (* One macro transition: [parts] is the list of participating automata
    with their edges, in application order (sender first). *)
 let apply t (st : state) parts label acc =
   let disc = st.disc in
-  if List.for_all (fun (_, e) -> e.ze_data disc) parts then begin
+  if List.for_all (fun (i, e) -> (zedge t disc i e).ze_data disc) parts
+  then begin
     let z1 = Dbm.copy st.dbm in
     let ok =
       List.for_all
-        (fun (_, e) ->
-          List.for_all (fun a -> constrain_atom t z1 a disc) e.ze_atoms)
+        (fun (i, e) ->
+          List.for_all
+            (fun a -> constrain_atom t z1 a disc)
+            (zedge t disc i e).ze_atoms)
         parts
     in
     if ok then begin
       let reads =
         let reset = Hashtbl.create 4 and out = ref [] in
         List.iter
-          (fun (_, e) ->
+          (fun (i, e) ->
             List.iter
               (function
                 | U_reset k -> Hashtbl.replace reset k ()
@@ -514,25 +495,25 @@ let apply t (st : state) parts label acc =
                         if not (Hashtbl.mem reset k) && not (List.mem k !out)
                         then out := k :: !out)
                       ks)
-              e.ze_updates)
+              (zedge t disc i e).ze_updates)
           parts;
         List.rev !out
       in
       List.iter
         (fun (z2, vals) ->
           let disc' = Array.copy disc in
-          List.iter (fun (i, e) -> disc'.(i) <- e.ze_dst) parts;
+          List.iter (fun (i, e) -> disc'.(i) <- S.edge_dst e) parts;
           let reset_so_far = Array.make t.zdim false in
           let valu k = if reset_so_far.(k) then 0 else vals.(k) in
           List.iter
-            (fun (_, e) ->
+            (fun (i, e) ->
               List.iter
                 (function
                   | U_reset k ->
                       Dbm.reset ~dim:t.zdim z2 k;
                       reset_so_far.(k) <- true
                   | U_assign (f, _) -> f disc' valu)
-                e.ze_updates)
+                (zedge t disc i e).ze_updates)
             parts;
           match settle t disc' z2 with
           | Some s -> acc := (S.Act label, s) :: !acc
@@ -550,94 +531,63 @@ let initial t : state =
   | Some s -> s
   | None -> invalid_arg "zone: initial zone is empty"
 
+(* The macro transitions are the candidate moves of the discrete
+   semantics' menu for [st]'s location vector, walked in its order; each
+   edge's data guard is evaluated here, on the discrete part. *)
 let successors t (st : state) : (S.label * state) list =
   let disc = st.disc in
   let acc = ref [] in
-  let n = t.zn in
-  let cur i = t.zautos.(i).(disc.(i)) in
-  let committed =
-    let rec go i = i < n && ((cur i).zl_kind = M.Committed || go (i + 1)) in
-    go 0
-  in
-  let allowed i = (not committed) || (cur i).zl_kind = M.Committed in
-  (* internal edges *)
-  for i = 0 to n - 1 do
-    if allowed i then
-      List.iter (fun e -> apply t st [ (i, e) ] e.ze_label acc) (cur i).zl_tau
-  done;
-  (* synchronisations — same pairing rules as Ta.Semantics.successors *)
-  Array.iteri
-    (fun ch (cd : M.chan_decl) ->
-      if not cd.M.broadcast then begin
-        for i = 0 to n - 1 do
-          List.iter
-            (fun es ->
-              if es.ze_data disc then
-                for j = 0 to n - 1 do
-                  if j <> i && ((not committed) || allowed i || allowed j)
-                  then
-                    List.iter
-                      (fun er ->
-                        if er.ze_data disc then
-                          apply t st [ (i, es); (j, er) ] es.ze_label acc)
-                      (cur j).zl_recv.(ch)
-                done)
-            (cur i).zl_send.(ch)
-        done
-      end
-      else
-        for i = 0 to n - 1 do
-          List.iter
-            (fun es ->
-              if es.ze_data disc then begin
-                (* receivers have data-only guards (enforced by
-                   [compile]), so participation is determined by the
-                   discrete part alone *)
-                let receivers =
-                  List.init n (fun j ->
-                      if j = i then (j, [])
-                      else
-                        ( j,
-                          List.filter
-                            (fun e -> e.ze_data disc)
-                            (cur j).zl_recv.(ch) ))
-                in
-                let participating =
-                  List.filter (fun (_, l) -> l <> []) receivers
-                in
-                let committed_ok =
-                  (not committed) || allowed i
-                  || List.exists (fun (j, _) -> allowed j) participating
-                in
-                if committed_ok then begin
-                  let rec expand chosen = function
-                    | [] ->
-                        apply t st
-                          ((i, es) :: List.rev chosen)
-                          es.ze_label acc
-                    | (j, choices) :: rest ->
-                        List.iter
-                          (fun e -> expand ((j, e) :: chosen) rest)
-                          choices
-                  in
-                  expand [] participating
-                end
-              end)
-            (cur i).zl_send.(ch)
-        done)
-    t.zchans;
+  let data i e = (zedge t disc i e).ze_data disc in
+  Array.iter
+    (function
+      | S.Tau { auto; edge; _ } ->
+          apply t st [ (auto, edge) ] (S.edge_label edge) acc
+      | S.Binary { auto; send; recvs } ->
+          if data auto send then
+            Array.iter
+              (fun (r : S.receiver) ->
+                if data r.r_auto r.r_edge then
+                  apply t st
+                    [ (auto, send); (r.r_auto, r.r_edge) ]
+                    (S.edge_label send) acc)
+              recvs
+      | S.Broadcast { auto; send; alone; groups } ->
+          if data auto send then begin
+            (* receivers have data-only guards (enforced by [compile]),
+               so participation is determined by the discrete part
+               alone *)
+            let participating =
+              List.filter_map
+                (fun (g : S.group) ->
+                  match
+                    List.filter (data g.g_auto) (Array.to_list g.g_edges)
+                  with
+                  | [] -> None
+                  | es -> Some (g.g_auto, g.g_allowed, es))
+                (Array.to_list groups)
+            in
+            if
+              alone
+              || List.exists (fun (_, allowed, _) -> allowed) participating
+            then
+              let rec expand chosen = function
+                | [] ->
+                    apply t st
+                      ((auto, send) :: List.rev chosen)
+                      (S.edge_label send) acc
+                | (j, _, choices) :: rest ->
+                    List.iter (fun e -> expand ((j, e) :: chosen) rest) choices
+              in
+              expand [] participating
+          end)
+    (S.menu t.znet (S.of_cells disc)).moves;
   List.rev !acc
 
 (* --- packaging ------------------------------------------------------ *)
 
-let equal_disc (a : int array) (b : int array) =
-  let n = Array.length a in
-  n = Array.length b
-  &&
-  let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
-  go 0
-
-let equal_state a b = equal_disc a.disc b.disc && Dbm.equal a.dbm b.dbm
+let equal_state a b =
+  S.equal_config (S.of_cells a.disc) (S.of_cells b.disc)
+  && Dbm.equal a.dbm b.dbm
 
 let hash_state (s : state) =
   let h = ref (Dbm.hash s.dbm) in
@@ -645,10 +595,6 @@ let hash_state (s : state) =
     (fun x -> h := (!h lxor x) * 0x01000193 land max_int)
     s.disc;
   !h
-
-let subsumes t big small =
-  equal_disc big.disc small.disc
-  && Dbm.includes ~dim:t.zdim big.dbm small.dbm
 
 let pp_state t ppf (s : state) =
   Format.fprintf ppf "@[<h>%a| %a@]"

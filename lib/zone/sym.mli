@@ -10,10 +10,11 @@
     apply unchanged to symbolic states via {!Ta.Semantics.of_cells}.
 
     Successor states follow the standard zone-graph construction: for
-    each macro transition (internal edge, binary handshake, broadcast)
-    whose data guard holds, conjoin the clock guard atoms, apply the
-    resets and variable updates in order, conjoin the target
-    invariants, delay ([up], unless a target location is urgent or
+    each macro transition (internal edge, binary handshake, broadcast:
+    the candidate moves of {!Ta.Semantics.menu}, committed-location
+    rule included) whose data guard holds, conjoin the clock guard
+    atoms, apply the resets and variable updates in order, conjoin the
+    target invariants, delay ([up], unless a target location is urgent or
     committed), re-conjoin the invariants, and apply Extra_LU
     extrapolation with location-based bounds: {!Lubounds}' backward
     fixpoint, composed as the maximum over the current location
@@ -71,13 +72,21 @@ val dim : t -> int
 val initial : t -> state
 
 val successors : t -> state -> (Ta.Semantics.label * state) list
-(** Labels are always [Act _] (time is inside the zones); the label
-    strings coincide with the discrete semantics' labels, so a
-    symbolic trace is a candidate discrete trace modulo delays. *)
+(** The macro transitions are the candidate moves of
+    {!Ta.Semantics.menu} for the state's location vector, in the menu's
+    order, so the pairing and committed-location rules are the
+    discrete semantics' own.  A move whose edges' data guards hold and
+    whose zone survives the guards, target invariants and case splits
+    yields one successor per case, in the menu's order.  Labels are
+    always [Act _] (time is inside the zones); the label strings
+    coincide with the discrete semantics' labels, so a symbolic trace
+    is a candidate discrete trace modulo delays. *)
 
 val system : t -> (state, Ta.Semantics.label) Mc.System.t
-(** Package for the generic explorer ({!Mc.Explore}) and counter
-    ({!Mc.Pexplore}). *)
+(** Package for the generic explorer ({!Mc.Explore}): the
+    equality-only zone graph, which [hbexplore stats --zone
+    --no-subsume] counts.  {!Reach} explores with inclusion
+    instead. *)
 
 val bad_of : t -> (Ta.Semantics.config -> bool) -> state -> bool
 (** Lift a discrete state predicate (built from clock-free
@@ -95,12 +104,6 @@ val lu_tables : t -> (string * (string * (string * int * int) list) list) list
     automaton (model order) with every location (model order) and
     every clock (declaration order) as [(clock, L, U)].  Each entry
     never exceeds the {!lu_bounds} pair for its clock. *)
-
-val subsumes : t -> state -> state -> bool
-(** [subsumes t big small]: same discrete part and [big]'s zone
-    includes [small]'s. *)
-
-val pp_state : t -> Format.formatter -> state -> unit
 
 (** {2 Lint support} *)
 

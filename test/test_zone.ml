@@ -311,7 +311,9 @@ let agree ?max_states model (pred : S.t -> S.config -> bool) =
 
 (* random closed-constraint networks: two automata over a shared
    variable and clock, binary + broadcast sync, clock guards on
-   closed comparisons only, clock-read updates *)
+   closed comparisons only, clock-read updates, and urgent and committed
+   locations with clock and data invariants (the initial location is
+   plain), so the committed-location and urgency rules are exercised *)
 let zone_random_network : M.t QCheck.arbitrary =
   let open QCheck.Gen in
   let data_guard = oneofl [ E.True; E.(v "x" = i 0); E.(v "x" = i 1) ] in
@@ -363,13 +365,30 @@ let zone_random_network : M.t QCheck.arbitrary =
          ~act:(Printf.sprintf "e%d%d" src dst)
          ())
   in
+  let loc_gen =
+    pair
+      (frequency
+         [ (5, return M.Normal); (2, return M.Urgent); (2, return M.Committed) ])
+      (frequency
+         [
+           (3, return E.True);
+           (1, return E.(clk "k" <= i 2));
+           (1, return E.(v "x" = i 0));
+         ])
+  in
   let automaton_gen name =
     int_range 1 3 >>= fun locs ->
+    list_repeat (locs - 1) loc_gen >>= fun rest ->
     list_size (int_bound 5) (edge_gen locs) >>= fun edges ->
     return
       {
         M.auto_name = name;
-        locations = List.init locs (fun i -> M.loc (Printf.sprintf "L%d" i));
+        locations =
+          M.loc "L0"
+          :: List.mapi
+               (fun i (kind, invariant) ->
+                 M.loc ~kind ~invariant (Printf.sprintf "L%d" (i + 1)))
+               rest;
         edges;
         init_loc = "L0";
       }
@@ -385,17 +404,12 @@ let zone_random_network : M.t QCheck.arbitrary =
         automata = [ a; b ];
       }
   in
-  QCheck.make
-    ~print:(fun m ->
-      Format.asprintf "%d+%d edges"
-        (List.length (List.nth m.M.automata 0).M.edges)
-        (List.length (List.nth m.M.automata 1).M.edges))
-    network_gen
+  QCheck.make ~print:Ta.Xta.to_string network_gen
 
 let prop_agreement_random =
   QCheck.Test.make
     ~name:"discrete and zone reachability verdicts agree (closed TA)"
-    ~count:150 zone_random_network (fun model ->
+    ~count:3000 zone_random_network (fun model ->
       (* goal: A parked in its last location with x = 1 *)
       let last =
         Printf.sprintf "L%d"
