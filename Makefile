@@ -155,32 +155,16 @@ slice:
 	$(DUNE) exec bin/hbverify.exe -- slice-smoke --json > _build/hbslice-2.json
 	cmp _build/hbslice-1.json _build/hbslice-2.json
 
-# Zone-engine gate: the qcheck discrete-vs-zone agreement harness (DBM
-# units, random-network verdict parity, guided replay of zone
-# counterexamples, FC verdicts), the location-LU analysis suite
-# (backward-fixpoint units, every heartbeat clock constraint closed,
-# inactive clocks unbounded), then the six-variant zone smoke (R1-R3
-# verdict parity discrete vs dense-time, subsumption active, JSON
-# byte-identical across two runs), the FC-suite zone counts (verdicts
-# match the specs, byte-identical JSON), a Fontana-Cleaveland spot
-# check through the .xta front end, and a drift check that the shipped
-# examples/fc/*.xta are exactly what the Fc registry prints.
-zone:
-	$(DUNE) exec test/main.exe -- test zone
-	$(DUNE) exec test/main.exe -- test lubounds
-	$(DUNE) exec bin/hbverify.exe -- zone-smoke
-	$(DUNE) exec bin/hbverify.exe -- zone-smoke --json > _build/hbzone-1.json
-	$(DUNE) exec bin/hbverify.exe -- zone-smoke --json > _build/hbzone-2.json
-	cmp _build/hbzone-1.json _build/hbzone-2.json
-	$(DUNE) exec bin/hbexplore.exe -- fc --zones
-	$(DUNE) exec bin/hbexplore.exe -- fc --zones --json > _build/hbfczones-1.json
-	$(DUNE) exec bin/hbexplore.exe -- fc --zones --json > _build/hbfczones-2.json
-	cmp _build/hbfczones-1.json _build/hbfczones-2.json
-	$(DUNE) exec bin/hbverify.exe -- xta examples/fc/fischer.xta --forbid P1.CS,P2.CS
-	for m in fischer fischer-broken csma fddi grc leader; do \
-	  $(DUNE) exec bin/hbexplore.exe -- fc $$m > _build/fc-$$m.xta && \
-	  cmp _build/fc-$$m.xta examples/fc/$$m.xta || exit 1; \
-	done
+# Zone-engine gate: an alias for tier-1, which runs every zone check —
+# the `zone` and `lubounds` suites (DBM units and the closure oracle,
+# discrete-vs-zone verdict parity with guided replay, FC verdicts,
+# location-LU units), and the test/dune rules: the six-variant zone
+# smoke and the FC-suite zone counts as text and JSON, the FISCHER
+# n = 7, expanding n = 2 counterexample and equality-store pins, the
+# .xta front end's spot check (test/cli.expected), and the drift check
+# that the shipped examples/fc/*.xta are exactly what the Fc registry
+# prints.
+zone: test
 
 clean:
 	$(DUNE) clean

@@ -17,21 +17,37 @@ let badd a b =
 let zero ~dim = Array.make (dim * dim) le_zero
 let copy = Array.copy
 
-(* Floyd–Warshall.  Empty iff some diagonal entry drops below (0, ≤);
-   the diagonal is pinned back to (0, ≤) so closed DBMs compare
+(* Floyd–Warshall over the live pivots only.  A pivot k whose row holds
+   no finite entry off the diagonal is a sink: no finite path leaves
+   x_k, so m[i][k] + m[k][j] is infinite for every j <> k and the pivot
+   shortens nothing.  Through (k, k) it could only tighten an entry
+   once m[k][k] is below (0, ≤), and then the zone is empty anyway.  A
+   row gains a finite entry only through a finite entry it already
+   has, so a sink row stays infinite for the whole closure, and the
+   skip costs one scan of the row.  After delay and Extra_LU the sinks
+   are the clocks with no upper bound (inactive ones, and those past
+   their L); a bounded clock bounds its difference with every clock,
+   so a live row is full.  Empty iff some diagonal entry drops below
+   (0, ≤); the diagonal is pinned back to (0, ≤) so closed DBMs compare
    entrywise. *)
 let close ~dim (m : t) =
-  let ok = ref true in
   for k = 0 to dim - 1 do
-    for i = 0 to dim - 1 do
-      let mik = m.((i * dim) + k) in
-      if mik <> inf then
-        for j = 0 to dim - 1 do
-          let via = badd mik m.((k * dim) + j) in
-          if via < m.((i * dim) + j) then m.((i * dim) + j) <- via
-        done
-    done
+    let row = k * dim in
+    let c = ref 0 in
+    while !c < dim && (!c = k || m.(row + !c) = inf) do
+      incr c
+    done;
+    if !c < dim then
+      for i = 0 to dim - 1 do
+        let mik = m.((i * dim) + k) in
+        if mik <> inf then
+          for j = 0 to dim - 1 do
+            let via = badd mik m.(row + j) in
+            if via < m.((i * dim) + j) then m.((i * dim) + j) <- via
+          done
+      done
   done;
+  let ok = ref true in
   for i = 0 to dim - 1 do
     if m.((i * dim) + i) < le_zero then ok := false
     else m.((i * dim) + i) <- le_zero
@@ -115,24 +131,23 @@ let clock_hi ~dim (m : t) i =
 
    The first two clauses drop zone upper bounds a lower-bound guard
    can never see; the last two weaken zone lower bounds beyond every
-   upper-bound guard.  Extrapolation only enlarges the zone, so the
-   re-closure cannot find it empty. *)
+   upper-bound guard.  Row 0 is read in place: the first loop writes
+   rows 1 .. dim-1 only, and the second writes entry (0, j) after its
+   last read.  Extrapolation only enlarges the zone, so the re-closure
+   cannot find it empty. *)
 let extrapolate_lu ~dim (m : t) ~l ~u =
-  let row0 = Array.init dim (fun j -> m.(j)) in
-  let low j =
-    (* the zone's lower bound on x_j as an integer-oriented value *)
-    -value row0.(j)
-  in
   let changed = ref false in
   for i = 1 to dim - 1 do
+    (* -v(m[0][i]): the zone's lower bound on x_i *)
+    let low_i = -value m.(i) in
     for j = 0 to dim - 1 do
       if i <> j then begin
         let e = m.((i * dim) + j) in
         if
           e <> inf
           && (value e > l.(i)
-             || low i > l.(i)
-             || (j <> 0 && low j > u.(j)))
+             || low_i > l.(i)
+             || (j <> 0 && -value m.(j) > u.(j)))
         then begin
           m.((i * dim) + j) <- inf;
           changed := true
@@ -141,7 +156,7 @@ let extrapolate_lu ~dim (m : t) ~l ~u =
     done
   done;
   for j = 1 to dim - 1 do
-    if low j > u.(j) then begin
+    if -value m.(j) > u.(j) then begin
       let b = if u.(j) < 0 then le_zero else bnd (-u.(j)) ~strict:true in
       if b > m.(j) then begin
         m.(j) <- b;

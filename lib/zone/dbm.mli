@@ -40,7 +40,13 @@ val copy : t -> t
 
 val close : dim:int -> t -> bool
 (** Floyd–Warshall canonicalisation in place.  Returns [false] when
-    the zone is empty (a negative cycle was found). *)
+    the zone is empty (a negative cycle was found).  A pivot whose row
+    holds no finite entry off the diagonal is skipped: no finite path
+    leaves it, so it can shorten no entry (through its own diagonal
+    entry only when that is negative, and then the zone is empty
+    anyway), and such a row stays infinite throughout.  The cost is
+    O((1 + live pivots) · dim²); on extrapolated zones the live pivots
+    are the clocks bounded from above. *)
 
 val constrain : dim:int -> t -> int -> int -> int -> bool
 (** [constrain ~dim m i j b] adds the constraint [x_i - x_j <= b] (an

@@ -121,16 +121,20 @@ type atom = {
 
 type zupd =
   | U_reset of int (* DBM clock index *)
-  | U_assign of (int array -> (int -> int) -> unit) * int list
+  | U_assign of (int array -> int array -> unit) * int list
       (* the closure takes the discrete part and a clock valuation
          (by DBM index); the list is the clocks the RHS reads *)
 
-(* The symbolic half of an edge; its target, label and synchronisation
-   are read off the discrete compilation's edge. *)
+(* The symbolic half of an edge: its automaton and target, and what it
+   does to the zone; its label and synchronisation are read off the
+   discrete compilation's edge. *)
 type zedge = {
+  ze_auto : int;
+  ze_dst : int; (* S.edge_dst of the discrete edge *)
   ze_data : int array -> bool;
   ze_atoms : atom list;
   ze_updates : zupd list;
+  ze_reads : bool; (* some update reads a clock *)
 }
 
 type zloc = {
@@ -166,7 +170,7 @@ type state = { disc : int array; dbm : Dbm.t }
    semantics); a clock leaf consults the valuation chosen by the
    successor's case split. *)
 let rec comp_e net cidx (e : E.t) :
-    (int array -> (int -> int) -> int) * int list =
+    (int array -> int array -> int) * int list =
   if not (Lubounds.expr_has_clock e) then begin
     let f = S.compile_expr_fn net e in
     ((fun d _ -> f (S.of_cells d)), [])
@@ -180,7 +184,7 @@ let rec comp_e net cidx (e : E.t) :
     match e with
     | E.Clock c ->
         let k = cidx c in
-        ((fun _ v -> v k), [ k ])
+        ((fun _ v -> v.(k)), [ k ])
     | E.Elem (x, idx) ->
         let off, size = S.lookup_var net x in
         let fi, ri = comp_e net cidx idx in
@@ -221,11 +225,20 @@ let comp_update net cidx (u : M.update) : zupd =
             d.(off + k) <- fr d v),
           ri @ rr )
 
+let rec all_hold c = function [] -> true | f :: fs -> f c && all_hold c fs
+
 let comp_guard net cidx ~where (b : E.b) : (int array -> bool) * atom list =
   match Lubounds.split b with
   | data, aatoms ->
-      let fns = List.map (S.compile_bexpr_fn net) data in
-      let data_fn d = List.for_all (fun f -> f (S.of_cells d)) fns in
+      let data_fn =
+        match
+          List.filter_map
+            (function E.True -> None | b -> Some (S.compile_bexpr_fn net b))
+            data
+        with
+        | [] -> fun _ -> true
+        | fns -> fun d -> all_hold (S.of_cells d) fns
+      in
       let atoms =
         List.map
           (fun (a : Lubounds.atom) ->
@@ -289,13 +302,20 @@ let compile ?lu:_ (model : M.t) : t =
           zl_inv_atoms = inv_atoms;
         })
   in
-  let sym_edge (a : M.automaton) (e : M.edge) =
+  let sym_edge ia (a : M.automaton) se (e : M.edge) =
     let where = Printf.sprintf "%s: %s -> %s" a.M.auto_name e.M.src e.M.dst in
     let data, atoms = comp_guard net cidx ~where e.M.guard in
+    let updates = List.map (comp_update net cidx) e.M.updates in
     {
+      ze_auto = ia;
+      ze_dst = S.edge_dst se;
       ze_data = data;
       ze_atoms = atoms;
-      ze_updates = List.map (comp_update net cidx) e.M.updates;
+      ze_updates = updates;
+      ze_reads =
+        List.exists
+          (function U_assign (_, _ :: _) -> true | _ -> false)
+          updates;
     }
   in
   (* Each location's outgoing edges in S.loc_edges' order (internal,
@@ -310,7 +330,7 @@ let compile ?lu:_ (model : M.t) : t =
         |> List.filter (fun (e : M.edge) -> e.M.src = l.M.loc_name)
         |> List.stable_sort (fun x y -> compare (kind x) (kind y))
         |> List.map2
-             (fun se e -> (se, sym_edge a e))
+             (fun se e -> (se, sym_edge ia a se e))
              (S.loc_edges net ~auto:ia ~loc:li)
         |> Array.of_list)
   in
@@ -370,22 +390,27 @@ let constrain_atom t z (a : atom) disc =
     Dbm.constrain ~dim:t.zdim z 0 a.at_i (Dbm.bnd (-b) ~strict:a.at_strict)
   else Dbm.constrain ~dim:t.zdim z a.at_i 0 (Dbm.bnd b ~strict:a.at_strict)
 
+let rec constrain_atoms t z disc = function
+  | [] -> true
+  | a :: atoms -> constrain_atom t z a disc && constrain_atoms t z disc atoms
+
+(* Do the invariants of automata [i ..] hold in [disc], conjoined into
+   [z]? *)
+let rec invariants_hold t disc z i =
+  i >= t.zn
+  ||
+  let l = t.zlocs.(i).(disc.(i)) in
+  l.zl_inv_data disc
+  && constrain_atoms t z disc l.zl_inv_atoms
+  && invariants_hold t disc z (i + 1)
+
 (* Post-transition pipeline: target invariants, delay (unless a target
    location is urgent or committed), invariants again, location
-   Extra_LU.  [z] is owned by the caller and consumed. *)
+   Extra_LU, whose re-closure visits only the clocks still bounded from
+   above (Dbm.close).  [z] is owned by the caller and consumed; the
+   walk allocates nothing but the resulting state. *)
 let settle t disc z : state option =
-  let ok = ref true in
-  for i = 0 to t.zn - 1 do
-    if !ok then begin
-      let l = t.zlocs.(i).(disc.(i)) in
-      if not (l.zl_inv_data disc) then ok := false
-      else
-        List.iter
-          (fun a -> if !ok && not (constrain_atom t z a disc) then ok := false)
-          l.zl_inv_atoms
-    end
-  done;
-  if not !ok then None
+  if not (invariants_hold t disc z 0) then None
   else begin
     let urgent = ref false in
     for i = 0 to t.zn - 1 do
@@ -396,9 +421,8 @@ let settle t disc z : state option =
       (* re-imposing invariants on a superset of a zone that satisfied
          them cannot empty it *)
       for i = 0 to t.zn - 1 do
-        List.iter
-          (fun a -> ignore (constrain_atom t z a disc : bool))
-          t.zlocs.(i).(disc.(i)).zl_inv_atoms
+        ignore
+          (constrain_atoms t z disc t.zlocs.(i).(disc.(i)).zl_inv_atoms : bool)
       done
     end;
     (* compose the per-state bounds: max over the automata's current
@@ -419,45 +443,61 @@ let settle t disc z : state option =
     Some { disc; dbm = z }
   end
 
+(* The clocks a move's updates read before any participant resets
+   them, in order of first read. *)
+let clock_reads parts =
+  let reset = Hashtbl.create 4 and out = ref [] in
+  List.iter
+    (fun ze ->
+      List.iter
+        (function
+          | U_reset k -> Hashtbl.replace reset k ()
+          | U_assign (_, ks) ->
+              List.iter
+                (fun k ->
+                  if not (Hashtbl.mem reset k) && not (List.mem k !out) then
+                    out := k :: !out)
+                ks)
+        ze.ze_updates)
+    parts;
+  List.rev !out
+
 (* Case-split on the integer values of the clocks an update sequence
    reads: one branch per value in [lo .. min(hi, cap)], plus the
-   saturation branch [c >= cap] reading [cap]. *)
+   saturation branch [c >= cap] reading [cap].  Each branch carries its
+   own valuation array (by DBM index). *)
 let enumerate t z (reads : int list) : (Dbm.t * int array) list =
-  match reads with
-  | [] -> [ (z, [||]) ] (* the valuation is never consulted *)
-  | _ ->
-      let expand acc k =
-        List.concat_map
-          (fun (z, vals) ->
-            let cap = t.zcaps.(k) in
-            let lo = min (max 0 (Dbm.clock_lo ~dim:t.zdim z k)) cap in
-            let hi =
-              match Dbm.clock_hi ~dim:t.zdim z k with
-              | None -> cap
-              | Some h -> min h cap
-            in
-            let out = ref [] in
-            for v = lo to hi do
-              let z' = Dbm.copy z in
-              let ok =
-                if v < cap then
-                  Dbm.constrain ~dim:t.zdim z' k 0 (Dbm.bnd v ~strict:false)
-                  && Dbm.constrain ~dim:t.zdim z' 0 k
-                       (Dbm.bnd (-v) ~strict:false)
-                else
-                  (* saturation: everything at or above the cap reads cap *)
-                  Dbm.constrain ~dim:t.zdim z' 0 k (Dbm.bnd (-v) ~strict:false)
-              in
-              if ok then begin
-                let vals' = Array.copy vals in
-                vals'.(k) <- v;
-                out := (z', vals') :: !out
-              end
-            done;
-            List.rev !out)
-          acc
-      in
-      List.fold_left expand [ (z, Array.make t.zdim 0) ] reads
+  let expand acc k =
+    List.concat_map
+      (fun (z, vals) ->
+        let cap = t.zcaps.(k) in
+        let lo = min (max 0 (Dbm.clock_lo ~dim:t.zdim z k)) cap in
+        let hi =
+          match Dbm.clock_hi ~dim:t.zdim z k with
+          | None -> cap
+          | Some h -> min h cap
+        in
+        let out = ref [] in
+        for v = lo to hi do
+          let z' = Dbm.copy z in
+          let ok =
+            if v < cap then
+              Dbm.constrain ~dim:t.zdim z' k 0 (Dbm.bnd v ~strict:false)
+              && Dbm.constrain ~dim:t.zdim z' 0 k (Dbm.bnd (-v) ~strict:false)
+            else
+              (* saturation: everything at or above the cap reads cap *)
+              Dbm.constrain ~dim:t.zdim z' 0 k (Dbm.bnd (-v) ~strict:false)
+          in
+          if ok then begin
+            let vals' = Array.copy vals in
+            vals'.(k) <- v;
+            out := (z', vals') :: !out
+          end
+        done;
+        List.rev !out)
+      acc
+  in
+  List.fold_left expand [ (z, Array.make t.zdim 0) ] reads
 
 let rec find_edge out e k =
   if fst out.(k) == e then snd out.(k) else find_edge out e (k + 1)
@@ -466,61 +506,64 @@ let rec find_edge out e k =
    location in [disc]. *)
 let zedge t disc i e = find_edge t.zedges.(i).(disc.(i)) e 0
 
-(* One macro transition: [parts] is the list of participating automata
-   with their edges, in application order (sender first). *)
+let rec constrain_parts t z disc = function
+  | [] -> true
+  | ze :: parts ->
+      constrain_atoms t z disc ze.ze_atoms && constrain_parts t z disc parts
+
+let rec move_parts disc = function
+  | [] -> ()
+  | ze :: parts ->
+      disc.(ze.ze_auto) <- ze.ze_dst;
+      move_parts disc parts
+
+(* A move without clock reads carries the empty valuation, which no
+   update consults; a reset zeroes the clock in a branch's valuation
+   for the updates after it. *)
+let no_vals = [||]
+
+let rec run_updates t disc z vals = function
+  | [] -> ()
+  | U_reset k :: us ->
+      Dbm.reset ~dim:t.zdim z k;
+      if vals != no_vals then vals.(k) <- 0;
+      run_updates t disc z vals us
+  | U_assign (f, _) :: us ->
+      f disc vals;
+      run_updates t disc z vals us
+
+let rec run_parts t disc z vals = function
+  | [] -> ()
+  | ze :: parts ->
+      run_updates t disc z vals ze.ze_updates;
+      run_parts t disc z vals parts
+
+(* One branch of a move: every participant takes its target location,
+   then the updates run in order on the branch's zone [z], and the
+   result is settled. *)
+let fire t disc parts z vals label acc =
+  let disc' = Array.copy disc in
+  move_parts disc' parts;
+  run_parts t disc' z vals parts;
+  match settle t disc' z with
+  | Some s -> acc := (S.Act label, s) :: !acc
+  | None -> ()
+
+(* One macro transition: [parts] are the participants' symbolic halves
+   in application order (sender first), each looked up once and its
+   data guard already checked.  The clock guards are conjoined on a
+   copy of the zone; a move in which no participant's update reads a
+   clock fires once, any other is case-split on the clocks read (a
+   sender's reset can leave that list empty while a receiver's update
+   still consults the valuation). *)
 let apply t (st : state) parts label acc =
-  let disc = st.disc in
-  if List.for_all (fun (i, e) -> (zedge t disc i e).ze_data disc) parts
-  then begin
-    let z1 = Dbm.copy st.dbm in
-    let ok =
-      List.for_all
-        (fun (i, e) ->
-          List.for_all
-            (fun a -> constrain_atom t z1 a disc)
-            (zedge t disc i e).ze_atoms)
-        parts
-    in
-    if ok then begin
-      let reads =
-        let reset = Hashtbl.create 4 and out = ref [] in
-        List.iter
-          (fun (i, e) ->
-            List.iter
-              (function
-                | U_reset k -> Hashtbl.replace reset k ()
-                | U_assign (_, ks) ->
-                    List.iter
-                      (fun k ->
-                        if not (Hashtbl.mem reset k) && not (List.mem k !out)
-                        then out := k :: !out)
-                      ks)
-              (zedge t disc i e).ze_updates)
-          parts;
-        List.rev !out
-      in
+  let z = Dbm.copy st.dbm in
+  if constrain_parts t z st.disc parts then
+    if List.exists (fun ze -> ze.ze_reads) parts then
       List.iter
-        (fun (z2, vals) ->
-          let disc' = Array.copy disc in
-          List.iter (fun (i, e) -> disc'.(i) <- S.edge_dst e) parts;
-          let reset_so_far = Array.make t.zdim false in
-          let valu k = if reset_so_far.(k) then 0 else vals.(k) in
-          List.iter
-            (fun (i, e) ->
-              List.iter
-                (function
-                  | U_reset k ->
-                      Dbm.reset ~dim:t.zdim z2 k;
-                      reset_so_far.(k) <- true
-                  | U_assign (f, _) -> f disc' valu)
-                (zedge t disc i e).ze_updates)
-            parts;
-          match settle t disc' z2 with
-          | Some s -> acc := (S.Act label, s) :: !acc
-          | None -> ())
-        (enumerate t z1 reads)
-    end
-  end
+        (fun (z, vals) -> fire t st.disc parts z vals label acc)
+        (enumerate t z (clock_reads parts))
+    else fire t st.disc parts z no_vals label acc
 
 let initial t : state =
   let disc = S.cells (S.initial t.znet) in
@@ -533,50 +576,48 @@ let initial t : state =
 
 (* The macro transitions are the candidate moves of the discrete
    semantics' menu for [st]'s location vector, walked in its order; each
-   edge's data guard is evaluated here, on the discrete part. *)
+   participant's symbolic half is looked up, and its data guard
+   evaluated on the discrete part, once per move. *)
 let successors t (st : state) : (S.label * state) list =
   let disc = st.disc in
   let acc = ref [] in
-  let data i e = (zedge t disc i e).ze_data disc in
   Array.iter
     (function
       | S.Tau { auto; edge; _ } ->
-          apply t st [ (auto, edge) ] (S.edge_label edge) acc
+          let ze = zedge t disc auto edge in
+          if ze.ze_data disc then apply t st [ ze ] (S.edge_label edge) acc
       | S.Binary { auto; send; recvs } ->
-          if data auto send then
+          let zs = zedge t disc auto send in
+          if zs.ze_data disc then
             Array.iter
               (fun (r : S.receiver) ->
-                if data r.r_auto r.r_edge then
-                  apply t st
-                    [ (auto, send); (r.r_auto, r.r_edge) ]
-                    (S.edge_label send) acc)
+                let zr = zedge t disc r.r_auto r.r_edge in
+                if zr.ze_data disc then
+                  apply t st [ zs; zr ] (S.edge_label send) acc)
               recvs
       | S.Broadcast { auto; send; alone; groups } ->
-          if data auto send then begin
+          let zs = zedge t disc auto send in
+          if zs.ze_data disc then begin
             (* receivers have data-only guards (enforced by [compile]),
                so participation is determined by the discrete part
                alone *)
             let participating =
               List.filter_map
                 (fun (g : S.group) ->
-                  match
-                    List.filter (data g.g_auto) (Array.to_list g.g_edges)
-                  with
+                  let zes =
+                    List.map (zedge t disc g.g_auto) (Array.to_list g.g_edges)
+                  in
+                  match List.filter (fun ze -> ze.ze_data disc) zes with
                   | [] -> None
-                  | es -> Some (g.g_auto, g.g_allowed, es))
+                  | zes -> Some (g.g_allowed, zes))
                 (Array.to_list groups)
             in
-            if
-              alone
-              || List.exists (fun (_, allowed, _) -> allowed) participating
-            then
+            if alone || List.exists fst participating then
               let rec expand chosen = function
                 | [] ->
-                    apply t st
-                      ((auto, send) :: List.rev chosen)
-                      (S.edge_label send) acc
-                | (j, _, choices) :: rest ->
-                    List.iter (fun e -> expand ((j, e) :: chosen) rest) choices
+                    apply t st (zs :: List.rev chosen) (S.edge_label send) acc
+                | (_, choices) :: rest ->
+                    List.iter (fun ze -> expand (ze :: chosen) rest) choices
               in
               expand [] participating
           end)

@@ -95,8 +95,186 @@ let test_dbm_extrapolate () =
   check (Alcotest.option Alcotest.int) "hi stays open" None
     (D.clock_hi ~dim:ddim z 1)
 
+(* The oracle for D.close: a textbook triple-loop Floyd–Warshall over
+   every pivot and every pair, then the diagonal pinned back to (0, <=)
+   as D.close documents.  Empty iff a diagonal entry ends below it. *)
+let reference_close ~dim (m : D.t) =
+  for k = 0 to dim - 1 do
+    for i = 0 to dim - 1 do
+      for j = 0 to dim - 1 do
+        let via = D.badd m.((i * dim) + k) m.((k * dim) + j) in
+        if via < m.((i * dim) + j) then m.((i * dim) + j) <- via
+      done
+    done
+  done;
+  let le_zero = D.bnd 0 ~strict:false and ok = ref true in
+  for i = 0 to dim - 1 do
+    if m.((i * dim) + i) < le_zero then ok := false
+    else m.((i * dim) + i) <- le_zero
+  done;
+  !ok
+
+(* Random matrices of dimension 1-12, some of whose rows are forced to
+   infinity off the diagonal (the pivots D.close may skip) and some to
+   infinity except in column 0 (live pivots whose one finite entry is
+   an upper bound).  A witnessed matrix bounds every difference of one
+   integer valuation from above, so it is non-empty; an unwitnessed one
+   draws every entry, the diagonal included, and is mostly empty. *)
+let prop_close_matches_reference =
+  let open QCheck in
+  let gen =
+    let open Gen in
+    int_range 1 12 >>= fun dim ->
+    bool >>= fun witnessed ->
+    array_size (return dim) (int_range 0 6) >>= fun point ->
+    array_size (return dim)
+      (frequency [ (3, return `Drawn); (2, return `Sink); (1, return `Upper) ])
+    >>= fun shape ->
+    array_size
+      (return (dim * dim))
+      (frequency
+         [
+           (1, return None);
+           (3, map2 (fun v s -> Some (v, s)) (int_range (-4) 4) bool);
+         ])
+    >>= fun draws ->
+    let m =
+      Array.mapi
+        (fun k draw ->
+          let i = k / dim and j = k mod dim in
+          match draw with
+          | _ when i = j && witnessed -> D.bnd 0 ~strict:false
+          | _ when i <> j && shape.(i) = `Sink -> D.inf
+          | _ when i <> j && j <> 0 && shape.(i) = `Upper -> D.inf
+          | None -> D.inf
+          | Some (v, strict) when witnessed ->
+              (* x_i - x_j = point_i - point_j, plus a non-negative
+                 slack; a strict bound needs a positive one *)
+              let x k = if k = 0 then 0 else point.(k) in
+              let slack = abs v in
+              D.bnd (x i - x j + slack) ~strict:(strict && slack > 0)
+          | Some (v, strict) -> D.bnd v ~strict)
+        draws
+    in
+    return (dim, m)
+  in
+  let print (dim, m) =
+    let show b = if b = D.inf then "inf" else string_of_int b in
+    Printf.sprintf "dim %d: [%s]" dim
+      (String.concat "; " (Array.to_list (Array.map show m)))
+  in
+  Test.make ~name:"close = textbook Floyd-Warshall (sink rows skipped)"
+    ~count:2000 (make ~print gen) (fun (dim, m) ->
+      let fast = D.copy m and slow = D.copy m in
+      let ok_fast = D.close ~dim fast in
+      let ok_slow = reference_close ~dim slow in
+      ok_fast = ok_slow && ((not ok_fast) || D.equal fast slow))
+
+(* The oracle for D.extrapolate_lu, which reads row 0 in place and
+   re-closes skipping sink pivots: the same clauses over a copy of the
+   input's row 0, then the reference closure. *)
+let reference_extrapolate_lu ~dim (m : D.t) ~l ~u =
+  let row0 = Array.init dim (fun j -> m.(j)) in
+  let low j = -D.value row0.(j) in
+  let changed = ref false in
+  for i = 1 to dim - 1 do
+    for j = 0 to dim - 1 do
+      let e = m.((i * dim) + j) in
+      if
+        i <> j && e <> D.inf
+        && (D.value e > l.(i) || low i > l.(i) || (j <> 0 && low j > u.(j)))
+      then begin
+        m.((i * dim) + j) <- D.inf;
+        changed := true
+      end
+    done
+  done;
+  for j = 1 to dim - 1 do
+    if low j > u.(j) then begin
+      let b =
+        if u.(j) < 0 then D.bnd 0 ~strict:false
+        else D.bnd (-u.(j)) ~strict:true
+      in
+      if b > m.(j) then begin
+        m.(j) <- b;
+        changed := true
+      end
+    end
+  done;
+  if !changed then ignore (reference_close ~dim m : bool)
+
+type zone_op = Up | Reset of int | Constrain of int * int * int
+
+(* Closed zones built from [zero] by random delays, resets and bounds
+   (upper, lower and diagonal), with random L/U bounds where -1 (the
+   model never compares the clock that way) is frequent. *)
+let prop_extrapolate_matches_reference =
+  let open QCheck in
+  let gen =
+    let open Gen in
+    int_range 1 12 >>= fun dim ->
+    let clock = int_range 1 (max 1 (dim - 1)) in
+    let op =
+      frequency
+        [
+          (2, return Up);
+          (1, map (fun k -> Reset k) clock);
+          ( 4,
+            map3
+              (fun (i, j) v s ->
+                (* x_i <= |v|, x_j >= |v|, or x_i - x_j <= v *)
+                let v = if i = 0 then -abs v else if j = 0 then abs v else v in
+                Constrain (i, j, D.bnd v ~strict:s))
+              (oneof
+                 [
+                   map (fun k -> (k, 0)) clock;
+                   map (fun k -> (0, k)) clock;
+                   pair clock clock;
+                 ])
+              (int_range (-4) 8) bool );
+        ]
+    in
+    list_size (int_range 0 25) op >>= fun ops ->
+    let bound = frequency [ (2, return (-1)); (3, int_range 0 6) ] in
+    array_size (return dim) bound >>= fun l ->
+    array_size (return dim) bound >>= fun u ->
+    l.(0) <- -1;
+    u.(0) <- -1;
+    return (dim, ops, l, u)
+  in
+  let print (dim, ops, l, u) =
+    let op = function
+      | Up -> "up"
+      | Reset k -> Printf.sprintf "reset %d" k
+      | Constrain (i, j, b) -> Printf.sprintf "x%d-x%d<=%d" i j b
+    in
+    let ints a =
+      String.concat "," (Array.to_list (Array.map string_of_int a))
+    in
+    Printf.sprintf "dim %d: %s; l=[%s] u=[%s]" dim
+      (String.concat "; " (List.map op ops))
+      (ints l) (ints u)
+  in
+  Test.make ~name:"extrapolate_lu = row-0 copy + reference closure"
+    ~count:2000 (make ~print gen) (fun (dim, ops, l, u) ->
+      let z = D.zero ~dim in
+      List.iter
+        (function
+          | Up -> D.up ~dim z
+          | Reset k -> if k < dim then D.reset ~dim z k
+          | Constrain (i, j, b) ->
+              (* a bound that would empty the zone is dropped:
+                 [constrain] leaves the matrix untouched then *)
+              if i < dim && j < dim && i <> j then
+                ignore (D.constrain ~dim z i j b : bool))
+        ops;
+      let fast = D.copy z and slow = D.copy z in
+      D.extrapolate_lu ~dim fast ~l ~u;
+      reference_extrapolate_lu ~dim slow ~l ~u;
+      D.equal fast slow)
+
 (* constrain (incremental re-canonicalisation) must agree with a full
-   Floyd-Warshall re-close from scratch *)
+   Floyd-Warshall re-close from scratch, by the reference closure *)
 let prop_constrain_matches_close =
   let open QCheck in
   let bound_gen =
@@ -124,11 +302,11 @@ let prop_constrain_matches_close =
         if k > 0 && m.(k) > D.bnd 0 ~strict:false then
           m.(k) <- D.bnd 0 ~strict:false
       done;
-      assume (D.close ~dim:ddim m);
+      assume (reference_close ~dim:ddim m);
       let incr = D.copy m and full = D.copy m in
       let ok_incr = D.constrain ~dim:ddim incr i j b in
       full.((i * ddim) + j) <- min full.((i * ddim) + j) b;
-      let ok_full = D.close ~dim:ddim full in
+      let ok_full = reference_close ~dim:ddim full in
       ok_incr = ok_full && ((not ok_incr) || D.equal incr full))
 
 (* --- tiny dense-time semantics checks ------------------------------- *)
@@ -422,6 +600,48 @@ let prop_agreement_random =
       in
       agree ~max_states:50_000 model pred)
 
+(* The committed-location rule on a broadcast: while A sits in its
+   committed initial location, only a move A takes part in may fire, so
+   B's broadcast must wait even though C (not committed) would receive
+   it.  A zone engine that fires a broadcast without an allowed
+   participant reaches "C received while A is committed" on every run,
+   which the random networks catch only on some seeds. *)
+let test_broadcast_waits_for_committed () =
+  let model =
+    net ~clocks:(one_clock ())
+      ~chans:[ M.chan ~broadcast:true "bc" ]
+      [
+        auto ~init:"C0" "A"
+          [ M.loc ~kind:M.Committed "C0"; M.loc "Done" ]
+          [ M.edge ~src:"C0" ~dst:"Done" ~act:"leave" () ];
+        auto ~init:"S" "B"
+          [ M.loc "S"; M.loc "Sent" ]
+          [ M.edge ~src:"S" ~dst:"Sent" ~sync:(M.Send "bc") () ];
+        auto ~init:"W" "C"
+          [ M.loc "W"; M.loc "Got" ]
+          [ M.edge ~src:"W" ~dst:"Got" ~sync:(M.Recv "bc") () ];
+      ]
+  in
+  let received t = S.loc_is t ~auto:"C" ~loc:"Got" in
+  let early t =
+    let committed = S.loc_is t ~auto:"A" ~loc:"C0" and got = received t in
+    fun c -> committed c && got c
+  in
+  List.iter
+    (fun (name, pred, expected) ->
+      Alcotest.(check bool) (name ^ ": engines agree") true (agree model pred);
+      let z = Zone.Sym.compile model in
+      let goal = Zone.Sym.bad_of z (pred (Zone.Sym.net z)) in
+      Alcotest.(check bool) name expected
+        (match Zone.Reach.find z ~goal with
+        | Mc.Explore.Reached _ -> true
+        | Mc.Explore.Unreachable -> false
+        | _ -> Alcotest.fail "unexpected zone verdict"))
+    [
+      ("C received while A is committed", early, false);
+      ("C received after A left", received, true);
+    ]
+
 (* all six heartbeat variants, R1-R3, small parameters.  Expanding and
    dynamic get n = 1: their discrete spaces at n = 2 exceed two million
    states while the zone graph stays under 300k — covered by the bench
@@ -560,6 +780,8 @@ let tests =
         test_dbm_includes_intersect;
       Alcotest.test_case "dbm extrapolation" `Quick test_dbm_extrapolate;
       QCheck_alcotest.to_alcotest prop_constrain_matches_close;
+      QCheck_alcotest.to_alcotest prop_close_matches_reference;
+      QCheck_alcotest.to_alcotest prop_extrapolate_matches_reference;
       Alcotest.test_case "strict guards (dense only)" `Quick test_strict_guard;
       Alcotest.test_case "urgent blocks delay" `Quick test_urgent_blocks_delay;
       Alcotest.test_case "invariant bounds delay" `Quick
@@ -568,6 +790,8 @@ let tests =
       Alcotest.test_case "unsupported constraints rejected" `Quick
         test_unsupported_constraints;
       QCheck_alcotest.to_alcotest prop_agreement_random;
+      Alcotest.test_case "broadcast waits for a committed automaton" `Quick
+        test_broadcast_waits_for_committed;
       Alcotest.test_case "variant parity: binary" `Quick
         (variant_parity Heartbeat.Ta_models.Binary);
       Alcotest.test_case "variant parity: revised" `Quick
