@@ -15,7 +15,7 @@ test:
 # their default seeds — rate, detection delay, false deactivations under
 # loss, the burst-loss ablation, the joining latency, the
 # failure-detector QoS sweeps and the acceleration-depth ablation.  The
-# output is deterministic.
+# output is deterministic, and tier-1 pins it (test/paper.expected).
 paper:
 	$(DUNE) build bin/hbverify.exe bin/hbsim.exe
 	$(DUNE) exec bin/hbverify.exe -- all
@@ -38,46 +38,34 @@ bench:
 	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 20 || exit 1; \
 	done
 
-# Deterministic fault-injection campaign gate: the fixed variants must
-# survive the default adversary with zero violations, the unfixed ones
-# must be refuted (with a shrunk minimal schedule) at a table F point,
-# and the JSON report must reproduce byte-identically.
-faults:
-	$(DUNE) exec bin/hbfault.exe -- smoke
-
-# Static-analysis gate: every shipped model must lint clean under
-# --strict (warnings gate too; infos do not), and the JSON report must
-# reproduce byte-identically across two runs.
-lint:
-	$(DUNE) exec bin/hblint.exe -- --strict
-	$(DUNE) exec bin/hblint.exe -- --json > _build/hblint-1.json
-	$(DUNE) exec bin/hblint.exe -- --json > _build/hblint-2.json
-	cmp _build/hblint-1.json _build/hblint-2.json
-
-# Liveness gate: on every variant at its race point the fixed model
-# satisfies the R1-R3 liveness formulations under weak fairness, the
-# unfixed model is refuted on R2/R3 with a concrete lasso, both
-# emptiness engines agree, and the JSON report must reproduce
-# byte-identically across two runs.
-ltl:
-	$(DUNE) exec bin/hbltl.exe -- smoke
-	$(DUNE) exec bin/hbltl.exe -- check R2 -v binary --fixed --json > _build/hbltl-1.json
-	$(DUNE) exec bin/hbltl.exe -- check R2 -v binary --fixed --json > _build/hbltl-2.json
-	cmp _build/hbltl-1.json _build/hbltl-2.json
-
-# Partial-order-reduction gate: the qcheck parity harness (reduced and
-# full explorations agree on monitor and LTL verdicts, reduced
-# counterexamples replay, reduced LTS weak-trace equivalent, reduced
-# successors and statistics identical to the string-set reference),
-# then the six-variant smoke: every requirement verdict identical full
-# vs reduced, at least one variant at least halved, JSON
-# byte-identical.
-por:
-	$(DUNE) exec test/main.exe -- test por
-	$(DUNE) exec bin/hbverify.exe -- pa-smoke
-	$(DUNE) exec bin/hbverify.exe -- pa-smoke --json > _build/hbpor-1.json
-	$(DUNE) exec bin/hbverify.exe -- pa-smoke --json > _build/hbpor-2.json
-	cmp _build/hbpor-1.json _build/hbpor-2.json
+# The fault-injection, static-analysis, liveness, partial-order-reduction,
+# slicing and zone-engine gates are aliases for tier-1 (dune runtest),
+# which runs every check they made:
+#  - faults: `hbfault smoke` (fixed variants survive the default
+#    adversary, unfixed ones are refuted at a table F point with a shrunk
+#    schedule, the JSON report reproduces), pinned in test/gates.expected;
+#  - lint: `hblint --strict` (every shipped model lints clean; warnings
+#    gate too) and its JSON report, pinned in test/gates.expected;
+#  - ltl: `hbltl smoke` (fixed models hold R1-R3 under weak fairness,
+#    unfixed ones are refuted on R2/R3 with a lasso, both emptiness
+#    engines agree) and one verdict's JSON, pinned in test/gates.expected;
+#  - por: the `por` suite (reduced and full explorations agree, reduced
+#    counterexamples replay, reduced successors and statistics equal the
+#    string-set reference) and the six-variant smoke (verdicts identical
+#    full vs reduced, one variant at least halved), its text in
+#    test/gates.expected and its JSON in test/cli.expected;
+#  - slice: the `slice` suite (sliced and full explorations agree,
+#    sliced counterexamples replay) and the six-variant smoke, its text
+#    in test/gates.expected and its JSON in test/cli.expected;
+#  - zone: the `zone` and `lubounds` suites (DBM units and the closure
+#    oracle, discrete-vs-zone verdict parity with guided replay, FC
+#    verdicts, location-LU units), the six-variant zone smoke and the FC
+#    zone counts as text and JSON, the FISCHER n = 7, expanding n = 2
+#    counterexample and equality-store pins, the .xta front end's spot
+#    check (test/cli.expected), and the drift check that the shipped
+#    examples/fc/*.xta are exactly what the Fc registry prints.
+# An exact pin also checks that a report reproduces byte-identically.
+faults lint ltl por slice zone: test
 
 # Parallel-counter gate: the qcheck parity harness for the
 # work-stealing counter (counts and completeness flags equal to
@@ -141,30 +129,6 @@ resilience:
 	  --tmax 3 --pa --engine scc --json --resume _build/hbres-pa.ck \
 	  > _build/hbres-pa-resumed.out 2>/dev/null
 	cmp _build/hbres-pa-clean.out _build/hbres-pa-resumed.out
-
-# Slicing gate: the qcheck parity harness (sliced and full timed-automata
-# explorations agree on every safety and LTL verdict, sliced
-# counterexamples replay in the full model via the certificate), then
-# the six-variant slice smoke: verdict parity per requirement, at least
-# one variant's space at least halved, at least one sliced
-# counterexample replayed, JSON byte-identical across two runs.
-slice:
-	$(DUNE) exec test/main.exe -- test slice
-	$(DUNE) exec bin/hbverify.exe -- slice-smoke
-	$(DUNE) exec bin/hbverify.exe -- slice-smoke --json > _build/hbslice-1.json
-	$(DUNE) exec bin/hbverify.exe -- slice-smoke --json > _build/hbslice-2.json
-	cmp _build/hbslice-1.json _build/hbslice-2.json
-
-# Zone-engine gate: an alias for tier-1, which runs every zone check —
-# the `zone` and `lubounds` suites (DBM units and the closure oracle,
-# discrete-vs-zone verdict parity with guided replay, FC verdicts,
-# location-LU units), and the test/dune rules: the six-variant zone
-# smoke and the FC-suite zone counts as text and JSON, the FISCHER
-# n = 7, expanding n = 2 counterexample and equality-store pins, the
-# .xta front end's spot check (test/cli.expected), and the drift check
-# that the shipped examples/fc/*.xta are exactly what the Fc registry
-# prints.
-zone: test
 
 clean:
 	$(DUNE) clean

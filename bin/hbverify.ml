@@ -151,10 +151,14 @@ let print_bounds tmax =
   done
 
 let bounds_cmd =
+  let run tmax =
+    if tmax < 1 then Cli_resilience.usage "--tmax must be >= 1, got %d" tmax;
+    print_bounds tmax
+  in
   Cmd.v
     (Cmd.info "bounds"
        ~doc:"Print the section-6.2 detection-bound analysis for a tmin sweep.")
-    Term.(const print_bounds $ Cli_resilience.tmax_arg 10)
+    Term.(const run $ Cli_resilience.tmax_arg 10)
 
 let worst_cmd =
   let run variant params fixed =

@@ -22,8 +22,10 @@ let clk name cap = { M.clock_name = name; cap }
    section only after waiting *strictly* longer than any competitor
    could take to publish its claim.  The strict [x > k] is load-bearing:
    weaken it to [x >= k] and two processes can race through the
-   boundary instant (the [fischer-broken] entry below). *)
-let fischer_with ~strict ~n ~k =
+   boundary instant (the [fischer-broken] entry below).  The delay
+   constant is [k = 2]. *)
+let fischer_with ~strict ~n =
+  let k = 2 in
   let proc pid =
     let x = Printf.sprintf "x%d" pid in
     let cs_guard =
@@ -66,7 +68,7 @@ let fischer_with ~strict ~n ~k =
     automata = List.init n (fun i -> proc (i + 1));
   }
 
-let fischer ?(n = 2) ?(k = 2) () = fischer_with ~strict:true ~n ~k
+let fischer ?(n = 2) () = fischer_with ~strict:true ~n
 
 let mutex_pairs n =
   let cs = List.init n (fun i -> Printf.sprintf "P%d" (i + 1)) in
@@ -74,10 +76,10 @@ let mutex_pairs n =
     (fun a -> List.filter_map (fun b -> if a < b then Some [ (a, "CS"); (b, "CS") ] else None) cs)
     cs
 
-let fischer_spec ?(n = 2) ?(k = 2) () =
+let fischer_spec ?(n = 2) () =
   {
     fc_name = "fischer";
-    model = fischer ~n ~k ();
+    model = fischer ~n ();
     forbid = mutex_pairs n;
     safe = true;
   }
@@ -85,7 +87,7 @@ let fischer_spec ?(n = 2) ?(k = 2) () =
 let fischer_broken_spec =
   {
     fc_name = "fischer-broken";
-    model = fischer_with ~strict:false ~n:2 ~k:2;
+    model = fischer_with ~strict:false ~n:2;
     forbid = mutex_pairs 2;
     safe = false;
   }

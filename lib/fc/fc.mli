@@ -23,12 +23,12 @@ type spec = {
   safe : bool;  (** expected verdict: is the bad set unreachable? *)
 }
 
-val fischer : ?n:int -> ?k:int -> unit -> Ta.Model.t
+val fischer : ?n:int -> unit -> Ta.Model.t
 (** Fischer's protocol with [n] processes (default 2) and delay
-    constant [k] (default 2).  The [Wait -> CS] guard [x > k] is
-    strict — correctness depends on it. *)
+    constant [k = 2].  The [Wait -> CS] guard [x > k] is strict —
+    correctness depends on it. *)
 
-val fischer_spec : ?n:int -> ?k:int -> unit -> spec
+val fischer_spec : ?n:int -> unit -> spec
 (** [fischer] with its mutual-exclusion property (no two processes in
     [CS]), expected safe. *)
 

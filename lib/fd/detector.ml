@@ -1,39 +1,33 @@
 type event = Suspect of { who : int; at : float } | Trust of { who : int; at : float }
 
 type config = {
-  n : int;
-  period : float;
   estimator : Estimator.t;
   probes : int;
-  rtt_bound : float;
   loss : Sim.Loss.t;
-  delay_lo : float;
-  delay_hi : float;
   duration : float;
   crash : (int * float) option;
   seed : int64;
 }
 
-let config ?(n = 1) ?(period = 10.0) ?(estimator = Estimator.Fixed { margin = 2.0 })
-    ?(probes = 0) ?(rtt_bound = 2.0) ?(loss = Sim.Loss.bernoulli 0.0) ?(delay_lo = 0.0)
-    ?(delay_hi = 1.0) ?crash ?(seed = 1L) ~duration () =
-  if n < 1 then invalid_arg "Fd.Detector: n must be >= 1";
-  if period <= 0.0 then invalid_arg "Fd.Detector: period must be positive";
+(* The monitored system: [n] processes beating every [period] over links
+   with one-way delays in [delay_lo, delay_hi]; a probe reply is awaited
+   for [rtt_bound]. *)
+let n = 1
+let period = 10.0
+let rtt_bound = 2.0
+let delay_lo = 0.0
+let delay_hi = 1.0
+
+let config ?(estimator = Estimator.Fixed { margin = 2.0 }) ?(probes = 0)
+    ?(loss = Sim.Loss.bernoulli 0.0) ?crash ?(seed = 1L) ~duration () =
   if probes < 0 then invalid_arg "Fd.Detector: probes must be >= 0";
-  Estimator.validate estimator;
-  {
-    n;
-    period;
-    estimator;
-    probes;
-    rtt_bound;
-    loss;
-    delay_lo;
-    delay_hi;
-    duration;
+  Option.iter
+    (fun (who, at) ->
+      if who < 1 || who > n || at < 0.0 then
+        invalid_arg "Fd.Detector: crash must name process 1 at a time >= 0")
     crash;
-    seed;
-  }
+  Estimator.validate estimator;
+  { estimator; probes; loss; duration; crash; seed }
 
 type result = { events : event list; messages : int }
 
@@ -49,12 +43,12 @@ type watch = {
 let run (cfg : config) : result =
   let engine = Sim.Engine.create ~seed:cfg.seed () in
   let events = ref [] in
-  let alive = Array.make (cfg.n + 1) true in
+  let alive = Array.make (n + 1) true in
   let emit e = events := e :: !events in
   let watches =
-    Array.init (cfg.n + 1) (fun _ ->
+    Array.init (n + 1) (fun _ ->
         {
-          est = Estimator.start cfg.estimator ~period:cfg.period;
+          est = Estimator.start cfg.estimator ~period;
           suspected = false;
           probing = false;
           probes_left = 0;
@@ -62,19 +56,18 @@ let run (cfg : config) : result =
         })
   in
   let link deliver =
-    Sim.Net.create engine ~loss:cfg.loss ~delay_lo:cfg.delay_lo
-      ~delay_hi:cfg.delay_hi ~deliver ()
+    Sim.Net.create engine ~loss:cfg.loss ~delay_lo ~delay_hi ~deliver ()
   in
   (* forward declarations tied together below *)
   let on_heartbeat = ref (fun (_ : int) -> ()) in
   let on_probe = ref (fun (_ : int) -> ()) in
-  let to_monitor = Array.init (cfg.n + 1) (fun _ -> link (fun i -> !on_heartbeat i)) in
-  let to_process = Array.init (cfg.n + 1) (fun _ -> link (fun i -> !on_probe i)) in
+  let to_monitor = Array.init (n + 1) (fun _ -> link (fun i -> !on_heartbeat i)) in
+  let to_process = Array.init (n + 1) (fun _ -> link (fun i -> !on_probe i)) in
   (* monitored processes: heartbeat every period; answer probes *)
   let rec beat i () =
     if alive.(i) then begin
       Sim.Net.send to_monitor.(i) i;
-      ignore (Sim.Engine.schedule engine ~delay:cfg.period (beat i))
+      ignore (Sim.Engine.schedule engine ~delay:period (beat i))
     end
   in
   (on_probe :=
@@ -101,7 +94,7 @@ let run (cfg : config) : result =
     let w = watches.(i) in
     w.probes_left <- w.probes_left - 1;
     Sim.Net.send to_process.(i) i;
-    w.timer <- Some (Sim.Engine.schedule engine ~delay:cfg.rtt_bound (expire i))
+    w.timer <- Some (Sim.Engine.schedule engine ~delay:rtt_bound (expire i))
   and suspect i =
     let w = watches.(i) in
     if not w.suspected then begin
@@ -120,7 +113,7 @@ let run (cfg : config) : result =
          emit (Trust { who = i; at = Sim.Engine.now engine })
        end;
        rearm i);
-  for i = 1 to cfg.n do
+  for i = 1 to n do
     ignore (Sim.Engine.schedule engine ~delay:0.0 (beat i));
     rearm i
   done;

@@ -17,35 +17,29 @@
 type event = Suspect of { who : int; at : float } | Trust of { who : int; at : float }
 
 type config = {
-  n : int;  (** monitored processes, numbered 1..n *)
-  period : float;  (** heartbeat sending period *)
   estimator : Estimator.t;
   probes : int;  (** 0 = classic; k > 0 = accelerated confirmation *)
-  rtt_bound : float;  (** round-trip bound used by probe confirmation *)
   loss : Sim.Loss.t;  (** the links' loss model *)
-  delay_lo : float;
-  delay_hi : float;  (** one-way heartbeat delay range *)
   duration : float;
   crash : (int * float) option;  (** crash one process at a time *)
   seed : int64;
 }
 
 val config :
-  ?n:int ->
-  ?period:float ->
   ?estimator:Estimator.t ->
   ?probes:int ->
-  ?rtt_bound:float ->
   ?loss:Sim.Loss.t ->
-  ?delay_lo:float ->
-  ?delay_hi:float ->
   ?crash:int * float ->
   ?seed:int64 ->
   duration:float ->
   unit ->
   config
-(** Defaults: one process, period 10, fixed margin 2, no probes,
-    rtt bound 2, lossless, delays in [\[0, 1\]]. *)
+(** One monitored process (numbered 1) sending a heartbeat every 10
+    time units over links with one-way delays in [\[0, 1\]]; a probe
+    reply is awaited for a round-trip bound of 2.  Defaults: fixed
+    margin 2, no probes, lossless, no crash.
+    @raise Invalid_argument on negative [probes], an invalid estimator,
+    or a [crash] naming another process or a negative time. *)
 
 type result = {
   events : event list;  (** in time order *)

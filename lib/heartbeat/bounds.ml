@@ -23,6 +23,4 @@ let pi_waiting (p : Params.t) = 2 * p.Params.tmax
 
 let pi_join_waiting (p : Params.t) = (2 * p.Params.tmax) + p.Params.tmin
 
-let original_pi_timeout (p : Params.t) = (3 * p.Params.tmax) - p.Params.tmin
-
 let original_p0_claim (p : Params.t) = 2 * p.Params.tmax

@@ -31,9 +31,6 @@ val pi_join_waiting : Params.t -> int
     [2*tmax + tmin] (the paper's Figure 13), so the joining timeout must be
     at least that. *)
 
-val original_pi_timeout : Params.t -> int
-(** The protocols' original participant timeout, [3*tmax - tmin]. *)
-
 val original_p0_claim : Params.t -> int
 (** The protocols' original claim for p[0], [2*tmax]. *)
 

@@ -178,10 +178,9 @@ let shrink pt =
   in
   trim (drop_events pt.faults) 8
 
-let default_kinds = [ Runtime.Halving; Runtime.Two_phase; Runtime.Fixed_rate 2 ]
+let kinds = [ Runtime.Halving; Runtime.Two_phase; Runtime.Fixed_rate 2 ]
 
-let run ?(kinds = default_kinds) ?(datasets = Params.table_datasets) ?(n = 1)
-    ?(fixed = false) ?(seed = 7L) ?(duration_factor = 10.0)
+let run ?(n = 1) ?(fixed = false) ?(seed = 7L) ?(duration_factor = 10.0)
     ?(shrink_failures = true) ?budget () =
   let master = Sim.Rng.create seed in
   let outcomes = ref [] in
@@ -237,7 +236,7 @@ let run ?(kinds = default_kinds) ?(datasets = Params.table_datasets) ?(n = 1)
                 :: !outcomes)
             (default_scenarios params))
         kinds)
-    datasets;
+    Params.table_datasets;
   let interrupted = Option.bind budget Mc.Budget.tripped in
   { fixed; seed; outcomes = List.rev !outcomes; interrupted }
 

@@ -57,9 +57,6 @@ val exact_r1_bound : Runtime.kind -> Params.t -> float
     executes (e.g. halving at (1,10): [28.75], not the integer-halving
     [28]). *)
 
-val monitor_bounds : fixed:bool -> Runtime.kind -> Params.t -> float * float
-(** [(r1_bound, pi_bound)] a campaign point is monitored against. *)
-
 val default_scenarios : Params.t -> (string * Sim.Fault.schedule) list
 (** The built-in adversary, scaled to the parameter point. *)
 
@@ -71,11 +68,7 @@ val shrink : point -> Sim.Fault.schedule
     single events, then halves window durations, keeping each change
     that still yields a violation under the same seed. *)
 
-val default_kinds : Runtime.kind list
-
 val run :
-  ?kinds:Runtime.kind list ->
-  ?datasets:(int * int) list ->
   ?n:int ->
   ?fixed:bool ->
   ?seed:int64 ->
@@ -84,19 +77,20 @@ val run :
   ?budget:Mc.Budget.t ->
   unit ->
   t
-(** Sweep [datasets × kinds × default_scenarios].  Each point gets an
-    independent sub-seed drawn from [seed] (default 7) in sweep order and
-    runs for [duration_factor * tmax] (default 10).  Deterministic:
-    equal arguments give equal outcomes, including the shrunk
-    schedules.  [budget] is polled between points (a point is the unit
-    of work): a trip or a signal stops the sweep after the current
-    point, recording the reason in {!t.interrupted} — the completed
-    prefix is identical to the uninterrupted campaign's. *)
+(** Sweep the paper's table points ({!Params.table_datasets}) × the
+    halving, two-phase and fixed-rate (k = 2) disciplines ×
+    {!default_scenarios}.  Each point gets an independent sub-seed
+    drawn from [seed] (default 7) in sweep order and runs for
+    [duration_factor * tmax] (default 10).  Deterministic: equal
+    arguments give equal outcomes, including the shrunk schedules.
+    [budget] is polled between points (a point is the unit of work): a
+    trip or a signal stops the sweep after the current point, recording
+    the reason in {!t.interrupted} — the completed prefix is identical
+    to the uninterrupted campaign's. *)
 
 val violations : t -> outcome list
 
 val to_json : t -> string
 (** Deterministic report — equal campaigns render byte-identically. *)
 
-val pp_outcome : Format.formatter -> outcome -> unit
 val pp : Format.formatter -> t -> unit

@@ -1,6 +1,7 @@
 type rate_row = { kind : Runtime.kind; msgs_per_time : float }
 
-let steady_rate ?(duration = 10_000.0) ?(seed = 11L) kind params =
+let steady_rate ?(seed = 11L) kind params =
+  let duration = 10_000.0 in
   let cfg = Runtime.config ~kind ~seed ~duration params in
   let result = Runtime.run cfg in
   { kind; msgs_per_time = float_of_int result.Runtime.messages_sent /. duration }

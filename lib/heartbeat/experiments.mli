@@ -15,9 +15,8 @@ type rate_row = {
   msgs_per_time : float;  (** steady-state heartbeats per unit time *)
 }
 
-val steady_rate :
-  ?duration:float -> ?seed:int64 -> Runtime.kind -> Params.t -> rate_row
-(** Message rate with no crashes and no loss. *)
+val steady_rate : ?seed:int64 -> Runtime.kind -> Params.t -> rate_row
+(** Message rate with no crashes and no loss, over 10 000 time units. *)
 
 type detection_row = {
   d_kind : Runtime.kind;

@@ -50,6 +50,10 @@ type violation = {
 
 type verdict = Pass | Fail of violation
 
+(* A deadline counts as missed only when passed by more than this:
+   absorbs floating-point ties at exact deadlines. *)
+let slack = 1e-6
+
 (* An R2/R3 candidate held open for [grace]: the delivery excusing it (a
    reordered or jittered message still in flight when the protocol acted)
    may only land after the inactivation it explains. *)
@@ -59,7 +63,6 @@ type t = {
   n : int;
   r1_bound : float;
   pi_bound : float;
-  slack : float;
   grace : float;
   quiescence_after : float;
   check : Requirements.requirement -> bool;
@@ -78,8 +81,7 @@ type t = {
   mutable violation : violation option;
 }
 
-let create ?(slack = 1e-6) ?(grace = 0.0) ?quiescence_after ~n ~r1_bound
-    ~pi_bound reqs =
+let create ?(grace = 0.0) ?quiescence_after ~n ~r1_bound ~pi_bound reqs =
   if n < 1 then invalid_arg "Heartbeat.Monitors.create: n must be >= 1";
   if r1_bound <= 0.0 || pi_bound <= 0.0 then
     invalid_arg "Heartbeat.Monitors.create: bounds must be positive";
@@ -90,7 +92,6 @@ let create ?(slack = 1e-6) ?(grace = 0.0) ?quiescence_after ~n ~r1_bound
     n;
     r1_bound;
     pi_bound;
-    slack;
     grace;
     quiescence_after;
     check = (fun r -> List.mem r reqs);
@@ -136,7 +137,7 @@ let expire t now =
   if t.violation = None then
     let expired, waiting =
       List.partition
-        (fun p -> now > p.p_v.at +. t.grace +. t.slack)
+        (fun p -> now > p.p_v.at +. t.grace +. slack)
         t.pendings
     in
     match expired with
@@ -158,7 +159,7 @@ let check_deadlines t now =
     if (not t.crashed.(0)) && t.detected = None then
       for i = 1 to t.n do
         let deadline = t.last_reply.(i) +. t.r1_bound in
-        if t.violation = None && now > deadline +. t.slack then
+        if t.violation = None && now > deadline +. slack then
           violate t Requirements.R1 deadline
             "p[0] still active %g after the last heartbeat from p[%d] \
              (required detection bound %g)"
@@ -171,7 +172,7 @@ let check_deadlines t now =
         t.violation = None
         && (not t.inactivated.(i))
         && (not t.crashed.(i))
-        && now > deadline +. t.slack
+        && now > deadline +. slack
       then
         violate t Requirements.R1 deadline
           "p[%d] still active %g after its last received beat (required \
@@ -187,7 +188,7 @@ let apply t e =
   | Send { at; _ } -> (
       match t.detected with
       | Some d
-        when t.check Requirements.R3 && at > d +. t.quiescence_after +. t.slack
+        when t.check Requirements.R3 && at > d +. t.quiescence_after +. slack
         ->
           violate t Requirements.R3 at
             "message sent %g after p[0]'s inactivation — the system never \

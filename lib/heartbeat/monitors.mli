@@ -38,7 +38,6 @@ type event =
   | Inactivate of { node : int; at : float }
       (** non-voluntary participant inactivation *)
 
-val time_of : event -> float
 val pp_event : Format.formatter -> event -> unit
 
 type violation = {
@@ -53,7 +52,6 @@ type verdict = Pass | Fail of violation
 type t
 
 val create :
-  ?slack:float ->
   ?grace:float ->
   ?quiescence_after:float ->
   n:int ->
@@ -62,10 +60,11 @@ val create :
   Requirements.requirement list ->
   t
 (** [create ~n ~r1_bound ~pi_bound reqs] monitors the given requirements
-    over a run with participants [1..n].  [slack] (default [1e-6])
-    absorbs floating-point ties at exact deadlines; [quiescence_after]
-    (default [2 * pi_bound]) is how long after p[0]'s inactivation
-    residual in-flight traffic may still cause sends.
+    over a run with participants [1..n].  A deadline is missed only
+    when it is passed by more than [1e-6], which absorbs floating-point
+    ties; [quiescence_after] (default [2 * pi_bound]) is how long after
+    p[0]'s inactivation residual in-flight traffic may still cause
+    sends.
 
     [grace] (default 0) holds an R2/R3 candidate violation open for that
     long before latching it: under reordering or jitter the delivery that

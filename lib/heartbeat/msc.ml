@@ -73,14 +73,14 @@ let add_events buf ~n ~last_time events =
       row time_cell cells)
     events
 
-let render ?(n = 1) (s : Scenarios.t) =
+let render (s : Scenarios.t) =
   let buf = Buffer.create 1024 in
-  let header = header_line n in
+  let header = header_line 1 in
   Buffer.add_string buf (Printf.sprintf "%s — %s\n" s.Scenarios.figure
      (Ta_models.variant_name s.Scenarios.variant));
   Buffer.add_string buf (header ^ "\n");
   Buffer.add_string buf (String.make (String.length header) '-' ^ "\n");
-  add_events buf ~n ~last_time:(ref (-1)) s.Scenarios.events;
+  add_events buf ~n:1 ~last_time:(ref (-1)) s.Scenarios.events;
   Buffer.contents buf
 
 let render_lasso ?(n = 1) ~header:title

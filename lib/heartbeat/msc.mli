@@ -6,9 +6,9 @@
     a {!Scenarios.t} in that style as text: one column per process plus a
     channel column, one row per instant at which anything happens. *)
 
-val render : ?n:int -> Scenarios.t -> string
-(** [render scenario] lays the trace out as a chart; [n] is the number of
-    participant columns (default 1). *)
+val render : Scenarios.t -> string
+(** [render scenario] lays the trace out as a chart with one participant
+    column. *)
 
 val render_lasso :
   ?n:int -> header:string -> Ta.Semantics.label Ltl.Check.lasso -> string

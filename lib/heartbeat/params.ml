@@ -7,7 +7,6 @@ let make ?(n = 1) ~tmin ~tmax () =
   { tmin; tmax; n }
 
 let usual p = p.tmax > 2 * p.tmin
-let degenerate p = p.tmin = p.tmax
 let p1_timeout p = (3 * p.tmax) - p.tmin
 
 let pp ppf p =

@@ -14,9 +14,6 @@ val make : ?n:int -> tmin:int -> tmax:int -> unit -> t
 val usual : t -> bool
 (** The paper's "usual situation": [tmax > 2 * tmin]. *)
 
-val degenerate : t -> bool
-(** [tmin = tmax] — the regime of the R2/R3 counterexamples. *)
-
 val p1_timeout : t -> int
 (** [3*tmax - tmin]: the protocols' inactivation bound for participants. *)
 

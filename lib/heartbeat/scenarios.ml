@@ -82,8 +82,6 @@ let last_event s =
   | [] -> invalid_arg "Scenarios.last_event: empty trace"
   | e :: _ -> e
 
-let has_action s name = List.exists (fun e -> e.action = name) s.events
-
 let pp ppf s =
   Format.fprintf ppf "@[<v>%s (%s, %a, %s):@,%s@,@," s.figure
     (Ta_models.variant_name s.variant)

@@ -47,5 +47,4 @@ val last_event : t -> event
 (** The final (violating) event.
     @raise Invalid_argument on an empty trace. *)
 
-val has_action : t -> string -> bool
 val pp : Format.formatter -> t -> unit

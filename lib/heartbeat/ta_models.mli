@@ -89,4 +89,3 @@ val build :
 val p0_name : string
 val p_name : int -> string
 val monitor_name : int -> string
-val error_act : int -> string

@@ -330,10 +330,6 @@ let guard_holds ba g ~label ~can =
   in
   List.for_all sat g.pos && not (List.exists sat g.neg)
 
-let num_acceptance_sets f =
-  let indexed, _ = intern (Formula.nnf f) in
-  List.length (untils_of indexed)
-
 let pp_stats ppf ba =
   let edges = Array.fold_left (fun n l -> n + List.length l) 0 ba.delta in
   let acc =

@@ -47,10 +47,5 @@ val guard_holds :
     the source state satisfies [p] (evaluates [State] atoms; pass
     [fun _ -> false] for deadlock states). *)
 
-val num_acceptance_sets : 'l Formula.t -> int
-(** Number of [Until] subformulas of the NNF — the generalized acceptance
-    sets the degeneralization counter runs over (exposed for tests and
-    statistics). *)
-
 val pp_stats : Format.formatter -> 'l t -> unit
 (** One-line [states/edges/accepting/atoms] summary. *)

@@ -3,16 +3,6 @@ type 'l lasso = { prefix : 'l step list; cycle : 'l step list }
 type stutter_policy = Extend | Ignore
 type 'l fairness = { fname : string; premise : 'l Formula.t }
 
-let weakly_fair name ~enabled ~taken =
-  {
-    fname = name;
-    premise =
-      Formula.infinitely_often
-        (Formula.Or
-           ( Formula.Not (Formula.enabled (name ^ ".enabled") enabled),
-             Formula.lbl (name ^ ".taken") taken ));
-  }
-
 let often name p =
   { fname = name; premise = Formula.infinitely_often (Formula.lbl name p) }
 

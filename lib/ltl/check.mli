@@ -44,12 +44,6 @@ type 'l fairness = { fname : string; premise : 'l Formula.t }
 (** A fairness constraint, as an LTL premise assumed of every run:
     [check] decides [premises -> f], i.e. unfair runs cannot refute. *)
 
-val weakly_fair :
-  string -> enabled:('l -> bool) -> taken:('l -> bool) -> 'l fairness
-(** Weak fairness (justice): a run that keeps [enabled] continuously
-    enabled from some point on must take [taken] infinitely often —
-    [GF (¬Enabled(enabled) ∨ Lbl(taken))]. *)
-
 val often : string -> ('l -> bool) -> 'l fairness
 (** Unconditional fairness: labels satisfying the predicate occur
     infinitely often — [GF Lbl(p)].  With the global clock tick this is
@@ -157,10 +151,6 @@ val holds : 'l verdict -> bool
 
 val strip : 'l step list -> 'l list
 (** Drop stutter steps, keeping the transition labels. *)
-
-val pp_step :
-  pp_label:(Format.formatter -> 'l -> unit) ->
-  Format.formatter -> 'l step -> unit
 
 val pp_verdict :
   pp_label:(Format.formatter -> 'l -> unit) ->

@@ -24,9 +24,7 @@ let disj = function
 let implies a b = Or (Not a, b)
 let finally f = Until (True, f)
 let globally f = Release (False, f)
-let weak_until a b = Release (b, Or (a, b))
 let infinitely_often f = globally (finally f)
-let eventually_always f = finally (globally f)
 
 let rec pp ppf = function
   | True -> Format.pp_print_string ppf "true"
@@ -60,36 +58,6 @@ let rec nnf = function
       | Next g -> Next (nnf (Not g))
       | Until (a, b) -> Release (nnf (Not a), nnf (Not b))
       | Release (a, b) -> Until (nnf (Not a), nnf (Not b)))
-
-type cls = Bounded | Safety | Cosafety | General
-
-let classify f =
-  let has_u = ref false and has_r = ref false in
-  let rec scan = function
-    | True | False | Lbl _ | Enabled _ | Not _ -> ()
-    | And (a, b) | Or (a, b) -> scan a; scan b
-    | Next g -> scan g
-    | Until (a, b) ->
-        has_u := true;
-        scan a;
-        scan b
-    | Release (a, b) ->
-        has_r := true;
-        scan a;
-        scan b
-  in
-  scan (nnf f);
-  match (!has_u, !has_r) with
-  | false, false -> Bounded
-  | false, true -> Safety
-  | true, false -> Cosafety
-  | true, true -> General
-
-let cls_name = function
-  | Bounded -> "bounded"
-  | Safety -> "safety"
-  | Cosafety -> "cosafety"
-  | General -> "general"
 
 (* --- stutter invariance ------------------------------------------------ *)
 

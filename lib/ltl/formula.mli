@@ -45,36 +45,16 @@ val finally : 'l t -> 'l t  (** [F f = Until (True, f)] *)
 
 val globally : 'l t -> 'l t  (** [G f = Release (False, f)] *)
 
-val weak_until : 'l t -> 'l t -> 'l t
-(** [a W b = Release (b, Or (a, b))]: until without the obligation that
-    [b] ever happens. *)
-
 val infinitely_often : 'l t -> 'l t  (** [G (F f)] *)
-
-val eventually_always : 'l t -> 'l t  (** [F (G f)] *)
 
 val pp : Format.formatter -> 'l t -> unit
 
-(** {2 Normal form and classification} *)
+(** {2 Normal form} *)
 
 val nnf : 'l t -> 'l t
 (** Negation normal form: negations pushed inward until they apply only to
     atoms, using the [Until]/[Release] and De Morgan dualities ([Next] is
     self-dual — runs are infinite, by stutter extension if need be). *)
-
-type cls =
-  | Bounded  (** no [Until], no [Release] in NNF: a property of a fixed
-                 number of initial steps *)
-  | Safety  (** no [Until] in NNF: refutable by a finite prefix *)
-  | Cosafety  (** no [Release] in NNF: witnessable by a finite prefix *)
-  | General  (** both [Until] and [Release] occur: genuinely reactive *)
-
-val classify : 'l t -> cls
-(** Syntactic (past-free) safety/liveness classification of the NNF.  The
-    classes are sound, not complete: a [General] formula may still be
-    semantically a safety property. *)
-
-val cls_name : cls -> string
 
 (** {2 Stutter invariance}
 

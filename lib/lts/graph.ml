@@ -135,27 +135,6 @@ let scc t =
   done;
   (!next_comp, comp)
 
-let restrict_to_reachable t =
-  let keep = reachable t in
-  let map = Array.make t.num_states (-1) in
-  let next = ref 0 in
-  for s = 0 to t.num_states - 1 do
-    if keep.(s) then begin
-      map.(s) <- !next;
-      incr next
-    end
-  done;
-  let transitions =
-    fold_transitions
-      (fun s l s' acc ->
-        if keep.(s) && keep.(s') then (map.(s), l, map.(s')) :: acc else acc)
-      t []
-  in
-  (make ~num_states:!next ~initial:map.(t.initial) (List.rev transitions), map)
-
-let map_labels f t =
-  { t with trans = Array.map (fun (s, l, s') -> (s, f l, s')) t.trans }
-
 let trace_to t goal =
   if goal t.initial then Some []
   else begin
@@ -196,23 +175,6 @@ let trace_to t goal =
       Some (build !found [])
     end
   end
-
-let has_trace t ~eq word =
-  let rec step states = function
-    | [] -> states <> []
-    | l :: rest ->
-        let next =
-          List.concat_map
-            (fun s ->
-              List.filter_map
-                (fun (l', s') -> if eq l l' then Some s' else None)
-                (successors t s))
-            states
-        in
-        let next = List.sort_uniq compare next in
-        next <> [] && step next rest
-  in
-  step [ t.initial ] word
 
 let pp_stats ppf t =
   Format.fprintf ppf "%d states, %d transitions, %d deadlocks" t.num_states

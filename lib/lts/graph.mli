@@ -59,21 +59,10 @@ val scc : 'l t -> int * int array
     comp.(s)].  All states are covered, reachable from the initial state or
     not. *)
 
-val restrict_to_reachable : 'l t -> 'l t * int array
-(** Drop unreachable states.  Returns the restricted LTS together with the
-    renumbering map [old_index -> new_index] ([-1] for dropped states). *)
-
-val map_labels : ('l -> 'm) -> 'l t -> 'm t
-(** Relabel every transition. *)
-
 val trace_to : 'l t -> (int -> bool) -> 'l list option
 (** [trace_to lts goal] returns the labels of a shortest path from the
     initial state to some state satisfying [goal], or [None] if no such
     state is reachable. *)
-
-val has_trace : 'l t -> eq:('l -> 'l -> bool) -> 'l list -> bool
-(** [has_trace lts ~eq word] tests whether [word] labels a path starting in
-    the initial state. *)
 
 val pp_stats : Format.formatter -> 'l t -> unit
 (** Print a one-line [states/transitions/deadlocks] summary. *)

@@ -53,7 +53,6 @@ type t = {
   t_global_u : int SMap.t;
   t_pinned : string list;
   t_diverging : (string * string) list; (* where, clock *)
-  t_iters : int;
 }
 
 (* --- the clock-constraint fragment ---------------------------------- *)
@@ -227,7 +226,6 @@ let analyze (m : M.t) : t =
       (fun c -> if not (List.mem c !pinned) then pinned := c :: !pinned)
       clocks
   in
-  let iters = ref 0 in
   let do_auto (a : M.automaton) =
     let nloc = List.length a.M.locations in
     let idx = Hashtbl.create 8 in
@@ -291,7 +289,6 @@ let analyze (m : M.t) : t =
     let changed = ref true in
     while !changed do
       changed := false;
-      incr iters;
       List.iter
         (fun (src, dst, resets) ->
           let prop tbl =
@@ -361,7 +358,6 @@ let analyze (m : M.t) : t =
     t_global_u = !global_u;
     t_pinned = pinned_list;
     t_diverging = List.rev !diverging;
-    t_iters = !iters;
   }
 
 (* Memoised on the model term: the verify sweeps, the zone engine and
@@ -405,8 +401,6 @@ let tables t =
     t.t_autos
 
 let pinned t = t.t_pinned
-let diverging t = t.t_diverging
-let iterations t = t.t_iters
 let clocks t = t.t_clocks
 
 (* --- lint section ---------------------------------------------------- *)

@@ -87,14 +87,6 @@ val pinned : t -> string list
 (** Clocks pinned to their global bounds at every location because
     they appear in constraints outside the supported fragment. *)
 
-val diverging : t -> (string * string) list
-(** [(where, clock)] pairs whose bound expression the interval
-    analysis could not close; the bound fell back to the declared
-    cap. *)
-
-val iterations : t -> int
-(** Total backward-fixpoint sweeps across all automata (diagnostic). *)
-
 val clocks : t -> string list
 (** Clock names in declaration order. *)
 

@@ -31,7 +31,6 @@ let make ?wall_secs ?mem_mb ?probe ?(check_every = 64) () =
     state = Atomic.make None;
   }
 
-let unlimited () = make ()
 let elapsed t = Unix.gettimeofday () -. t.t0
 
 let live_mb () =
@@ -97,10 +96,10 @@ let check t =
             Atomic.get t.state
         | None -> None
 
-let install_signal_handlers ?(on_force = fun () -> exit 130) t =
+let install_signal_handlers t =
   let hits = Atomic.make 0 in
   let handle _ =
-    if Atomic.fetch_and_add hits 1 >= 1 then on_force () else cancel t
+    if Atomic.fetch_and_add hits 1 >= 1 then exit 130 else cancel t
   in
   List.iter
     (fun s ->

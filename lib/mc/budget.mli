@@ -36,9 +36,6 @@ val make :
     [check_every] calls to {!check} (rounded up to a power of two;
     default 64).  Cancellation is checked on {e every} call. *)
 
-val unlimited : unit -> t
-(** A budget with no limits; still usable as a cancellation token. *)
-
 val check : t -> reason option
 (** Poll the budget.  Returns [Some r] once tripped (sticky until
     {!rearm}).  Thread-safe; callable from any domain. *)
@@ -67,14 +64,11 @@ val rearm : t -> unit
 val elapsed : t -> float
 (** Seconds since [make]. *)
 
-val live_mb : unit -> int
-(** Current live major-heap size in megabytes (from [Gc.quick_stat]). *)
-
-val install_signal_handlers : ?on_force:(unit -> unit) -> t -> unit
+val install_signal_handlers : t -> unit
 (** Route SIGINT/SIGTERM to {!cancel} so a run checkpoints and reports
-    partial results instead of dying.  A {e second} signal calls
-    [on_force] (default: [exit 130]) for users who really mean it.
-    No-op on platforms without those signals. *)
+    partial results instead of dying.  A {e second} signal exits with
+    code 130, for users who really mean it.  No-op on platforms without
+    those signals. *)
 
 val reason_name : reason -> string
 (** Short stable tag: ["wall-clock"], ["memory"], ["interrupted"],

@@ -127,7 +127,3 @@ let eval g formula =
   go formula
 
 let holds g formula = (eval g formula).(Lts.Graph.initial g)
-
-let witness_ef g formula =
-  let sat = eval g formula in
-  Lts.Graph.trace_to g (fun s -> sat.(s))

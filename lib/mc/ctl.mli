@@ -43,7 +43,3 @@ val eval : 'l Lts.Graph.t -> 'l t -> bool array
 
 val holds : 'l Lts.Graph.t -> 'l t -> bool
 (** Does the initial state satisfy the formula? *)
-
-val witness_ef : 'l Lts.Graph.t -> 'l t -> 'l list option
-(** For a formula [EF f]-style query: a shortest path from the initial
-    state to a state satisfying [f] (None if unreachable). *)

@@ -30,7 +30,6 @@ let repeat r n =
   go n eps
 
 let seq_list rs = List.fold_right seq rs eps
-let alt_list rs = List.fold_left alt empty rs
 
 let rec pp ppf = function
   | Empty -> Format.pp_print_string ppf "0"

@@ -34,7 +34,6 @@ val repeat : 'l t -> int -> 'l t
     @raise Invalid_argument if [n < 0]. *)
 
 val seq_list : 'l t list -> 'l t
-val alt_list : 'l t list -> 'l t
 
 val pp : Format.formatter -> 'l t -> unit
 (** Print the expression using atom names. *)

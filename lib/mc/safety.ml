@@ -39,8 +39,7 @@ let check_monitor (type s l) ?max_states ?expected_states ?reduction ?budget
        ~goal:(fun (_, q) -> m.Monitor.accepting q)
        (product sys m))
 
-let check_forbidden ?max_states sys r =
-  check_monitor ?max_states sys (Regex.compile r)
+let check_forbidden sys r = check_monitor sys (Regex.compile r)
 
 let check_state ?max_states ?expected_states ?budget sys bad =
   of_find_verdict (Explore.find ?max_states ?expected_states ?budget ~goal:bad sys)

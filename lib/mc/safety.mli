@@ -50,11 +50,11 @@ val check_monitor :
     A property-preserving slice (see the [slice] library) is passed as
     [sys] itself: it is an ordinary system. *)
 
-val check_forbidden :
-  ?max_states:int -> ('s, 'l) System.t -> 'l Regex.t -> 'l verdict
+val check_forbidden : ('s, 'l) System.t -> 'l Regex.t -> 'l verdict
 (** [check_forbidden sys r] decides the µ-calculus safety formula
     [\[r\]false]: [Violated w] means the trace [w] matches [r].
-    Sequential, exact store. *)
+    {!check_monitor} on the compiled regex, under the default state
+    bound {!Explore.default_max}. *)
 
 val check_state :
   ?max_states:int ->

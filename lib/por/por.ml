@@ -276,8 +276,9 @@ let zeno_free a = a.zeno_suspects = []
 let zeno_suspects a = a.zeno_suspects
 
 let compiled a = a.compiled
-let component_names a = a.names
-let component_alphabet a i = SSet.elements a.alphabets.(i)
+
+(* Ascending indices of the components that can ever offer the given
+   action name; [[]] for unknown names and pure result names. *)
 let offerers a name = Option.value (Hashtbl.find_opt a.offerer_tbl name) ~default:[]
 
 type stats = {

@@ -51,15 +51,6 @@ val cache_stats : unit -> int * int
 (** [(lookups, hits)] of the {!analyze_cached} memo since start-up. *)
 
 val compiled : analysis -> Proc.Semantics.compiled
-val component_names : analysis -> string array
-
-val component_alphabet : analysis -> int -> string list
-(** Sorted action names component [i] can ever offer (including [tick]
-    and communication halves). *)
-
-val offerers : analysis -> string -> int list
-(** Ascending indices of the components that can ever offer the given
-    action name; [[]] for unknown names and pure result names. *)
 
 val zeno_free : analysis -> bool
 (** Statically proven: every cycle of the full system performs a tick.

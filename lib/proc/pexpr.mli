@@ -35,7 +35,6 @@ val eval : env -> t -> Value.t
     @raise Invalid_argument on unbound variables or type errors. *)
 
 val eval_bool : env -> t -> bool
-val eval_int : env -> t -> int
 
 (** {2 Construction helpers} *)
 

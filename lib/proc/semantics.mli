@@ -49,7 +49,7 @@ val system : Spec.t -> (state, label) Mc.System.t
     reducer in [lib/por] builds on these: it reads the last two masks
     to decide which components depend on which, and takes the full
     transition list from {!transitions}, the same pairing routine as
-    {!successors_with}, with each transition's participants, so the
+    {!successors_of}, with each transition's participants, so the
     reduced system explores a sub-structure of the full one. *)
 
 type compiled
@@ -107,18 +107,16 @@ val future_mask : menu -> Mask.t
     source's, so a component whose mask misses a half can move freely
     without ever enabling that handshake. *)
 
-val successors_with : menu array -> state -> (label * state) list
-(** The full successor list of a state given its menus: independent
-    actions in component order, then communications for [i < j], then
-    the global tick.  This is the step relation of {!system}. *)
-
 val transitions : menu array -> state -> (label * state) list * int list
-(** {!successors_with}'s list, built by the same routine, together with
+(** {!successors_of}'s list, built by the same routine, together with
     each transition's participants in the same order: [i * n + j] for a
     communication of components [i < j], [i * n + i] for an independent
     action of [i], [-1] for a tick ([n] is the state's length). *)
 
 val successors_of : compiled -> state -> (label * state) list
+(** The full successor list of a state: independent actions in
+    component order, then communications for [i < j], then the global
+    tick.  This is the step relation of {!system}. *)
 
 val system_of : compiled -> (state, label) Mc.System.t
 (** The system of {!compile}d spec; [system spec] is

@@ -30,9 +30,6 @@ type error = {
   err_message : string;
 }
 
-let pp_error ppf e =
-  Format.fprintf ppf "%s: %s" e.err_context e.err_message
-
 (* --- the unifier ---------------------------------------------------- *)
 
 let fresh =

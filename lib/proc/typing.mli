@@ -37,8 +37,6 @@ type error = {
   err_message : string;
 }
 
-val pp_error : Format.formatter -> error -> unit
-
 val infer : Spec.t -> signatures * error list
 (** [infer spec] walks every definition body once, unifying:
     - call-site argument sorts with callee parameter sorts,

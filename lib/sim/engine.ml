@@ -1,31 +1,22 @@
-type event = { action : unit -> unit; mutable cancelled : bool; seq : int }
+type event = { action : unit -> unit; mutable cancelled : bool }
 
 type t = {
   mutable clock : float;
   mutable queue : event Heap.t;
-  mutable executed : int;
-  mutable next_seq : int;
   rng : Rng.t;
 }
 
 type timer = event
 
 let create ?(seed = 1L) () =
-  {
-    clock = 0.0;
-    queue = Heap.empty;
-    executed = 0;
-    next_seq = 0;
-    rng = Rng.create seed;
-  }
+  { clock = 0.0; queue = Heap.empty; rng = Rng.create seed }
 
 let now t = t.clock
 let rng t = t.rng
 
 let at t ~time action =
   if time < t.clock then invalid_arg "Sim.Engine.at: time in the past";
-  let ev = { action; cancelled = false; seq = t.next_seq } in
-  t.next_seq <- t.next_seq + 1;
+  let ev = { action; cancelled = false } in
   t.queue <- Heap.insert time ev t.queue;
   ev
 
@@ -35,11 +26,7 @@ let schedule t ~delay action =
 
 let cancel ev = ev.cancelled <- true
 
-let run ?(until = infinity) ?(max_events = max_int) t =
-  (* [max_events] bounds this invocation, not the engine's lifetime:
-     [executed] keeps accumulating across calls, so the budget is
-     measured against its value on entry. *)
-  let start = t.executed in
+let run ?(until = infinity) t =
   let continue = ref true in
   while !continue do
     match Heap.pop t.queue with
@@ -50,11 +37,7 @@ let run ?(until = infinity) ?(max_events = max_int) t =
           t.queue <- rest;
           if not ev.cancelled then begin
             t.clock <- time;
-            t.executed <- t.executed + 1;
-            ev.action ();
-            if t.executed - start >= max_events then continue := false
+            ev.action ()
           end
         end
   done
-
-let events_executed t = t.executed

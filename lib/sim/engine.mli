@@ -27,12 +27,7 @@ val at : t -> time:float -> (unit -> unit) -> timer
 val cancel : timer -> unit
 (** Cancelling a fired or already-cancelled timer is a no-op. *)
 
-val run : ?until:float -> ?max_events:int -> t -> unit
-(** Execute events in time order until the queue drains, simulated time
-    would exceed [until], or [max_events] events have run {e during this
-    call} (the budget is per invocation, so successive [run]s each get a
-    fresh allowance).  Events at the simulation horizon [until] itself
-    still execute. *)
-
-val events_executed : t -> int
-(** Number of events executed so far (cancelled timers excluded). *)
+val run : ?until:float -> t -> unit
+(** Execute events in time order until the queue drains or simulated
+    time would exceed [until].  Events at the simulation horizon [until]
+    itself still execute. *)

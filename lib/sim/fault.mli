@@ -73,7 +73,6 @@ val pp_action : Format.formatter -> action -> unit
 val pp_event : Format.formatter -> event -> unit
 val pp : Format.formatter -> schedule -> unit
 
-val action_to_json : action -> string
 val to_json : schedule -> string
 (** Deterministic single-line JSON rendering (used for campaign
     reports; equal schedules give byte-identical strings). *)

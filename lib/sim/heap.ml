@@ -1,7 +1,6 @@
 type 'a t = Empty | Node of float * 'a * 'a t list
 
 let empty = Empty
-let is_empty = function Empty -> true | Node _ -> false
 
 let merge a b =
   match (a, b) with
@@ -11,32 +10,12 @@ let merge a b =
 
 let insert k v h = merge (Node (k, v, [])) h
 
-let find_min = function Empty -> None | Node (k, v, _) -> Some (k, v)
-
 (* Two-pass pairing merge of the children list. *)
 let rec merge_pairs = function
   | [] -> Empty
   | [ h ] -> h
   | a :: b :: rest -> merge (merge a b) (merge_pairs rest)
 
-let delete_min = function
-  | Empty -> invalid_arg "Sim.Heap.delete_min: empty heap"
-  | Node (_, _, children) -> merge_pairs children
-
 let pop = function
   | Empty -> None
   | Node (k, v, children) -> Some ((k, v), merge_pairs children)
-
-let rec size = function
-  | Empty -> 0
-  | Node (_, _, children) -> 1 + List.fold_left (fun n h -> n + size h) 0 children
-
-let of_list l = List.fold_left (fun h (k, v) -> insert k v h) empty l
-
-let to_sorted_list h =
-  let rec drain h acc =
-    match pop h with
-    | None -> List.rev acc
-    | Some (kv, h') -> drain h' (kv :: acc)
-  in
-  drain h []

@@ -7,16 +7,8 @@
 type 'a t
 
 val empty : 'a t
-val is_empty : 'a t -> bool
 val insert : float -> 'a -> 'a t -> 'a t
-val find_min : 'a t -> (float * 'a) option
-val delete_min : 'a t -> 'a t
-(** @raise Invalid_argument on an empty heap. *)
 
 val pop : 'a t -> ((float * 'a) * 'a t) option
-val size : 'a t -> int
-(** O(n); intended for diagnostics and tests. *)
-
-val of_list : (float * 'a) list -> 'a t
-val to_sorted_list : 'a t -> (float * 'a) list
-(** Drain into a priority-sorted list (stable only per priority class). *)
+(** The minimum-priority element and the rest of the heap; [None] when
+    empty. *)

@@ -9,8 +9,8 @@ type t =
 
 let bernoulli p = Bernoulli p
 
-let gilbert ?(loss_good = 0.0) ?(loss_bad = 1.0) ~p_gb ~p_bg () =
-  Gilbert { p_gb; p_bg; loss_good; loss_bad }
+let gilbert ~p_gb ~p_bg () =
+  Gilbert { p_gb; p_bg; loss_good = 0.0; loss_bad = 1.0 }
 
 let check_prob name p =
   if p < 0.0 || p > 1.0 then

@@ -18,10 +18,9 @@ type t =
 
 val bernoulli : float -> t
 
-val gilbert :
-  ?loss_good:float -> ?loss_bad:float -> p_gb:float -> p_bg:float -> unit -> t
-(** Defaults: [loss_good = 0.0], [loss_bad = 1.0] (the classic Gilbert
-    channel: the bad state swallows everything). *)
+val gilbert : p_gb:float -> p_bg:float -> unit -> t
+(** The classic Gilbert channel: [loss_good = 0.0], [loss_bad = 1.0]
+    (the bad state swallows everything). *)
 
 val validate : t -> unit
 (** @raise Invalid_argument if any probability is outside [\[0,1\]]. *)

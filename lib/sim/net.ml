@@ -113,29 +113,7 @@ let send t msg =
     end
   end
 
-let flush_in_flight t = t.epoch <- t.epoch + 1
-
 let up t = t.is_up
-
-let set_up ?(drop_inflight = false) t b =
-  t.is_up <- b;
-  if (not b) && drop_inflight then flush_in_flight t
-
-let set_burst t p =
-  Option.iter (check_prob "set_burst") p;
-  t.burst <- p
-
-let set_duplicate t p =
-  check_prob "set_duplicate" p;
-  t.dup <- p
-
-let set_reorder t p =
-  check_prob "set_reorder" p;
-  t.reorder <- p
-
-let set_jitter t j =
-  if j < 0.0 then invalid_arg "Sim.Net.set_jitter: negative jitter";
-  t.jitter <- j
 
 let sent t = t.sent
 let delivered t = t.delivered
@@ -146,25 +124,26 @@ let late t = t.late
 
 (* Type-erased fault-control view, so injectors need not know the
    message type. *)
-type ctl = {
-  c_set_up : drop_inflight:bool -> bool -> unit;
-  c_set_burst : float option -> unit;
-  c_set_duplicate : float -> unit;
-  c_set_reorder : float -> unit;
-  c_set_jitter : float -> unit;
-}
+type ctl = Ctl : 'a t -> ctl
 
-let ctl t =
-  {
-    c_set_up = (fun ~drop_inflight b -> set_up ~drop_inflight t b);
-    c_set_burst = set_burst t;
-    c_set_duplicate = set_duplicate t;
-    c_set_reorder = set_reorder t;
-    c_set_jitter = set_jitter t;
-  }
+let ctl t = Ctl t
 
-let ctl_set_up c ~drop_inflight up = c.c_set_up ~drop_inflight up
-let ctl_burst c p = c.c_set_burst p
-let ctl_duplicate c p = c.c_set_duplicate p
-let ctl_reorder c p = c.c_set_reorder p
-let ctl_jitter c j = c.c_set_jitter j
+let ctl_set_up (Ctl t) ~drop_inflight b =
+  t.is_up <- b;
+  if (not b) && drop_inflight then t.epoch <- t.epoch + 1 (* flush *)
+
+let ctl_burst (Ctl t) p =
+  Option.iter (check_prob "ctl_burst") p;
+  t.burst <- p
+
+let ctl_duplicate (Ctl t) p =
+  check_prob "ctl_duplicate" p;
+  t.dup <- p
+
+let ctl_reorder (Ctl t) p =
+  check_prob "ctl_reorder" p;
+  t.reorder <- p
+
+let ctl_jitter (Ctl t) j =
+  if j < 0.0 then invalid_arg "Sim.Net.ctl_jitter: negative jitter";
+  t.jitter <- j

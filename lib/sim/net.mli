@@ -6,9 +6,10 @@
     is given half the budget by the callers.
 
     Beyond the stochastic loss model, a link exposes fault-injection
-    knobs ({!set_up}, {!set_burst}, {!set_duplicate}, {!set_reorder},
-    {!set_jitter}) that deliberately break those assumptions — the
-    adversarial schedules under which the paper's requirements fail.
+    knobs ({!ctl_set_up}, {!ctl_burst}, {!ctl_duplicate},
+    {!ctl_reorder}, {!ctl_jitter}) that deliberately break those
+    assumptions — the adversarial schedules under which the paper's
+    requirements fail.
     Two kinds of non-delivery are accounted separately: {!lost} counts
     stochastic channel loss (the loss model, or a burst window), while
     {!dropped} counts messages swallowed by a down link or flushed while
@@ -38,7 +39,7 @@ val create :
     uniform random delay in [\[delay_lo, delay_hi\]].  [on_drop] is called (with the
     kind) whenever a message is lost or dropped; [on_late] is called
     just before delivering a message whose drawn delay exceeded
-    [delay_hi] — possible only under {!set_reorder} / {!set_jitter},
+    [delay_hi] — possible only under {!ctl_reorder} / {!ctl_jitter},
     i.e. when the channel's delay assumption was deliberately broken.
     @raise Invalid_argument on a negative delay, [delay_hi < delay_lo], or
     an invalid loss model ({!Loss.validate}). *)
@@ -46,41 +47,6 @@ val create :
 val send : 'a t -> 'a -> unit
 
 val up : 'a t -> bool
-
-val set_up : ?drop_inflight:bool -> 'a t -> bool -> unit
-(** Taking a link down silently drops everything sent afterwards; with
-    [~drop_inflight:true] messages already in flight are flushed too
-    (both are counted by {!dropped}, not {!lost}).  By default in-flight
-    messages still arrive — the paper's channel-crash model. *)
-
-val flush_in_flight : 'a t -> unit
-(** Discard every message currently in flight (counted by {!dropped}
-    when its delivery would have fired).  Delivery of later sends is
-    unaffected. *)
-
-val set_burst : 'a t -> float option -> unit
-(** [set_burst t (Some p)] opens a burst-loss window: until the next
-    [set_burst t None], each sent message is dropped with probability [p]
-    {e instead of} consulting the loss model (the model's channel state
-    is left untouched).  Burst drops count as {!lost}.
-    @raise Invalid_argument if [p] is outside [\[0,1\]]. *)
-
-val set_duplicate : 'a t -> float -> unit
-(** Probability that a delivered message is delivered twice, the copy
-    with an independently drawn delay (default 0).
-    @raise Invalid_argument outside [\[0,1\]]. *)
-
-val set_reorder : 'a t -> float -> unit
-(** Probability that a message is held back past the nominal delay
-    window — its delay is drawn from [\[delay_hi, 2*delay_hi\]] — so
-    later sends can overtake it (default 0).
-    @raise Invalid_argument outside [\[0,1\]]. *)
-
-val set_jitter : 'a t -> float -> unit
-(** Extra delay jitter: each delivery gets an additional uniform delay in
-    [\[0, jitter\]] on top of its drawn delay (default 0).  Deliberately
-    violates the [delay_hi] bound — an adversarial fault.
-    @raise Invalid_argument on a negative bound. *)
 
 val sent : 'a t -> int
 (** Messages handed to the link. *)
@@ -94,11 +60,11 @@ val lost : 'a t -> int
 
 val dropped : 'a t -> int
 (** Messages swallowed because the link was down, or flushed in flight
-    by {!flush_in_flight} / [set_up ~drop_inflight:true].  A flushed
-    message is counted when its delivery would have fired. *)
+    by [ctl_set_up ~drop_inflight:true].  A flushed message is counted
+    when its delivery would have fired. *)
 
 val duplicates : 'a t -> int
-(** Extra copies injected by {!set_duplicate}. *)
+(** Extra copies injected by {!ctl_duplicate}. *)
 
 val late : 'a t -> int
 (** Deliveries whose delay exceeded the nominal [delay_hi] bound (due to
@@ -106,14 +72,41 @@ val late : 'a t -> int
 
 (** {2 Fault-control handles}
 
-    A type-erased view of the fault knobs, so a fault injector can steer
-    links of any message type (see {!Fault}). *)
+    A type-erased view of a link's fault knobs, so a fault injector can
+    steer links of any message type (see {!Fault}).  A link starts up,
+    with every other knob off. *)
 
 type ctl
 
 val ctl : 'a t -> ctl
+
 val ctl_set_up : ctl -> drop_inflight:bool -> bool -> unit
+(** Taking a link down silently drops everything sent afterwards; with
+    [~drop_inflight:true] messages already in flight are flushed too
+    (both are counted by {!dropped}, not {!lost}).  With
+    [~drop_inflight:false] in-flight messages still arrive — the
+    paper's channel-crash model. *)
+
 val ctl_burst : ctl -> float option -> unit
+(** [ctl_burst c (Some p)] opens a burst-loss window: until the next
+    [ctl_burst c None], each sent message is dropped with probability
+    [p] {e instead of} consulting the loss model (the model's channel
+    state is left untouched).  Burst drops count as {!lost}.
+    @raise Invalid_argument if [p] is outside [\[0,1\]]. *)
+
 val ctl_duplicate : ctl -> float -> unit
+(** Probability that a delivered message is delivered twice, the copy
+    with an independently drawn delay (initially 0).
+    @raise Invalid_argument outside [\[0,1\]]. *)
+
 val ctl_reorder : ctl -> float -> unit
+(** Probability that a message is held back past the nominal delay
+    window — its delay is drawn from [\[delay_hi, 2*delay_hi\]] — so
+    later sends can overtake it (initially 0).
+    @raise Invalid_argument outside [\[0,1\]]. *)
+
 val ctl_jitter : ctl -> float -> unit
+(** Extra delay jitter: each delivery gets an additional uniform delay
+    in [\[0, jitter\]] on top of its drawn delay (initially 0).
+    Deliberately violates the [delay_hi] bound — an adversarial fault.
+    @raise Invalid_argument on a negative bound. *)

@@ -1,54 +1,12 @@
-type t = {
-  mutable n : int;
-  mutable mean : float;
-  mutable m2 : float;
-  mutable min_v : float;
-  mutable max_v : float;
-}
+type t = { mutable n : int; mutable mean : float; mutable max_v : float }
 
-let create () =
-  { n = 0; mean = 0.0; m2 = 0.0; min_v = infinity; max_v = neg_infinity }
+let create () = { n = 0; mean = 0.0; max_v = neg_infinity }
 
 let add t x =
   t.n <- t.n + 1;
-  let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  if x < t.min_v then t.min_v <- x;
+  t.mean <- t.mean +. ((x -. t.mean) /. float_of_int t.n);
   if x > t.max_v then t.max_v <- x
 
 let count t = t.n
 let mean t = if t.n = 0 then 0.0 else t.mean
-let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
-let stddev t = sqrt (variance t)
-let min_value t = t.min_v
 let max_value t = t.max_v
-
-let ci95_half_width t =
-  if t.n < 2 then 0.0 else 1.96 *. stddev t /. sqrt (float_of_int t.n)
-
-let percentile samples p =
-  if samples = [] then invalid_arg "Sim.Stats.percentile: empty sample list";
-  if p < 0.0 || p > 1.0 then
-    invalid_arg "Sim.Stats.percentile: p outside [0,1]";
-  let sorted = Array.of_list (List.sort compare samples) in
-  let n = Array.length sorted in
-  let pos = p *. float_of_int (n - 1) in
-  let lo = int_of_float (floor pos) and hi = int_of_float (ceil pos) in
-  if lo = hi then sorted.(lo)
-  else
-    let frac = pos -. float_of_int lo in
-    ((1.0 -. frac) *. sorted.(lo)) +. (frac *. sorted.(hi))
-
-let histogram ~bins ~lo ~hi samples =
-  if bins <= 0 then invalid_arg "Sim.Stats.histogram: bins must be positive";
-  if hi <= lo then invalid_arg "Sim.Stats.histogram: hi must exceed lo";
-  let counts = Array.make bins 0 in
-  let width = (hi -. lo) /. float_of_int bins in
-  List.iter
-    (fun x ->
-      let k = int_of_float ((x -. lo) /. width) in
-      let k = max 0 (min (bins - 1) k) in
-      counts.(k) <- counts.(k) + 1)
-    samples;
-  counts

@@ -1,7 +1,7 @@
-(** Streaming and batch statistics for simulation measurements. *)
+(** Streaming statistics for simulation measurements. *)
 
 type t
-(** A streaming accumulator (Welford's algorithm). *)
+(** A streaming accumulator of a sample's count, mean and maximum. *)
 
 val create : unit -> t
 val add : t -> float -> unit
@@ -9,22 +9,5 @@ val count : t -> int
 val mean : t -> float
 (** 0 when empty. *)
 
-val variance : t -> float
-(** Unbiased sample variance; 0 with fewer than two samples. *)
-
-val stddev : t -> float
-val min_value : t -> float
 val max_value : t -> float
-
-val ci95_half_width : t -> float
-(** Half-width of a normal-approximation 95% confidence interval for the
-    mean; 0 with fewer than two samples. *)
-
-val percentile : float list -> float -> float
-(** [percentile samples p] for [p] in [\[0,1\]], by linear interpolation on
-    the sorted samples.
-    @raise Invalid_argument on an empty list or [p] outside [\[0,1\]]. *)
-
-val histogram : bins:int -> lo:float -> hi:float -> float list -> int array
-(** Fixed-width histogram; samples outside [\[lo,hi\]] clamp to the first or
-    last bin. *)
+(** [neg_infinity] when empty. *)

@@ -37,7 +37,6 @@ let ( && ) a b = And (a, b)
 let ( || ) a b = Or (a, b)
 let not_ b = Not b
 let conj = List.fold_left ( && ) True
-let is_true e = Cmp (Ne, e, Int 0)
 
 (* The one traversal of the leaf-level walkers (clock and variable
    collectors, substitutions): [fold] visits leaves and array nodes left

@@ -49,8 +49,6 @@ val ( && ) : b -> b -> b
 val ( || ) : b -> b -> b
 val not_ : b -> b
 val conj : b list -> b
-val is_true : t -> b
-(** [is_true e] is [e <> 0] — booleans are stored as 0/1 variables. *)
 
 (** {2 Traversal} *)
 

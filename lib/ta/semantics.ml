@@ -709,11 +709,6 @@ let var t name =
   if size <> 1 then fail "variable %s is an array" name;
   fun (c : config) -> c.(off)
 
-let elem t name k =
-  let off, size = t.env.lookup_var name in
-  if k < 0 || k >= size then fail "index %d out of bounds for %s" k name;
-  fun (c : config) -> c.(off + k)
-
 let clock t name =
   let off = t.env.lookup_clock name in
   fun (c : config) -> c.(off)

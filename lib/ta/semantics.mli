@@ -97,7 +97,6 @@ val loc_is : t -> auto:string -> loc:string -> config -> bool
 (** Is the given automaton in the given location? *)
 
 val var : t -> string -> config -> int
-val elem : t -> string -> int -> config -> int
 val clock : t -> string -> config -> int
 
 (** {2 Zone-engine support}
@@ -105,7 +104,7 @@ val clock : t -> string -> config -> int
     The symbolic zone engine ({!Zone.Sym} in the [zone] library) reuses
     the discrete configuration layout for the discrete part of its
     states — locations and variables, with every clock cell zeroed — so
-    that state predicates built from {!loc_is} / {!var} / {!elem} apply
+    that state predicates built from {!loc_is} / {!var} apply
     unchanged to symbolic states.  These accessors expose the layout
     and the compiled evaluators it needs; [of_cells] / [cells] convert
     (for free — a configuration {e is} its cell array) between the two

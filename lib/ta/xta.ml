@@ -192,8 +192,11 @@ let lex (src : string) : (token * int) array =
     else if c >= '0' && c <= '9' then begin
       let j = ref !i in
       while !j < n && src.[!j] >= '0' && src.[!j] <= '9' do incr j done;
-      toks := (Tint (int_of_string (String.sub src !i (!j - !i))), !line)
-              :: !toks;
+      let digits = String.sub src !i (!j - !i) in
+      let v = match int_of_string_opt digits with
+        | Some v -> v
+        | None -> err "integer literal %s out of range" digits in
+      toks := (Tint v, !line) :: !toks;
       i := !j
     end
     else if is_id_start c then begin

@@ -93,12 +93,6 @@ let reset ~dim (m : t) i =
   done;
   m.((i * dim) + i) <- le_zero
 
-let intersect ~dim (m : t) (other : t) =
-  for k = 0 to (dim * dim) - 1 do
-    if other.(k) < m.(k) then m.(k) <- other.(k)
-  done;
-  close ~dim m
-
 let includes ~dim (big : t) (small : t) =
   let n = dim * dim in
   let rec go k = k >= n || (small.(k) <= big.(k) && go (k + 1)) in

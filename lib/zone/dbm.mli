@@ -27,8 +27,6 @@ val bnd : int -> strict:bool -> int
 val value : int -> int
 (** The constant of a finite encoded bound. *)
 
-val is_strict : int -> bool
-
 val badd : int -> int -> int
 (** Bound addition: [(v1 + v2)], strict if either side is strict;
     absorbs {!inf}. *)
@@ -39,8 +37,10 @@ val zero : dim:int -> t
 val copy : t -> t
 
 val close : dim:int -> t -> bool
-(** Floyd–Warshall canonicalisation in place.  Returns [false] when
-    the zone is empty (a negative cycle was found).  A pivot whose row
+(** Floyd–Warshall canonicalisation in place, for a DBM whose entries
+    were set in bulk ({!extrapolate_lu} runs it after weakening
+    bounds).  Returns [false] when the zone is empty (a negative cycle
+    was found).  A pivot whose row
     holds no finite entry off the diagonal is skipped: no finite path
     leaves it, so it can shorten no entry (through its own diagonal
     entry only when that is negative, and then the zone is empty
@@ -59,10 +59,6 @@ val up : dim:int -> t -> unit
 
 val reset : dim:int -> t -> int -> unit
 (** [reset ~dim m i] sets clock [i] to 0.  Preserves closure. *)
-
-val intersect : dim:int -> t -> t -> bool
-(** [intersect ~dim m other] conjoins [other] into [m] (entrywise min,
-    then a full {!close}).  Returns [false] when empty. *)
 
 val includes : dim:int -> t -> t -> bool
 (** [includes ~dim big small]: does [big] contain [small]?  Entrywise

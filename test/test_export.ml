@@ -162,6 +162,82 @@ let test_xta_parse_errors () =
       ("@", "unexpected character");
     ]
 
+(* Malformed input ends in Parse_error, never in another exception: the
+   six shipped Fontana-Cleaveland models (examples/fc/*.xta, which
+   test/dune pins to these texts) under random token and byte edits.
+   A mutant that parses must compile for the zone engine or fail with
+   one of the exceptions hbverify xta reports as bad input (exit 2). *)
+let fc_sources = List.map (fun s -> Ta.Xta.to_string s.Fc.model) Fc.all
+
+let is_word c =
+  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+  || (c >= '0' && c <= '9') || c = '_'
+
+(* The token around byte [i] of [src], as a [start, stop) range: a run
+   of identifier characters, or a single other character. *)
+let token_at src i =
+  if not (is_word src.[i]) then (i, i + 1)
+  else begin
+    let a = ref i and b = ref i in
+    while !a > 0 && is_word src.[!a - 1] do decr a done;
+    while !b < String.length src && is_word src.[!b] do incr b done;
+    (!a, !b)
+  end
+
+(* Every token of the shipped models, plus a literal past max_int. *)
+let token_pool =
+  let tokens src =
+    let rec go i acc =
+      if i >= String.length src then acc
+      else
+        let a, b = token_at src i in
+        go b (String.sub src a (b - a) :: acc)
+    in
+    go 0 []
+  in
+  Array.of_list
+    ("99999999999999999999999"
+    :: List.sort_uniq compare (List.concat_map tokens fc_sources))
+
+(* One to three edits, each inserting, deleting or replacing a token
+   or a byte. *)
+let xta_mutant =
+  let open QCheck.Gen in
+  let pooled =
+    map (Array.get token_pool) (int_bound (Array.length token_pool - 1))
+  in
+  let printable = map (fun c -> String.make 1 (Char.chr c)) (int_range 32 126) in
+  let edit src =
+    let n = String.length src in
+    let splice (a, b) s = String.sub src 0 a ^ s ^ String.sub src b (n - b) in
+    int_bound (n - 1) >>= fun i ->
+    let ((start, _) as tok) = token_at src i in
+    int_bound 5 >>= function
+    | 0 -> map (fun t -> splice (start, start) (" " ^ t ^ " ")) pooled
+    | 1 -> return (splice tok "")
+    | 2 -> map (splice tok) pooled
+    | 3 -> map (splice (i, i)) printable
+    | 4 -> return (splice (i, i + 1) "")
+    | _ -> map (splice (i, i + 1)) printable
+  in
+  let rec edits k src = if k = 0 then return src else edit src >>= edits (k - 1) in
+  oneofl fc_sources >>= fun src -> int_range 1 3 >>= fun k -> edits k src
+
+let prop_xta_mutants =
+  QCheck.Test.make ~name:"xta mutants parse or fail with Parse_error"
+    ~count:20_000
+    (QCheck.make ~print:(Printf.sprintf "%S") xta_mutant)
+    (fun src ->
+      match Ta.Xta.parse src with
+      | exception Ta.Xta.Parse_error _ -> true
+      | model -> (
+          match Zone.Sym.compile model with
+          | _ -> true
+          | exception
+              ( Zone.Sym.Unsupported _ | Invalid_argument _
+              | Division_by_zero ) ->
+              true))
+
 let tests =
   ( "export",
     [
@@ -175,4 +251,6 @@ let tests =
         test_xta_roundtrip_variants;
       Alcotest.test_case "xta strict comparisons" `Quick test_xta_parse_strict;
       Alcotest.test_case "xta parse errors" `Quick test_xta_parse_errors;
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 30 |])
+        prop_xta_mutants;
     ] )

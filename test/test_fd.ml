@@ -118,11 +118,13 @@ let test_deterministic () =
     b.Fd.Detector.messages
 
 let test_config_validation () =
-  Alcotest.check_raises "n" (Invalid_argument "Fd.Detector: n must be >= 1")
-    (fun () -> ignore (Fd.Detector.config ~n:0 ~duration:1.0 ()));
   Alcotest.check_raises "probes"
     (Invalid_argument "Fd.Detector: probes must be >= 0") (fun () ->
-      ignore (Fd.Detector.config ~probes:(-1) ~duration:1.0 ()))
+      ignore (Fd.Detector.config ~probes:(-1) ~duration:1.0 ()));
+  (* process 2 is not monitored: its crash would index past every table *)
+  Alcotest.check_raises "crash"
+    (Invalid_argument "Fd.Detector: crash must name process 1 at a time >= 0")
+    (fun () -> ignore (Fd.Detector.config ~crash:(2, 10.0) ~duration:1.0 ()))
 
 let test_tradeoff_monotone () =
   (* more margin: slower detection; availability weakly improves *)

@@ -301,10 +301,9 @@ let prop_safety_fragment_vs_forbidden =
       let f = F.Not (chase names) in
       let sys = Proc.Semantics.system spec in
       let safe = Mc.Safety.holds (Mc.Safety.check_forbidden sys r) in
-      F.classify f = F.Safety
-      && List.for_all
-           (fun engine -> C.holds (C.check ~engine sys f) = safe)
-           [ C.Ndfs; C.Scc ])
+      List.for_all
+        (fun engine -> C.holds (C.check ~engine sys f) = safe)
+        [ C.Ndfs; C.Scc ])
 
 (* --- fairness --- *)
 
@@ -320,8 +319,17 @@ let test_weak_fairness () =
   let sys = table [ (0, "a", 1); (0, "b", 0); (1, "a", 1) ] in
   let f = F.finally (lbl "a") in
   check Alcotest.bool "refuted unfair" false (C.holds (both_engines sys f));
+  (* justice as a premise: GF (¬enabled(a) ∨ a) *)
+  let a = String.equal "a" in
   let fairness =
-    [ C.weakly_fair "sched" ~enabled:(String.equal "a") ~taken:(String.equal "a") ]
+    [
+      {
+        C.fname = "sched";
+        premise =
+          F.infinitely_often
+            (F.Or (F.Not (F.enabled "sched.enabled" a), F.lbl "sched.taken" a));
+      };
+    ]
   in
   check Alcotest.bool "holds weakly fair" true
     (C.holds (both_engines sys ~fairness f))
@@ -348,6 +356,17 @@ let test_often_fairness () =
   let fairness = [ C.often "acts" (String.equal "a") ] in
   check Alcotest.bool "holds under often" true
     (C.holds (both_engines sys ~fairness f))
+
+(* One acceptance set per Until of the negated formula: GF a && GF b is
+   refuted by a run that settles in an a-only loop (one set visited
+   forever, the other never), and holds when the only loop takes both. *)
+let test_acceptance_sets () =
+  let f = F.And (F.infinitely_often (lbl "a"), F.infinitely_often (lbl "b")) in
+  let a_loop = table [ (0, "b", 1); (1, "a", 1) ] in
+  check Alcotest.bool "a-only loop refutes" false
+    (C.holds (both_engines a_loop f));
+  let ab_loop = table [ (0, "a", 1); (1, "b", 0) ] in
+  check Alcotest.bool "a-b loop holds" true (C.holds (both_engines ab_loop f))
 
 (* --- stutter policies and the CTL deadlock divergence --- *)
 
@@ -464,32 +483,9 @@ let test_binary_liveness_gate () =
   check Alcotest.bool "R3 fixed holds" true
     (C.holds (Verify.check_live ~fixed:true Ta_models.Binary p Requirements.R3))
 
-(* --- formula layer units --- *)
-
-let cls : F.cls Alcotest.testable =
-  Alcotest.testable (fun ppf c -> Format.pp_print_string ppf (F.cls_name c)) ( = )
-
-let test_classify () =
-  check cls "bounded" F.Bounded (F.classify (F.Next (F.And (lbl "a", lbl "b"))));
-  check cls "safety" F.Safety (F.classify (F.globally (lbl "a")));
-  check cls "cosafety" F.Cosafety (F.classify (F.finally (lbl "a")));
-  check cls "general" F.General (F.classify (F.infinitely_often (lbl "a")));
-  (* classification is of the NNF: a negated F is a safety property *)
-  check cls "negated cosafety" F.Safety (F.classify (F.Not (F.finally (lbl "a"))))
-
-let test_acceptance_sets () =
-  check Alcotest.int "GF a" 1
-    (Ltl.Buchi.num_acceptance_sets (F.nnf (F.infinitely_often (lbl "a"))));
-  check Alcotest.int "no untils" 0
-    (Ltl.Buchi.num_acceptance_sets (F.nnf (F.globally (lbl "a"))));
-  check Alcotest.int "two untils" 2
-    (Ltl.Buchi.num_acceptance_sets
-       (F.nnf (F.And (F.finally (lbl "a"), F.finally (lbl "b")))))
-
 let tests =
   ( "ltl",
     [
-      Alcotest.test_case "classifier" `Quick test_classify;
       Alcotest.test_case "acceptance sets" `Quick test_acceptance_sets;
       Alcotest.test_case "weak fairness" `Quick test_weak_fairness;
       Alcotest.test_case "response fairness" `Quick test_response_fairness;

@@ -41,18 +41,6 @@ let test_reachable () =
   check Alcotest.(list bool) "reachable" [ true; true; true; true; false ]
     (Array.to_list r)
 
-let test_restrict () =
-  let g = mk ~n:6 diamond in
-  let g', map = Lts.Graph.restrict_to_reachable g in
-  check Alcotest.int "restricted states" 4 (Lts.Graph.num_states g');
-  check Alcotest.int "dropped" (-1) map.(5);
-  check Alcotest.int "transitions kept" 4 (Lts.Graph.num_transitions g')
-
-let test_map_labels () =
-  let g = mk diamond in
-  let g' = Lts.Graph.map_labels String.uppercase_ascii g in
-  check Alcotest.(list string) "mapped" [ "A"; "B"; "C" ] (Lts.Graph.labels g')
-
 let test_trace_to () =
   let g = mk diamond in
   (match Lts.Graph.trace_to g (fun s -> s = 3) with
@@ -63,13 +51,31 @@ let test_trace_to () =
   check Alcotest.bool "initial goal" true
     (Lts.Graph.trace_to g (fun s -> s = 0) = Some [])
 
+(* Whether [word] labels a path from the initial state: the oracle of
+   the trace_to and determinisation tests below. *)
+let has_trace g word =
+  let rec step states = function
+    | [] -> states <> []
+    | l :: rest ->
+        let next =
+          List.concat_map
+            (fun s ->
+              List.filter_map
+                (fun (l', s') -> if String.equal l l' then Some s' else None)
+                (Lts.Graph.successors g s))
+            states
+        in
+        let next = List.sort_uniq compare next in
+        next <> [] && step next rest
+  in
+  step [ Lts.Graph.initial g ] word
+
 let test_has_trace () =
   let g = mk diamond in
-  let eq = String.equal in
-  check Alcotest.bool "a.c" true (Lts.Graph.has_trace g ~eq [ "a"; "c" ]);
-  check Alcotest.bool "b.c" true (Lts.Graph.has_trace g ~eq [ "b"; "c" ]);
-  check Alcotest.bool "c first" false (Lts.Graph.has_trace g ~eq [ "c" ]);
-  check Alcotest.bool "empty" true (Lts.Graph.has_trace g ~eq [])
+  check Alcotest.bool "a.c" true (has_trace g [ "a"; "c" ]);
+  check Alcotest.bool "b.c" true (has_trace g [ "b"; "c" ]);
+  check Alcotest.bool "c first" false (has_trace g [ "c" ]);
+  check Alcotest.bool "empty" true (has_trace g [])
 
 let test_fold () =
   let g = mk diamond in
@@ -107,9 +113,9 @@ let test_determinize_hides_tau () =
   let d = Lts.Minimize.determinize ~hidden:(String.equal "tau") g in
   check Alcotest.(list string) "only visible" [ "a" ] (Lts.Graph.labels d);
   check Alcotest.bool "a possible" true
-    (Lts.Graph.has_trace d ~eq:String.equal [ "a" ]);
+    (has_trace d [ "a" ]);
   check Alcotest.bool "aa impossible" false
-    (Lts.Graph.has_trace d ~eq:String.equal [ "a"; "a" ])
+    (has_trace d [ "a"; "a" ])
 
 let test_weak_trace_reduction () =
   (* tau.a + a is weak-trace equivalent to a. *)
@@ -235,7 +241,7 @@ let prop_trace_to_is_a_trace =
       let goal s = s = n - 1 in
       match Lts.Graph.trace_to g goal with
       | None -> true
-      | Some w -> Lts.Graph.has_trace g ~eq:String.equal w)
+      | Some w -> has_trace g w)
 
 let prop_determinize_preserves_traces =
   QCheck.Test.make ~name:"determinisation preserves visible traces"
@@ -249,10 +255,8 @@ let prop_determinize_preserves_traces =
         (fun w ->
           (* weak trace in g: interleave arbitrary 'a's — approximate by
              checking in the determinised LTS of g twice. *)
-          Lts.Graph.has_trace d ~eq:String.equal w
-          = Lts.Graph.has_trace
-              (Lts.Minimize.weak_trace ~hidden g)
-              ~eq:String.equal w)
+          has_trace d w
+          = has_trace (Lts.Minimize.weak_trace ~hidden g) w)
         words)
 
 let prop_quotient_bisimilar =
@@ -358,8 +362,6 @@ let tests =
       Alcotest.test_case "labels deduplicated" `Quick test_labels_dedup;
       Alcotest.test_case "deadlocks" `Quick test_deadlocks;
       Alcotest.test_case "reachable" `Quick test_reachable;
-      Alcotest.test_case "restrict to reachable" `Quick test_restrict;
-      Alcotest.test_case "map labels" `Quick test_map_labels;
       Alcotest.test_case "trace_to shortest" `Quick test_trace_to;
       Alcotest.test_case "has_trace" `Quick test_has_trace;
       Alcotest.test_case "fold_transitions" `Quick test_fold;

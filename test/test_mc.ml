@@ -434,11 +434,12 @@ let test_check_unknown_forbidden () =
              atom "reset" (String.equal "reset");
            ]))
   in
-  (match Mc.Safety.check_forbidden ~max_states:2 (counter 3) r with
+  let m = Mc.Regex.compile r in
+  (match Mc.Safety.check_monitor ~max_states:2 (counter 3) m with
   | Mc.Safety.Unknown 2 -> ()
-  | _ -> Alcotest.fail "expected Unknown 2 from check_forbidden");
+  | _ -> Alcotest.fail "expected Unknown 2 from the compiled regex");
   (* A sufficient bound restores the definite verdict. *)
-  match Mc.Safety.check_forbidden ~max_states:100 (counter 3) r with
+  match Mc.Safety.check_monitor ~max_states:100 (counter 3) m with
   | Mc.Safety.Violated trace -> check Alcotest.int "len" 3 (List.length trace)
   | _ -> Alcotest.fail "expected Violated under a sufficient bound"
 
@@ -556,9 +557,10 @@ let test_ctl_deadlock_semantics () =
   check Alcotest.bool "AF false vacuous at deadlock" true af.(2);
   check Alcotest.bool "AF false elsewhere" false af.(0)
 
+(* An EF witness: a shortest path to a state where the formula holds. *)
 let test_ctl_witness () =
-  let at2 = Mc.Ctl.atom "at2" (fun s -> s = 2) in
-  match Mc.Ctl.witness_ef ctl_graph at2 with
+  let at2 = Mc.Ctl.eval ctl_graph (Mc.Ctl.atom "at2" (fun s -> s = 2)) in
+  match Lts.Graph.trace_to ctl_graph (fun s -> at2.(s)) with
   | Some w -> check Alcotest.(list string) "path" [ "a"; "b" ] w
   | None -> Alcotest.fail "expected a witness"
 

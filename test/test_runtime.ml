@@ -38,14 +38,12 @@ let test_quiet_run_stays_up () =
 
 let test_steady_rate () =
   (* One beat each way per round of tmax: rate about 2 / tmax. *)
-  let r = H.Experiments.steady_rate ~duration:50_000.0 H.Runtime.Halving params in
+  let r = H.Experiments.steady_rate H.Runtime.Halving params in
   let expected = 2.0 /. 10.0 in
   check Alcotest.bool "rate ~ 2/tmax" true
     (abs_float (r.H.Experiments.msgs_per_time -. expected) < 0.01);
   (* Fixed-rate with k = 2 sends twice as often. *)
-  let f =
-    H.Experiments.steady_rate ~duration:50_000.0 (H.Runtime.Fixed_rate 2) params
-  in
+  let f = H.Experiments.steady_rate (H.Runtime.Fixed_rate 2) params in
   check Alcotest.bool "fixed-rate doubles" true
     (f.H.Experiments.msgs_per_time > 1.8 *. r.H.Experiments.msgs_per_time)
 

@@ -308,7 +308,6 @@ let test_observers () =
   let t = Ta.Semantics.compile m in
   let c = Ta.Semantics.initial t in
   check Alcotest.int "var" 3 (Ta.Semantics.var t "x" c);
-  check Alcotest.int "elem" 2 (Ta.Semantics.elem t "a" 1 c);
   check Alcotest.int "clock" 0 (Ta.Semantics.clock t "k" c);
   check Alcotest.bool "loc" true (Ta.Semantics.loc_is t ~auto:"A" ~loc:"A" c)
 

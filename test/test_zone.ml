@@ -74,14 +74,19 @@ let test_dbm_includes_intersect () =
     (D.includes ~dim:ddim wide narrow);
   Alcotest.(check bool) "narrow excludes wide" false
     (D.includes ~dim:ddim narrow wide);
-  let a = band 0 5 and b = band 3 8 in
-  Alcotest.(check bool) "intersect non-empty" true (D.intersect ~dim:ddim a b);
+  (* intersecting a zone with a band is constraining it by the band's
+     two bounds *)
+  let meet z lo hi =
+    D.constrain ~dim:ddim z 0 1 (D.bnd (-lo) ~strict:false)
+    && D.constrain ~dim:ddim z 1 0 (D.bnd hi ~strict:false)
+  in
+  let a = band 0 5 in
+  Alcotest.(check bool) "intersect non-empty" true (meet a 3 8);
   check Alcotest.int "meet lo" 3 (D.clock_lo ~dim:ddim a 1);
   check (Alcotest.option Alcotest.int) "meet hi" (Some 5)
     (D.clock_hi ~dim:ddim a 1);
-  let c = band 0 2 and d = band 6 9 in
   Alcotest.(check bool) "disjoint intersect empty" false
-    (D.intersect ~dim:ddim c d)
+    (meet (band 0 2) 6 9)
 
 let test_dbm_extrapolate () =
   let z = D.zero ~dim:ddim in
