@@ -96,37 +96,39 @@ par:
 # report a partial result (exit 4) plus a checkpoint, and resume to a
 # byte-identical result.  Each instance's clean run takes at least ten
 # times the 0.4 s the interrupt waits, so a faster host still stops it
-# mid-run: the TA one (dynamic at tmax 80, 1 711 419 states) ~4.5 s
-# and ~850 MB, the PA one (static n=2 at (3,3), 30 495 states) ~4 s,
-# in the dev profile.  The PA run's partial report must name the
-# interrupt.
+# mid-run: the TA one (dynamic at tmax 100, 2 551 439 states) 5.2 s
+# and 1.1 GB, the PA one (static n=2 at (5,5), 79 379 states and
+# 1 196 057 in the product) 5.6-6.6 s and 670 MB, in the dev profile
+# on a 2-core host.  The smaller points they replace (tmax 80; (3,3))
+# came down to 2.9-3.2 s and 1.6-2.1 s once product graphs were stored
+# as rows.  The PA run's partial report must name the interrupt.
 resilience:
 	$(DUNE) exec test/main.exe -- test resilience
 	$(DUNE) build bin/hbexplore.exe
 	rm -f _build/hbres.ck
-	timeout 300 _build/default/bin/hbexplore.exe stats -v dynamic --tmax 80 \
+	timeout 300 _build/default/bin/hbexplore.exe stats -v dynamic --tmax 100 \
 	  > _build/hbres-clean.out
 	timeout --preserve-status -s INT 0.4 \
-	  _build/default/bin/hbexplore.exe stats -v dynamic --tmax 80 \
+	  _build/default/bin/hbexplore.exe stats -v dynamic --tmax 100 \
 	  --checkpoint _build/hbres.ck > _build/hbres-int.out 2>/dev/null; \
 	  test $$? -eq 4
 	test -f _build/hbres.ck
-	timeout 300 _build/default/bin/hbexplore.exe stats -v dynamic --tmax 80 \
+	timeout 300 _build/default/bin/hbexplore.exe stats -v dynamic --tmax 100 \
 	  --resume _build/hbres.ck > _build/hbres-resumed.out 2>/dev/null
 	cmp _build/hbres-clean.out _build/hbres-resumed.out
 	$(DUNE) build bin/hbltl.exe
 	rm -f _build/hbres-pa.ck
-	timeout 300 _build/default/bin/hbltl.exe check R1 -v static -n 2 --tmin 3 \
-	  --tmax 3 --pa --engine scc --json > _build/hbres-pa-clean.out
+	timeout 300 _build/default/bin/hbltl.exe check R1 -v static -n 2 --tmin 5 \
+	  --tmax 5 --pa --engine scc --json > _build/hbres-pa-clean.out
 	timeout --preserve-status -s INT 0.4 \
-	  _build/default/bin/hbltl.exe check R1 -v static -n 2 --tmin 3 --tmax 3 \
+	  _build/default/bin/hbltl.exe check R1 -v static -n 2 --tmin 5 --tmax 5 \
 	  --pa --engine scc --json --checkpoint _build/hbres-pa.ck \
 	  > _build/hbres-pa-int.out 2>/dev/null; \
 	  test $$? -eq 4
 	grep -q '"reason":"interrupted"' _build/hbres-pa-int.out
 	test -f _build/hbres-pa.ck
-	timeout 300 _build/default/bin/hbltl.exe check R1 -v static -n 2 --tmin 3 \
-	  --tmax 3 --pa --engine scc --json --resume _build/hbres-pa.ck \
+	timeout 300 _build/default/bin/hbltl.exe check R1 -v static -n 2 --tmin 5 \
+	  --tmax 5 --pa --engine scc --json --resume _build/hbres-pa.ck \
 	  > _build/hbres-pa-resumed.out 2>/dev/null
 	cmp _build/hbres-pa-clean.out _build/hbres-pa-resumed.out
 

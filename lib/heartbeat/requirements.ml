@@ -116,9 +116,15 @@ let is_act p = function
 
 let act name = Ltl.Formula.lbl name (is_act (String.equal name))
 
-let starts_with prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
+(* The [fault] atom reads every label of a liveness product, so its
+   prefix test allocates nothing: [String.sub] would copy the prefix,
+   and [String.starts_with] builds a closure per call unless the
+   compiler has flambda. *)
+let rec agrees prefix a i =
+  i = String.length prefix || (prefix.[i] = a.[i] && agrees prefix a (i + 1))
+
+let has_prefix prefix a =
+  String.length a >= String.length prefix && agrees prefix a 0
 
 (* Environment faults: message losses, voluntary crashes, voluntary
    leaves.  Non-voluntary inactivations are deliberately *not* faults —
@@ -127,8 +133,8 @@ let starts_with prefix s =
 let fault =
   Ltl.Formula.lbl "fault"
     (is_act (fun a ->
-         starts_with "lose" a || starts_with "jlose" a
-         || starts_with "crash_" a || starts_with "leave" a))
+         has_prefix "lose" a || has_prefix "jlose" a || has_prefix "crash_" a
+         || has_prefix "leave" a))
 
 let benign = Ltl.Formula.globally (Ltl.Formula.Not fault)
 

@@ -2,10 +2,11 @@ type kind = Label | State
 
 type 'l atom = { aname : string; kind : kind; pred : 'l -> bool }
 
-type guard = { pos : int list; neg : int list }
+type guard = { pos : int array; neg : int array }
 
 type 'l t = {
   atoms : 'l atom array;
+  words : int;
   size : int;
   initial : int;
   delta : (guard * int) list array;
@@ -204,15 +205,25 @@ let build_gba indexed =
 (* Degeneralization and pruning                                        *)
 (* ------------------------------------------------------------------ *)
 
-let guard_of_old old =
-  let pos = ref [] and neg = ref [] in
+(* Atom [a] is bit [a mod Sys.int_size] of word [a / Sys.int_size]. *)
+let mark v a =
+  let w = a / Sys.int_size in
+  v.(w) <- v.(w) lor (1 lsl (a mod Sys.int_size))
+
+let rec allows_from g v w =
+  w = Array.length v
+  || v.(w) land g.pos.(w) = g.pos.(w)
+     && v.(w) land g.neg.(w) = 0
+     && allows_from g v (w + 1)
+
+let allows g v = allows_from g v 0
+
+let guard_of_old words old =
+  let pos = Array.make words 0 and neg = Array.make words 0 in
   FSet.iter
-    (function
-      | F.Pos a -> pos := a :: !pos
-      | F.Neg a -> neg := a :: !neg
-      | _ -> ())
+    (function F.Pos a -> mark pos a | F.Neg a -> mark neg a | _ -> ())
     old;
-  { pos = List.rev !pos; neg = List.rev !neg }
+  { pos; neg }
 
 let of_formula f =
   let indexed, atoms = intern (Formula.nnf f) in
@@ -224,7 +235,8 @@ let of_formula f =
   let idx_of_id = Hashtbl.create 64 in
   List.iteri (fun i nd -> Hashtbl.add idx_of_id nd.id i) nodes;
   let node_arr = Array.of_list nodes in
-  let guards = Array.map (fun nd -> guard_of_old nd.old) node_arr in
+  let words = (Array.length atoms + Sys.int_size - 1) / Sys.int_size in
+  let guards = Array.map (fun nd -> guard_of_old words nd.old) node_arr in
   (* membership in each acceptance set: set for U(a,b) contains the nodes
      where the obligation is absent or already discharged (b in old) *)
   let in_set =
@@ -314,21 +326,12 @@ let of_formula f =
   done;
   {
     atoms;
+    words;
     size = size';
     initial = remap.(iota);
     delta = delta';
     accepting = accepting';
   }
-
-let guard_holds ba g ~label ~can =
-  let sat a =
-    let at = ba.atoms.(a) in
-    match (at.kind, label) with
-    | Label, Some l -> at.pred l
-    | Label, None -> false
-    | State, _ -> can at.pred
-  in
-  List.for_all sat g.pos && not (List.exists sat g.neg)
 
 let pp_stats ppf ba =
   let edges = Array.fold_left (fun n l -> n + List.length l) 0 ba.delta in

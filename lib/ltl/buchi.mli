@@ -8,20 +8,27 @@
     construction and pruned to its reachable part.
 
     Transitions carry {e guards}: conjunctions of positive and negated
-    atoms.  A guard is evaluated against the label taken at a step (for
-    {!Formula.Lbl} atoms) and the enabled labels of the source state (for
-    {!Formula.Enabled} atoms), so the same automaton drives both the
-    on-the-fly product ({!Check}) and word-level acceptance tests. *)
+    atoms, compiled once into bit masks.  A step of a run is read as a
+    {e valuation}, one bit per atom: the label taken at the step decides
+    the {!Formula.Lbl} atoms, the enabled labels of the source state the
+    {!Formula.Enabled} atoms.  The on-the-fly product ({!Check})
+    evaluates each atom once per step and then tests every guard with
+    {!allows}. *)
 
 type kind = Label | State
 
 type 'l atom = { aname : string; kind : kind; pred : 'l -> bool }
 
-type guard = { pos : int list; neg : int list }
-(** Indices into {!t.atoms}: all of [pos] must hold, none of [neg]. *)
+type guard = { pos : int array; neg : int array }
+(** Masks over {!t.atoms}, of {!t.words} words each: all of [pos] must
+    hold, none of [neg].  Atom [a] is bit [a mod Sys.int_size] of word
+    [a / Sys.int_size], so no formula has too many atoms. *)
 
 type 'l t = {
   atoms : 'l atom array;
+  words : int;
+      (** the length of every mask and valuation: [Sys.int_size] atoms
+          to a word *)
   size : int;  (** number of automaton states *)
   initial : int;
       (** the pre-initial state: no letter has been read yet; its outgoing
@@ -39,13 +46,13 @@ val of_formula : 'l Formula.t -> 'l t
     and kind are assumed to carry the same predicate (the first one wins).
     The automaton is pruned to the states reachable from [initial]. *)
 
-val guard_holds :
-  'l t -> guard -> label:'l option -> can:(('l -> bool) -> bool) -> bool
-(** [guard_holds ba g ~label ~can] evaluates a guard at one step of a run:
-    [label] is the label taken ([None] on a stutter step, where every
-    [Label] atom is false), and [can p] tells whether some enabled label of
-    the source state satisfies [p] (evaluates [State] atoms; pass
-    [fun _ -> false] for deadlock states). *)
+val mark : int array -> int -> unit
+(** [mark v a] makes atom [a] true in the valuation [v] (an array of
+    {!t.words} words, all false when zero). *)
+
+val allows : guard -> int array -> bool
+(** [allows g v]: the valuation [v] satisfies the guard [g].  At a
+    stutter step every atom is false, so [v] is all zeros. *)
 
 val pp_stats : Format.formatter -> 'l t -> unit
 (** One-line [states/edges/accepting/atoms] summary. *)

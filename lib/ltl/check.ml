@@ -35,8 +35,25 @@ type ('s, 'l) run_result =
 (* Büchi product                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* The guards are compiled (see {!Buchi.guard}), so a product state
+   evaluates each atom once, not once per Büchi edge that reads it: the
+   [Enabled] atoms on the system state's successor labels, into [now],
+   then for each system transition the [Lbl] atoms on its label, into
+   [v] on top of [now].  Each Büchi edge is then one test of [v].  The
+   edges keep the order of the uncompiled product: system successors in
+   order, and for each one the Büchi edges in [delta] order.  The edges
+   of one system transition share one [Step] label, made when the first
+   of them is kept. *)
 let product (type s l) ((module S) : (s, l) Mc.System.t) (ba : l Buchi.t)
     ~stutter : (s * int, l step) Mc.System.t * ((s * int) -> bool) =
+  let words = ba.Buchi.words in
+  let pred a = ba.Buchi.atoms.(a).Buchi.pred in
+  let atoms kind =
+    List.init (Array.length ba.Buchi.atoms) Fun.id
+    |> List.filter (fun a -> ba.Buchi.atoms.(a).Buchi.kind = kind)
+    |> Array.of_list
+  in
+  let label_atoms = atoms Buchi.Label and state_atoms = atoms Buchi.State in
   let module P = struct
     type state = s * int
     type label = l step
@@ -44,29 +61,49 @@ let product (type s l) ((module S) : (s, l) Mc.System.t) (ba : l Buchi.t)
     let initial = (S.initial, ba.Buchi.initial)
 
     let successors (s, q) =
+      let edges = ba.Buchi.delta.(q) in
       match S.successors s with
       | [] -> (
           match stutter with
           | Ignore -> []
           | Extend ->
               (* virtual stutter self-loop: no label, nothing enabled *)
+              let none = Array.make words 0 in
               List.filter_map
                 (fun (g, q') ->
-                  if Buchi.guard_holds ba g ~label:None ~can:(fun _ -> false)
-                  then Some (Stutter, (s, q'))
-                  else None)
-                ba.Buchi.delta.(q))
+                  if Buchi.allows g none then Some (Stutter, (s, q')) else None)
+                edges)
       | succs ->
-          let can p = List.exists (fun (l, _) -> p l) succs in
-          List.concat_map
-            (fun (l, s') ->
-              List.filter_map
-                (fun (g, q') ->
-                  if Buchi.guard_holds ba g ~label:(Some l) ~can then
-                    Some (Step l, (s', q'))
-                  else None)
-                ba.Buchi.delta.(q))
-            succs
+          let now = Array.make words 0 in
+          for k = 0 to Array.length state_atoms - 1 do
+            let a = state_atoms.(k) in
+            if List.exists (fun (l, _) -> pred a l) succs then Buchi.mark now a
+          done;
+          let v = Array.make words 0 in
+          let rec over = function
+            | [] -> []
+            | (l, s') :: rest ->
+                for w = 0 to words - 1 do
+                  v.(w) <- now.(w)
+                done;
+                for k = 0 to Array.length label_atoms - 1 do
+                  let a = label_atoms.(k) in
+                  if pred a l then Buchi.mark v a
+                done;
+                (* [Stutter] stands for "no [Step] made yet" *)
+                let rec along step = function
+                  | [] -> over rest
+                  | (g, q') :: more ->
+                      if Buchi.allows g v then
+                        let step =
+                          match step with Stutter -> Step l | st -> st
+                        in
+                        (step, (s', q')) :: along step more
+                      else along step more
+                in
+                along Stutter edges
+          in
+          over succs
 
     let equal_state (s1, q1) (s2, q2) = q1 = q2 && S.equal_state s1 s2
     let hash_state (s, q) = (S.hash_state s * 131) + q
@@ -99,26 +136,35 @@ type ('p, 'm) search =
    closes an accepting cycle through the seed; a blue edge onto a cyan
    state closes one directly when either endpoint accepts.  Both DFSs are
    iterative with explicit frames — product stacks can be far deeper than
-   the OCaml call stack allows. *)
+   the OCaml call stack allows.  States are numbered by the explorer's
+   open-addressing index, and their colours are flat arrays by number. *)
 let ndfs_emptiness (type p m) ?budget ((module P) : (p, m) Mc.System.t)
     ~(accepting : p -> bool) ~max_states =
+  let module I = Mc.Explore.Index (P) in
   let module M = struct
-    type frame = { st : p; inlab : m option; mutable succs : (m * p) list }
-    type cinfo = { mutable cyan : int; mutable blue : bool; mutable red : bool }
+    type frame = {
+      st : p;
+      id : int;
+      inlab : m option;
+      mutable succs : (m * p) list;
+    }
 
     exception Lasso of m list * m list
     exception Bound
     exception Exh of Mc.Budget.reason
-
-    module H = Hashtbl.Make (struct
-      type t = p
-
-      let equal = P.equal_state
-      let hash = P.hash_state
-    end)
   end in
   let open M in
-  let info : cinfo H.t = H.create 4096 in
+  let index = I.create () in
+  (* The colours, by id, growing with the index: [cyan.(id)] is the
+     state's depth on the blue stack (-1 when it is not on it), and
+     [marks] holds its [blue] and [red] bits. *)
+  let cyan = ref (Array.make 1024 (-1)) in
+  let marks = ref (Bytes.make 1024 '\000') in
+  let blue = 1 and red = 2 in
+  let has id c = Char.code (Bytes.get !marks id) land c <> 0 in
+  let paint id c =
+    Bytes.set !marks id (Char.chr (Char.code (Bytes.get !marks id) lor c))
+  in
   let intern s =
     (* polled on every product-state touch; [Budget.check] rate-limits
        the expensive probes internally *)
@@ -128,13 +174,18 @@ let ndfs_emptiness (type p m) ?budget ((module P) : (p, m) Mc.System.t)
         | Some r -> raise (Exh r)
         | None -> ())
     | None -> ());
-    match H.find_opt info s with
-    | Some r -> r
-    | None ->
-        if H.length info >= max_states then raise Bound;
-        let r = { cyan = -1; blue = false; red = false } in
-        H.add info s r;
-        r
+    let id = I.intern index s ~max_states in
+    if id < 0 then raise Bound;
+    (* ids are dense, so a new one is at most one past the end *)
+    let n = Array.length !cyan in
+    if id = n then begin
+      let c = Array.make (2 * n) (-1) and b = Bytes.make (2 * n) '\000' in
+      Array.blit !cyan 0 c 0 n;
+      Bytes.blit !marks 0 b 0 n;
+      cyan := c;
+      marks := b
+    end;
+    id
   in
   (* Lasso extraction.  [blue] is the blue stack (top first), [d] the
      cyan depth of the state the closing edge re-enters, [red_labels] the
@@ -153,9 +204,9 @@ let ndfs_emptiness (type p m) ?budget ((module P) : (p, m) Mc.System.t)
       arr;
     (List.rev !prefix, List.rev !cycle @ red_labels @ [ l ])
   in
-  let red_dfs seed blue =
+  let red_dfs seed seed_id blue =
     let rstack =
-      ref [ { st = seed; inlab = None; succs = P.successors seed } ]
+      ref [ { st = seed; id = seed_id; inlab = None; succs = P.successors seed } ]
     in
     while !rstack <> [] do
       match !rstack with
@@ -166,26 +217,27 @@ let ndfs_emptiness (type p m) ?budget ((module P) : (p, m) Mc.System.t)
           | (l, t) :: more ->
               fr.succs <- more;
               let rt = intern t in
-              if rt.cyan >= 0 then begin
+              if !cyan.(rt) >= 0 then begin
                 let red_labels =
                   List.filter_map (fun f -> f.inlab) (List.rev !rstack)
                 in
-                let prefix, cycle = extract blue rt.cyan red_labels l in
+                let prefix, cycle = extract blue !cyan.(rt) red_labels l in
                 raise (Lasso (prefix, cycle))
               end
-              else if not rt.red then begin
-                rt.red <- true;
+              else if not (has rt red) then begin
+                paint rt red;
                 rstack :=
-                  { st = t; inlab = Some l; succs = P.successors t }
+                  { st = t; id = rt; inlab = Some l; succs = P.successors t }
                   :: !rstack
               end)
     done
   in
   try
     let init = P.initial in
-    (intern init).cyan <- 0;
+    let i0 = intern init in
+    !cyan.(i0) <- 0;
     let stack =
-      ref [ { st = init; inlab = None; succs = P.successors init } ]
+      ref [ { st = init; id = i0; inlab = None; succs = P.successors init } ]
     in
     let depth = ref 0 in
     while !stack <> [] do
@@ -196,32 +248,31 @@ let ndfs_emptiness (type p m) ?budget ((module P) : (p, m) Mc.System.t)
           | (l, t) :: more ->
               frame.succs <- more;
               let rt = intern t in
-              if rt.cyan >= 0 then begin
+              if !cyan.(rt) >= 0 then begin
                 if accepting frame.st || accepting t then begin
-                  let prefix, cycle = extract !stack rt.cyan [] l in
+                  let prefix, cycle = extract !stack !cyan.(rt) [] l in
                   raise (Lasso (prefix, cycle))
                 end
               end
-              else if not rt.blue then begin
+              else if not (has rt blue) then begin
                 incr depth;
-                rt.cyan <- !depth;
+                !cyan.(rt) <- !depth;
                 stack :=
-                  { st = t; inlab = Some l; succs = P.successors t }
+                  { st = t; id = rt; inlab = Some l; succs = P.successors t }
                   :: !stack
               end
           | [] ->
-              if accepting frame.st then red_dfs frame.st !stack;
-              let rf = H.find info frame.st in
-              rf.cyan <- -1;
-              rf.blue <- true;
+              if accepting frame.st then red_dfs frame.st frame.id !stack;
+              !cyan.(frame.id) <- -1;
+              paint frame.id blue;
               stack := rest;
               decr depth)
     done;
     SEmpty
   with
   | Lasso (prefix, cycle) -> SNonempty (prefix, cycle)
-  | Bound -> STrunc (H.length info)
-  | Exh r -> SExh (r, H.length info)
+  | Bound -> STrunc (I.count index)
+  | Exh r -> SExh (r, I.count index)
 
 (* Shortest path from the initial state to a goal state: labels plus the
    state reached. *)
@@ -326,13 +377,16 @@ let scc_emptiness (type p m) ?budget ?checkpoint ?resume
   let g = space.Mc.Explore.lts in
   let count, comp = Lts.Graph.scc g in
   let nontrivial = Array.make (max count 1) false in
-  List.iter
-    (fun (u, _, v) -> if comp.(u) = comp.(v) then nontrivial.(comp.(u)) <- true)
-    (Lts.Graph.transitions g);
+  Lts.Graph.fold_transitions
+    (fun u _ v () -> if comp.(u) = comp.(v) then nontrivial.(comp.(u)) <- true)
+    g ();
   let qual s =
     accepting space.Mc.Explore.states.(s) && nontrivial.(comp.(s))
   in
-  match bfs_to g qual with
+  (* every state of the space is reachable, so the search for the
+     nearest qualifying state can be skipped when none qualifies *)
+  let rec any s = s < Lts.Graph.num_states g && (qual s || any (s + 1)) in
+  match if any 0 then bfs_to g qual else None with
   | Some (prefix, a) ->
       (* the truncated graph only contains real transitions, so a cycle
          found under an exhausted bound is still a genuine witness *)

@@ -8,13 +8,28 @@
     minimisation and export utilities. *)
 
 type 'l t
-(** An immutable LTS with labels of type ['l]. *)
+(** An immutable LTS with labels of type ['l], stored as compressed
+    sparse rows: one row of (label, target) pairs per source state, the
+    rows in source order.  A transition costs two words. *)
 
 val make : num_states:int -> initial:int -> (int * 'l * int) list -> 'l t
 (** [make ~num_states ~initial transitions] builds an LTS.  Every state
     index occurring in [transitions] and [initial] must lie in
-    [0 .. num_states - 1].
+    [0 .. num_states - 1].  The list need not be grouped by source: it
+    is sorted by source stably, so each state's transitions keep the
+    order they have in the list.
     @raise Invalid_argument on an out-of-range state index. *)
+
+val of_rows :
+  initial:int -> offsets:int array -> targets:int array -> labels:'l array -> 'l t
+(** [of_rows ~initial ~offsets ~targets ~labels] takes the rows as they
+    are, without copying: state [s]'s transitions are the entries
+    [offsets.(s)] to [offsets.(s + 1) - 1] of [targets] and [labels], so
+    there are [Array.length offsets - 1] states.  The arrays must not be
+    mutated afterwards.
+    @raise Invalid_argument unless [offsets] starts at 0, never
+    decreases and ends at the length of [targets] and of [labels], and
+    every target and [initial] is a state. *)
 
 val num_states : 'l t -> int
 (** Number of states. *)
@@ -27,17 +42,20 @@ val initial : 'l t -> int
 
 val successors : 'l t -> int -> ('l * int) list
 (** [successors lts s] lists the outgoing transitions of state [s], in the
-    order they were given to {!make}. *)
+    order they were given to {!make} (or in their row). *)
 
 val transitions : 'l t -> (int * 'l * int) list
-(** All transitions as [(source, label, target)] triples. *)
+(** All transitions as [(source, label, target)] triples, in source
+    order: state 0's row, then state 1's, and so on, each row in
+    {!successors} order.  For a list grouped by ascending source, this
+    is the list given to {!make}. *)
 
 val fold_transitions : (int -> 'l -> int -> 'a -> 'a) -> 'l t -> 'a -> 'a
-(** Fold over all transitions. *)
+(** Fold over all transitions, in the order of {!transitions}. *)
 
 val labels : 'l t -> 'l list
 (** The distinct labels occurring in the LTS (using structural equality),
-    in first-occurrence order. *)
+    in first-occurrence order of {!transitions}. *)
 
 val deadlocks : 'l t -> int list
 (** States with no outgoing transition, in increasing order. *)
@@ -48,7 +66,8 @@ val reachable : 'l t -> bool array
 val predecessors : 'l t -> int list array
 (** [predecessors lts] is the reverse-edge table: entry [s'] lists the
     sources of transitions into [s'] (one entry per transition, so a state
-    with two edges into [s'] appears twice), in transition order. *)
+    with two edges into [s'] appears twice), in the order of
+    {!transitions}. *)
 
 val scc : 'l t -> int * int array
 (** [scc lts] computes the strongly connected components (Tarjan's

@@ -1,5 +1,5 @@
 let magic = "HBCKPT01"
-let version = 3
+let version = 4
 
 let save ~file ~kind payload =
   let data = Marshal.to_string payload [] in

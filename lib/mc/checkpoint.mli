@@ -17,9 +17,10 @@ val version : int
 (** The container format version.  It is bumped whenever a payload type
     changes shape, so files written by an older build are rejected
     instead of unmarshalled into the wrong layout: 2 when process-algebra
-    states gained a configuration key per component, 3 since an
-    {!Explore.cursor} keeps no depth stamps and names its frontier by
-    its first id. *)
+    states gained a configuration key per component, 3 when an
+    {!Explore.cursor} lost its depth stamps and named its frontier by
+    its first id, 4 since it carries its transitions as compressed rows
+    (and the frontier starts after the last row). *)
 
 val save : file:string -> kind:string -> 'a -> unit
 (** Atomically (re)write [file].  Raises [Sys_error] on IO failure. *)

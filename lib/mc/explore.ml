@@ -34,7 +34,7 @@ module Index (S : System.S) = struct
     mutable count : int;
   }
 
-  let create expected_states =
+  let make expected_states =
     let ids =
       match expected_states with
       | None -> default_capacity
@@ -92,10 +92,13 @@ module Index (S : System.S) = struct
     t.count <- id + 1;
     id
 
-  let intern t s =
+  let create () = make None
+  let count t = t.count
+
+  let intern t s ~max_states =
     let h = S.hash_state s in
     let r = lookup t s h in
-    if r >= 0 then r else add t s h r
+    if r >= 0 then r else if t.count >= max_states then -1 else add t s h r
 end
 
 (* [set a i x] stores [x] at index [i] of the growable array [!a],
@@ -113,13 +116,14 @@ let pp_exhaustion ppf e =
 type ('s, 'l) cursor = {
   c_max_states : int;
   c_states : 's array; (* discovery order; index = state id *)
-  c_trans : (int * 'l * int) list; (* accumulated, newest first *)
-  c_head : int; (* the frontier: ids [c_head, length c_states) *)
+  c_offsets : int array; (* the rows of the expanded ids, as in Lts.Graph *)
+  c_targets : int array;
+  c_labels : 'l array;
   c_complete : bool;
 }
 
 let cursor_states c = Array.length c.c_states
-let cursor_frontier c = Array.length c.c_states - c.c_head
+let cursor_frontier c = Array.length c.c_states - (Array.length c.c_offsets - 1)
 
 type ('s, 'l) run_result =
   | Done of ('s, 'l) space
@@ -129,13 +133,20 @@ let space_run (type s l) ?(max_states = default_max) ?expected_states ?budget
     ?checkpoint ?resume (sys : (s, l) System.t) : (s, l) run_result =
   let module S = (val sys) in
   let module I = Index (S) in
-  let index = I.create expected_states in
+  let index = I.make expected_states in
   let complete = ref true in
-  let transitions = ref [] in
+  (* The rows of the expanded states, as in [Lts.Graph]: ids are
+     expanded in order, so state [i]'s row is appended when [i] is
+     expanded, and [offsets] has an entry past the last expanded id.
+     The arrays grow by doubling; [trans] is the number of transitions. *)
+  let offsets = ref [| 0 |] in
+  let targets = ref [||] in
+  let labels = ref [||] in
+  let trans = ref 0 in
   (* The frontier: every id from [head] on. *)
   let head = ref 0 in
   (match resume with
-  | None -> ignore (I.intern index S.initial)
+  | None -> ignore (I.intern index S.initial ~max_states:max_int)
   | Some c ->
       if c.c_max_states <> max_states then
         invalid_arg
@@ -145,19 +156,31 @@ let space_run (type s l) ?(max_states = default_max) ?expected_states ?budget
              c.c_max_states max_states);
       (* Re-interning in discovery order reproduces the index and its
          ids exactly, so the continuation is byte-identical to an
-         uninterrupted run. *)
-      Array.iter (fun s -> ignore (I.intern index s)) c.c_states;
-      transitions := c.c_trans;
+         uninterrupted run.  The cursor's arrays are exactly full, so
+         the first append copies them rather than writing into them. *)
+      Array.iter
+        (fun s -> ignore (I.intern index s ~max_states:max_int))
+        c.c_states;
+      offsets := c.c_offsets;
+      targets := c.c_targets;
+      labels := c.c_labels;
+      trans := Array.length c.c_targets;
       complete := c.c_complete;
-      head := c.c_head);
+      head := Array.length c.c_offsets - 1);
   let snapshot () =
     {
       c_max_states = max_states;
       c_states = Array.sub index.I.states 0 index.I.count;
-      c_trans = !transitions;
-      c_head = !head;
+      c_offsets = Array.sub !offsets 0 (!head + 1);
+      c_targets = Array.sub !targets 0 !trans;
+      c_labels = Array.sub !labels 0 !trans;
       c_complete = !complete;
     }
+  in
+  let append l r =
+    set targets !trans r;
+    set labels !trans l;
+    incr trans
   in
   let expanded = ref 0 in
   let suspended = ref None in
@@ -179,11 +202,12 @@ let space_run (type s l) ?(max_states = default_max) ?expected_states ?budget
               BFS discovery order (see the .mli). *)
            let h = S.hash_state s' in
            let r = I.lookup index s' h in
-           if r >= 0 then transitions := (i, l, r) :: !transitions
+           if r >= 0 then append l r
            else if index.I.count < max_states then
-             transitions := (i, l, I.add index s' h r) :: !transitions
+             append l (I.add index s' h r)
            else complete := false)
          (S.successors index.I.states.(i));
+       set offsets !head !trans;
        incr expanded;
        match checkpoint with
        | Some (every, f) when every > 0 && !expanded mod every = 0 ->
@@ -196,7 +220,10 @@ let space_run (type s l) ?(max_states = default_max) ?expected_states ?budget
   | None ->
       let n = index.I.count in
       let lts =
-        Lts.Graph.make ~num_states:n ~initial:0 (List.rev !transitions)
+        Lts.Graph.of_rows ~initial:0
+          ~offsets:(Array.sub !offsets 0 (n + 1))
+          ~targets:(Array.sub !targets 0 !trans)
+          ~labels:(Array.sub !labels 0 !trans)
       in
       Done { lts; states = Array.sub index.I.states 0 n; complete = !complete }
 
@@ -219,7 +246,7 @@ let find (type s l) ?(max_states = default_max) ?expected_states ?budget ~goal
   let module I = Index (S) in
   if goal S.initial then Reached { trace = []; state = S.initial }
   else begin
-    let index = I.create expected_states in
+    let index = I.make expected_states in
     (* Shortest-trace reconstruction: the parent id and the label that
        discovered each state, by id (the initial state is id 0). *)
     let parents = ref [||] in
@@ -230,7 +257,7 @@ let find (type s l) ?(max_states = default_max) ?expected_states ?budget ~goal
       in
       go j []
     in
-    ignore (I.intern index S.initial);
+    ignore (I.intern index S.initial ~max_states:max_int);
     let head = ref 0 in
     let result = ref None in
     let exhausted = ref None in
@@ -273,8 +300,8 @@ let count (type s l) ?(max_states = default_max) ?expected_states ?budget
     (sys : (s, l) System.t) =
   let module S = (val sys) in
   let module I = Index (S) in
-  let index = I.create expected_states in
-  ignore (I.intern index S.initial);
+  let index = I.make expected_states in
+  ignore (I.intern index S.initial ~max_states:max_int);
   let head = ref 0 in
   let complete = ref true in
   (try

@@ -35,10 +35,12 @@ val pp_exhaustion : Format.formatter -> exhaustion -> unit
 type ('s, 'l) cursor = {
   c_max_states : int;  (** the bound the run was started with *)
   c_states : 's array;  (** interned states in discovery order *)
-  c_trans : (int * 'l * int) list;  (** transitions so far, newest first *)
-  c_head : int;
-      (** the first unexpanded id: the frontier is the ids from [c_head]
-          to the last one *)
+  c_offsets : int array;
+      (** the rows of the expanded ids, as {!Lts.Graph.of_rows} takes
+          them: ids are expanded in order, so the frontier is the ids
+          from [Array.length c_offsets - 1] to the last one *)
+  c_targets : int array;
+  c_labels : 'l array;
   c_complete : bool;
 }
 (** A suspended exploration: everything needed to continue exactly where
@@ -133,3 +135,21 @@ val count :
     at 1024 states and doubles as it fills.  An [expected_states] hint
     may only lower that start (for systems known to be small), never
     raise it; results are unaffected. *)
+
+(** The state index of the entry points above, for a search that numbers
+    the states it meets but is not breadth-first (the nested
+    depth-first search of [Ltl.Check]): ids are dense, 0, 1, ... in
+    first-insertion order, so per-state data can live in flat arrays
+    indexed by id. *)
+module Index (S : System.S) : sig
+  type t
+
+  val create : unit -> t
+  val count : t -> int
+  (** The number of states stored. *)
+
+  val intern : t -> S.state -> max_states:int -> int
+  (** [intern t s ~max_states] is the id of [s], storing it under the
+      next id if it is new; [-1] if it is new and [t] already holds
+      [max_states] states. *)
+end

@@ -152,12 +152,29 @@ let tok_name = function
   | Tint n -> Printf.sprintf "integer %d" n
   | Tsym s -> Printf.sprintf "%S" s
 
-(* longest-match symbol table; order matters only within a first-char
-   group, handled by trying two-char symbols first *)
-let two_char = [ "->"; "<?"; ">?"; "<="; ">="; "=="; "!="; "&&"; "||" ]
+(* The symbols, matched on characters: the two-character symbol that
+   starts with [a] then [b], else the one-character symbol [a], each ""
+   when there is none.  Longest match: the lexer tries two characters
+   first. *)
+let two_char a b =
+  match (a, b) with
+  | '-', '>' -> "->"
+  | '<', '?' -> "<?"
+  | '>', '?' -> ">?"
+  | '<', '=' -> "<="
+  | '>', '=' -> ">="
+  | '=', '=' -> "=="
+  | '!', '=' -> "!="
+  | '&', '&' -> "&&"
+  | '|', '|' -> "||"
+  | _ -> ""
 
-let one_char = [ "{"; "}"; "("; ")"; "["; "]"; ";"; ","; "!"; "?";
-                 "<"; ">"; "="; "+"; "-"; "*"; "/" ]
+let one_char = function
+  | '{' -> "{" | '}' -> "}" | '(' -> "(" | ')' -> ")" | '[' -> "["
+  | ']' -> "]" | ';' -> ";" | ',' -> "," | '!' -> "!" | '?' -> "?"
+  | '<' -> "<" | '>' -> ">" | '=' -> "=" | '+' -> "+" | '-' -> "-"
+  | '*' -> "*" | '/' -> "/"
+  | _ -> ""
 
 let lex (src : string) : (token * int) array =
   let n = String.length src in
@@ -205,15 +222,19 @@ let lex (src : string) : (token * int) array =
       toks := (Tid (String.sub src !i (!j - !i)), !line) :: !toks;
       i := !j
     end
-    else if !i + 1 < n && List.mem (String.sub src !i 2) two_char then begin
-      toks := (Tsym (String.sub src !i 2), !line) :: !toks;
-      i := !i + 2
-    end
-    else if List.mem (String.make 1 c) one_char then begin
-      toks := (Tsym (String.make 1 c), !line) :: !toks;
-      incr i
-    end
-    else err "unexpected character %C" c
+    else
+      let sym2 = if !i + 1 < n then two_char c src.[!i + 1] else "" in
+      if sym2 <> "" then begin
+        toks := (Tsym sym2, !line) :: !toks;
+        i := !i + 2
+      end
+      else
+        let sym1 = one_char c in
+        if sym1 <> "" then begin
+          toks := (Tsym sym1, !line) :: !toks;
+          incr i
+        end
+        else err "unexpected character %C" c
   done;
   Array.of_list (List.rev !toks)
 

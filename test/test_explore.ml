@@ -20,6 +20,29 @@ module Reference = struct
     let hash = S.hash_state
   end)
 
+  (* A cursor's rows hold the transitions of its expanded ids, grouped
+     by source in id order; the reference keeps them as a list, newest
+     first. *)
+  let transitions_of_rows c =
+    let acc = ref [] in
+    for i = 0 to Array.length c.c_offsets - 2 do
+      for e = c.c_offsets.(i) to c.c_offsets.(i + 1) - 1 do
+        acc := (i, c.c_labels.(e), c.c_targets.(e)) :: !acc
+      done
+    done;
+    !acc
+
+  let rows_of_transitions expanded transitions =
+    let trans = Array.of_list (List.rev transitions) in
+    let offsets = Array.make (expanded + 1) 0 in
+    Array.iter (fun (i, _, _) -> offsets.(i + 1) <- offsets.(i + 1) + 1) trans;
+    for i = 1 to expanded do
+      offsets.(i) <- offsets.(i) + offsets.(i - 1)
+    done;
+    ( offsets,
+      Array.map (fun (_, _, j) -> j) trans,
+      Array.map (fun (_, l, _) -> l) trans )
+
   let space_run (type s l) ?(max_states = default_max) ?budget ?resume
       (sys : (s, l) Mc.System.t) : (s, l) run_result =
     let module S = (val sys) in
@@ -46,19 +69,23 @@ module Reference = struct
         Queue.add (i0, S.initial) queue
     | Some c ->
         Array.iter (fun s -> ignore (intern s)) c.c_states;
-        transitions := c.c_trans;
+        transitions := transitions_of_rows c;
         complete := c.c_complete;
-        for i = c.c_head to !count - 1 do
+        for i = Array.length c.c_offsets - 1 to !count - 1 do
           Queue.add (i, c.c_states.(i)) queue
         done);
     (* The queue holds the last ids discovered, in order: the frontier
        starts [Queue.length queue] ids before the end. *)
     let snapshot () =
+      let offsets, targets, labels =
+        rows_of_transitions (!count - Queue.length queue) !transitions
+      in
       {
         c_max_states = max_states;
         c_states = Array.of_list (List.rev !states);
-        c_trans = !transitions;
-        c_head = !count - Queue.length queue;
+        c_offsets = offsets;
+        c_targets = targets;
+        c_labels = labels;
         c_complete = !complete;
       }
     in

@@ -105,7 +105,7 @@ let lasso_system pre cyc : (int, string) Mc.System.t =
 
 let alphabet = [ "a"; "b"; "c" ]
 
-let formula_gen depth =
+let formula_gen ?(alphabet = alphabet) depth =
   let open QCheck.Gen in
   let atom = oneofl alphabet >>= fun l -> oneofl [ lbl l; enb l ] in
   let rec go depth =
@@ -127,14 +127,16 @@ let formula_gen depth =
 
 let formula_arb = QCheck.make ~print:(Format.asprintf "%a" F.pp) (formula_gen 3)
 
-let word_arb =
+let word_gen alphabet =
   let open QCheck.Gen in
-  QCheck.make
-    ~print:(fun (p, c) ->
-      Printf.sprintf "%s (%s)^w" (String.concat "." p) (String.concat "." c))
-    (pair
-       (list_size (int_bound 3) (oneofl alphabet))
-       (list_size (int_range 1 3) (oneofl alphabet)))
+  pair
+    (list_size (int_bound 3) (oneofl alphabet))
+    (list_size (int_range 1 3) (oneofl alphabet))
+
+let print_word (p, c) =
+  Printf.sprintf "%s (%s)^w" (String.concat "." p) (String.concat "." c)
+
+let word_arb = QCheck.make ~print:print_word (word_gen alphabet)
 
 (* --- pipeline vs reference evaluator --- *)
 
@@ -142,30 +144,73 @@ let word_arb =
    iff the reference evaluator accepts the word — this exercises the
    whole tableau / degeneralization / product / emptiness pipeline
    against an independent semantics.  A refutation must additionally be
-   a word refuting the formula. *)
+   a word refuting the formula.  Both engines. *)
+let agrees_with_reference f (pre, cyc) =
+  let sys = lasso_system pre cyc in
+  let expected =
+    lasso_sat f (List.map pos_of_label pre) (List.map pos_of_label cyc)
+  in
+  let refutation_refutes = function
+    | C.Refuted l ->
+        not
+          (lasso_sat f
+             (List.map pos_of_step l.C.prefix)
+             (List.map pos_of_step l.C.cycle))
+    | C.Holds -> true
+    | C.Unknown _ | C.Exhausted _ -> false
+  in
+  List.for_all
+    (fun engine ->
+      let v = C.check ~engine sys f in
+      C.holds v = expected && refutation_refutes v)
+    [ C.Ndfs; C.Scc ]
+
 let prop_pipeline_vs_reference =
   QCheck.Test.make ~name:"verdict = reference evaluator on single lassos"
     ~count:500
     (QCheck.pair formula_arb word_arb)
-    (fun (f, (pre, cyc)) ->
-      let sys = lasso_system pre cyc in
-      let expected =
-        lasso_sat f (List.map pos_of_label pre) (List.map pos_of_label cyc)
-      in
-      let refutation_refutes = function
-        | C.Refuted l ->
-            not
-              (lasso_sat f
-                 (List.map pos_of_step l.C.prefix)
-                 (List.map pos_of_step l.C.cycle))
-        | C.Holds -> true
-        | C.Unknown _ | C.Exhausted _ -> false
-      in
-      List.for_all
-        (fun engine ->
-          let v = C.check ~engine sys f in
-          C.holds v = expected && refutation_refutes v)
-        [ C.Ndfs; C.Scc ])
+    (fun (f, w) -> agrees_with_reference f w)
+
+(* Guards are bit masks with [Sys.int_size] atoms to a word, and no
+   limit on the number of atoms.  [G (l0 || ... || l69)] brings 70
+   label atoms, numbered in that order, and negates to one guard over
+   all of them; the random conjunct reads atoms on both sides of the
+   first word's end (l62, l63, l69), as labels and as [Enabled] atoms,
+   which come after the 70.  The words use those labels and one outside
+   the disjunction. *)
+let wide_all =
+  F.globally (F.disj (List.init 70 (fun i -> lbl (Printf.sprintf "l%d" i))))
+
+let prop_wide_guards =
+  let read = [ "l1"; "l62"; "l63"; "l69" ] in
+  QCheck.Test.make ~name:"verdict = reference evaluator with 70 atoms"
+    ~count:150
+    (QCheck.pair
+       (QCheck.make ~print:(Format.asprintf "%a" F.pp)
+          (formula_gen ~alphabet:read 2))
+       (QCheck.make ~print:print_word (word_gen ("x" :: "l0" :: read))))
+    (fun (g, w) -> agrees_with_reference (F.And (wide_all, g)) w)
+
+(* The same, pair by pair: an atom past the first word, as [F h] and as
+   [G !h], on the word [l^w] for labels [l] on both sides of the
+   boundary.  A mask that folds the second word onto the first (bit
+   [a mod 63] or [a mod 64]) or drops it makes some [h] read as some
+   other [l]. *)
+let test_wide_pairs () =
+  let high = [ "l62"; "l63"; "l64"; "l69" ] in
+  List.iter
+    (fun h ->
+      List.iter
+        (fun l ->
+          List.iter
+            (fun (what, g) ->
+              check Alcotest.bool
+                (Printf.sprintf "%s %s on %s^w" what h l)
+                true
+                (agrees_with_reference (F.And (wide_all, g)) ([], [ l ])))
+            [ ("F", F.finally (lbl h)); ("G!", F.globally (F.Not (lbl h))) ])
+        ([ "l0"; "l1"; "l5"; "l6" ] @ high))
+    high
 
 let prop_nnf_preserves_semantics =
   QCheck.Test.make ~name:"nnf preserves word semantics" ~count:500
@@ -483,6 +528,56 @@ let test_binary_liveness_gate () =
   check Alcotest.bool "R3 fixed holds" true
     (C.holds (Verify.check_live ~fixed:true Ta_models.Binary p Requirements.R3))
 
+(* --- truncation and budget counts --- *)
+
+(* The nested DFS reports the product states it interned when a bound
+   or a budget stops it: [Unknown] the bound itself, [Exhausted] the
+   states met before the tripping poll (one poll per state touched).
+   The counts are pinned on two fixed models whose products are larger
+   than every bound, so they fix the search order too. *)
+let test_ndfs_counts () =
+  let open Heartbeat in
+  let p = Params.make ~n:1 ~tmin:2 ~tmax:2 () in
+  List.iter
+    (fun (variant, req, trips) ->
+      let net = Ta.Semantics.compile (Ta_models.build ~fixed:true variant p) in
+      let sys = Ta.Semantics.system net in
+      let f = Requirements.live_formula variant p req in
+      let run ?max_states ?budget () =
+        match
+          C.check ~engine:C.Ndfs ~fairness:Requirements.live_fairness
+            ?max_states ?budget sys f
+        with
+        | C.Unknown n -> `Unknown n
+        | C.Exhausted e -> `Exhausted e.Mc.Explore.states_so_far
+        | C.Holds | C.Refuted _ -> `Concluded
+      in
+      let name = Ta_models.variant_name variant in
+      check Alcotest.bool (name ^ " holds") true (run () = `Concluded);
+      List.iter
+        (fun k ->
+          check Alcotest.bool
+            (Printf.sprintf "%s: bound %d" name k)
+            true
+            (run ~max_states:k () = `Unknown k))
+        [ 1; 100; 1000 ];
+      List.iter
+        (fun (k, n) ->
+          check Alcotest.bool
+            (Printf.sprintf "%s: trip at poll %d" name k)
+            true
+            (run ~budget:(Test_resilience.tripping_budget k) ()
+            = `Exhausted n))
+        trips)
+    [
+      ( Ta_models.Binary,
+        Requirements.R1,
+        [ (1, 0); (2, 1); (100, 52); (1000, 333); (5000, 1423) ] );
+      ( Ta_models.Expanding,
+        Requirements.R2,
+        [ (1, 0); (2, 1); (100, 64); (1000, 301); (5000, 1585) ] );
+    ]
+
 let tests =
   ( "ltl",
     [
@@ -494,7 +589,11 @@ let tests =
       Alcotest.test_case "CTL/LTL agreement on binary model" `Quick
         test_ctl_ltl_agreement_shipped;
       Alcotest.test_case "binary liveness gate" `Quick test_binary_liveness_gate;
+      Alcotest.test_case "ndfs counts under a bound and a budget" `Quick
+        test_ndfs_counts;
       QCheck_alcotest.to_alcotest prop_pipeline_vs_reference;
+      QCheck_alcotest.to_alcotest prop_wide_guards;
+      Alcotest.test_case "70 atoms, pair by pair" `Quick test_wide_pairs;
       QCheck_alcotest.to_alcotest prop_nnf_preserves_semantics;
       QCheck_alcotest.to_alcotest prop_engines_agree;
       QCheck_alcotest.to_alcotest prop_engines_agree_pa;

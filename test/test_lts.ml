@@ -27,6 +27,58 @@ let test_successors_order () =
     (Lts.Graph.successors g 0);
   check Alcotest.(list (pair string int)) "succ 3" [] (Lts.Graph.successors g 3)
 
+(* [make] sorts by source stably: a list that is not grouped by source
+   keeps each source's order, and [transitions] comes out in source
+   order. *)
+let test_make_ungrouped () =
+  let g =
+    mk [ (2, "c", 3); (0, "a", 1); (1, "d", 3); (0, "b", 2); (2, "e", 0) ]
+  in
+  check
+    Alcotest.(list (pair string int))
+    "succ 0"
+    [ ("a", 1); ("b", 2) ]
+    (Lts.Graph.successors g 0);
+  check
+    Alcotest.(list (pair string int))
+    "succ 2"
+    [ ("c", 3); ("e", 0) ]
+    (Lts.Graph.successors g 2);
+  check
+    Alcotest.(list (triple int string int))
+    "source order"
+    [ (0, "a", 1); (0, "b", 2); (1, "d", 3); (2, "c", 3); (2, "e", 0) ]
+    (Lts.Graph.transitions g);
+  check Alcotest.(list string) "labels" [ "a"; "b"; "d"; "c"; "e" ]
+    (Lts.Graph.labels g)
+
+(* [of_rows] takes the rows [make] would build, and rejects rows whose
+   offsets do not frame them or whose targets are not states. *)
+let test_of_rows () =
+  let g =
+    Lts.Graph.of_rows ~initial:0 ~offsets:[| 0; 2; 3; 4; 4 |]
+      ~targets:[| 1; 2; 3; 3 |] ~labels:[| "a"; "b"; "c"; "c" |]
+  in
+  check
+    Alcotest.(list (triple int string int))
+    "same graph as make" (Lts.Graph.transitions (mk diamond))
+    (Lts.Graph.transitions g);
+  check Alcotest.int "states" 4 (Lts.Graph.num_states g);
+  let rejects what f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "decreasing offsets" (fun () ->
+      Lts.Graph.of_rows ~initial:0 ~offsets:[| 0; 2; 1; 2 |]
+        ~targets:[| 1; 2 |] ~labels:[| "a"; "b" |]);
+  rejects "short labels" (fun () ->
+      Lts.Graph.of_rows ~initial:0 ~offsets:[| 0; 2; 2 |] ~targets:[| 1; 1 |]
+        ~labels:[| "a" |]);
+  rejects "target out of range" (fun () ->
+      Lts.Graph.of_rows ~initial:0 ~offsets:[| 0; 1; 1 |] ~targets:[| 2 |]
+        ~labels:[| "a" |])
+
 let test_labels_dedup () =
   let g = mk diamond in
   check Alcotest.(list string) "labels" [ "a"; "b"; "c" ] (Lts.Graph.labels g)
@@ -194,6 +246,21 @@ let random_lts =
           in
           map (fun es -> (n, es)) (list_size (int_bound (3 * n)) edge)))
 
+let by_source (u, _, _) (v, _, _) = compare u v
+
+let prop_make_stable =
+  QCheck.Test.make ~name:"make is a stable sort by source" ~count:300
+    random_lts (fun (n, edges) ->
+      let g = Lts.Graph.make ~num_states:n ~initial:0 edges in
+      Lts.Graph.transitions g = List.stable_sort by_source edges
+      && List.for_all
+           (fun s ->
+             Lts.Graph.successors g s
+             = List.filter_map
+                 (fun (u, l, v) -> if u = s then Some (l, v) else None)
+                 edges)
+           (List.init n Fun.id))
+
 let prop_weak_trace_reflexive =
   QCheck.Test.make ~name:"weak-trace equivalence is reflexive" ~count:100
     random_lts (fun (n, edges) ->
@@ -359,6 +426,9 @@ let tests =
       Alcotest.test_case "make valid" `Quick test_make_valid;
       Alcotest.test_case "make rejects bad indices" `Quick test_make_out_of_range;
       Alcotest.test_case "successors in order" `Quick test_successors_order;
+      Alcotest.test_case "make groups by source" `Quick test_make_ungrouped;
+      Alcotest.test_case "of_rows" `Quick test_of_rows;
+      QCheck_alcotest.to_alcotest prop_make_stable;
       Alcotest.test_case "labels deduplicated" `Quick test_labels_dedup;
       Alcotest.test_case "deadlocks" `Quick test_deadlocks;
       Alcotest.test_case "reachable" `Quick test_reachable;

@@ -270,9 +270,9 @@ let test_pa_checkpoint_resume () =
    [Mc.Checkpoint.version] and re-record the digests. *)
 let layout_digests =
   [
-    ("TA binary (1,4)", "50668186b03ea0784eb1aa2f6311b032");
-    ("PA binary (2,3)", "f667260bdbf8506dd5fa7640da9f9362");
-    ("SCC product binary (2,2) R2", "be0b9bb853ef17207efc58d9625d88fc");
+    ("TA binary (1,4)", "aa3b7e864f038b3826b2c2a256ca37f0");
+    ("PA binary (2,3)", "1b3ffa1b48716ec5debd59995403211b");
+    ("SCC product binary (2,2) R2", "cb84f7f3da89930fef188f98c6135f2f");
   ]
 
 let test_checkpoint_layout () =
@@ -306,7 +306,7 @@ let test_checkpoint_layout () =
     | Ltl.Check.Suspended (_, cur) -> digest cur
     | Ltl.Check.Concluded _ -> Alcotest.fail "SCC: expected a suspension"
   in
-  check Alcotest.int "checkpoint format version" 3 Mc.Checkpoint.version;
+  check Alcotest.int "checkpoint format version" 4 Mc.Checkpoint.version;
   check
     Alcotest.(list (pair string string))
     "cursor payload digests: after a change to a cursor or state type, \
