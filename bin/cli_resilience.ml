@@ -155,10 +155,12 @@ let zone_arg =
     value & flag
     & info [ "zone" ]
         ~doc:
-          "Explore the dense-time zone graph (canonical DBMs with \
-           inclusion subsumption) instead of the discrete state space.  \
-           Verdicts coincide for the shipped models; counterexamples are \
-           action sequences modulo time.")
+          "Report on the dense-time zone graph (canonical DBMs with \
+           inclusion subsumption) alone: zone counts instead of the \
+           discrete state space, or the zone verdict with its \
+           counterexample as an action sequence modulo time, without the \
+           discrete witness search.  Verdicts coincide for the shipped \
+           models.")
 
 let msc_arg =
   Arg.(
@@ -281,24 +283,49 @@ let pa_systems ~reduce spec =
   if reduce then (Por.reduced_system (Por.analyze_cached spec), Some full)
   else (full, None)
 
+(* The states, transitions and completeness of [sys] as
+   [Mc.Explore.space ~max_states] reports them (past the bound, only
+   edges between retained states count), in one breadth-first pass that
+   builds no graph: the index numbers the states, and a queue holds the
+   unexpanded ones. *)
+let space_counts (type s l) ~max_states (sys : (s, l) Mc.System.t) =
+  let module S = (val sys) in
+  let module I = Mc.Explore.Index (S) in
+  let index = I.create () in
+  let frontier = Queue.create () in
+  ignore (I.intern index S.initial ~max_states:max_int);
+  Queue.add S.initial frontier;
+  let transitions = ref 0 in
+  let complete = ref true in
+  while not (Queue.is_empty frontier) do
+    List.iter
+      (fun (_, s') ->
+        let fresh = I.count index in
+        let id = I.intern index s' ~max_states in
+        if id < 0 then complete := false
+        else begin
+          incr transitions;
+          if id = fresh then Queue.add s' frontier
+        end)
+      (S.successors (Queue.pop frontier))
+  done;
+  (I.count index, !transitions, !complete)
+
 (* Statistics of the state space a check ran on, as a deterministic
    JSON object: states, transitions and completeness of [sys]; with
    [full], the unsliced or unreduced system [sys] was derived from, also
    the full state count and the ratio, so CI logs show what the slice or
    reduction bought. *)
 let stats_json ~max_states ?full sys =
-  let states (sp : _ Mc.Explore.space) = Lts.Graph.num_states sp.Mc.Explore.lts in
-  let sp = Mc.Explore.space ~max_states sys in
+  let states, transitions, complete = space_counts ~max_states sys in
   let buf = Buffer.create 128 in
   Printf.bprintf buf "{\"states\":%d,\"transitions\":%d,\"complete\":%b"
-    (states sp)
-    (Lts.Graph.num_transitions sp.Mc.Explore.lts)
-    sp.Mc.Explore.complete;
+    states transitions complete;
   Option.iter
     (fun full ->
-      let full = states (Mc.Explore.space ~max_states full) in
+      let full, _ = Mc.Explore.count ~max_states full in
       Printf.bprintf buf ",\"full_states\":%d,\"reduction_ratio\":%.2f" full
-        (float_of_int full /. float_of_int (states sp)))
+        (float_of_int full /. float_of_int states))
     full;
   Buffer.add_string buf "}";
   Buffer.contents buf

@@ -88,10 +88,39 @@ let check_cmd =
                     e.H.Scenarios.action)
                 (H.Scenarios.timeline trace))
           outcome.H.Verify.counterexample;
-        if not outcome.H.Verify.holds then exit Cli_resilience.exit_violation
+        if not outcome.H.Verify.holds then begin
+          if outcome.H.Verify.counterexample = None then
+            (* the zone engine found the violation; the budget ran out
+               while the discrete search looked for its trace *)
+            Format.printf
+              "no counterexample: the budget ran out during the discrete \
+               witness search@.";
+          exit Cli_resilience.exit_violation
+        end
+  in
+  let man =
+    [
+      `S Manpage.s_description;
+      `P
+        "By default the dense-time zone engine (location LU, inclusion \
+         subsumption) decides the verdict.  A violation is then explained \
+         by the plain discrete search, which prints a shortest timestamped \
+         counterexample and must confirm the zone verdict.  The two \
+         engines agree because every clock constraint of the shipped \
+         models is closed.";
+      `P
+        "$(b,--zone) prints the zone verdict with its zone trace (actions \
+         modulo time) and skips the discrete search.  $(b,--slice) checks \
+         the sliced model with the discrete search alone.";
+      `P
+        "A $(b,--budget-secs) or $(b,--budget-mb) trip in the zone search \
+         reports EXHAUSTED and counts zones.  A trip during the discrete \
+         witness search keeps the VIOLATED verdict without a \
+         counterexample.";
+    ]
   in
   Cmd.v
-    (Cmd.info "check" ~exits:Cli_resilience.exits
+    (Cmd.info "check" ~exits:Cli_resilience.exits ~man
        ~doc:"Model-check one requirement on one variant.")
     Term.(
       const run $ Cli_resilience.variant_arg $ params
@@ -338,7 +367,9 @@ let pa_smoke_cmd =
     Term.(const run $ Cli_resilience.json_arg)
 
 (* The per-requirement loop the slice and zone gates share: each
-   requirement is checked on the full discrete model and through [alt]
+   requirement is checked by the plain discrete search on the full
+   model ([Verify.check_discrete], never the zone-decided default of
+   [Verify.check]) and through [alt]
    (the slice or the zone engine); the verdicts must agree, and every
    [alt] counterexample must [replay] in the full discrete model, whose
    compiled network [replay] receives.  Failures and replays are
@@ -346,7 +377,7 @@ let pa_smoke_cmd =
 let parity_results ~failures ~replays ~alt ~replay variant params =
   List.map
     (fun req ->
-      let full = H.Verify.check variant params req in
+      let full = H.Verify.check_discrete ~fixed:false variant params req in
       let o = alt variant params req in
       let parity = full.H.Verify.holds = o.H.Verify.holds in
       let replayed =

@@ -22,7 +22,7 @@ let timeline labels =
 
 let make ~figure ~description ~variant ~tmin ~tmax requirement =
   let params = Params.make ~tmin ~tmax () in
-  let outcome = Verify.check variant params requirement in
+  let outcome = Verify.check_discrete ~fixed:false variant params requirement in
   match outcome.Verify.counterexample with
   | None ->
       Format.kasprintf failwith

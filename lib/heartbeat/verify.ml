@@ -7,6 +7,16 @@ type outcome = {
 
 let default_max = 5_000_000
 
+let model_for ~fixed variant params req =
+  Ta_models.build ~fixed
+    ~with_r1_monitors:(Requirements.needs_monitors req)
+    variant params
+
+let instance variant params req =
+  Format.asprintf "%s, %s, %a"
+    (Ta_models.variant_name variant)
+    (Requirements.name req) Params.pp params
+
 (* Slice the model against the requirement's seed.  The returned pair
    is (sliced system to explore, bad predicate over it). *)
 let sliced_parts variant params req model =
@@ -17,8 +27,8 @@ let sliced_parts variant params req model =
   (Slice_ta.system sl snet, bad)
 
 (* [states] is what a full run reports explored; [engine] prefixes the
-   state-bound failure. *)
-let outcome ~engine ~states variant params req = function
+   state-bound failure, which names [instance]. *)
+let outcome ~engine ~states ~instance = function
   | Mc.Explore.Unreachable ->
       {
         holds = true;
@@ -42,46 +52,70 @@ let outcome ~engine ~states variant params req = function
         exhausted = Some e;
       }
   | Mc.Explore.Bound_hit n ->
-      Format.kasprintf failwith
-        "Verify.check: %sstate bound %d exceeded (%s, %s, %a)" engine n
-        (Ta_models.variant_name variant)
-        (Requirements.name req) Params.pp params
+      Format.kasprintf failwith "Verify.check: %sstate bound %d exceeded (%s)"
+        engine n instance
 
-(* Dense-time check via the zone engine: same model builders, same bad
-   predicates (they observe only the discrete part), different
-   exploration. *)
-let check_zone ~fixed ?budget variant params req =
-  let with_r1_monitors = Requirements.needs_monitors req in
-  let model = Ta_models.build ~fixed ~with_r1_monitors variant params in
-  let z = Zone.Sym.compile model in
+(* The plain discrete search: breadth-first over the digitised
+   semantics of [net], so a violation comes with a shortest timestamped
+   trace. *)
+let find_discrete ?budget variant params req net =
+  Mc.Explore.find ~max_states:default_max ?budget
+    ~goal:(Requirements.bad_state variant params net req)
+    (Ta.Semantics.system net)
+
+let check_discrete ~fixed variant params req =
+  outcome ~engine:"" ~states:None
+    ~instance:(instance variant params req)
+    (find_discrete variant params req
+       (Ta.Semantics.compile (model_for ~fixed variant params req)))
+
+(* The dense-time search: the same bad predicate (it observes only the
+   discrete part) lifted to symbolic states. *)
+let find_zone ?budget ?stats variant params req z =
   let bad = Requirements.bad_state variant params (Zone.Sym.net z) req in
-  let stats = Zone.Reach.new_stats () in
-  let r =
-    Zone.Reach.find ~max_states:default_max ?budget ~stats z
-      ~goal:(Zone.Sym.bad_of z bad)
-  in
-  outcome ~engine:"zone " ~states:(Some stats.Zone.Reach.states) variant
-    params req r
+  Zone.Reach.find ~max_states:default_max ?budget ?stats z
+    ~goal:(Zone.Sym.bad_of z bad)
+
+let decide_on_zones ~instance ~zones zone explain =
+  match zone with
+  | Mc.Explore.Reached _ -> (
+      match explain () with
+      | Mc.Explore.Unreachable ->
+          Format.kasprintf failwith
+            "Verify.check: the discrete search does not confirm the zone \
+             violation (%s)"
+            instance
+      | Mc.Explore.Exhausted _ ->
+          (* the zone verdict stands; only its explanation ran out *)
+          {
+            holds = false;
+            counterexample = None;
+            states_explored = None;
+            exhausted = None;
+          }
+      | v -> outcome ~engine:"" ~states:None ~instance v)
+  | v -> outcome ~engine:"zone " ~states:(Some zones) ~instance v
 
 let check ?(fixed = false) ?(slice = false) ?budget ?(zone = false) ?lu:_
     variant params req =
-  if zone then begin
-    if slice then
-      invalid_arg "Verify.check: zone and slice engines are exclusive";
-    check_zone ~fixed ?budget variant params req
-  end
-  else begin
-    let with_r1_monitors = Requirements.needs_monitors req in
-    let model = Ta_models.build ~fixed ~with_r1_monitors variant params in
-    let sys, bad =
-      if slice then sliced_parts variant params req model
-      else
-        let net = Ta.Semantics.compile model in
-        (Ta.Semantics.system net, Requirements.bad_state variant params net req)
-    in
-    outcome ~engine:"" ~states:None variant params req
+  if zone && slice then
+    invalid_arg "Verify.check: zone and slice engines are exclusive";
+  let model = model_for ~fixed variant params req in
+  let instance = instance variant params req in
+  if slice then
+    let sys, bad = sliced_parts variant params req model in
+    outcome ~engine:"" ~states:None ~instance
       (Mc.Explore.find ~max_states:default_max ?budget ~goal:bad sys)
-  end
+  else
+    let z = Zone.Sym.compile model in
+    let stats = Zone.Reach.new_stats () in
+    let verdict = find_zone ?budget ~stats variant params req z in
+    let zones = stats.Zone.Reach.states in
+    if zone then outcome ~engine:"zone " ~states:(Some zones) ~instance verdict
+    else
+      (* the symbolic network compiled the discrete one, menus and all *)
+      decide_on_zones ~instance ~zones verdict (fun () ->
+          find_discrete ?budget variant params req (Zone.Sym.net z))
 
 (* The liveness formulas are pure label properties, so the slicing seed
    is empty: the pass keeps every guard (labels must be exact) and wins
@@ -107,17 +141,14 @@ let check_live_run ?(fixed = false) ?(engine = Ltl.Check.Ndfs) ?(slice = false)
     (live_system ~fixed ~slice variant params)
     (Requirements.live_formula variant params req)
 
-(* R1 with an explicit watchdog bound. *)
+(* R1 with an explicit watchdog bound.  Only the verdict is needed, so
+   the zone engine gives it alone. *)
 let r1_holds_with_bound ~fixed variant params bound =
   let model =
     Ta_models.build ~fixed ~with_r1_monitors:true ~r1_bound:bound variant
       params
   in
-  let net = Ta.Semantics.compile model in
-  let bad = Requirements.bad_state variant params net Requirements.R1 in
-  match
-    Mc.Explore.find ~max_states:default_max ~goal:bad (Ta.Semantics.system net)
-  with
+  match find_zone variant params Requirements.R1 (Zone.Sym.compile model) with
   | Mc.Explore.Unreachable -> true
   | Mc.Explore.Reached _ -> false
   | Mc.Explore.Bound_hit n ->

@@ -9,8 +9,12 @@
 type outcome = {
   holds : bool;
   counterexample : Ta.Semantics.label list option;
-      (** a shortest violating trace, when [holds] is false *)
-  states_explored : int option;  (** when cheaply available *)
+      (** a shortest violating trace, when [holds] is false; [None] also
+          when the budget tripped during {!check}'s discrete witness
+          search, after the zone engine had found the violation *)
+  states_explored : int option;
+      (** when cheaply available: the zones stored by a zone-decided
+          [HOLDS], or the states of an exhausted run *)
   exhausted : Mc.Explore.exhaustion option;
       (** set when the resource budget tripped before a full verdict:
           [holds] is then [false] with no counterexample, meaning
@@ -27,32 +31,69 @@ val check :
   Params.t ->
   Requirements.requirement ->
   outcome
-(** Model-check one requirement with the sequential exact-store
-    explorer ({!Mc.Explore.find}).
-    [slice] (default false) first slices the model against the
-    requirement's property seed ({!Requirements.slice_seed}, the
-    [slice] library) and explores the sliced system instead:
-    irrelevant variables and clocks are projected out, constants
-    folded, and per-location inactive clocks zeroed.
-    The verdict is unchanged (the slice is an exact label-preserving
-    projection) and the counterexample trace replays in the full model
-    ({!Slice.replay}).
+(** Model-check one requirement, sequentially with exact stores.
+
+    By default the {e zone engine decides} ({!Zone.Reach} over
+    {!Zone.Sym}, location LU): states are location/variable vectors
+    paired with canonical DBMs, explored with inclusion subsumption.
+    A [HOLDS] ends there.  A violation is then {e explained} by
+    {!check_discrete}'s search on the same compiled network, which
+    returns the shortest timestamped counterexample (unit delays as
+    [Delay] labels) and must confirm the zone verdict.  Zone and
+    discrete verdicts coincide because every clock atom of these
+    models is closed, so digitisation is exact (the test [lubounds
+    heartbeat clock atoms closed] checks the premise on every model
+    this function and {!worst_detection} build, and the heartbeat
+    suite compares both engines on the 180 table cells).
+    [zone] (default false) stops after the zone verdict: its
+    counterexample is the zone trace, an action sequence modulo time
+    that replays discretely ({!Zone.Reach.guided_replay}).
+    [slice] (default false) runs the discrete search alone, on the
+    model sliced against the requirement's property seed
+    ({!Requirements.slice_seed}, the [slice] library): irrelevant
+    variables and clocks are projected out, constants folded, and
+    per-location inactive clocks zeroed.  The verdict is unchanged (the
+    slice is an exact label-preserving projection) and the
+    counterexample trace replays in the full model ({!Slice.replay}).
     [budget] bounds the run by wall clock / live heap; a trip is
-    reported in [outcome.exhausted] rather than raising.  The
-    sequential engine cannot degrade its store, so a memory trip
-    exhausts.
-    [zone] (default false) checks the {e dense-time} semantics instead,
-    through the symbolic zone engine ({!Zone.Reach} over {!Zone.Sym}):
-    states are location/variable vectors paired with canonical DBMs,
-    explored with inclusion subsumption.  For these models (all clock
-    constraints closed) the verdict coincides with the discrete one;
-    counterexample traces are action sequences modulo time and replay
-    discretely ({!Zone.Reach.guided_replay}).
-    The zone engine extrapolates with location-based LU bounds, its
-    only mode; [lu] selects nothing and remains only for callers that
-    still pass [~lu:Zone.Sym.Location] (see {!Zone.Sym.lu}).
+    reported in [outcome.exhausted] rather than raising (on the default
+    path, a trip in the zone search counts zones).  A trip during the
+    witness search keeps the zone verdict: [holds] is [false] with no
+    counterexample and no exhaustion.  The sequential engines cannot
+    degrade their stores, so a memory trip exhausts.
+    [lu] selects nothing: location LU is the zone engine's only mode,
+    and the argument remains only for callers that still pass
+    [~lu:Zone.Sym.Location] (see {!Zone.Sym.lu}).
     @raise Invalid_argument if [zone] is combined with [slice].
-    @raise Failure if the state bound is exceeded (no verdict). *)
+    @raise Failure if a state bound is exceeded (no verdict), or if the
+    discrete search does not confirm a zone violation. *)
+
+val check_discrete :
+  fixed:bool ->
+  Ta_models.variant ->
+  Params.t ->
+  Requirements.requirement ->
+  outcome
+(** The plain discrete search ({!Mc.Explore.find} over the digitised
+    semantics of the unsliced model, no budget): the engine that
+    explains {!check}'s violations, and the discrete reference of the
+    slice and zone gates and of the cross-engine tests.
+    @raise Failure if the state bound is exceeded. *)
+
+val decide_on_zones :
+  instance:string ->
+  zones:int ->
+  ('z, Ta.Semantics.label) Mc.Explore.verdict ->
+  (unit -> ('c, Ta.Semantics.label) Mc.Explore.verdict) ->
+  outcome
+(** [decide_on_zones ~instance ~zones zone explain] is {!check}'s
+    default rule on a zone verdict [zone] that stored [zones] states:
+    anything but a violation is the outcome as it stands; a violation
+    calls [explain] (the discrete search), whose [Reached] supplies the
+    counterexample and whose budget trip keeps the verdict without
+    one.  Exported so that tests can plant a disagreement.
+    @raise Failure naming [instance] if [explain] finds no violation or
+    hits its state bound, or if [zone] hit its own. *)
 
 val check_live :
   ?fixed:bool ->

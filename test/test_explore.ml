@@ -384,8 +384,8 @@ let test_many_doublings () =
 let test_allocation_pin () =
   let params = Heartbeat.Params.make ~tmin:1 ~tmax:6 () in
   let run () =
-    Heartbeat.Verify.check Heartbeat.Ta_models.Binary params
-      Heartbeat.Requirements.R1
+    Heartbeat.Verify.check_discrete ~fixed:false Heartbeat.Ta_models.Binary
+      params Heartbeat.Requirements.R1
   in
   ignore (run ());
   let before = Gc.quick_stat () in

@@ -102,6 +102,31 @@ let paper_table2 =
     row 10 10 true false false;
   ]
 
+(* The paper leaves two-phase's p[0]-inactivation rule unspecified
+   (footnote 2).  With our documented choice — inactivate on a missed
+   reply once t is already tmin — detection takes 2*tmax + tmin, so R1
+   additionally fails at (9,10); R2/R3 match the binary results. *)
+let two_phase_table =
+  [
+    row 1 10 false true true;
+    row 4 10 false true true;
+    row 5 10 false true true;
+    row 9 10 false true true;
+    row 10 10 true false false;
+  ]
+
+(* The §6 fixes make every requirement hold on every data set. *)
+let fixed_table =
+  List.map (fun (tmin, tmax) -> row tmin tmax true true true)
+    H.Params.table_datasets
+
+let expected_table ~fixed = function
+  | _ when fixed -> fixed_table
+  | H.Ta_models.Binary | H.Ta_models.Revised | H.Ta_models.Static ->
+      paper_table1
+  | H.Ta_models.Two_phase -> two_phase_table
+  | H.Ta_models.Expanding | H.Ta_models.Dynamic -> paper_table2
+
 let row_testable =
   Alcotest.testable
     (fun ppf (r : H.Verify.row) ->
@@ -116,20 +141,7 @@ let table_matches variant expected () =
     expected rows
 
 let test_two_phase_table () =
-  (* The paper leaves two-phase's p[0]-inactivation rule unspecified
-     (footnote 2).  With our documented choice — inactivate on a missed
-     reply once t is already tmin — detection takes 2*tmax + tmin, so R1
-     additionally fails at (9,10); R2/R3 match the binary results. *)
-  let expected =
-    [
-      row 1 10 false true true;
-      row 4 10 false true true;
-      row 5 10 false true true;
-      row 9 10 false true true;
-      row 10 10 true false false;
-    ]
-  in
-  check (Alcotest.list row_testable) "two-phase" expected
+  check (Alcotest.list row_testable) "two-phase" two_phase_table
     (H.Verify.table H.Ta_models.Two_phase)
 
 let fixed_all_hold variant () =
@@ -221,7 +233,10 @@ let test_pa_ta_agree () =
           List.iter
             (fun req ->
               let pa = H.Pa_verify.check v params req in
-              let ta = (H.Verify.check v params req).H.Verify.holds in
+              let ta =
+                (H.Verify.check_discrete ~fixed:false v params req)
+                  .H.Verify.holds
+              in
               check Alcotest.bool
                 (Printf.sprintf "%s (%d,%d) %s" (H.Ta_models.variant_name v)
                    tmin tmax (H.Requirements.name req))
@@ -386,6 +401,154 @@ let test_counterexample_is_executable () =
       let final = List.fold_left step [ Ta.Semantics.initial net ] trace in
       check Alcotest.bool "trace is executable" true (final <> [])
 
+(* --- the zone engine decides, the discrete search cross-checks --- *)
+
+(* The tmax-6 data sets fall in the timing regimes of the paper's
+   tmax-10 ones, (1,10) (4,10) (5,10) (9,10) (10,10) in order, at a
+   fraction of the discrete cost. *)
+let tmax6_datasets = [ (1, 6); (2, 6); (3, 6); (5, 6); (6, 6) ]
+
+(* Verify.check decides every table cell on zones, so the plain
+   discrete search is what cross-checks the published tables: on all
+   180 cells (six variants x fixed/unfixed x five data sets x R1-R3)
+   both engines give one verdict, and it is the paper's. *)
+let test_engines_agree_on_table_cells () =
+  let cells = ref 0 in
+  List.iter
+    (fun variant ->
+      List.iter
+        (fun fixed ->
+          List.iter2
+            (fun (tmin, tmax) (expected : H.Verify.row) ->
+              let params = H.Params.make ~tmin ~tmax () in
+              List.iter
+                (fun (req, want) ->
+                  let name engine =
+                    Printf.sprintf "%s%s (%d,%d) %s %s"
+                      (H.Ta_models.variant_name variant)
+                      (if fixed then " fixed" else "")
+                      tmin tmax (H.Requirements.name req) engine
+                  in
+                  incr cells;
+                  check Alcotest.bool (name "discrete") want
+                    (H.Verify.check_discrete ~fixed variant params req)
+                      .H.Verify.holds;
+                  check Alcotest.bool (name "zone") want
+                    (H.Verify.check ~fixed ~zone:true variant params req)
+                      .H.Verify.holds)
+                [
+                  (H.Requirements.R1, expected.H.Verify.r1);
+                  (H.Requirements.R2, expected.H.Verify.r2);
+                  (H.Requirements.R3, expected.H.Verify.r3);
+                ])
+            tmax6_datasets
+            (expected_table ~fixed variant))
+        [ false; true ])
+    H.Ta_models.all_variants;
+  check Alcotest.int "cells" 180 !cells
+
+(* Verify.worst_detection binary-searches the watchdog bound on zone
+   verdicts alone; the same search on the discrete engine must land on
+   the same bound. *)
+let test_worst_detection_engines_agree () =
+  let v = H.Ta_models.Binary in
+  let discrete_holds params bound =
+    let net =
+      Ta.Semantics.compile
+        (H.Ta_models.build ~with_r1_monitors:true ~r1_bound:bound v params)
+    in
+    match
+      Mc.Explore.find ~max_states:5_000_000
+        ~goal:(H.Requirements.bad_state v params net H.Requirements.R1)
+        (Ta.Semantics.system net)
+    with
+    | Mc.Explore.Unreachable -> true
+    | Mc.Explore.Reached _ -> false
+    | Mc.Explore.Bound_hit _ | Mc.Explore.Exhausted _ ->
+        Alcotest.fail "discrete search without a verdict"
+  in
+  List.iter
+    (fun (tmin, tmax) ->
+      let params = H.Params.make ~tmin ~tmax () in
+      let rec search lo hi =
+        if hi - lo <= 1 then hi
+        else
+          let mid = (lo + hi) / 2 in
+          if discrete_holds params mid then search lo mid else search mid hi
+      in
+      let ceiling = 4 * tmax in
+      check Alcotest.bool "discrete ceiling holds" true
+        (discrete_holds params ceiling);
+      check Alcotest.int
+        (Printf.sprintf "binary (%d,%d)" tmin tmax)
+        (search 0 ceiling)
+        (H.Verify.worst_detection v params))
+    tmax6_datasets
+
+(* The default path's rule on planted verdicts: a zone violation the
+   discrete search cannot reproduce raises; a budget trip in the
+   witness search keeps the violation (never an exhaustion, which the
+   CLI prints as "no violation found so far"); a zone HOLDS runs no
+   discrete search.  The disagreement is a real one: a guard no integer
+   clock value satisfies, which dense time satisfies at x = 0.5. *)
+let test_zone_violation_must_be_confirmed () =
+  let module M = Ta.Model in
+  let module E = Ta.Expr in
+  let model =
+    {
+      M.vars = [];
+      clocks = [ { M.clock_name = "x"; cap = 2 } ];
+      chans = [];
+      automata =
+        [
+          {
+            M.auto_name = "A";
+            locations = [ M.loc "L0"; M.loc "Bad" ];
+            edges =
+              [
+                M.edge ~src:"L0" ~dst:"Bad"
+                  ~guard:E.(clk "x" > i 0 && clk "x" < i 1)
+                  ~act:"go" ();
+              ];
+            init_loc = "L0";
+          };
+        ];
+    }
+  in
+  let z = Zone.Sym.compile model in
+  let net = Zone.Sym.net z in
+  let bad = Ta.Semantics.loc_is net ~auto:"A" ~loc:"Bad" in
+  let zone = Zone.Reach.find z ~goal:(Zone.Sym.bad_of z bad) in
+  let discrete ?budget () =
+    Mc.Explore.find ?budget ~goal:bad (Ta.Semantics.system net)
+  in
+  check Alcotest.bool "dense time reaches Bad" true
+    (match zone with Mc.Explore.Reached _ -> true | _ -> false);
+  check Alcotest.bool "discrete time does not" true
+    (discrete () = Mc.Explore.Unreachable);
+  Alcotest.check_raises "unconfirmed violation"
+    (Failure
+       "Verify.check: the discrete search does not confirm the zone \
+        violation (planted)")
+    (fun () ->
+      ignore (H.Verify.decide_on_zones ~instance:"planted" ~zones:2 zone discrete));
+  let budget = Mc.Budget.make () in
+  Mc.Budget.cancel budget;
+  let o =
+    H.Verify.decide_on_zones ~instance:"planted" ~zones:2 zone (discrete ~budget)
+  in
+  check Alcotest.bool "violated" false o.H.Verify.holds;
+  check Alcotest.bool "no counterexample" true
+    (o.H.Verify.counterexample = None);
+  check Alcotest.bool "not an exhaustion" true (o.H.Verify.exhausted = None);
+  let o =
+    H.Verify.decide_on_zones ~instance:"planted" ~zones:7 Mc.Explore.Unreachable
+      (fun () -> Alcotest.fail "a zone HOLDS was explained")
+  in
+  check Alcotest.bool "holds" true o.H.Verify.holds;
+  check Alcotest.(option int) "zones stored" (Some 7)
+    o.H.Verify.states_explored
+
 (* --- engine combinations Verify.check rejects --- *)
 
 let test_check_rejects_zone_with_slice () =
@@ -436,6 +599,12 @@ let tests =
       quick "component figures" test_figure_lts;
       quick "counterexamples replay" test_counterexample_is_executable;
       quick "check rejects zone with slice" test_check_rejects_zone_with_slice;
+      slow "zone and discrete agree on the 180 table cells"
+        test_engines_agree_on_table_cells;
+      slow "zone worst detection = discrete binary search"
+        test_worst_detection_engines_agree;
+      quick "a zone violation must be confirmed"
+        test_zone_violation_must_be_confirmed;
     ] )
 
 (* --- MSC rendering --- *)

@@ -174,22 +174,47 @@ let test_location_bounds_below_global () =
     variant_models
 
 (* Digitisation is exact for closed clock constraints (PAPER.md), and
-   the discrete/zone parity of every heartbeat verdict rests on it:
-   every guard and invariant of every variant, fixed or not, with or
-   without the R1 watchdogs, at every table point splits into the
-   fragment with no strict atom. *)
+   every zone-decided heartbeat verdict rests on it: Verify.check
+   decides on zones and runs the discrete search only to explain a
+   violation, and Verify.worst_detection reads zone verdicts alone.  So
+   every guard and invariant splits into the fragment with no strict
+   atom, on every model those build at the points the reproduction
+   checks (the table data sets, the tmax-6 points of the cross-engine
+   test and the benchmark, and the extra worst-detection points), at
+   n = 1 and n = 2: every variant, fixed or not, with or without the R1
+   watchdogs, and with the watchdog bound overridden to each bound
+   worst_detection may try (0 to 4 * tmax). *)
 let test_heartbeat_atoms_closed () =
   let atoms = ref 0 in
+  let points =
+    List.sort_uniq compare
+      (Heartbeat.Params.table_datasets
+      @ [ (1, 6); (2, 6); (3, 6); (5, 6); (6, 6); (1, 4); (3, 8) ])
+  in
   List.iter
     (fun v ->
       List.iter
-        (fun (tmin, tmax) ->
-          let p = Heartbeat.Params.make ~n:2 ~tmin ~tmax () in
+        (fun ((tmin, tmax), n) ->
+          let p = Heartbeat.Params.make ~n ~tmin ~tmax () in
+          let build ?r1_bound (fixed, with_r1_monitors) =
+            ( Printf.sprintf "fixed=%b watchdogs=%b bound=%s" fixed
+                with_r1_monitors
+                (Option.fold ~none:"default" ~some:string_of_int r1_bound),
+              Heartbeat.Ta_models.build ~fixed ~with_r1_monitors ?r1_bound v
+                p )
+          in
+          let models =
+            List.map build
+              [ (false, false); (false, true); (true, false); (true, true) ]
+            @ List.concat_map
+                (fun fixed ->
+                  List.init
+                    ((4 * tmax) + 1)
+                    (fun r1_bound -> build ~r1_bound (fixed, true)))
+                [ false; true ]
+          in
           List.iter
-            (fun (fixed, with_r1_monitors) ->
-              let m =
-                Heartbeat.Ta_models.build ~fixed ~with_r1_monitors v p
-              in
+            (fun (model, (m : M.t)) ->
               let closed where b =
                 match Lubounds.split b with
                 | _, xs ->
@@ -197,14 +222,14 @@ let test_heartbeat_atoms_closed () =
                       (fun (a : Lubounds.atom) ->
                         incr atoms;
                         if a.Lubounds.strict then
-                          Alcotest.failf "%s %a: strict atom on %s at %s"
+                          Alcotest.failf "%s %a %s: strict atom on %s at %s"
                             (Heartbeat.Ta_models.variant_name v)
-                            Heartbeat.Params.pp p a.Lubounds.clock where)
+                            Heartbeat.Params.pp p model a.Lubounds.clock where)
                       xs
                 | exception Lubounds.Frag (code, reason) ->
-                    Alcotest.failf "%s %a: %s at %s (%s)"
+                    Alcotest.failf "%s %a %s: %s at %s (%s)"
                       (Heartbeat.Ta_models.variant_name v)
-                      Heartbeat.Params.pp p code where reason
+                      Heartbeat.Params.pp p model code where reason
               in
               List.iter
                 (fun (a : M.automaton) ->
@@ -220,8 +245,8 @@ let test_heartbeat_atoms_closed () =
                         e.M.guard)
                     a.M.edges)
                 m.M.automata)
-            [ (false, false); (false, true); (true, false); (true, true) ])
-        Heartbeat.Params.table_datasets)
+            models)
+        (List.concat_map (fun pt -> [ (pt, 1); (pt, 2) ]) points))
     Heartbeat.Ta_models.all_variants;
   Alcotest.(check bool) "clock atoms were inspected" true (!atoms > 0)
 

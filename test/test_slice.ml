@@ -254,7 +254,9 @@ let test_ta_variant_safety_parity () =
         (fun params ->
           List.iter
             (fun req ->
-              let full = Heartbeat.Verify.check v params req in
+              let full =
+                Heartbeat.Verify.check_discrete ~fixed:false v params req
+              in
               let sl = Heartbeat.Verify.check ~slice:true v params req in
               check Alcotest.bool
                 (Printf.sprintf "%s %s full = sliced"
